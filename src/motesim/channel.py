@@ -130,7 +130,11 @@ def _co_channel(a: Frame, b: Frame) -> bool:
 
 
 def interferers_of(tx: Transmission, all_tx: list) -> list:
-    """Transmissions overlapping ``tx`` in time on the same channel and SF."""
+    """Transmissions overlapping ``tx`` in time on the same channel and SF.
+
+    ``all_tx`` is any list that holds every transmission that may overlap
+    ``tx``: the full history, or only the frames still on air.
+    """
     return [o for o in all_tx
             if o.frame.frame_id != tx.frame.frame_id
             and _co_channel(o.frame, tx.frame) and _overlap(o, tx)]
@@ -144,6 +148,10 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
 
     Collision is judged first (capture against the strongest interferer),
     then the sensitivity and SNR-floor gates of the captured frame.
+    ``all_tx`` is any list that holds every transmission that may overlap
+    ``tx``; the batch resolver passes the full history, the engine only the
+    frames still on air. Only the strongest rival counts, so the order of
+    the list does not matter.
     """
     frame = tx.frame
     rssi = frame.rssi_by_rx[rx_addr]

@@ -11,6 +11,15 @@ transmission has started, so the capture decision sees the complete
 interferer set. A receiver counts as listening if its radio has been in rx
 continuously since no later than the frame's first sample (boundary
 inclusive).
+
+The medium keeps only the transmissions that can still matter. Once a
+frame has been decided, every transmission that ended at or before a
+floor is dropped. The floor is the earliest start of the frames still
+undecided, or now when none is. A frame decided later starts at or after
+the floor, so it cannot overlap them. Carrier sense and the capture
+decision read this short on-air list, so the cost per event does not grow
+with the horizon. The dispatch trace is hashed as it is produced, so its
+memory is constant too.
 """
 
 from __future__ import annotations
@@ -55,7 +64,6 @@ class SimRadioDriver(stk.RadioDriver):
         self._tx_cb = None
         self._config = sim.scenario.radio
         self._handles = itertools.count(1)
-        self._inflight = None
         self._in_tx_done = False
 
     def bind(self, rx_done=None, tx_done=None) -> None:
@@ -65,7 +73,7 @@ class SimRadioDriver(stk.RadioDriver):
             self._tx_cb = tx_done
 
     def init(self) -> None:
-        self._inflight = None
+        """Nothing to reset: the device holds all radio state."""
 
     def configure(self, config) -> None:
         if self.device.radio in (RadioMode.TX, RadioMode.RX,
@@ -114,12 +122,10 @@ class SimRadioDriver(stk.RadioDriver):
                 f"radio of node {self.device.address} is "
                 f"{self.device.radio.value}; cannot send")
         handle = next(self._handles)
-        self._inflight = handle
         self.sim.begin_transmission(self.device, bytes(data), handle)
         return handle
 
     def fire_tx_done(self, handle) -> None:
-        self._inflight = None
         if self._tx_cb is not None:
             self._in_tx_done = True
             try:
@@ -146,7 +152,8 @@ class Simulator:
         self._seq = itertools.count()
         self._queue: list = []
         self._frame_ids = itertools.count(1)
-        self._trace: list | None = [] if record_trace else None
+        self._trace = hashlib.sha256() if record_trace else None
+        self._trace_sep = ""
         self.event_count = 0
         self.log_lines: list = []
 
@@ -154,8 +161,9 @@ class Simulator:
         self.drivers: dict = {}
         self.unicasts: dict = {}
         self.apps: dict = {}
-        self._tx_log: list = []
-        self._tx_by_id: dict = {}
+        self._tx_log: list = []  # every transmission, in start order
+        self._on_air: list = []  # those that may overlap an undecided frame
+        self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
 
         self.packets: list = []
         self._pkt_by_frame_id: dict = {}
@@ -282,7 +290,7 @@ class Simulator:
     def medium_busy(self, frequency_hz: float) -> bool:
         return any(tx.start_ns <= self.now < tx.end_ns
                    and tx.frame.frequency_hz == frequency_hz
-                   for tx in self._tx_log)
+                   for tx in self._on_air)
 
     def _annotate(self, frame: Frame, tx_device: MoteDevice) -> None:
         params = self.scenario.channel
@@ -318,6 +326,7 @@ class Simulator:
         self.node_event(device, NodeEvent(NodeEventKind.TX_REQUEST))
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._tx_log.append(tx)
+        self._on_air.append(tx)
         self._tx_by_id[frame.frame_id] = (tx, handle)
         self.schedule(tx.end_ns, EventKind.TX_END, device.address,
                       frame.frame_id)
@@ -380,9 +389,12 @@ class Simulator:
             self.now = ts
             self.event_count += 1
             if self._trace is not None:
-                self._trace.append(
-                    f"{ts} {seq} {kind.value} {target} "
-                    f"{payload if kind is EventKind.NODE_TIMER else ''}")
+                # lines separated by "\n", no trailing newline
+                self._trace.update(
+                    f"{self._trace_sep}{ts} {seq} {kind.value} {target} "
+                    f"{payload if kind is EventKind.NODE_TIMER else ''}"
+                    .encode("utf-8"))
+                self._trace_sep = "\n"
             self._dispatch(kind, target, payload)
         self.now = t_ns
 
@@ -415,7 +427,7 @@ class Simulator:
             self._finish_decode(target, payload)
 
     def _finish_tx(self, frame_id: int) -> None:
-        tx, handle = self._tx_by_id[frame_id]
+        tx, handle = self._tx_by_id.pop(frame_id)
         frame = tx.frame
         sender = self.devices[frame.src]
         self.node_event(sender, NodeEvent(NodeEventKind.TX_DONE))
@@ -424,6 +436,9 @@ class Simulator:
         if app is not None and hasattr(app, "on_tx_done"):
             app.on_tx_done()
         self._deliver(tx)
+        floor = min((o.start_ns for o, _ in self._tx_by_id.values()),
+                    default=self.now)
+        self._on_air = [o for o in self._on_air if o.end_ns > floor]
 
     def _finish_wub(self, address: int) -> None:
         device = self.devices[address]
@@ -458,7 +473,7 @@ class Simulator:
                 outcome_str = "not-listening"
             else:
                 decision = chan.decide_reception(
-                    tx, rx_addr, self._tx_log, self.table,
+                    tx, rx_addr, self._on_air, self.table,
                     params.capture_threshold_db)
                 if decision.decoded:
                     self.node_event(device, NodeEvent(NodeEventKind.RX_DONE))
@@ -504,8 +519,7 @@ class Simulator:
     def trace_hash(self) -> str:
         if self._trace is None:
             return ""
-        blob = "\n".join(self._trace).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return self._trace.hexdigest()
 
     def _calibration(self) -> dict:
         scenario = self.scenario

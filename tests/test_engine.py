@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -23,7 +24,7 @@ def two_node_scenario(distance_m=100.0, packets=3, period_s=1.0,
 
 
 def multi_mote_scenario(positions, period_s=1.0, horizon_s=5.0, seed=1,
-                        payload_len=16, turn_ons_ms=None):
+                        payload_len=16, turn_ons_ms=None, sigma=0.0):
     """BS at origin plus one mote per position, all periodic senders."""
     nodes = [NodeSpec(address=1, role="bs", position=Position())]
     turn_ons_ms = turn_ons_ms or [1.0] * len(positions)
@@ -32,11 +33,23 @@ def multi_mote_scenario(positions, period_s=1.0, horizon_s=5.0, seed=1,
                               radio_turn_on_ns=round(turn_on * 1e6)))
     return Scenario(
         horizon_ns=round(horizon_s * 1e9), seed=seed, radio=RadioConfig(),
-        channel=ChannelParams(),
+        channel=ChannelParams(shadowing_sigma_db=sigma),
         nodes=tuple(nodes),
         app=AppSpec(kind="periodic", src=None, dst=1,
                     payload_len=payload_len,
                     period_ns=round(period_s * 1e9)))
+
+
+def dense_scenario(horizon_s, seed=7):
+    """Seven motes ticking together under 3 dB shadowing. Mixed turn-on
+    times make frames overlap partly; equal ones make frames end at the
+    same nanosecond."""
+    positions = [Position(x=40.0), Position(x=-90.0, y=20.0),
+                 Position(x=150.0), Position(y=300.0), Position(x=-450.0),
+                 Position(x=-200.0, y=-150.0), Position(x=200.0, y=200.0)]
+    return multi_mote_scenario(
+        positions, period_s=1.0, horizon_s=horizon_s, seed=seed,
+        turn_ons_ms=[1.0, 1.0, 60.0, 60.0, 200.0, 420.0, 420.0], sigma=3.0)
 
 
 class TestBasicRuns:
@@ -215,6 +228,52 @@ class TestIncrementalMatchesBatchResolver:
             expected = "delivered" if outcome.cause == "ok" else outcome.cause
             assert packet.outcome == expected
 
+    def test_dense_shadowed_run_matches_and_on_air_stays_bounded(self):
+        scenario = dense_scenario(horizon_s=30.0)
+        senders = len(scenario.nodes) - 1
+        sim = Simulator(scenario, record_trace=False)
+        sim.start_apps()
+        slices = 300
+        for k in range(1, slices + 1):
+            sim.run_until(scenario.horizon_ns * k // slices)
+            assert len(sim._on_air) <= senders
+        ends = [tx.end_ns for tx in sim._tx_log]
+        assert len(set(ends)) < len(ends)  # some frames end together
+        assert {"delivered", "collision"} <= {p.outcome for p in sim.packets}
+        batch = resolve_concurrent(sim._tx_log, TABLE,
+                                   scenario.channel.capture_threshold_db)
+        for packet in sim.packets:
+            if packet.outcome in ("in-flight", "not-listening"):
+                continue
+            outcome = batch[(packet.dst, packet.frame_id)]
+            expected = "delivered" if outcome.cause == "ok" else outcome.cause
+            assert packet.outcome == expected
+
+
+class TestGoldenDigests:
+    """Digests pinned on the engine that scanned the whole transmission
+    history. A change to dispatch order, RNG draw order or capture outcomes
+    moves them."""
+
+    def test_power_profile_trace_hash(self):
+        assert power_profile(cycles=4).trace_hash == (
+            "66a700511e283c16b3fe0dea2795cf80e1b36be1ebb32ea4d3fd6385c7dd5bc4")
+
+    def test_shadowed_multi_mote_outputs(self, tmp_path):
+        metrics = run(dense_scenario(horizon_s=12.0))
+        assert metrics.trace_hash == (
+            "260d90771226fe26a652bb0158289491fe1d8a10a59231686abae4fd48fbcf9a")
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in emit(metrics, "csv", tmp_path)}
+        assert digests == {
+            "packets.csv": "f65cf3fbe398d9f82e858535f20bc2b1b8e0dc3b"
+                           "1e93fa15b301f455be1b3ea9",
+            "links.csv": "d9193c65f7cab3d2ba431ccf726402a45f077290"
+                         "b211b6a5cbc3eda2b57118fe",
+            "energy.csv": "d1d573f83155dc62a300abec14096a990ca1cfc7"
+                          "fd430a1565de314b8195fd0b",
+        }
+
 
 class TestWakeupExchange:
     def test_latency_chain_exact(self):
@@ -349,3 +408,37 @@ class TestChannelClear:
         assert not sim.drivers[1].channel_clear()
         sim.run_until(2 * 10 ** 9 - 1)
         assert sim.drivers[1].channel_clear()
+
+    def test_busy_after_an_earlier_frame_was_pruned(self):
+        scenario = multi_mote_scenario(
+            [Position(x=10.0), Position(x=-10.0)], period_s=1.0,
+            horizon_s=3.0, turn_ons_ms=[1.0, 500.0])
+        sim = Simulator(scenario, record_trace=False)
+        sim.start_apps()
+        sim.run_until(1_600_000_000)
+        first, second = sim._tx_log
+        assert first.end_ns < second.start_ns <= sim.now < second.end_ns
+        assert sim._on_air == [second]
+        assert not sim.drivers[1].channel_clear()
+
+    def test_clear_at_exactly_end_ns(self):
+        from motesim.engine import EventKind
+        scenario = multi_mote_scenario([Position(x=10.0)], period_s=1.0,
+                                       horizon_s=3.0)
+        sim = Simulator(scenario, record_trace=False)
+        sim.start_apps()
+        sim.run_until(1_500_000_000)
+        (first,) = sim._tx_log
+        end_ns = first.end_ns + 10 ** 9  # the next tick's frame
+        seen = []
+
+        def probe():
+            seen.append((sim.now, len(sim._on_air),
+                         sim.drivers[1].channel_clear()))
+
+        # scheduled before the frame's TX_END, so they dispatch first
+        sim.schedule(end_ns - 1, EventKind.CALLBACK, 1, probe)
+        sim.schedule(end_ns, EventKind.CALLBACK, 1, probe)
+        sim.run_until(2_500_000_000)
+        assert sim._tx_log[1].end_ns == end_ns
+        assert seen == [(end_ns - 1, 1, False), (end_ns, 1, True)]
