@@ -5,6 +5,11 @@ shadowing. Defaults are calibrated so a +14 dBm transmitter is received
 at -120 dBm at 600 m (reference loss 31.2 dB at 1 m = free space at
 868 MHz, exponent 3.70 for a gently hilly non-LOS route class).
 
+``rssi_at`` computes one link from scratch. Nodes never move, so the
+engine caches each link's mean loss (``path_loss_db``) and takes only the
+shadowing draw per frame, with the same arithmetic and draw order as
+``rssi_at``.
+
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
 same-frequency same-SF frames iff its RSSI exceeds the strongest frame
@@ -120,24 +125,25 @@ class ReceptionOutcome:
         return self.cause == "ok"
 
 
-def _overlap(a: Transmission, b: Transmission) -> bool:
-    return a.start_ns < b.end_ns and b.start_ns < a.end_ns
-
-
-def _co_channel(a: Frame, b: Frame) -> bool:
-    return (a.frequency_hz == b.frequency_hz
-            and a.spreading_factor == b.spreading_factor)
-
-
 def interferers_of(tx: Transmission, all_tx: list) -> list:
     """Transmissions overlapping ``tx`` in time on the same channel and SF.
 
     ``all_tx`` is any list that holds every transmission that may overlap
     ``tx``: the full history, or only the frames still on air.
     """
-    return [o for o in all_tx
-            if o.frame.frame_id != tx.frame.frame_id
-            and _co_channel(o.frame, tx.frame) and _overlap(o, tx)]
+    frame = tx.frame
+    frame_id = frame.frame_id
+    frequency_hz = frame.frequency_hz
+    sf = frame.spreading_factor
+    start_ns, end_ns = tx.start_ns, tx.end_ns
+    rivals = []
+    for o in all_tx:
+        other = o.frame
+        if (other.frame_id != frame_id and other.frequency_hz == frequency_hz
+                and other.spreading_factor == sf
+                and o.start_ns < end_ns and start_ns < o.end_ns):
+            rivals.append(o)
+    return rivals
 
 
 def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,

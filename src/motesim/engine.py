@@ -20,6 +20,13 @@ the floor, so it cannot overlap them. Carrier sense and the capture
 decision read this short on-air list, so the cost per event does not grow
 with the horizon. The dispatch trace is hashed as it is produced, so its
 memory is constant too.
+
+Nodes never move, so work that depends only on positions is done once. At a
+sender's first frame or wake-up burst the engine caches its mean path loss
+to every other node; each frame then takes only the shadowing draw per
+receiver, in ascending address order, exactly as ``channel.rssi_at`` would.
+The noise floor is computed once per frame, and the sorted node addresses
+once per run.
 """
 
 from __future__ import annotations
@@ -32,14 +39,16 @@ import random
 import time
 
 from . import channel as chan
+from . import node as nd
 from . import report as rep
 from . import stack as stk
 from . import wurx as wux
-from .errors import ContractViolation, MotesimError, RadioUnavailable
+from .errors import (ContractViolation, MotesimError, RadioUnavailable,
+                     ZeroDistanceError)
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, DEFAULT_RADIO_TURN_ON_NS,
-                   McuMode, MoteDevice, NodeEvent, NodeEventKind, RadioMode,
-                   SUPPLY_VOLTAGE_V, power_report)
+                   McuMode, MoteDevice, RadioMode, SUPPLY_VOLTAGE_V,
+                   power_report)
 from .phy import SensitivityTable, time_on_air
 from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
@@ -164,6 +173,7 @@ class Simulator:
         self._tx_log: list = []  # every transmission, in start order
         self._on_air: list = []  # those that may overlap an undecided frame
         self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
+        self._links: dict = {}  # sender address -> _links_from(sender)
 
         self.packets: list = []
         self._pkt_by_frame_id: dict = {}
@@ -172,6 +182,7 @@ class Simulator:
 
         for spec in sorted(scenario.nodes, key=lambda n: n.address):
             self._build_device(spec)
+        self._addresses = tuple(sorted(self.devices))
         self._build_apps()
 
     # -- construction ---------------------------------------------------------
@@ -209,10 +220,8 @@ class Simulator:
             now_ns=lambda: self.now,
             call_at=lambda at_ns, fn: self.schedule(
                 at_ns, EventKind.CALLBACK, address, fn),
-            request_sleep=lambda: self.node_event(
-                device, NodeEvent(NodeEventKind.SLEEP_REQUEST)),
-            request_wake=lambda: self.node_event(
-                device, NodeEvent(NodeEventKind.TIMER, "wake")),
+            request_sleep=lambda: self.node_event(device, nd.SLEEP_REQUEST),
+            request_wake=lambda: self.node_event(device, nd.WAKE),
             send_wakeup=lambda wurx_address: self.send_wakeup(
                 device, wurx_address),
             target_awake=lambda addr: self.devices[addr].mcu is McuMode.ACTIVE,
@@ -269,7 +278,7 @@ class Simulator:
         heapq.heappush(self._queue, (at_ns, next(self._seq), kind, target,
                                      payload))
 
-    def node_event(self, device: MoteDevice, event: NodeEvent) -> None:
+    def node_event(self, device: MoteDevice, event: nd.NodeEvent) -> None:
         result = device.transition(event, self.now)
         self.process_result(device, result)
 
@@ -280,7 +289,7 @@ class Simulator:
         app = self.apps.get(device.address)
         if app is None:
             return
-        if result.awake and hasattr(app, "on_awake"):
+        if result.awake:
             app.on_awake()
         if result.radio_ready:
             app.on_radio_ready()
@@ -292,17 +301,52 @@ class Simulator:
                    and tx.frame.frequency_hz == frequency_hz
                    for tx in self._on_air)
 
+    def _links_from(self, sender: MoteDevice) -> tuple:
+        """The sender's links as (links, coincident).
+
+        ``links`` holds (address, receiver, mean path loss) for every other
+        node, in ascending address order. ``coincident`` holds the receivers
+        at the sender's own position, where path loss is undefined. Built at
+        the sender's first frame or burst, so a coincident receiver raises
+        where ``channel.rssi_at`` would.
+        """
+        cached = self._links.get(sender.address)
+        if cached is None:
+            params = self.scenario.channel
+            links, coincident = [], []
+            for rx_addr in self._addresses:
+                if rx_addr == sender.address:
+                    continue
+                receiver = self.devices[rx_addr]
+                d = sender.position.distance_to(receiver.position)
+                if d == 0:
+                    coincident.append(receiver)
+                else:
+                    links.append((rx_addr, receiver,
+                                  chan.path_loss_db(d, params)))
+            cached = self._links[sender.address] = (links, coincident)
+        return cached
+
     def _annotate(self, frame: Frame, tx_device: MoteDevice) -> None:
+        """Fill the frame's RSSI and SNR at every other node. Same arithmetic
+        and draw order as ``channel.rssi_at`` and ``channel.snr_of``."""
         params = self.scenario.channel
-        for rx_addr in sorted(self.devices):
-            if rx_addr == tx_device.address:
-                continue
-            rx_device = self.devices[rx_addr]
-            rssi = chan.rssi_at(frame.tx_power_dbm, tx_device.position,
-                                rx_device.position, params, self.rng)
-            frame.rssi_by_rx[rx_addr] = rssi
-            frame.snr_by_rx[rx_addr] = chan.snr_of(
-                rssi, frame.bandwidth_hz, params.noise_figure_db)
+        links, coincident = self._links_from(tx_device)
+        if coincident:
+            raise ZeroDistanceError("tx and rx positions coincide")
+        noise_floor = chan.noise_floor_dbm(frame.bandwidth_hz,
+                                           params.noise_figure_db)
+        tx_power = frame.tx_power_dbm
+        sigma = params.shadowing_sigma_db
+        gauss = self.rng.gauss
+        rssi_by_rx, snr_by_rx = frame.rssi_by_rx, frame.snr_by_rx
+        for rx_addr, _receiver, loss in links:
+            if sigma > 0:
+                rssi = tx_power - (loss + gauss(0.0, sigma))
+            else:
+                rssi = tx_power - loss
+            rssi_by_rx[rx_addr] = rssi
+            snr_by_rx[rx_addr] = rssi - noise_floor
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -323,7 +367,7 @@ class Simulator:
             tx_power_dbm=config.tx_power_dbm,
         )
         self._annotate(frame, device)
-        self.node_event(device, NodeEvent(NodeEventKind.TX_REQUEST))
+        self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._tx_log.append(tx)
         self._on_air.append(tx)
@@ -351,14 +395,18 @@ class Simulator:
         )
         result = device.begin_wub_tx(self.now, emission.duty)
         self.process_result(device, result)
-        params = self.scenario.channel
-        for rx_addr in sorted(self.devices):
-            receiver = self.devices[rx_addr]
-            if rx_addr == device.address or receiver.wurx is None:
+        links, coincident = self._links_from(device)
+        if any(receiver.wurx is not None for receiver in coincident):
+            raise ZeroDistanceError("tx and rx positions coincide")
+        tx_power = self.scenario.radio.tx_power_dbm
+        sigma = self.scenario.channel.shadowing_sigma_db
+        for rx_addr, receiver, loss in links:
+            if receiver.wurx is None:
                 continue
-            rssi = chan.rssi_at(self.scenario.radio.tx_power_dbm,
-                                device.position, receiver.position,
-                                params, self.rng)
+            if sigma > 0:
+                rssi = tx_power - (loss + self.rng.gauss(0.0, sigma))
+            else:
+                rssi = tx_power - loss
             outcome = wux.receive_wub(receiver.wurx, emission.frame, rssi)
             if outcome.kind == "busy":
                 receiver.wurx.missed_while_decoding += 1
@@ -403,7 +451,7 @@ class Simulator:
         horizon = self.scenario.horizon_ns
         self.start_apps()
         self.run_until(horizon)
-        for address in sorted(self.devices):
+        for address in self._addresses:
             self.devices[address].finalize(horizon)
         return self._collect(time.perf_counter() - started)
 
@@ -430,10 +478,10 @@ class Simulator:
         tx, handle = self._tx_by_id.pop(frame_id)
         frame = tx.frame
         sender = self.devices[frame.src]
-        self.node_event(sender, NodeEvent(NodeEventKind.TX_DONE))
+        self.node_event(sender, nd.TX_DONE)
         app = self.apps.get(frame.src)
         self.drivers[frame.src].fire_tx_done(handle)
-        if app is not None and hasattr(app, "on_tx_done"):
+        if app is not None:
             app.on_tx_done()
         self._deliver(tx)
         floor = min((o.start_ns for o, _ in self._tx_by_id.values()),
@@ -442,9 +490,9 @@ class Simulator:
 
     def _finish_wub(self, address: int) -> None:
         device = self.devices[address]
-        self.node_event(device, NodeEvent(NodeEventKind.TX_DONE))
+        self.node_event(device, nd.TX_DONE)
         app = self.apps.get(address)
-        if app is not None and hasattr(app, "on_tx_done"):
+        if app is not None:
             app.on_tx_done()
 
     def _finish_decode(self, address: int, interrupt: bool) -> None:
@@ -453,15 +501,14 @@ class Simulator:
         if interrupt:
             device.wurx.interrupts_asserted += 1
             if not device.ledger.depleted:
-                self.node_event(device,
-                                NodeEvent(NodeEventKind.WURX_INTERRUPT))
+                self.node_event(device, nd.WURX_INTERRUPT)
         else:
             device.wurx.false_wakeups_rejected += 1
 
     def _deliver(self, tx) -> None:
         frame = tx.frame
         params = self.scenario.channel
-        for rx_addr in sorted(self.devices):
+        for rx_addr in self._addresses:
             if rx_addr == frame.src:
                 continue
             device = self.devices[rx_addr]
@@ -476,7 +523,7 @@ class Simulator:
                     tx, rx_addr, self._on_air, self.table,
                     params.capture_threshold_db)
                 if decision.decoded:
-                    self.node_event(device, NodeEvent(NodeEventKind.RX_DONE))
+                    self.node_event(device, nd.RX_DONE)
                     disposition = self.drivers[rx_addr].deliver(frame)
                     outcome_str = ("delivered" if disposition == "deliver"
                                    else disposition)
@@ -553,7 +600,7 @@ class Simulator:
             trace_hash=self.trace_hash(),
             wallclock_s=wallclock_s,
         )
-        for address in sorted(self.devices):
+        for address in self._addresses:
             device = self.devices[address]
             ledger = device.ledger
             metrics.energy.append(rep.NodeEnergyReport(

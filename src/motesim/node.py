@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, IllegalTransition
 from .phy import NS_PER_S
@@ -107,8 +108,19 @@ class NodeEvent:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class TransitionResult:
+# The fixed node events. NodeEvent is frozen, so one instance of each is
+# shared by every node and every dispatch.
+WAKE = NodeEvent(NodeEventKind.TIMER, "wake")
+MCU_AWAKE = NodeEvent(NodeEventKind.TIMER, "mcu_awake")
+RADIO_READY = NodeEvent(NodeEventKind.TIMER, "radio_ready")
+TX_REQUEST = NodeEvent(NodeEventKind.TX_REQUEST)
+TX_DONE = NodeEvent(NodeEventKind.TX_DONE)
+RX_DONE = NodeEvent(NodeEventKind.RX_DONE)
+SLEEP_REQUEST = NodeEvent(NodeEventKind.SLEEP_REQUEST)
+WURX_INTERRUPT = NodeEvent(NodeEventKind.WURX_INTERRUPT)
+
+
+class TransitionResult(NamedTuple):
     """New state plus follow-up events the engine must schedule."""
 
     mcu: McuMode
@@ -116,8 +128,6 @@ class TransitionResult:
     followups: tuple = ()  # of (delay_ns, NodeEvent)
     awake: bool = False        # MCU just reached active
     radio_ready: bool = False  # radio just reached standby
-    tx_finished: bool = False
-    frame_received: bool = False
 
 
 class EnergyLedger:
@@ -259,7 +269,8 @@ class MoteDevice:
         """Charge the dwell in the current label up to ``now_ns``.
 
         Called before every state change and once at the horizon, so the
-        per-label times partition the run exactly.
+        per-label times partition the run exactly. The label itself is set
+        by the caller once the state has changed.
         """
         dt = now_ns - self._label_since_ns
         if dt < 0:
@@ -267,7 +278,6 @@ class MoteDevice:
                 f"node {self.address}: ledger time moved backwards")
         self.ledger.accrue(self._label, self._label_power_w(self._label), dt)
         self._label_since_ns = now_ns
-        self._label = self._current_label()
 
     # -- spec events ----------------------------------------------------------
 
@@ -278,16 +288,14 @@ class MoteDevice:
         if kind is NodeEventKind.WURX_INTERRUPT:
             if mcu is McuMode.SLEEP:
                 return self._apply(now_ns, McuMode.WAKING, radio, followups=(
-                    (self.mcu_wakeup_ns,
-                     NodeEvent(NodeEventKind.TIMER, "mcu_awake")),))
+                    (self.mcu_wakeup_ns, MCU_AWAKE),))
             # re-trigger while already awake/waking: documented no-op
             return TransitionResult(mcu, radio)
 
         if kind is NodeEventKind.TIMER:
             if event.purpose == "wake" and mcu is McuMode.SLEEP:
                 return self._apply(now_ns, McuMode.WAKING, radio, followups=(
-                    (self.mcu_wakeup_ns,
-                     NodeEvent(NodeEventKind.TIMER, "mcu_awake")),))
+                    (self.mcu_wakeup_ns, MCU_AWAKE),))
             if event.purpose == "mcu_awake" and mcu is McuMode.WAKING:
                 return self._apply(now_ns, McuMode.ACTIVE, radio, awake=True)
             if event.purpose == "radio_ready" and mcu is McuMode.ACTIVE \
@@ -306,15 +314,14 @@ class MoteDevice:
         if kind is NodeEventKind.TX_DONE:
             if mcu is McuMode.ACTIVE and radio is RadioMode.TX:
                 # charge the finished dwell before dropping the duty override
-                result = self._apply(now_ns, mcu, RadioMode.STANDBY,
-                                     tx_finished=True)
+                result = self._apply(now_ns, mcu, RadioMode.STANDBY)
                 self.wub_tx_power_w = None
                 return result
             return self._illegal(event, now_ns)
 
         if kind is NodeEventKind.RX_DONE:
             if mcu is McuMode.ACTIVE and radio is RadioMode.RX:
-                return self._apply(now_ns, mcu, radio, frame_received=True)
+                return self._apply(now_ns, mcu, radio)
             return self._illegal(event, now_ns)
 
         if kind is NodeEventKind.SLEEP_REQUEST:
@@ -333,8 +340,7 @@ class MoteDevice:
         if self.mcu is not McuMode.ACTIVE or self.radio is not RadioMode.OFF:
             return self._illegal("radio_on", now_ns)
         return self._apply(now_ns, self.mcu, RadioMode.TURNING_ON, followups=(
-            (self.radio_turn_on_ns,
-             NodeEvent(NodeEventKind.TIMER, "radio_ready")),))
+            (self.radio_turn_on_ns, RADIO_READY),))
 
     def radio_off(self, now_ns: int) -> TransitionResult:
         if self.mcu is not McuMode.ACTIVE or self.radio not in (
@@ -366,12 +372,13 @@ class MoteDevice:
 
     # -- internals ------------------------------------------------------------
 
-    def _apply(self, now_ns, mcu, radio, **flags) -> TransitionResult:
+    def _apply(self, now_ns, mcu, radio, followups=(), awake=False,
+               radio_ready=False) -> TransitionResult:
         self.sync_ledger(now_ns)
         self.mcu = mcu
         self.radio = radio
         self._label = self._current_label()
-        return TransitionResult(mcu, radio, **flags)
+        return TransitionResult(mcu, radio, followups, awake, radio_ready)
 
     def _illegal(self, event, now_ns):
         raise IllegalTransition(

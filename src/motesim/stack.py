@@ -187,7 +187,24 @@ class Services:
         self.log = log
 
 
-class PeriodicSenderApp:
+class App:
+    """Base of the applications. The engine calls every hook below on every
+    application; each does nothing unless a subclass overrides it."""
+
+    def start(self) -> None:
+        """The run begins."""
+
+    def on_awake(self) -> None:
+        """The node's MCU has just become active."""
+
+    def on_radio_ready(self) -> None:
+        """The node's radio has just reached standby."""
+
+    def on_tx_done(self) -> None:
+        """The node's frame or wake-up burst has left the air."""
+
+
+class PeriodicSenderApp(App):
     """Send a fixed payload to one destination every ``period_ns``.
 
     First transmission fires at t = period. Idle policy between sends is
@@ -251,7 +268,7 @@ class PeriodicSenderApp:
             self.unicast.driver.start_rx()
 
 
-class SinkApp:
+class SinkApp(App):
     """Base-station behaviour: bring the radio up and listen forever."""
 
     def __init__(self, unicast: Unicast, services: Services):
@@ -266,11 +283,8 @@ class SinkApp:
     def on_radio_ready(self) -> None:
         self.unicast.driver.start_rx()
 
-    def on_tx_done(self) -> None:  # pragma: no cover - sink never sends
-        pass
 
-
-class WakeupInitiatorApp:
+class WakeupInitiatorApp(App):
     """Wake a sleeping peer with an OOK burst, then unicast it a payload.
 
     The data transmission is scheduled exactly one wake chain after the
@@ -316,16 +330,12 @@ class WakeupInitiatorApp:
         self.unicast.send(self.target, self.payload)
         self.exchanges.append((cycle, wub_start_ns, "data-sent"))
 
-    def on_radio_ready(self) -> None:
-        pass
 
-    def on_tx_done(self) -> None:
-        pass
-
-
-class WakeupSleeperApp:
+class WakeupSleeperApp(App):
     """Peer side of the wake-up exchange: sleep until the WuRX interrupt,
-    listen for one payload, then linger briefly and go back to sleep."""
+    listen for one payload, then linger briefly and go back to sleep.
+
+    The node is built asleep, so ``start`` has nothing to do."""
 
     def __init__(self, unicast: Unicast, services: Services,
                  linger_ns: int, rx_timeout_ns: int):
@@ -337,10 +347,6 @@ class WakeupSleeperApp:
         self.rx_timeouts = 0
         self._armed_until = None
         unicast.on_message = self.on_message
-
-    def start(self) -> None:
-        # the node is constructed asleep; nothing to do until the interrupt
-        pass
 
     def on_awake(self) -> None:
         self.unicast.driver.on()
@@ -365,6 +371,3 @@ class WakeupSleeperApp:
 
     def back_to_sleep(self) -> None:
         self.services.request_sleep()
-
-    def on_tx_done(self) -> None:  # pragma: no cover - sleeper never sends
-        pass

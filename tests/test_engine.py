@@ -442,3 +442,142 @@ class TestChannelClear:
         sim.run_until(2_500_000_000)
         assert sim._tx_log[1].end_ns == end_ns
         assert seen == [(end_ns - 1, 1, False), (end_ns, 1, True)]
+
+
+def shadowed_wakeup_scenario():
+    """Wake-up exchange under 4 dB shadowing near the WuRX's range, plus a
+    second WuRX node with another address and a sink with no WuRX."""
+    import dataclasses
+    base = power_profile_scenario(cycles=12, distance_m=7.0)
+    nodes = base.nodes + (
+        NodeSpec(address=3, role="sleeper", position=Position(y=5.0),
+                 wurx=WurxSpec(address=0x11)),
+        NodeSpec(address=4, role="bs", position=Position(x=-30.0)),
+    )
+    return dataclasses.replace(
+        base, nodes=nodes, seed=5,
+        channel=ChannelParams(shadowing_sigma_db=4.0))
+
+
+class TestLinkCache:
+    """The engine caches each link's mean path loss and draws only the
+    shadowing per frame; values and draw order must match ``rssi_at``."""
+
+    def test_frame_annotations_equal_rssi_at_bit_for_bit(self):
+        from motesim.channel import rssi_at, snr_of
+        scenario = dense_scenario(horizon_s=6.0)
+        sim = Simulator(scenario, record_trace=False)
+        sim.run()
+        rng = random.Random(scenario.seed)
+        params = scenario.channel
+        addresses = sorted(sim.devices)
+        assert len(sim._tx_log) > 20
+        for tx in sim._tx_log:
+            frame = tx.frame
+            src = sim.devices[frame.src]
+            receivers = [a for a in addresses if a != frame.src]
+            assert list(frame.rssi_by_rx) == receivers
+            assert list(frame.snr_by_rx) == receivers
+            for rx_addr in receivers:
+                rssi = rssi_at(frame.tx_power_dbm, src.position,
+                               sim.devices[rx_addr].position, params, rng)
+                assert frame.rssi_by_rx[rx_addr] == rssi
+                assert frame.snr_by_rx[rx_addr] == snr_of(
+                    rssi, frame.bandwidth_hz, params.noise_figure_db)
+        assert sim.rng.getstate() == rng.getstate()
+
+    def test_unshadowed_run_draws_nothing(self):
+        scenario = multi_mote_scenario(
+            [Position(x=40.0), Position(x=-90.0, y=20.0), Position(y=300.0)],
+            horizon_s=4.0, seed=11)
+        sim = Simulator(scenario, record_trace=False)
+        sim.run()
+        assert len(sim._tx_log) == 9
+        assert sim.rng.getstate() == random.Random(11).getstate()
+
+    def test_coincident_nodes_raise_at_first_frame(self):
+        from motesim.errors import ZeroDistanceError
+        from motesim.node import DEFAULT_MCU_WAKEUP_NS
+        sim = Simulator(multi_mote_scenario([Position()]), record_trace=False)
+        with pytest.raises(ZeroDistanceError):
+            sim.run()
+        assert sim.now == 1_000_000_000 + DEFAULT_MCU_WAKEUP_NS + 1_000_000
+        assert sim._tx_log == []
+
+    def test_coincident_wurx_node_raises_at_burst(self):
+        import dataclasses
+        from motesim.errors import ZeroDistanceError
+        base = power_profile_scenario(cycles=2)
+        scenario = dataclasses.replace(base, nodes=base.nodes + (
+            NodeSpec(address=3, role="sleeper", position=Position(),
+                     wurx=WurxSpec(address=0x11)),))
+        sim = Simulator(scenario, record_trace=False)
+        with pytest.raises(ZeroDistanceError):
+            sim.run()
+        assert sim.now == 1_000_000_000
+
+    def test_coincident_node_without_wurx_raises_at_data_frame(self):
+        # bursts reach WuRX nodes only, so the burst passes and the data
+        # frame that follows it is the first to need the coincident link
+        import dataclasses
+        from motesim.errors import ZeroDistanceError
+        from motesim.node import DEFAULT_MCU_WAKEUP_NS
+        base = power_profile_scenario(cycles=2)
+        scenario = dataclasses.replace(base, nodes=base.nodes + (
+            NodeSpec(address=3, role="bs", position=Position()),))
+        sim = Simulator(scenario, record_trace=False)
+        with pytest.raises(ZeroDistanceError):
+            sim.run()
+        assert sim.now == (1_000_000_000 + 16_000_000 + DEFAULT_MCU_WAKEUP_NS
+                           + 1_000_000)
+        assert sim._tx_log == []
+
+    def test_path_loss_computed_once_per_link(self, monkeypatch):
+        from motesim import channel
+        calls = []
+        original = channel.path_loss_db
+
+        def counting(distance_m, params):
+            calls.append(distance_m)
+            return original(distance_m, params)
+
+        monkeypatch.setattr(channel, "path_loss_db", counting)
+        positions = [Position(x=40.0), Position(x=-90.0, y=20.0),
+                     Position(x=150.0), Position(y=300.0)]
+        nodes = len(positions) + 1
+        counts = []
+        for horizon_s in (3.0, 9.0):
+            calls.clear()
+            sim = Simulator(multi_mote_scenario(positions, horizon_s=horizon_s,
+                                                sigma=3.0),
+                            record_trace=False)
+            sim.run()
+            assert len(sim._tx_log) >= len(positions) * (horizon_s - 1)
+            counts.append(len(calls))
+        assert 0 < counts[0] <= nodes * (nodes - 1)
+        assert counts[0] == counts[1]
+
+
+class TestShadowedWakeupDigests:
+    """Pinned on the engine that called ``rssi_at`` for every burst and
+    frame: the cached links must reproduce its draws exactly."""
+
+    def test_shadowed_wakeup_outputs(self, tmp_path):
+        metrics = run(shadowed_wakeup_scenario())
+        assert metrics.trace_hash == (
+            "073aa91e3c9941d60010ef6b2a1e943e541cba45b2ef98296d06f8207d5d7143")
+        outcomes = [e.outcome for e in metrics.exchanges]
+        assert outcomes.count("wake-timeout") == 2
+        assert outcomes.count("completed") == 10
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in emit(metrics, "csv", tmp_path)}
+        assert digests == {
+            "packets.csv": "341eceb7e7194c59615bea0e5c5cbb6ec0b0a0d3"
+                           "c8384c11306bd4f3d7d3ba31",
+            "links.csv": "b94af88c1b012dfc3688d274c6a36e84ea7e4459"
+                         "645c6b30f4b762cc7aba4dea",
+            "energy.csv": "2ce517385692f6c58c0ae7bd9d0a7c207846373c"
+                          "62d7d680b51ccf06239ede91",
+            "exchanges.csv": "07e564fe4ec695182a85532d9af2979d5286794a"
+                             "5e44a1fdbb67eebf61808d1b",
+        }

@@ -314,3 +314,45 @@ class TestLedgerIntegration:
             make_device(power_table_w={"lora_rx": 1e-3})  # below mcu_active
         with pytest.raises(ConfigError):
             make_device(power_table_w={"sleep": 5e-3})  # above mcu_active
+
+
+class TestLabelAcrossWurxModes:
+    def test_dwell_partition_across_wurx_set_mode(self):
+        """WuRX mode flips in every MCU and radio state charge the dwell to
+        the label that held it; the label is set once the state changed."""
+        device = make_device(awake=True, with_wurx=True)
+        steps = [
+            (2_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
+            (3_000_000, lambda t: device.transition(ev("SLEEP_REQUEST"), t)),
+            (10_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
+                                                        t)),
+            (10_000_000, lambda t: device.transition(ev("WURX_INTERRUPT"), t)),
+            (10_007_000, lambda t: device.transition(ev("TIMER", "mcu_awake"),
+                                                     t)),
+            (20_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
+            (20_000_000, device.radio_on),
+            (21_000_000, lambda t: device.transition(
+                ev("TIMER", "radio_ready"), t)),
+            (21_000_000, device.start_rx),
+            (25_000_000, lambda t: device.transition(ev("SLEEP_REQUEST"), t)),
+            (30_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
+                                                        t)),
+        ]
+        labels = []
+        for t, step in steps:
+            step(t)
+            assert device._label == device._current_label()
+            labels.append(device._label)
+        assert labels == ["mcu_active", "wurx_decode", "sleep", "mcu_active",
+                          "mcu_active", "mcu_active", "mcu_active",
+                          "mcu_active", "lora_rx", "wurx_decode", "sleep"]
+        device.finalize(50_000_000)
+        ledger = device.ledger
+        assert ledger.total_time_ns() == 50_000_000
+        assert ledger.time_ns == {"mcu_active": 14_000_000,
+                                  "wurx_decode": 12_000_000,
+                                  "lora_rx": 4_000_000,
+                                  "sleep": 20_000_000}
+        for label, t in ledger.time_ns.items():
+            assert ledger.energy_j[label] == pytest.approx(
+                DEFAULT_POWER_TABLE_W[label] * t / 1e9, rel=1e-12)
