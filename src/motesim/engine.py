@@ -27,6 +27,14 @@ to every other node; each frame then takes only the shadowing draw per
 receiver, in ascending address order, exactly as ``channel.rssi_at`` would.
 The noise floor is computed once per frame, and the sorted node addresses
 once per run.
+
+The per-event path is flat. ``run_until`` pops an event, feeds the trace
+hash and handles node timers and callbacks itself, including the skip of
+a depleted node; only frame ends and wake-up bursts go through a helper. A
+node timer costs one ``MoteDevice.transition`` call, which returns a shared
+precomputed result, and ``process_result`` returns at once when that result
+has neither follow-up timers nor an application hook to call. Each event
+kind and node event carries its trace text, built once.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from .errors import (ContractViolation, MotesimError, RadioUnavailable,
                      ZeroDistanceError)
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, DEFAULT_RADIO_TURN_ON_NS,
-                   McuMode, MoteDevice, RadioMode, SUPPLY_VOLTAGE_V,
+                   MCU_ACTIVE, RADIO_OFF, RADIO_RX, RADIO_STANDBY,
+                   RADIO_TURNING_ON, RADIO_TX, MoteDevice, SUPPLY_VOLTAGE_V,
                    power_report)
 from .phy import SensitivityTable, time_on_air
 from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
@@ -61,6 +70,15 @@ class EventKind(enum.Enum):
     TX_END = "tx_end"
     WUB_END = "wub_end"
     WUB_DECODE_DONE = "wub_decode_done"
+
+    def __init__(self, text):
+        # the kind as the dispatch trace writes it, a plain attribute where
+        # ``Enum.value`` is a property
+        self.text = text
+
+
+# bound once, like the node modes: a lookup on the Enum class is slow
+_NODE_TIMER, _CALLBACK, _TX_END, _WUB_END, _WUB_DECODE_DONE = EventKind
 
 
 class SimRadioDriver(stk.RadioDriver):
@@ -85,8 +103,7 @@ class SimRadioDriver(stk.RadioDriver):
         """Nothing to reset: the device holds all radio state."""
 
     def configure(self, config) -> None:
-        if self.device.radio in (RadioMode.TX, RadioMode.RX,
-                                 RadioMode.TURNING_ON):
+        if self.device.radio in (RADIO_TX, RADIO_RX, RADIO_TURNING_ON):
             raise ContractViolation(
                 "configure while the radio is transmitting, receiving or "
                 "powering up")
@@ -116,17 +133,17 @@ class SimRadioDriver(stk.RadioDriver):
         return not self.sim.medium_busy(self._config.frequency_hz)
 
     def is_on(self) -> bool:
-        return self.device.radio is not RadioMode.OFF
+        return self.device.radio is not RADIO_OFF
 
     def is_ready(self) -> bool:
-        return self.device.radio is RadioMode.STANDBY
+        return self.device.radio is RADIO_STANDBY
 
     def send(self, data: bytes):
         if self._in_tx_done:
             raise ContractViolation(
                 "send called from inside a tx_done callback; defer via timer")
-        if self.device.mcu is not McuMode.ACTIVE or self.device.radio not in (
-                RadioMode.STANDBY, RadioMode.RX):
+        if self.device.mcu is not MCU_ACTIVE or self.device.radio not in (
+                RADIO_STANDBY, RADIO_RX):
             raise RadioUnavailable(
                 f"radio of node {self.device.address} is "
                 f"{self.device.radio.value}; cannot send")
@@ -170,7 +187,6 @@ class Simulator:
         self.drivers: dict = {}
         self.unicasts: dict = {}
         self.apps: dict = {}
-        self._tx_log: list = []  # every transmission, in start order
         self._on_air: list = []  # those that may overlap an undecided frame
         self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
         self._links: dict = {}  # sender address -> _links_from(sender)
@@ -219,12 +235,12 @@ class Simulator:
         return stk.Services(
             now_ns=lambda: self.now,
             call_at=lambda at_ns, fn: self.schedule(
-                at_ns, EventKind.CALLBACK, address, fn),
+                at_ns, _CALLBACK, address, fn),
             request_sleep=lambda: self.node_event(device, nd.SLEEP_REQUEST),
             request_wake=lambda: self.node_event(device, nd.WAKE),
             send_wakeup=lambda wurx_address: self.send_wakeup(
                 device, wurx_address),
-            target_awake=lambda addr: self.devices[addr].mcu is McuMode.ACTIVE,
+            target_awake=lambda addr: self.devices[addr].mcu is MCU_ACTIVE,
             log=self.log_lines.append,
         )
 
@@ -273,7 +289,7 @@ class Simulator:
     def schedule(self, at_ns: int, kind: EventKind, target, payload=None) -> None:
         if at_ns < self.now:
             raise MotesimError(
-                f"event {kind.value} scheduled into the past "
+                f"event {kind.text} scheduled into the past "
                 f"({at_ns} < {self.now})")
         heapq.heappush(self._queue, (at_ns, next(self._seq), kind, target,
                                      payload))
@@ -283,15 +299,19 @@ class Simulator:
         self.process_result(device, result)
 
     def process_result(self, device: MoteDevice, result) -> None:
-        for delay_ns, node_event in result.followups:
-            self.schedule(self.now + delay_ns, EventKind.NODE_TIMER,
-                          device.address, node_event)
+        followups, awake, radio_ready = (result.followups, result.awake,
+                                         result.radio_ready)
+        if not (followups or awake or radio_ready):
+            return
+        for delay_ns, node_event in followups:
+            self.schedule(self.now + delay_ns, _NODE_TIMER, device.address,
+                          node_event)
         app = self.apps.get(device.address)
         if app is None:
             return
-        if result.awake:
+        if awake:
             app.on_awake()
-        if result.radio_ready:
+        if radio_ready:
             app.on_radio_ready()
 
     # -- medium ---------------------------------------------------------------
@@ -369,17 +389,16 @@ class Simulator:
         self._annotate(frame, device)
         self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
-        self._tx_log.append(tx)
         self._on_air.append(tx)
         self._tx_by_id[frame.frame_id] = (tx, handle)
-        self.schedule(tx.end_ns, EventKind.TX_END, device.address,
+        self.schedule(tx.end_ns, _TX_END, device.address,
                       frame.frame_id)
         self._record_sent(tx)
         return frame
 
     def send_wakeup(self, device: MoteDevice, wurx_address: int):
-        if device.mcu is not McuMode.ACTIVE or device.radio not in (
-                RadioMode.STANDBY, RadioMode.RX):
+        if device.mcu is not MCU_ACTIVE or device.radio not in (
+                RADIO_STANDBY, RADIO_RX):
             raise RadioUnavailable(
                 f"radio of node {device.address} is {device.radio.value}; "
                 f"cannot emit a wake-up burst")
@@ -413,9 +432,9 @@ class Simulator:
             elif outcome.kind == "decoding":
                 receiver.wurx_set_mode(wux.WurxMode.DECODING, self.now)
                 self.schedule(self.now + outcome.decode_time_ns,
-                              EventKind.WUB_DECODE_DONE, rx_addr,
+                              _WUB_DECODE_DONE, rx_addr,
                               outcome.interrupt)
-        self.schedule(self.now + emission.duration_ns, EventKind.WUB_END,
+        self.schedule(self.now + emission.duration_ns, _WUB_END,
                       device.address, None)
         return emission
 
@@ -427,23 +446,46 @@ class Simulator:
 
     def run_until(self, t_ns: int) -> None:
         """Dispatch every event up to and including ``t_ns``, then park the
-        clock there. Events scheduled past ``t_ns`` stay queued."""
-        while self._queue and self._queue[0][0] <= t_ns:
-            ts, seq, kind, target, payload = heapq.heappop(self._queue)
-            if (ts, seq) <= self._last_key:
+        clock there. Events scheduled past ``t_ns`` stay queued.
+
+        Node timers and callbacks for a depleted node are dropped and
+        logged; the trace still records them."""
+        queue = self._queue
+        pop = heapq.heappop
+        devices = self.devices
+        trace = self._trace
+        while queue and queue[0][0] <= t_ns:
+            ts, seq, kind, target, payload = pop(queue)
+            key = (ts, seq)
+            if key <= self._last_key:
                 raise MotesimError("event dispatch out of (timestamp, "
                                    "sequence) order")
-            self._last_key = (ts, seq)
+            self._last_key = key
             self.now = ts
             self.event_count += 1
-            if self._trace is not None:
+            if trace is not None:
                 # lines separated by "\n", no trailing newline
-                self._trace.update(
-                    f"{self._trace_sep}{ts} {seq} {kind.value} {target} "
-                    f"{payload if kind is EventKind.NODE_TIMER else ''}"
+                trace.update(
+                    f"{self._trace_sep}{ts} {seq} {kind.text} {target} "
+                    f"{payload.text if kind is _NODE_TIMER else ''}"
                     .encode("utf-8"))
                 self._trace_sep = "\n"
-            self._dispatch(kind, target, payload)
+            if kind is _NODE_TIMER or kind is _CALLBACK:
+                device = devices[target]
+                if device.ledger.depleted:
+                    self._depletion_skips += 1
+                    self.log_lines.append(
+                        f"drop {kind.text} for depleted node {target}")
+                elif kind is _NODE_TIMER:
+                    self.process_result(device, device.transition(payload, ts))
+                else:
+                    payload()
+            elif kind is _TX_END:
+                self._finish_tx(payload)
+            elif kind is _WUB_END:
+                self._finish_wub(target)
+            elif kind is _WUB_DECODE_DONE:
+                self._finish_decode(target, payload)
         self.now = t_ns
 
     def run(self) -> rep.RunMetrics:
@@ -454,25 +496,6 @@ class Simulator:
         for address in self._addresses:
             self.devices[address].finalize(horizon)
         return self._collect(time.perf_counter() - started)
-
-    def _dispatch(self, kind: EventKind, target, payload) -> None:
-        if kind in (EventKind.NODE_TIMER, EventKind.CALLBACK):
-            device = self.devices[target]
-            if device.ledger.depleted:
-                self._depletion_skips += 1
-                self.log_lines.append(
-                    f"drop {kind.value} for depleted node {target}")
-                return
-        if kind is EventKind.NODE_TIMER:
-            self.node_event(self.devices[target], payload)
-        elif kind is EventKind.CALLBACK:
-            payload()
-        elif kind is EventKind.TX_END:
-            self._finish_tx(payload)
-        elif kind is EventKind.WUB_END:
-            self._finish_wub(target)
-        elif kind is EventKind.WUB_DECODE_DONE:
-            self._finish_decode(target, payload)
 
     def _finish_tx(self, frame_id: int) -> None:
         tx, handle = self._tx_by_id.pop(frame_id)
@@ -512,7 +535,7 @@ class Simulator:
             if rx_addr == frame.src:
                 continue
             device = self.devices[rx_addr]
-            listening = (device.radio is RadioMode.RX
+            listening = (device.radio is RADIO_RX
                          and device.rx_since_ns is not None
                          and device.rx_since_ns <= tx.start_ns
                          and not device.ledger.depleted)

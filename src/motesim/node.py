@@ -43,12 +43,23 @@ State machine (states are (mcu, radio); WuRX mode only affects the label):
 
 Every other (state, event) pair raises IllegalTransition: it signals a stack
 bug and the simulation aborts with the recent event trace attached.
+
+The MCU sleeps and wakes only with the radio off, so a state change's result
+depends on the event alone, never on the state it leaves. Every result is
+therefore built once and shared: the plain ones and the awake and radio-ready
+ones per module, the wake and radio-on ones (whose follow-up timers carry the
+device's latencies) per device. Only the ignored wake-up re-trigger, which
+changes nothing, builds its result on the spot. A state change is one call:
+it checks the (state, event) pair, charges the dwell in the outgoing label
+with one ledger accrual when time has passed, enters the new state and picks
+its label and power. The label and its power are cached until the next
+change.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, IllegalTransition
@@ -88,6 +99,14 @@ class RadioMode(enum.Enum):
     TX = "tx"
 
 
+# The members bound once as module constants. On CPython 3.11, looking a
+# member up on its Enum class costs about ten times as much as reading a
+# module constant, and the state machine compares modes on every event.
+MCU_SLEEP, MCU_WAKING, MCU_ACTIVE = McuMode
+RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY, RADIO_RX, RADIO_TX = RadioMode
+_DECODING = WurxMode.DECODING
+
+
 class NodeEventKind(enum.Enum):
     WURX_INTERRUPT = "wurx_interrupt"
     TX_REQUEST = "tx_request"
@@ -97,15 +116,26 @@ class NodeEventKind(enum.Enum):
     SLEEP_REQUEST = "sleep_request"
 
 
+# bound once, like the modes above
+(_WURX_INTERRUPT, _TX_REQUEST, _RX_DONE, _TX_DONE, _TIMER,
+ _SLEEP_REQUEST) = NodeEventKind
+
+
 @dataclass(frozen=True)
 class NodeEvent:
     kind: NodeEventKind
     purpose: str | None = None  # for TIMER: "wake" | "mcu_awake" | "radio_ready"
+    # the event as the dispatch trace writes it, built once
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        text = self.kind.value
+        if self.purpose:
+            text = f"{text}[{self.purpose}]"
+        object.__setattr__(self, "text", text)
 
     def __str__(self):
-        if self.purpose:
-            return f"{self.kind.value}[{self.purpose}]"
-        return self.kind.value
+        return self.text
 
 
 # The fixed node events. NodeEvent is frozen, so one instance of each is
@@ -130,6 +160,18 @@ class TransitionResult(NamedTuple):
     radio_ready: bool = False  # radio just reached standby
 
 
+# The results that do not depend on the device, shared by every change that
+# yields them. The per-device wake and radio-on results are built in
+# MoteDevice.__init__.
+_AWAKE = TransitionResult(MCU_ACTIVE, RADIO_OFF, awake=True)
+_RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True)
+_ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
+_ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
+_ACTIVE_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)
+_ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
+_ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
+
+
 class EnergyLedger:
     """Per-label time/energy integration with battery and harvesting inflow.
 
@@ -150,8 +192,7 @@ class EnergyLedger:
         self.energy_j: dict = {}
         self.battery_initial_j = battery_j
         self.battery_remaining_j = battery_j
-        self.harvest_rate_w = harvest_rate_w
-        self.harvest_efficiency = harvest_efficiency
+        self.harvest_w = harvest_rate_w * harvest_efficiency  # net inflow
         self.consumed_j = 0.0
         self.harvested_j = 0.0
         self.depleted = False
@@ -163,7 +204,7 @@ class EnergyLedger:
             return
         dt_s = dt_ns / NS_PER_S
         spent = power_w * dt_s
-        gained = self.harvest_rate_w * self.harvest_efficiency * dt_s
+        gained = self.harvest_w * dt_s
         self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
         self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
         self.consumed_j += spent
@@ -238,46 +279,30 @@ class MoteDevice:
         self.wurx = wurx
         self.mcu_wakeup_ns = mcu_wakeup_ns
         self.radio_turn_on_ns = radio_turn_on_ns
-        self.mcu = McuMode.ACTIVE if start_awake else McuMode.SLEEP
-        self.radio = RadioMode.OFF
+        self._waking = TransitionResult(MCU_WAKING, RADIO_OFF, (
+            (mcu_wakeup_ns, MCU_AWAKE),))
+        self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
+            (radio_turn_on_ns, RADIO_READY),))
         self.rx_since_ns: int | None = None
         self.wub_tx_power_w: float | None = None  # duty-scaled override
         self.ledger = EnergyLedger(battery_j, harvest_rate_w, harvest_efficiency)
-        self._label = self._current_label()
+        # enter the initial state, which sets mcu, radio and the label
         self._label_since_ns = 0
+        self._apply(0, _ACTIVE_OFF if start_awake else _ASLEEP)
 
     # -- power accounting ---------------------------------------------------
 
     def _current_label(self) -> str:
-        if self.radio is RadioMode.TX:
+        radio = self.radio
+        if radio is RADIO_TX:
             return "wub_tx" if self.wub_tx_power_w is not None else "lora_tx"
-        if self.radio is RadioMode.RX:
+        if radio is RADIO_RX:
             return "lora_rx"
-        if self.mcu is not McuMode.SLEEP:
+        if self.mcu is not MCU_SLEEP:
             return "mcu_active"
-        if self.wurx is not None and self.wurx.mode is WurxMode.DECODING:
+        if self.wurx is not None and self.wurx.mode is _DECODING:
             return "wurx_decode"
         return "sleep"
-
-    def _label_power_w(self, label: str) -> float:
-        if label == "wub_tx":
-            return self.wub_tx_power_w if self.wub_tx_power_w is not None \
-                else self.power_table_w["lora_tx"]
-        return self.power_table_w[label]
-
-    def sync_ledger(self, now_ns: int) -> None:
-        """Charge the dwell in the current label up to ``now_ns``.
-
-        Called before every state change and once at the horizon, so the
-        per-label times partition the run exactly. The label itself is set
-        by the caller once the state has changed.
-        """
-        dt = now_ns - self._label_since_ns
-        if dt < 0:
-            raise IllegalTransition(
-                f"node {self.address}: ledger time moved backwards")
-        self.ledger.accrue(self._label, self._label_power_w(self._label), dt)
-        self._label_since_ns = now_ns
 
     # -- spec events ----------------------------------------------------------
 
@@ -285,51 +310,46 @@ class MoteDevice:
         kind = event.kind
         mcu, radio = self.mcu, self.radio
 
-        if kind is NodeEventKind.WURX_INTERRUPT:
-            if mcu is McuMode.SLEEP:
-                return self._apply(now_ns, McuMode.WAKING, radio, followups=(
-                    (self.mcu_wakeup_ns, MCU_AWAKE),))
+        if kind is _WURX_INTERRUPT:
+            if mcu is MCU_SLEEP:
+                return self._apply(now_ns, self._waking)
             # re-trigger while already awake/waking: documented no-op
             return TransitionResult(mcu, radio)
 
-        if kind is NodeEventKind.TIMER:
-            if event.purpose == "wake" and mcu is McuMode.SLEEP:
-                return self._apply(now_ns, McuMode.WAKING, radio, followups=(
-                    (self.mcu_wakeup_ns, MCU_AWAKE),))
-            if event.purpose == "mcu_awake" and mcu is McuMode.WAKING:
-                return self._apply(now_ns, McuMode.ACTIVE, radio, awake=True)
-            if event.purpose == "radio_ready" and mcu is McuMode.ACTIVE \
-                    and radio is RadioMode.TURNING_ON:
-                return self._apply(now_ns, mcu, RadioMode.STANDBY,
-                                   radio_ready=True)
+        if kind is _TIMER:
+            purpose = event.purpose
+            if purpose == "wake" and mcu is MCU_SLEEP:
+                return self._apply(now_ns, self._waking)
+            if purpose == "mcu_awake" and mcu is MCU_WAKING:
+                return self._apply(now_ns, _AWAKE)
+            if purpose == "radio_ready" and mcu is MCU_ACTIVE \
+                    and radio is RADIO_TURNING_ON:
+                return self._apply(now_ns, _RADIO_READY)
             return self._illegal(event, now_ns)
 
-        if kind is NodeEventKind.TX_REQUEST:
-            if mcu is McuMode.ACTIVE and radio in (RadioMode.STANDBY,
-                                                   RadioMode.RX):
+        if kind is _TX_REQUEST:
+            if mcu is MCU_ACTIVE and radio in (RADIO_STANDBY, RADIO_RX):
                 self.rx_since_ns = None
-                return self._apply(now_ns, mcu, RadioMode.TX)
+                return self._apply(now_ns, _ACTIVE_TX)
             return self._illegal(event, now_ns)
 
-        if kind is NodeEventKind.TX_DONE:
-            if mcu is McuMode.ACTIVE and radio is RadioMode.TX:
-                # charge the finished dwell before dropping the duty override
-                result = self._apply(now_ns, mcu, RadioMode.STANDBY)
+        if kind is _TX_DONE:
+            if mcu is MCU_ACTIVE and radio is RADIO_TX:
+                # the finished dwell is charged at the cached duty power
                 self.wub_tx_power_w = None
-                return result
+                return self._apply(now_ns, _ACTIVE_STANDBY)
             return self._illegal(event, now_ns)
 
-        if kind is NodeEventKind.RX_DONE:
-            if mcu is McuMode.ACTIVE and radio is RadioMode.RX:
-                return self._apply(now_ns, mcu, radio)
+        if kind is _RX_DONE:
+            if mcu is MCU_ACTIVE and radio is RADIO_RX:
+                return self._apply(now_ns, _ACTIVE_RX)
             return self._illegal(event, now_ns)
 
-        if kind is NodeEventKind.SLEEP_REQUEST:
-            if mcu is McuMode.ACTIVE and radio in (RadioMode.OFF,
-                                                   RadioMode.STANDBY,
-                                                   RadioMode.RX):
+        if kind is _SLEEP_REQUEST:
+            if mcu is MCU_ACTIVE and radio in (RADIO_OFF, RADIO_STANDBY,
+                                               RADIO_RX):
                 self.rx_since_ns = None
-                return self._apply(now_ns, McuMode.SLEEP, RadioMode.OFF)
+                return self._apply(now_ns, _ASLEEP)
             return self._illegal(event, now_ns)
 
         return self._illegal(event, now_ns)
@@ -337,48 +357,62 @@ class MoteDevice:
     # -- driver operations (engine thread) ------------------------------------
 
     def radio_on(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not McuMode.ACTIVE or self.radio is not RadioMode.OFF:
+        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_OFF:
             return self._illegal("radio_on", now_ns)
-        return self._apply(now_ns, self.mcu, RadioMode.TURNING_ON, followups=(
-            (self.radio_turn_on_ns, RADIO_READY),))
+        return self._apply(now_ns, self._turning_on)
 
     def radio_off(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not McuMode.ACTIVE or self.radio not in (
-                RadioMode.STANDBY, RadioMode.RX):
+        if self.mcu is not MCU_ACTIVE or self.radio not in (RADIO_STANDBY,
+                                                            RADIO_RX):
             return self._illegal("radio_off", now_ns)
         self.rx_since_ns = None
-        return self._apply(now_ns, self.mcu, RadioMode.OFF)
+        return self._apply(now_ns, _ACTIVE_OFF)
 
     def start_rx(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not McuMode.ACTIVE or self.radio is not RadioMode.STANDBY:
+        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_STANDBY:
             return self._illegal("start_rx", now_ns)
         self.rx_since_ns = now_ns
-        return self._apply(now_ns, self.mcu, RadioMode.RX)
+        return self._apply(now_ns, _ACTIVE_RX)
 
     def stop_rx(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not McuMode.ACTIVE or self.radio is not RadioMode.RX:
+        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_RX:
             return self._illegal("stop_rx", now_ns)
         self.rx_since_ns = None
-        return self._apply(now_ns, self.mcu, RadioMode.STANDBY)
+        return self._apply(now_ns, _ACTIVE_STANDBY)
 
     def begin_wub_tx(self, now_ns: int, duty: float) -> TransitionResult:
         """Enter TX for an OOK wake-up frame, charged at duty-scaled power."""
-        if self.mcu is not McuMode.ACTIVE or self.radio not in (
-                RadioMode.STANDBY, RadioMode.RX):
+        if self.mcu is not MCU_ACTIVE or self.radio not in (RADIO_STANDBY,
+                                                            RADIO_RX):
             return self._illegal("begin_wub_tx", now_ns)
         self.rx_since_ns = None
         self.wub_tx_power_w = self.power_table_w["lora_tx"] * duty
-        return self._apply(now_ns, self.mcu, RadioMode.TX)
+        return self._apply(now_ns, _ACTIVE_TX)
 
     # -- internals ------------------------------------------------------------
 
-    def _apply(self, now_ns, mcu, radio, followups=(), awake=False,
-               radio_ready=False) -> TransitionResult:
-        self.sync_ledger(now_ns)
-        self.mcu = mcu
-        self.radio = radio
-        self._label = self._current_label()
-        return TransitionResult(mcu, radio, followups, awake, radio_ready)
+    def _apply(self, now_ns: int, result: TransitionResult) -> TransitionResult:
+        """Charge the dwell in the outgoing label up to ``now_ns``, then
+        enter ``result``'s state and pick its label and power.
+
+        The dwell is charged at the label and power cached when it began, so
+        a caller may change the WuRX mode or the duty override first. Every
+        change of label goes through here, so the per-label times partition
+        the run exactly.
+        """
+        dt = now_ns - self._label_since_ns
+        if dt > 0:
+            self.ledger.accrue(self._label, self._label_power_w, dt)
+            self._label_since_ns = now_ns
+        elif dt < 0:
+            raise IllegalTransition(
+                f"node {self.address}: ledger time moved backwards")
+        self.mcu = result.mcu
+        self.radio = result.radio
+        label = self._label = self._current_label()
+        self._label_power_w = self.wub_tx_power_w if label == "wub_tx" \
+            else self.power_table_w[label]
+        return result
 
     def _illegal(self, event, now_ns):
         raise IllegalTransition(
@@ -391,9 +425,9 @@ class MoteDevice:
         if self.wurx is None:
             raise IllegalTransition(
                 f"node {self.address} has no wake-up receiver")
-        self.sync_ledger(now_ns)
         self.wurx.mode = mode
-        self._label = self._current_label()
+        self._apply(now_ns, TransitionResult(self.mcu, self.radio))
 
     def finalize(self, horizon_ns: int) -> None:
-        self.sync_ledger(horizon_ns)
+        """Charge the last dwell up to the horizon."""
+        self._apply(horizon_ns, TransitionResult(self.mcu, self.radio))

@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import yaml
-
 from .channel import ChannelParams, Position
 from .errors import ScenarioError
 from .node import DEFAULT_MCU_WAKEUP_NS, DEFAULT_RADIO_TURN_ON_NS
@@ -259,9 +257,11 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("sim.seed must fit in 64 bits")
     app = scenario.app
     if app.kind == "periodic":
-        if app.src is None or app.dst is None:
-            raise ScenarioError("app: periodic requires src and dst")
-        if app.src not in addresses or app.dst not in addresses:
+        # src may be omitted: then every mote sends
+        if app.dst is None:
+            raise ScenarioError("app: periodic requires dst")
+        if app.dst not in addresses or (app.src is not None
+                                        and app.src not in addresses):
             raise ScenarioError("app: src and dst must be node addresses")
         frame_airtime = time_on_air(
             scenario.radio, app.payload_len + LINK_HEADER_BYTES)
@@ -269,7 +269,8 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(
                 f"app.period_s must exceed the frame airtime "
                 f"({frame_airtime / NS_PER_S:.6f} s)")
-        if scenario.node(app.src).role not in ("mote", "bs"):
+        if app.src is not None and scenario.node(app.src).role not in (
+                "mote", "bs"):
             raise ScenarioError("app.src must be a mote or bs node")
     elif app.kind == "wakeup_exchange":
         if app.initiator is None or app.target is None:
@@ -321,6 +322,9 @@ def from_dict(raw: dict) -> Scenario:
 
 
 def load(path) -> Scenario:
+    # imported here: only file-driven runs need PyYAML, so the presets and
+    # ``import motesim`` do not pay for importing it
+    import yaml
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

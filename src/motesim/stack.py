@@ -144,17 +144,18 @@ class Unicast:
             handle.completed = True
 
     def _rx_done(self, frame: Frame) -> str:
-        disposition = self.filter_frame(frame)
-        if disposition != "deliver":
-            return disposition
         msg = decode_message(frame.payload)
-        if self.on_message is not None:
+        disposition = self._classify(msg)
+        if disposition == "deliver" and self.on_message is not None:
             self.on_message(msg)
         return disposition
 
     def filter_frame(self, frame: Frame) -> str:
         """Classify a PHY-accepted frame: deliver | drop-address | duplicate."""
-        msg = decode_message(frame.payload)
+        return self._classify(decode_message(frame.payload))
+
+    def _classify(self, msg: UnicastMessage | None) -> str:
+        """``filter_frame`` on the frame's decoded link header."""
         if msg is None or msg.dst != self.local_address:
             self.overheard += 1
             return "drop-address"

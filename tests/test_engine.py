@@ -16,6 +16,26 @@ from oracles import replay_delivered
 TABLE = SensitivityTable.load_default()
 
 
+def record_transmissions(sim):
+    """Every transmission ``sim`` starts from now on, in start order.
+
+    Wraps the simulator's ``begin_transmission``, which the radio drivers
+    call for each frame they put on air; the engine keeps no such log.
+    """
+    started = []
+    begin = sim.begin_transmission
+
+    def recording(device, data, handle):
+        frame = begin(device, data, handle)
+        tx, _handle = sim._tx_by_id[frame.frame_id]
+        assert tx.frame is frame
+        started.append(tx)
+        return frame
+
+    sim.begin_transmission = recording
+    return started
+
+
 def two_node_scenario(distance_m=100.0, packets=3, period_s=1.0,
                       seed=1, sigma=0.0):
     return range_point_scenario(distance_m=distance_m, packets=packets,
@@ -52,6 +72,26 @@ def dense_scenario(horizon_s, seed=7):
         turn_ons_ms=[1.0, 1.0, 60.0, 60.0, 200.0, 420.0, 420.0], sigma=3.0)
 
 
+def harvest_depletion_scenario():
+    """Harvesting nodes, two of which deplete: node 2 during a frame (it
+    harvests less than it sends), node 4 while waking (its battery cannot
+    cover one second of sleep), so both a timer and a tick are dropped."""
+    nodes = (
+        NodeSpec(address=1, role="bs", position=Position(),
+                 harvest_rate_w=0.01),
+        NodeSpec(address=2, role="mote", position=Position(x=120.0),
+                 battery_j=0.40, harvest_rate_w=0.002),
+        NodeSpec(address=3, role="mote", position=Position(x=-300.0),
+                 harvest_rate_w=0.001, radio_turn_on_ns=400_000_000),
+        NodeSpec(address=4, role="mote", position=Position(y=80.0),
+                 battery_j=1e-6),
+    )
+    return Scenario(horizon_ns=30 * 10 ** 9, seed=3, radio=RadioConfig(),
+                    channel=ChannelParams(), nodes=nodes,
+                    app=AppSpec(kind="periodic", src=None, dst=1,
+                                period_ns=10 ** 9))
+
+
 class TestBasicRuns:
     def test_two_node_perfect_channel_pdr_one(self):
         metrics = run(two_node_scenario())
@@ -60,8 +100,9 @@ class TestBasicRuns:
 
     def test_16_byte_payload_makes_22_byte_frame(self):
         sim = Simulator(two_node_scenario(packets=1), record_trace=False)
+        started = record_transmissions(sim)
         sim.run()
-        (tx,) = sim._tx_log
+        (tx,) = started
         assert tx.frame.length == 16 + 6
         assert tx.frame.airtime_ns == 362_496_000
 
@@ -218,8 +259,9 @@ class TestIncrementalMatchesBatchResolver:
             [Position(x=50.0), Position(x=400.0)], period_s=1.0,
             horizon_s=4.0, turn_ons_ms=[1.0, 3.0])
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         metrics = sim.run()
-        batch = resolve_concurrent(sim._tx_log, TABLE,
+        batch = resolve_concurrent(started, TABLE,
                                    scenario.channel.capture_threshold_db)
         for packet in metrics.packets:
             if packet.outcome in ("in-flight", "not-listening"):
@@ -232,15 +274,16 @@ class TestIncrementalMatchesBatchResolver:
         scenario = dense_scenario(horizon_s=30.0)
         senders = len(scenario.nodes) - 1
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         sim.start_apps()
         slices = 300
         for k in range(1, slices + 1):
             sim.run_until(scenario.horizon_ns * k // slices)
             assert len(sim._on_air) <= senders
-        ends = [tx.end_ns for tx in sim._tx_log]
+        ends = [tx.end_ns for tx in started]
         assert len(set(ends)) < len(ends)  # some frames end together
         assert {"delivered", "collision"} <= {p.outcome for p in sim.packets}
-        batch = resolve_concurrent(sim._tx_log, TABLE,
+        batch = resolve_concurrent(started, TABLE,
                                    scenario.channel.capture_threshold_db)
         for packet in sim.packets:
             if packet.outcome in ("in-flight", "not-listening"):
@@ -272,6 +315,43 @@ class TestGoldenDigests:
                          "b211b6a5cbc3eda2b57118fe",
             "energy.csv": "d1d573f83155dc62a300abec14096a990ca1cfc7"
                           "fd430a1565de314b8195fd0b",
+        }
+
+    def test_unshadowed_range_sweep_csv(self, tmp_path):
+        rows, meta, _ = range_sweep(distances=(50.0, 600.0, 700.0),
+                                    packets=5)
+        from motesim import emit_sweep
+        (path,) = emit_sweep(rows, meta, "csv", tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "df881ca04c8c8d1511d912b3155e18a6769ec768d7b7eddf1cd5310bfdcae8eb")
+
+    def test_harvesting_depletion_outputs(self, tmp_path):
+        sim = Simulator(harvest_depletion_scenario())
+        metrics = sim.run()
+        assert metrics.trace_hash == (
+            "8f20c7fefa0d7331ed160ca38752c90a834186743a55481da1be7e77db401c0c")
+        assert metrics.event_count == 142
+        assert [(e.depleted, e.battery_remaining_j, e.harvested_j,
+                 e.consumed_j) for e in metrics.energy] == [
+            (False, 9998.770047600021, 0.27000000000000013,
+             1.4999524000000009),
+            (True, 0.04430060981049, 0.054, 0.43505885794755),
+            (False, 9997.476172918781, 0.02700000000000003,
+             2.5508270811657914),
+            (True, 0.0, 0.0, 0.06960182999999999)]
+        assert sim.log_lines == ["drop node_timer for depleted node 4",
+                                 "drop callback for depleted node 4",
+                                 "drop callback for depleted node 2"]
+        assert sim._depletion_skips == 3
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in emit(metrics, "csv", tmp_path)}
+        assert digests == {
+            "packets.csv": "dffe98c47d6feaf793e7ba16e8b182f718d73fea"
+                           "d398a8afd744a2261d7a73b6",
+            "links.csv": "9d57d8c903e7766646d05ae1587ae03adc4aa484"
+                         "3e562acbdc99934cd0ec39e2",
+            "energy.csv": "9502bb0af5ffccf7c1cb60ae4fc5bbe0c397d191"
+                          "ba22948656ed138bc2ee87cb",
         }
 
 
@@ -414,9 +494,10 @@ class TestChannelClear:
             [Position(x=10.0), Position(x=-10.0)], period_s=1.0,
             horizon_s=3.0, turn_ons_ms=[1.0, 500.0])
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         sim.start_apps()
         sim.run_until(1_600_000_000)
-        first, second = sim._tx_log
+        first, second = started
         assert first.end_ns < second.start_ns <= sim.now < second.end_ns
         assert sim._on_air == [second]
         assert not sim.drivers[1].channel_clear()
@@ -426,9 +507,10 @@ class TestChannelClear:
         scenario = multi_mote_scenario([Position(x=10.0)], period_s=1.0,
                                        horizon_s=3.0)
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         sim.start_apps()
         sim.run_until(1_500_000_000)
-        (first,) = sim._tx_log
+        (first,) = started
         end_ns = first.end_ns + 10 ** 9  # the next tick's frame
         seen = []
 
@@ -440,7 +522,7 @@ class TestChannelClear:
         sim.schedule(end_ns - 1, EventKind.CALLBACK, 1, probe)
         sim.schedule(end_ns, EventKind.CALLBACK, 1, probe)
         sim.run_until(2_500_000_000)
-        assert sim._tx_log[1].end_ns == end_ns
+        assert started[1].end_ns == end_ns
         assert seen == [(end_ns - 1, 1, False), (end_ns, 1, True)]
 
 
@@ -467,12 +549,13 @@ class TestLinkCache:
         from motesim.channel import rssi_at, snr_of
         scenario = dense_scenario(horizon_s=6.0)
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         sim.run()
         rng = random.Random(scenario.seed)
         params = scenario.channel
         addresses = sorted(sim.devices)
-        assert len(sim._tx_log) > 20
-        for tx in sim._tx_log:
+        assert len(started) > 20
+        for tx in started:
             frame = tx.frame
             src = sim.devices[frame.src]
             receivers = [a for a in addresses if a != frame.src]
@@ -491,18 +574,20 @@ class TestLinkCache:
             [Position(x=40.0), Position(x=-90.0, y=20.0), Position(y=300.0)],
             horizon_s=4.0, seed=11)
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         sim.run()
-        assert len(sim._tx_log) == 9
+        assert len(started) == 9
         assert sim.rng.getstate() == random.Random(11).getstate()
 
     def test_coincident_nodes_raise_at_first_frame(self):
         from motesim.errors import ZeroDistanceError
         from motesim.node import DEFAULT_MCU_WAKEUP_NS
         sim = Simulator(multi_mote_scenario([Position()]), record_trace=False)
+        started = record_transmissions(sim)
         with pytest.raises(ZeroDistanceError):
             sim.run()
         assert sim.now == 1_000_000_000 + DEFAULT_MCU_WAKEUP_NS + 1_000_000
-        assert sim._tx_log == []
+        assert started == []
 
     def test_coincident_wurx_node_raises_at_burst(self):
         import dataclasses
@@ -526,11 +611,12 @@ class TestLinkCache:
         scenario = dataclasses.replace(base, nodes=base.nodes + (
             NodeSpec(address=3, role="bs", position=Position()),))
         sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
         with pytest.raises(ZeroDistanceError):
             sim.run()
         assert sim.now == (1_000_000_000 + 16_000_000 + DEFAULT_MCU_WAKEUP_NS
                            + 1_000_000)
-        assert sim._tx_log == []
+        assert started == []
 
     def test_path_loss_computed_once_per_link(self, monkeypatch):
         from motesim import channel
@@ -551,8 +637,9 @@ class TestLinkCache:
             sim = Simulator(multi_mote_scenario(positions, horizon_s=horizon_s,
                                                 sigma=3.0),
                             record_trace=False)
+            started = record_transmissions(sim)
             sim.run()
-            assert len(sim._tx_log) >= len(positions) * (horizon_s - 1)
+            assert len(started) >= len(positions) * (horizon_s - 1)
             counts.append(len(calls))
         assert 0 < counts[0] <= nodes * (nodes - 1)
         assert counts[0] == counts[1]

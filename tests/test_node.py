@@ -91,6 +91,38 @@ class TestIllegalTransitions:
             with pytest.raises(IllegalTransition):
                 op(0)
 
+    def test_ledger_time_moving_backwards_rejected(self):
+        device = make_device(awake=True)
+        device.radio_on(1_000)
+        with pytest.raises(IllegalTransition, match="backwards"):
+            device.transition(ev("TIMER", "radio_ready"), 999)
+        with pytest.raises(IllegalTransition, match="backwards"):
+            device.finalize(999)
+
+
+class TestSharedResults:
+    def test_results_shared_and_wake_timers_per_device(self):
+        fast = make_device()
+        slow = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
+        timers = []
+        for device in (fast, slow):
+            waking = device.transition(ev("WURX_INTERRUPT"), 0)
+            awake = device.transition(ev("TIMER", "mcu_awake"), 10_000)
+            turning_on = device.radio_on(10_000)
+            ready = device.transition(ev("TIMER", "radio_ready"), 3_000_000)
+            timers.append(waking.followups + turning_on.followups)
+            assert awake.awake and ready.radio_ready
+        assert timers[0] == ((7_000, ev("TIMER", "mcu_awake")),
+                             (1_000_000, ev("TIMER", "radio_ready")))
+        assert timers[1] == ((9_000, ev("TIMER", "mcu_awake")),
+                             (2_000_000, ev("TIMER", "radio_ready")))
+        # a result that does not depend on the device is one shared object
+        a = fast.transition(ev("TX_REQUEST"), 4_000_000)
+        b = slow.transition(ev("TX_REQUEST"), 4_000_000)
+        assert a is b
+        assert (a.mcu, a.radio, a.followups) == (McuMode.ACTIVE,
+                                                 RadioMode.TX, ())
+
 
 # The documented transition table, transcribed independently from the node
 # module docstring. States are (mcu, radio); events cover both spec events

@@ -112,3 +112,44 @@ class TestValidation:
         from motesim.scenario import power_profile_scenario
         with pytest.raises(ScenarioError, match="cycle_period_s"):
             power_profile_scenario(cycles=2, cycle_period_s=0.3)
+
+
+class TestPeriodicSenders:
+    def test_omitted_src_means_every_mote_sends(self):
+        raw = example_dict()
+        del raw["app"]["src"]
+        raw["nodes"].append({"address": 3, "role": "mote",
+                             "position": {"x": -300.0}})
+        raw["sim"]["horizon_s"] = 25.0
+        scenario = from_dict(raw)
+        assert scenario.app.src is None
+        metrics = run(scenario, record_trace=False)
+        assert set(metrics.links) == {(2, 1), (3, 1)}
+        assert metrics.link(2, 1).sent == metrics.link(3, 1).sent == 2
+
+    def test_omitted_dst_rejected(self):
+        raw = example_dict()
+        del raw["app"]["dst"]
+        with pytest.raises(ScenarioError, match="requires dst"):
+            from_dict(raw)
+        del raw["app"]["src"]
+        with pytest.raises(ScenarioError, match="requires dst"):
+            from_dict(raw)
+
+
+class TestYamlLoading:
+    def test_import_leaves_yaml_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, motesim; "
+                "assert 'yaml' not in sys.modules, 'yaml imported'")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+
+    def test_invalid_yaml_is_a_scenario_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("sim: [horizon_s: 1.0\n")
+        with pytest.raises(ScenarioError, match="not valid YAML"):
+            load(bad)

@@ -142,6 +142,26 @@ class TestUnicast:
         data = encode_message(UnicastMessage(2, 5, 1, b""))
         assert unicast.filter_frame(frame_with(data)) == "deliver"
 
+    def test_received_frame_decoded_once(self, monkeypatch):
+        calls = []
+        original = motesim.stack.decode_message
+
+        def counting(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(motesim.stack, "decode_message", counting)
+        driver = FakeDriver()
+        unicast = Unicast(driver, local_address=5)
+        got = []
+        unicast.on_message = got.append
+        data = encode_message(UnicastMessage(2, 5, 1, b"x"))
+        assert driver.rx_done(frame_with(data)) == "deliver"
+        assert calls == [data]
+        assert got == [UnicastMessage(2, 5, 1, b"x")]
+        assert driver.rx_done(frame_with(data)) == "duplicate"
+        assert len(calls) == 2 and len(got) == 1
+
 
 class TestSendErrors:
     def test_send_with_radio_off(self):
