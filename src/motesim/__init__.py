@@ -9,7 +9,7 @@ experiment presets.
 """
 
 from .channel import (ChannelParams, Position, ReceptionOutcome, Transmission,
-                      noise_floor_dbm, resolve_concurrent, rssi_at, snr_of)
+                      noise_floor_dbm, rssi_at, snr_of)
 from .engine import Simulator, power_profile, range_sweep, run
 from .errors import (ConfigError, ContractViolation, IllegalTransition,
                      MotesimError, PayloadTooLarge, RadioUnavailable,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams", "Position", "ReceptionOutcome", "Transmission",
-    "noise_floor_dbm", "resolve_concurrent", "rssi_at", "snr_of",
+    "noise_floor_dbm", "rssi_at", "snr_of",
     "Simulator", "power_profile", "range_sweep", "run",
     "ConfigError", "ContractViolation", "IllegalTransition", "MotesimError",
     "PayloadTooLarge", "RadioUnavailable", "ScenarioError",

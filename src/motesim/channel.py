@@ -5,10 +5,12 @@ shadowing. Defaults are calibrated so a +14 dBm transmitter is received
 at -120 dBm at 600 m (reference loss 31.2 dB at 1 m = free space at
 868 MHz, exponent 3.70 for a gently hilly non-LOS route class).
 
-``rssi_at`` computes one link from scratch. Nodes never move, so the
-engine caches each link's mean loss (``path_loss_db``) and takes only the
-shadowing draw per frame, with the same arithmetic and draw order as
-``rssi_at``.
+``rssi_at`` computes one link from scratch and is the reference. Nodes
+never move, so the engine caches each link's mean loss (``path_loss_db``)
+and takes only the shadowing draws per frame or burst, all at once from
+``shadowing_draws``. That helper returns bit for bit what one
+``rng.gauss(0.0, sigma)`` per link returns and leaves the RNG in the same
+state, so the engine's values and draw order are those of ``rssi_at``.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from math import cos, log, sin, sqrt, tau
 
 from .errors import ConfigError, ZeroDistanceError
 from .frame import Frame
@@ -90,6 +93,32 @@ def rssi_at(tx_power_dbm: float, tx_pos: Position, rx_pos: Position,
     return tx_power_dbm - loss
 
 
+def shadowing_draws(rng: random.Random, sigma: float, n: int) -> list:
+    """``[rng.gauss(0.0, sigma) for _ in range(n)]``, bit for bit.
+
+    ``random.Random.gauss`` with its Box-Muller step inlined: each pair of
+    ``rng.random()`` values gives two normal deviates, and the second is
+    kept in ``rng.gauss_next`` as ``gauss`` keeps it, so a spare value
+    carries over between calls and to later ``gauss`` calls. The deviate is
+    scaled as ``0.0 + z * sigma``, the float expression ``gauss`` uses.
+    """
+    uniform = rng.random
+    spare = rng.gauss_next
+    draws = []
+    append = draws.append
+    for _ in range(n):
+        if spare is None:
+            x2pi = uniform() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            append(0.0 + cos(x2pi) * g2rad * sigma)
+            spare = sin(x2pi) * g2rad
+        else:
+            append(0.0 + spare * sigma)
+            spare = None
+    rng.gauss_next = spare
+    return draws
+
+
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise integrated over the receive bandwidth plus NF."""
     if bandwidth_hz <= 0:
@@ -149,15 +178,15 @@ def interferers_of(tx: Transmission, all_tx: list) -> list:
 def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
                      table: SensitivityTable,
                      capture_threshold_db: float) -> ReceptionOutcome:
-    """Per-frame, per-receiver decision used by both the batch resolver and
-    the engine's incremental path.
+    """Per-frame, per-receiver decision: the one place the reception gates
+    are applied.
 
     Collision is judged first (capture against the strongest interferer),
     then the sensitivity and SNR-floor gates of the captured frame.
     ``all_tx`` is any list that holds every transmission that may overlap
-    ``tx``; the batch resolver passes the full history, the engine only the
-    frames still on air. Only the strongest rival counts, so the order of
-    the list does not matter.
+    ``tx``: the full history of a batch of transmissions, or, as the engine
+    passes it, only the frames still on air. Only the strongest rival
+    counts, so the order of the list does not matter.
     """
     frame = tx.frame
     rssi = frame.rssi_by_rx[rx_addr]
@@ -181,20 +210,3 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
         return ReceptionOutcome("snr-floor", rssi, snr,
                                 rssi_margin, snr_margin)
     return ReceptionOutcome("ok", rssi, snr, rssi_margin, snr_margin)
-
-
-def resolve_concurrent(transmissions: list, table: SensitivityTable,
-                       capture_threshold_db: float = 6.0) -> dict:
-    """Resolve a completed set of transmissions for every annotated receiver.
-
-    Returns {(rx_addr, frame_id): ReceptionOutcome}. Pure function: the same
-    input list always yields the same outcomes.
-    """
-    outcomes = {}
-    for tx in transmissions:
-        for rx_addr in tx.frame.rssi_by_rx:
-            if rx_addr == tx.frame.src:
-                continue
-            outcomes[(rx_addr, tx.frame.frame_id)] = decide_reception(
-                tx, rx_addr, transmissions, table, capture_threshold_db)
-    return outcomes

@@ -16,17 +16,25 @@ The medium keeps only the transmissions that can still matter. Once a
 frame has been decided, every transmission that ended at or before a
 floor is dropped. The floor is the earliest start of the frames still
 undecided, or now when none is. A frame decided later starts at or after
-the floor, so it cannot overlap them. Carrier sense and the capture
-decision read this short on-air list, so the cost per event does not grow
-with the horizon. The dispatch trace is hashed as it is produced, so its
-memory is constant too.
+the floor, so it cannot overlap them. Undecided frames are kept by frame
+id in start order, because a frame goes on air at now and now never
+decreases, so the floor is the first of them and costs O(1). The floor
+never falls, and the on-air list is rebuilt only when it has risen: a
+frame added since the last rebuild started at or after that floor and has
+positive airtime, so the same floor would drop nothing. Carrier sense and
+the capture decision read this short on-air list, so the cost per event
+does not grow with the horizon. The dispatch trace is hashed as it is
+produced, so its memory is constant too.
 
 Nodes never move, so work that depends only on positions is done once. At a
 sender's first frame or wake-up burst the engine caches its mean path loss
-to every other node; each frame then takes only the shadowing draw per
-receiver, in ascending address order, exactly as ``channel.rssi_at`` would.
-The noise floor is computed once per frame, and the sorted node addresses
-once per run.
+to every other node; each frame then takes only the shadowing draws, one
+per receiver in ascending address order, from ``channel.shadowing_draws``,
+which returns bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls
+would. With no shadowing the RNG is not touched. The noise floor is
+computed once per frame, the sorted node addresses once per run, and a
+link's distance and delivery counters at its first frame. A frame's link
+header is read once, with the stack's header format.
 
 The per-event path is flat. ``run_until`` pops an event, feeds the trace
 hash and handles node timers and callbacks itself, including the skip of
@@ -189,11 +197,13 @@ class Simulator:
         self.apps: dict = {}
         self._on_air: list = []  # those that may overlap an undecided frame
         self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
+        self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # sender address -> _links_from(sender)
 
         self.packets: list = []
         self._pkt_by_frame_id: dict = {}
         self.links: dict = {}
+        self._sent_links: dict = {}  # (src, dst) -> (distance, LinkStats)
         self._depletion_skips = 0
 
         for spec in sorted(scenario.nodes, key=lambda n: n.address):
@@ -358,26 +368,28 @@ class Simulator:
                                            params.noise_figure_db)
         tx_power = frame.tx_power_dbm
         sigma = params.shadowing_sigma_db
-        gauss = self.rng.gauss
         rssi_by_rx, snr_by_rx = frame.rssi_by_rx, frame.snr_by_rx
-        for rx_addr, _receiver, loss in links:
-            if sigma > 0:
-                rssi = tx_power - (loss + gauss(0.0, sigma))
-            else:
-                rssi = tx_power - loss
+        # loss + 0.0 is loss, so without shadowing the values are unchanged
+        draws = (chan.shadowing_draws(self.rng, sigma, len(links))
+                 if sigma > 0 else itertools.repeat(0.0))
+        for (rx_addr, _receiver, loss), draw in zip(links, draws):
+            rssi = tx_power - (loss + draw)
             rssi_by_rx[rx_addr] = rssi
             snr_by_rx[rx_addr] = rssi - noise_floor
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
         config = self.drivers[device.address].config
-        msg = stk.decode_message(data)
+        if len(data) >= stk.HEADER_BYTES:
+            _src, dst, seqno = stk.HEADER.unpack_from(data)
+        else:
+            dst = seqno = None
         airtime_ns = time_on_air(config, len(data))
         frame = Frame(
             frame_id=next(self._frame_ids),
             src=device.address,
-            dst=msg.dst if msg is not None else None,
-            seqno=msg.seqno if msg is not None else None,
+            dst=dst,
+            seqno=seqno,
             payload=data,
             length=len(data),
             airtime_ns=airtime_ns,
@@ -417,15 +429,13 @@ class Simulator:
         links, coincident = self._links_from(device)
         if any(receiver.wurx is not None for receiver in coincident):
             raise ZeroDistanceError("tx and rx positions coincide")
-        tx_power = self.scenario.radio.tx_power_dbm
+        tx_power = self.drivers[device.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
-        for rx_addr, receiver, loss in links:
-            if receiver.wurx is None:
-                continue
-            if sigma > 0:
-                rssi = tx_power - (loss + self.rng.gauss(0.0, sigma))
-            else:
-                rssi = tx_power - loss
+        listeners = [link for link in links if link[1].wurx is not None]
+        draws = (chan.shadowing_draws(self.rng, sigma, len(listeners))
+                 if sigma > 0 else itertools.repeat(0.0))
+        for (rx_addr, receiver, loss), draw in zip(listeners, draws):
+            rssi = tx_power - (loss + draw)
             outcome = wux.receive_wub(receiver.wurx, emission.frame, rssi)
             if outcome.kind == "busy":
                 receiver.wurx.missed_while_decoding += 1
@@ -507,9 +517,12 @@ class Simulator:
         if app is not None:
             app.on_tx_done()
         self._deliver(tx)
-        floor = min((o.start_ns for o, _ in self._tx_by_id.values()),
-                    default=self.now)
-        self._on_air = [o for o in self._on_air if o.end_ns > floor]
+        undecided = self._tx_by_id
+        floor = (next(iter(undecided.values()))[0].start_ns if undecided
+                 else self.now)
+        if floor > self._floor:
+            self._floor = floor
+            self._on_air = [o for o in self._on_air if o.end_ns > floor]
 
     def _finish_wub(self, address: int) -> None:
         device = self.devices[address]
@@ -559,21 +572,25 @@ class Simulator:
         """Account the frame when it goes on air; a frame still in flight at
         the horizon keeps the outcome 'in-flight'."""
         frame = tx.frame
-        if frame.dst is None or frame.dst == frame.src \
-                or frame.dst not in self.devices:
-            return
-        src_pos = self.devices[frame.src].position
-        dst_pos = self.devices[frame.dst].position
+        src, dst = frame.src, frame.dst
+        link = self._sent_links.get((src, dst))
+        if link is None:
+            if dst is None or dst == src or dst not in self.devices:
+                return
+            distance = self.devices[src].position.distance_to(
+                self.devices[dst].position)
+            stats = self.links[(src, dst)] = rep.LinkStats()
+            link = self._sent_links[(src, dst)] = (distance, stats)
+        distance, stats = link
         record = rep.PacketRecord(
-            frame_id=frame.frame_id, src=frame.src, dst=frame.dst,
+            frame_id=frame.frame_id, src=src, dst=dst,
             seqno=frame.seqno, t_start_ns=tx.start_ns,
-            distance_m=src_pos.distance_to(dst_pos),
-            rssi_dbm=frame.rssi_by_rx.get(frame.dst),
-            snr_db=frame.snr_by_rx.get(frame.dst),
+            distance_m=distance,
+            rssi_dbm=frame.rssi_by_rx.get(dst),
+            snr_db=frame.snr_by_rx.get(dst),
             outcome="in-flight")
         self.packets.append(record)
         self._pkt_by_frame_id[frame.frame_id] = record
-        stats = self.links.setdefault((frame.src, frame.dst), rep.LinkStats())
         stats.sent += 1
 
     def _finish_packet(self, frame_id: int, outcome: str) -> None:

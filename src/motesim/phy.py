@@ -17,9 +17,6 @@ NS_PER_S = 1_000_000_000
 
 ALLOWED_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 
-#: Link header prepended to every unicast payload (src + dst + seqno).
-LINK_HEADER_BYTES = 6
-
 DEFAULT_SENSITIVITY_FILE = "sensitivity_sx1276.json"
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .channel import ChannelParams, Position
 from .errors import ScenarioError
 from .node import DEFAULT_MCU_WAKEUP_NS, DEFAULT_RADIO_TURN_ON_NS
-from .phy import LINK_HEADER_BYTES, NS_PER_S, RadioConfig, time_on_air
+from .phy import NS_PER_S, RadioConfig, time_on_air
+from .stack import HEADER_BYTES
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -264,7 +265,7 @@ def validate(scenario: Scenario) -> None:
                                         and app.src not in addresses):
             raise ScenarioError("app: src and dst must be node addresses")
         frame_airtime = time_on_air(
-            scenario.radio, app.payload_len + LINK_HEADER_BYTES)
+            scenario.radio, app.payload_len + HEADER_BYTES)
         if app.period_ns <= frame_airtime:
             raise ScenarioError(
                 f"app.period_s must exceed the frame airtime "
@@ -288,7 +289,7 @@ def validate(scenario: Scenario) -> None:
                        / target.wurx.bit_rate_bps * NS_PER_S)
         exchange_ns = (wub_ns + target.mcu_wakeup_ns + target.radio_turn_on_ns
                        + time_on_air(scenario.radio,
-                                     app.payload_len + LINK_HEADER_BYTES)
+                                     app.payload_len + HEADER_BYTES)
                        + app.linger_ns)
         if app.cycle_period_ns <= exchange_ns:
             raise ScenarioError(

@@ -21,8 +21,8 @@ from .errors import ContractViolation, PayloadTooLarge
 from .frame import Frame
 from .phy import RadioConfig
 
-HEADER_FORMAT = "<HHH"  # src, dst, seqno
-HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
+HEADER = struct.Struct("<HHH")  # src, dst, seqno
+HEADER_BYTES = HEADER.size
 HEADER_VERSION = 1
 DEFAULT_MTU = 255
 DEFAULT_DUPLICATE_WINDOW = 16
@@ -37,14 +37,14 @@ class UnicastMessage:
 
 
 def encode_message(msg: UnicastMessage) -> bytes:
-    return struct.pack(HEADER_FORMAT, msg.src, msg.dst, msg.seqno) + msg.payload
+    return HEADER.pack(msg.src, msg.dst, msg.seqno) + msg.payload
 
 
 def decode_message(data: bytes) -> UnicastMessage | None:
     """Parse a link frame; None if too short to carry the header."""
     if len(data) < HEADER_BYTES:
         return None
-    src, dst, seqno = struct.unpack_from(HEADER_FORMAT, data)
+    src, dst, seqno = HEADER.unpack_from(data)
     return UnicastMessage(src, dst, seqno, data[HEADER_BYTES:])
 
 

@@ -7,6 +7,8 @@ event queue) so they can disagree with the package if either side is wrong.
 
 import math
 
+from motesim.channel import decide_reception
+
 LINK_HEADER_BYTES = 6
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -118,3 +120,20 @@ def replay_delivered(scenario, table):
             continue
         delivered.add((src, app.dst, seqno))
     return sent, delivered
+
+
+def resolve_concurrent(transmissions, table, capture_threshold_db=6.0):
+    """Resolve a completed set of transmissions for every annotated receiver.
+
+    The batch counterpart of the engine's incremental path: every frame is
+    decided against the whole list at once, not against the medium's
+    pruned on-air list. Returns {(rx_addr, frame_id): ReceptionOutcome}.
+    """
+    outcomes = {}
+    for tx in transmissions:
+        for rx_addr in tx.frame.rssi_by_rx:
+            if rx_addr == tx.frame.src:
+                continue
+            outcomes[(rx_addr, tx.frame.frame_id)] = decide_reception(
+                tx, rx_addr, transmissions, table, capture_threshold_db)
+    return outcomes

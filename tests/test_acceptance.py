@@ -10,10 +10,11 @@ import pytest
 from motesim import (Position, RadioConfig, Scenario, SensitivityTable,
                      WakeUpFrame, WurxState, receive_wub, run, time_on_air)
 from motesim.engine import power_profile, range_sweep
-from motesim.phy import LINK_HEADER_BYTES, payload_symbol_count
+from motesim.phy import payload_symbol_count
 from motesim.report import emit
 from motesim import ChannelParams
 from motesim.scenario import AppSpec, NodeSpec, range_point_scenario
+from motesim.stack import HEADER_BYTES
 from oracles import oracle_airtime_s, oracle_symbol_count, replay_delivered
 
 TABLE = SensitivityTable.load_default()
@@ -38,7 +39,7 @@ def test_criterion_1_power_mode_reproduction():
     assert rows["lora_rx"][1] == 0.050
 
     # analytic per-mode dwell times for the sleeper (integer nanoseconds)
-    data_airtime = time_on_air(RadioConfig(), 16 + LINK_HEADER_BYTES)
+    data_airtime = time_on_air(RadioConfig(), 16 + HEADER_BYTES)
     wub_ns, wake_ns, turn_on_ns, linger_ns = (16_000_000, 7_000,
                                               1_000_000, 10_000_000)
     horizon = metrics.horizon_ns
@@ -140,7 +141,7 @@ def test_criterion_5_wakeup_latency_chain():
     """End-to-end exchange latency equals wake-up burst airtime + 7 us MCU
     wake + radio turn-on + data airtime, within one 1 ns grain."""
     metrics = power_profile(cycles=5)
-    data_airtime = time_on_air(RadioConfig(), 16 + LINK_HEADER_BYTES)
+    data_airtime = time_on_air(RadioConfig(), 16 + HEADER_BYTES)
     expected = 16_000_000 + 7_000 + 1_000_000 + data_airtime
     assert len(metrics.exchanges) == 5
     for exchange in metrics.exchanges:

@@ -4,8 +4,9 @@ import pytest
 
 from motesim import (ChannelParams, ConfigError, Frame, Position,
                      SensitivityTable, Transmission, ZeroDistanceError,
-                     noise_floor_dbm, resolve_concurrent, rssi_at, snr_of)
-from oracles import oracle_noise_floor_dbm
+                     noise_floor_dbm, rssi_at, snr_of)
+from motesim.channel import shadowing_draws
+from oracles import oracle_noise_floor_dbm, resolve_concurrent
 
 TABLE = SensitivityTable.load_default()
 ORIGIN = Position()
@@ -22,6 +23,24 @@ def make_frame(frame_id, src, dst, rssi_by_rx, sf=12, bw=500_000,
         rssi_by_rx=dict(rssi_by_rx),
         snr_by_rx={a: snr_of(v, bw, nf) for a, v in rssi_by_rx.items()},
     )
+
+
+class TestShadowingDraws:
+    """The engine's draw helper against ``random.Random.gauss``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 19])
+    @pytest.mark.parametrize("earlier", [1, 3])
+    def test_equals_gauss_bit_for_bit_with_a_spare_pending(self, n, earlier):
+        sigma = 4.0
+        rng, twin = random.Random(2024), random.Random(2024)
+        for _ in range(earlier):  # an odd count leaves a spare value
+            rng.gauss(0.0, sigma)
+            twin.gauss(0.0, sigma)
+        assert rng.gauss_next is not None
+        draws = shadowing_draws(rng, sigma, n)
+        assert draws == [twin.gauss(0.0, sigma) for _ in range(n)]
+        assert rng.getstate() == twin.getstate()
+        assert rng.gauss(0.0, sigma) == twin.gauss(0.0, sigma)
 
 
 class TestRssiAt:

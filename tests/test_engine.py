@@ -5,13 +5,13 @@ import random
 import pytest
 
 from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
-                     Scenario, SensitivityTable, resolve_concurrent, run)
+                     Scenario, SensitivityTable, run)
 from motesim.engine import Simulator, power_profile, range_sweep
 from motesim.node import RadioMode
 from motesim.report import emit, render_text
 from motesim.scenario import (AppSpec, NodeSpec, WurxSpec,
                               power_profile_scenario, range_point_scenario)
-from oracles import replay_delivered
+from oracles import replay_delivered, resolve_concurrent
 
 TABLE = SensitivityTable.load_default()
 
@@ -293,6 +293,28 @@ class TestIncrementalMatchesBatchResolver:
             assert packet.outcome == expected
 
 
+    def test_on_air_list_follows_the_earliest_undecided_start(self):
+        """After every decided frame the on-air list holds exactly the
+        started transmissions ending after the floor: the earliest start of
+        the frames still undecided, or now when none is."""
+        sim = Simulator(dense_scenario(horizon_s=30.0), record_trace=False)
+        started = record_transmissions(sim)
+        finish = sim._finish_tx
+        checked = []
+
+        def checking(frame_id):
+            finish(frame_id)
+            floor = min((tx.start_ns for tx, _ in sim._tx_by_id.values()),
+                        default=sim.now)
+            assert sim._on_air == [tx for tx in started if tx.end_ns > floor]
+            checked.append(len(sim._tx_by_id))
+
+        sim._finish_tx = checking
+        sim.run()
+        assert len(checked) > 100
+        assert max(checked) >= 2  # several frames undecided at once
+
+
 class TestGoldenDigests:
     """Digests pinned on the engine that scanned the whole transmission
     history. A change to dispatch order, RNG draw order or capture outcomes
@@ -407,6 +429,21 @@ class TestWakeupExchange:
         metrics = run(scenario, record_trace=False)
         expected = 32_000_000 + 7_000 + 1_000_000 + 362_496_000
         assert metrics.exchanges[0].latency_ns == expected
+
+    def test_burst_uses_the_initiators_configured_power(self):
+        # at 5 m a 14 dBm burst arrives at about -43 dBm, above the WuRX's
+        # -50 dBm sensitivity; at -4 dBm it arrives at about -61 dBm
+        import dataclasses
+        scenario = power_profile_scenario(cycles=3, distance_m=5.0)
+        assert all(ex.outcome == "completed"
+                   for ex in run(scenario, record_trace=False).exchanges)
+        sim = Simulator(scenario, record_trace=False)
+        driver = sim.drivers[1]
+        driver.configure(dataclasses.replace(driver.config,
+                                             tx_power_dbm=-4.0))
+        metrics = sim.run()
+        assert len(metrics.exchanges) == 3
+        assert all(ex.outcome == "wake-timeout" for ex in metrics.exchanges)
 
     def test_busy_wurx_misses_second_wub(self):
         scenario = power_profile_scenario(cycles=1)
