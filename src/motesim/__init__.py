@@ -17,16 +17,15 @@ from .errors import (ConfigError, ContractViolation, IllegalTransition,
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, EnergyLedger, MoteDevice,
                    NodeEvent, NodeEventKind, power_report)
-from .phy import (RadioConfig, ReceptionDecision, SensitivityTable,
-                  airtime_s, payload_symbol_count, reception_margin,
-                  time_on_air, tx_energy)
+from .phy import (RadioConfig, SensitivityTable, payload_symbol_count,
+                  time_on_air)
 from .report import RunMetrics, emit, emit_sweep
 from .scenario import (Scenario, load, power_profile_scenario,
                        range_point_scenario, scenario_hash)
 from .stack import (RadioDriver, Unicast, UnicastMessage, decode_message,
                     encode_message)
-from .wurx import (WakeUpFrame, WurxState, ook_tx_energy, receive_wub,
-                   send_wub, wub_airtime)
+from .wurx import (WakeUpFrame, WurxState, receive_wub, send_wub,
+                   wub_airtime)
 
 __version__ = "0.1.0"
 
@@ -40,14 +39,12 @@ __all__ = [
     "Frame",
     "DEFAULT_POWER_TABLE_W", "EnergyLedger", "MoteDevice", "NodeEvent",
     "NodeEventKind", "power_report",
-    "RadioConfig", "ReceptionDecision", "SensitivityTable", "airtime_s",
-    "payload_symbol_count", "reception_margin", "time_on_air", "tx_energy",
+    "RadioConfig", "SensitivityTable", "payload_symbol_count", "time_on_air",
     "RunMetrics", "emit", "emit_sweep",
     "Scenario", "load", "power_profile_scenario", "range_point_scenario",
     "scenario_hash",
     "RadioDriver", "Unicast", "UnicastMessage", "decode_message",
     "encode_message",
-    "WakeUpFrame", "WurxState", "ook_tx_energy", "receive_wub", "send_wub",
-    "wub_airtime",
+    "WakeUpFrame", "WurxState", "receive_wub", "send_wub", "wub_airtime",
     "__version__",
 ]

@@ -190,7 +190,7 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
     """
     frame = tx.frame
     rssi = frame.rssi_by_rx[rx_addr]
-    snr = frame.snr_by_rx[rx_addr]
+    snr = rssi - frame.noise_floor_dbm
     rssi_margin = rssi - table.sensitivity(frame.spreading_factor,
                                            frame.bandwidth_hz)
     snr_margin = snr - table.snr_floor(frame.spreading_factor)

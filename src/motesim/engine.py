@@ -47,6 +47,7 @@ kind and node event carries its trace text, built once.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import heapq
@@ -358,24 +359,19 @@ class Simulator:
         return cached
 
     def _annotate(self, frame: Frame, tx_device: MoteDevice) -> None:
-        """Fill the frame's RSSI and SNR at every other node. Same arithmetic
-        and draw order as ``channel.rssi_at`` and ``channel.snr_of``."""
-        params = self.scenario.channel
+        """Fill the frame's RSSI at every other node. Same arithmetic and
+        draw order as ``channel.rssi_at``."""
         links, coincident = self._links_from(tx_device)
         if coincident:
             raise ZeroDistanceError("tx and rx positions coincide")
-        noise_floor = chan.noise_floor_dbm(frame.bandwidth_hz,
-                                           params.noise_figure_db)
         tx_power = frame.tx_power_dbm
-        sigma = params.shadowing_sigma_db
-        rssi_by_rx, snr_by_rx = frame.rssi_by_rx, frame.snr_by_rx
+        sigma = self.scenario.channel.shadowing_sigma_db
+        rssi_by_rx = frame.rssi_by_rx
         # loss + 0.0 is loss, so without shadowing the values are unchanged
         draws = (chan.shadowing_draws(self.rng, sigma, len(links))
                  if sigma > 0 else itertools.repeat(0.0))
         for (rx_addr, _receiver, loss), draw in zip(links, draws):
-            rssi = tx_power - (loss + draw)
-            rssi_by_rx[rx_addr] = rssi
-            snr_by_rx[rx_addr] = rssi - noise_floor
+            rssi_by_rx[rx_addr] = tx_power - (loss + draw)
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -397,6 +393,8 @@ class Simulator:
             bandwidth_hz=config.bandwidth_hz,
             frequency_hz=config.frequency_hz,
             tx_power_dbm=config.tx_power_dbm,
+            noise_floor_dbm=chan.noise_floor_dbm(
+                config.bandwidth_hz, self.scenario.channel.noise_figure_db),
         )
         self._annotate(frame, device)
         self.node_event(device, nd.TX_REQUEST)
@@ -414,16 +412,12 @@ class Simulator:
             raise RadioUnavailable(
                 f"radio of node {device.address} is {device.radio.value}; "
                 f"cannot emit a wake-up burst")
-        app_spec = self.scenario.app
-        target_spec = self.scenario.node(app_spec.target) \
-            if app_spec.target is not None else None
-        wurx_spec = target_spec.wurx if target_spec is not None else None
-        emission = wux.send_wub(
-            wurx_address,
-            preamble_bits=wurx_spec.preamble_bits if wurx_spec else 8,
-            bit_rate_bps=wurx_spec.bit_rate_bps if wurx_spec else 1000.0,
-            tx_power_draw_w=device.power_table_w["lora_tx"],
-        )
+        # only the wake-up initiator sends bursts, and validate guarantees
+        # that its target carries a wurx block
+        wurx_spec = self.scenario.node(self.scenario.app.target).wurx
+        emission = wux.send_wub(wurx_address,
+                                preamble_bits=wurx_spec.preamble_bits,
+                                bit_rate_bps=wurx_spec.bit_rate_bps)
         result = device.begin_wub_tx(self.now, emission.duty)
         self.process_result(device, result)
         links, coincident = self._links_from(device)
@@ -582,13 +576,12 @@ class Simulator:
             stats = self.links[(src, dst)] = rep.LinkStats()
             link = self._sent_links[(src, dst)] = (distance, stats)
         distance, stats = link
+        rssi = frame.rssi_by_rx[dst]
         record = rep.PacketRecord(
             frame_id=frame.frame_id, src=src, dst=dst,
             seqno=frame.seqno, t_start_ns=tx.start_ns,
-            distance_m=distance,
-            rssi_dbm=frame.rssi_by_rx.get(dst),
-            snr_db=frame.snr_by_rx.get(dst),
-            outcome="in-flight")
+            distance_m=distance, rssi_dbm=rssi,
+            snr_db=rssi - frame.noise_floor_dbm, outcome="in-flight")
         self.packets.append(record)
         self._pkt_by_frame_id[frame.frame_id] = record
         stats.sent += 1
@@ -609,18 +602,14 @@ class Simulator:
         return self._trace.hexdigest()
 
     def _calibration(self) -> dict:
-        scenario = self.scenario
+        radio = self.scenario.radio
         return {
-            "path_loss_exponent": scenario.channel.path_loss_exponent,
-            "reference_loss_at_1m_db": scenario.channel.reference_loss_at_1m_db,
-            "shadowing_sigma_db": scenario.channel.shadowing_sigma_db,
-            "noise_figure_db": scenario.channel.noise_figure_db,
-            "capture_threshold_db": scenario.channel.capture_threshold_db,
-            "spreading_factor": scenario.radio.spreading_factor,
-            "bandwidth_hz": scenario.radio.bandwidth_hz,
-            "coding_rate": scenario.radio.coding_rate,
-            "tx_power_dbm": scenario.radio.tx_power_dbm,
-            "preamble_symbols": scenario.radio.preamble_symbols,
+            **dataclasses.asdict(self.scenario.channel),
+            "spreading_factor": radio.spreading_factor,
+            "bandwidth_hz": radio.bandwidth_hz,
+            "coding_rate": radio.coding_rate,
+            "tx_power_dbm": radio.tx_power_dbm,
+            "preamble_symbols": radio.preamble_symbols,
             "link_header_version": stk.HEADER_VERSION,
             "sensitivity_table_version": self.table.version,
             "mcu_active_w_default": DEFAULT_POWER_TABLE_W["mcu_active"],
@@ -709,10 +698,8 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
             shadowing_sigma_db=shadowing_sigma_db)
         metrics = run(scenario, record_trace=False)
         stats = metrics.link(2, 1)
-        rssi_values = [p.rssi_dbm for p in metrics.packets
-                       if p.rssi_dbm is not None]
-        snr_values = [p.snr_db for p in metrics.packets
-                      if p.snr_db is not None]
+        rssi_values = [p.rssi_dbm for p in metrics.packets]
+        snr_values = [p.snr_db for p in metrics.packets]
         rows.append(rep.SweepRow(
             distance_m=distance,
             sent=stats.sent,

@@ -11,8 +11,10 @@ class Frame:
 
     ``src``/``dst``/``seqno`` are the parsed link-header fields (``dst`` is
     None for raw, headerless sends). ``length`` is the full on-air byte count
-    (header + payload). ``rssi_by_rx``/``snr_by_rx`` are the per-receiver
-    annotations filled in by the channel when the transmission starts.
+    (header + payload). ``noise_floor_dbm`` is the receive noise floor for
+    the frame's bandwidth; ``rssi_by_rx`` is the per-receiver RSSI filled
+    in when the transmission starts. A receiver's SNR is taken where it is
+    read, as ``rssi_by_rx[rx] - noise_floor_dbm``.
     """
 
     frame_id: int
@@ -26,5 +28,5 @@ class Frame:
     bandwidth_hz: int
     frequency_hz: float
     tx_power_dbm: float
+    noise_floor_dbm: float
     rssi_by_rx: dict = field(default_factory=dict)
-    snr_by_rx: dict = field(default_factory=dict)

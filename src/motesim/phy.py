@@ -1,4 +1,8 @@
-"""LoRa physical-layer arithmetic: time-on-air, sensitivity, reception margins.
+"""LoRa physical-layer arithmetic: time-on-air and the sensitivity table.
+
+The table's gates are applied in one place, ``channel.decide_reception``,
+and energy is charged only by the node's ledger, so this module computes
+neither margins nor energy.
 
 All durations are integer nanoseconds so that event timestamps, ledger
 bookkeeping and airtime sums stay exact. For the three supported bandwidths
@@ -89,18 +93,6 @@ def time_on_air(cfg: RadioConfig, payload_len: int) -> int:
     return t_preamble + payload_symbol_count(cfg, payload_len) * t_sym
 
 
-def airtime_s(cfg: RadioConfig, payload_len: int) -> float:
-    """Convenience float-seconds view of :func:`time_on_air`."""
-    return time_on_air(cfg, payload_len) / NS_PER_S
-
-
-def tx_energy(cfg: RadioConfig, payload_len: int, tx_power_draw_w: float) -> float:
-    """Energy in joules to transmit one frame at the given supply draw."""
-    if tx_power_draw_w < 0:
-        raise ConfigError("tx_power_draw_w must be >= 0")
-    return tx_power_draw_w * airtime_s(cfg, payload_len)
-
-
 class SensitivityTable:
     """Per-(SF, BW) receive sensitivity and per-SF SNR demodulation floor.
 
@@ -136,20 +128,10 @@ class SensitivityTable:
                 "snr_demod_floor must decrease as spreading factor grows")
 
     @classmethod
-    def from_file(cls, path) -> "SensitivityTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls._from_dict(raw)
-
-    @classmethod
     def load_default(cls) -> "SensitivityTable":
         ref = resources.files("motesim").joinpath(
             "data", DEFAULT_SENSITIVITY_FILE)
         raw = json.loads(ref.read_text(encoding="utf-8"))
-        return cls._from_dict(raw)
-
-    @classmethod
-    def _from_dict(cls, raw: dict) -> "SensitivityTable":
         try:
             sens = {(int(sf), int(bw)): float(v)
                     for sf, row in raw["sensitivity_dbm"].items()
@@ -173,30 +155,3 @@ class SensitivityTable:
         except KeyError:
             raise TableEntryMissing(
                 f"no SNR floor entry for SF{spreading_factor}") from None
-
-
-@dataclass(frozen=True)
-class ReceptionDecision:
-    """Outcome of the link-budget check for one frame at one receiver."""
-
-    accepted: bool
-    cause: str  # "ok" | "below-sensitivity" | "snr-floor"
-    rssi_margin_db: float
-    snr_margin_db: float
-
-
-def reception_margin(cfg: RadioConfig, rssi_dbm: float, snr_db: float,
-                     table: SensitivityTable) -> ReceptionDecision:
-    """Accept iff RSSI >= sensitivity(SF, BW) and SNR >= demod floor(SF).
-
-    Both boundaries are inclusive: a signal exactly at the minimum workable
-    RSSI is accepted with 0 dB margin.
-    """
-    rssi_margin = rssi_dbm - table.sensitivity(
-        cfg.spreading_factor, cfg.bandwidth_hz)
-    snr_margin = snr_db - table.snr_floor(cfg.spreading_factor)
-    if rssi_margin < 0:
-        return ReceptionDecision(False, "below-sensitivity", rssi_margin, snr_margin)
-    if snr_margin < 0:
-        return ReceptionDecision(False, "snr-floor", rssi_margin, snr_margin)
-    return ReceptionDecision(True, "ok", rssi_margin, snr_margin)

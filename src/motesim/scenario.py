@@ -1,22 +1,26 @@
 """Scenario definition: schema, YAML loading, validation, presets.
 
 A scenario file is YAML with five sections (sim, radio, channel, nodes,
-app). Unknown keys anywhere are rejected to catch typos. The same
+app). Unknown keys anywhere are rejected to catch typos. The radio and
+channel sections and a node's wurx and position blocks take their keys,
+types and defaults from the fields of the dataclass they build. The same
 dataclasses are built programmatically by the experiment presets, so the
 CLI presets and file-driven runs share one validation path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 from .channel import ChannelParams, Position
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .node import DEFAULT_MCU_WAKEUP_NS, DEFAULT_RADIO_TURN_ON_NS
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import HEADER_BYTES
+from .wurx import WakeUpFrame, wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -106,27 +110,28 @@ def _s_to_ns(seconds: float) -> int:
     return round(seconds * NS_PER_S)
 
 
-def _parse_position(raw, where: str) -> Position:
+_FIELD_TYPES = {"int": int, "float": float, "bool": bool}
+
+
+def _parse_fields(cls, raw, where: str):
+    """Build dataclass ``cls`` from the mapping ``raw``.
+
+    The fields of ``cls`` are the only allowed keys, and their annotations
+    give the types. An omitted key takes the field's default; a field
+    without a default is required.
+    """
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be a mapping with x, y, z")
-    _require_keys(raw, {"x", "y", "z"}, where)
-    return Position(x=_get(raw, "x", float, where, 0.0),
-                    y=_get(raw, "y", float, where, 0.0),
-                    z=_get(raw, "z", float, where, 0.0))
-
-
-def _parse_wurx(raw, where: str) -> WurxSpec:
-    _require_keys(raw, {"address", "sensitivity_dbm", "bit_rate_bps",
-                        "preamble_bits", "listen_power_w", "decode_power_w"},
-                  where)
-    return WurxSpec(
-        address=_get(raw, "address", int, where, required=True),
-        sensitivity_dbm=_get(raw, "sensitivity_dbm", float, where, -50.0),
-        bit_rate_bps=_get(raw, "bit_rate_bps", float, where, 1000.0),
-        preamble_bits=_get(raw, "preamble_bits", int, where, 8),
-        listen_power_w=_get(raw, "listen_power_w", float, where, 1.8e-6),
-        decode_power_w=_get(raw, "decode_power_w", float, where, 284e-6),
-    )
+        raise ScenarioError(f"{where} must be a mapping")
+    fields = dataclasses.fields(cls)
+    _require_keys(raw, {f.name for f in fields}, where)
+    values = {f.name: _get(raw, f.name, _FIELD_TYPES[f.type], where,
+                           default=f.default,
+                           required=f.default is dataclasses.MISSING)
+              for f in fields}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 _POWER_KEYS = {
@@ -155,13 +160,14 @@ def _parse_node(raw, index: int) -> NodeSpec:
         for key, label in _POWER_KEYS.items():
             if key in raw["power"]:
                 power[label] = _get(raw["power"], key, float, f"{where}.power")
-    wurx = _parse_wurx(raw["wurx"], f"{where}.wurx") if "wurx" in raw else None
+    wurx = _parse_fields(WurxSpec, raw["wurx"], f"{where}.wurx") \
+        if "wurx" in raw else None
     if role == "sleeper" and wurx is None:
         raise ScenarioError(f"{where}: role 'sleeper' requires a wurx block")
     return NodeSpec(
         address=address,
         role=role,
-        position=_parse_position(raw["position"], f"{where}.position")
+        position=_parse_fields(Position, raw["position"], f"{where}.position")
         if "position" in raw else Position(),
         power_w=power,
         wurx=wurx,
@@ -173,52 +179,6 @@ def _parse_node(raw, index: int) -> NodeSpec:
         radio_turn_on_ns=_s_to_ns(_get(raw, "radio_turn_on_ms", float,
                                        where, 1.0) * 1e-3),
     )
-
-
-def _parse_radio(raw) -> RadioConfig:
-    where = "radio"
-    _require_keys(raw, {"frequency_hz", "spreading_factor", "bandwidth_hz",
-                        "coding_rate", "tx_power_dbm", "preamble_symbols",
-                        "explicit_header", "crc_on", "low_data_rate_optimize"},
-                  where)
-    try:
-        return RadioConfig(
-            frequency_hz=_get(raw, "frequency_hz", float, where, 868e6),
-            spreading_factor=_get(raw, "spreading_factor", int, where, 12),
-            bandwidth_hz=_get(raw, "bandwidth_hz", int, where, 500_000),
-            coding_rate=_get(raw, "coding_rate", int, where, 6),
-            tx_power_dbm=_get(raw, "tx_power_dbm", float, where, 14.0),
-            preamble_symbols=_get(raw, "preamble_symbols", int, where, 8),
-            explicit_header=_get(raw, "explicit_header", bool, where, True),
-            crc_on=_get(raw, "crc_on", bool, where, True),
-            low_data_rate_optimize=_get(raw, "low_data_rate_optimize", bool,
-                                        where, False),
-        )
-    except Exception as exc:
-        raise ScenarioError(f"radio: {exc}") from exc
-
-
-def _parse_channel(raw) -> ChannelParams:
-    where = "channel"
-    _require_keys(raw, {"path_loss_exponent", "reference_loss_at_1m_db",
-                        "shadowing_sigma_db", "noise_figure_db",
-                        "capture_threshold_db"}, where)
-    try:
-        return ChannelParams(
-            path_loss_exponent=_get(raw, "path_loss_exponent", float,
-                                    where, 3.70),
-            reference_loss_at_1m_db=_get(raw, "reference_loss_at_1m_db",
-                                         float, where, 31.2),
-            shadowing_sigma_db=_get(raw, "shadowing_sigma_db", float,
-                                    where, 0.0),
-            noise_figure_db=_get(raw, "noise_figure_db", float, where, 6.0),
-            capture_threshold_db=_get(raw, "capture_threshold_db", float,
-                                      where, 6.0),
-        )
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"channel: {exc}") from exc
 
 
 def _parse_app(raw) -> AppSpec:
@@ -256,6 +216,18 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
+    # the burst addressed to each wake-up receiver, checked as sent
+    wub_frames = {}
+    for spec in scenario.nodes:
+        if spec.wurx is not None:
+            try:
+                wub_frames[spec.address] = WakeUpFrame(
+                    address=spec.wurx.address,
+                    preamble_bits=spec.wurx.preamble_bits,
+                    bit_rate_bps=spec.wurx.bit_rate_bps)
+            except ConfigError as exc:
+                raise ScenarioError(
+                    f"node {spec.address} wurx: {exc}") from exc
     app = scenario.app
     if app.kind == "periodic":
         # src may be omitted: then every mote sends
@@ -285,9 +257,8 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError("app.target must carry a wurx block")
         if app.cycles < 0:
             raise ScenarioError("app.cycles must be >= 0")
-        wub_ns = round((target.wurx.preamble_bits + 8)
-                       / target.wurx.bit_rate_bps * NS_PER_S)
-        exchange_ns = (wub_ns + target.mcu_wakeup_ns + target.radio_turn_on_ns
+        exchange_ns = (wub_airtime(wub_frames[app.target])
+                       + target.mcu_wakeup_ns + target.radio_turn_on_ns
                        + time_on_air(scenario.radio,
                                      app.payload_len + HEADER_BYTES)
                        + app.linger_ns)
@@ -313,8 +284,9 @@ def from_dict(raw: dict) -> Scenario:
     scenario = Scenario(
         horizon_ns=_s_to_ns(_get(sim, "horizon_s", float, "sim", required=True)),
         seed=_get(sim, "seed", int, "sim", 0),
-        radio=_parse_radio(raw.get("radio") or {}),
-        channel=_parse_channel(raw.get("channel") or {}),
+        radio=_parse_fields(RadioConfig, raw.get("radio") or {}, "radio"),
+        channel=_parse_fields(ChannelParams, raw.get("channel") or {},
+                              "channel"),
         nodes=tuple(_parse_node(n, i) for i, n in enumerate(raw["nodes"])),
         app=_parse_app(raw["app"]),
     )
@@ -337,64 +309,15 @@ def load(path) -> Scenario:
 
 
 def canonical_dict(scenario: Scenario) -> dict:
-    """Stable, JSON-serialisable view used for hashing and report headers."""
-    return {
-        "format_version": SCENARIO_FORMAT_VERSION,
-        "sim": {"horizon_ns": scenario.horizon_ns, "seed": scenario.seed},
-        "radio": {
-            "frequency_hz": scenario.radio.frequency_hz,
-            "spreading_factor": scenario.radio.spreading_factor,
-            "bandwidth_hz": scenario.radio.bandwidth_hz,
-            "coding_rate": scenario.radio.coding_rate,
-            "tx_power_dbm": scenario.radio.tx_power_dbm,
-            "preamble_symbols": scenario.radio.preamble_symbols,
-            "explicit_header": scenario.radio.explicit_header,
-            "crc_on": scenario.radio.crc_on,
-            "low_data_rate_optimize": scenario.radio.low_data_rate_optimize,
-        },
-        "channel": {
-            "path_loss_exponent": scenario.channel.path_loss_exponent,
-            "reference_loss_at_1m_db": scenario.channel.reference_loss_at_1m_db,
-            "shadowing_sigma_db": scenario.channel.shadowing_sigma_db,
-            "noise_figure_db": scenario.channel.noise_figure_db,
-            "capture_threshold_db": scenario.channel.capture_threshold_db,
-        },
-        "nodes": [
-            {
-                "address": n.address,
-                "role": n.role,
-                "position": [n.position.x, n.position.y, n.position.z],
-                "power_w": dict(sorted(n.power_w.items())),
-                "wurx": None if n.wurx is None else {
-                    "address": n.wurx.address,
-                    "sensitivity_dbm": n.wurx.sensitivity_dbm,
-                    "bit_rate_bps": n.wurx.bit_rate_bps,
-                    "preamble_bits": n.wurx.preamble_bits,
-                    "listen_power_w": n.wurx.listen_power_w,
-                    "decode_power_w": n.wurx.decode_power_w,
-                },
-                "battery_j": n.battery_j,
-                "harvest_rate_w": n.harvest_rate_w,
-                "harvest_efficiency": n.harvest_efficiency,
-                "mcu_wakeup_ns": n.mcu_wakeup_ns,
-                "radio_turn_on_ns": n.radio_turn_on_ns,
-            }
-            for n in scenario.nodes
-        ],
-        "app": {
-            "kind": scenario.app.kind,
-            "src": scenario.app.src,
-            "dst": scenario.app.dst,
-            "payload_len": scenario.app.payload_len,
-            "period_ns": scenario.app.period_ns,
-            "initiator": scenario.app.initiator,
-            "target": scenario.app.target,
-            "cycles": scenario.app.cycles,
-            "cycle_period_ns": scenario.app.cycle_period_ns,
-            "linger_ns": scenario.app.linger_ns,
-            "rx_timeout_ns": scenario.app.rx_timeout_ns,
-        },
-    }
+    """Stable, JSON-serialisable view used for hashing."""
+    view = dataclasses.asdict(scenario)
+    for node in view["nodes"]:
+        position = node["position"]
+        node["position"] = [position["x"], position["y"], position["z"]]
+    return {"format_version": SCENARIO_FORMAT_VERSION,
+            "sim": {"horizon_ns": view.pop("horizon_ns"),
+                    "seed": view.pop("seed")},
+            **view}
 
 
 def scenario_hash(scenario: Scenario) -> str:

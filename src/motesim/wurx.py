@@ -1,14 +1,19 @@
 """OOK wake-up link model: frame format, timing, sensitivity, addressing.
 
 Wake-up frames are sent by the main transceiver in OOK mode: a 1-bit is a
-full-amplitude carrier, a 0-bit is transmitter-off, so transmit energy
-scales with the number of 1-bits. The frame format is an all-ones preamble
-followed by an 8-bit address, MSB first; both lengths are configurable.
+full-amplitude carrier, a 0-bit is transmitter-off, so a burst's transmit
+power scales with its duty, the share of 1-bits. The frame format is an
+all-ones preamble followed by an 8-bit address, MSB first; both lengths
+are configurable.
 
 Decoding is all-or-nothing at the sensitivity threshold (no bit-error
-model): below the threshold the receiver never leaves listening and spends
-no decode energy; at or above it, the decoder runs for the full frame and
-the interrupt line is asserted only on an exact address match.
+model): below the threshold the receiver never leaves listening; at or
+above it, the decoder runs for the full frame and the interrupt line is
+asserted only on an exact address match.
+
+This module gives durations and the duty only. The node's energy ledger
+charges the burst (at ``lora_tx`` power times the duty) and the decode (at
+the ``wurx_decode`` power) for the dwell the engine schedules.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ class WakeUpFrame:
     address: int
     preamble_bits: int = 8
     bit_rate_bps: float = 1000.0
-    carrier_frequency_hz: float = 868e6
 
     def __post_init__(self):
         if not 0 <= self.address <= 255:
@@ -52,14 +56,6 @@ def wub_airtime(frame: WakeUpFrame) -> int:
     return round(n_bits / frame.bit_rate_bps * NS_PER_S)
 
 
-def ook_tx_energy(bits, bit_rate_bps: float, tx_power_draw_w: float) -> float:
-    """Joules to emit a bit sequence in OOK; only 1-bits cost carrier time."""
-    if bit_rate_bps <= 0:
-        raise ConfigError("bit_rate_bps must be positive")
-    ones = sum(1 for b in bits if b)
-    return tx_power_draw_w * ones / bit_rate_bps
-
-
 def ook_duty(bits) -> float:
     """Fraction of 1-bits; 0.0 for an empty sequence."""
     bits = tuple(bits)
@@ -74,25 +70,17 @@ class WubEmission:
 
     frame: WakeUpFrame
     duration_ns: int
-    energy_j: float
     duty: float
 
 
 def send_wub(target_address: int, *, preamble_bits: int = 8,
-             bit_rate_bps: float = 1000.0, carrier_frequency_hz: float = 868e6,
-             tx_power_draw_w: float = 0.240) -> WubEmission:
-    """Build the OOK wake-up frame for ``target_address`` and account its
-    airtime and duty-scaled transmit energy."""
+             bit_rate_bps: float = 1000.0) -> WubEmission:
+    """Build the OOK wake-up frame for ``target_address`` with its airtime
+    and duty."""
     frame = WakeUpFrame(address=target_address, preamble_bits=preamble_bits,
-                        bit_rate_bps=bit_rate_bps,
-                        carrier_frequency_hz=carrier_frequency_hz)
-    bits = frame.bits()
-    return WubEmission(
-        frame=frame,
-        duration_ns=wub_airtime(frame),
-        energy_j=ook_tx_energy(bits, bit_rate_bps, tx_power_draw_w),
-        duty=ook_duty(bits),
-    )
+                        bit_rate_bps=bit_rate_bps)
+    return WubEmission(frame=frame, duration_ns=wub_airtime(frame),
+                       duty=ook_duty(frame.bits()))
 
 
 class WurxMode(enum.Enum):
@@ -126,14 +114,12 @@ class WurxOutcome:
 
     ``kind`` is "ignored" (below sensitivity), "busy" (decoder already
     running; arrival is missed) or "decoding". For "decoding" the receiver
-    occupies the decoder for ``decode_time_ns`` and spends
-    ``decode_energy_j``; ``interrupt`` says whether the line is asserted at
-    the end of the frame.
+    occupies the decoder for ``decode_time_ns``; ``interrupt`` says whether
+    the line is asserted at the end of the frame.
     """
 
     kind: str
     decode_time_ns: int = 0
-    decode_energy_j: float = 0.0
     interrupt: bool = False
 
 
@@ -144,10 +130,8 @@ def receive_wub(state: WurxState, frame: WakeUpFrame,
         return WurxOutcome("busy")
     if rssi_dbm < state.sensitivity_dbm:
         return WurxOutcome("ignored")
-    decode_time = wub_airtime(frame)
     return WurxOutcome(
         "decoding",
-        decode_time_ns=decode_time,
-        decode_energy_j=state.decode_power_w * decode_time / NS_PER_S,
+        decode_time_ns=wub_airtime(frame),
         interrupt=frame.address == state.configured_address,
     )

@@ -122,6 +122,20 @@ def replay_delivered(scenario, table):
     return sent, delivered
 
 
+def reception_margin(cfg, rssi_dbm, snr_db, table):
+    """The plain link-budget check for one frame with no rival: "ok" iff
+    RSSI >= sensitivity(SF, BW) and SNR >= demod floor(SF), both inclusive;
+    else the first gate that fails, "below-sensitivity" or "snr-floor"."""
+    rssi_margin = rssi_dbm - table.sensitivity(
+        cfg.spreading_factor, cfg.bandwidth_hz)
+    snr_margin = snr_db - table.snr_floor(cfg.spreading_factor)
+    if rssi_margin < 0:
+        return "below-sensitivity"
+    if snr_margin < 0:
+        return "snr-floor"
+    return "ok"
+
+
 def resolve_concurrent(transmissions, table, capture_threshold_db=6.0):
     """Resolve a completed set of transmissions for every annotated receiver.
 

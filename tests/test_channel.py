@@ -6,7 +6,8 @@ from motesim import (ChannelParams, ConfigError, Frame, Position,
                      SensitivityTable, Transmission, ZeroDistanceError,
                      noise_floor_dbm, rssi_at, snr_of)
 from motesim.channel import shadowing_draws
-from oracles import oracle_noise_floor_dbm, resolve_concurrent
+from oracles import (oracle_noise_floor_dbm, reception_margin,
+                     resolve_concurrent)
 
 TABLE = SensitivityTable.load_default()
 ORIGIN = Position()
@@ -19,9 +20,8 @@ def make_frame(frame_id, src, dst, rssi_by_rx, sf=12, bw=500_000,
         frame_id=frame_id, src=src, dst=dst, seqno=frame_id,
         payload=b"", length=16, airtime_ns=airtime_ns,
         spreading_factor=sf, bandwidth_hz=bw, frequency_hz=freq,
-        tx_power_dbm=14.0,
+        tx_power_dbm=14.0, noise_floor_dbm=noise_floor_dbm(bw, nf),
         rssi_by_rx=dict(rssi_by_rx),
-        snr_by_rx={a: snr_of(v, bw, nf) for a, v in rssi_by_rx.items()},
     )
 
 
@@ -206,14 +206,14 @@ class TestResolveConcurrent:
 
     def test_matches_margin_check_for_single_tx(self):
         # with one transmitter the outcome equals the plain link-budget check
-        from motesim import RadioConfig, reception_margin
+        from motesim import RadioConfig
         cfg = RadioConfig()
         rng = random.Random(11)
         for _ in range(500):
             rssi = rng.uniform(-150.0, -60.0)
             frame = make_frame(1, 10, 20, {20: rssi})
             out = resolve_concurrent([Transmission(frame, 0, 1000)], TABLE)
-            expected = reception_margin(cfg, rssi,
-                                        frame.snr_by_rx[20], TABLE)
-            assert out[(20, 1)].decoded == expected.accepted
-            assert out[(20, 1)].cause == expected.cause
+            expected = reception_margin(cfg, rssi, snr_of(rssi, 500_000, 6.0),
+                                        TABLE)
+            assert out[(20, 1)].decoded == (expected == "ok")
+            assert out[(20, 1)].cause == expected

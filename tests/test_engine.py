@@ -583,7 +583,7 @@ class TestLinkCache:
     shadowing per frame; values and draw order must match ``rssi_at``."""
 
     def test_frame_annotations_equal_rssi_at_bit_for_bit(self):
-        from motesim.channel import rssi_at, snr_of
+        from motesim.channel import noise_floor_dbm, rssi_at, snr_of
         scenario = dense_scenario(horizon_s=6.0)
         sim = Simulator(scenario, record_trace=False)
         started = record_transmissions(sim)
@@ -597,12 +597,13 @@ class TestLinkCache:
             src = sim.devices[frame.src]
             receivers = [a for a in addresses if a != frame.src]
             assert list(frame.rssi_by_rx) == receivers
-            assert list(frame.snr_by_rx) == receivers
+            assert frame.noise_floor_dbm == noise_floor_dbm(
+                frame.bandwidth_hz, params.noise_figure_db)
             for rx_addr in receivers:
                 rssi = rssi_at(frame.tx_power_dbm, src.position,
                                sim.devices[rx_addr].position, params, rng)
                 assert frame.rssi_by_rx[rx_addr] == rssi
-                assert frame.snr_by_rx[rx_addr] == snr_of(
+                assert rssi - frame.noise_floor_dbm == snr_of(
                     rssi, frame.bandwidth_hz, params.noise_figure_db)
         assert sim.rng.getstate() == rng.getstate()
 

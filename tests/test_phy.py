@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from motesim import (ConfigError, RadioConfig, SensitivityTable,
-                     TableEntryMissing, airtime_s, payload_symbol_count,
-                     reception_margin, time_on_air, tx_energy)
+from motesim import (ConfigError, Frame, RadioConfig, SensitivityTable,
+                     TableEntryMissing, Transmission, payload_symbol_count,
+                     time_on_air)
+from motesim.channel import decide_reception
 from oracles import oracle_airtime_s, oracle_symbol_count
 
 PAPER_CFG = RadioConfig()  # SF12 / 500 kHz / 4-6 / +14 dBm / preamble 8
@@ -14,7 +15,6 @@ def test_paper_point_airtime():
     # 16 B at SF12 / 500 kHz / 4-6: 26 payload symbols, 313.344 ms
     assert payload_symbol_count(PAPER_CFG, 16) == 26
     assert time_on_air(PAPER_CFG, 16) == 313_344_000
-    assert airtime_s(PAPER_CFG, 16) == pytest.approx(0.313344, abs=1e-12)
 
 
 def test_zero_payload_airtime():
@@ -90,20 +90,6 @@ def test_negative_payload_rejected():
         time_on_air(PAPER_CFG, -1)
 
 
-def test_tx_energy_paper_point():
-    # 240 mW for 313.344 ms
-    assert tx_energy(PAPER_CFG, 16, 0.240) == pytest.approx(0.07520256,
-                                                            rel=1e-12)
-
-
-def test_tx_energy_zero_draw_and_linearity():
-    assert tx_energy(PAPER_CFG, 0, 0.0) == 0.0
-    one = tx_energy(PAPER_CFG, 16, 0.120)
-    assert tx_energy(PAPER_CFG, 16, 0.240) == pytest.approx(2 * one, rel=1e-12)
-    with pytest.raises(ConfigError):
-        tx_energy(PAPER_CFG, 16, -0.1)
-
-
 class TestSensitivityTable:
     def test_default_table_anchor(self):
         table = SensitivityTable.load_default()
@@ -136,34 +122,50 @@ class TestSensitivityTable:
                              {7: -7.5, 8: -7.5})
 
 
+def lone_reception(rssi_dbm, snr_db, table):
+    """``decide_reception`` at receiver 2 for one frame alone on air, sent
+    with ``PAPER_CFG`` and arriving with the given RSSI and SNR."""
+    frame = Frame(frame_id=1, src=1, dst=2, seqno=1, payload=b"", length=16,
+                  airtime_ns=1000,
+                  spreading_factor=PAPER_CFG.spreading_factor,
+                  bandwidth_hz=PAPER_CFG.bandwidth_hz,
+                  frequency_hz=PAPER_CFG.frequency_hz,
+                  tx_power_dbm=PAPER_CFG.tx_power_dbm,
+                  noise_floor_dbm=rssi_dbm - snr_db,
+                  rssi_by_rx={2: rssi_dbm})
+    tx = Transmission(frame, 0, 1000)
+    return decide_reception(tx, 2, [tx], table, capture_threshold_db=6.0)
+
+
 class TestReceptionMargin:
+    """The link-budget gates of ``channel.decide_reception`` with no rival."""
+
     table = SensitivityTable.load_default()
 
     def test_paper_coverage_point_accepts(self):
         # -120 dBm at SF12/500 kHz with workable SNR
-        decision = reception_margin(PAPER_CFG, -120.0, -9.0, self.table)
-        assert decision.accepted and decision.cause == "ok"
+        decision = lone_reception(-120.0, -9.0, self.table)
+        assert decision.decoded and decision.cause == "ok"
         assert decision.rssi_margin_db == pytest.approx(20.0)
 
     def test_below_floor_rejects_with_margin(self):
-        decision = reception_margin(PAPER_CFG, -141.0, 5.0, self.table)
-        assert not decision.accepted
+        decision = lone_reception(-141.0, 5.0, self.table)
+        assert not decision.decoded
         assert decision.cause == "below-sensitivity"
         assert decision.rssi_margin_db == pytest.approx(-1.0)
 
     def test_boundary_inclusive(self):
-        decision = reception_margin(PAPER_CFG, -140.0, -20.0, self.table)
-        assert decision.accepted
+        decision = lone_reception(-140.0, -20.0, self.table)
+        assert decision.decoded
         assert decision.rssi_margin_db == 0.0
         assert decision.snr_margin_db == 0.0
 
     def test_snr_floor_rejects(self):
-        decision = reception_margin(PAPER_CFG, -100.0, -20.5, self.table)
-        assert not decision.accepted
+        decision = lone_reception(-100.0, -20.5, self.table)
+        assert not decision.decoded
         assert decision.cause == "snr-floor"
 
     def test_pure_function(self):
-        first = reception_margin(PAPER_CFG, -123.4, -5.6, self.table)
+        first = lone_reception(-123.4, -5.6, self.table)
         for _ in range(5):
-            assert reception_margin(PAPER_CFG, -123.4, -5.6,
-                                    self.table) == first
+            assert lone_reception(-123.4, -5.6, self.table) == first

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import pathlib
 
 import pytest
 import yaml
 
-from motesim import Scenario, ScenarioError, load, run, scenario_hash
-from motesim.scenario import from_dict, range_point_scenario
+from motesim import (ChannelParams, Position, RadioConfig, Scenario,
+                     ScenarioError, emit, load, run, scenario_hash)
+from motesim.cli import main
+from motesim.scenario import WurxSpec, from_dict, range_point_scenario
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -153,3 +157,149 @@ class TestYamlLoading:
         bad.write_text("sim: [horizon_s: 1.0\n")
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load(bad)
+
+
+# every key of every section set, each to a value other than its default
+FULL = {
+    "sim": {"horizon_s": 7.5, "seed": 977},
+    "radio": {"frequency_hz": 915e6, "spreading_factor": 9,
+              "bandwidth_hz": 250_000, "coding_rate": 7,
+              "tx_power_dbm": 11.5, "preamble_symbols": 10,
+              "explicit_header": False, "crc_on": False,
+              "low_data_rate_optimize": True},
+    "channel": {"path_loss_exponent": 3.2, "reference_loss_at_1m_db": 33.5,
+                "shadowing_sigma_db": 2.5, "noise_figure_db": 7.0,
+                "capture_threshold_db": 4.5},
+    "nodes": [
+        {"address": 5, "role": "initiator",
+         "position": {"x": 1.5, "y": -2.25, "z": 3.0},
+         "power": {"sleep_w": 2.5e-6, "wurx_decode_w": 3.1e-4,
+                   "lora_tx_w": 0.21, "lora_rx_w": 0.045,
+                   "mcu_active_w": 3.3e-3},
+         "battery_j": 250.0, "harvest_rate_w": 2e-3,
+         "harvest_efficiency": 0.75, "radio_turn_on_ms": 1.5,
+         "mcu_wakeup_latency_us": 9.0},
+        {"address": 9, "role": "sleeper",
+         "position": {"x": -0.5, "y": 1.0, "z": 1.25},
+         "wurx": {"address": 0x5A, "sensitivity_dbm": -55.0,
+                  "bit_rate_bps": 800.0, "preamble_bits": 6,
+                  "listen_power_w": 2.2e-6, "decode_power_w": 3.1e-4},
+         "battery_j": 40.0, "harvest_rate_w": 5e-4,
+         "harvest_efficiency": 0.8, "radio_turn_on_ms": 2.0,
+         "mcu_wakeup_latency_us": 12.0},
+    ],
+    "app": {"kind": "wakeup_exchange", "src": 5, "dst": 9,
+            "payload_len": 12, "period_s": 4.0, "initiator": 5,
+            "target": 9, "cycles": 3, "cycle_period_s": 2.0,
+            "linger_ms": 15.0, "rx_timeout_ms": 400.0},
+}
+
+# (dataclass, section name in error messages, path to the section in FULL)
+FIELD_SECTIONS = [
+    (RadioConfig, "radio", ("radio",)),
+    (ChannelParams, "channel", ("channel",)),
+    (WurxSpec, "nodes[1].wurx", ("nodes", 1, "wurx")),
+    (Position, "nodes[1].position", ("nodes", 1, "position")),
+]
+
+
+def section_of(raw, path):
+    for step in path:
+        raw = raw[step]
+    return raw
+
+
+def built_section(scenario, where):
+    return {"radio": scenario.radio, "channel": scenario.channel,
+            "nodes[1].wurx": scenario.node(9).wurx,
+            "nodes[1].position": scenario.node(9).position}[where]
+
+
+def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
+    scenario = from_dict(copy.deepcopy(FULL))
+    assert scenario_hash(scenario) == "4b957384341d91a8"
+    metrics = run(scenario)
+    assert [e.outcome for e in metrics.exchanges] == ["completed"] * 3
+    packets_csv = emit(metrics, "csv", tmp_path)[0]
+    assert packets_csv.read_text().splitlines()[:2] == [
+        "# motesim report format=1",
+        "# bandwidth_hz=250000 capture_threshold_db=4.5 coding_rate=7 "
+        "link_header_version=1 mcu_active_w_default=0.0024 "
+        "noise_figure_db=7.0 path_loss_exponent=3.2 preamble_symbols=10 "
+        "radio_turn_on_ns_default=1000000 reference_loss_at_1m_db=33.5 "
+        "scenario=4b957384341d91a8 seed=977 sensitivity_table_version=1 "
+        "shadowing_sigma_db=2.5 spreading_factor=9 supply_voltage_v=3.0 "
+        "tx_power_dbm=11.5"]
+
+
+class TestFieldSections:
+    """Radio, channel, wurx and position keys against their dataclasses."""
+
+    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
+    def test_every_key_lands_in_its_dataclass(self, cls, where, path):
+        section = section_of(FULL, path)
+        for f in dataclasses.fields(cls):
+            assert section[f.name] != f.default, f.name
+        built = built_section(from_dict(copy.deepcopy(FULL)), where)
+        assert dataclasses.asdict(built) == section
+
+    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
+    def test_omitted_keys_take_the_defaults(self, cls, where, path):
+        required = {"address": 0x5A} if cls is WurxSpec else {}
+        for key, value in section_of(FULL, path).items():
+            raw = copy.deepcopy(FULL)
+            kept = {**required, key: value}
+            section_of(raw, path[:-1])[path[-1]] = kept
+            assert built_section(from_dict(raw), where) == cls(**kept)
+
+    def test_omitted_sections_take_the_defaults(self):
+        raw = copy.deepcopy(FULL)
+        del raw["radio"], raw["channel"], raw["nodes"][1]["position"]
+        scenario = from_dict(raw)
+        assert scenario.radio == RadioConfig()
+        assert scenario.channel == ChannelParams()
+        assert scenario.node(9).position == Position()
+
+    def test_wurx_address_is_required(self):
+        raw = copy.deepcopy(FULL)
+        del raw["nodes"][1]["wurx"]["address"]
+        with pytest.raises(ScenarioError) as info:
+            from_dict(raw)
+        assert "missing required key nodes[1].wurx.address" in str(info.value)
+
+    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
+    def test_bool_for_a_number_rejected(self, cls, where, path):
+        for key, value in section_of(FULL, path).items():
+            if isinstance(value, bool):
+                continue
+            raw = copy.deepcopy(FULL)
+            section_of(raw, path)[key] = True
+            with pytest.raises(ScenarioError) as info:
+                from_dict(raw)
+            assert (f"{where}.{key} must be {type(value).__name__}, got bool"
+                    in str(info.value))
+
+
+class TestWakeupBlockValidation:
+    """A wurx block whose burst cannot be sent is rejected at load."""
+
+    CASES = [("bit_rate_bps", 0), ("bit_rate_bps", 2000),
+             ("address", 300), ("preamble_bits", -9)]
+
+    @staticmethod
+    def with_wurx(key, value):
+        raw = copy.deepcopy(FULL)
+        raw["nodes"][1]["wurx"][key] = value
+        return raw
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_scenario_error_at_load(self, key, value):
+        with pytest.raises(ScenarioError, match="node 9 wurx"):
+            from_dict(self.with_wurx(key, value))
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_validate_only_exits_1(self, key, value, tmp_path, capsys):
+        path = tmp_path / "bad_wurx.yaml"
+        path.write_text(yaml.safe_dump(self.with_wurx(key, value)))
+        assert main(["run", str(path), "--validate-only"]) == 1
+        assert "scenario error" in capsys.readouterr().err

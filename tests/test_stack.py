@@ -87,7 +87,7 @@ def frame_with(payload, **kwargs):
     return Frame(frame_id=1, src=0, dst=None, seqno=None, payload=payload,
                  length=len(payload), airtime_ns=0, spreading_factor=12,
                  bandwidth_hz=500_000, frequency_hz=868e6, tx_power_dbm=14.0,
-                 **kwargs)
+                 noise_floor_dbm=-111.0, **kwargs)
 
 
 class TestUnicast:

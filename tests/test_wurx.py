@@ -1,7 +1,7 @@
 import pytest
 
-from motesim import ConfigError, WakeUpFrame, WurxState, ook_tx_energy, \
-    receive_wub, send_wub, wub_airtime
+from motesim import ConfigError, WakeUpFrame, WurxState, receive_wub, \
+    send_wub, wub_airtime
 from motesim.wurx import WurxMode, ook_duty
 
 
@@ -39,34 +39,40 @@ class TestFrameBits:
         assert ook_duty(WakeUpFrame(address=0x00).bits()) == 0.5
 
 
+def charged_wub_energy_j(emission, lora_tx_w=0.240):
+    """What the ledger charges for the burst: ``lora_tx`` power scaled by
+    the duty, over the burst's airtime (``MoteDevice.begin_wub_tx``)."""
+    return lora_tx_w * emission.duty * emission.duration_ns / 1e9
+
+
 class TestSendWub:
     def test_all_ones_full_duty(self):
-        emission = send_wub(0xFF, tx_power_draw_w=0.240)
+        emission = send_wub(0xFF)
         assert emission.duration_ns == 16_000_000
         assert emission.duty == 1.0
-        assert emission.energy_j == pytest.approx(3.84e-3, rel=1e-12)
+        assert charged_wub_energy_j(emission) == pytest.approx(3.84e-3,
+                                                               rel=1e-12)
 
     def test_half_duty_address_zero(self):
-        emission = send_wub(0x00, tx_power_draw_w=0.240)
+        emission = send_wub(0x00)
         assert emission.duty == 0.5
-        assert emission.energy_j == pytest.approx(1.92e-3, rel=1e-12)
-
-    def test_zero_length_sequence_is_free(self):
-        assert ook_tx_energy((), 1000.0, 0.240) == 0.0
+        assert charged_wub_energy_j(emission) == pytest.approx(1.92e-3,
+                                                               rel=1e-12)
 
     def test_energy_bounded_by_full_carrier(self):
         for address in range(0, 256, 7):
-            emission = send_wub(address, tx_power_draw_w=0.240)
+            emission = send_wub(address)
             ceiling = 0.240 * emission.duration_ns / 1e9
-            assert emission.energy_j <= ceiling + 1e-15
+            assert charged_wub_energy_j(emission) <= ceiling + 1e-15
             if address == 0xFF:
-                assert emission.energy_j == pytest.approx(ceiling)
+                assert charged_wub_energy_j(emission) == pytest.approx(ceiling)
 
     def test_energy_matches_bit_count_oracle(self):
         for address in range(256):
-            emission = send_wub(address, tx_power_draw_w=0.240)
+            emission = send_wub(address)
             ones = 8 + bin(address).count("1")
-            assert emission.energy_j == pytest.approx(
+            assert emission.duty == ones / 16
+            assert charged_wub_energy_j(emission) == pytest.approx(
                 0.240 * ones / 1000.0, rel=1e-12)
 
 
@@ -80,17 +86,17 @@ class TestReceiveWub:
         assert outcome.kind == "decoding" and outcome.interrupt
 
     def test_mismatch_spends_energy_no_interrupt(self):
+        # the ledger charges wurx_decode power for decode_time_ns
         outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2B),
                               -45.0)
         assert outcome.kind == "decoding" and not outcome.interrupt
-        assert outcome.decode_energy_j == pytest.approx(
-            284e-6 * 0.016, rel=1e-9)
+        assert outcome.decode_time_ns == 16_000_000
 
     def test_below_sensitivity_ignored(self):
         outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2A),
                               -55.0)
         assert outcome.kind == "ignored"
-        assert outcome.decode_energy_j == 0.0
+        assert outcome.decode_time_ns == 0
         assert not outcome.interrupt
 
     def test_boundary_sensitivity_decodes(self):
@@ -103,7 +109,7 @@ class TestReceiveWub:
         state.mode = WurxMode.DECODING
         outcome = receive_wub(state, WakeUpFrame(address=0x2A), -45.0)
         assert outcome.kind == "busy"
-        assert outcome.decode_energy_j == 0.0
+        assert outcome.decode_time_ns == 0
 
     def test_listen_power_below_decode_power(self):
         with pytest.raises(ConfigError):
