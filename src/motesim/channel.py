@@ -8,9 +8,12 @@ at -120 dBm at 600 m (reference loss 31.2 dB at 1 m = free space at
 ``rssi_at`` computes one link from scratch and is the reference. Nodes
 never move, so the engine caches each link's mean loss (``path_loss_db``)
 and takes only the shadowing draws per frame or burst, all at once from
-``shadowing_draws``. That helper returns bit for bit what one
-``rng.gauss(0.0, sigma)`` per link returns and leaves the RNG in the same
-state, so the engine's values and draw order are those of ``rssi_at``.
+``shadowing_draws``, the one source of per-link deviates. That helper
+takes the uniforms of one ``rng.gauss(0.0, sigma)`` per link in order and
+leaves the RNG in the same state, but transforms a deviate only when it is
+read, bit for bit as ``gauss`` would. So the engine's values and draw
+order are those of ``rssi_at``, and a frame pays the Box-Muller step only
+at the receivers that read its RSSI, through ``RssiOnRead``.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -93,30 +96,116 @@ def rssi_at(tx_power_dbm: float, tx_pos: Position, rx_pos: Position,
     return tx_power_dbm - loss
 
 
-def shadowing_draws(rng: random.Random, sigma: float, n: int) -> list:
-    """``[rng.gauss(0.0, sigma) for _ in range(n)]``, bit for bit.
+class ShadowingDraws:
+    """``n`` shadowing deviates whose uniforms are already drawn; a
+    sequence that is indexed or iterated.
 
-    ``random.Random.gauss`` with its Box-Muller step inlined: each pair of
-    ``rng.random()`` values gives two normal deviates, and the second is
-    kept in ``rng.gauss_next`` as ``gauss`` keeps it, so a spare value
-    carries over between calls and to later ``gauss`` calls. The deviate is
-    scaled as ``0.0 + z * sigma``, the float expression ``gauss`` uses.
+    Item ``i`` is ``random.Random.gauss``'s value for the same uniforms,
+    with its float expressions: ``0.0 + z * sigma``, where ``z`` is the
+    spare value carried in from an earlier call or the cosine or sine half
+    of a uniform pair, ``cos(x2pi) * g2rad`` or ``sin(x2pi) * g2rad``.
     """
-    uniform = rng.random
+
+    __slots__ = ("_uniforms", "_sigma", "_spare", "_n")
+
+    def __init__(self, uniforms, sigma: float, spare: float | None, n: int):
+        self._uniforms = uniforms
+        self._sigma = sigma
+        self._spare = spare
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> float:
+        if not 0 <= i < self._n:
+            raise IndexError("shadowing draw index out of range")
+        if self._spare is not None:
+            if i == 0:
+                return 0.0 + self._spare * self._sigma
+            i -= 1
+        uniforms = self._uniforms
+        x2pi = uniforms[i & ~1] * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniforms[i | 1]))
+        return 0.0 + (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad * self._sigma
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
+def shadowing_draws(rng: random.Random, sigma: float,
+                    n: int) -> ShadowingDraws:
+    """The deviates of ``[rng.gauss(0.0, sigma) for _ in range(n)]``, bit for
+    bit, taken in order now and transformed on read.
+
+    Takes now exactly the ``rng.random()`` values that ``n`` ``gauss`` calls
+    would take and leaves ``rng.gauss_next`` as they would: a spare value
+    pending from an earlier call is the first deviate, and when the count
+    ends mid-pair the pair's second half is kept for the next call. Item
+    ``i`` of the result does its Box-Muller step only when it is read.
+    """
+    if not n:  # takes nothing and keeps a pending spare for later
+        return ShadowingDraws((), sigma, None, 0)
     spare = rng.gauss_next
-    draws = []
-    append = draws.append
-    for _ in range(n):
-        if spare is None:
-            x2pi = uniform() * tau
-            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-            append(0.0 + cos(x2pi) * g2rad * sigma)
-            spare = sin(x2pi) * g2rad
-        else:
-            append(0.0 + spare * sigma)
-            spare = None
-    rng.gauss_next = spare
-    return draws
+    fresh = n - (spare is not None)
+    uniform = rng.random
+    uniforms = [uniform() for _ in range(fresh + (fresh & 1))]
+    rng.gauss_next = (sin(uniforms[-2] * tau)
+                      * sqrt(-2.0 * log(1.0 - uniforms[-1]))
+                      if fresh & 1 else None)
+    return ShadowingDraws(uniforms, sigma, spare, n)
+
+
+class RssiOnRead(dict):
+    """One frame's RSSI by receiver address; each entry is computed at its
+    first read, as ``tx_power_dbm - (mean loss + shadowing draw)``.
+
+    ``links`` maps every receiver, in ascending address order, to its
+    index into ``draws`` and its mean path loss. Reading by key,
+    iteration, ``len``, ``in``, ``get``, the views, ``==`` and ``repr``
+    cover every receiver, as a filled dict would; ``copy`` and pickling
+    see only the entries read so far.
+    """
+
+    __slots__ = ("_tx_power_dbm", "_links", "_draws")
+
+    def __init__(self, tx_power_dbm: float, links: dict,
+                 draws: ShadowingDraws):
+        self._tx_power_dbm = tx_power_dbm
+        self._links = links
+        self._draws = draws
+
+    def __missing__(self, rx_addr: int) -> float:
+        index, loss = self._links[rx_addr]
+        rssi = self[rx_addr] = self._tx_power_dbm - (loss + self._draws[index])
+        return rssi
+
+    def __iter__(self):
+        return iter(self._links)
+
+    def __len__(self) -> int:
+        return len(self._links)
+
+    def __contains__(self, rx_addr) -> bool:
+        return rx_addr in self._links
+
+    def get(self, rx_addr, default=None):
+        return self[rx_addr] if rx_addr in self._links else default
+
+    def keys(self):
+        return self._links.keys()
+
+    def values(self) -> list:
+        return [self[rx_addr] for rx_addr in self._links]
+
+    def items(self) -> list:
+        return [(rx_addr, self[rx_addr]) for rx_addr in self._links]
+
+    def __eq__(self, other):
+        return dict(self.items()) == other
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -10,7 +10,11 @@ Frame reception is evaluated at the frame's end: by then every overlapping
 transmission has started, so the capture decision sees the complete
 interferer set. A receiver counts as listening if its radio has been in rx
 continuously since no later than the frame's first sample (boundary
-inclusive).
+inclusive). Delivery visits listeners only: the engine keeps the nodes
+that entered rx through their driver, drops one once it is found out of
+rx, and decides a frame at the rest in ascending address order. Every
+other node was not listening, and that outcome is recorded only for the
+frame's ``dst``.
 
 The medium keeps only the transmissions that can still matter. Once a
 frame has been decided, every transmission that ended at or before a
@@ -30,11 +34,15 @@ Nodes never move, so work that depends only on positions is done once. At a
 sender's first frame or wake-up burst the engine caches its mean path loss
 to every other node; each frame then takes only the shadowing draws, one
 per receiver in ascending address order, from ``channel.shadowing_draws``,
-which returns bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls
-would. With no shadowing the RNG is not touched. The noise floor is
-computed once per frame, the sorted node addresses once per run, and a
-link's distance and delivery counters at its first frame. A frame's link
-header is read once, with the stack's header format.
+which gives bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls
+would. The draws are taken in order when the frame starts but transformed
+on read, so a frame's RSSI is computed only at the receivers that read it:
+its ``dst``, the listeners, and the listeners its rivals are decided at.
+With no shadowing the RNG is not touched, and the frames of one sender and
+power share one RSSI dict. The noise floor is computed once per frame, the
+sorted node addresses once per run, and a link's distance and delivery
+counters at its first frame. A frame's link header is read once, with the
+stack's header format.
 
 The per-event path is flat. ``run_until`` pops an event, feeds the trace
 hash and handles node timers and callbacks itself, including the skip of
@@ -132,6 +140,7 @@ class SimRadioDriver(stk.RadioDriver):
 
     def start_rx(self) -> None:
         result = self.device.start_rx(self.sim.now)
+        self.sim._listeners[self.device.address] = self.device
         self.sim.process_result(self.device, result)
 
     def stop_rx(self) -> None:
@@ -200,6 +209,8 @@ class Simulator:
         self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # sender address -> _links_from(sender)
+        self._unshadowed_rssi: dict = {}  # (sender, tx power) -> RSSI by rx
+        self._listeners: dict = {}  # address -> device, since start_rx
 
         self.packets: list = []
         self._pkt_by_frame_id: dict = {}
@@ -335,16 +346,16 @@ class Simulator:
     def _links_from(self, sender: MoteDevice) -> tuple:
         """The sender's links as (links, coincident).
 
-        ``links`` holds (address, receiver, mean path loss) for every other
-        node, in ascending address order. ``coincident`` holds the receivers
-        at the sender's own position, where path loss is undefined. Built at
-        the sender's first frame or burst, so a coincident receiver raises
-        where ``channel.rssi_at`` would.
+        ``links`` maps every other node's address, in ascending order, to
+        (its index in that order, mean path loss). ``coincident`` holds the
+        receivers at the sender's own position, where path loss is
+        undefined. Built at the sender's first frame or burst, so a
+        coincident receiver raises where ``channel.rssi_at`` would.
         """
         cached = self._links.get(sender.address)
         if cached is None:
             params = self.scenario.channel
-            links, coincident = [], []
+            links, coincident = {}, []
             for rx_addr in self._addresses:
                 if rx_addr == sender.address:
                     continue
@@ -353,25 +364,32 @@ class Simulator:
                 if d == 0:
                     coincident.append(receiver)
                 else:
-                    links.append((rx_addr, receiver,
-                                  chan.path_loss_db(d, params)))
+                    links[rx_addr] = (len(links),
+                                      chan.path_loss_db(d, params))
             cached = self._links[sender.address] = (links, coincident)
         return cached
 
-    def _annotate(self, frame: Frame, tx_device: MoteDevice) -> None:
-        """Fill the frame's RSSI at every other node. Same arithmetic and
-        draw order as ``channel.rssi_at``."""
-        links, coincident = self._links_from(tx_device)
+    def _rssi_by_rx(self, sender: MoteDevice, tx_power_dbm: float) -> dict:
+        """The RSSI of a new frame at every other node, with the arithmetic
+        and draw order of ``channel.rssi_at``. Shadowed values are
+        transformed on read; unshadowed ones are one dict per sender and
+        power, shared by its frames."""
+        links, coincident = self._links_from(sender)
         if coincident:
             raise ZeroDistanceError("tx and rx positions coincide")
-        tx_power = frame.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
-        rssi_by_rx = frame.rssi_by_rx
-        # loss + 0.0 is loss, so without shadowing the values are unchanged
-        draws = (chan.shadowing_draws(self.rng, sigma, len(links))
-                 if sigma > 0 else itertools.repeat(0.0))
-        for (rx_addr, _receiver, loss), draw in zip(links, draws):
-            rssi_by_rx[rx_addr] = tx_power - (loss + draw)
+        if sigma > 0:
+            return chan.RssiOnRead(
+                tx_power_dbm, links,
+                chan.shadowing_draws(self.rng, sigma, len(links)))
+        key = (sender.address, tx_power_dbm)
+        rssi_by_rx = self._unshadowed_rssi.get(key)
+        if rssi_by_rx is None:
+            # loss + 0.0 is loss: the values rssi_at gives without a draw
+            rssi_by_rx = self._unshadowed_rssi[key] = {
+                rx_addr: tx_power_dbm - loss
+                for rx_addr, (_index, loss) in links.items()}
+        return rssi_by_rx
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -395,8 +413,8 @@ class Simulator:
             tx_power_dbm=config.tx_power_dbm,
             noise_floor_dbm=chan.noise_floor_dbm(
                 config.bandwidth_hz, self.scenario.channel.noise_figure_db),
+            rssi_by_rx=self._rssi_by_rx(device, config.tx_power_dbm),
         )
-        self._annotate(frame, device)
         self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._on_air.append(tx)
@@ -425,10 +443,13 @@ class Simulator:
             raise ZeroDistanceError("tx and rx positions coincide")
         tx_power = self.drivers[device.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
-        listeners = [link for link in links if link[1].wurx is not None]
+        devices = self.devices
+        listeners = [(rx_addr, loss) for rx_addr, (_index, loss)
+                     in links.items() if devices[rx_addr].wurx is not None]
         draws = (chan.shadowing_draws(self.rng, sigma, len(listeners))
                  if sigma > 0 else itertools.repeat(0.0))
-        for (rx_addr, receiver, loss), draw in zip(listeners, draws):
+        for (rx_addr, loss), draw in zip(listeners, draws):
+            receiver = devices[rx_addr]
             rssi = tx_power - (loss + draw)
             outcome = wux.receive_wub(receiver.wurx, emission.frame, rssi)
             if outcome.kind == "busy":
@@ -536,31 +557,36 @@ class Simulator:
             device.wurx.false_wakeups_rejected += 1
 
     def _deliver(self, tx) -> None:
+        """Decide the frame at each node that has entered rx, in ascending
+        address order. Every other node was not listening, an outcome
+        recorded only for the frame's ``dst``."""
         frame = tx.frame
+        src = frame.src
         params = self.scenario.channel
-        for rx_addr in self._addresses:
-            if rx_addr == frame.src:
+        listeners = self._listeners
+        dst_outcome = "not-listening"
+        for rx_addr in sorted(listeners):
+            device = listeners[rx_addr]
+            if device.rx_since_ns is None:  # it has left rx since
+                del listeners[rx_addr]
                 continue
-            device = self.devices[rx_addr]
-            listening = (device.radio is RADIO_RX
-                         and device.rx_since_ns is not None
-                         and device.rx_since_ns <= tx.start_ns
-                         and not device.ledger.depleted)
-            if not listening:
-                outcome_str = "not-listening"
+            if (rx_addr == src or device.radio is not RADIO_RX
+                    or device.rx_since_ns > tx.start_ns
+                    or device.ledger.depleted):
+                continue
+            decision = chan.decide_reception(
+                tx, rx_addr, self._on_air, self.table,
+                params.capture_threshold_db)
+            if decision.decoded:
+                self.node_event(device, nd.RX_DONE)
+                disposition = self.drivers[rx_addr].deliver(frame)
+                outcome = ("delivered" if disposition == "deliver"
+                           else disposition)
             else:
-                decision = chan.decide_reception(
-                    tx, rx_addr, self._on_air, self.table,
-                    params.capture_threshold_db)
-                if decision.decoded:
-                    self.node_event(device, nd.RX_DONE)
-                    disposition = self.drivers[rx_addr].deliver(frame)
-                    outcome_str = ("delivered" if disposition == "deliver"
-                                   else disposition)
-                else:
-                    outcome_str = decision.cause
+                outcome = decision.cause
             if rx_addr == frame.dst:
-                self._finish_packet(frame.frame_id, outcome_str)
+                dst_outcome = outcome
+        self._finish_packet(frame.frame_id, dst_outcome)
 
     def _record_sent(self, tx) -> None:
         """Account the frame when it goes on air; a frame still in flight at

@@ -12,9 +12,12 @@ class Frame:
     ``src``/``dst``/``seqno`` are the parsed link-header fields (``dst`` is
     None for raw, headerless sends). ``length`` is the full on-air byte count
     (header + payload). ``noise_floor_dbm`` is the receive noise floor for
-    the frame's bandwidth; ``rssi_by_rx`` is the per-receiver RSSI filled
-    in when the transmission starts. A receiver's SNR is taken where it is
-    read, as ``rssi_by_rx[rx] - noise_floor_dbm``.
+    the frame's bandwidth; ``rssi_by_rx`` maps every other node to its
+    RSSI. Its shadowing draws are taken in order when the transmission
+    starts, but an entry is computed at its first read
+    (``channel.RssiOnRead``); unshadowed frames of one sender and power
+    share one filled dict. A receiver's SNR is taken where it is read, as
+    ``rssi_by_rx[rx] - noise_floor_dbm``.
     """
 
     frame_id: int

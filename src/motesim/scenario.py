@@ -20,12 +20,19 @@ from .errors import ConfigError, ScenarioError
 from .node import DEFAULT_MCU_WAKEUP_NS, DEFAULT_RADIO_TURN_ON_NS
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import HEADER_BYTES
-from .wurx import WakeUpFrame, wub_airtime
+from .wurx import WakeUpFrame, WurxState, wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
 ROLES = ("bs", "mote", "initiator", "sleeper")
-APP_KINDS = ("periodic", "wakeup_exchange", "none")
+# the app keys each kind reads, beside ``kind``; any other key is rejected
+_APP_KEYS = {
+    "periodic": {"src", "dst", "payload_len", "period_s"},
+    "wakeup_exchange": {"initiator", "target", "payload_len", "cycles",
+                        "cycle_period_s", "linger_ms", "rx_timeout_ms"},
+    "none": set(),
+}
+APP_KINDS = tuple(_APP_KEYS)
 
 
 @dataclass(frozen=True)
@@ -183,12 +190,11 @@ def _parse_node(raw, index: int) -> NodeSpec:
 
 def _parse_app(raw) -> AppSpec:
     where = "app"
-    _require_keys(raw, {"kind", "src", "dst", "payload_len", "period_s",
-                        "initiator", "target", "cycles", "cycle_period_s",
-                        "linger_ms", "rx_timeout_ms"}, where)
+    _require_keys(raw, {"kind"}.union(*_APP_KEYS.values()), where)
     kind = _get(raw, "kind", str, where, required=True)
     if kind not in APP_KINDS:
         raise ScenarioError(f"app.kind must be one of {APP_KINDS}, got {kind!r}")
+    _require_keys(raw, {"kind"} | _APP_KEYS[kind], f"app of kind {kind!r}")
     return AppSpec(
         kind=kind,
         src=_get(raw, "src", int, where),
@@ -216,7 +222,8 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
-    # the burst addressed to each wake-up receiver, checked as sent
+    # the burst addressed to each wake-up receiver, checked as sent, and
+    # the receiver itself, checked as the engine builds it
     wub_frames = {}
     for spec in scenario.nodes:
         if spec.wurx is not None:
@@ -225,6 +232,10 @@ def validate(scenario: Scenario) -> None:
                     address=spec.wurx.address,
                     preamble_bits=spec.wurx.preamble_bits,
                     bit_rate_bps=spec.wurx.bit_rate_bps)
+                WurxState(configured_address=spec.wurx.address,
+                          sensitivity_dbm=spec.wurx.sensitivity_dbm,
+                          listen_power_w=spec.wurx.listen_power_w,
+                          decode_power_w=spec.wurx.decode_power_w)
             except ConfigError as exc:
                 raise ScenarioError(
                     f"node {spec.address} wurx: {exc}") from exc

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motesim import (ChannelParams, ConfigError, Frame, Position,
                      SensitivityTable, Transmission, ZeroDistanceError,
                      noise_floor_dbm, rssi_at, snr_of)
-from motesim.channel import shadowing_draws
+from motesim.channel import RssiOnRead, shadowing_draws
 from oracles import (oracle_noise_floor_dbm, reception_margin,
                      resolve_concurrent)
 
@@ -41,6 +43,48 @@ class TestShadowingDraws:
         assert draws == [twin.gauss(0.0, sigma) for _ in range(n)]
         assert rng.getstate() == twin.getstate()
         assert rng.gauss(0.0, sigma) == twin.gauss(0.0, sigma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(0, 40), earlier=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+    def test_any_read_order_equals_gauss(self, sigma, n, earlier, seed, data):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(earlier):
+            rng.gauss(0.0, sigma)
+            twin.gauss(0.0, sigma)
+        draws = shadowing_draws(rng, sigma, n)
+        expected = [twin.gauss(0.0, sigma) for _ in range(n)]
+        assert rng.getstate() == twin.getstate()
+        order = data.draw(st.permutations(range(n)))
+        subset = order[:data.draw(st.integers(0, n))]
+        assert [draws[i] for i in subset] == [expected[i] for i in subset]
+        assert len(draws) == n
+        with pytest.raises(IndexError):
+            draws[n]
+        assert rng.getstate() == twin.getstate()
+        assert rng.gauss(0.0, sigma) == twin.gauss(0.0, sigma)
+
+
+class TestRssiOnRead:
+    """A frame's lazily computed RSSI map reads as the filled dict."""
+
+    def test_reads_as_the_filled_dict(self):
+        links = {2: (0, 90.0), 5: (1, 120.5), 9: (2, 60.25)}
+        rng, twin = random.Random(7), random.Random(7)
+        rssi = RssiOnRead(14.0, links, shadowing_draws(rng, 4.0, 3))
+        filled = {rx: 14.0 - (loss + twin.gauss(0.0, 4.0))
+                  for rx, (_index, loss) in links.items()}
+        assert rssi.get(9) == filled[9]
+        assert (list(rssi), len(rssi), 5 in rssi, 3 in rssi) == (
+            [2, 5, 9], 3, True, False)
+        assert rssi == filled and repr(rssi) == repr(filled)
+        assert list(rssi.keys()) == list(filled.keys())
+        assert list(rssi.values()) == list(filled.values())
+        assert list(rssi.items()) == list(filled.items())
+        assert rssi.get(3, "absent") == "absent"
+        with pytest.raises(KeyError):
+            rssi[3]
 
 
 class TestRssiAt:

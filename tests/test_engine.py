@@ -617,6 +617,40 @@ class TestLinkCache:
         assert len(started) == 9
         assert sim.rng.getstate() == random.Random(11).getstate()
 
+    def test_transforms_only_the_links_that_are_read(self, monkeypatch):
+        """Twenty motes under 4 dB shadowing, where only the base station
+        listens: a frame does its Box-Muller step (one cos or sin call per
+        deviate, plus the sine kept for the next frame) for the receivers
+        that read it, not for all 19."""
+        from motesim import channel
+        counts = {"transforms": 0, "decisions": 0}
+
+        def counting(fn, key):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(channel, "cos", counting(channel.cos,
+                                                     "transforms"))
+        monkeypatch.setattr(channel, "sin", counting(channel.sin,
+                                                     "transforms"))
+        monkeypatch.setattr(channel, "decide_reception", counting(
+            channel.decide_reception, "decisions"))
+        positions = [Position(x=60.0 * k * (-1) ** k, y=25.0 * (k % 5))
+                     for k in range(1, 21)]
+        scenario = multi_mote_scenario(
+            positions, period_s=2.0, horizon_s=30.0, seed=21, sigma=4.0,
+            turn_ons_ms=[1.0 + 37.0 * (k % 7) for k in range(20)])
+        sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
+        sim.run()
+        frames = len(started)
+        assert frames >= 250
+        ended = sum(tx.end_ns <= scenario.horizon_ns for tx in started)
+        assert counts["decisions"] == ended
+        assert counts["transforms"] <= 3 * frames
+
     def test_coincident_nodes_raise_at_first_frame(self):
         from motesim.errors import ZeroDistanceError
         from motesim.node import DEFAULT_MCU_WAKEUP_NS

@@ -188,8 +188,7 @@ FULL = {
          "harvest_efficiency": 0.8, "radio_turn_on_ms": 2.0,
          "mcu_wakeup_latency_us": 12.0},
     ],
-    "app": {"kind": "wakeup_exchange", "src": 5, "dst": 9,
-            "payload_len": 12, "period_s": 4.0, "initiator": 5,
+    "app": {"kind": "wakeup_exchange", "payload_len": 12, "initiator": 5,
             "target": 9, "cycles": 3, "cycle_period_s": 2.0,
             "linger_ms": 15.0, "rx_timeout_ms": 400.0},
 }
@@ -217,7 +216,7 @@ def built_section(scenario, where):
 
 def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
     scenario = from_dict(copy.deepcopy(FULL))
-    assert scenario_hash(scenario) == "4b957384341d91a8"
+    assert scenario_hash(scenario) == "58a358b31d2aa76f"
     metrics = run(scenario)
     assert [e.outcome for e in metrics.exchanges] == ["completed"] * 3
     packets_csv = emit(metrics, "csv", tmp_path)[0]
@@ -227,7 +226,7 @@ def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
         "link_header_version=1 mcu_active_w_default=0.0024 "
         "noise_figure_db=7.0 path_loss_exponent=3.2 preamble_symbols=10 "
         "radio_turn_on_ns_default=1000000 reference_loss_at_1m_db=33.5 "
-        "scenario=4b957384341d91a8 seed=977 sensitivity_table_version=1 "
+        "scenario=58a358b31d2aa76f seed=977 sensitivity_table_version=1 "
         "shadowing_sigma_db=2.5 spreading_factor=9 supply_voltage_v=3.0 "
         "tx_power_dbm=11.5"]
 
@@ -281,10 +280,12 @@ class TestFieldSections:
 
 
 class TestWakeupBlockValidation:
-    """A wurx block whose burst cannot be sent is rejected at load."""
+    """A wurx block whose burst cannot be sent, or whose listen power is
+    not below its decode power, is rejected at load."""
 
     CASES = [("bit_rate_bps", 0), ("bit_rate_bps", 2000),
-             ("address", 300), ("preamble_bits", -9)]
+             ("address", 300), ("preamble_bits", -9),
+             ("listen_power_w", 1e-3), ("decode_power_w", 2.2e-6)]
 
     @staticmethod
     def with_wurx(key, value):
@@ -303,3 +304,38 @@ class TestWakeupBlockValidation:
         path.write_text(yaml.safe_dump(self.with_wurx(key, value)))
         assert main(["run", str(path), "--validate-only"]) == 1
         assert "scenario error" in capsys.readouterr().err
+
+
+class TestAppKeysOfTheOtherKind:
+    """An app key that its kind does not read is rejected at load."""
+
+    OTHER_KIND_KEYS = [
+        ("wakeup_exchange", "src", 5), ("wakeup_exchange", "dst", 9),
+        ("wakeup_exchange", "period_s", 4.0),
+        ("periodic", "initiator", 1), ("periodic", "target", 1),
+        ("periodic", "cycles", 3), ("periodic", "cycle_period_s", 2.0),
+        ("periodic", "linger_ms", 15.0), ("periodic", "rx_timeout_ms", 400.0),
+        ("none", "payload_len", 12), ("none", "dst", 1),
+    ]
+
+    @staticmethod
+    def app_of(kind):
+        if kind == "wakeup_exchange":
+            return copy.deepcopy(FULL)
+        raw = example_dict()
+        if kind == "none":
+            raw["app"] = {"kind": "none"}
+        return raw
+
+    @pytest.mark.parametrize("kind", ["periodic", "wakeup_exchange", "none"])
+    def test_own_keys_load(self, kind):
+        assert from_dict(self.app_of(kind)).app.kind == kind
+
+    @pytest.mark.parametrize("kind, key, value", OTHER_KIND_KEYS)
+    def test_scenario_error_at_load(self, kind, key, value):
+        raw = self.app_of(kind)
+        raw["app"][key] = value
+        with pytest.raises(ScenarioError) as info:
+            from_dict(raw)
+        assert (f"unknown key(s) in app of kind '{kind}': {key}"
+                in str(info.value))
