@@ -129,9 +129,6 @@ class ShadowingDraws:
         g2rad = sqrt(-2.0 * log(1.0 - uniforms[i | 1]))
         return 0.0 + (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad * self._sigma
 
-    def __eq__(self, other):
-        return list(self) == other
-
 
 def shadowing_draws(rng: random.Random, sigma: float,
                     n: int) -> ShadowingDraws:
@@ -162,9 +159,8 @@ class RssiOnRead(dict):
 
     ``links`` maps every receiver, in ascending address order, to its
     index into ``draws`` and its mean path loss. Reading by key,
-    iteration, ``len``, ``in``, ``get``, the views, ``==`` and ``repr``
-    cover every receiver, as a filled dict would; ``copy`` and pickling
-    see only the entries read so far.
+    iteration, ``len`` and ``in`` cover every receiver; the other dict
+    methods see only the entries read so far.
     """
 
     __slots__ = ("_tx_power_dbm", "_links", "_draws")
@@ -188,24 +184,6 @@ class RssiOnRead(dict):
 
     def __contains__(self, rx_addr) -> bool:
         return rx_addr in self._links
-
-    def get(self, rx_addr, default=None):
-        return self[rx_addr] if rx_addr in self._links else default
-
-    def keys(self):
-        return self._links.keys()
-
-    def values(self) -> list:
-        return [self[rx_addr] for rx_addr in self._links]
-
-    def items(self) -> list:
-        return [(rx_addr, self[rx_addr]) for rx_addr in self._links]
-
-    def __eq__(self, other):
-        return dict(self.items()) == other
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -11,7 +11,7 @@ transmission has started, so the capture decision sees the complete
 interferer set. A receiver counts as listening if its radio has been in rx
 continuously since no later than the frame's first sample (boundary
 inclusive). Delivery visits listeners only: the engine keeps the nodes
-that entered rx through their driver, drops one once it is found out of
+whose transition put the radio in rx, drops one once it is found out of
 rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
 frame's ``dst``.
@@ -38,11 +38,10 @@ which gives bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls
 would. The draws are taken in order when the frame starts but transformed
 on read, so a frame's RSSI is computed only at the receivers that read it:
 its ``dst``, the listeners, and the listeners its rivals are decided at.
-With no shadowing the RNG is not touched, and the frames of one sender and
-power share one RSSI dict. The noise floor is computed once per frame, the
-sorted node addresses once per run, and a link's distance and delivery
-counters at its first frame. A frame's link header is read once, with the
-stack's header format.
+With no shadowing the RNG is not touched. The noise floor is computed once
+per frame, the sorted node addresses once per run, and a link's distance
+and delivery counters at its first frame. A frame's link header is read
+once, with the stack's header format.
 
 The per-event path is flat. ``run_until`` pops an event, feeds the trace
 hash and handles node timers and callbacks itself, including the skip of
@@ -140,7 +139,6 @@ class SimRadioDriver(stk.RadioDriver):
 
     def start_rx(self) -> None:
         result = self.device.start_rx(self.sim.now)
-        self.sim._listeners[self.device.address] = self.device
         self.sim.process_result(self.device, result)
 
     def stop_rx(self) -> None:
@@ -209,8 +207,7 @@ class Simulator:
         self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # sender address -> _links_from(sender)
-        self._unshadowed_rssi: dict = {}  # (sender, tx power) -> RSSI by rx
-        self._listeners: dict = {}  # address -> device, since start_rx
+        self._listeners: dict = {}  # address -> device, since it entered rx
 
         self.packets: list = []
         self._pkt_by_frame_id: dict = {}
@@ -321,6 +318,8 @@ class Simulator:
         self.process_result(device, result)
 
     def process_result(self, device: MoteDevice, result) -> None:
+        if result.radio is RADIO_RX:  # a node _deliver visits from now on
+            self._listeners[device.address] = device
         followups, awake, radio_ready = (result.followups, result.awake,
                                          result.radio_ready)
         if not (followups or awake or radio_ready):
@@ -372,8 +371,7 @@ class Simulator:
     def _rssi_by_rx(self, sender: MoteDevice, tx_power_dbm: float) -> dict:
         """The RSSI of a new frame at every other node, with the arithmetic
         and draw order of ``channel.rssi_at``. Shadowed values are
-        transformed on read; unshadowed ones are one dict per sender and
-        power, shared by its frames."""
+        transformed on read."""
         links, coincident = self._links_from(sender)
         if coincident:
             raise ZeroDistanceError("tx and rx positions coincide")
@@ -382,14 +380,9 @@ class Simulator:
             return chan.RssiOnRead(
                 tx_power_dbm, links,
                 chan.shadowing_draws(self.rng, sigma, len(links)))
-        key = (sender.address, tx_power_dbm)
-        rssi_by_rx = self._unshadowed_rssi.get(key)
-        if rssi_by_rx is None:
-            # loss + 0.0 is loss: the values rssi_at gives without a draw
-            rssi_by_rx = self._unshadowed_rssi[key] = {
-                rx_addr: tx_power_dbm - loss
+        # loss + 0.0 is loss: the values rssi_at gives without a draw
+        return {rx_addr: tx_power_dbm - loss
                 for rx_addr, (_index, loss) in links.items()}
-        return rssi_by_rx
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -557,9 +550,6 @@ class Simulator:
             device.wurx.false_wakeups_rejected += 1
 
     def _deliver(self, tx) -> None:
-        """Decide the frame at each node that has entered rx, in ascending
-        address order. Every other node was not listening, an outcome
-        recorded only for the frame's ``dst``."""
         frame = tx.frame
         src = frame.src
         params = self.scenario.channel

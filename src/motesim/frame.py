@@ -15,8 +15,8 @@ class Frame:
     the frame's bandwidth; ``rssi_by_rx`` maps every other node to its
     RSSI. Its shadowing draws are taken in order when the transmission
     starts, but an entry is computed at its first read
-    (``channel.RssiOnRead``); unshadowed frames of one sender and power
-    share one filled dict. A receiver's SNR is taken where it is read, as
+    (``channel.RssiOnRead``); without shadowing it is a filled dict. A
+    receiver's SNR is taken where it is read, as
     ``rssi_by_rx[rx] - noise_floor_dbm``.
     """
 

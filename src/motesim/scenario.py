@@ -190,7 +190,6 @@ def _parse_node(raw, index: int) -> NodeSpec:
 
 def _parse_app(raw) -> AppSpec:
     where = "app"
-    _require_keys(raw, {"kind"}.union(*_APP_KEYS.values()), where)
     kind = _get(raw, "kind", str, where, required=True)
     if kind not in APP_KINDS:
         raise ScenarioError(f"app.kind must be one of {APP_KINDS}, got {kind!r}")
