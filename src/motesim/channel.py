@@ -13,7 +13,8 @@ takes the uniforms of one ``rng.gauss(0.0, sigma)`` per link in order and
 leaves the RNG in the same state, but transforms a deviate only when it is
 read, bit for bit as ``gauss`` would. So the engine's values and draw
 order are those of ``rssi_at``, and a frame pays the Box-Muller step only
-at the receivers that read its RSSI, through ``RssiOnRead``.
+at the receivers that read its RSSI, through ``RssiOnRead``. Transmissions
+and reception outcomes, built per frame and per decision, are named tuples.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -29,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from math import cos, log, sin, sqrt, tau
+from typing import NamedTuple
 
 from .errors import ConfigError, ZeroDistanceError
 from .frame import Frame
@@ -66,8 +68,8 @@ class ChannelParams:
             raise ConfigError(
                 f"path_loss_exponent must be within [1.5, 6.0], "
                 f"got {self.path_loss_exponent}")
-        if self.shadowing_sigma_db < 0:
-            raise ConfigError("shadowing_sigma_db must be >= 0")
+        if not 0 <= self.shadowing_sigma_db < math.inf:  # NaN fails too
+            raise ConfigError("shadowing_sigma_db must be finite and >= 0")
 
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:
@@ -199,8 +201,7 @@ def snr_of(rssi_dbm: float, bandwidth_hz: float, noise_figure_db: float) -> floa
     return rssi_dbm - noise_floor_dbm(bandwidth_hz, noise_figure_db)
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     """One frame occupying the medium over [start_ns, end_ns)."""
 
     frame: Frame
@@ -208,8 +209,7 @@ class Transmission:
     end_ns: int
 
 
-@dataclass(frozen=True)
-class ReceptionOutcome:
+class ReceptionOutcome(NamedTuple):
     cause: str  # "ok" | "collision" | "below-sensitivity" | "snr-floor"
     rssi_dbm: float
     snr_db: float
@@ -263,17 +263,15 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
     snr_margin = snr - table.snr_floor(frame.spreading_factor)
     # the receiver's own transmissions are handled by the half-duplex
     # listening rule one layer up, not as interference
-    rivals = [r for r in interferers_of(tx, all_tx)
-              if r.frame.src != rx_addr]
-    if rivals:
-        strongest = max(r.frame.rssi_by_rx[rx_addr] for r in rivals)
-        if rssi - strongest < capture_threshold_db:
-            return ReceptionOutcome("collision", rssi, snr,
-                                    rssi_margin, snr_margin)
-    if rssi_margin < 0:
-        return ReceptionOutcome("below-sensitivity", rssi, snr,
-                                rssi_margin, snr_margin)
-    if snr_margin < 0:
-        return ReceptionOutcome("snr-floor", rssi, snr,
-                                rssi_margin, snr_margin)
-    return ReceptionOutcome("ok", rssi, snr, rssi_margin, snr_margin)
+    strongest = max([r.frame.rssi_by_rx[rx_addr]
+                     for r in interferers_of(tx, all_tx)
+                     if r.frame.src != rx_addr], default=None)
+    if strongest is not None and rssi - strongest < capture_threshold_db:
+        cause = "collision"
+    elif rssi_margin < 0:
+        cause = "below-sensitivity"
+    elif snr_margin < 0:
+        cause = "snr-floor"
+    else:
+        cause = "ok"
+    return ReceptionOutcome(cause, rssi, snr, rssi_margin, snr_margin)

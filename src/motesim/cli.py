@@ -1,6 +1,6 @@
 """Command-line front end: run scenario files and the two experiment presets.
 
-Exit codes: 0 success, 1 scenario/validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation error (``ConfigError``), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import dataclasses
 import sys
 
 from . import engine, report, scenario as scen
-from .errors import MotesimError, ScenarioError
+from .errors import ConfigError, MotesimError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                 "power-profile": _cmd_power_profile}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
+    except ConfigError as exc:  # a scenario, preset or option out of range
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     except (MotesimError, OSError) as exc:

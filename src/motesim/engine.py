@@ -27,8 +27,8 @@ never falls, and the on-air list is rebuilt only when it has risen: a
 frame added since the last rebuild started at or after that floor and has
 positive airtime, so the same floor would drop nothing. Carrier sense and
 the capture decision read this short on-air list, so the cost per event
-does not grow with the horizon. The dispatch trace is hashed as it is
-produced, so its memory is constant too.
+does not grow with the horizon. The dispatch trace is hashed in chunks
+of at most 1,024 lines, so its memory is constant too.
 
 Nodes never move, so work that depends only on positions is done once. At a
 sender's first frame or wake-up burst the engine caches its mean path loss
@@ -43,8 +43,8 @@ per frame, the sorted node addresses once per run, and a link's distance
 and delivery counters at its first frame. A frame's link header is read
 once, with the stack's header format.
 
-The per-event path is flat. ``run_until`` pops an event, feeds the trace
-hash and handles node timers and callbacks itself, including the skip of
+The per-event path is flat. ``run_until`` pops an event, keeps its trace
+line and handles node timers and callbacks itself, including the skip of
 a depleted node; only frame ends and wake-up bursts go through a helper. A
 node timer costs one ``MoteDevice.transition`` call, which returns a shared
 precomputed result, and ``process_result`` returns at once when that result
@@ -95,6 +95,7 @@ class EventKind(enum.Enum):
 
 # bound once, like the node modes: a lookup on the Enum class is slow
 _NODE_TIMER, _CALLBACK, _TX_END, _WUB_END, _WUB_DECODE_DONE = EventKind
+_TRACE_BATCH = 1024  # trace lines per hash update, not one update per line
 
 
 class SimRadioDriver(stk.RadioDriver):
@@ -195,7 +196,7 @@ class Simulator:
         self._queue: list = []
         self._frame_ids = itertools.count(1)
         self._trace = hashlib.sha256() if record_trace else None
-        self._trace_sep = ""
+        self._trace_lines: list = []  # dispatched, not yet hashed
         self.event_count = 0
         self.log_lines: list = []
 
@@ -392,22 +393,13 @@ class Simulator:
         else:
             dst = seqno = None
         airtime_ns = time_on_air(config, len(data))
-        frame = Frame(
-            frame_id=next(self._frame_ids),
-            src=device.address,
-            dst=dst,
-            seqno=seqno,
-            payload=data,
-            length=len(data),
-            airtime_ns=airtime_ns,
-            spreading_factor=config.spreading_factor,
-            bandwidth_hz=config.bandwidth_hz,
-            frequency_hz=config.frequency_hz,
-            tx_power_dbm=config.tx_power_dbm,
-            noise_floor_dbm=chan.noise_floor_dbm(
-                config.bandwidth_hz, self.scenario.channel.noise_figure_db),
-            rssi_by_rx=self._rssi_by_rx(device, config.tx_power_dbm),
-        )
+        frame = Frame(  # positional: keywords cost twice as much
+            next(self._frame_ids), device.address, dst, seqno, data,
+            len(data), airtime_ns, config.spreading_factor,
+            config.bandwidth_hz, config.frequency_hz, config.tx_power_dbm,
+            chan.noise_floor_dbm(config.bandwidth_hz,
+                                 self.scenario.channel.noise_figure_db),
+            self._rssi_by_rx(device, config.tx_power_dbm))
         self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._on_air.append(tx)
@@ -472,6 +464,7 @@ class Simulator:
         pop = heapq.heappop
         devices = self.devices
         trace = self._trace
+        lines = self._trace_lines
         while queue and queue[0][0] <= t_ns:
             ts, seq, kind, target, payload = pop(queue)
             key = (ts, seq)
@@ -482,12 +475,10 @@ class Simulator:
             self.now = ts
             self.event_count += 1
             if trace is not None:
-                # lines separated by "\n", no trailing newline
-                trace.update(
-                    f"{self._trace_sep}{ts} {seq} {kind.text} {target} "
-                    f"{payload.text if kind is _NODE_TIMER else ''}"
-                    .encode("utf-8"))
-                self._trace_sep = "\n"
+                lines.append(f"{ts} {seq} {kind.text} {target} "
+                             f"{payload.text if kind is _NODE_TIMER else ''}")
+                if len(lines) == _TRACE_BATCH:
+                    self._hash_trace_lines()
             if kind is _NODE_TIMER or kind is _CALLBACK:
                 device = devices[target]
                 if device.ledger.depleted:
@@ -594,10 +585,8 @@ class Simulator:
         distance, stats = link
         rssi = frame.rssi_by_rx[dst]
         record = rep.PacketRecord(
-            frame_id=frame.frame_id, src=src, dst=dst,
-            seqno=frame.seqno, t_start_ns=tx.start_ns,
-            distance_m=distance, rssi_dbm=rssi,
-            snr_db=rssi - frame.noise_floor_dbm, outcome="in-flight")
+            frame.frame_id, src, dst, frame.seqno, tx.start_ns, distance,
+            rssi, rssi - frame.noise_floor_dbm, "in-flight")
         self.packets.append(record)
         self._pkt_by_frame_id[frame.frame_id] = record
         stats.sent += 1
@@ -612,9 +601,18 @@ class Simulator:
 
     # -- results ------------------------------------------------------------------
 
+    def _hash_trace_lines(self) -> None:
+        """Hash the kept lines as one newline-joined chunk; once one is
+        hashed, an empty line opens the next, for the newline before it."""
+        lines = self._trace_lines
+        if lines:
+            self._trace.update("\n".join(lines).encode("utf-8"))
+            lines[:] = [""]
+
     def trace_hash(self) -> str:
         if self._trace is None:
             return ""
+        self._hash_trace_lines()
         return self._trace.hexdigest()
 
     def _calibration(self) -> dict:

@@ -6,7 +6,7 @@ class MotesimError(Exception):
 
 
 class ConfigError(MotesimError):
-    """A parameter violates its documented range or type."""
+    """A parameter violates its documented range or type (CLI exit code 1)."""
 
 
 class ScenarioError(ConfigError):

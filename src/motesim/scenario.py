@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .channel import ChannelParams, Position
@@ -110,6 +111,8 @@ def _get(section: dict, key: str, kind, where: str, default=None,
         raise ScenarioError(
             f"{where}.{key} must be {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # NaN passes every gate
+        raise ScenarioError(f"{where}.{key} must be finite, got {value}")
     return value
 
 

@@ -10,12 +10,14 @@ channel nor the node internals.
 The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
 sequence numbers exist for duplicate filtering and delivery accounting only.
+A message, built per frame sent and received, is a cheap named tuple.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractViolation, PayloadTooLarge
 from .frame import Frame
@@ -28,8 +30,7 @@ DEFAULT_MTU = 255
 DEFAULT_DUPLICATE_WINDOW = 16
 
 
-@dataclass(frozen=True)
-class UnicastMessage:
+class UnicastMessage(NamedTuple):
     src: int
     dst: int
     seqno: int
@@ -44,8 +45,7 @@ def decode_message(data: bytes) -> UnicastMessage | None:
     """Parse a link frame; None if too short to carry the header."""
     if len(data) < HEADER_BYTES:
         return None
-    src, dst, seqno = HEADER.unpack_from(data)
-    return UnicastMessage(src, dst, seqno, data[HEADER_BYTES:])
+    return UnicastMessage(*HEADER.unpack_from(data), data[HEADER_BYTES:])
 
 
 class RadioDriver:
@@ -128,7 +128,7 @@ class Unicast:
                 f"payload {len(payload)} B exceeds MTU {self.mtu} B")
         self._seqno += 1
         msg = UnicastMessage(self.local_address, dst, self._seqno, payload)
-        handle = SendHandle(seqno=msg.seqno, dst=dst)
+        handle = SendHandle(msg.seqno, dst)
         if dst == self.local_address:
             handle.completed = True
             if self.on_message is not None:

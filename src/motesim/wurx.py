@@ -13,13 +13,17 @@ asserted only on an exact address match.
 
 This module gives durations and the duty only. The node's energy ledger
 charges the burst (at ``lora_tx`` power times the duty) and the decode (at
-the ``wurx_decode`` power) for the dwell the engine schedules.
+the ``wurx_decode`` power) for the dwell the engine schedules. A burst and
+an arrival's outcome are named tuples; ``send_wub`` builds a burst once per
+target and shares it, and "busy" and "ignored" are constants.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .phy import NS_PER_S
@@ -64,8 +68,7 @@ def ook_duty(bits) -> float:
     return sum(bits) / len(bits)
 
 
-@dataclass(frozen=True)
-class WubEmission:
+class WubEmission(NamedTuple):
     """Result of preparing a wake-up transmission on the main radio."""
 
     frame: WakeUpFrame
@@ -73,14 +76,15 @@ class WubEmission:
     duty: float
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def send_wub(target_address: int, *, preamble_bits: int = 8,
              bit_rate_bps: float = 1000.0) -> WubEmission:
-    """Build the OOK wake-up frame for ``target_address`` with its airtime
-    and duty."""
-    frame = WakeUpFrame(address=target_address, preamble_bits=preamble_bits,
-                        bit_rate_bps=bit_rate_bps)
-    return WubEmission(frame=frame, duration_ns=wub_airtime(frame),
-                       duty=ook_duty(frame.bits()))
+    """The OOK wake-up frame for ``target_address`` with its airtime and
+    duty. The arguments alone fix this immutable value, so it is built once
+    and shared; bad arguments raise on every call (no exception is cached).
+    """
+    frame = WakeUpFrame(target_address, preamble_bits, bit_rate_bps)
+    return WubEmission(frame, wub_airtime(frame), ook_duty(frame.bits()))
 
 
 class WurxMode(enum.Enum):
@@ -108,8 +112,7 @@ class WurxState:
             raise ConfigError("listen power must be below decode power")
 
 
-@dataclass(frozen=True)
-class WurxOutcome:
+class WurxOutcome(NamedTuple):
     """What a wake-up frame arrival does to a listening receiver.
 
     ``kind`` is "ignored" (below sensitivity), "busy" (decoder already
@@ -123,15 +126,16 @@ class WurxOutcome:
     interrupt: bool = False
 
 
+BUSY = WurxOutcome("busy")
+IGNORED = WurxOutcome("ignored")
+
+
 def receive_wub(state: WurxState, frame: WakeUpFrame,
                 rssi_dbm: float) -> WurxOutcome:
     """Decide how a wake-up frame lands; pure so the engine owns mutation."""
     if state.mode is WurxMode.DECODING:
-        return WurxOutcome("busy")
+        return BUSY
     if rssi_dbm < state.sensitivity_dbm:
-        return WurxOutcome("ignored")
-    return WurxOutcome(
-        "decoding",
-        decode_time_ns=wub_airtime(frame),
-        interrupt=frame.address == state.configured_address,
-    )
+        return IGNORED
+    return WurxOutcome("decoding", wub_airtime(frame),
+                       frame.address == state.configured_address)

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from motesim.cli import main
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
@@ -92,3 +94,13 @@ def test_seed_override(tmp_path, capsys):
     packets_a = (out_a / "packets.csv").read_bytes()
     assert packets_a == (out_b / "packets.csv").read_bytes()
     assert packets_a != (out_c / "packets.csv").read_bytes()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", "600", "--packets", "2",
+                 "--sigma", sigma, "--out-dir", str(out_dir)]) == 1
+    assert "shadowing_sigma_db must be finite and >= 0" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()

@@ -6,6 +6,7 @@ import pytest
 
 from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
                      Scenario, SensitivityTable, run)
+from motesim import engine
 from motesim.engine import Simulator, power_profile, range_sweep
 from motesim.node import RadioMode
 from motesim.report import emit, render_text
@@ -165,6 +166,40 @@ class TestDeterminism:
         ra = [p.rssi_dbm for p in ma.packets]
         rb = [p.rssi_dbm for p in mb.packets]
         assert ra != rb
+
+
+class TestBatchedTraceHash:
+    """The trace is hashed in bounded chunks. Reading the hash mid-run
+    hashes the lines kept so far, and must leave the bytes hashed, and so
+    the final digest, those of an uninterrupted run."""
+
+    # 300 wake-up cycles dispatch 2,700 events, more than two full chunks;
+    # pinned on the engine that hashed one line per update
+    DIGEST = "b873cbbc217acc3bc3f074932ea2a23f43c1b865ebf26433482abcb7d079360f"
+
+    def test_mid_run_reads_leave_the_final_hash(self):
+        scenario = power_profile_scenario(cycles=300)
+        whole = run(scenario)
+        assert whole.event_count > 2 * engine._TRACE_BATCH
+        assert whole.trace_hash == self.DIGEST
+        sim = Simulator(scenario)
+        sim.start_apps()
+        seen = []
+        for k in range(1, 8):
+            sim.run_until(scenario.horizon_ns * k // 7)
+            seen.append(sim.trace_hash())
+            assert sim.trace_hash() == seen[-1]  # nothing new to hash
+        assert len(set(seen)) == len(seen)
+        assert seen[-1] == self.DIGEST
+        assert sim.event_count == whole.event_count
+
+    def test_untraced_run_has_no_hash(self):
+        scenario = power_profile_scenario(cycles=300)
+        sim = Simulator(scenario, record_trace=False)
+        sim.start_apps()
+        sim.run_until(scenario.horizon_ns // 2)
+        assert sim.trace_hash() == ""
+        assert run(scenario, record_trace=False).trace_hash == ""
 
 
 class TestCausality:

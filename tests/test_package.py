@@ -1,6 +1,11 @@
-"""The package's public name list."""
+"""The package's public name list and its record types."""
+
+import inspect
+
+import pytest
 
 import motesim
+from motesim import channel, stack, wurx
 
 # names the package exported before the uncharged energy figures and the
 # second reception gate were removed
@@ -15,3 +20,33 @@ def test_every_public_name_resolves_once():
         assert hasattr(motesim, name), name
     assert not REMOVED & set(names)
     assert not any(hasattr(motesim, name) for name in REMOVED)
+
+
+# the immutable records built on the per-event path, with their fields in
+# constructor order
+RECORDS = [
+    (channel.Transmission, ("frame", "start_ns", "end_ns")),
+    (channel.ReceptionOutcome, ("cause", "rssi_dbm", "snr_db",
+                                "rssi_margin_db", "snr_margin_db")),
+    (stack.UnicastMessage, ("src", "dst", "seqno", "payload")),
+    (wurx.WubEmission, ("frame", "duration_ns", "duty")),
+    (wurx.WurxOutcome, ("kind", "decode_time_ns", "interrupt")),
+]
+
+
+@pytest.mark.parametrize("cls, names", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_keeps_its_fields_and_is_immutable(cls, names):
+    assert tuple(inspect.signature(cls).parameters) == names
+    record = cls(*range(len(names)))
+    assert [getattr(record, name) for name in names] == list(range(len(names)))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, -1)
+
+
+def test_record_defaults_and_decoded():
+    assert wurx.WurxOutcome("busy") == wurx.WurxOutcome("busy", 0, False)
+    for cause in ("ok", "collision", "below-sensitivity", "snr-floor"):
+        outcome = channel.ReceptionOutcome(cause, -100.0, 5.0, 20.0, 12.5)
+        assert outcome.decoded == (cause == "ok")

@@ -306,6 +306,32 @@ class TestWakeupBlockValidation:
         assert "scenario error" in capsys.readouterr().err
 
 
+class TestNonFiniteNumbers:
+    """A NaN or infinite number is rejected at load: a NaN RSSI passes
+    every reception gate, a NaN capture threshold turns collisions off, an
+    infinite noise figure drops every frame, and a NaN horizon cannot be
+    converted to nanoseconds."""
+
+    CASES = [("channel", "reference_loss_at_1m_db", float("nan")),
+             ("channel", "capture_threshold_db", float("nan")),
+             ("channel", "noise_figure_db", float("inf")),
+             ("radio", "frequency_hz", float("nan")),
+             ("sim", "horizon_s", float("nan"))]
+
+    @pytest.mark.parametrize("section, key, value", CASES)
+    def test_run_exits_1(self, section, key, value, tmp_path, capsys):
+        raw = example_dict()
+        raw[section][key] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{key} must be "
+                                                f"finite"):
+            from_dict(raw)
+        path = tmp_path / "non_finite.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == 1
+        assert f"{section}.{key} must be finite" in capsys.readouterr().err
+
+
 class TestAppKeysOfTheOtherKind:
     """An app key that its kind does not read is rejected at load."""
 

@@ -1,7 +1,8 @@
 import pytest
 
 from motesim import ConfigError, WakeUpFrame, WurxState, receive_wub, \
-    send_wub, wub_airtime
+    send_wub, wub_airtime, wurx
+from motesim.engine import power_profile
 from motesim.wurx import WurxMode, ook_duty
 
 
@@ -122,3 +123,39 @@ class TestReceiveWub:
         for sent in range(256):
             outcome = receive_wub(state, WakeUpFrame(address=sent), -40.0)
             assert outcome.interrupt == (sent == 0x80)
+
+
+class TestBurstBuiltOncePerTarget:
+    """``send_wub`` depends on its arguments alone, so a run builds each
+    target's burst once, and bad arguments still raise on every call."""
+
+    def test_power_profile_builds_one_wake_up_frame(self, monkeypatch):
+        built = []
+
+        class CountedFrame(wurx.WakeUpFrame):
+            def __post_init__(self):
+                built.append(self.address)
+                super().__post_init__()
+
+        monkeypatch.setattr(wurx, "WakeUpFrame", CountedFrame)
+        wurx.send_wub.cache_clear()
+        try:
+            metrics = power_profile(cycles=50)
+        finally:
+            wurx.send_wub.cache_clear()  # drop the CountedFrame bursts
+        assert len(metrics.exchanges) == 50
+        assert len(built) <= 1
+
+    def test_repeat_calls_share_one_burst(self):
+        assert send_wub(0x2A) is send_wub(0x2A)
+        assert send_wub(0x2A) != send_wub(0x2B)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"target_address": 300}, {"target_address": -1},
+        {"target_address": 1, "bit_rate_bps": 2000.0},
+        {"target_address": 1, "preamble_bits": -1},
+    ])
+    def test_bad_arguments_raise_on_every_call(self, kwargs):
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                send_wub(**kwargs)
