@@ -14,7 +14,8 @@ leaves the RNG in the same state, but transforms a deviate only when it is
 read, bit for bit as ``gauss`` would. So the engine's values and draw
 order are those of ``rssi_at``, and a frame pays the Box-Muller step only
 at the receivers that read its RSSI, through ``RssiOnRead``. Transmissions
-and reception outcomes, built per frame and per decision, are named tuples.
+and reception outcomes, built per frame and per decision, are named tuples,
+and so are positions and channel parameters, checked when built.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -28,42 +29,41 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from math import cos, log, sin, sqrt, tau
 from typing import NamedTuple
 
-from .errors import ConfigError, ZeroDistanceError
+from .errors import ConfigError, ZeroDistanceError, validated
 from .frame import Frame
 from .phy import SensitivityTable
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 
-@dataclass(frozen=True)
-class Position:
+@validated
+class Position(NamedTuple):
     """Cartesian coordinates in meters."""
 
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+    def _check(self):
+        if not all(math.isfinite(v) for v in self):
             raise ConfigError("position coordinates must be finite")
 
     def distance_to(self, other: "Position") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
+        return math.dist(self, other)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+@validated
+class ChannelParams(NamedTuple):
     path_loss_exponent: float = 3.70
     reference_loss_at_1m_db: float = 31.2
     shadowing_sigma_db: float = 0.0
     noise_figure_db: float = 6.0
     capture_threshold_db: float = 6.0
 
-    def __post_init__(self):
+    def _check(self):
         if not 1.5 <= self.path_loss_exponent <= 6.0:
             raise ConfigError(
                 f"path_loss_exponent must be within [1.5, 6.0], "

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation error (``ConfigError``), 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import engine, report, scenario as scen
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     scenario = scen.load(args.scenario_file)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
         scen.validate(scenario)
     if args.validate_only:
         print(f"scenario OK ({scen.scenario_hash(scenario)})")

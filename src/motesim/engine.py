@@ -54,7 +54,6 @@ kind and node event carries its trace text, built once.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import heapq
@@ -284,6 +283,9 @@ class Simulator:
                     idle_policy="rx" if roles[address] == "bs" else "sleep")
         elif app.kind == "wakeup_exchange":
             target_spec = scenario.node(app.target)
+            # the burst framing, read at every send_wakeup; validate
+            # guarantees that the target carries a wurx block
+            self._target_wurx = target_spec.wurx
             wake_chain = (target_spec.mcu_wakeup_ns
                           + target_spec.radio_turn_on_ns)
             self.apps[app.initiator] = stk.WakeupInitiatorApp(
@@ -415,9 +417,8 @@ class Simulator:
             raise RadioUnavailable(
                 f"radio of node {device.address} is {device.radio.value}; "
                 f"cannot emit a wake-up burst")
-        # only the wake-up initiator sends bursts, and validate guarantees
-        # that its target carries a wurx block
-        wurx_spec = self.scenario.node(self.scenario.app.target).wurx
+        # only the wake-up initiator sends bursts
+        wurx_spec = self._target_wurx
         emission = wux.send_wub(wurx_address,
                                 preamble_bits=wurx_spec.preamble_bits,
                                 bit_rate_bps=wurx_spec.bit_rate_bps)
@@ -618,7 +619,7 @@ class Simulator:
     def _calibration(self) -> dict:
         radio = self.scenario.radio
         return {
-            **dataclasses.asdict(self.scenario.channel),
+            **self.scenario.channel._asdict(),
             "spreading_factor": radio.spreading_factor,
             "bandwidth_hz": radio.bandwidth_hz,
             "coding_rate": radio.coding_rate,

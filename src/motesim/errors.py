@@ -43,3 +43,19 @@ class RadioUnavailable(MotesimError):
 
 class PayloadTooLarge(MotesimError):
     """Unicast payload exceeds the configured MTU."""
+
+
+def validated(cls):
+    """Make the named tuple ``cls`` run its ``_check`` method, which raises
+    ``ConfigError``, on every construction, ``_make`` and ``_replace`` too:
+    they would build through ``tuple.__new__`` and skip it."""
+    build = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        record = build(klass, *args, **kwargs)
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Frame:
     """One LoRa packet as seen on the medium.
 
@@ -17,19 +14,30 @@ class Frame:
     starts, but an entry is computed at its first read
     (``channel.RssiOnRead``); without shadowing it is a filled dict. A
     receiver's SNR is taken where it is read, as
-    ``rssi_by_rx[rx] - noise_floor_dbm``.
+    ``rssi_by_rx[rx] - noise_floor_dbm``. Slotted, since a slot is the
+    cheapest read and the channel reads these at every decision.
     """
 
-    frame_id: int
-    src: int
-    dst: int | None
-    seqno: int | None
-    payload: bytes
-    length: int
-    airtime_ns: int
-    spreading_factor: int
-    bandwidth_hz: int
-    frequency_hz: float
-    tx_power_dbm: float
-    noise_floor_dbm: float
-    rssi_by_rx: dict = field(default_factory=dict)
+    __slots__ = ("frame_id", "src", "dst", "seqno", "payload", "length",
+                 "airtime_ns", "spreading_factor", "bandwidth_hz",
+                 "frequency_hz", "tx_power_dbm", "noise_floor_dbm",
+                 "rssi_by_rx")
+
+    def __init__(self, frame_id: int, src: int, dst: int | None,
+                 seqno: int | None, payload: bytes, length: int,
+                 airtime_ns: int, spreading_factor: int, bandwidth_hz: int,
+                 frequency_hz: float, tx_power_dbm: float,
+                 noise_floor_dbm: float, rssi_by_rx: dict | None = None):
+        self.frame_id = frame_id
+        self.src = src
+        self.dst = dst
+        self.seqno = seqno
+        self.payload = payload
+        self.length = length
+        self.airtime_ns = airtime_ns
+        self.spreading_factor = spreading_factor
+        self.bandwidth_hz = bandwidth_hz
+        self.frequency_hz = frequency_hz
+        self.tx_power_dbm = tx_power_dbm
+        self.noise_floor_dbm = noise_floor_dbm
+        self.rssi_by_rx = {} if rssi_by_rx is None else rssi_by_rx

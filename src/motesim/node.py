@@ -59,7 +59,6 @@ change.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, IllegalTransition
@@ -121,25 +120,27 @@ class NodeEventKind(enum.Enum):
  _SLEEP_REQUEST) = NodeEventKind
 
 
-@dataclass(frozen=True)
 class NodeEvent:
-    kind: NodeEventKind
-    purpose: str | None = None  # for TIMER: "wake" | "mcu_awake" | "radio_ready"
-    # the event as the dispatch trace writes it, built once
-    text: str = field(init=False, repr=False, compare=False)
+    """``purpose`` is a TIMER's: "wake" | "mcu_awake" | "radio_ready".
+    ``text``, the event as the dispatch trace writes it, is built once."""
 
-    def __post_init__(self):
-        text = self.kind.value
-        if self.purpose:
-            text = f"{text}[{self.purpose}]"
-        object.__setattr__(self, "text", text)
+    __slots__ = ("kind", "purpose", "text")
+
+    def __init__(self, kind: NodeEventKind, purpose: str | None = None):
+        self.kind = kind
+        self.purpose = purpose
+        self.text = f"{kind.value}[{purpose}]" if purpose else kind.value
+
+    def __eq__(self, other):
+        return isinstance(other, NodeEvent) and (
+            self.kind, self.purpose) == (other.kind, other.purpose)
 
     def __str__(self):
         return self.text
 
 
-# The fixed node events. NodeEvent is frozen, so one instance of each is
-# shared by every node and every dispatch.
+# The fixed node events. Nothing changes a NodeEvent once built, so one
+# instance of each is shared by every node and every dispatch.
 WAKE = NodeEvent(NodeEventKind.TIMER, "wake")
 MCU_AWAKE = NodeEvent(NodeEventKind.TIMER, "mcu_awake")
 RADIO_READY = NodeEvent(NodeEventKind.TIMER, "radio_ready")
@@ -172,6 +173,34 @@ _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
 
+def check_node_params(power_table_w: dict = DEFAULT_POWER_TABLE_W,
+                      battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
+                      harvest_efficiency: float = 0.90,
+                      mcu_wakeup_ns: int = DEFAULT_MCU_WAKEUP_NS,
+                      radio_turn_on_ns: int = DEFAULT_RADIO_TURN_ON_NS) -> None:
+    """Raise ConfigError unless a node's parameters are in range.
+
+    The one home of these checks: the ledger and the device pass what they
+    hold, and ``scenario.validate`` passes every node's values, so a
+    scenario that validates also builds. ``power_table_w`` is the full
+    table, the defaults with the node's overrides.
+    """
+    if battery_j < 0 or harvest_rate_w < 0:
+        raise ConfigError("battery_j and harvest_rate_w must be >= 0")
+    if not 0.0 <= harvest_efficiency <= 1.0:
+        raise ConfigError("harvest_efficiency must be within [0, 1]")
+    if mcu_wakeup_ns <= 0 or radio_turn_on_ns <= 0:
+        raise ConfigError("wake-up and radio turn-on latencies must be > 0")
+    table = power_table_w
+    if table["sleep"] >= table["mcu_active"]:
+        raise ConfigError("sleep power must be below MCU active power")
+    # radio tx/rx must dominate the idle draws
+    idle_peak = max(table["sleep"], table["mcu_active"])
+    if table["lora_tx"] <= idle_peak or table["lora_rx"] <= idle_peak:
+        raise ConfigError(
+            "lora_tx and lora_rx draws must exceed sleep/standby draws")
+
+
 class EnergyLedger:
     """Per-label time/energy integration with battery and harvesting inflow.
 
@@ -184,10 +213,8 @@ class EnergyLedger:
 
     def __init__(self, battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
                  harvest_efficiency: float = 0.90):
-        if battery_j < 0 or harvest_rate_w < 0:
-            raise ConfigError("battery_j and harvest_rate_w must be >= 0")
-        if not 0.0 <= harvest_efficiency <= 1.0:
-            raise ConfigError("harvest_efficiency must be within [0, 1]")
+        check_node_params(battery_j=battery_j, harvest_rate_w=harvest_rate_w,
+                          harvest_efficiency=harvest_efficiency)
         self.time_ns: dict = {}
         self.energy_j: dict = {}
         self.battery_initial_j = battery_j
@@ -261,21 +288,11 @@ class MoteDevice:
                  battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
                  harvest_efficiency: float = 0.90,
                  start_awake: bool = False):
-        if mcu_wakeup_ns <= 0 or radio_turn_on_ns <= 0:
-            raise ConfigError("wake-up and radio turn-on latencies must be > 0")
         self.address = address
         self.position = position
-        self.power_table_w = dict(DEFAULT_POWER_TABLE_W)
-        if power_table_w:
-            self.power_table_w.update(power_table_w)
-        table = self.power_table_w
-        if table["sleep"] >= table["mcu_active"]:
-            raise ConfigError("sleep power must be below MCU active power")
-        # radio tx/rx must dominate the idle draws
-        idle_peak = max(table["sleep"], table["mcu_active"])
-        if table["lora_tx"] <= idle_peak or table["lora_rx"] <= idle_peak:
-            raise ConfigError(
-                "lora_tx and lora_rx draws must exceed sleep/standby draws")
+        self.power_table_w = {**DEFAULT_POWER_TABLE_W, **(power_table_w or {})}
+        check_node_params(self.power_table_w, mcu_wakeup_ns=mcu_wakeup_ns,
+                          radio_turn_on_ns=radio_turn_on_ns)
         self.wurx = wurx
         self.mcu_wakeup_ns = mcu_wakeup_ns
         self.radio_turn_on_ns = radio_turn_on_ns

@@ -11,11 +11,12 @@ bookkeeping and airtime sums stay exact. For the three supported bandwidths
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from .errors import ConfigError, TableEntryMissing
+from .errors import ConfigError, TableEntryMissing, validated
 
 NS_PER_S = 1_000_000_000
 
@@ -24,8 +25,8 @@ ALLOWED_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 DEFAULT_SENSITIVITY_FILE = "sensitivity_sx1276.json"
 
 
-@dataclass(frozen=True)
-class RadioConfig:
+@validated
+class RadioConfig(NamedTuple):
     """One LoRa transceiver parameter set.
 
     ``coding_rate`` is the denominator d of the 4/d code (5..8).
@@ -43,7 +44,7 @@ class RadioConfig:
     crc_on: bool = True
     low_data_rate_optimize: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if not 6 <= self.spreading_factor <= 12:
             raise ConfigError(
                 f"spreading_factor must be 6..12, got {self.spreading_factor}")
@@ -128,7 +129,10 @@ class SensitivityTable:
                 "snr_demod_floor must decrease as spreading factor grows")
 
     @classmethod
+    @functools.cache
     def load_default(cls) -> "SensitivityTable":
+        """The shipped table, read and parsed once per process and then
+        shared: nothing mutates a table."""
         ref = resources.files("motesim").joinpath(
             "data", DEFAULT_SENSITIVITY_FILE)
         raw = json.loads(ref.read_text(encoding="utf-8"))

@@ -1,5 +1,8 @@
 """Run metrics containers and CSV/text emission.
 
+The records the engine updates during a run are slotted classes; those
+built once at its end (energy, exchanges, sweep rows) are named tuples.
+
 Emitted files are byte-deterministic: fixed column order, fixed float
 formats, and headers that embed the scenario hash, seed, calibration
 constants and format version. Wall-clock runtime is deliberately kept out
@@ -9,40 +12,48 @@ of the files so identical (scenario, seed) runs re-emit identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MotesimError
 
 REPORT_FORMAT_VERSION = 1
 
 
-@dataclass
 class PacketRecord:
-    frame_id: int
-    src: int
-    dst: int
-    seqno: int
-    t_start_ns: int
-    distance_m: float
-    rssi_dbm: float
-    snr_db: float
-    outcome: str  # delivered | collision | below-sensitivity | snr-floor
-    #           | not-listening | duplicate
+    """One frame on a known link; ``outcome`` is delivered | collision |
+    below-sensitivity | snr-floor | not-listening | duplicate | in-flight."""
+
+    __slots__ = ("frame_id", "src", "dst", "seqno", "t_start_ns",
+                 "distance_m", "rssi_dbm", "snr_db", "outcome")
+
+    def __init__(self, frame_id: int, src: int, dst: int, seqno: int,
+                 t_start_ns: int, distance_m: float, rssi_dbm: float,
+                 snr_db: float, outcome: str):
+        self.frame_id = frame_id
+        self.src = src
+        self.dst = dst
+        self.seqno = seqno
+        self.t_start_ns = t_start_ns
+        self.distance_m = distance_m
+        self.rssi_dbm = rssi_dbm
+        self.snr_db = snr_db
+        self.outcome = outcome
 
 
-@dataclass
 class LinkStats:
-    sent: int = 0
-    delivered: int = 0
+    __slots__ = ("sent", "delivered")
+
+    def __init__(self, sent: int = 0, delivered: int = 0):
+        self.sent = sent
+        self.delivered = delivered
 
     @property
     def pdr(self) -> float:
         return self.delivered / self.sent if self.sent else 0.0
 
 
-@dataclass
-class NodeEnergyReport:
+class NodeEnergyReport(NamedTuple):
     address: int
     rows: list  # (label, power_w, time_ns, energy_j, pct)
     battery_initial_j: float
@@ -56,8 +67,7 @@ class NodeEnergyReport:
     wurx_missed: int = 0
 
 
-@dataclass
-class ExchangeRecord:
+class ExchangeRecord(NamedTuple):
     cycle: int
     wub_start_ns: int
     outcome: str  # completed | wake-timeout | data-lost
@@ -70,19 +80,25 @@ class ExchangeRecord:
         return self.data_rx_ns - self.wub_start_ns
 
 
-@dataclass
 class RunMetrics:
-    scenario_hash: str
-    seed: int
-    horizon_ns: int
-    calibration: dict
-    packets: list = field(default_factory=list)
-    links: dict = field(default_factory=dict)  # (src, dst) -> LinkStats
-    energy: list = field(default_factory=list)  # NodeEnergyReport
-    exchanges: list = field(default_factory=list)
-    event_count: int = 0
-    trace_hash: str = ""
-    wallclock_s: float = 0.0
+    __slots__ = ("scenario_hash", "seed", "horizon_ns", "calibration",
+                 "packets", "links", "energy", "exchanges", "event_count",
+                 "trace_hash", "wallclock_s")
+
+    def __init__(self, scenario_hash: str, seed: int, horizon_ns: int,
+                 calibration: dict, packets: list, links: dict,
+                 event_count: int, trace_hash: str, wallclock_s: float):
+        self.scenario_hash = scenario_hash
+        self.seed = seed
+        self.horizon_ns = horizon_ns
+        self.calibration = calibration
+        self.packets = packets
+        self.links = links  # (src, dst) -> LinkStats
+        self.energy = []  # NodeEnergyReport
+        self.exchanges = []  # ExchangeRecord
+        self.event_count = event_count
+        self.trace_hash = trace_hash
+        self.wallclock_s = wallclock_s
 
     def link(self, src: int, dst: int) -> LinkStats:
         return self.links.get((src, dst), LinkStats())
@@ -94,8 +110,7 @@ class RunMetrics:
         return sum(s.delivered for s in self.links.values())
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     distance_m: float
     sent: int
     delivered: int

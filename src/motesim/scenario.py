@@ -3,22 +3,24 @@
 A scenario file is YAML with five sections (sim, radio, channel, nodes,
 app). Unknown keys anywhere are rejected to catch typos. The radio and
 channel sections and a node's wurx and position blocks take their keys,
-types and defaults from the fields of the dataclass they build. The same
-dataclasses are built programmatically by the experiment presets, so the
-CLI presets and file-driven runs share one validation path.
+types and defaults from the fields of the named tuple they build. The same
+named tuples are built programmatically by the experiment presets, so the
+CLI presets and file-driven runs share one validation path. A scenario is
+immutable; ``scenario._replace(seed=...)`` gives a varied copy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple, get_type_hints
 
 from .channel import ChannelParams, Position
 from .errors import ConfigError, ScenarioError
-from .node import DEFAULT_MCU_WAKEUP_NS, DEFAULT_RADIO_TURN_ON_NS
+from .node import (DEFAULT_MCU_WAKEUP_NS, DEFAULT_POWER_TABLE_W,
+                   DEFAULT_RADIO_TURN_ON_NS, check_node_params)
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import HEADER_BYTES
 from .wurx import WakeUpFrame, WurxState, wub_airtime
@@ -36,8 +38,7 @@ _APP_KEYS = {
 APP_KINDS = tuple(_APP_KEYS)
 
 
-@dataclass(frozen=True)
-class WurxSpec:
+class WurxSpec(NamedTuple):
     address: int
     sensitivity_dbm: float = -50.0
     bit_rate_bps: float = 1000.0
@@ -46,12 +47,11 @@ class WurxSpec:
     decode_power_w: float = 284e-6
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     address: int
     role: str
     position: Position
-    power_w: dict = field(default_factory=dict)
+    power_w: dict = MappingProxyType({})  # read-only: records share it
     wurx: WurxSpec | None = None
     battery_j: float = 1.0e4
     harvest_rate_w: float = 0.0
@@ -60,8 +60,7 @@ class NodeSpec:
     radio_turn_on_ns: int = DEFAULT_RADIO_TURN_ON_NS
 
 
-@dataclass(frozen=True)
-class AppSpec:
+class AppSpec(NamedTuple):
     kind: str
     src: int | None = None
     dst: int | None = None
@@ -75,8 +74,7 @@ class AppSpec:
     rx_timeout_ns: int = NS_PER_S
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     horizon_ns: int
     seed: int
     radio: RadioConfig
@@ -120,24 +118,22 @@ def _s_to_ns(seconds: float) -> int:
     return round(seconds * NS_PER_S)
 
 
-_FIELD_TYPES = {"int": int, "float": float, "bool": bool}
-
-
 def _parse_fields(cls, raw, where: str):
-    """Build dataclass ``cls`` from the mapping ``raw``.
+    """Build the named tuple ``cls`` from the mapping ``raw``.
 
-    The fields of ``cls`` are the only allowed keys, and their annotations
-    give the types. An omitted key takes the field's default; a field
-    without a default is required.
+    The fields of ``cls`` are the only allowed keys, and their type hints
+    give the types (``get_type_hints`` resolves them however the Python
+    version stores the annotations). An omitted key takes the field's
+    default; a field without a default is required.
     """
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} must be a mapping")
-    fields = dataclasses.fields(cls)
-    _require_keys(raw, {f.name for f in fields}, where)
-    values = {f.name: _get(raw, f.name, _FIELD_TYPES[f.type], where,
-                           default=f.default,
-                           required=f.default is dataclasses.MISSING)
-              for f in fields}
+    _require_keys(raw, set(cls._fields), where)
+    kinds, defaults = get_type_hints(cls), cls._field_defaults
+    values = {name: _get(raw, name, kinds[name], where,
+                         default=defaults.get(name),
+                         required=name not in defaults)
+              for name in cls._fields}
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -224,10 +220,18 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
-    # the burst addressed to each wake-up receiver, checked as sent, and
-    # the receiver itself, checked as the engine builds it
+    # each node's ranges, the burst addressed to each wake-up receiver,
+    # checked as sent, and the receiver itself, checked as the engine
+    # builds them
     wub_frames = {}
     for spec in scenario.nodes:
+        try:
+            check_node_params({**DEFAULT_POWER_TABLE_W, **spec.power_w},
+                              spec.battery_j, spec.harvest_rate_w,
+                              spec.harvest_efficiency, spec.mcu_wakeup_ns,
+                              spec.radio_turn_on_ns)
+        except ConfigError as exc:
+            raise ScenarioError(f"node {spec.address}: {exc}") from exc
         if spec.wurx is not None:
             try:
                 wub_frames[spec.address] = WakeUpFrame(
@@ -323,10 +327,15 @@ def load(path) -> Scenario:
 
 def canonical_dict(scenario: Scenario) -> dict:
     """Stable, JSON-serialisable view used for hashing."""
-    view = dataclasses.asdict(scenario)
-    for node in view["nodes"]:
-        position = node["position"]
-        node["position"] = [position["x"], position["y"], position["z"]]
+    view = scenario._asdict()
+    view.update(radio=scenario.radio._asdict(),
+                channel=scenario.channel._asdict(),
+                nodes=[{**node._asdict(), "position": list(node.position),
+                        "power_w": dict(node.power_w),
+                        "wurx": None if node.wurx is None
+                        else node.wurx._asdict()}
+                       for node in scenario.nodes],
+                app=scenario.app._asdict())
     return {"format_version": SCENARIO_FORMAT_VERSION,
             "sim": {"horizon_ns": view.pop("horizon_ns"),
                     "seed": view.pop("seed")},

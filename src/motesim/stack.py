@@ -16,7 +16,6 @@ A message, built per frame sent and received, is a cheap named tuple.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContractViolation, PayloadTooLarge
@@ -95,11 +94,13 @@ class RadioDriver:
         raise NotImplementedError
 
 
-@dataclass
 class SendHandle:
-    seqno: int
-    dst: int
-    completed: bool = False
+    __slots__ = ("seqno", "dst", "completed")
+
+    def __init__(self, seqno: int, dst: int):
+        self.seqno = seqno
+        self.dst = dst
+        self.completed = False
 
 
 class Unicast:

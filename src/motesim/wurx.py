@@ -13,31 +13,33 @@ asserted only on an exact address match.
 
 This module gives durations and the duty only. The node's energy ledger
 charges the burst (at ``lora_tx`` power times the duty) and the decode (at
-the ``wurx_decode`` power) for the dwell the engine schedules. A burst and
-an arrival's outcome are named tuples; ``send_wub`` builds a burst once per
-target and shares it, and "busy" and "ignored" are constants.
+the ``wurx_decode`` power) for the dwell the engine schedules. A frame, a
+burst and an arrival's outcome are named tuples; ``send_wub`` builds a
+burst once per target and shares it, and "busy" and "ignored" are
+constants. The receiver's state, which the engine updates, is slotted.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, validated
 from .phy import NS_PER_S
 
 ADDRESS_BITS = 8
 
 
-@dataclass(frozen=True)
-class WakeUpFrame:
+@validated
+class WakeUpFrame(NamedTuple):
+    """One wake-up frame's address and framing; checked when built."""
+
     address: int
     preamble_bits: int = 8
     bit_rate_bps: float = 1000.0
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.address <= 255:
             raise ConfigError(f"wake-up address must be 0..255, got {self.address}")
         if self.preamble_bits < 0:
@@ -92,24 +94,29 @@ class WurxMode(enum.Enum):
     DECODING = "decoding"
 
 
-@dataclass
 class WurxState:
-    """Wake-up receiver: configured address, sensitivity, modal powers."""
+    """Wake-up receiver: configured address, sensitivity, modal powers, and
+    the mode and counters the engine updates at every burst."""
 
-    configured_address: int
-    sensitivity_dbm: float = -50.0
-    listen_power_w: float = 1.8e-6
-    decode_power_w: float = 284e-6
-    mode: WurxMode = WurxMode.LISTENING
-    missed_while_decoding: int = 0
-    false_wakeups_rejected: int = 0
-    interrupts_asserted: int = 0
+    __slots__ = ("configured_address", "sensitivity_dbm", "listen_power_w",
+                 "decode_power_w", "mode", "missed_while_decoding",
+                 "false_wakeups_rejected", "interrupts_asserted")
 
-    def __post_init__(self):
-        if not 0 <= self.configured_address <= 255:
+    def __init__(self, configured_address: int, sensitivity_dbm: float = -50.0,
+                 listen_power_w: float = 1.8e-6,
+                 decode_power_w: float = 284e-6):
+        if not 0 <= configured_address <= 255:
             raise ConfigError("configured_address must be 0..255")
-        if self.listen_power_w >= self.decode_power_w:
+        if listen_power_w >= decode_power_w:
             raise ConfigError("listen power must be below decode power")
+        self.configured_address = configured_address
+        self.sensitivity_dbm = sensitivity_dbm
+        self.listen_power_w = listen_power_w
+        self.decode_power_w = decode_power_w
+        self.mode = WurxMode.LISTENING
+        self.missed_while_decoding = 0
+        self.false_wakeups_rejected = 0
+        self.interrupts_asserted = 0
 
 
 class WurxOutcome(NamedTuple):

@@ -96,6 +96,23 @@ def test_seed_override(tmp_path, capsys):
     assert packets_a != (out_c / "packets.csv").read_bytes()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("battery_j", -1.0), ("harvest_efficiency", 1.5),
+    ("mcu_wakeup_latency_us", 0.0), ("radio_turn_on_ms", -1.0)])
+def test_validate_only_rejects_a_node_the_run_rejects(key, value, tmp_path,
+                                                      capsys):
+    # the example's second node lists each key commented out
+    text = EXAMPLE.read_text()
+    assert text.count(f"    # {key}: ") == 1
+    bad = tmp_path / "bad_node.yaml"
+    bad.write_text(text.replace(f"    # {key}: ", f"    {key}: {value}  # "))
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error: node 2:" in err
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
 def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
     out_dir = tmp_path / "sweep"

@@ -453,14 +453,11 @@ class TestWakeupExchange:
         assert rows["sleep"][2] == metrics.horizon_ns
 
     def test_custom_wub_bit_rate_scales_burst(self):
-        import dataclasses
         scenario = power_profile_scenario(cycles=1)
         sleeper = scenario.node(2)
-        slow = dataclasses.replace(
-            sleeper, wurx=dataclasses.replace(sleeper.wurx,
-                                              bit_rate_bps=500.0))
-        scenario = dataclasses.replace(
-            scenario, nodes=(scenario.node(1), slow))
+        slow = sleeper._replace(
+            wurx=sleeper.wurx._replace(bit_rate_bps=500.0))
+        scenario = scenario._replace(nodes=(scenario.node(1), slow))
         metrics = run(scenario, record_trace=False)
         expected = 32_000_000 + 7_000 + 1_000_000 + 362_496_000
         assert metrics.exchanges[0].latency_ns == expected
@@ -468,14 +465,12 @@ class TestWakeupExchange:
     def test_burst_uses_the_initiators_configured_power(self):
         # at 5 m a 14 dBm burst arrives at about -43 dBm, above the WuRX's
         # -50 dBm sensitivity; at -4 dBm it arrives at about -61 dBm
-        import dataclasses
         scenario = power_profile_scenario(cycles=3, distance_m=5.0)
         assert all(ex.outcome == "completed"
                    for ex in run(scenario, record_trace=False).exchanges)
         sim = Simulator(scenario, record_trace=False)
         driver = sim.drivers[1]
-        driver.configure(dataclasses.replace(driver.config,
-                                             tx_power_dbm=-4.0))
+        driver.configure(driver.config._replace(tx_power_dbm=-4.0))
         metrics = sim.run()
         assert len(metrics.exchanges) == 3
         assert all(ex.outcome == "wake-timeout" for ex in metrics.exchanges)
@@ -601,16 +596,14 @@ class TestChannelClear:
 def shadowed_wakeup_scenario():
     """Wake-up exchange under 4 dB shadowing near the WuRX's range, plus a
     second WuRX node with another address and a sink with no WuRX."""
-    import dataclasses
     base = power_profile_scenario(cycles=12, distance_m=7.0)
     nodes = base.nodes + (
         NodeSpec(address=3, role="sleeper", position=Position(y=5.0),
                  wurx=WurxSpec(address=0x11)),
         NodeSpec(address=4, role="bs", position=Position(x=-30.0)),
     )
-    return dataclasses.replace(
-        base, nodes=nodes, seed=5,
-        channel=ChannelParams(shadowing_sigma_db=4.0))
+    return base._replace(nodes=nodes, seed=5,
+                         channel=ChannelParams(shadowing_sigma_db=4.0))
 
 
 class TestLinkCache:
@@ -697,10 +690,9 @@ class TestLinkCache:
         assert started == []
 
     def test_coincident_wurx_node_raises_at_burst(self):
-        import dataclasses
         from motesim.errors import ZeroDistanceError
         base = power_profile_scenario(cycles=2)
-        scenario = dataclasses.replace(base, nodes=base.nodes + (
+        scenario = base._replace(nodes=base.nodes + (
             NodeSpec(address=3, role="sleeper", position=Position(),
                      wurx=WurxSpec(address=0x11)),))
         sim = Simulator(scenario, record_trace=False)
@@ -711,11 +703,10 @@ class TestLinkCache:
     def test_coincident_node_without_wurx_raises_at_data_frame(self):
         # bursts reach WuRX nodes only, so the burst passes and the data
         # frame that follows it is the first to need the coincident link
-        import dataclasses
         from motesim.errors import ZeroDistanceError
         from motesim.node import DEFAULT_MCU_WAKEUP_NS
         base = power_profile_scenario(cycles=2)
-        scenario = dataclasses.replace(base, nodes=base.nodes + (
+        scenario = base._replace(nodes=base.nodes + (
             NodeSpec(address=3, role="bs", position=Position()),))
         sim = Simulator(scenario, record_trace=False)
         started = record_transmissions(sim)

@@ -1,11 +1,12 @@
 """The package's public name list and its record types."""
 
 import inspect
+import math
 
 import pytest
 
 import motesim
-from motesim import channel, stack, wurx
+from motesim import ConfigError, channel, phy, stack, wurx
 
 # names the package exported before the uncharged energy figures and the
 # second reception gate were removed
@@ -50,3 +51,27 @@ def test_record_defaults_and_decoded():
     for cause in ("ok", "collision", "below-sensitivity", "snr-floor"):
         outcome = channel.ReceptionOutcome(cause, -100.0, 5.0, 20.0, 12.5)
         assert outcome.decoded == (cause == "ok")
+
+
+# the records that check their values when built, each with one bad value
+VALIDATED = [
+    (channel.Position(), {"y": math.nan}),
+    (channel.ChannelParams(), {"path_loss_exponent": 7.0}),
+    (phy.RadioConfig(), {"spreading_factor": 13}),
+    (wurx.WakeUpFrame(0x2A), {"address": 256}),
+]
+
+
+@pytest.mark.parametrize("record, bad", VALIDATED,
+                         ids=[type(r).__name__ for r, _ in VALIDATED])
+def test_every_construction_checks_values(record, bad):
+    cls = type(record)
+    values = {**record._asdict(), **bad}
+    with pytest.raises(ConfigError):
+        record._replace(**bad)
+    with pytest.raises(ConfigError):
+        cls._make(values.values())
+    with pytest.raises(ConfigError):
+        cls(**values)
+    assert record._replace() == record
+    assert cls._make(record) == record

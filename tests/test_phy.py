@@ -106,6 +106,24 @@ class TestSensitivityTable:
         for sf in range(6, 12):
             assert table.snr_floor(sf + 1) < table.snr_floor(sf)
 
+    def test_default_table_read_once_per_process(self, monkeypatch):
+        from motesim import phy
+        from motesim.engine import Simulator
+        from motesim.scenario import range_point_scenario
+        reads = []
+        files = phy.resources.files
+
+        def counted_files(package):
+            reads.append(package)
+            return files(package)
+
+        monkeypatch.setattr(phy.resources, "files", counted_files)
+        SensitivityTable.load_default.cache_clear()
+        sims = [Simulator(range_point_scenario(d)) for d in (50.0, 600.0)]
+        assert SensitivityTable.load_default() is sims[0].table
+        assert sims[1].table is sims[0].table
+        assert reads == ["motesim"]
+
     def test_missing_entry(self):
         table = SensitivityTable({(7, 125_000): -130.0}, {7: -7.5})
         with pytest.raises(TableEntryMissing):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pathlib
 
 import pytest
@@ -34,8 +33,7 @@ def test_hash_stable_and_sensitive():
     a = load(EXAMPLE)
     b = load(EXAMPLE)
     assert scenario_hash(a) == scenario_hash(b)
-    import dataclasses
-    c = dataclasses.replace(a, seed=a.seed + 1)
+    c = a._replace(seed=a.seed + 1)
     assert scenario_hash(c) != scenario_hash(a)
 
 
@@ -152,6 +150,19 @@ class TestYamlLoading:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": str(src)})
 
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # the records are named tuples and slotted classes, so a process
+        # that imports the package and its CLI pays for neither module
+        import os
+        import subprocess
+        import sys
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, motesim, motesim.cli; "
+                "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+                "assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+
     def test_invalid_yaml_is_a_scenario_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("sim: [horizon_s: 1.0\n")
@@ -193,7 +204,7 @@ FULL = {
             "linger_ms": 15.0, "rx_timeout_ms": 400.0},
 }
 
-# (dataclass, section name in error messages, path to the section in FULL)
+# (record, section name in error messages, path to the section in FULL)
 FIELD_SECTIONS = [
     (RadioConfig, "radio", ("radio",)),
     (ChannelParams, "channel", ("channel",)),
@@ -232,15 +243,15 @@ def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
 
 
 class TestFieldSections:
-    """Radio, channel, wurx and position keys against their dataclasses."""
+    """Radio, channel, wurx and position keys against their records."""
 
     @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
     def test_every_key_lands_in_its_dataclass(self, cls, where, path):
         section = section_of(FULL, path)
-        for f in dataclasses.fields(cls):
-            assert section[f.name] != f.default, f.name
+        for name in cls._fields:
+            assert section[name] != cls._field_defaults.get(name), name
         built = built_section(from_dict(copy.deepcopy(FULL)), where)
-        assert dataclasses.asdict(built) == section
+        assert built._asdict() == section
 
     @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
     def test_omitted_keys_take_the_defaults(self, cls, where, path):

@@ -133,9 +133,12 @@ class TestBurstBuiltOncePerTarget:
         built = []
 
         class CountedFrame(wurx.WakeUpFrame):
-            def __post_init__(self):
-                built.append(self.address)
-                super().__post_init__()
+            # counts every construction, whatever checks the values
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(wurx, "WakeUpFrame", CountedFrame)
         wurx.send_wub.cache_clear()
@@ -144,7 +147,7 @@ class TestBurstBuiltOncePerTarget:
         finally:
             wurx.send_wub.cache_clear()  # drop the CountedFrame bursts
         assert len(metrics.exchanges) == 50
-        assert len(built) <= 1
+        assert len(built) == 1  # the hook sees the one build
 
     def test_repeat_calls_share_one_burst(self):
         assert send_wub(0x2A) is send_wub(0x2A)
