@@ -8,6 +8,8 @@ and a reproducible event engine with coverage and power-profiling
 experiment presets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channel import (ChannelParams, Position, ReceptionOutcome, Transmission,
                       noise_floor_dbm, rssi_at, snr_of)
 from .engine import Simulator, power_profile, range_sweep, run
@@ -16,7 +18,7 @@ from .errors import (ConfigError, ContractViolation, IllegalTransition,
                      ScenarioError, TableEntryMissing, ZeroDistanceError)
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, EnergyLedger, MoteDevice,
-                   NodeEvent, NodeEventKind, power_report)
+                   NodeEvent, power_report)
 from .phy import (RadioConfig, SensitivityTable, payload_symbol_count,
                   time_on_air)
 from .report import RunMetrics, emit, emit_sweep
@@ -29,22 +31,7 @@ from .wurx import (WakeUpFrame, WurxState, receive_wub, send_wub,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelParams", "Position", "ReceptionOutcome", "Transmission",
-    "noise_floor_dbm", "rssi_at", "snr_of",
-    "Simulator", "power_profile", "range_sweep", "run",
-    "ConfigError", "ContractViolation", "IllegalTransition", "MotesimError",
-    "PayloadTooLarge", "RadioUnavailable", "ScenarioError",
-    "TableEntryMissing", "ZeroDistanceError",
-    "Frame",
-    "DEFAULT_POWER_TABLE_W", "EnergyLedger", "MoteDevice", "NodeEvent",
-    "NodeEventKind", "power_report",
-    "RadioConfig", "SensitivityTable", "payload_symbol_count", "time_on_air",
-    "RunMetrics", "emit", "emit_sweep",
-    "Scenario", "load", "power_profile_scenario", "range_point_scenario",
-    "scenario_hash",
-    "RadioDriver", "Unicast", "UnicastMessage", "decode_message",
-    "encode_message",
-    "WakeUpFrame", "WurxState", "receive_wub", "send_wub", "wub_airtime",
-    "__version__",
-]
+# every name imported above, and the version
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

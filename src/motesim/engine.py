@@ -74,7 +74,7 @@ from .node import (DEFAULT_POWER_TABLE_W, DEFAULT_RADIO_TURN_ON_NS,
                    RADIO_TURNING_ON, RADIO_TX, MoteDevice, SUPPLY_VOLTAGE_V,
                    power_report)
 from .phy import SensitivityTable, time_on_air
-from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
+from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario, power_table,
                        power_profile_scenario, range_point_scenario,
                        scenario_hash)
 
@@ -130,20 +130,16 @@ class SimRadioDriver(stk.RadioDriver):
         return self._config
 
     def on(self) -> None:
-        result = self.device.radio_on(self.sim.now)
-        self.sim.process_result(self.device, result)
+        self.sim.node_event(self.device, nd.TURN_RADIO_ON)
 
     def off(self) -> None:
-        result = self.device.radio_off(self.sim.now)
-        self.sim.process_result(self.device, result)
+        self.sim.node_event(self.device, nd.TURN_RADIO_OFF)
 
     def start_rx(self) -> None:
-        result = self.device.start_rx(self.sim.now)
-        self.sim.process_result(self.device, result)
+        self.sim.node_event(self.device, nd.START_RX)
 
     def stop_rx(self) -> None:
-        result = self.device.stop_rx(self.sim.now)
-        self.sim.process_result(self.device, result)
+        self.sim.node_event(self.device, nd.STOP_RX)
 
     def channel_clear(self) -> bool:
         return not self.sim.medium_busy(self._config.frequency_hz)
@@ -223,22 +219,12 @@ class Simulator:
     # -- construction ---------------------------------------------------------
 
     def _build_device(self, spec) -> None:
-        wurx_state = None
-        power = dict(spec.power_w)
-        if spec.wurx is not None:
-            wurx_state = wux.WurxState(
-                configured_address=spec.wurx.address,
-                sensitivity_dbm=spec.wurx.sensitivity_dbm,
-                listen_power_w=spec.wurx.listen_power_w,
-                decode_power_w=spec.wurx.decode_power_w,
-            )
-            # single source for the decode figure: the WuRX block
-            power.setdefault("wurx_decode", spec.wurx.decode_power_w)
         device = MoteDevice(
             address=spec.address,
             position=spec.position,
-            power_table_w=power,
-            wurx=wurx_state,
+            power_table_w=power_table(spec),
+            wurx=None if spec.wurx is None else wux.WurxState(
+                spec.wurx.address, spec.wurx.sensitivity_dbm),
             mcu_wakeup_ns=spec.mcu_wakeup_ns,
             radio_turn_on_ns=spec.radio_turn_on_ns,
             battery_j=spec.battery_j,
@@ -397,8 +383,7 @@ class Simulator:
         airtime_ns = time_on_air(config, len(data))
         frame = Frame(  # positional: keywords cost twice as much
             next(self._frame_ids), device.address, dst, seqno, data,
-            len(data), airtime_ns, config.spreading_factor,
-            config.bandwidth_hz, config.frequency_hz, config.tx_power_dbm,
+            config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
             chan.noise_floor_dbm(config.bandwidth_hz,
                                  self.scenario.channel.noise_figure_db),
             self._rssi_by_rx(device, config.tx_power_dbm))
@@ -412,12 +397,8 @@ class Simulator:
         return frame
 
     def send_wakeup(self, device: MoteDevice, wurx_address: int):
-        if device.mcu is not MCU_ACTIVE or device.radio not in (
-                RADIO_STANDBY, RADIO_RX):
-            raise RadioUnavailable(
-                f"radio of node {device.address} is {device.radio.value}; "
-                f"cannot emit a wake-up burst")
-        # only the wake-up initiator sends bursts
+        # only the wake-up initiator sends bursts; begin_wub_tx rejects a
+        # burst while the radio is off or busy
         wurx_spec = self._target_wurx
         emission = wux.send_wub(wurx_address,
                                 preamble_bits=wurx_spec.preamble_bits,
@@ -732,11 +713,7 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     return rows, meta, all_metrics
 
 
-def power_profile(cycles: int = 10, cycle_period_s: float = 1.0,
-                  payload_len: int = 16, distance_m: float = 2.0,
-                  linger_ms: float = 10.0, seed: int = 1) -> rep.RunMetrics:
-    """Micro-benchmark experiment: wake-up-then-exchange cycles."""
-    scenario = power_profile_scenario(
-        cycles=cycles, cycle_period_s=cycle_period_s, payload_len=payload_len,
-        distance_m=distance_m, linger_ms=linger_ms, seed=seed)
-    return run(scenario)
+def power_profile(**params) -> rep.RunMetrics:
+    """Micro-benchmark experiment: wake-up-then-exchange cycles, with
+    ``params`` as ``power_profile_scenario`` takes them."""
+    return run(power_profile_scenario(**params))

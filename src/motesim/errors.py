@@ -24,13 +24,10 @@ class ZeroDistanceError(MotesimError):
 class IllegalTransition(MotesimError):
     """A node received an event that is not legal in its current state.
 
-    This signals a stack bug; the simulation aborts and attaches the
-    recent event trace for debugging.
+    This signals a stack bug and aborts the simulation. The message names
+    the node, the event, the state and the virtual time; no event trace is
+    attached.
     """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace else []
 
 
 class ContractViolation(MotesimError):

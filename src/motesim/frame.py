@@ -7,8 +7,8 @@ class Frame:
     """One LoRa packet as seen on the medium.
 
     ``src``/``dst``/``seqno`` are the parsed link-header fields (``dst`` is
-    None for raw, headerless sends). ``length`` is the full on-air byte count
-    (header + payload). ``noise_floor_dbm`` is the receive noise floor for
+    None for raw, headerless sends). ``payload`` is every byte on air,
+    header included. ``noise_floor_dbm`` is the receive noise floor for
     the frame's bandwidth; ``rssi_by_rx`` maps every other node to its
     RSSI. Its shadowing draws are taken in order when the transmission
     starts, but an entry is computed at its first read
@@ -18,26 +18,21 @@ class Frame:
     cheapest read and the channel reads these at every decision.
     """
 
-    __slots__ = ("frame_id", "src", "dst", "seqno", "payload", "length",
-                 "airtime_ns", "spreading_factor", "bandwidth_hz",
-                 "frequency_hz", "tx_power_dbm", "noise_floor_dbm",
-                 "rssi_by_rx")
+    __slots__ = ("frame_id", "src", "dst", "seqno", "payload",
+                 "spreading_factor", "bandwidth_hz", "frequency_hz",
+                 "noise_floor_dbm", "rssi_by_rx")
 
     def __init__(self, frame_id: int, src: int, dst: int | None,
-                 seqno: int | None, payload: bytes, length: int,
-                 airtime_ns: int, spreading_factor: int, bandwidth_hz: int,
-                 frequency_hz: float, tx_power_dbm: float,
+                 seqno: int | None, payload: bytes, spreading_factor: int,
+                 bandwidth_hz: int, frequency_hz: float,
                  noise_floor_dbm: float, rssi_by_rx: dict | None = None):
         self.frame_id = frame_id
         self.src = src
         self.dst = dst
         self.seqno = seqno
         self.payload = payload
-        self.length = length
-        self.airtime_ns = airtime_ns
         self.spreading_factor = spreading_factor
         self.bandwidth_hz = bandwidth_hz
         self.frequency_hz = frequency_hz
-        self.tx_power_dbm = tx_power_dbm
         self.noise_floor_dbm = noise_floor_dbm
         self.rssi_by_rx = {} if rssi_by_rx is None else rssi_by_rx

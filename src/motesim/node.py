@@ -14,35 +14,38 @@ the mote is in exactly one power label, looked up from the composite state:
 The "sleep" label is the mote-level floor (1.83 uW) covering the listening
 wake-up receiver and the sleeping MCU together; the attribution between the
 two (1.8 uW WuRX + 0.03 uW MCU and leakage) is documentation, not a charged
-split. The MCU's datasheet deep-sleep figure (0.3 uA at the 3.0 V supply)
-is kept as a named constant for reference.
+split.
 
-State machine (states are (mcu, radio); WuRX mode only affects the label):
+State machine (states are (mcu, radio); WuRX mode only affects the label).
+Events are ``NodeEvent`` members: the scheduled ones and the driver
+operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx):
 
-    state              event / op          next state        side effect
+    state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
     (sleep, off)       wurx_interrupt      (waking, off)     timer mcu_awake +7us
     (sleep, off)       timer[wake]         (waking, off)     timer mcu_awake +7us
     (waking, off)      timer[mcu_awake]    (active, off)     notify awake
-    (active, off)      radio_on()          (active, turning_on)  timer radio_ready
+    (active, off)      radio_on            (active, turning_on)  timer radio_ready
     (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
-    (active, standby)  start_rx()          (active, rx)
+    (active, standby)  start_rx            (active, rx)
     (active, standby)  tx_request          (active, tx)
-    (active, standby)  begin_wub_tx()      (active, tx)      duty-scaled power
-    (active, standby)  radio_off()         (active, off)
+    (active, standby)  begin_wub_tx        (active, tx)      duty-scaled power
+    (active, standby)  radio_off           (active, off)
     (active, standby)  sleep_request       (sleep, off)
     (active, rx)       tx_request          (active, tx)
-    (active, rx)       begin_wub_tx()      (active, tx)      duty-scaled power
-    (active, rx)       stop_rx()           (active, standby)
-    (active, rx)       radio_off()         (active, off)
+    (active, rx)       begin_wub_tx        (active, tx)      duty-scaled power
+    (active, rx)       stop_rx             (active, standby)
+    (active, rx)       radio_off           (active, off)
     (active, rx)       rx_done             (active, rx)      notify frame
     (active, rx)       sleep_request       (sleep, off)      radio off
     (active, tx)       tx_done             (active, standby) notify tx done
     (active, off)      sleep_request       (sleep, off)
     any mcu != sleep   wurx_interrupt      unchanged         retrigger ignored
 
-Every other (state, event) pair raises IllegalTransition: it signals a stack
-bug and the simulation aborts with the recent event trace attached.
+Every other (state, event) pair raises IllegalTransition, whose message
+names the node, the event, the state and the time; it signals a stack bug
+and aborts the run. ``MoteDevice.transition`` is the one place that checks
+a pair.
 
 The MCU sleeps and wakes only with the radio off, so a state change's result
 depends on the event alone, never on the state it leaves. Every result is
@@ -66,7 +69,6 @@ from .phy import NS_PER_S
 from .wurx import WurxMode, WurxState
 
 SUPPLY_VOLTAGE_V = 3.0
-MCU_LPM4_CURRENT_A = 0.3e-6  # datasheet deep-sleep draw, for reference
 DEFAULT_MCU_WAKEUP_NS = 7_000
 DEFAULT_RADIO_TURN_ON_NS = 1_000_000
 
@@ -106,49 +108,34 @@ RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY, RADIO_RX, RADIO_TX = RadioMode
 _DECODING = WurxMode.DECODING
 
 
-class NodeEventKind(enum.Enum):
+class NodeEvent(enum.Enum):
+    """Everything that changes a mote's state: the scheduled events and the
+    driver operations. Each member's value is its text in the dispatch
+    trace and in ``IllegalTransition`` messages."""
+
+    WAKE = "timer[wake]"
+    MCU_AWAKE = "timer[mcu_awake]"
+    RADIO_READY = "timer[radio_ready]"
     WURX_INTERRUPT = "wurx_interrupt"
     TX_REQUEST = "tx_request"
-    RX_DONE = "rx_done"
     TX_DONE = "tx_done"
-    TIMER = "timer"
+    RX_DONE = "rx_done"
     SLEEP_REQUEST = "sleep_request"
+    RADIO_ON = "radio_on"
+    RADIO_OFF = "radio_off"
+    START_RX = "start_rx"
+    STOP_RX = "stop_rx"
+    BEGIN_WUB_TX = "begin_wub_tx"
+
+    def __init__(self, text):
+        # a plain attribute, where ``Enum.value`` is a property
+        self.text = text
 
 
-# bound once, like the modes above
-(_WURX_INTERRUPT, _TX_REQUEST, _RX_DONE, _TX_DONE, _TIMER,
- _SLEEP_REQUEST) = NodeEventKind
-
-
-class NodeEvent:
-    """``purpose`` is a TIMER's: "wake" | "mcu_awake" | "radio_ready".
-    ``text``, the event as the dispatch trace writes it, is built once."""
-
-    __slots__ = ("kind", "purpose", "text")
-
-    def __init__(self, kind: NodeEventKind, purpose: str | None = None):
-        self.kind = kind
-        self.purpose = purpose
-        self.text = f"{kind.value}[{purpose}]" if purpose else kind.value
-
-    def __eq__(self, other):
-        return isinstance(other, NodeEvent) and (
-            self.kind, self.purpose) == (other.kind, other.purpose)
-
-    def __str__(self):
-        return self.text
-
-
-# The fixed node events. Nothing changes a NodeEvent once built, so one
-# instance of each is shared by every node and every dispatch.
-WAKE = NodeEvent(NodeEventKind.TIMER, "wake")
-MCU_AWAKE = NodeEvent(NodeEventKind.TIMER, "mcu_awake")
-RADIO_READY = NodeEvent(NodeEventKind.TIMER, "radio_ready")
-TX_REQUEST = NodeEvent(NodeEventKind.TX_REQUEST)
-TX_DONE = NodeEvent(NodeEventKind.TX_DONE)
-RX_DONE = NodeEvent(NodeEventKind.RX_DONE)
-SLEEP_REQUEST = NodeEvent(NodeEventKind.SLEEP_REQUEST)
-WURX_INTERRUPT = NodeEvent(NodeEventKind.WURX_INTERRUPT)
+# bound once, like the modes above; RADIO_OFF already names a radio mode
+(WAKE, MCU_AWAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE, RX_DONE,
+ SLEEP_REQUEST, TURN_RADIO_ON, TURN_RADIO_OFF, START_RX, STOP_RX,
+ BEGIN_WUB_TX) = NodeEvent
 
 
 class TransitionResult(NamedTuple):
@@ -192,6 +179,9 @@ def check_node_params(power_table_w: dict = DEFAULT_POWER_TABLE_W,
     if mcu_wakeup_ns <= 0 or radio_turn_on_ns <= 0:
         raise ConfigError("wake-up and radio turn-on latencies must be > 0")
     table = power_table_w
+    for label, power_w in table.items():
+        if power_w < 0:
+            raise ConfigError(f"{label} power must be >= 0, got {power_w} W")
     if table["sleep"] >= table["mcu_active"]:
         raise ConfigError("sleep power must be below MCU active power")
     # radio tx/rx must dominate the idle draws
@@ -275,10 +265,9 @@ class MoteDevice:
     """One mote's composite state; mutated only on the engine thread.
 
     The wake path after a wake-up interrupt is mechanical (7 us MCU wake),
-    after which the application layer owns radio policy via the driver ops
-    (radio_on/start_rx/...). ``transition`` implements the table in the
-    module docstring and returns follow-up events for the engine to
-    schedule.
+    after which the application layer owns radio policy via the driver
+    operations. ``transition`` implements the table in the module docstring
+    and returns follow-up events for the engine to schedule.
     """
 
     def __init__(self, address: int, position, power_table_w: dict | None = None,
@@ -294,12 +283,11 @@ class MoteDevice:
         check_node_params(self.power_table_w, mcu_wakeup_ns=mcu_wakeup_ns,
                           radio_turn_on_ns=radio_turn_on_ns)
         self.wurx = wurx
-        self.mcu_wakeup_ns = mcu_wakeup_ns
-        self.radio_turn_on_ns = radio_turn_on_ns
         self._waking = TransitionResult(MCU_WAKING, RADIO_OFF, (
             (mcu_wakeup_ns, MCU_AWAKE),))
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (radio_turn_on_ns, RADIO_READY),))
+        self.radio = RADIO_OFF
         self.rx_since_ns: int | None = None
         self.wub_tx_power_w: float | None = None  # duty-scaled override
         self.ledger = EnergyLedger(battery_j, harvest_rate_w, harvest_efficiency)
@@ -321,90 +309,58 @@ class MoteDevice:
             return "wurx_decode"
         return "sleep"
 
-    # -- spec events ----------------------------------------------------------
+    # -- events ---------------------------------------------------------------
 
     def transition(self, event: NodeEvent, now_ns: int) -> TransitionResult:
-        kind = event.kind
         mcu, radio = self.mcu, self.radio
-
-        if kind is _WURX_INTERRUPT:
-            if mcu is MCU_SLEEP:
-                return self._apply(now_ns, self._waking)
+        result = None
+        if mcu is MCU_ACTIVE:
+            if radio is RADIO_STANDBY or radio is RADIO_RX:
+                if event is TX_REQUEST or event is BEGIN_WUB_TX:
+                    result = _ACTIVE_TX
+                elif event is SLEEP_REQUEST:
+                    result = _ASLEEP
+                elif event is TURN_RADIO_OFF:
+                    result = _ACTIVE_OFF
+                elif radio is RADIO_STANDBY:
+                    if event is START_RX:
+                        result = _ACTIVE_RX
+                elif event is RX_DONE:
+                    result = _ACTIVE_RX
+                elif event is STOP_RX:
+                    result = _ACTIVE_STANDBY
+            elif radio is RADIO_TX:
+                if event is TX_DONE:
+                    result = _ACTIVE_STANDBY
+            elif radio is RADIO_OFF:
+                if event is TURN_RADIO_ON:
+                    result = self._turning_on
+                elif event is SLEEP_REQUEST:
+                    result = _ASLEEP
+            elif event is RADIO_READY:  # the radio is turning on
+                result = _RADIO_READY
+        elif mcu is MCU_SLEEP:
+            if event is WURX_INTERRUPT or event is WAKE:
+                result = self._waking
+        elif event is MCU_AWAKE:  # the MCU is waking
+            result = _AWAKE
+        if result is not None:
+            return self._apply(now_ns, result)
+        if event is WURX_INTERRUPT:
             # re-trigger while already awake/waking: documented no-op
             return TransitionResult(mcu, radio)
-
-        if kind is _TIMER:
-            purpose = event.purpose
-            if purpose == "wake" and mcu is MCU_SLEEP:
-                return self._apply(now_ns, self._waking)
-            if purpose == "mcu_awake" and mcu is MCU_WAKING:
-                return self._apply(now_ns, _AWAKE)
-            if purpose == "radio_ready" and mcu is MCU_ACTIVE \
-                    and radio is RADIO_TURNING_ON:
-                return self._apply(now_ns, _RADIO_READY)
-            return self._illegal(event, now_ns)
-
-        if kind is _TX_REQUEST:
-            if mcu is MCU_ACTIVE and radio in (RADIO_STANDBY, RADIO_RX):
-                self.rx_since_ns = None
-                return self._apply(now_ns, _ACTIVE_TX)
-            return self._illegal(event, now_ns)
-
-        if kind is _TX_DONE:
-            if mcu is MCU_ACTIVE and radio is RADIO_TX:
-                # the finished dwell is charged at the cached duty power
-                self.wub_tx_power_w = None
-                return self._apply(now_ns, _ACTIVE_STANDBY)
-            return self._illegal(event, now_ns)
-
-        if kind is _RX_DONE:
-            if mcu is MCU_ACTIVE and radio is RADIO_RX:
-                return self._apply(now_ns, _ACTIVE_RX)
-            return self._illegal(event, now_ns)
-
-        if kind is _SLEEP_REQUEST:
-            if mcu is MCU_ACTIVE and radio in (RADIO_OFF, RADIO_STANDBY,
-                                               RADIO_RX):
-                self.rx_since_ns = None
-                return self._apply(now_ns, _ASLEEP)
-            return self._illegal(event, now_ns)
-
-        return self._illegal(event, now_ns)
-
-    # -- driver operations (engine thread) ------------------------------------
-
-    def radio_on(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_OFF:
-            return self._illegal("radio_on", now_ns)
-        return self._apply(now_ns, self._turning_on)
-
-    def radio_off(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not MCU_ACTIVE or self.radio not in (RADIO_STANDBY,
-                                                            RADIO_RX):
-            return self._illegal("radio_off", now_ns)
-        self.rx_since_ns = None
-        return self._apply(now_ns, _ACTIVE_OFF)
-
-    def start_rx(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_STANDBY:
-            return self._illegal("start_rx", now_ns)
-        self.rx_since_ns = now_ns
-        return self._apply(now_ns, _ACTIVE_RX)
-
-    def stop_rx(self, now_ns: int) -> TransitionResult:
-        if self.mcu is not MCU_ACTIVE or self.radio is not RADIO_RX:
-            return self._illegal("stop_rx", now_ns)
-        self.rx_since_ns = None
-        return self._apply(now_ns, _ACTIVE_STANDBY)
+        raise IllegalTransition(
+            f"node {self.address}: event {event.text} illegal in state "
+            f"(mcu={mcu.value}, radio={radio.value}) at t={now_ns} ns")
 
     def begin_wub_tx(self, now_ns: int, duty: float) -> TransitionResult:
-        """Enter TX for an OOK wake-up frame, charged at duty-scaled power."""
-        if self.mcu is not MCU_ACTIVE or self.radio not in (RADIO_STANDBY,
-                                                            RADIO_RX):
-            return self._illegal("begin_wub_tx", now_ns)
-        self.rx_since_ns = None
+        """Enter TX for an OOK wake-up frame, charged at duty-scaled power.
+
+        The event is checked first, so an illegal call leaves no override;
+        the burst's label is then picked again, at the same instant."""
+        result = self.transition(BEGIN_WUB_TX, now_ns)
         self.wub_tx_power_w = self.power_table_w["lora_tx"] * duty
-        return self._apply(now_ns, _ACTIVE_TX)
+        return self._apply(now_ns, result)
 
     # -- internals ------------------------------------------------------------
 
@@ -415,7 +371,8 @@ class MoteDevice:
         The dwell is charged at the label and power cached when it began, so
         a caller may change the WuRX mode or the duty override first. Every
         change of label goes through here, so the per-label times partition
-        the run exactly.
+        the run exactly. The state entered sets the rest: ``rx_since_ns``
+        is the ns rx was entered, and the duty override lasts while tx does.
         """
         dt = now_ns - self._label_since_ns
         if dt > 0:
@@ -424,17 +381,19 @@ class MoteDevice:
         elif dt < 0:
             raise IllegalTransition(
                 f"node {self.address}: ledger time moved backwards")
+        radio = result.radio
+        if radio is not RADIO_RX:
+            self.rx_since_ns = None
+        elif self.radio is not RADIO_RX:
+            self.rx_since_ns = now_ns
+        if radio is not RADIO_TX:
+            self.wub_tx_power_w = None
         self.mcu = result.mcu
-        self.radio = result.radio
+        self.radio = radio
         label = self._label = self._current_label()
         self._label_power_w = self.wub_tx_power_w if label == "wub_tx" \
             else self.power_table_w[label]
         return result
-
-    def _illegal(self, event, now_ns):
-        raise IllegalTransition(
-            f"node {self.address}: event {event} illegal in state "
-            f"(mcu={self.mcu.value}, radio={self.radio.value}) at t={now_ns} ns")
 
     # WuRX mode flips also change the charged label.
 

@@ -22,18 +22,18 @@ from .errors import ConfigError, ScenarioError
 from .node import (DEFAULT_MCU_WAKEUP_NS, DEFAULT_POWER_TABLE_W,
                    DEFAULT_RADIO_TURN_ON_NS, check_node_params)
 from .phy import NS_PER_S, RadioConfig, time_on_air
-from .stack import HEADER_BYTES
-from .wurx import WakeUpFrame, WurxState, wub_airtime
+from .stack import DEFAULT_MTU, HEADER_BYTES
+from .wurx import WakeUpFrame, wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
 ROLES = ("bs", "mote", "initiator", "sleeper")
 # the app keys each kind reads, beside ``kind``; any other key is rejected
 _APP_KEYS = {
-    "periodic": {"src", "dst", "payload_len", "period_s"},
-    "wakeup_exchange": {"initiator", "target", "payload_len", "cycles",
-                        "cycle_period_s", "linger_ms", "rx_timeout_ms"},
-    "none": set(),
+    "periodic": ("src", "dst", "payload_len", "period_s"),
+    "wakeup_exchange": ("payload_len", "initiator", "target", "cycles",
+                        "cycle_period_s", "linger_ms", "rx_timeout_ms"),
+    "none": (),
 }
 APP_KINDS = tuple(_APP_KEYS)
 
@@ -140,11 +140,40 @@ def _parse_fields(cls, raw, where: str):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+# each duration key, as (its field in ns, seconds per unit of the key)
+_DURATIONS = {
+    "mcu_wakeup_latency_us": ("mcu_wakeup_ns", 1e-6),
+    "radio_turn_on_ms": ("radio_turn_on_ns", 1e-3),
+    "period_s": ("period_ns", 1.0),
+    "cycle_period_s": ("cycle_period_ns", 1.0),
+    "linger_ms": ("linger_ns", 1e-3),
+    "rx_timeout_ms": ("rx_timeout_ns", 1e-3),
+}
+
+
+def _parse_present(raw: dict, keys, kind, where: str) -> dict:
+    """The fields for those of ``keys`` present in ``raw``, so that an
+    omitted key takes the field's default. A duration key sets its ns
+    field; any other key is a ``kind`` value for the field of its name."""
+    values = {}
+    for key in keys:
+        if key not in raw:
+            continue
+        if key in _DURATIONS:
+            name, unit_s = _DURATIONS[key]
+            values[name] = _s_to_ns(_get(raw, key, float, where) * unit_s)
+        else:
+            values[key] = _get(raw, key, kind, where)
+    return values
+
+
 _POWER_KEYS = {
     "sleep_w": "sleep", "wurx_decode_w": "wurx_decode",
     "lora_tx_w": "lora_tx", "lora_rx_w": "lora_rx",
     "mcu_active_w": "mcu_active",
 }
+_NODE_KEYS = ("battery_j", "harvest_rate_w", "harvest_efficiency",
+              "mcu_wakeup_latency_us", "radio_turn_on_ms")
 
 
 def _parse_node(raw, index: int) -> NodeSpec:
@@ -152,8 +181,7 @@ def _parse_node(raw, index: int) -> NodeSpec:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} must be a mapping")
     _require_keys(raw, {"address", "role", "position", "power", "wurx",
-                        "battery_j", "harvest_rate_w", "harvest_efficiency",
-                        "radio_turn_on_ms", "mcu_wakeup_latency_us"}, where)
+                        *_NODE_KEYS}, where)
     role = _get(raw, "role", str, where, required=True)
     if role not in ROLES:
         raise ScenarioError(f"{where}.role must be one of {ROLES}, got {role!r}")
@@ -177,13 +205,7 @@ def _parse_node(raw, index: int) -> NodeSpec:
         if "position" in raw else Position(),
         power_w=power,
         wurx=wurx,
-        battery_j=_get(raw, "battery_j", float, where, 1.0e4),
-        harvest_rate_w=_get(raw, "harvest_rate_w", float, where, 0.0),
-        harvest_efficiency=_get(raw, "harvest_efficiency", float, where, 0.90),
-        mcu_wakeup_ns=_s_to_ns(_get(raw, "mcu_wakeup_latency_us", float,
-                                    where, 7.0) * 1e-6),
-        radio_turn_on_ns=_s_to_ns(_get(raw, "radio_turn_on_ms", float,
-                                       where, 1.0) * 1e-3),
+        **_parse_present(raw, _NODE_KEYS, float, where),
     )
 
 
@@ -192,21 +214,19 @@ def _parse_app(raw) -> AppSpec:
     kind = _get(raw, "kind", str, where, required=True)
     if kind not in APP_KINDS:
         raise ScenarioError(f"app.kind must be one of {APP_KINDS}, got {kind!r}")
-    _require_keys(raw, {"kind"} | _APP_KEYS[kind], f"app of kind {kind!r}")
-    return AppSpec(
-        kind=kind,
-        src=_get(raw, "src", int, where),
-        dst=_get(raw, "dst", int, where),
-        payload_len=_get(raw, "payload_len", int, where, 16),
-        period_ns=_s_to_ns(_get(raw, "period_s", float, where, 10.0)),
-        initiator=_get(raw, "initiator", int, where),
-        target=_get(raw, "target", int, where),
-        cycles=_get(raw, "cycles", int, where, 10),
-        cycle_period_ns=_s_to_ns(_get(raw, "cycle_period_s", float, where, 1.0)),
-        linger_ns=_s_to_ns(_get(raw, "linger_ms", float, where, 10.0) * 1e-3),
-        rx_timeout_ns=_s_to_ns(_get(raw, "rx_timeout_ms", float, where,
-                                    1000.0) * 1e-3),
-    )
+    _require_keys(raw, {"kind", *_APP_KEYS[kind]}, f"app of kind {kind!r}")
+    return AppSpec(kind=kind, **_parse_present(raw, _APP_KEYS[kind], int,
+                                               where))
+
+
+def power_table(spec: NodeSpec) -> dict:
+    """The node's full power table: the defaults, the wurx block's decode
+    power, then the node's own power keys."""
+    table = dict(DEFAULT_POWER_TABLE_W)
+    if spec.wurx is not None:
+        table["wurx_decode"] = spec.wurx.decode_power_w
+    table.update(spec.power_w)
+    return table
 
 
 def validate(scenario: Scenario) -> None:
@@ -220,16 +240,14 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
-    # each node's ranges, the burst addressed to each wake-up receiver,
-    # checked as sent, and the receiver itself, checked as the engine
-    # builds them
+    # each node's ranges as the engine builds it, and the burst addressed
+    # to each wake-up receiver, checked as sent
     wub_frames = {}
     for spec in scenario.nodes:
         try:
-            check_node_params({**DEFAULT_POWER_TABLE_W, **spec.power_w},
-                              spec.battery_j, spec.harvest_rate_w,
-                              spec.harvest_efficiency, spec.mcu_wakeup_ns,
-                              spec.radio_turn_on_ns)
+            check_node_params(power_table(spec), spec.battery_j,
+                              spec.harvest_rate_w, spec.harvest_efficiency,
+                              spec.mcu_wakeup_ns, spec.radio_turn_on_ns)
         except ConfigError as exc:
             raise ScenarioError(f"node {spec.address}: {exc}") from exc
         if spec.wurx is not None:
@@ -238,14 +256,17 @@ def validate(scenario: Scenario) -> None:
                     address=spec.wurx.address,
                     preamble_bits=spec.wurx.preamble_bits,
                     bit_rate_bps=spec.wurx.bit_rate_bps)
-                WurxState(configured_address=spec.wurx.address,
-                          sensitivity_dbm=spec.wurx.sensitivity_dbm,
-                          listen_power_w=spec.wurx.listen_power_w,
-                          decode_power_w=spec.wurx.decode_power_w)
             except ConfigError as exc:
                 raise ScenarioError(
                     f"node {spec.address} wurx: {exc}") from exc
+            if spec.wurx.listen_power_w >= spec.wurx.decode_power_w:
+                raise ScenarioError(f"node {spec.address} wurx: listen power "
+                                    f"must be below decode power")
     app = scenario.app
+    # the unicast layer refuses a payload above its MTU
+    if not 0 <= app.payload_len <= DEFAULT_MTU:
+        raise ScenarioError(f"app.payload_len must be within [0, "
+                            f"{DEFAULT_MTU}], got {app.payload_len}")
     if app.kind == "periodic":
         # src may be omitted: then every mote sends
         if app.dst is None:
@@ -283,8 +304,6 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(
                 f"app.cycle_period_s must exceed one full exchange "
                 f"({exchange_ns / NS_PER_S:.6f} s)")
-    if app.payload_len < 0:
-        raise ScenarioError("app.payload_len must be >= 0")
 
 
 def from_dict(raw: dict) -> Scenario:

@@ -94,15 +94,6 @@ class RadioDriver:
         raise NotImplementedError
 
 
-class SendHandle:
-    __slots__ = ("seqno", "dst", "completed")
-
-    def __init__(self, seqno: int, dst: int):
-        self.seqno = seqno
-        self.dst = dst
-        self.completed = False
-
-
 class Unicast:
     """Best-effort single-hop unicast over a :class:`RadioDriver`."""
 
@@ -118,10 +109,9 @@ class Unicast:
         self.duplicates_dropped = 0
         self.overheard = 0
         self.on_message = None  # callback(UnicastMessage)
-        self._pending: dict = {}
-        driver.bind(rx_done=self._rx_done, tx_done=self._tx_done)
+        driver.bind(rx_done=self._rx_done)
 
-    def send(self, dst: int, payload: bytes) -> SendHandle:
+    def send(self, dst: int, payload: bytes) -> None:
         """Transmit ``payload`` to ``dst``; loopback destinations are
         delivered locally without touching the radio."""
         if len(payload) > self.mtu:
@@ -129,20 +119,10 @@ class Unicast:
                 f"payload {len(payload)} B exceeds MTU {self.mtu} B")
         self._seqno += 1
         msg = UnicastMessage(self.local_address, dst, self._seqno, payload)
-        handle = SendHandle(msg.seqno, dst)
-        if dst == self.local_address:
-            handle.completed = True
-            if self.on_message is not None:
-                self.on_message(msg)
-            return handle
-        radio_handle = self.driver.send(encode_message(msg))
-        self._pending[radio_handle] = handle
-        return handle
-
-    def _tx_done(self, radio_handle) -> None:
-        handle = self._pending.pop(radio_handle, None)
-        if handle is not None:
-            handle.completed = True
+        if dst != self.local_address:
+            self.driver.send(encode_message(msg))
+        elif self.on_message is not None:
+            self.on_message(msg)
 
     def _rx_done(self, frame: Frame) -> str:
         msg = decode_message(frame.payload)
@@ -225,7 +205,6 @@ class PeriodicSenderApp(App):
         self.period_ns = period_ns
         self.idle_policy = idle_policy
         self.attempts = 0  # ticks that initiated a send cycle
-        self.sent = 0      # frames actually put on air
         self.ticks_skipped = 0
         self._phase = "idle"
 
@@ -258,7 +237,6 @@ class PeriodicSenderApp(App):
     def _send_now(self) -> None:
         self._phase = "sending"
         self.unicast.send(self.dst, self.payload)
-        self.sent += 1
 
     def on_tx_done(self) -> None:
         if self._phase != "sending":

@@ -95,24 +95,19 @@ class WurxMode(enum.Enum):
 
 
 class WurxState:
-    """Wake-up receiver: configured address, sensitivity, modal powers, and
-    the mode and counters the engine updates at every burst."""
+    """Wake-up receiver: configured address, sensitivity, and the mode and
+    counters the engine updates at every burst. The node's power table
+    holds its decode power."""
 
-    __slots__ = ("configured_address", "sensitivity_dbm", "listen_power_w",
-                 "decode_power_w", "mode", "missed_while_decoding",
-                 "false_wakeups_rejected", "interrupts_asserted")
+    __slots__ = ("configured_address", "sensitivity_dbm", "mode",
+                 "missed_while_decoding", "false_wakeups_rejected",
+                 "interrupts_asserted")
 
-    def __init__(self, configured_address: int, sensitivity_dbm: float = -50.0,
-                 listen_power_w: float = 1.8e-6,
-                 decode_power_w: float = 284e-6):
+    def __init__(self, configured_address: int, sensitivity_dbm: float = -50.0):
         if not 0 <= configured_address <= 255:
             raise ConfigError("configured_address must be 0..255")
-        if listen_power_w >= decode_power_w:
-            raise ConfigError("listen power must be below decode power")
         self.configured_address = configured_address
         self.sensitivity_dbm = sensitivity_dbm
-        self.listen_power_w = listen_power_w
-        self.decode_power_w = decode_power_w
         self.mode = WurxMode.LISTENING
         self.missed_while_decoding = 0
         self.false_wakeups_rejected = 0

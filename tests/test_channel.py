@@ -15,14 +15,16 @@ TABLE = SensitivityTable.load_default()
 ORIGIN = Position()
 
 
+AIRTIME_NS = 313_344_000  # a 16-byte frame at SF12/500 kHz
+
+
 def make_frame(frame_id, src, dst, rssi_by_rx, sf=12, bw=500_000,
-               freq=868e6, airtime_ns=313_344_000):
+               freq=868e6):
     nf = 6.0
     return Frame(
         frame_id=frame_id, src=src, dst=dst, seqno=frame_id,
-        payload=b"", length=16, airtime_ns=airtime_ns,
-        spreading_factor=sf, bandwidth_hz=bw, frequency_hz=freq,
-        tx_power_dbm=14.0, noise_floor_dbm=noise_floor_dbm(bw, nf),
+        payload=b"", spreading_factor=sf, bandwidth_hz=bw, frequency_hz=freq,
+        noise_floor_dbm=noise_floor_dbm(bw, nf),
         rssi_by_rx=dict(rssi_by_rx),
     )
 
@@ -150,7 +152,7 @@ class TestSnr:
 class TestResolveConcurrent:
     def test_single_transmission_ok(self):
         frame = make_frame(1, src=10, dst=20, rssi_by_rx={20: -100.0})
-        out = resolve_concurrent([Transmission(frame, 0, frame.airtime_ns)],
+        out = resolve_concurrent([Transmission(frame, 0, AIRTIME_NS)],
                                  TABLE)
         assert out[(20, 1)].cause == "ok"
 
@@ -158,8 +160,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, 0, b.airtime_ns)], TABLE,
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, 0, AIRTIME_NS)], TABLE,
             capture_threshold_db=6.0)
         assert out[(20, 1)].cause == "collision"
         assert out[(20, 2)].cause == "collision"
@@ -168,8 +170,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -90.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, 1_000_000, 1_000_000 + b.airtime_ns)], TABLE)
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, 1_000_000, 1_000_000 + AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "collision"
 
@@ -177,8 +179,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -95.0})
         b = make_frame(2, 11, 20, {20: -100.0})  # 5 dB < 6 dB threshold
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, 0, b.airtime_ns)], TABLE)
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "collision"
         assert out[(20, 2)].cause == "collision"
 
@@ -186,8 +188,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, a.airtime_ns, 2 * a.airtime_ns)], TABLE)
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, AIRTIME_NS, 2 * AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "ok"
 
@@ -195,8 +197,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0}, sf=12)
         b = make_frame(2, 11, 20, {20: -90.0}, sf=11)
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, 0, b.airtime_ns)], TABLE)
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "ok"
 
@@ -205,16 +207,16 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -141.0})
         b = make_frame(2, 11, 20, {20: -150.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, a.airtime_ns),
-             Transmission(b, 0, b.airtime_ns)], TABLE)
+            [Transmission(a, 0, AIRTIME_NS),
+             Transmission(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "below-sensitivity"
         assert out[(20, 2)].cause == "collision"
 
     def test_chained_overlap_pairwise_exclusive(self):
         # A and C do not overlap each other; B bridges both and loses twice
-        a = make_frame(1, 10, 20, {20: -80.0}, airtime_ns=100)
-        b = make_frame(2, 11, 20, {20: -90.0}, airtime_ns=150)
-        c = make_frame(3, 12, 20, {20: -80.0}, airtime_ns=100)
+        a = make_frame(1, 10, 20, {20: -80.0})
+        b = make_frame(2, 11, 20, {20: -90.0})
+        c = make_frame(3, 12, 20, {20: -80.0})
         out = resolve_concurrent(
             [Transmission(a, 0, 100),
              Transmission(b, 50, 200),
@@ -232,8 +234,7 @@ class TestResolveConcurrent:
                 start = rng.randrange(0, 400)
                 length = rng.randrange(50, 300)
                 rssi = rng.uniform(-135.0, -60.0)
-                frame = make_frame(i, 100 + i, 20, {20: rssi},
-                                   airtime_ns=length)
+                frame = make_frame(i, 100 + i, 20, {20: rssi})
                 txs.append(Transmission(frame, start, start + length))
             out = resolve_concurrent(txs, TABLE)
             for i, ta in enumerate(txs):

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -121,3 +122,53 @@ def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
     assert "shadowing_sigma_db must be finite and >= 0" in \
         capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# SHA-256 of the text reports, pinned on the code before the node state
+# machine moved into one function; the text emitters had no digest before
+TEXT_DIGESTS = [
+    (["run", str(EXAMPLE), "--format", "text"], "report.txt",
+     "10248c910442a373e19b8e7006c098fe5433eb916e5f8c700d8f4ca3f85420b5"),
+    (["range-sweep", "--distances", "50,600,700", "--packets", "5",
+      "--format", "text"], "sweep.txt",
+     "6b737cf610ac1ca41eab0d84d9887088644a1b7d76fe25fa381b8276b04e4679"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", TEXT_DIGESTS,
+                         ids=[name for _, name, _ in TEXT_DIGESTS])
+def test_text_report_digest(argv, name, digest, tmp_path):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == \
+        digest
+
+
+@pytest.mark.parametrize("key", ["sleep_w", "wurx_decode_w", "lora_tx_w",
+                                 "lora_rx_w", "mcu_active_w"])
+def test_negative_power_rejected_at_load(key, tmp_path, capsys):
+    # the example's second node lists each power key commented out
+    text = EXAMPLE.read_text()
+    assert text.count("    # power:\n") == 1
+    assert text.count(f"    #   {key}: ") == 1
+    bad = tmp_path / "negative_power.yaml"
+    bad.write_text(text.replace("    # power:\n", "    power:\n").replace(
+        f"    #   {key}: ", f"      {key}: -1.0  # "))
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error: node 2:" in err and "must be >= 0" in err
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("payload_len", [300, -7])
+def test_payload_len_checked_at_load(payload_len, tmp_path, capsys):
+    text = EXAMPLE.read_text()
+    assert text.count("  payload_len: 16\n") == 1
+    bad = tmp_path / "payload.yaml"
+    bad.write_text(text.replace("  payload_len: 16\n",
+                                f"  payload_len: {payload_len}\n"))
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: app.payload_len")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from motesim import (ConfigError, EnergyLedger, IllegalTransition,
-                     MoteDevice, NodeEvent, NodeEventKind, Position,
+                     MoteDevice, NodeEvent, Position,
                      power_report)
 from motesim.node import DEFAULT_POWER_TABLE_W, McuMode, RadioMode
 from motesim.wurx import WurxMode, WurxState
@@ -15,43 +16,38 @@ def make_device(awake=False, with_wurx=False, **kwargs):
                       start_awake=awake, **kwargs)
 
 
-def ev(kind, purpose=None):
-    return NodeEvent(NodeEventKind[kind], purpose)
-
-
 class TestWakePath:
     def test_interrupt_starts_wake_chain(self):
         device = make_device()
-        result = device.transition(ev("WURX_INTERRUPT"), 1_000)
+        result = device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
         assert device.mcu is McuMode.WAKING
-        assert result.followups == ((7_000, NodeEvent(NodeEventKind.TIMER,
-                                                      "mcu_awake")),)
+        assert result.followups == ((7_000, NodeEvent.MCU_AWAKE),)
 
     def test_full_chain_to_rx(self):
         device = make_device()
         t = 0
-        device.transition(ev("WURX_INTERRUPT"), t)
+        device.transition(NodeEvent.WURX_INTERRUPT, t)
         t += 7_000
-        result = device.transition(ev("TIMER", "mcu_awake"), t)
+        result = device.transition(NodeEvent.MCU_AWAKE, t)
         assert result.awake and device.mcu is McuMode.ACTIVE
-        result = device.radio_on(t)
+        result = device.transition(NodeEvent.RADIO_ON, t)
         (delay, timer), = result.followups
         t += delay
         result = device.transition(timer, t)
         assert result.radio_ready and device.radio is RadioMode.STANDBY
-        device.start_rx(t)
+        device.transition(NodeEvent.START_RX, t)
         assert device.radio is RadioMode.RX
         assert device.rx_since_ns == t == 7_000 + 1_000_000
 
     def test_retrigger_while_awake_is_noop(self):
         device = make_device(awake=True)
-        result = device.transition(ev("WURX_INTERRUPT"), 5)
+        result = device.transition(NodeEvent.WURX_INTERRUPT, 5)
         assert result.followups == ()
         assert device.mcu is McuMode.ACTIVE
 
     def test_sleep_request_reaches_floor_power(self):
         device = make_device(awake=True)
-        device.transition(ev("SLEEP_REQUEST"), 1_000_000)
+        device.transition(NodeEvent.SLEEP_REQUEST, 1_000_000)
         assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
         device.finalize(2_000_000)
         rows = {r[0]: r for r in power_report(device.ledger,
@@ -63,39 +59,41 @@ class TestWakePath:
 class TestIllegalTransitions:
     def test_tx_request_while_tx(self):
         device = make_device(awake=True)
-        device.radio_on(0)
-        device.transition(ev("TIMER", "radio_ready"), 1_000_000)
-        device.transition(ev("TX_REQUEST"), 1_000_000)
+        device.transition(NodeEvent.RADIO_ON, 0)
+        device.transition(NodeEvent.RADIO_READY, 1_000_000)
+        device.transition(NodeEvent.TX_REQUEST, 1_000_000)
         with pytest.raises(IllegalTransition):
-            device.transition(ev("TX_REQUEST"), 2_000_000)
+            device.transition(NodeEvent.TX_REQUEST, 2_000_000)
 
     def test_tx_request_radio_off(self):
         device = make_device(awake=True)
         with pytest.raises(IllegalTransition):
-            device.transition(ev("TX_REQUEST"), 0)
+            device.transition(NodeEvent.TX_REQUEST, 0)
 
     def test_sleep_request_while_sleeping(self):
         device = make_device()
         with pytest.raises(IllegalTransition):
-            device.transition(ev("SLEEP_REQUEST"), 0)
+            device.transition(NodeEvent.SLEEP_REQUEST, 0)
 
     def test_rx_done_without_rx(self):
         device = make_device(awake=True)
         with pytest.raises(IllegalTransition):
-            device.transition(ev("RX_DONE"), 0)
+            device.transition(NodeEvent.RX_DONE, 0)
 
     def test_driver_ops_while_asleep(self):
         device = make_device()
-        for op in (device.radio_on, device.radio_off, device.start_rx,
-                   device.stop_rx):
-            with pytest.raises(IllegalTransition):
-                op(0)
+        for event in (NodeEvent.RADIO_ON, NodeEvent.RADIO_OFF,
+                      NodeEvent.START_RX, NodeEvent.STOP_RX):
+            with pytest.raises(IllegalTransition, match=re.escape(
+                    f"node 7: event {event.value} illegal in state "
+                    f"(mcu=sleep, radio=off) at t=0 ns")):
+                device.transition(event, 0)
 
     def test_ledger_time_moving_backwards_rejected(self):
         device = make_device(awake=True)
-        device.radio_on(1_000)
+        device.transition(NodeEvent.RADIO_ON, 1_000)
         with pytest.raises(IllegalTransition, match="backwards"):
-            device.transition(ev("TIMER", "radio_ready"), 999)
+            device.transition(NodeEvent.RADIO_READY, 999)
         with pytest.raises(IllegalTransition, match="backwards"):
             device.finalize(999)
 
@@ -106,19 +104,19 @@ class TestSharedResults:
         slow = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
         timers = []
         for device in (fast, slow):
-            waking = device.transition(ev("WURX_INTERRUPT"), 0)
-            awake = device.transition(ev("TIMER", "mcu_awake"), 10_000)
-            turning_on = device.radio_on(10_000)
-            ready = device.transition(ev("TIMER", "radio_ready"), 3_000_000)
+            waking = device.transition(NodeEvent.WURX_INTERRUPT, 0)
+            awake = device.transition(NodeEvent.MCU_AWAKE, 10_000)
+            turning_on = device.transition(NodeEvent.RADIO_ON, 10_000)
+            ready = device.transition(NodeEvent.RADIO_READY, 3_000_000)
             timers.append(waking.followups + turning_on.followups)
             assert awake.awake and ready.radio_ready
-        assert timers[0] == ((7_000, ev("TIMER", "mcu_awake")),
-                             (1_000_000, ev("TIMER", "radio_ready")))
-        assert timers[1] == ((9_000, ev("TIMER", "mcu_awake")),
-                             (2_000_000, ev("TIMER", "radio_ready")))
+        assert timers[0] == ((7_000, NodeEvent.MCU_AWAKE),
+                             (1_000_000, NodeEvent.RADIO_READY))
+        assert timers[1] == ((9_000, NodeEvent.MCU_AWAKE),
+                             (2_000_000, NodeEvent.RADIO_READY))
         # a result that does not depend on the device is one shared object
-        a = fast.transition(ev("TX_REQUEST"), 4_000_000)
-        b = slow.transition(ev("TX_REQUEST"), 4_000_000)
+        a = fast.transition(NodeEvent.TX_REQUEST, 4_000_000)
+        b = slow.transition(NodeEvent.TX_REQUEST, 4_000_000)
         assert a is b
         assert (a.mcu, a.radio, a.followups) == (McuMode.ACTIVE,
                                                  RadioMode.TX, ())
@@ -174,32 +172,29 @@ EVENT_NAMES = sorted({name for row in DOC_TABLE.values() for name in row}
                         "timer[radio_ready]", "radio_on", "radio_off",
                         "start_rx", "stop_rx", "begin_wub_tx"})
 
-DRIVER_OPS = {"radio_on", "radio_off", "start_rx", "stop_rx",
-              "begin_wub_tx"}
-
 
 def build_device_in(state):
     """Construct a device and steer it into the requested composite state."""
     mcu, radio = state
     device = make_device(awake=True)
     if (mcu, radio) == ("sleep", "off"):
-        device.transition(ev("SLEEP_REQUEST"), 0)
+        device.transition(NodeEvent.SLEEP_REQUEST, 0)
         return device
     if (mcu, radio) == ("waking", "off"):
-        device.transition(ev("SLEEP_REQUEST"), 0)
-        device.transition(ev("WURX_INTERRUPT"), 0)
+        device.transition(NodeEvent.SLEEP_REQUEST, 0)
+        device.transition(NodeEvent.WURX_INTERRUPT, 0)
         return device
     if radio in ("turning_on", "standby", "rx", "tx"):
-        device.radio_on(0)
+        device.transition(NodeEvent.RADIO_ON, 0)
         if radio == "turning_on":
             return device
-        device.transition(ev("TIMER", "radio_ready"), 0)
+        device.transition(NodeEvent.RADIO_READY, 0)
         if radio == "standby":
             return device
         if radio == "rx":
-            device.start_rx(0)
+            device.transition(NodeEvent.START_RX, 0)
             return device
-        device.transition(ev("TX_REQUEST"), 0)
+        device.transition(NodeEvent.TX_REQUEST, 0)
         return device
     return device  # ("active", "off")
 
@@ -207,11 +202,7 @@ def build_device_in(state):
 def apply_event(device, name):
     if name == "begin_wub_tx":
         return device.begin_wub_tx(0, duty=0.5)
-    if name in DRIVER_OPS:
-        return getattr(device, name)(0)
-    if name.startswith("timer["):
-        return device.transition(ev("TIMER", name[6:-1]), 0)
-    return device.transition(ev(name.upper()), 0)
+    return device.transition(NodeEvent(name), 0)
 
 
 def test_transition_table_exhaustive():
@@ -307,8 +298,8 @@ class TestLedgerIntegration:
         device = make_device(with_wurx=True)
         device.wurx_set_mode(WurxMode.DECODING, 5_000_000)
         device.wurx_set_mode(WurxMode.LISTENING, 21_000_000)
-        device.transition(ev("WURX_INTERRUPT"), 21_000_000)
-        device.transition(ev("TIMER", "mcu_awake"), 21_007_000)
+        device.transition(NodeEvent.WURX_INTERRUPT, 21_000_000)
+        device.transition(NodeEvent.MCU_AWAKE, 21_007_000)
         device.finalize(100_000_000)
         assert device.ledger.total_time_ns() == 100_000_000
         assert device.ledger.time_ns["wurx_decode"] == 16_000_000
@@ -317,14 +308,29 @@ class TestLedgerIntegration:
 
     def test_wub_dwell_charged_at_duty_power(self):
         device = make_device(awake=True)
-        device.radio_on(0)
-        device.transition(ev("TIMER", "radio_ready"), 1_000_000)
+        device.transition(NodeEvent.RADIO_ON, 0)
+        device.transition(NodeEvent.RADIO_READY, 1_000_000)
         device.begin_wub_tx(1_000_000, duty=0.5)
-        device.transition(ev("TX_DONE"), 17_000_000)
+        device.transition(NodeEvent.TX_DONE, 17_000_000)
         device.finalize(20_000_000)
         assert device.ledger.time_ns["wub_tx"] == 16_000_000
         assert device.ledger.energy_j["wub_tx"] == pytest.approx(
             0.240 * 0.5 * 0.016, rel=1e-12)
+
+    def test_illegal_wub_tx_leaves_lora_tx_charged(self):
+        device = make_device(awake=True)
+        with pytest.raises(IllegalTransition):
+            device.begin_wub_tx(0, duty=0.5)  # the radio is still off
+        assert device.wub_tx_power_w is None
+        device.transition(NodeEvent.RADIO_ON, 0)
+        device.transition(NodeEvent.RADIO_READY, 1_000_000)
+        device.transition(NodeEvent.TX_REQUEST, 1_000_000)
+        device.transition(NodeEvent.TX_DONE, 5_000_000)
+        device.finalize(6_000_000)
+        assert device.ledger.time_ns["lora_tx"] == 4_000_000
+        assert device.ledger.energy_j["lora_tx"] == pytest.approx(
+            0.240 * 0.004, rel=1e-12)
+        assert "wub_tx" not in device.ledger.time_ns
 
     def test_power_report_zero_rows_for_empty_run(self):
         device = make_device()
@@ -355,18 +361,18 @@ class TestLabelAcrossWurxModes:
         device = make_device(awake=True, with_wurx=True)
         steps = [
             (2_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
-            (3_000_000, lambda t: device.transition(ev("SLEEP_REQUEST"), t)),
+            (3_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
             (10_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
                                                         t)),
-            (10_000_000, lambda t: device.transition(ev("WURX_INTERRUPT"), t)),
-            (10_007_000, lambda t: device.transition(ev("TIMER", "mcu_awake"),
+            (10_000_000, lambda t: device.transition(NodeEvent.WURX_INTERRUPT, t)),
+            (10_007_000, lambda t: device.transition(NodeEvent.MCU_AWAKE,
                                                      t)),
             (20_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
-            (20_000_000, device.radio_on),
+            (20_000_000, lambda t: device.transition(NodeEvent.RADIO_ON, t)),
             (21_000_000, lambda t: device.transition(
-                ev("TIMER", "radio_ready"), t)),
-            (21_000_000, device.start_rx),
-            (25_000_000, lambda t: device.transition(ev("SLEEP_REQUEST"), t)),
+                NodeEvent.RADIO_READY, t)),
+            (21_000_000, lambda t: device.transition(NodeEvent.START_RX, t)),
+            (25_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
             (30_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
                                                         t)),
         ]

@@ -8,10 +8,10 @@ import pytest
 import motesim
 from motesim import ConfigError, channel, phy, stack, wurx
 
-# names the package exported before the uncharged energy figures and the
-# second reception gate were removed
+# names the package exported before the uncharged energy figures, the
+# second reception gate and the two-part node event were removed
 REMOVED = {"airtime_s", "tx_energy", "ook_tx_energy", "reception_margin",
-           "ReceptionDecision"}
+           "ReceptionDecision", "NodeEventKind"}
 
 
 def test_every_public_name_resolves_once():

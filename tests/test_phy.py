@@ -143,12 +143,10 @@ class TestSensitivityTable:
 def lone_reception(rssi_dbm, snr_db, table):
     """``decide_reception`` at receiver 2 for one frame alone on air, sent
     with ``PAPER_CFG`` and arriving with the given RSSI and SNR."""
-    frame = Frame(frame_id=1, src=1, dst=2, seqno=1, payload=b"", length=16,
-                  airtime_ns=1000,
+    frame = Frame(frame_id=1, src=1, dst=2, seqno=1, payload=b"",
                   spreading_factor=PAPER_CFG.spreading_factor,
                   bandwidth_hz=PAPER_CFG.bandwidth_hz,
                   frequency_hz=PAPER_CFG.frequency_hz,
-                  tx_power_dbm=PAPER_CFG.tx_power_dbm,
                   noise_floor_dbm=rssi_dbm - snr_db,
                   rssi_by_rx={2: rssi_dbm})
     tx = Transmission(frame, 0, 1000)

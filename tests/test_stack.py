@@ -28,7 +28,7 @@ class SimHarness:
     def __init__(self):
         self.sim = Simulator(bare_scenario(), record_trace=False)
         self.driver = self.sim.drivers[1]
-        self.turn_on_ns = self.sim.devices[1].radio_turn_on_ns
+        self.turn_on_ns = self.sim.scenario.node(1).radio_turn_on_ns
 
     def make_config(self):
         return RadioConfig()
@@ -85,9 +85,8 @@ class FakeDriver:
 
 def frame_with(payload, **kwargs):
     return Frame(frame_id=1, src=0, dst=None, seqno=None, payload=payload,
-                 length=len(payload), airtime_ns=0, spreading_factor=12,
-                 bandwidth_hz=500_000, frequency_hz=868e6, tx_power_dbm=14.0,
-                 noise_floor_dbm=-111.0, **kwargs)
+                 spreading_factor=12, bandwidth_hz=500_000,
+                 frequency_hz=868e6, noise_floor_dbm=-111.0, **kwargs)
 
 
 class TestUnicast:
@@ -110,8 +109,7 @@ class TestUnicast:
         unicast = Unicast(driver, local_address=5)
         got = []
         unicast.on_message = got.append
-        handle = unicast.send(5, b"self")
-        assert handle.completed
+        assert unicast.send(5, b"self") is None
         assert got[0].payload == b"self"
         assert driver.sent == []
 

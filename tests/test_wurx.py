@@ -112,11 +112,6 @@ class TestReceiveWub:
         assert outcome.kind == "busy"
         assert outcome.decode_time_ns == 0
 
-    def test_listen_power_below_decode_power(self):
-        with pytest.raises(ConfigError):
-            WurxState(configured_address=1, listen_power_w=1e-3,
-                      decode_power_w=1e-4)
-
     def test_no_interrupt_for_any_mismatch_sample(self):
         # full 256x256 exhaustive sweep lives in the acceptance suite
         state = self.make_state(address=0x80)
