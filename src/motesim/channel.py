@@ -7,15 +7,15 @@ at -120 dBm at 600 m (reference loss 31.2 dB at 1 m = free space at
 
 ``rssi_at`` computes one link from scratch and is the reference. Nodes
 never move, so the engine caches each link's mean loss (``path_loss_db``)
-and takes only the shadowing draws per frame or burst, all at once from
-``shadowing_draws``, the one source of per-link deviates. That helper
-takes the uniforms of one ``rng.gauss(0.0, sigma)`` per link in order and
-leaves the RNG in the same state, but transforms a deviate only when it is
-read, bit for bit as ``gauss`` would. So the engine's values and draw
-order are those of ``rssi_at``, and a frame pays the Box-Muller step only
-at the receivers that read its RSSI, through ``RssiOnRead``. Transmissions
-and reception outcomes, built per frame and per decision, are named tuples,
-and so are positions and channel parameters, checked when built.
+and takes only the shadowing draws per frame or burst, all at once in
+``RssiOnRead``, the one source of per-link RSSI. It takes the uniforms of
+one ``rng.gauss(0.0, sigma)`` per link in order and leaves the RNG in the
+same state, but transforms a deviate only when it is read, bit for bit as
+``gauss`` would. So the engine's values and draw order are those of
+``rssi_at``, and a frame pays the Box-Muller step only at the receivers
+that read its RSSI. Transmissions and reception outcomes, built per frame
+and per decision, are named tuples, and so are positions and channel
+parameters, checked when built.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -98,84 +98,59 @@ def rssi_at(tx_power_dbm: float, tx_pos: Position, rx_pos: Position,
     return tx_power_dbm - loss
 
 
-class ShadowingDraws:
-    """``n`` shadowing deviates whose uniforms are already drawn; a
-    sequence that is indexed or iterated.
-
-    Item ``i`` is ``random.Random.gauss``'s value for the same uniforms,
-    with its float expressions: ``0.0 + z * sigma``, where ``z`` is the
-    spare value carried in from an earlier call or the cosine or sine half
-    of a uniform pair, ``cos(x2pi) * g2rad`` or ``sin(x2pi) * g2rad``.
-    """
-
-    __slots__ = ("_uniforms", "_sigma", "_spare", "_n")
-
-    def __init__(self, uniforms, sigma: float, spare: float | None, n: int):
-        self._uniforms = uniforms
-        self._sigma = sigma
-        self._spare = spare
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> float:
-        if not 0 <= i < self._n:
-            raise IndexError("shadowing draw index out of range")
-        if self._spare is not None:
-            if i == 0:
-                return 0.0 + self._spare * self._sigma
-            i -= 1
-        uniforms = self._uniforms
-        x2pi = uniforms[i & ~1] * tau
-        g2rad = sqrt(-2.0 * log(1.0 - uniforms[i | 1]))
-        return 0.0 + (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad * self._sigma
-
-
-def shadowing_draws(rng: random.Random, sigma: float,
-                    n: int) -> ShadowingDraws:
-    """The deviates of ``[rng.gauss(0.0, sigma) for _ in range(n)]``, bit for
-    bit, taken in order now and transformed on read.
-
-    Takes now exactly the ``rng.random()`` values that ``n`` ``gauss`` calls
-    would take and leaves ``rng.gauss_next`` as they would: a spare value
-    pending from an earlier call is the first deviate, and when the count
-    ends mid-pair the pair's second half is kept for the next call. Item
-    ``i`` of the result does its Box-Muller step only when it is read.
-    """
-    if not n:  # takes nothing and keeps a pending spare for later
-        return ShadowingDraws((), sigma, None, 0)
-    spare = rng.gauss_next
-    fresh = n - (spare is not None)
-    uniform = rng.random
-    uniforms = [uniform() for _ in range(fresh + (fresh & 1))]
-    rng.gauss_next = (sin(uniforms[-2] * tau)
-                      * sqrt(-2.0 * log(1.0 - uniforms[-1]))
-                      if fresh & 1 else None)
-    return ShadowingDraws(uniforms, sigma, spare, n)
-
-
 class RssiOnRead(dict):
-    """One frame's RSSI by receiver address; each entry is computed at its
-    first read, as ``tx_power_dbm - (mean loss + shadowing draw)``.
+    """One frame's or burst's RSSI by receiver address; each entry is
+    computed at its first read, as ``tx_power_dbm - (mean loss + draw)``.
 
     ``links`` maps every receiver, in ascending address order, to its
-    index into ``draws`` and its mean path loss. Reading by key,
-    iteration, ``len`` and ``in`` cover every receiver; the other dict
-    methods see only the entries read so far.
+    index in that order and its mean path loss. The draws are those of
+    ``[rng.gauss(0.0, sigma) for _ in links]``, bit for bit: the
+    ``rng.random()`` values they would take are taken now and
+    ``rng.gauss_next`` is left as they would leave it, so a spare value
+    pending from an earlier call is the first draw, and a count that ends
+    mid-pair keeps the pair's second half for the next call. Draw ``i``
+    does its Box-Muller step only when read, with ``gauss``'s float
+    expressions: ``0.0 + z * sigma``, where ``z`` is the spare or the
+    cosine or sine half of a uniform pair. With ``sigma`` 0 the RNG is not
+    touched and each entry is ``tx_power_dbm - loss``.
+
+    Reading by key, iteration, ``len`` and ``in`` cover every receiver;
+    the other dict methods see only the entries read so far.
     """
 
-    __slots__ = ("_tx_power_dbm", "_links", "_draws")
+    __slots__ = ("_tx_power_dbm", "_links", "_sigma", "_spare", "_uniforms")
 
     def __init__(self, tx_power_dbm: float, links: dict,
-                 draws: ShadowingDraws):
+                 rng: random.Random, sigma: float):
         self._tx_power_dbm = tx_power_dbm
         self._links = links
-        self._draws = draws
+        self._sigma = sigma
+        # the draw slots are set, and read by __missing__, only when there
+        # are draws; n = 0 takes nothing and keeps a pending spare
+        if sigma > 0 and links:
+            spare = self._spare = rng.gauss_next
+            fresh = len(links) - (spare is not None)
+            uniform = rng.random
+            uniforms = self._uniforms = [
+                uniform() for _ in range(fresh + (fresh & 1))]
+            rng.gauss_next = (sin(uniforms[-2] * tau)
+                              * sqrt(-2.0 * log(1.0 - uniforms[-1]))
+                              if fresh & 1 else None)
 
     def __missing__(self, rx_addr: int) -> float:
-        index, loss = self._links[rx_addr]
-        rssi = self[rx_addr] = self._tx_power_dbm - (loss + self._draws[index])
+        i, loss = self._links[rx_addr]
+        if self._sigma > 0:
+            if self._spare is not None:
+                i -= 1
+            if i < 0:
+                z = self._spare
+            else:
+                uniforms = self._uniforms
+                x2pi = uniforms[i & ~1] * tau
+                g2rad = sqrt(-2.0 * log(1.0 - uniforms[i | 1]))
+                z = (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad
+            loss += 0.0 + z * self._sigma
+        rssi = self[rx_addr] = self._tx_power_dbm - loss
         return rssi
 
     def __iter__(self):

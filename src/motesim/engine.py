@@ -31,17 +31,19 @@ does not grow with the horizon. The dispatch trace is hashed in chunks
 of at most 1,024 lines, so its memory is constant too.
 
 Nodes never move, so work that depends only on positions is done once. At a
-sender's first frame or wake-up burst the engine caches its mean path loss
-to every other node; each frame then takes only the shadowing draws, one
-per receiver in ascending address order, from ``channel.shadowing_draws``,
-which gives bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls
-would. The draws are taken in order when the frame starts but transformed
-on read, so a frame's RSSI is computed only at the receivers that read it:
-its ``dst``, the listeners, and the listeners its rivals are decided at.
-With no shadowing the RNG is not touched. The noise floor is computed once
-per frame, the sorted node addresses once per run, and a link's distance
-and delivery counters at its first frame. A frame's link header is read
-once, with the stack's header format.
+sender's first frame the engine caches its mean path loss to every other
+node, and at its first wake-up burst to every other WuRX node. Each frame
+or burst then takes only the shadowing draws, one per receiver in
+ascending address order, in one ``channel.RssiOnRead`` built by
+``_rssi_by_rx``, which gives bit for bit what ``channel.rssi_at``'s
+``rng.gauss`` calls would. The draws are taken in order when the frame
+starts but transformed on read, so a frame's RSSI is computed only at the
+receivers that read it: its ``dst``, the listeners, and the listeners its
+rivals are decided at. With no shadowing the RNG is not touched. The
+noise floor is computed once per frame, the sorted node addresses once per
+run, and a link's distance and delivery counters at its first frame. A
+frame's link header is read once, with the stack's header format, and its
+packet record rides with it until it is decided.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers and callbacks itself, including the skip of
@@ -66,8 +68,7 @@ from . import node as nd
 from . import report as rep
 from . import stack as stk
 from . import wurx as wux
-from .errors import (ContractViolation, MotesimError, RadioUnavailable,
-                     ZeroDistanceError)
+from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, DEFAULT_RADIO_TURN_ON_NS,
                    MCU_ACTIVE, RADIO_OFF, RADIO_RX, RADIO_STANDBY,
@@ -200,14 +201,13 @@ class Simulator:
         self.unicasts: dict = {}
         self.apps: dict = {}
         self._on_air: list = []  # those that may overlap an undecided frame
-        self._tx_by_id: dict = {}  # undecided frames: frame_id -> (tx, handle)
+        # undecided frames: frame_id -> (tx, handle, packet record or None)
+        self._tx_by_id: dict = {}
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
-        self._links: dict = {}  # sender address -> _links_from(sender)
+        self._links: dict = {}  # (sender address, wake_up) -> its links
         self._listeners: dict = {}  # address -> device, since it entered rx
 
         self.packets: list = []
-        self._pkt_by_frame_id: dict = {}
-        self.links: dict = {}
         self._sent_links: dict = {}  # (src, dst) -> (distance, LinkStats)
         self._depletion_skips = 0
 
@@ -331,47 +331,31 @@ class Simulator:
                    and tx.frame.frequency_hz == frequency_hz
                    for tx in self._on_air)
 
-    def _links_from(self, sender: MoteDevice) -> tuple:
-        """The sender's links as (links, coincident).
+    def _rssi_by_rx(self, sender: MoteDevice,
+                    wake_up: bool) -> chan.RssiOnRead:
+        """The RSSI of a new frame at every other node, or of a new wake-up
+        burst at every other WuRX node, with the arithmetic and draw order
+        of ``channel.rssi_at``; shadowed values are transformed on read.
 
-        ``links`` maps every other node's address, in ascending order, to
-        (its index in that order, mean path loss). ``coincident`` holds the
-        receivers at the sender's own position, where path loss is
-        undefined. Built at the sender's first frame or burst, so a
-        coincident receiver raises where ``channel.rssi_at`` would.
+        Each receiver's (index, mean path loss) is cached at the sender's
+        first frame or burst; a receiver at the sender's own position, where
+        path loss is undefined, raises there as ``rssi_at`` would.
         """
-        cached = self._links.get(sender.address)
-        if cached is None:
+        links = self._links.get((sender.address, wake_up))
+        if links is None:
             params = self.scenario.channel
-            links, coincident = {}, []
+            links = {}
             for rx_addr in self._addresses:
-                if rx_addr == sender.address:
-                    continue
                 receiver = self.devices[rx_addr]
-                d = sender.position.distance_to(receiver.position)
-                if d == 0:
-                    coincident.append(receiver)
-                else:
-                    links[rx_addr] = (len(links),
-                                      chan.path_loss_db(d, params))
-            cached = self._links[sender.address] = (links, coincident)
-        return cached
-
-    def _rssi_by_rx(self, sender: MoteDevice, tx_power_dbm: float) -> dict:
-        """The RSSI of a new frame at every other node, with the arithmetic
-        and draw order of ``channel.rssi_at``. Shadowed values are
-        transformed on read."""
-        links, coincident = self._links_from(sender)
-        if coincident:
-            raise ZeroDistanceError("tx and rx positions coincide")
-        sigma = self.scenario.channel.shadowing_sigma_db
-        if sigma > 0:
-            return chan.RssiOnRead(
-                tx_power_dbm, links,
-                chan.shadowing_draws(self.rng, sigma, len(links)))
-        # loss + 0.0 is loss: the values rssi_at gives without a draw
-        return {rx_addr: tx_power_dbm - loss
-                for rx_addr, (_index, loss) in links.items()}
+                if rx_addr == sender.address or (wake_up
+                                                 and receiver.wurx is None):
+                    continue
+                links[rx_addr] = (len(links), chan.path_loss_db(
+                    sender.position.distance_to(receiver.position), params))
+            self._links[(sender.address, wake_up)] = links
+        return chan.RssiOnRead(
+            self.drivers[sender.address].config.tx_power_dbm, links,
+            self.rng, self.scenario.channel.shadowing_sigma_db)
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -386,14 +370,13 @@ class Simulator:
             config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
             chan.noise_floor_dbm(config.bandwidth_hz,
                                  self.scenario.channel.noise_figure_db),
-            self._rssi_by_rx(device, config.tx_power_dbm))
+            self._rssi_by_rx(device, False))
         self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._on_air.append(tx)
-        self._tx_by_id[frame.frame_id] = (tx, handle)
+        self._tx_by_id[frame.frame_id] = (tx, handle, self._record_sent(tx))
         self.schedule(tx.end_ns, _TX_END, device.address,
                       frame.frame_id)
-        self._record_sent(tx)
         return frame
 
     def send_wakeup(self, device: MoteDevice, wurx_address: int):
@@ -405,20 +388,11 @@ class Simulator:
                                 bit_rate_bps=wurx_spec.bit_rate_bps)
         result = device.begin_wub_tx(self.now, emission.duty)
         self.process_result(device, result)
-        links, coincident = self._links_from(device)
-        if any(receiver.wurx is not None for receiver in coincident):
-            raise ZeroDistanceError("tx and rx positions coincide")
-        tx_power = self.drivers[device.address].config.tx_power_dbm
-        sigma = self.scenario.channel.shadowing_sigma_db
-        devices = self.devices
-        listeners = [(rx_addr, loss) for rx_addr, (_index, loss)
-                     in links.items() if devices[rx_addr].wurx is not None]
-        draws = (chan.shadowing_draws(self.rng, sigma, len(listeners))
-                 if sigma > 0 else itertools.repeat(0.0))
-        for (rx_addr, loss), draw in zip(listeners, draws):
-            receiver = devices[rx_addr]
-            rssi = tx_power - (loss + draw)
-            outcome = wux.receive_wub(receiver.wurx, emission.frame, rssi)
+        rssi_by_rx = self._rssi_by_rx(device, True)
+        for rx_addr in rssi_by_rx:
+            receiver = self.devices[rx_addr]
+            outcome = wux.receive_wub(receiver.wurx, emission.frame,
+                                      rssi_by_rx[rx_addr])
             if outcome.kind == "busy":
                 receiver.wurx.missed_while_decoding += 1
             elif outcome.kind == "decoding":
@@ -489,7 +463,7 @@ class Simulator:
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:
-        tx, handle = self._tx_by_id.pop(frame_id)
+        tx, handle, record = self._tx_by_id.pop(frame_id)
         frame = tx.frame
         sender = self.devices[frame.src]
         self.node_event(sender, nd.TX_DONE)
@@ -497,7 +471,11 @@ class Simulator:
         self.drivers[frame.src].fire_tx_done(handle)
         if app is not None:
             app.on_tx_done()
-        self._deliver(tx)
+        outcome = self._deliver(tx)
+        if record is not None:
+            record.outcome = outcome
+            if outcome == "delivered":
+                self._sent_links[(record.src, record.dst)][1].delivered += 1
         undecided = self._tx_by_id
         floor = (next(iter(undecided.values()))[0].start_ns if undecided
                  else self.now)
@@ -522,7 +500,8 @@ class Simulator:
         else:
             device.wurx.false_wakeups_rejected += 1
 
-    def _deliver(self, tx) -> None:
+    def _deliver(self, tx) -> str:
+        """Decide the frame at every listener; returns its dst's outcome."""
         frame = tx.frame
         src = frame.src
         params = self.scenario.channel
@@ -549,37 +528,29 @@ class Simulator:
                 outcome = decision.cause
             if rx_addr == frame.dst:
                 dst_outcome = outcome
-        self._finish_packet(frame.frame_id, dst_outcome)
+        return dst_outcome
 
-    def _record_sent(self, tx) -> None:
-        """Account the frame when it goes on air; a frame still in flight at
-        the horizon keeps the outcome 'in-flight'."""
+    def _record_sent(self, tx):
+        """Account the frame when it goes on air and return its packet
+        record, or None for a frame with no other node as ``dst``; a frame
+        still in flight at the horizon keeps the outcome 'in-flight'."""
         frame = tx.frame
         src, dst = frame.src, frame.dst
         link = self._sent_links.get((src, dst))
         if link is None:
             if dst is None or dst == src or dst not in self.devices:
-                return
+                return None
             distance = self.devices[src].position.distance_to(
                 self.devices[dst].position)
-            stats = self.links[(src, dst)] = rep.LinkStats()
-            link = self._sent_links[(src, dst)] = (distance, stats)
+            link = self._sent_links[(src, dst)] = (distance, rep.LinkStats())
         distance, stats = link
         rssi = frame.rssi_by_rx[dst]
         record = rep.PacketRecord(
             frame.frame_id, src, dst, frame.seqno, tx.start_ns, distance,
             rssi, rssi - frame.noise_floor_dbm, "in-flight")
         self.packets.append(record)
-        self._pkt_by_frame_id[frame.frame_id] = record
         stats.sent += 1
-
-    def _finish_packet(self, frame_id: int, outcome: str) -> None:
-        record = self._pkt_by_frame_id.get(frame_id)
-        if record is None:
-            return
-        record.outcome = outcome
-        if outcome == "delivered":
-            self.links[(record.src, record.dst)].delivered += 1
+        return record
 
     # -- results ------------------------------------------------------------------
 
@@ -620,7 +591,8 @@ class Simulator:
             horizon_ns=self.scenario.horizon_ns,
             calibration=self._calibration(),
             packets=self.packets,
-            links=self.links,
+            links={key: stats for key, (_distance, stats)
+                   in self._sent_links.items()},
             event_count=self.event_count,
             trace_hash=self.trace_hash(),
             wallclock_s=wallclock_s,

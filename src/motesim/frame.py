@@ -10,10 +10,9 @@ class Frame:
     None for raw, headerless sends). ``payload`` is every byte on air,
     header included. ``noise_floor_dbm`` is the receive noise floor for
     the frame's bandwidth; ``rssi_by_rx`` maps every other node to its
-    RSSI. Its shadowing draws are taken in order when the transmission
-    starts, but an entry is computed at its first read
-    (``channel.RssiOnRead``); without shadowing it is a filled dict. A
-    receiver's SNR is taken where it is read, as
+    RSSI. Its shadowing draws, if any, are taken in order when the
+    transmission starts, but an entry is computed at its first read
+    (``channel.RssiOnRead``). A receiver's SNR is taken where it is read, as
     ``rssi_by_rx[rx] - noise_floor_dbm``. Slotted, since a slot is the
     cheapest read and the channel reads these at every decision.
     """

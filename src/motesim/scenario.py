@@ -167,9 +167,9 @@ def _parse_present(raw: dict, keys, kind, where: str) -> dict:
     return values
 
 
+# a WuRX node's decode power has one key: its wurx block's decode_power_w
 _POWER_KEYS = {
-    "sleep_w": "sleep", "wurx_decode_w": "wurx_decode",
-    "lora_tx_w": "lora_tx", "lora_rx_w": "lora_rx",
+    "sleep_w": "sleep", "lora_tx_w": "lora_tx", "lora_rx_w": "lora_rx",
     "mcu_active_w": "mcu_active",
 }
 _NODE_KEYS = ("battery_j", "harvest_rate_w", "harvest_efficiency",
@@ -220,12 +220,13 @@ def _parse_app(raw) -> AppSpec:
 
 
 def power_table(spec: NodeSpec) -> dict:
-    """The node's full power table: the defaults, the wurx block's decode
-    power, then the node's own power keys."""
+    """The node's full power table: the defaults, the node's own power
+    keys, then the wurx block's decode power, which ``validate`` checks
+    against its listen power."""
     table = dict(DEFAULT_POWER_TABLE_W)
+    table.update(spec.power_w)
     if spec.wurx is not None:
         table["wurx_decode"] = spec.wurx.decode_power_w
-    table.update(spec.power_w)
     return table
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from motesim import (ChannelParams, ConfigError, Frame, Position,
                      SensitivityTable, Transmission, ZeroDistanceError,
                      noise_floor_dbm, rssi_at, snr_of)
-from motesim.channel import RssiOnRead, shadowing_draws
+from motesim.channel import RssiOnRead, path_loss_db
 from oracles import (oracle_noise_floor_dbm, reception_margin,
                      resolve_concurrent)
 
@@ -29,8 +29,21 @@ def make_frame(frame_id, src, dst, rssi_by_rx, sf=12, bw=500_000,
     )
 
 
+def links_of(n):
+    """``n`` receivers in ascending address order, each with its index and
+    a mean loss of its own."""
+    return {3 * k + 2: (k, 60.0 + 7.25 * k) for k in range(n)}
+
+
+def filled(links, twin, sigma, tx_power_dbm=14.0):
+    """The RSSI map with one ``twin.gauss`` call per receiver, in order."""
+    return {rx: tx_power_dbm - (loss + twin.gauss(0.0, sigma))
+            for rx, (_index, loss) in links.items()}
+
+
 class TestShadowingDraws:
-    """The engine's draw helper against ``random.Random.gauss``."""
+    """The per-link shadowing draws of ``RssiOnRead`` against
+    ``random.Random.gauss``."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 19])
     @pytest.mark.parametrize("earlier", [1, 3])
@@ -41,13 +54,16 @@ class TestShadowingDraws:
             rng.gauss(0.0, sigma)
             twin.gauss(0.0, sigma)
         assert rng.gauss_next is not None
-        draws = shadowing_draws(rng, sigma, n)
-        assert list(draws) == [twin.gauss(0.0, sigma) for _ in range(n)]
+        links = links_of(n)
+        rssi = RssiOnRead(14.0, links, rng, sigma)
+        assert [rssi[rx] for rx in rssi] == list(
+            filled(links, twin, sigma).values())
         assert rng.getstate() == twin.getstate()
         assert rng.gauss(0.0, sigma) == twin.gauss(0.0, sigma)
 
     @settings(max_examples=300, deadline=None)
-    @given(sigma=st.floats(allow_nan=False, allow_infinity=False),
+    @given(sigma=st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False),
            n=st.integers(0, 40), earlier=st.integers(0, 3),
            seed=st.integers(0, 2 ** 64 - 1), data=st.data())
     def test_any_read_order_equals_gauss(self, sigma, n, earlier, seed, data):
@@ -55,15 +71,16 @@ class TestShadowingDraws:
         for _ in range(earlier):
             rng.gauss(0.0, sigma)
             twin.gauss(0.0, sigma)
-        draws = shadowing_draws(rng, sigma, n)
-        expected = [twin.gauss(0.0, sigma) for _ in range(n)]
+        links = links_of(n)
+        rssi = RssiOnRead(14.0, links, rng, sigma)
+        expected = filled(links, twin, sigma)
         assert rng.getstate() == twin.getstate()
-        order = data.draw(st.permutations(range(n)))
+        order = data.draw(st.permutations(list(links)))
         subset = order[:data.draw(st.integers(0, n))]
-        assert [draws[i] for i in subset] == [expected[i] for i in subset]
-        assert len(draws) == n
-        with pytest.raises(IndexError):
-            draws[n]
+        assert [rssi[rx] for rx in subset] == [expected[rx] for rx in subset]
+        assert len(rssi) == n
+        with pytest.raises(KeyError):
+            rssi[1]  # not a receiver
         assert rng.getstate() == twin.getstate()
         assert rng.gauss(0.0, sigma) == twin.gauss(0.0, sigma)
 
@@ -74,15 +91,30 @@ class TestRssiOnRead:
     def test_reads_as_the_filled_dict(self):
         links = {2: (0, 90.0), 5: (1, 120.5), 9: (2, 60.25)}
         rng, twin = random.Random(7), random.Random(7)
-        rssi = RssiOnRead(14.0, links, shadowing_draws(rng, 4.0, 3))
-        filled = {rx: 14.0 - (loss + twin.gauss(0.0, 4.0))
-                  for rx, (_index, loss) in links.items()}
-        assert rssi[9] == filled[9]
+        rssi = RssiOnRead(14.0, links, rng, 4.0)
+        expected = filled(links, twin, 4.0)
+        assert rssi[9] == expected[9]
         assert (list(rssi), len(rssi), 5 in rssi, 3 in rssi) == (
             [2, 5, 9], 3, True, False)
-        assert [rssi[rx] for rx in rssi] == list(filled.values())
+        assert [rssi[rx] for rx in rssi] == list(expected.values())
         with pytest.raises(KeyError):
             rssi[3]
+
+    def test_unshadowed_entries_equal_rssi_at_and_draw_nothing(self):
+        params = ChannelParams()
+        positions = {2: Position(x=40.0), 5: Position(x=-90.0, y=20.0),
+                     9: Position(y=300.0)}
+        links = {rx: (index, path_loss_db(ORIGIN.distance_to(pos), params))
+                 for index, (rx, pos) in enumerate(positions.items())}
+        rng = random.Random(7)
+        rng.gauss(0.0, 4.0)  # leaves a spare pending
+        state = rng.getstate()
+        rssi = RssiOnRead(14.0, links, rng, 0.0)
+        assert rng.getstate() == state
+        assert {rx: rssi[rx] for rx in rssi} == {
+            rx: rssi_at(14.0, ORIGIN, pos, params)
+            for rx, pos in positions.items()}
+        assert rng.getstate() == state
 
 
 class TestRssiAt:

@@ -143,8 +143,8 @@ def test_text_report_digest(argv, name, digest, tmp_path):
         digest
 
 
-@pytest.mark.parametrize("key", ["sleep_w", "wurx_decode_w", "lora_tx_w",
-                                 "lora_rx_w", "mcu_active_w"])
+@pytest.mark.parametrize("key", ["sleep_w", "lora_tx_w", "lora_rx_w",
+                                 "mcu_active_w"])
 def test_negative_power_rejected_at_load(key, tmp_path, capsys):
     # the example's second node lists each power key commented out
     text = EXAMPLE.read_text()
@@ -158,6 +158,17 @@ def test_negative_power_rejected_at_load(key, tmp_path, capsys):
     assert "scenario error: node 2:" in err and "must be >= 0" in err
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == err
+
+
+def test_power_key_for_wurx_decode_rejected_at_load(tmp_path, capsys):
+    # a WuRX node's decode power is set by its wurx block's decode_power_w
+    text = EXAMPLE.read_text()
+    bad = tmp_path / "decode_power.yaml"
+    bad.write_text(text.replace(
+        "    # power:\n", "    power:\n      wurx_decode_w: 2.84e-4\n"))
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    assert "unknown key(s) in nodes[1].power: wurx_decode_w" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload_len", [300, -7])

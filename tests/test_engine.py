@@ -28,7 +28,7 @@ def record_transmissions(sim):
 
     def recording(device, data, handle):
         frame = begin(device, data, handle)
-        tx, _handle = sim._tx_by_id[frame.frame_id]
+        tx = sim._tx_by_id[frame.frame_id][0]
         assert tx.frame is frame
         started.append(tx)
         return frame
@@ -339,7 +339,8 @@ class TestIncrementalMatchesBatchResolver:
 
         def checking(frame_id):
             finish(frame_id)
-            floor = min((tx.start_ns for tx, _ in sim._tx_by_id.values()),
+            floor = min((entry[0].start_ns
+                         for entry in sim._tx_by_id.values()),
                         default=sim.now)
             assert sim._on_air == [tx for tx in started if tx.end_ns > floor]
             checked.append(len(sim._tx_by_id))
@@ -381,6 +382,14 @@ class TestGoldenDigests:
         (path,) = emit_sweep(rows, meta, "csv", tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "df881ca04c8c8d1511d912b3155e18a6769ec768d7b7eddf1cd5310bfdcae8eb")
+
+    def test_shadowed_range_sweep_csv(self, tmp_path):
+        rows, meta, _ = range_sweep(distances=(50.0, 600.0, 700.0),
+                                    packets=5, shadowing_sigma_db=4.0)
+        from motesim import emit_sweep
+        (path,) = emit_sweep(rows, meta, "csv", tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b5d92f2541793690cf05b870be753033458e842521d782d534a90b2800d0976f")
 
     def test_harvesting_depletion_outputs(self, tmp_path):
         sim = Simulator(harvest_depletion_scenario())

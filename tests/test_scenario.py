@@ -7,7 +7,8 @@ import yaml
 from motesim import (ChannelParams, Position, RadioConfig, Scenario,
                      ScenarioError, emit, load, run, scenario_hash)
 from motesim.cli import main
-from motesim.scenario import WurxSpec, from_dict, range_point_scenario
+from motesim.scenario import (WurxSpec, from_dict, power_table,
+                              range_point_scenario)
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -184,8 +185,7 @@ FULL = {
     "nodes": [
         {"address": 5, "role": "initiator",
          "position": {"x": 1.5, "y": -2.25, "z": 3.0},
-         "power": {"sleep_w": 2.5e-6, "wurx_decode_w": 3.1e-4,
-                   "lora_tx_w": 0.21, "lora_rx_w": 0.045,
+         "power": {"sleep_w": 2.5e-6, "lora_tx_w": 0.21, "lora_rx_w": 0.045,
                    "mcu_active_w": 3.3e-3},
          "battery_j": 250.0, "harvest_rate_w": 2e-3,
          "harvest_efficiency": 0.75, "radio_turn_on_ms": 1.5,
@@ -227,7 +227,7 @@ def built_section(scenario, where):
 
 def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
     scenario = from_dict(copy.deepcopy(FULL))
-    assert scenario_hash(scenario) == "58a358b31d2aa76f"
+    assert scenario_hash(scenario) == "4aedf243ebffe78a"
     metrics = run(scenario)
     assert [e.outcome for e in metrics.exchanges] == ["completed"] * 3
     packets_csv = emit(metrics, "csv", tmp_path)[0]
@@ -237,9 +237,29 @@ def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
         "link_header_version=1 mcu_active_w_default=0.0024 "
         "noise_figure_db=7.0 path_loss_exponent=3.2 preamble_symbols=10 "
         "radio_turn_on_ns_default=1000000 reference_loss_at_1m_db=33.5 "
-        "scenario=58a358b31d2aa76f seed=977 sensitivity_table_version=1 "
+        "scenario=4aedf243ebffe78a seed=977 sensitivity_table_version=1 "
         "shadowing_sigma_db=2.5 spreading_factor=9 supply_voltage_v=3.0 "
         "tx_power_dbm=11.5"]
+
+
+def test_sleeper_charged_its_wurx_blocks_decode_power():
+    # the wurx block's decode_power_w is the one key for it; the power
+    # block has none
+    raw = copy.deepcopy(FULL)
+    raw["nodes"][1]["power"] = {"wurx_decode_w": 1e-6}
+    with pytest.raises(ScenarioError, match="wurx_decode_w"):
+        from_dict(raw)
+    scenario = from_dict(copy.deepcopy(FULL))
+    spec = scenario.node(9)
+    assert power_table(spec._replace(power_w={"wurx_decode": 1e-6}))[
+        "wurx_decode"] == spec.wurx.decode_power_w
+    metrics = run(scenario)
+    (sleeper,) = [e for e in metrics.energy if e.address == 9]
+    (row,) = [r for r in sleeper.rows if r[0] == "wurx_decode"]
+    _label, power_w, time_ns, energy_j, _pct = row
+    assert power_w == FULL["nodes"][1]["wurx"]["decode_power_w"]
+    assert time_ns > 0
+    assert energy_j == pytest.approx(power_w * time_ns / 1e9)
 
 
 class TestFieldSections:
