@@ -40,10 +40,10 @@ ascending address order, in one ``channel.RssiOnRead`` built by
 starts but transformed on read, so a frame's RSSI is computed only at the
 receivers that read it: its ``dst``, the listeners, and the listeners its
 rivals are decided at. With no shadowing the RNG is not touched. The
-noise floor is computed once per frame, the sorted node addresses once per
-run, and a link's distance and delivery counters at its first frame. A
-frame's link header is read once, with the stack's header format, and its
-packet record rides with it until it is decided.
+noise floor is computed once per frame and the sorted node addresses once
+per run. A frame's link header is read once, with the stack's header
+format, and its packet record rides with it until it is decided; the
+run's per-link counts are taken from those records at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers and callbacks itself, including the skip of
@@ -70,12 +70,11 @@ from . import stack as stk
 from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
-from .node import (DEFAULT_POWER_TABLE_W, DEFAULT_RADIO_TURN_ON_NS,
-                   MCU_ACTIVE, RADIO_OFF, RADIO_RX, RADIO_STANDBY,
-                   RADIO_TURNING_ON, RADIO_TX, MoteDevice, SUPPLY_VOLTAGE_V,
-                   power_report)
+from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
+                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, MoteDevice,
+                   NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
-from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario, power_table,
+from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
                        scenario_hash)
 
@@ -208,7 +207,6 @@ class Simulator:
         self._listeners: dict = {}  # address -> device, since it entered rx
 
         self.packets: list = []
-        self._sent_links: dict = {}  # (src, dst) -> (distance, LinkStats)
         self._depletion_skips = 0
 
         for spec in sorted(scenario.nodes, key=lambda n: n.address):
@@ -219,19 +217,7 @@ class Simulator:
     # -- construction ---------------------------------------------------------
 
     def _build_device(self, spec) -> None:
-        device = MoteDevice(
-            address=spec.address,
-            position=spec.position,
-            power_table_w=power_table(spec),
-            wurx=None if spec.wurx is None else wux.WurxState(
-                spec.wurx.address, spec.wurx.sensitivity_dbm),
-            mcu_wakeup_ns=spec.mcu_wakeup_ns,
-            radio_turn_on_ns=spec.radio_turn_on_ns,
-            battery_j=spec.battery_j,
-            harvest_rate_w=spec.harvest_rate_w,
-            harvest_efficiency=spec.harvest_efficiency,
-            start_awake=spec.role in ("bs", "initiator"),
-        )
+        device = MoteDevice(spec, start_awake=spec.role in ("bs", "initiator"))
         self.devices[spec.address] = device
         self.drivers[spec.address] = SimRadioDriver(self, device)
 
@@ -474,8 +460,6 @@ class Simulator:
         outcome = self._deliver(tx)
         if record is not None:
             record.outcome = outcome
-            if outcome == "delivered":
-                self._sent_links[(record.src, record.dst)][1].delivered += 1
         undecided = self._tx_by_id
         floor = (next(iter(undecided.values()))[0].start_ns if undecided
                  else self.now)
@@ -531,25 +515,19 @@ class Simulator:
         return dst_outcome
 
     def _record_sent(self, tx):
-        """Account the frame when it goes on air and return its packet
+        """Record the frame when it goes on air and return its packet
         record, or None for a frame with no other node as ``dst``; a frame
         still in flight at the horizon keeps the outcome 'in-flight'."""
         frame = tx.frame
         src, dst = frame.src, frame.dst
-        link = self._sent_links.get((src, dst))
-        if link is None:
-            if dst is None or dst == src or dst not in self.devices:
-                return None
-            distance = self.devices[src].position.distance_to(
-                self.devices[dst].position)
-            link = self._sent_links[(src, dst)] = (distance, rep.LinkStats())
-        distance, stats = link
+        if dst is None or dst == src or dst not in self.devices:
+            return None
         rssi = frame.rssi_by_rx[dst]
         record = rep.PacketRecord(
-            frame.frame_id, src, dst, frame.seqno, tx.start_ns, distance,
+            frame.frame_id, src, dst, frame.seqno, tx.start_ns,
+            self.devices[src].position.distance_to(self.devices[dst].position),
             rssi, rssi - frame.noise_floor_dbm, "in-flight")
         self.packets.append(record)
-        stats.sent += 1
         return record
 
     # -- results ------------------------------------------------------------------
@@ -580,7 +558,7 @@ class Simulator:
             "link_header_version": stk.HEADER_VERSION,
             "sensitivity_table_version": self.table.version,
             "mcu_active_w_default": DEFAULT_POWER_TABLE_W["mcu_active"],
-            "radio_turn_on_ns_default": DEFAULT_RADIO_TURN_ON_NS,
+            "radio_turn_on_ns_default": NodeSpec._field_defaults["radio_turn_on_ns"],
             "supply_voltage_v": SUPPLY_VOLTAGE_V,
         }
 
@@ -591,8 +569,6 @@ class Simulator:
             horizon_ns=self.scenario.horizon_ns,
             calibration=self._calibration(),
             packets=self.packets,
-            links={key: stats for key, (_distance, stats)
-                   in self._sent_links.items()},
             event_count=self.event_count,
             trace_hash=self.trace_hash(),
             wallclock_s=wallclock_s,

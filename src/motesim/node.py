@@ -62,15 +62,15 @@ change.
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import NamedTuple
 
+from .channel import Position
 from .errors import ConfigError, IllegalTransition
 from .phy import NS_PER_S
 from .wurx import WurxMode, WurxState
 
 SUPPLY_VOLTAGE_V = 3.0
-DEFAULT_MCU_WAKEUP_NS = 7_000
-DEFAULT_RADIO_TURN_ON_NS = 1_000_000
 
 #: Modal power defaults (W): measured mote figures for sleep/decode/tx/rx,
 #: MCU-active from the microcontroller's datasheet class at 3.0 V.
@@ -84,6 +84,39 @@ DEFAULT_POWER_TABLE_W = {
 
 POWER_LABELS = ("sleep", "wurx_decode", "mcu_active", "lora_rx", "lora_tx",
                 "wub_tx")
+
+
+class WurxSpec(NamedTuple):
+    address: int
+    sensitivity_dbm: float = -50.0
+    bit_rate_bps: float = 1000.0
+    preamble_bits: int = 8
+    listen_power_w: float = 1.8e-6
+    decode_power_w: float = 284e-6
+
+
+class NodeSpec(NamedTuple):
+    address: int
+    role: str
+    position: Position
+    power_w: dict = MappingProxyType({})  # read-only: records share it
+    wurx: WurxSpec | None = None
+    battery_j: float = 1.0e4
+    harvest_rate_w: float = 0.0
+    harvest_efficiency: float = 0.90
+    mcu_wakeup_ns: int = 7_000
+    radio_turn_on_ns: int = 1_000_000
+
+
+def power_table(spec: NodeSpec) -> dict:
+    """The node's full power table: the defaults, the node's own power
+    keys, then the wurx block's decode power, which ``scenario.validate``
+    checks against its listen power."""
+    table = dict(DEFAULT_POWER_TABLE_W)
+    table.update(spec.power_w)
+    if spec.wurx is not None:
+        table["wurx_decode"] = spec.wurx.decode_power_w
+    return table
 
 
 class McuMode(enum.Enum):
@@ -160,25 +193,21 @@ _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
 
-def check_node_params(power_table_w: dict = DEFAULT_POWER_TABLE_W,
-                      battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
-                      harvest_efficiency: float = 0.90,
-                      mcu_wakeup_ns: int = DEFAULT_MCU_WAKEUP_NS,
-                      radio_turn_on_ns: int = DEFAULT_RADIO_TURN_ON_NS) -> None:
+def check_node_params(spec: NodeSpec) -> None:
     """Raise ConfigError unless a node's parameters are in range.
 
-    The one home of these checks: the ledger and the device pass what they
-    hold, and ``scenario.validate`` passes every node's values, so a
-    scenario that validates also builds. ``power_table_w`` is the full
-    table, the defaults with the node's overrides.
+    The one home of these checks, over ``power_table(spec)``, the defaults
+    with the node's overrides. ``scenario.validate`` calls it for every node
+    and ``MoteDevice`` for the node it builds, so a scenario that validates
+    also builds, and the ledger holds only values that passed.
     """
-    if battery_j < 0 or harvest_rate_w < 0:
+    if spec.battery_j < 0 or spec.harvest_rate_w < 0:
         raise ConfigError("battery_j and harvest_rate_w must be >= 0")
-    if not 0.0 <= harvest_efficiency <= 1.0:
+    if not 0.0 <= spec.harvest_efficiency <= 1.0:
         raise ConfigError("harvest_efficiency must be within [0, 1]")
-    if mcu_wakeup_ns <= 0 or radio_turn_on_ns <= 0:
+    if spec.mcu_wakeup_ns <= 0 or spec.radio_turn_on_ns <= 0:
         raise ConfigError("wake-up and radio turn-on latencies must be > 0")
-    table = power_table_w
+    table = power_table(spec)
     for label, power_w in table.items():
         if power_w < 0:
             raise ConfigError(f"{label} power must be >= 0, got {power_w} W")
@@ -198,18 +227,16 @@ class EnergyLedger:
     at zero (``depleted`` latches); it is not capped above, so sustained
     harvesting surplus accumulates. Conservation identity maintained:
     consumed - harvested == battery_initial - battery_remaining while the
-    floor has not been hit.
+    floor has not been hit. ``MoteDevice`` passes the battery and the net
+    harvest inflow of its checked node; the ledger checks neither.
     """
 
-    def __init__(self, battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
-                 harvest_efficiency: float = 0.90):
-        check_node_params(battery_j=battery_j, harvest_rate_w=harvest_rate_w,
-                          harvest_efficiency=harvest_efficiency)
+    def __init__(self, battery_j: float, harvest_w: float):
         self.time_ns: dict = {}
         self.energy_j: dict = {}
         self.battery_initial_j = battery_j
         self.battery_remaining_j = battery_j
-        self.harvest_w = harvest_rate_w * harvest_efficiency  # net inflow
+        self.harvest_w = harvest_w
         self.consumed_j = 0.0
         self.harvested_j = 0.0
         self.depleted = False
@@ -267,30 +294,26 @@ class MoteDevice:
     The wake path after a wake-up interrupt is mechanical (7 us MCU wake),
     after which the application layer owns radio policy via the driver
     operations. ``transition`` implements the table in the module docstring
-    and returns follow-up events for the engine to schedule.
+    and returns follow-up events for the engine to schedule. It is built
+    from its node's ``NodeSpec``, which ``check_node_params`` checks first.
     """
 
-    def __init__(self, address: int, position, power_table_w: dict | None = None,
-                 wurx: WurxState | None = None,
-                 mcu_wakeup_ns: int = DEFAULT_MCU_WAKEUP_NS,
-                 radio_turn_on_ns: int = DEFAULT_RADIO_TURN_ON_NS,
-                 battery_j: float = 1.0e4, harvest_rate_w: float = 0.0,
-                 harvest_efficiency: float = 0.90,
-                 start_awake: bool = False):
-        self.address = address
-        self.position = position
-        self.power_table_w = {**DEFAULT_POWER_TABLE_W, **(power_table_w or {})}
-        check_node_params(self.power_table_w, mcu_wakeup_ns=mcu_wakeup_ns,
-                          radio_turn_on_ns=radio_turn_on_ns)
-        self.wurx = wurx
+    def __init__(self, spec: NodeSpec, start_awake: bool = False):
+        check_node_params(spec)
+        self.address = spec.address
+        self.position = spec.position
+        self.power_table_w = power_table(spec)
+        self.wurx = None if spec.wurx is None else WurxState(
+            spec.wurx.address, spec.wurx.sensitivity_dbm)
         self._waking = TransitionResult(MCU_WAKING, RADIO_OFF, (
-            (mcu_wakeup_ns, MCU_AWAKE),))
+            (spec.mcu_wakeup_ns, MCU_AWAKE),))
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
-            (radio_turn_on_ns, RADIO_READY),))
+            (spec.radio_turn_on_ns, RADIO_READY),))
         self.radio = RADIO_OFF
         self.rx_since_ns: int | None = None
         self.wub_tx_power_w: float | None = None  # duty-scaled override
-        self.ledger = EnergyLedger(battery_j, harvest_rate_w, harvest_efficiency)
+        self.ledger = EnergyLedger(
+            spec.battery_j, spec.harvest_rate_w * spec.harvest_efficiency)
         # enter the initial state, which sets mcu, radio and the label
         self._label_since_ns = 0
         self._apply(0, _ACTIVE_OFF if start_awake else _ASLEEP)

@@ -86,14 +86,20 @@ class RunMetrics:
                  "trace_hash", "wallclock_s")
 
     def __init__(self, scenario_hash: str, seed: int, horizon_ns: int,
-                 calibration: dict, packets: list, links: dict,
-                 event_count: int, trace_hash: str, wallclock_s: float):
+                 calibration: dict, packets: list, event_count: int,
+                 trace_hash: str, wallclock_s: float):
         self.scenario_hash = scenario_hash
         self.seed = seed
         self.horizon_ns = horizon_ns
         self.calibration = calibration
         self.packets = packets
-        self.links = links  # (src, dst) -> LinkStats
+        self.links = {}  # (src, dst) -> LinkStats, counted from the packets
+        for packet in packets:
+            stats = self.links.get((packet.src, packet.dst))
+            if stats is None:
+                stats = self.links[(packet.src, packet.dst)] = LinkStats()
+            stats.sent += 1
+            stats.delivered += packet.outcome == "delivered"
         self.energy = []  # NodeEnergyReport
         self.exchanges = []  # ExchangeRecord
         self.event_count = event_count

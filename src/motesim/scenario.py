@@ -1,9 +1,10 @@
 """Scenario definition: schema, YAML loading, validation, presets.
 
 A scenario file is YAML with five sections (sim, radio, channel, nodes,
-app). Unknown keys anywhere are rejected to catch typos. The radio and
-channel sections and a node's wurx and position blocks take their keys,
-types and defaults from the fields of the named tuple they build. The same
+app). Unknown keys and sections that are not mappings are rejected. The
+radio and channel sections and a node's wurx and position blocks take
+their keys, types and defaults from the named tuple they build;
+``NodeSpec``, ``WurxSpec`` and the node checks live in ``node``. The same
 named tuples are built programmatically by the experiment presets, so the
 CLI presets and file-driven runs share one validation path. A scenario is
 immutable; ``scenario._replace(seed=...)`` gives a varied copy.
@@ -14,13 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from types import MappingProxyType
 from typing import NamedTuple, get_type_hints
 
 from .channel import ChannelParams, Position
 from .errors import ConfigError, ScenarioError
-from .node import (DEFAULT_MCU_WAKEUP_NS, DEFAULT_POWER_TABLE_W,
-                   DEFAULT_RADIO_TURN_ON_NS, check_node_params)
+from .node import NodeSpec, WurxSpec, check_node_params, power_table
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import DEFAULT_MTU, HEADER_BYTES
 from .wurx import WakeUpFrame, wub_airtime
@@ -36,28 +35,6 @@ _APP_KEYS = {
     "none": (),
 }
 APP_KINDS = tuple(_APP_KEYS)
-
-
-class WurxSpec(NamedTuple):
-    address: int
-    sensitivity_dbm: float = -50.0
-    bit_rate_bps: float = 1000.0
-    preamble_bits: int = 8
-    listen_power_w: float = 1.8e-6
-    decode_power_w: float = 284e-6
-
-
-class NodeSpec(NamedTuple):
-    address: int
-    role: str
-    position: Position
-    power_w: dict = MappingProxyType({})  # read-only: records share it
-    wurx: WurxSpec | None = None
-    battery_j: float = 1.0e4
-    harvest_rate_w: float = 0.0
-    harvest_efficiency: float = 0.90
-    mcu_wakeup_ns: int = DEFAULT_MCU_WAKEUP_NS
-    radio_turn_on_ns: int = DEFAULT_RADIO_TURN_ON_NS
 
 
 class AppSpec(NamedTuple):
@@ -89,7 +66,9 @@ class Scenario(NamedTuple):
         raise ScenarioError(f"no node with address {address}")
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
+def _require_keys(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ScenarioError(
@@ -114,7 +93,9 @@ def _get(section: dict, key: str, kind, where: str, default=None,
     return value
 
 
-def _s_to_ns(seconds: float) -> int:
+def _s_to_ns(seconds: float, key: str) -> int:
+    if not math.isfinite(seconds * NS_PER_S):  # round() would overflow
+        raise ScenarioError(f"{key} is too large to count in ns")
     return round(seconds * NS_PER_S)
 
 
@@ -126,8 +107,6 @@ def _parse_fields(cls, raw, where: str):
     version stores the annotations). An omitted key takes the field's
     default; a field without a default is required.
     """
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be a mapping")
     _require_keys(raw, set(cls._fields), where)
     kinds, defaults = get_type_hints(cls), cls._field_defaults
     values = {name: _get(raw, name, kinds[name], where,
@@ -161,7 +140,8 @@ def _parse_present(raw: dict, keys, kind, where: str) -> dict:
             continue
         if key in _DURATIONS:
             name, unit_s = _DURATIONS[key]
-            values[name] = _s_to_ns(_get(raw, key, float, where) * unit_s)
+            values[name] = _s_to_ns(_get(raw, key, float, where) * unit_s,
+                                    f"{where}.{key}")
         else:
             values[key] = _get(raw, key, kind, where)
     return values
@@ -178,8 +158,6 @@ _NODE_KEYS = ("battery_j", "harvest_rate_w", "harvest_efficiency",
 
 def _parse_node(raw, index: int) -> NodeSpec:
     where = f"nodes[{index}]"
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be a mapping")
     _require_keys(raw, {"address", "role", "position", "power", "wurx",
                         *_NODE_KEYS}, where)
     role = _get(raw, "role", str, where, required=True)
@@ -211,23 +189,14 @@ def _parse_node(raw, index: int) -> NodeSpec:
 
 def _parse_app(raw) -> AppSpec:
     where = "app"
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a mapping")
     kind = _get(raw, "kind", str, where, required=True)
     if kind not in APP_KINDS:
         raise ScenarioError(f"app.kind must be one of {APP_KINDS}, got {kind!r}")
     _require_keys(raw, {"kind", *_APP_KEYS[kind]}, f"app of kind {kind!r}")
     return AppSpec(kind=kind, **_parse_present(raw, _APP_KEYS[kind], int,
                                                where))
-
-
-def power_table(spec: NodeSpec) -> dict:
-    """The node's full power table: the defaults, the node's own power
-    keys, then the wurx block's decode power, which ``validate`` checks
-    against its listen power."""
-    table = dict(DEFAULT_POWER_TABLE_W)
-    table.update(spec.power_w)
-    if spec.wurx is not None:
-        table["wurx_decode"] = spec.wurx.decode_power_w
-    return table
 
 
 def validate(scenario: Scenario) -> None:
@@ -246,9 +215,7 @@ def validate(scenario: Scenario) -> None:
     wub_frames = {}
     for spec in scenario.nodes:
         try:
-            check_node_params(power_table(spec), spec.battery_j,
-                              spec.harvest_rate_w, spec.harvest_efficiency,
-                              spec.mcu_wakeup_ns, spec.radio_turn_on_ns)
+            check_node_params(spec)
         except ConfigError as exc:
             raise ScenarioError(f"node {spec.address}: {exc}") from exc
         if spec.wurx is not None:
@@ -319,7 +286,8 @@ def from_dict(raw: dict) -> Scenario:
     if not isinstance(raw["nodes"], list):
         raise ScenarioError("nodes must be a list")
     scenario = Scenario(
-        horizon_ns=_s_to_ns(_get(sim, "horizon_s", float, "sim", required=True)),
+        horizon_ns=_s_to_ns(_get(sim, "horizon_s", float, "sim",
+                                 required=True), "sim.horizon_s"),
         seed=_get(sim, "seed", int, "sim", 0),
         radio=_parse_fields(RadioConfig, raw.get("radio") or {}, "radio"),
         channel=_parse_fields(ChannelParams, raw.get("channel") or {},
@@ -388,7 +356,7 @@ def range_point_scenario(distance_m: float, packets: int = 360,
     if packets < 1:
         raise ScenarioError("packets must be >= 1")
     scenario = Scenario(
-        horizon_ns=_s_to_ns(packets * period_s + 1.0),
+        horizon_ns=_s_to_ns(packets * period_s + 1.0, "horizon"),
         seed=seed,
         radio=PAPER_RADIO,
         channel=ChannelParams(shadowing_sigma_db=shadowing_sigma_db),
@@ -398,7 +366,7 @@ def range_point_scenario(distance_m: float, packets: int = 360,
                      position=Position(x=distance_m)),
         ),
         app=AppSpec(kind="periodic", src=2, dst=1, payload_len=payload_len,
-                    period_ns=_s_to_ns(period_s)),
+                    period_ns=_s_to_ns(period_s, "period_s")),
     )
     validate(scenario)
     return scenario
@@ -413,7 +381,7 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
     if cycles < 1:
         raise ScenarioError("cycles must be >= 1")
     scenario = Scenario(
-        horizon_ns=_s_to_ns((cycles + 1) * cycle_period_s),
+        horizon_ns=_s_to_ns((cycles + 1) * cycle_period_s, "horizon"),
         seed=seed,
         radio=PAPER_RADIO,
         channel=ChannelParams(),
@@ -425,8 +393,8 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
         ),
         app=AppSpec(kind="wakeup_exchange", initiator=1, target=2,
                     payload_len=payload_len, cycles=cycles,
-                    cycle_period_ns=_s_to_ns(cycle_period_s),
-                    linger_ns=_s_to_ns(linger_ms * 1e-3)),
+                    cycle_period_ns=_s_to_ns(cycle_period_s, "cycle_period_s"),
+                    linger_ns=_s_to_ns(linger_ms * 1e-3, "linger_ms")),
     )
     validate(scenario)
     return scenario

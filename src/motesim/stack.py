@@ -125,18 +125,8 @@ class Unicast:
             self.on_message(msg)
 
     def _rx_done(self, frame: Frame) -> str:
+        """Classify a received frame: deliver | drop-address | duplicate."""
         msg = decode_message(frame.payload)
-        disposition = self._classify(msg)
-        if disposition == "deliver" and self.on_message is not None:
-            self.on_message(msg)
-        return disposition
-
-    def filter_frame(self, frame: Frame) -> str:
-        """Classify a PHY-accepted frame: deliver | drop-address | duplicate."""
-        return self._classify(decode_message(frame.payload))
-
-    def _classify(self, msg: UnicastMessage | None) -> str:
-        """``filter_frame`` on the frame's decoded link header."""
         if msg is None or msg.dst != self.local_address:
             self.overheard += 1
             return "drop-address"
@@ -147,6 +137,8 @@ class Unicast:
         seen.append(msg.seqno)
         if len(seen) > self.duplicate_window:
             seen.pop(0)
+        if self.on_message is not None:
+            self.on_message(msg)
         return "deliver"
 
 

@@ -183,3 +183,38 @@ def test_payload_len_checked_at_load(payload_len, tmp_path, capsys):
     assert err.startswith("scenario error: app.payload_len")
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == err
+
+
+# each file is malformed in one section or holds one duration too large to
+# count in ns; loading one must end in a scenario error, not a traceback
+ONE_BS = "nodes: [{address: 1, role: bs}]\n"
+MALFORMED = {
+    "sim-scalar": "sim: 5\n" + ONE_BS + "app: {kind: none}\n",
+    "sim-null": "sim:\n" + ONE_BS + "app: {kind: none}\n",
+    "app-scalar": "sim: {horizon_s: 1.0}\n" + ONE_BS + "app: 5\n",
+    "power-scalar": "sim: {horizon_s: 1.0}\n"
+                    "nodes: [{address: 1, role: bs, power: 5}]\n"
+                    "app: {kind: none}\n",
+    "power-null": "sim: {horizon_s: 1.0}\n"
+                  "nodes: [{address: 1, role: bs, power: }]\n"
+                  "app: {kind: none}\n",
+    "horizon-overflow": "sim: {horizon_s: 1.0e+308}\n" + ONE_BS
+                        + "app: {kind: none}\n",
+    "period-overflow": "sim: {horizon_s: 1.0}\n"
+                       "nodes: [{address: 1, role: bs},"
+                       " {address: 2, role: mote, position: {x: 5.0}}]\n"
+                       "app: {kind: periodic, src: 2, dst: 1,"
+                       " period_s: 1.0e+308}\n",
+    "turn-on-overflow": "sim: {horizon_s: 1.0}\n"
+                        "nodes: [{address: 1, role: bs,"
+                        " radio_turn_on_ms: 1.0e+308}]\n"
+                        "app: {kind: none}\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_scenario_is_a_scenario_error(text, tmp_path, capsys):
+    bad = tmp_path / "malformed.yaml"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    assert capsys.readouterr().err.startswith("scenario error:")

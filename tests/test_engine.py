@@ -690,12 +690,11 @@ class TestLinkCache:
 
     def test_coincident_nodes_raise_at_first_frame(self):
         from motesim.errors import ZeroDistanceError
-        from motesim.node import DEFAULT_MCU_WAKEUP_NS
         sim = Simulator(multi_mote_scenario([Position()]), record_trace=False)
         started = record_transmissions(sim)
         with pytest.raises(ZeroDistanceError):
             sim.run()
-        assert sim.now == 1_000_000_000 + DEFAULT_MCU_WAKEUP_NS + 1_000_000
+        assert sim.now == 1_000_000_000 + 7_000 + 1_000_000
         assert started == []
 
     def test_coincident_wurx_node_raises_at_burst(self):
@@ -713,7 +712,6 @@ class TestLinkCache:
         # bursts reach WuRX nodes only, so the burst passes and the data
         # frame that follows it is the first to need the coincident link
         from motesim.errors import ZeroDistanceError
-        from motesim.node import DEFAULT_MCU_WAKEUP_NS
         base = power_profile_scenario(cycles=2)
         scenario = base._replace(nodes=base.nodes + (
             NodeSpec(address=3, role="bs", position=Position()),))
@@ -721,8 +719,7 @@ class TestLinkCache:
         started = record_transmissions(sim)
         with pytest.raises(ZeroDistanceError):
             sim.run()
-        assert sim.now == (1_000_000_000 + 16_000_000 + DEFAULT_MCU_WAKEUP_NS
-                           + 1_000_000)
+        assert sim.now == 1_000_000_000 + 16_000_000 + 7_000 + 1_000_000
         assert started == []
 
     def test_path_loss_computed_once_per_link(self, monkeypatch):

@@ -6,14 +6,15 @@ import pytest
 from motesim import (ConfigError, EnergyLedger, IllegalTransition,
                      MoteDevice, NodeEvent, Position,
                      power_report)
-from motesim.node import DEFAULT_POWER_TABLE_W, McuMode, RadioMode
-from motesim.wurx import WurxMode, WurxState
+from motesim.node import (DEFAULT_POWER_TABLE_W, McuMode, NodeSpec,
+                          RadioMode, WurxSpec)
+from motesim.wurx import WurxMode
 
 
 def make_device(awake=False, with_wurx=False, **kwargs):
-    wurx = WurxState(configured_address=0x2A) if with_wurx else None
-    return MoteDevice(address=7, position=Position(), wurx=wurx,
-                      start_awake=awake, **kwargs)
+    wurx = WurxSpec(address=0x2A) if with_wurx else None
+    return MoteDevice(NodeSpec(7, "mote", Position(), wurx=wurx, **kwargs),
+                      start_awake=awake)
 
 
 class TestWakePath:
@@ -245,36 +246,34 @@ def test_transition_fuzz_million_events():
 
 class TestEnergyLedger:
     def test_accrual_matches_product(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(1.0e4, 0.0)
         ledger.accrue("lora_tx", 0.240, 313_344_000)
         assert ledger.energy_j["lora_tx"] == pytest.approx(0.07520256,
                                                            rel=1e-12)
         assert ledger.time_ns["lora_tx"] == 313_344_000
 
     def test_zero_dt_no_change(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(1.0e4, 0.0)
         ledger.accrue("sleep", 1.83e-6, 0)
         assert ledger.time_ns == {} and ledger.energy_j == {}
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ConfigError):
-            EnergyLedger().accrue("sleep", 1.0, -1)
+            EnergyLedger(1.0e4, 0.0).accrue("sleep", 1.0, -1)
 
     def test_harvest_balance_point(self):
-        ledger = EnergyLedger(battery_j=10.0, harvest_rate_w=1.0 / 0.9,
-                              harvest_efficiency=0.9)
+        ledger = EnergyLedger(battery_j=10.0, harvest_w=1.0 / 0.9 * 0.9)
         ledger.accrue("mcu_active", 1.0, 5_000_000_000)
         assert ledger.battery_remaining_j == pytest.approx(10.0, rel=1e-9)
 
     def test_battery_floors_and_latches(self):
-        ledger = EnergyLedger(battery_j=1e-6)
+        ledger = EnergyLedger(battery_j=1e-6, harvest_w=0.0)
         ledger.accrue("lora_tx", 0.240, 1_000_000_000)
         assert ledger.battery_remaining_j == 0.0
         assert ledger.depleted
 
     def test_battery_gain_rate_bounded(self):
-        ledger = EnergyLedger(battery_j=1.0, harvest_rate_w=0.5,
-                              harvest_efficiency=0.9)
+        ledger = EnergyLedger(battery_j=1.0, harvest_w=0.5 * 0.9)
         before = ledger.battery_remaining_j
         ledger.accrue("sleep", 0.0, 2_000_000_000)
         gained = ledger.battery_remaining_j - before
@@ -282,7 +281,7 @@ class TestEnergyLedger:
 
     def test_conservation_identity(self):
         rng = random.Random(3)
-        ledger = EnergyLedger(battery_j=100.0, harvest_rate_w=0.01)
+        ledger = EnergyLedger(battery_j=100.0, harvest_w=0.01 * 0.90)
         for _ in range(2000):
             ledger.accrue(rng.choice(("sleep", "lora_tx", "lora_rx")),
                           rng.uniform(0.0, 0.3), rng.randrange(0, 10 ** 8))
@@ -349,9 +348,9 @@ class TestLedgerIntegration:
 
     def test_radio_draws_must_dominate_idle(self):
         with pytest.raises(ConfigError):
-            make_device(power_table_w={"lora_rx": 1e-3})  # below mcu_active
+            make_device(power_w={"lora_rx": 1e-3})  # below mcu_active
         with pytest.raises(ConfigError):
-            make_device(power_table_w={"sleep": 5e-3})  # above mcu_active
+            make_device(power_w={"sleep": 5e-3})  # above mcu_active
 
 
 class TestLabelAcrossWurxModes:

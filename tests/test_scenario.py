@@ -3,12 +3,16 @@ import pathlib
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from motesim import (ChannelParams, Position, RadioConfig, Scenario,
-                     ScenarioError, emit, load, run, scenario_hash)
+from motesim import (ChannelParams, ConfigError, Position, RadioConfig,
+                     Scenario, ScenarioError, Simulator, emit, load, run,
+                     scenario_hash)
 from motesim.cli import main
-from motesim.scenario import (WurxSpec, from_dict, power_table,
-                              range_point_scenario)
+from motesim.node import DEFAULT_POWER_TABLE_W
+from motesim.scenario import (AppSpec, NodeSpec, WurxSpec, from_dict,
+                              power_table, range_point_scenario, validate)
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -260,6 +264,46 @@ def test_sleeper_charged_its_wurx_blocks_decode_power():
     assert power_w == FULL["nodes"][1]["wurx"]["decode_power_w"]
     assert time_ns > 0
     assert energy_j == pytest.approx(power_w * time_ns / 1e9)
+
+
+# power figures on both sides of each check: negative, zero, the defaults
+# (so sleep can equal mcu_active) and any other finite value
+POWER_FIGURES = st.one_of(
+    st.sampled_from((-1e-3, 0.0, 1.83e-6, 284e-6, 2.4e-3, 0.050, 0.240)),
+    st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(battery_j=st.floats(-1.0, 2e4), harvest_rate_w=st.floats(-1.0, 1.0),
+       harvest_efficiency=st.floats(-0.5, 1.5),
+       mcu_wakeup_ns=st.integers(-10, 10 ** 7),
+       radio_turn_on_ns=st.integers(-10, 10 ** 7),
+       power_w=st.dictionaries(st.sampled_from(tuple(DEFAULT_POWER_TABLE_W)),
+                               POWER_FIGURES))
+@example(battery_j=1e4, harvest_rate_w=0.0, harvest_efficiency=0.9,
+         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+         power_w={"sleep": 2.4e-3, "mcu_active": 2.4e-3})
+@example(battery_j=-1.0, harvest_rate_w=0.0, harvest_efficiency=0.9,
+         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+         power_w={"lora_rx": -1.0})
+def test_validate_rejects_exactly_what_the_build_rejects(**fields):
+    scenario = Scenario(
+        horizon_ns=10 ** 9, seed=1, radio=RadioConfig(),
+        channel=ChannelParams(),
+        nodes=(NodeSpec(address=3, role="mote", position=Position(),
+                        **fields),),
+        app=AppSpec(kind="none"))
+    try:
+        validate(scenario)
+        expected = None
+    except ScenarioError as exc:
+        expected = str(exc)
+    try:
+        Simulator(scenario, record_trace=False)
+        built = None
+    except ConfigError as exc:
+        built = f"node 3: {exc}"
+    assert built == expected
 
 
 class TestFieldSections:

@@ -114,31 +114,35 @@ class TestUnicast:
         assert driver.sent == []
 
     def test_filter_delivers_matching_dst(self):
-        unicast = Unicast(FakeDriver(), local_address=5)
+        driver = FakeDriver()
+        Unicast(driver, local_address=5)
         data = encode_message(UnicastMessage(2, 5, 1, b"x"))
-        assert unicast.filter_frame(frame_with(data)) == "deliver"
+        assert driver.rx_done(frame_with(data)) == "deliver"
 
     def test_filter_drops_foreign_dst_as_overheard(self):
-        unicast = Unicast(FakeDriver(), local_address=5)
+        driver = FakeDriver()
+        unicast = Unicast(driver, local_address=5)
         data = encode_message(UnicastMessage(2, 6, 1, b"x"))
-        assert unicast.filter_frame(frame_with(data)) == "drop-address"
+        assert driver.rx_done(frame_with(data)) == "drop-address"
         assert unicast.overheard == 1
 
     def test_duplicate_dropped_within_window(self):
-        unicast = Unicast(FakeDriver(), local_address=5)
+        driver = FakeDriver()
+        unicast = Unicast(driver, local_address=5)
         data = encode_message(UnicastMessage(2, 5, 7, b"x"))
-        assert unicast.filter_frame(frame_with(data)) == "deliver"
-        assert unicast.filter_frame(frame_with(data)) == "duplicate"
+        assert driver.rx_done(frame_with(data)) == "deliver"
+        assert driver.rx_done(frame_with(data)) == "duplicate"
         assert unicast.duplicates_dropped == 1
 
     def test_duplicate_window_evicts_oldest(self):
-        unicast = Unicast(FakeDriver(), local_address=5, duplicate_window=2)
+        driver = FakeDriver()
+        Unicast(driver, local_address=5, duplicate_window=2)
         for seq in (1, 2, 3):
             data = encode_message(UnicastMessage(2, 5, seq, b""))
-            assert unicast.filter_frame(frame_with(data)) == "deliver"
+            assert driver.rx_done(frame_with(data)) == "deliver"
         # seqno 1 fell out of the window and would deliver again
         data = encode_message(UnicastMessage(2, 5, 1, b""))
-        assert unicast.filter_frame(frame_with(data)) == "deliver"
+        assert driver.rx_done(frame_with(data)) == "deliver"
 
     def test_received_frame_decoded_once(self, monkeypatch):
         calls = []
