@@ -64,24 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> list:
     scenario = scen.load(args.scenario_file)
     if args.seed is not None:
         scenario = scenario._replace(seed=args.seed)
         scen.validate(scenario)
     if args.validate_only:
         print(f"scenario OK ({scen.scenario_hash(scenario)})")
-        return 0
+        return []
     metrics = engine.run(scenario)
     paths = report.emit(metrics, args.format, args.out_dir)
     print(f"sent {metrics.total_sent()} delivered {metrics.total_delivered()} "
           f"events {metrics.event_count} ({metrics.wallclock_s:.3f} s)")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return paths
 
 
-def _cmd_range_sweep(args) -> int:
+def _cmd_range_sweep(args) -> list:
     seed = 1 if args.seed is None else args.seed
     rows, meta, _ = engine.range_sweep(
         distances=args.distances, packets=args.packets, seed=seed,
@@ -90,12 +88,10 @@ def _cmd_range_sweep(args) -> int:
     for row in rows:
         print(f"d={row.distance_m:8.1f} m  pdr={row.pdr:.3f}  "
               f"rssi={row.rssi_dbm_mean:8.2f} dBm  snr={row.snr_db_mean:7.2f} dB")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return paths
 
 
-def _cmd_power_profile(args) -> int:
+def _cmd_power_profile(args) -> list:
     seed = 1 if args.seed is None else args.seed
     metrics = engine.power_profile(cycles=args.cycles, seed=seed)
     paths = report.emit(metrics, args.format, args.out_dir)
@@ -105,23 +101,25 @@ def _cmd_power_profile(args) -> int:
               f"{e_j:.6e} J  {pct:6.2f} %")
     completed = sum(1 for ex in metrics.exchanges if ex.outcome == "completed")
     print(f"exchanges completed: {completed}/{len(metrics.exchanges)}")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return paths
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # each handler returns the paths it wrote
     handlers = {"run": _cmd_run, "range-sweep": _cmd_range_sweep,
                 "power-profile": _cmd_power_profile}
     try:
-        return handlers[args.command](args)
+        paths = handlers[args.command](args)
     except ConfigError as exc:  # a scenario, preset or option out of range
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     except (MotesimError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

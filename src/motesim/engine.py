@@ -30,7 +30,9 @@ the capture decision read this short on-air list, so the cost per event
 does not grow with the horizon. The dispatch trace is hashed in chunks
 of at most 1,024 lines, so its memory is constant too.
 
-Nodes never move, so work that depends only on positions is done once. At a
+A wake-up exchange's burst depends only on the target's wurx block, so it
+is built once, with the applications, and every cycle sends it. Nodes
+never move, so work that depends only on positions is done once. At a
 sender's first frame the engine caches its mean path loss to every other
 node, and at its first wake-up burst to every other WuRX node. Each frame
 or burst then takes only the shadowing draws, one per receiver in
@@ -229,8 +231,7 @@ class Simulator:
                 at_ns, _CALLBACK, address, fn),
             request_sleep=lambda: self.node_event(device, nd.SLEEP_REQUEST),
             request_wake=lambda: self.node_event(device, nd.WAKE),
-            send_wakeup=lambda wurx_address: self.send_wakeup(
-                device, wurx_address),
+            send_wakeup=lambda: self.send_wakeup(device),
             target_awake=lambda addr: self.devices[addr].mcu is MCU_ACTIVE,
             log=self.log_lines.append,
         )
@@ -255,16 +256,16 @@ class Simulator:
                     idle_policy="rx" if roles[address] == "bs" else "sleep")
         elif app.kind == "wakeup_exchange":
             target_spec = scenario.node(app.target)
-            # the burst framing, read at every send_wakeup; validate
-            # guarantees that the target carries a wurx block
-            self._target_wurx = target_spec.wurx
+            wurx = target_spec.wurx  # validate checks that there is one
+            self._wub = wux.send_wub(wurx.address,
+                                     preamble_bits=wurx.preamble_bits,
+                                     bit_rate_bps=wurx.bit_rate_bps)
             wake_chain = (target_spec.mcu_wakeup_ns
                           + target_spec.radio_turn_on_ns)
             self.apps[app.initiator] = stk.WakeupInitiatorApp(
                 self.unicasts[app.initiator],
                 self._services_for(app.initiator),
                 target=app.target,
-                target_wurx_address=target_spec.wurx.address,
                 payload_len=app.payload_len,
                 cycle_period_ns=app.cycle_period_ns,
                 cycles=app.cycles,
@@ -275,8 +276,7 @@ class Simulator:
 
         for address, role in roles.items():
             if address not in self.apps and role == "bs":
-                self.apps[address] = stk.SinkApp(
-                    self.unicasts[address], self._services_for(address))
+                self.apps[address] = stk.SinkApp(self.unicasts[address])
 
     # -- scheduling -----------------------------------------------------------
 
@@ -365,13 +365,10 @@ class Simulator:
                       frame.frame_id)
         return frame
 
-    def send_wakeup(self, device: MoteDevice, wurx_address: int):
-        # only the wake-up initiator sends bursts; begin_wub_tx rejects a
-        # burst while the radio is off or busy
-        wurx_spec = self._target_wurx
-        emission = wux.send_wub(wurx_address,
-                                preamble_bits=wurx_spec.preamble_bits,
-                                bit_rate_bps=wurx_spec.bit_rate_bps)
+    def send_wakeup(self, device: MoteDevice):
+        # only the wake-up initiator sends bursts, all of them the run's
+        # one burst; begin_wub_tx rejects one while the radio is off or busy
+        emission = self._wub
         result = device.begin_wub_tx(self.now, emission.duty)
         self.process_result(device, result)
         rssi_by_rx = self._rssi_by_rx(device, True)
@@ -599,23 +596,18 @@ class Simulator:
         app = self.scenario.app
         if app.kind != "wakeup_exchange":
             return []
-        initiator = self.apps.get(app.initiator)
-        sleeper = self.apps.get(app.target)
-        received = list(sleeper.received) if sleeper is not None else []
+        # the initiator sends only data frames, so the k-th cycle that sent
+        # data sent seqno k; a lost frame does not shift the later cycles
+        rx_by_seqno = {msg.seqno: t_rx
+                       for t_rx, msg in self.apps[app.target].received}
+        seqnos = itertools.count(1)
         records = []
-        rx_index = 0
-        for (cycle, wub_start, status) in initiator.exchanges:
-            if status == "wake-timeout":
-                records.append(rep.ExchangeRecord(cycle, wub_start,
-                                                  "wake-timeout"))
-            elif rx_index < len(received):
-                t_rx, _msg = received[rx_index]
-                rx_index += 1
-                records.append(rep.ExchangeRecord(cycle, wub_start,
-                                                  "completed", t_rx))
-            else:
-                records.append(rep.ExchangeRecord(cycle, wub_start,
-                                                  "data-lost"))
+        for (cycle, wub_start, status) in self.apps[app.initiator].exchanges:
+            t_rx = None
+            if status == "data-sent":
+                t_rx = rx_by_seqno.get(next(seqnos))
+                status = "data-lost" if t_rx is None else "completed"
+            records.append(rep.ExchangeRecord(cycle, wub_start, status, t_rx))
         return records
 
 

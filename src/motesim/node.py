@@ -68,7 +68,7 @@ from typing import NamedTuple
 from .channel import Position
 from .errors import ConfigError, IllegalTransition
 from .phy import NS_PER_S
-from .wurx import WurxMode, WurxState
+from .wurx import WakeUpFrame, WurxMode, WurxState
 
 SUPPLY_VOLTAGE_V = 3.0
 
@@ -197,9 +197,11 @@ def check_node_params(spec: NodeSpec) -> None:
     """Raise ConfigError unless a node's parameters are in range.
 
     The one home of these checks, over ``power_table(spec)``, the defaults
-    with the node's overrides. ``scenario.validate`` calls it for every node
-    and ``MoteDevice`` for the node it builds, so a scenario that validates
-    also builds, and the ledger holds only values that passed.
+    with the node's overrides, and over the wurx block: its burst must be
+    one that can be sent, and its listen power below its decode power.
+    ``scenario.validate`` calls it for every node and ``MoteDevice`` for the
+    node it builds, so a scenario that validates also builds, and the
+    ledger holds only values that passed.
     """
     if spec.battery_j < 0 or spec.harvest_rate_w < 0:
         raise ConfigError("battery_j and harvest_rate_w must be >= 0")
@@ -218,6 +220,14 @@ def check_node_params(spec: NodeSpec) -> None:
     if table["lora_tx"] <= idle_peak or table["lora_rx"] <= idle_peak:
         raise ConfigError(
             "lora_tx and lora_rx draws must exceed sleep/standby draws")
+    wurx = spec.wurx
+    if wurx is not None:
+        try:
+            WakeUpFrame(wurx.address, wurx.preamble_bits, wurx.bit_rate_bps)
+        except ConfigError as exc:
+            raise ConfigError(f"wurx: {exc}") from exc
+        if wurx.listen_power_w >= wurx.decode_power_w:
+            raise ConfigError("wurx: listen power must be below decode power")
 
 
 class EnergyLedger:

@@ -146,16 +146,26 @@ def _fmt_e(value) -> str:
     return f"{value:.12e}"
 
 
-def _header_lines(metrics_or_meta) -> list:
-    if isinstance(metrics_or_meta, RunMetrics):
-        meta = {"scenario": metrics_or_meta.scenario_hash,
-                "seed": metrics_or_meta.seed,
-                **metrics_or_meta.calibration}
-    else:
-        meta = dict(metrics_or_meta)
+def _header_lines(meta) -> list:
     pairs = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
     return [f"# motesim report format={REPORT_FORMAT_VERSION}",
             f"# {pairs}"]
+
+
+def _run_header(metrics: RunMetrics) -> list:
+    return _header_lines({"scenario": metrics.scenario_hash,
+                          "seed": metrics.seed, **metrics.calibration})
+
+
+def _table(columns: str, rows, widths=None) -> list:
+    """The comma-separated ``columns``, then one line per row of string
+    cells: joined by commas, or right-aligned to ``widths`` and joined by
+    spaces. A row may stop short of the last columns. ``rows`` may be a
+    generator, so that a row's cells live only until its line is built."""
+    if widths is None:
+        return [columns] + [",".join(cells) for cells in rows]
+    return [" ".join(f"{cell:>{width}}" for cell, width in zip(cells, widths))
+            for part in ([columns.split(",")], rows) for cells in part]
 
 
 def _write(path: Path, lines: list) -> Path:
@@ -167,83 +177,68 @@ def _write(path: Path, lines: list) -> Path:
     return path
 
 
+# the columns of the tables that the CSV files and the text report share
+_ENERGY_COLUMNS = "node,mode,power_w,time_s,energy_j,pct"
+_EXCHANGE_COLUMNS = "cycle,wub_start_s,outcome,latency_s"
+
+
+def _energy_rows(rep: NodeEnergyReport) -> list:
+    return [[str(rep.address), label, _fmt_e(power), _fmt(t_ns / 1e9, 9),
+             _fmt_e(e_j), _fmt(pct, 3)]
+            for (label, power, t_ns, e_j, pct) in rep.rows]
+
+
+def _exchange_rows(metrics: RunMetrics):
+    return ([str(ex.cycle), _fmt(ex.wub_start_ns / 1e9, 9), ex.outcome,
+             _fmt(None if ex.latency_ns is None else ex.latency_ns / 1e9, 9)]
+            for ex in metrics.exchanges)
+
+
 def emit(metrics: RunMetrics, fmt: str, out_dir) -> list:
     """Write run results in the requested format; returns the paths."""
     out = Path(out_dir)
-    if fmt == "csv":
-        return _emit_csv(metrics, out)
     if fmt == "text":
         return [_write(out / "report.txt", render_text(metrics))]
-    raise MotesimError(f"unknown report format {fmt!r}")
-
-
-def _emit_csv(metrics: RunMetrics, out: Path) -> list:
-    head = _header_lines(metrics)
-    paths = []
-
-    lines = head + ["seqno,src,dst,t_start_s,distance_m,rssi_dbm,snr_db,outcome"]
-    for p in metrics.packets:
-        lines.append(",".join([
-            str(p.seqno), str(p.src), str(p.dst),
-            _fmt(p.t_start_ns / 1e9, 9), _fmt(p.distance_m, 3),
-            _fmt(p.rssi_dbm, 3), _fmt(p.snr_db, 3), p.outcome]))
-    paths.append(_write(out / "packets.csv", lines))
-
-    lines = head + ["src,dst,sent,delivered,pdr"]
-    for (src, dst) in sorted(metrics.links):
-        s = metrics.links[(src, dst)]
-        lines.append(f"{src},{dst},{s.sent},{s.delivered},{_fmt(s.pdr)}")
-    paths.append(_write(out / "links.csv", lines))
-
-    lines = head + ["node,mode,power_w,time_s,energy_j,pct"]
-    for rep in metrics.energy:
-        for (label, power, t_ns, e_j, pct) in rep.rows:
-            lines.append(",".join([
-                str(rep.address), label, _fmt_e(power),
-                _fmt(t_ns / 1e9, 9), _fmt_e(e_j), _fmt(pct, 3)]))
-    paths.append(_write(out / "energy.csv", lines))
-
+    if fmt != "csv":
+        raise MotesimError(f"unknown report format {fmt!r}")
+    tables = [
+        ("packets.csv",
+         "seqno,src,dst,t_start_s,distance_m,rssi_dbm,snr_db,outcome",
+         ([str(p.seqno), str(p.src), str(p.dst), _fmt(p.t_start_ns / 1e9, 9),
+           _fmt(p.distance_m, 3), _fmt(p.rssi_dbm, 3), _fmt(p.snr_db, 3),
+           p.outcome] for p in metrics.packets)),
+        ("links.csv", "src,dst,sent,delivered,pdr",
+         ([str(src), str(dst), str(s.sent), str(s.delivered), _fmt(s.pdr)]
+          for (src, dst), s in sorted(metrics.links.items()))),
+        ("energy.csv", _ENERGY_COLUMNS,
+         (row for rep in metrics.energy for row in _energy_rows(rep))),
+    ]
     if metrics.exchanges:
-        lines = head + ["cycle,wub_start_s,outcome,latency_s"]
-        for ex in metrics.exchanges:
-            latency = None if ex.latency_ns is None else ex.latency_ns / 1e9
-            lines.append(",".join([
-                str(ex.cycle), _fmt(ex.wub_start_ns / 1e9, 9),
-                ex.outcome, _fmt(latency, 9)]))
-        paths.append(_write(out / "exchanges.csv", lines))
-    return paths
+        tables.append(("exchanges.csv", _EXCHANGE_COLUMNS,
+                       _exchange_rows(metrics)))
+    head = _run_header(metrics)
+    return [_write(out / name, head + _table(columns, rows))
+            for name, columns, rows in tables]
 
 
 def render_text(metrics: RunMetrics) -> list:
     """Aligned text report; totals match the CSV columns exactly."""
-    lines = _header_lines(metrics)
-    lines.append("")
-    lines.append(f"{'link':>12} {'sent':>6} {'delivered':>9} {'pdr':>9}")
-    for (src, dst) in sorted(metrics.links):
-        s = metrics.links[(src, dst)]
-        lines.append(f"{f'{src}->{dst}':>12} {s.sent:>6} {s.delivered:>9} "
-                     f"{_fmt(s.pdr):>9}")
-    lines.append(f"{'total':>12} {metrics.total_sent():>6} "
-                 f"{metrics.total_delivered():>9}")
-    lines.append("")
-    lines.append(f"{'node':>6} {'mode':>12} {'power_w':>18} {'time_s':>16} "
-                 f"{'energy_j':>18} {'pct':>8}")
+    links = [[f"{src}->{dst}", str(s.sent), str(s.delivered), _fmt(s.pdr)]
+             for (src, dst), s in sorted(metrics.links.items())]
+    links.append(["total", str(metrics.total_sent()),
+                  str(metrics.total_delivered())])
+    energy = []
     for rep in metrics.energy:
-        for (label, power, t_ns, e_j, pct) in rep.rows:
-            lines.append(f"{rep.address:>6} {label:>12} {_fmt_e(power):>18} "
-                         f"{_fmt(t_ns / 1e9, 9):>16} {_fmt_e(e_j):>18} "
-                         f"{_fmt(pct, 3):>8}")
-        lines.append(f"{rep.address:>6} {'total':>12} {'':>18} "
-                     f"{_fmt(rep.total_time_ns / 1e9, 9):>16} "
-                     f"{_fmt_e(rep.consumed_j):>18} {'':>8}")
+        energy += _energy_rows(rep)
+        energy.append([str(rep.address), "total", "",
+                       _fmt(rep.total_time_ns / 1e9, 9),
+                       _fmt_e(rep.consumed_j), ""])
+    lines = (_run_header(metrics) + [""]
+             + _table("link,sent,delivered,pdr", links, (12, 6, 9, 9))
+             + [""] + _table(_ENERGY_COLUMNS, energy, (6, 12, 18, 16, 18, 8)))
     if metrics.exchanges:
-        lines.append("")
-        lines.append(f"{'cycle':>6} {'wub_start_s':>14} {'outcome':>14} "
-                     f"{'latency_s':>12}")
-        for ex in metrics.exchanges:
-            latency = "" if ex.latency_ns is None else _fmt(ex.latency_ns / 1e9, 9)
-            lines.append(f"{ex.cycle:>6} {_fmt(ex.wub_start_ns / 1e9, 9):>14} "
-                         f"{ex.outcome:>14} {latency:>12}")
+        lines += [""] + _table(_EXCHANGE_COLUMNS, _exchange_rows(metrics),
+                               (6, 14, 14, 12))
     return lines
 
 
@@ -251,28 +246,21 @@ def emit_sweep(rows: list, meta: dict, fmt: str, out_dir) -> list:
     """Plot-ready sweep table: one row per distance."""
     out = Path(out_dir)
     if fmt == "csv":
-        lines = _header_lines(meta)
-        lines.append("distance_m,sent,delivered,pdr,rssi_dbm_mean,snr_db_mean")
-        for r in rows:
-            lines.append(",".join([
-                _fmt(r.distance_m, 3), str(r.sent), str(r.delivered),
-                _fmt(r.pdr), _fmt(r.rssi_dbm_mean, 3), _fmt(r.snr_db_mean, 3)]))
-        return [_write(out / "sweep.csv", lines)]
+        table = _table(
+            "distance_m,sent,delivered,pdr,rssi_dbm_mean,snr_db_mean",
+            [[_fmt(r.distance_m, 3), str(r.sent), str(r.delivered),
+              _fmt(r.pdr), _fmt(r.rssi_dbm_mean, 3), _fmt(r.snr_db_mean, 3)]
+             for r in rows])
+        return [_write(out / "sweep.csv", _header_lines(meta) + table)]
     if fmt == "text":
-        lines = _header_lines(meta)
-        lines.append("")
-        lines.append(f"{'distance_m':>11} {'sent':>6} {'delivered':>9} "
-                     f"{'pdr':>9} {'pdr_ci95':>19} {'rssi_dbm':>10} "
-                     f"{'snr_db':>8}")
-        total_sent = total_delivered = 0
-        for r in rows:
-            lo, hi = wilson_interval(r.delivered, r.sent)
-            total_sent += r.sent
-            total_delivered += r.delivered
-            lines.append(
-                f"{_fmt(r.distance_m, 1):>11} {r.sent:>6} {r.delivered:>9} "
-                f"{_fmt(r.pdr):>9} {f'[{lo:.4f}, {hi:.4f}]':>19} "
-                f"{_fmt(r.rssi_dbm_mean, 2):>10} {_fmt(r.snr_db_mean, 2):>8}")
-        lines.append(f"{'total':>11} {total_sent:>6} {total_delivered:>9}")
-        return [_write(out / "sweep.txt", lines)]
+        cells = [[_fmt(r.distance_m, 1), str(r.sent), str(r.delivered),
+                  _fmt(r.pdr), "[{:.4f}, {:.4f}]".format(
+                      *wilson_interval(r.delivered, r.sent)),
+                  _fmt(r.rssi_dbm_mean, 2), _fmt(r.snr_db_mean, 2)]
+                 for r in rows]
+        cells.append(["total", str(sum(r.sent for r in rows)),
+                      str(sum(r.delivered for r in rows))])
+        table = _table("distance_m,sent,delivered,pdr,pdr_ci95,rssi_dbm,snr_db",
+                       cells, (11, 6, 9, 9, 19, 10, 8))
+        return [_write(out / "sweep.txt", _header_lines(meta) + [""] + table)]
     raise MotesimError(f"unknown report format {fmt!r}")

@@ -4,10 +4,11 @@ A scenario file is YAML with five sections (sim, radio, channel, nodes,
 app). Unknown keys and sections that are not mappings are rejected. The
 radio and channel sections and a node's wurx and position blocks take
 their keys, types and defaults from the named tuple they build;
-``NodeSpec``, ``WurxSpec`` and the node checks live in ``node``. The same
-named tuples are built programmatically by the experiment presets, so the
-CLI presets and file-driven runs share one validation path. A scenario is
-immutable; ``scenario._replace(seed=...)`` gives a varied copy.
+``NodeSpec``, ``WurxSpec`` and the node checks, the wurx block's too, live
+in ``node``. The same named tuples are built programmatically by the
+experiment presets, so the CLI presets and file-driven runs share one
+validation path. A scenario is immutable; ``scenario._replace(seed=...)``
+gives a varied copy.
 """
 
 from __future__ import annotations
@@ -210,26 +211,12 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
-    # each node's ranges as the engine builds it, and the burst addressed
-    # to each wake-up receiver, checked as sent
-    wub_frames = {}
+    # each node's ranges and wurx block as the engine builds it
     for spec in scenario.nodes:
         try:
             check_node_params(spec)
         except ConfigError as exc:
             raise ScenarioError(f"node {spec.address}: {exc}") from exc
-        if spec.wurx is not None:
-            try:
-                wub_frames[spec.address] = WakeUpFrame(
-                    address=spec.wurx.address,
-                    preamble_bits=spec.wurx.preamble_bits,
-                    bit_rate_bps=spec.wurx.bit_rate_bps)
-            except ConfigError as exc:
-                raise ScenarioError(
-                    f"node {spec.address} wurx: {exc}") from exc
-            if spec.wurx.listen_power_w >= spec.wurx.decode_power_w:
-                raise ScenarioError(f"node {spec.address} wurx: listen power "
-                                    f"must be below decode power")
     app = scenario.app
     # the unicast layer refuses a payload above its MTU
     if not 0 <= app.payload_len <= DEFAULT_MTU:
@@ -263,7 +250,9 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError("app.target must carry a wurx block")
         if app.cycles < 0:
             raise ScenarioError("app.cycles must be >= 0")
-        exchange_ns = (wub_airtime(wub_frames[app.target])
+        exchange_ns = (wub_airtime(WakeUpFrame(target.wurx.address,
+                                               target.wurx.preamble_bits,
+                                               target.wurx.bit_rate_bps))
                        + target.mcu_wakeup_ns + target.radio_turn_on_ns
                        + time_on_air(scenario.radio,
                                      app.payload_len + HEADER_BYTES)
@@ -285,13 +274,15 @@ def from_dict(raw: dict) -> Scenario:
     _require_keys(sim, {"horizon_s", "seed"}, "sim")
     if not isinstance(raw["nodes"], list):
         raise ScenarioError("nodes must be a list")
+    # only an omitted or null radio or channel section takes the defaults
+    radio, channel = ({} if raw.get(key) is None else raw[key]
+                      for key in ("radio", "channel"))
     scenario = Scenario(
         horizon_ns=_s_to_ns(_get(sim, "horizon_s", float, "sim",
                                  required=True), "sim.horizon_s"),
         seed=_get(sim, "seed", int, "sim", 0),
-        radio=_parse_fields(RadioConfig, raw.get("radio") or {}, "radio"),
-        channel=_parse_fields(ChannelParams, raw.get("channel") or {},
-                              "channel"),
+        radio=_parse_fields(RadioConfig, radio, "radio"),
+        channel=_parse_fields(ChannelParams, channel, "channel"),
         nodes=tuple(_parse_node(n, i) for i, n in enumerate(raw["nodes"])),
         app=_parse_app(raw["app"]),
     )

@@ -3,9 +3,9 @@ and the two reference applications (periodic sender, wake-up exchange).
 
 Layering rule: nothing in this module touches channel or ledger internals.
 Applications see exactly two surfaces: the radio driver contract below and
-a small engine-provided services object (timers, wake/sleep requests,
-wake-up transmission). A test asserts this module imports neither the
-channel nor the node internals.
+a small engine-provided services object (timers, wake/sleep requests, and
+the wake-up burst to the scenario's target). A test asserts this module
+imports neither the channel nor the node internals.
 
 The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
@@ -146,8 +146,8 @@ class Services:
     """Engine capabilities handed to applications.
 
     Keeps the stack decoupled from engine internals: applications can read
-    the clock, set timers, request node wake/sleep and emit a wake-up burst,
-    and nothing else.
+    the clock, set timers, request node wake/sleep and emit the wake-up
+    burst to the scenario's target, and nothing else.
     """
 
     def __init__(self, now_ns, call_at, request_sleep, request_wake,
@@ -243,11 +243,8 @@ class PeriodicSenderApp(App):
 class SinkApp(App):
     """Base-station behaviour: bring the radio up and listen forever."""
 
-    def __init__(self, unicast: Unicast, services: Services):
+    def __init__(self, unicast: Unicast):
         self.unicast = unicast
-        self.services = services
-        self.received = []
-        unicast.on_message = self.received.append
 
     def start(self) -> None:
         self.unicast.driver.on()
@@ -267,12 +264,11 @@ class WakeupInitiatorApp(App):
     """
 
     def __init__(self, unicast: Unicast, services: Services, target: int,
-                 target_wurx_address: int, payload_len: int,
-                 cycle_period_ns: int, cycles: int, wake_chain_ns: int):
+                 payload_len: int, cycle_period_ns: int, cycles: int,
+                 wake_chain_ns: int):
         self.unicast = unicast
         self.services = services
         self.target = target
-        self.target_wurx_address = target_wurx_address
         self.payload = bytes(payload_len)
         self.cycle_period_ns = cycle_period_ns
         self.cycles = cycles
@@ -289,7 +285,7 @@ class WakeupInitiatorApp(App):
         self._cycle += 1
         cycle = self._cycle
         start = self.services.now_ns()
-        emission = self.services.send_wakeup(self.target_wurx_address)
+        emission = self.services.send_wakeup()
         self.services.call_at(start + emission.duration_ns + self.wake_chain_ns,
                               lambda: self.on_data_slot(cycle, start))
 

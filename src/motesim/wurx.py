@@ -14,15 +14,15 @@ asserted only on an exact address match.
 This module gives durations and the duty only. The node's energy ledger
 charges the burst (at ``lora_tx`` power times the duty) and the decode (at
 the ``wurx_decode`` power) for the dwell the engine schedules. A frame, a
-burst and an arrival's outcome are named tuples; ``send_wub`` builds a
-burst once per target and shares it, and "busy" and "ignored" are
-constants. The receiver's state, which the engine updates, is slotted.
+burst and an arrival's outcome are named tuples; the engine calls
+``send_wub`` once per run, for the target's burst, and "busy" and "ignored"
+are constants. The receiver's state, which the engine updates, is slotted;
+its wurx block is checked by ``node.check_node_params``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from typing import NamedTuple
 
 from .errors import ConfigError, validated
@@ -78,13 +78,10 @@ class WubEmission(NamedTuple):
     duty: float
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def send_wub(target_address: int, *, preamble_bits: int = 8,
              bit_rate_bps: float = 1000.0) -> WubEmission:
     """The OOK wake-up frame for ``target_address`` with its airtime and
-    duty. The arguments alone fix this immutable value, so it is built once
-    and shared; bad arguments raise on every call (no exception is cached).
-    """
+    duty; bad arguments raise ``ConfigError``."""
     frame = WakeUpFrame(target_address, preamble_bits, bit_rate_bps)
     return WubEmission(frame, wub_airtime(frame), ook_duty(frame.bits()))
 
@@ -104,8 +101,6 @@ class WurxState:
                  "interrupts_asserted")
 
     def __init__(self, configured_address: int, sensitivity_dbm: float = -50.0):
-        if not 0 <= configured_address <= 255:
-            raise ConfigError("configured_address must be 0..255")
         self.configured_address = configured_address
         self.sensitivity_dbm = sensitivity_dbm
         self.mode = WurxMode.LISTENING

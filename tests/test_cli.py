@@ -125,18 +125,24 @@ def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
 
 
 # SHA-256 of the text reports, pinned on the code before the node state
-# machine moved into one function; the text emitters had no digest before
-TEXT_DIGESTS = [
-    (["run", str(EXAMPLE), "--format", "text"], "report.txt",
-     "10248c910442a373e19b8e7006c098fe5433eb916e5f8c700d8f4ca3f85420b5"),
-    (["range-sweep", "--distances", "50,600,700", "--packets", "5",
-      "--format", "text"], "sweep.txt",
-     "6b737cf610ac1ca41eab0d84d9887088644a1b7d76fe25fa381b8276b04e4679"),
-]
+# machine moved into one function; the text emitters had no digest before.
+# The power profile's is the only digest over the exchange table's text.
+TEXT_DIGESTS = {
+    "report.txt": (
+        ["run", str(EXAMPLE), "--format", "text"], "report.txt",
+        "10248c910442a373e19b8e7006c098fe5433eb916e5f8c700d8f4ca3f85420b5"),
+    "sweep.txt": (
+        ["range-sweep", "--distances", "50,600,700", "--packets", "5",
+         "--format", "text"], "sweep.txt",
+        "6b737cf610ac1ca41eab0d84d9887088644a1b7d76fe25fa381b8276b04e4679"),
+    "power-profile-report.txt": (
+        ["power-profile", "--cycles", "5", "--format", "text"], "report.txt",
+        "19aa01160b92f13f18c9f0426644926cce4094d22cf7f64253897f8a5f2f66ae"),
+}
 
 
-@pytest.mark.parametrize("argv, name, digest", TEXT_DIGESTS,
-                         ids=[name for _, name, _ in TEXT_DIGESTS])
+@pytest.mark.parametrize("argv, name, digest", TEXT_DIGESTS.values(),
+                         ids=TEXT_DIGESTS)
 def test_text_report_digest(argv, name, digest, tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == \
@@ -209,6 +215,13 @@ MALFORMED = {
                         "nodes: [{address: 1, role: bs,"
                         " radio_turn_on_ms: 1.0e+308}]\n"
                         "app: {kind: none}\n",
+    # a falsy section that is not a mapping is not an omitted one
+    "radio-zero": "sim: {horizon_s: 1.0}\nradio: 0\n" + ONE_BS
+                  + "app: {kind: none}\n",
+    "channel-list": "sim: {horizon_s: 1.0}\nchannel: []\n" + ONE_BS
+                    + "app: {kind: none}\n",
+    "radio-empty-string": "sim: {horizon_s: 1.0}\nradio: ''\n" + ONE_BS
+                          + "app: {kind: none}\n",
 }
 
 
@@ -218,3 +231,15 @@ def test_malformed_scenario_is_a_scenario_error(text, tmp_path, capsys):
     bad.write_text(text)
     assert main(["run", str(bad), "--validate-only"]) == 1
     assert capsys.readouterr().err.startswith("scenario error:")
+
+
+def test_null_section_takes_the_defaults(tmp_path, capsys):
+    text = "sim: {horizon_s: 1.0}\n" + ONE_BS + "app: {kind: none}\n"
+    hashes = []
+    for extra in ("", "radio:\nchannel:\n"):
+        path = tmp_path / "null_sections.yaml"
+        path.write_text(extra + text)
+        assert main(["run", str(path), "--validate-only"]) == 0
+        hashes.append(capsys.readouterr().out)
+    assert hashes[0] == hashes[1]
+    assert hashes[0].startswith("scenario OK (")

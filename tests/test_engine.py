@@ -431,6 +431,20 @@ class TestWakeupExchange:
             assert exchange.outcome == "completed"
             assert abs(exchange.latency_ns - expected) <= 1
 
+    def test_lost_data_frame_does_not_shift_later_exchanges(self):
+        # at 40 dB shadowing, frame seqno 9 (cycle 15) is lost; each cycle
+        # that sent data is matched to its own frame, not to the next one
+        scenario = power_profile_scenario(cycles=30, seed=8)._replace(
+            channel=ChannelParams(shadowing_sigma_db=40.0))
+        metrics = run(scenario, record_trace=False)
+        assert [(p.seqno, p.outcome) for p in metrics.packets
+                if p.outcome != "delivered"] == [(9, "below-sensitivity")]
+        exchanges = {ex.cycle: ex for ex in metrics.exchanges}
+        assert exchanges[15].outcome == "data-lost"
+        assert exchanges[28].outcome == "completed"
+        assert {ex.latency_ns for ex in metrics.exchanges
+                if ex.outcome == "completed"} == {379_503_000}
+
     def test_wrong_wurx_address_times_out_with_decode_energy(self):
         scenario = power_profile_scenario(cycles=2)
         sleeper = scenario.node(2)

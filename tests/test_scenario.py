@@ -10,7 +10,7 @@ from motesim import (ChannelParams, ConfigError, Position, RadioConfig,
                      Scenario, ScenarioError, Simulator, emit, load, run,
                      scenario_hash)
 from motesim.cli import main
-from motesim.node import DEFAULT_POWER_TABLE_W
+from motesim.node import DEFAULT_POWER_TABLE_W, MoteDevice
 from motesim.scenario import (AppSpec, NodeSpec, WurxSpec, from_dict,
                               power_table, range_point_scenario, validate)
 
@@ -273,19 +273,32 @@ POWER_FIGURES = st.one_of(
     st.floats(-1.0, 1.0, allow_nan=False))
 
 
+# a wurx block, or none, with each field on both sides of its checks
+WURX_BLOCKS = st.none() | st.builds(
+    WurxSpec,
+    address=st.sampled_from((-1, 0, 0x2A, 255, 256)),
+    preamble_bits=st.sampled_from((-1, 0, 8)),
+    bit_rate_bps=st.sampled_from((-1.0, 0.0, 1e-3, 1000.0, 2000.0)),
+    listen_power_w=POWER_FIGURES, decode_power_w=POWER_FIGURES)
+
+
 @settings(max_examples=300, deadline=None)
 @given(battery_j=st.floats(-1.0, 2e4), harvest_rate_w=st.floats(-1.0, 1.0),
        harvest_efficiency=st.floats(-0.5, 1.5),
        mcu_wakeup_ns=st.integers(-10, 10 ** 7),
        radio_turn_on_ns=st.integers(-10, 10 ** 7),
        power_w=st.dictionaries(st.sampled_from(tuple(DEFAULT_POWER_TABLE_W)),
-                               POWER_FIGURES))
+                               POWER_FIGURES),
+       wurx=WURX_BLOCKS)
 @example(battery_j=1e4, harvest_rate_w=0.0, harvest_efficiency=0.9,
          mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-         power_w={"sleep": 2.4e-3, "mcu_active": 2.4e-3})
+         power_w={"sleep": 2.4e-3, "mcu_active": 2.4e-3}, wurx=None)
 @example(battery_j=-1.0, harvest_rate_w=0.0, harvest_efficiency=0.9,
          mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-         power_w={"lora_rx": -1.0})
+         power_w={"lora_rx": -1.0}, wurx=None)
+@example(battery_j=1e4, harvest_rate_w=0.0, harvest_efficiency=0.9,
+         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000, power_w={},
+         wurx=WurxSpec(address=0x2A, bit_rate_bps=2000.0))
 def test_validate_rejects_exactly_what_the_build_rejects(**fields):
     scenario = Scenario(
         horizon_ns=10 ** 9, seed=1, radio=RadioConfig(),
@@ -370,8 +383,15 @@ class TestWakeupBlockValidation:
 
     @pytest.mark.parametrize("key, value", CASES)
     def test_scenario_error_at_load(self, key, value):
-        with pytest.raises(ScenarioError, match="node 9 wurx"):
+        with pytest.raises(ScenarioError, match="node 9: wurx"):
             from_dict(self.with_wurx(key, value))
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_library_built_mote_rejects_it(self, key, value):
+        spec = from_dict(copy.deepcopy(FULL)).node(9)
+        bad = spec._replace(wurx=spec.wurx._replace(**{key: value}))
+        with pytest.raises(ConfigError, match="^wurx: "):
+            MoteDevice(bad)
 
     @pytest.mark.parametrize("key, value", CASES)
     def test_validate_only_exits_1(self, key, value, tmp_path, capsys):
