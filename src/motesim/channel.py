@@ -7,9 +7,9 @@ at -120 dBm at 600 m (reference loss 31.2 dB at 1 m = free space at
 
 ``rssi_at`` computes one link from scratch and is the reference. Nodes
 never move, so the engine caches each link's mean loss (``path_loss_db``)
-and takes only the shadowing draws per frame or burst, all at once in
-``RssiOnRead``, the one source of per-link RSSI. It takes the uniforms of
-one ``rng.gauss(0.0, sigma)`` per link in order and leaves the RNG in the
+and, with shadowing, takes only the draws per frame or burst, all at once
+in ``RssiOnRead``. It takes the uniforms of one ``rng.gauss(0.0, sigma)``
+per link in order, in one ``getrandbits`` call, and leaves the RNG in the
 same state, but transforms a deviate only when it is read, bit for bit as
 ``gauss`` would. So the engine's values and draw order are those of
 ``rssi_at``, and a frame pays the Box-Muller step only at the receivers
@@ -98,27 +98,38 @@ def rssi_at(tx_power_dbm: float, tx_pos: Position, rx_pos: Position,
     return tx_power_dbm - loss
 
 
+_PAIR_MASK = (1 << 128) - 1  # the four 32-bit words of two random() calls
+
+
+def _uniform_pair(bits: int, pair: int) -> tuple:
+    """Uniforms ``2 * pair`` and ``2 * pair + 1``, as ``random()`` does."""
+    w = bits >> 128 * pair & _PAIR_MASK  # words a, b, c, d from the lowest
+    u1 = (w >> 5 & 0x7FFFFFF) * 67108864.0 + (w >> 38 & 0x3FFFFFF)  # a, b
+    u2 = (w >> 69 & 0x7FFFFFF) * 67108864.0 + (w >> 102 & 0x3FFFFFF)
+    return u1 * 2.0 ** -53, u2 * 2.0 ** -53
+
+
 class RssiOnRead(dict):
-    """One frame's or burst's RSSI by receiver address; each entry is
-    computed at its first read, as ``tx_power_dbm - (mean loss + draw)``.
+    """One shadowed frame's or burst's RSSI by receiver address; each entry
+    is computed at its first read, as ``tx_power_dbm - (mean loss + draw)``.
 
     ``links`` maps every receiver, in ascending address order, to its
     index in that order and its mean path loss. The draws are those of
-    ``[rng.gauss(0.0, sigma) for _ in links]``, bit for bit: the
-    ``rng.random()`` values they would take are taken now and
+    ``[rng.gauss(0.0, sigma) for _ in links]``, bit for bit: the words of
+    the ``rng.random()`` calls they would make are taken now, as the int of
+    one ``rng.getrandbits`` call, first word least significant, and
     ``rng.gauss_next`` is left as they would leave it, so a spare value
     pending from an earlier call is the first draw, and a count that ends
     mid-pair keeps the pair's second half for the next call. Draw ``i``
     does its Box-Muller step only when read, with ``gauss``'s float
     expressions: ``0.0 + z * sigma``, where ``z`` is the spare or the
-    cosine or sine half of a uniform pair. With ``sigma`` 0 the RNG is not
-    touched and each entry is ``tx_power_dbm - loss``.
+    cosine or sine half of a uniform pair. ``sigma`` must be positive.
 
     Reading by key, iteration, ``len`` and ``in`` cover every receiver;
     the other dict methods see only the entries read so far.
     """
 
-    __slots__ = ("_tx_power_dbm", "_links", "_sigma", "_spare", "_uniforms")
+    __slots__ = ("_tx_power_dbm", "_links", "_sigma", "_spare", "_bits")
 
     def __init__(self, tx_power_dbm: float, links: dict,
                  rng: random.Random, sigma: float):
@@ -127,30 +138,29 @@ class RssiOnRead(dict):
         self._sigma = sigma
         # the draw slots are set, and read by __missing__, only when there
         # are draws; n = 0 takes nothing and keeps a pending spare
-        if sigma > 0 and links:
+        if links:
             spare = self._spare = rng.gauss_next
             fresh = len(links) - (spare is not None)
-            uniform = rng.random
-            uniforms = self._uniforms = [
-                uniform() for _ in range(fresh + (fresh & 1))]
-            rng.gauss_next = (sin(uniforms[-2] * tau)
-                              * sqrt(-2.0 * log(1.0 - uniforms[-1]))
-                              if fresh & 1 else None)
+            pairs = (fresh + 1) >> 1
+            bits = self._bits = rng.getrandbits(128 * pairs)
+            rng.gauss_next = None
+            if fresh & 1:
+                u1, u2 = _uniform_pair(bits, pairs - 1)
+                rng.gauss_next = sin(u1 * tau) * sqrt(-2.0 * log(1.0 - u2))
 
     def __missing__(self, rx_addr: int) -> float:
         i, loss = self._links[rx_addr]
-        if self._sigma > 0:
-            if self._spare is not None:
-                i -= 1
-            if i < 0:
-                z = self._spare
-            else:
-                uniforms = self._uniforms
-                x2pi = uniforms[i & ~1] * tau
-                g2rad = sqrt(-2.0 * log(1.0 - uniforms[i | 1]))
-                z = (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad
-            loss += 0.0 + z * self._sigma
-        rssi = self[rx_addr] = self._tx_power_dbm - loss
+        if self._spare is not None:
+            i -= 1
+        if i < 0:
+            z = self._spare
+        else:
+            u1, u2 = _uniform_pair(self._bits, i >> 1)
+            x2pi = u1 * tau
+            g2rad = sqrt(-2.0 * log(1.0 - u2))
+            z = (sin(x2pi) if i & 1 else cos(x2pi)) * g2rad
+        rssi = self[rx_addr] = self._tx_power_dbm - (
+            loss + (0.0 + z * self._sigma))
         return rssi
 
     def __iter__(self):
@@ -217,7 +227,8 @@ def interferers_of(tx: Transmission, all_tx: list) -> list:
     return rivals
 
 
-def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
+def decide_reception(tx: Transmission, rx_addr: int,
+                     strongest_rival_dbm: float | None,
                      table: SensitivityTable,
                      capture_threshold_db: float) -> ReceptionOutcome:
     """Per-frame, per-receiver decision: the one place the reception gates
@@ -225,10 +236,10 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
 
     Collision is judged first (capture against the strongest interferer),
     then the sensitivity and SNR-floor gates of the captured frame.
-    ``all_tx`` is any list that holds every transmission that may overlap
-    ``tx``: the full history of a batch of transmissions, or, as the engine
-    passes it, only the frames still on air. Only the strongest rival
-    counts, so the order of the list does not matter.
+    ``strongest_rival_dbm`` is the highest RSSI at ``rx_addr`` among the
+    ``interferers_of(tx, ...)`` that the receiver did not send (the
+    listening rule handles those), or None; the engine reads it from a
+    per-listener index of the frames on air, strongest first.
     """
     frame = tx.frame
     rssi = frame.rssi_by_rx[rx_addr]
@@ -236,12 +247,8 @@ def decide_reception(tx: Transmission, rx_addr: int, all_tx: list,
     rssi_margin = rssi - table.sensitivity(frame.spreading_factor,
                                            frame.bandwidth_hz)
     snr_margin = snr - table.snr_floor(frame.spreading_factor)
-    # the receiver's own transmissions are handled by the half-duplex
-    # listening rule one layer up, not as interference
-    strongest = max([r.frame.rssi_by_rx[rx_addr]
-                     for r in interferers_of(tx, all_tx)
-                     if r.frame.src != rx_addr], default=None)
-    if strongest is not None and rssi - strongest < capture_threshold_db:
+    if (strongest_rival_dbm is not None
+            and rssi - strongest_rival_dbm < capture_threshold_db):
         cause = "collision"
     elif rssi_margin < 0:
         cause = "below-sensitivity"

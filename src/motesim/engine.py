@@ -25,10 +25,11 @@ id in start order, because a frame goes on air at now and now never
 decreases, so the floor is the first of them and costs O(1). The floor
 never falls, and the on-air list is rebuilt only when it has risen: a
 frame added since the last rebuild started at or after that floor and has
-positive airtime, so the same floor would drop nothing. Carrier sense and
-the capture decision read this short on-air list, so the cost per event
-does not grow with the horizon. The dispatch trace is hashed in chunks
-of at most 1,024 lines, so its memory is constant too.
+positive airtime, so the same floor would drop nothing. Carrier sense
+reads this short on-air list, and the capture decision the head of each
+listener's index of it by RSSI, so the cost per event does not grow with
+the horizon. The dispatch trace is hashed in chunks of at most 1,024
+lines, so its memory is constant too.
 
 A wake-up exchange's burst depends only on the target's wurx block, so it
 is built once, with the applications, and every cycle sends it. Nodes
@@ -38,14 +39,15 @@ node, and at its first wake-up burst to every other WuRX node. Each frame
 or burst then takes only the shadowing draws, one per receiver in
 ascending address order, in one ``channel.RssiOnRead`` built by
 ``_rssi_by_rx``, which gives bit for bit what ``channel.rssi_at``'s
-``rng.gauss`` calls would. The draws are taken in order when the frame
+``rng.gauss`` calls would. The draws are taken in one call when the frame
 starts but transformed on read, so a frame's RSSI is computed only at the
-receivers that read it: its ``dst``, the listeners, and the listeners its
-rivals are decided at. With no shadowing the RNG is not touched. The
-noise floor is computed once per frame and the sorted node addresses once
-per run. A frame's link header is read once, with the stack's header
-format, and its packet record rides with it until it is decided; the
-run's per-link counts are taken from those records at the end.
+receivers that read it: its ``dst`` and the listeners. With no shadowing
+the RNG is not touched, and a sender's frames share one RSSI map per tx
+power. The noise floor is computed once per frame and the sorted node
+addresses once per run. A frame's link header is read once, with the
+stack's header format, and its packet record rides with it until it is
+decided; the run's per-link counts are taken from those records at the
+end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers and callbacks itself, including the skip of
@@ -64,6 +66,7 @@ import heapq
 import itertools
 import random
 import time
+from bisect import insort
 
 from . import channel as chan
 from . import node as nd
@@ -76,7 +79,7 @@ from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
                    RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, MoteDevice,
                    NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
-from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
+from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
                        scenario_hash)
 
@@ -206,7 +209,8 @@ class Simulator:
         self._tx_by_id: dict = {}
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # (sender address, wake_up) -> its links
-        self._listeners: dict = {}  # address -> device, since it entered rx
+        self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
+        self._listeners: dict = {}  # address -> (device, rival index)
 
         self.packets: list = []
         self._depletion_skips = 0
@@ -219,7 +223,7 @@ class Simulator:
     # -- construction ---------------------------------------------------------
 
     def _build_device(self, spec) -> None:
-        device = MoteDevice(spec, start_awake=spec.role in ("bs", "initiator"))
+        device = MoteDevice(spec, start_awake=spec.role in AWAKE_ROLES)
         self.devices[spec.address] = device
         self.drivers[spec.address] = SimRadioDriver(self, device)
 
@@ -293,8 +297,11 @@ class Simulator:
         self.process_result(device, result)
 
     def process_result(self, device: MoteDevice, result) -> None:
-        if result.radio is RADIO_RX:  # a node _deliver visits from now on
-            self._listeners[device.address] = device
+        if result.radio is RADIO_RX and device.address not in self._listeners:
+            address = device.address  # _deliver visits it from now on
+            self._listeners[address] = (device, sorted(
+                (-o.frame.rssi_by_rx[address], o.frame.frame_id, o)
+                for o in self._on_air if o.frame.src != address))
         followups, awake, radio_ready = (result.followups, result.awake,
                                          result.radio_ready)
         if not (followups or awake or radio_ready):
@@ -317,16 +324,21 @@ class Simulator:
                    and tx.frame.frequency_hz == frequency_hz
                    for tx in self._on_air)
 
-    def _rssi_by_rx(self, sender: MoteDevice,
-                    wake_up: bool) -> chan.RssiOnRead:
+    def _rssi_by_rx(self, sender: MoteDevice, wake_up: bool) -> dict:
         """The RSSI of a new frame at every other node, or of a new wake-up
         burst at every other WuRX node, with the arithmetic and draw order
-        of ``channel.rssi_at``; shadowed values are transformed on read.
+        of ``channel.rssi_at``: a ``channel.RssiOnRead`` under shadowing,
+        else a plain dict shared by the sender's frames or bursts at a power.
 
         Each receiver's (index, mean path loss) is cached at the sender's
         first frame or burst; a receiver at the sender's own position, where
         path loss is undefined, raises there as ``rssi_at`` would.
         """
+        tx_power_dbm = self.drivers[sender.address].config.tx_power_dbm
+        sigma = self.scenario.channel.shadowing_sigma_db
+        flat_key = (sender.address, wake_up, tx_power_dbm)
+        if not sigma and flat_key in self._flat_rssi:
+            return self._flat_rssi[flat_key]
         links = self._links.get((sender.address, wake_up))
         if links is None:
             params = self.scenario.channel
@@ -339,9 +351,11 @@ class Simulator:
                 links[rx_addr] = (len(links), chan.path_loss_db(
                     sender.position.distance_to(receiver.position), params))
             self._links[(sender.address, wake_up)] = links
-        return chan.RssiOnRead(
-            self.drivers[sender.address].config.tx_power_dbm, links,
-            self.rng, self.scenario.channel.shadowing_sigma_db)
+        if sigma:
+            return chan.RssiOnRead(tx_power_dbm, links, self.rng, sigma)
+        rssi_by_rx = self._flat_rssi[flat_key] = {
+            rx: tx_power_dbm - loss for rx, (_index, loss) in links.items()}
+        return rssi_by_rx
 
     def begin_transmission(self, device: MoteDevice, data: bytes,
                            handle) -> Frame:
@@ -360,6 +374,10 @@ class Simulator:
         self.node_event(device, nd.TX_REQUEST)
         tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
         self._on_air.append(tx)
+        rssi_by_rx = frame.rssi_by_rx
+        for rx_addr, (_device, rivals) in self._listeners.items():
+            if rx_addr != device.address:
+                insort(rivals, (-rssi_by_rx[rx_addr], frame.frame_id, tx))
         self._tx_by_id[frame.frame_id] = (tx, handle, self._record_sent(tx))
         self.schedule(tx.end_ns, _TX_END, device.address,
                       frame.frame_id)
@@ -463,6 +481,8 @@ class Simulator:
         if floor > self._floor:
             self._floor = floor
             self._on_air = [o for o in self._on_air if o.end_ns > floor]
+            for _device, rivals in self._listeners.values():
+                rivals[:] = [r for r in rivals if r[2].end_ns > floor]
 
     def _finish_wub(self, address: int) -> None:
         device = self.devices[address]
@@ -489,7 +509,7 @@ class Simulator:
         listeners = self._listeners
         dst_outcome = "not-listening"
         for rx_addr in sorted(listeners):
-            device = listeners[rx_addr]
+            device, rivals = listeners[rx_addr]
             if device.rx_since_ns is None:  # it has left rx since
                 del listeners[rx_addr]
                 continue
@@ -497,8 +517,14 @@ class Simulator:
                     or device.rx_since_ns > tx.start_ns
                     or device.ledger.depleted):
                 continue
+            # the first overlap on tx's channel and SF is its strongest rival
+            strongest = next((
+                -neg_rssi for neg_rssi, _frame_id, o in rivals
+                if o is not tx and o.frame.frequency_hz == frame.frequency_hz
+                and o.frame.spreading_factor == frame.spreading_factor
+                and o.start_ns < tx.end_ns and tx.start_ns < o.end_ns), None)
             decision = chan.decide_reception(
-                tx, rx_addr, self._on_air, self.table,
+                tx, rx_addr, strongest, self.table,
                 params.capture_threshold_db)
             if decision.decoded:
                 self.node_event(device, nd.RX_DONE)

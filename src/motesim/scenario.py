@@ -28,6 +28,7 @@ from .wurx import WakeUpFrame, wub_airtime
 SCENARIO_FORMAT_VERSION = 1
 
 ROLES = ("bs", "mote", "initiator", "sleeper")
+AWAKE_ROLES = ("bs", "initiator")  # nodes that start with the MCU awake
 # the app keys each kind reads, beside ``kind``; any other key is rejected
 _APP_KEYS = {
     "periodic": ("src", "dst", "payload_len", "period_s"),
@@ -245,6 +246,11 @@ def validate(scenario: Scenario) -> None:
         if app.initiator not in addresses or app.target not in addresses:
             raise ScenarioError("app: initiator and target must be node "
                                 "addresses")
+        if app.initiator == app.target:
+            raise ScenarioError("app: initiator and target must differ")
+        if scenario.node(app.initiator).role not in AWAKE_ROLES:
+            raise ScenarioError("app.initiator must start awake: a bs or "
+                                "an initiator node")
         target = scenario.node(app.target)
         if target.wurx is None:
             raise ScenarioError("app.target must carry a wurx block")

@@ -7,7 +7,7 @@ event queue) so they can disagree with the package if either side is wrong.
 
 import math
 
-from motesim.channel import decide_reception
+from motesim.channel import decide_reception, interferers_of
 
 LINK_HEADER_BYTES = 6
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -136,6 +136,15 @@ def reception_margin(cfg, rssi_dbm, snr_db, table):
     return "ok"
 
 
+def strongest_rival(tx, rx_addr, all_tx):
+    """The highest RSSI at ``rx_addr`` among the frames of ``all_tx`` that
+    ``channel.interferers_of`` finds for ``tx``, leaving out the receiver's
+    own, or None: the scan that the engine's per-listener index replaces."""
+    return max([r.frame.rssi_by_rx[rx_addr]
+                for r in interferers_of(tx, all_tx)
+                if r.frame.src != rx_addr], default=None)
+
+
 def resolve_concurrent(transmissions, table, capture_threshold_db=6.0):
     """Resolve a completed set of transmissions for every annotated receiver.
 
@@ -149,5 +158,6 @@ def resolve_concurrent(transmissions, table, capture_threshold_db=6.0):
             if rx_addr == tx.frame.src:
                 continue
             outcomes[(rx_addr, tx.frame.frame_id)] = decide_reception(
-                tx, rx_addr, transmissions, table, capture_threshold_db)
+                tx, rx_addr, strongest_rival(tx, rx_addr, transmissions),
+                table, capture_threshold_db)
     return outcomes

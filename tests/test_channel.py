@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motesim import (ChannelParams, ConfigError, Frame, Position,
-                     SensitivityTable, Transmission, ZeroDistanceError,
-                     noise_floor_dbm, rssi_at, snr_of)
-from motesim.channel import RssiOnRead, path_loss_db
+                     RadioConfig, SensitivityTable, Transmission,
+                     ZeroDistanceError, noise_floor_dbm, rssi_at, snr_of)
+from motesim.channel import RssiOnRead
 from oracles import (oracle_noise_floor_dbm, reception_margin,
                      resolve_concurrent)
 
@@ -64,7 +64,7 @@ class TestShadowingDraws:
     @settings(max_examples=300, deadline=None)
     @given(sigma=st.floats(min_value=0.0, exclude_min=True,
                            allow_infinity=False),
-           n=st.integers(0, 40), earlier=st.integers(0, 3),
+           n=st.integers(0, 200), earlier=st.integers(0, 3),
            seed=st.integers(0, 2 ** 64 - 1), data=st.data())
     def test_any_read_order_equals_gauss(self, sigma, n, earlier, seed, data):
         rng, twin = random.Random(seed), random.Random(seed)
@@ -101,20 +101,34 @@ class TestRssiOnRead:
             rssi[3]
 
     def test_unshadowed_entries_equal_rssi_at_and_draw_nothing(self):
+        """Without shadowing the engine builds no ``RssiOnRead``: a sender's
+        frames share one plain dict of ``rssi_at`` values per tx power, and
+        the RNG is not touched."""
+        from motesim import Simulator
+        from motesim.scenario import AppSpec, NodeSpec, Scenario
         params = ChannelParams()
         positions = {2: Position(x=40.0), 5: Position(x=-90.0, y=20.0),
                      9: Position(y=300.0)}
-        links = {rx: (index, path_loss_db(ORIGIN.distance_to(pos), params))
-                 for index, (rx, pos) in enumerate(positions.items())}
-        rng = random.Random(7)
-        rng.gauss(0.0, 4.0)  # leaves a spare pending
-        state = rng.getstate()
-        rssi = RssiOnRead(14.0, links, rng, 0.0)
-        assert rng.getstate() == state
-        assert {rx: rssi[rx] for rx in rssi} == {
-            rx: rssi_at(14.0, ORIGIN, pos, params)
-            for rx, pos in positions.items()}
-        assert rng.getstate() == state
+        nodes = (NodeSpec(address=1, role="bs", position=ORIGIN),) + tuple(
+            NodeSpec(address=rx, role="mote", position=pos)
+            for rx, pos in positions.items())
+        sim = Simulator(Scenario(
+            horizon_ns=10 ** 9, seed=7, radio=RadioConfig(), channel=params,
+            nodes=nodes, app=AppSpec(kind="none")), record_trace=False)
+        sim.rng.gauss(0.0, 4.0)  # leaves a spare pending
+        state = sim.rng.getstate()
+        rssi = sim._rssi_by_rx(sim.devices[1], False)
+        assert type(rssi) is dict
+        assert rssi == {rx: rssi_at(14.0, ORIGIN, pos, params)
+                        for rx, pos in positions.items()}
+        assert sim._rssi_by_rx(sim.devices[1], False) is rssi
+        driver = sim.drivers[1]
+        driver.configure(driver.config._replace(tx_power_dbm=2.0))
+        louder = sim._rssi_by_rx(sim.devices[1], False)
+        assert louder is not rssi
+        assert louder == {rx: rssi_at(2.0, ORIGIN, pos, params)
+                          for rx, pos in positions.items()}
+        assert sim.rng.getstate() == state
 
 
 class TestRssiAt:

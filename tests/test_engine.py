@@ -1,18 +1,25 @@
 import hashlib
+import math
 import os
+import pathlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
                      Scenario, SensitivityTable, run)
-from motesim import engine
+from motesim import channel, engine
+from motesim import stack as stk
 from motesim.engine import Simulator, power_profile, range_sweep
 from motesim.node import RadioMode
 from motesim.report import emit, render_text
-from motesim.scenario import (AppSpec, NodeSpec, WurxSpec,
-                              power_profile_scenario, range_point_scenario)
-from oracles import replay_delivered, resolve_concurrent
+from motesim.scenario import (PAPER_RADIO, AppSpec, NodeSpec, WurxSpec,
+                              load, power_profile_scenario,
+                              range_point_scenario)
+from oracles import replay_delivered, resolve_concurrent, strongest_rival
 
 TABLE = SensitivityTable.load_default()
 
@@ -91,6 +98,34 @@ def harvest_depletion_scenario():
                     channel=ChannelParams(), nodes=nodes,
                     app=AppSpec(kind="periodic", src=None, dst=1,
                                 period_ns=10 ** 9))
+
+
+def add_periodic_senders(sim, dsts, period_ns, payload_len=16,
+                         idle_policy="sleep"):
+    """Give each node in ``dsts`` (address -> its dst) a periodic sender
+    app on top of the scenario's own, as the engine would build it."""
+    for address, dst in dsts.items():
+        sim.apps[address] = stk.PeriodicSenderApp(
+            sim.unicasts[address], sim._services_for(address), dst=dst,
+            payload_len=payload_len, period_ns=period_ns,
+            idle_policy=idle_policy)
+
+
+def hundred_mote_scenario(seed=3, motes=100, horizon_s=120):
+    """Base station 1 at the origin and ``motes`` motes placed uniformly at
+    random within 800 m, all sending every 10 s under 4 dB shadowing."""
+    rng = random.Random(seed)
+    nodes = [NodeSpec(address=1, role="bs", position=Position())]
+    for address in range(2, motes + 2):
+        radius = 800.0 * math.sqrt(rng.random())
+        angle = 2.0 * math.pi * rng.random()
+        nodes.append(NodeSpec(address=address, role="mote", position=Position(
+            x=radius * math.cos(angle), y=radius * math.sin(angle))))
+    return Scenario(
+        horizon_ns=horizon_s * 10 ** 9, seed=seed, radio=PAPER_RADIO,
+        channel=ChannelParams(shadowing_sigma_db=4.0), nodes=tuple(nodes),
+        app=AppSpec(kind="periodic", dst=1, payload_len=16,
+                    period_ns=10 * 10 ** 9))
 
 
 class TestBasicRuns:
@@ -328,6 +363,70 @@ class TestIncrementalMatchesBatchResolver:
             assert packet.outcome == expected
 
 
+    def test_listening_sender_and_several_base_stations(self):
+        """Three listening base stations. Base station 1 is ``app.src``, so
+        it leaves rx for each of its frames and re-enters it while the
+        motes' frames are on air; base station 3 first enters rx after the
+        first frames have started. Each mote sends to one of them."""
+        nodes = (
+            NodeSpec(address=1, role="bs", position=Position()),
+            NodeSpec(address=2, role="bs", position=Position(x=300.0)),
+            NodeSpec(address=3, role="bs", position=Position(y=-250.0),
+                     radio_turn_on_ns=1_150_000_000),
+        ) + tuple(
+            NodeSpec(address=4 + k, role="mote", position=pos,
+                     radio_turn_on_ns=turn_on_ms * 1_000_000)
+            for k, (pos, turn_on_ms) in enumerate([
+                (Position(x=40.0), 1), (Position(x=150.0, y=60.0), 40),
+                (Position(y=-90.0), 150), (Position(x=-30.0), 320),
+                (Position(x=260.0, y=-30.0), 450),
+                (Position(x=-60.0, y=20.0), 600)]))
+        scenario = Scenario(
+            horizon_ns=8 * 10 ** 9, seed=13, radio=RadioConfig(),
+            channel=ChannelParams(shadowing_sigma_db=3.0), nodes=nodes,
+            app=AppSpec(kind="periodic", src=1, dst=2, payload_len=16,
+                        period_ns=10 ** 9))
+        sim = Simulator(scenario, record_trace=False)
+        add_periodic_senders(sim, {4: 2, 5: 3, 6: 2, 7: 1, 8: 1, 9: 1},
+                             10 ** 9)
+        started = record_transmissions(sim)
+        rivals_at_1 = {}
+        decide = channel.decide_reception
+
+        def recording(tx, rx_addr, strongest_rival_dbm, *rest):
+            if rx_addr == 1:
+                rivals_at_1[tx.frame.frame_id] = strongest_rival_dbm
+            return decide(tx, rx_addr, strongest_rival_dbm, *rest)
+
+        with mock.patch.object(channel, "decide_reception", recording):
+            metrics = sim.run()
+        outcomes = {}
+        for packet in metrics.packets:
+            outcomes.setdefault(packet.src, []).append(packet.outcome)
+        # mote 7's frames start while base station 1 sends, so they are
+        # not decided there; they are the strongest rivals of mote 8's
+        # frames, which start after it has re-entered rx
+        assert set(outcomes[7]) == {"not-listening"}
+        assert set(outcomes[8]) == {"collision"}
+        by_src = {}
+        for tx in started:
+            by_src.setdefault(tx.frame.src, []).append(tx)
+        assert [rivals_at_1[tx.frame.frame_id] for tx in by_src[8]] == [
+            tx.frame.rssi_by_rx[1] for tx in by_src[7]]
+        assert outcomes[5][0] == "not-listening"
+        assert set(outcomes[5][1:]) == {"collision"}
+        batch = resolve_concurrent(started, TABLE,
+                                   scenario.channel.capture_threshold_db)
+        compared = 0
+        for packet in metrics.packets:
+            if packet.outcome in ("in-flight", "not-listening"):
+                continue
+            outcome = batch[(packet.dst, packet.frame_id)]
+            expected = "delivered" if outcome.cause == "ok" else outcome.cause
+            assert packet.outcome == expected
+            compared += 1
+        assert compared >= 30
+
     def test_on_air_list_follows_the_earliest_undecided_start(self):
         """After every decided frame the on-air list holds exactly the
         started transmissions ending after the floor: the earliest start of
@@ -349,6 +448,113 @@ class TestIncrementalMatchesBatchResolver:
         sim.run()
         assert len(checked) > 100
         assert max(checked) >= 2  # several frames undecided at once
+
+
+class TestRivalIndex:
+    """Each listener's index of the frames on air, strongest first, gives
+    the rival that a scan of the on-air list with ``interferers_of`` finds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_index_equals_the_max_over_interferers_of(self, data):
+        draw = data.draw
+        # base stations, some of which enter rx only after the first frames
+        # have started; the last one may send too, leaving rx and coming back
+        bs_turn_ons_ms = draw(st.lists(st.sampled_from([1, 150, 1100, 1500]),
+                                       min_size=1, max_size=3))
+        bs_positions = [Position(), Position(x=35.0, y=-20.0),
+                        Position(x=-25.0, y=45.0)]
+        # mote positions on two circles around base station 1, so that
+        # equal RSSIs occur there when shadowing is off
+        spots = [Position(x=r * c, y=r * s) for r in (60.0, 250.0)
+                 for c, s in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        motes = draw(st.lists(st.integers(0, len(spots) - 1), min_size=2,
+                              max_size=6, unique=True))
+        mote_turn_ons_ms = [draw(st.sampled_from([1, 40, 120, 300, 450]))
+                            for _ in motes]
+        nodes = tuple(
+            NodeSpec(address=1 + k, role="bs", position=bs_positions[k],
+                     radio_turn_on_ns=turn_on * 1_000_000)
+            for k, turn_on in enumerate(bs_turn_ons_ms))
+        first_mote = len(nodes) + 1
+        nodes += tuple(
+            NodeSpec(address=first_mote + k, role="mote",
+                     position=spots[spot],
+                     radio_turn_on_ns=turn_on * 1_000_000)
+            for k, (spot, turn_on) in enumerate(zip(motes,
+                                                    mote_turn_ons_ms)))
+        scenario = Scenario(
+            horizon_ns=4 * 10 ** 9, seed=draw(st.integers(0, 2 ** 32)),
+            radio=RadioConfig(spreading_factor=9, bandwidth_hz=125_000),
+            channel=ChannelParams(shadowing_sigma_db=draw(
+                st.sampled_from([0.0, 3.0]))),
+            nodes=nodes,
+            app=AppSpec(kind="periodic", dst=1, payload_len=16,
+                        period_ns=10 ** 9))
+        sim = Simulator(scenario, record_trace=False)
+        # two spreading factors and two frequencies among the motes
+        for address in range(first_mote, first_mote + len(motes)):
+            driver = sim.drivers[address]
+            driver.configure(driver.config._replace(
+                spreading_factor=draw(st.sampled_from([9, 10])),
+                frequency_hz=draw(st.sampled_from([868.1e6, 868.3e6]))))
+        if (len(bs_turn_ons_ms) > 1 and bs_turn_ons_ms[-1] < 700
+                and draw(st.booleans())):
+            add_periodic_senders(sim, {len(bs_turn_ons_ms): 1}, 700_000_000,
+                                 idle_policy="rx")
+        decide = channel.decide_reception
+        decisions = []
+
+        def checking(tx, rx_addr, strongest_rival_dbm, *rest):
+            on_air = sim._on_air
+            assert strongest_rival_dbm == strongest_rival(tx, rx_addr, on_air)
+            assert sim._listeners[rx_addr][1] == sorted(
+                (-o.frame.rssi_by_rx[rx_addr], o.frame.frame_id, o)
+                for o in on_air if o.frame.src != rx_addr)
+            decisions.append(strongest_rival_dbm)
+            return decide(tx, rx_addr, strongest_rival_dbm, *rest)
+
+        with mock.patch.object(channel, "decide_reception", checking):
+            sim.run()
+        assert decisions
+
+    def test_no_decision_scans_the_on_air_list(self, monkeypatch):
+        def scanning(*args):
+            raise AssertionError("interferers_of called by the engine")
+
+        monkeypatch.setattr(channel, "interferers_of", scanning)
+        metrics = run(dense_scenario(horizon_s=12.0))
+        assert {"delivered", "collision"} <= {p.outcome
+                                              for p in metrics.packets}
+
+
+class TestRivalIndexDigests:
+    """Pinned on the engine that scanned every frame on air at each
+    decision and took each shadowing uniform with its own ``random()``
+    call, and that built an RSSI record for every unshadowed frame."""
+
+    def test_hundred_shadowed_motes(self, tmp_path):
+        metrics = run(hundred_mote_scenario())
+        assert metrics.trace_hash == (
+            "11b7d284d2f95d6555b35df889143301ebdf8eeaf0ea8d19d0d6c1320b860896")
+        assert metrics.event_count == 4501
+        packets = tmp_path / "packets.csv"
+        assert packets in emit(metrics, "csv", tmp_path)
+        assert hashlib.sha256(packets.read_bytes()).hexdigest() == (
+            "45558753827a421242eb15d42b4e867235b46c51688ac094dea998a520d71722")
+
+    def test_checked_in_dense_shadowed_scenario(self, tmp_path):
+        path = (pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+                / "dense_shadowed.yaml")
+        metrics = run(load(path))
+        assert metrics.trace_hash == (
+            "e2c6618da1fa43819ab0b227b91d07323f995204d2123795a8f9c2b258788e8a")
+        assert {p.outcome for p in metrics.packets} == {
+            "delivered", "collision", "snr-floor"}
+        packets = tmp_path / "packets.csv"
+        assert packets in emit(metrics, "csv", tmp_path)
+        assert hashlib.sha256(packets.read_bytes()).hexdigest() == (
+            "0f2002fcfd9ab11f9e07d96fb852c557142e6a23824cc6f2a949c33dc593009e")
 
 
 class TestGoldenDigests:

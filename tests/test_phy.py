@@ -141,7 +141,7 @@ class TestSensitivityTable:
 
 
 def lone_reception(rssi_dbm, snr_db, table):
-    """``decide_reception`` at receiver 2 for one frame alone on air, sent
+    """``decide_reception`` at receiver 2 for one frame with no rival, sent
     with ``PAPER_CFG`` and arriving with the given RSSI and SNR."""
     frame = Frame(frame_id=1, src=1, dst=2, seqno=1, payload=b"",
                   spreading_factor=PAPER_CFG.spreading_factor,
@@ -150,7 +150,7 @@ def lone_reception(rssi_dbm, snr_db, table):
                   noise_floor_dbm=rssi_dbm - snr_db,
                   rssi_by_rx={2: rssi_dbm})
     tx = Transmission(frame, 0, 1000)
-    return decide_reception(tx, 2, [tx], table, capture_threshold_db=6.0)
+    return decide_reception(tx, 2, None, table, capture_threshold_db=6.0)
 
 
 class TestReceptionMargin:

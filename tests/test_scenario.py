@@ -121,6 +121,42 @@ class TestValidation:
             power_profile_scenario(cycles=2, cycle_period_s=0.3)
 
 
+class TestWakeupExchangeNodes:
+    """The initiator and target of a wake-up exchange are checked at load,
+    not found out by the run."""
+
+    def test_initiator_that_is_its_own_target_rejected(self):
+        raw = {"sim": {"horizon_s": 10.0, "seed": 1},
+               "nodes": [{"address": 1, "role": "sleeper",
+                          "wurx": {"address": 7}}],
+               "app": {"kind": "wakeup_exchange", "initiator": 1,
+                       "target": 1, "cycles": 2, "cycle_period_s": 2.0}}
+        with pytest.raises(ScenarioError, match="initiator and target must "
+                                                "differ"):
+            from_dict(raw)
+
+    @pytest.mark.parametrize("role, exit_code", [
+        ("mote", 1), ("sleeper", 1), ("initiator", 0), ("bs", 0)])
+    def test_initiator_must_start_awake(self, role, exit_code, tmp_path,
+                                        capsys):
+        # only bs and initiator nodes start with the MCU awake, and the
+        # first cycle sends its burst at once
+        path = tmp_path / "exchange.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 10.0, "seed": 1},
+            "nodes": [{"address": 1, "role": role, "wurx": {"address": 9}},
+                      {"address": 2, "role": "sleeper",
+                       "position": {"x": 5.0}, "wurx": {"address": 7}}],
+            "app": {"kind": "wakeup_exchange", "initiator": 1, "target": 2,
+                    "cycles": 2, "cycle_period_s": 2.0}}))
+        assert main(["run", str(path), "--validate-only"]) == exit_code
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == exit_code
+        if exit_code:
+            assert "scenario error: app.initiator must start awake: a bs " \
+                   "or an initiator node" in capsys.readouterr().err
+
+
 class TestPeriodicSenders:
     def test_omitted_src_means_every_mote_sends(self):
         raw = example_dict()
