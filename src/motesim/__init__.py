@@ -10,8 +10,8 @@ experiment presets.
 
 from types import ModuleType as _ModuleType
 
-from .channel import (ChannelParams, Position, ReceptionOutcome, Transmission,
-                      noise_floor_dbm, rssi_at, snr_of)
+from .channel import (ChannelParams, Position, ReceptionOutcome,
+                      noise_floor_dbm, rssi_at)
 from .engine import Simulator, power_profile, range_sweep, run
 from .errors import (ConfigError, ContractViolation, IllegalTransition,
                      MotesimError, PayloadTooLarge, RadioUnavailable,

@@ -13,9 +13,9 @@ per link in order, in one ``getrandbits`` call, and leaves the RNG in the
 same state, but transforms a deviate only when it is read, bit for bit as
 ``gauss`` would. So the engine's values and draw order are those of
 ``rssi_at``, and a frame pays the Box-Muller step only at the receivers
-that read its RSSI. Transmissions and reception outcomes, built per frame
-and per decision, are named tuples, and so are positions and channel
-parameters, checked when built.
+that read its RSSI. A frame carries its own airtime interval, and no
+other record of a transmission exists. Reception outcomes, positions and
+channel parameters are named tuples, the last two checked when built.
 
 Concurrent-transmission handling uses the capture effect with a
 strongest-single-interferer proxy: a frame is decodable among overlapping
@@ -181,19 +181,6 @@ def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
             + 10.0 * math.log10(bandwidth_hz) + noise_figure_db)
 
 
-def snr_of(rssi_dbm: float, bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Signal-to-noise ratio of a received level against the noise floor."""
-    return rssi_dbm - noise_floor_dbm(bandwidth_hz, noise_figure_db)
-
-
-class Transmission(NamedTuple):
-    """One frame occupying the medium over [start_ns, end_ns)."""
-
-    frame: Frame
-    start_ns: int
-    end_ns: int
-
-
 class ReceptionOutcome(NamedTuple):
     cause: str  # "ok" | "collision" | "below-sensitivity" | "snr-floor"
     rssi_dbm: float
@@ -206,28 +193,20 @@ class ReceptionOutcome(NamedTuple):
         return self.cause == "ok"
 
 
-def interferers_of(tx: Transmission, all_tx: list) -> list:
-    """Transmissions overlapping ``tx`` in time on the same channel and SF.
+def interferers_of(frame: Frame, frames: list) -> list:
+    """Frames overlapping ``frame`` in time on the same channel and SF.
 
-    ``all_tx`` is any list that holds every transmission that may overlap
-    ``tx``: the full history, or only the frames still on air.
+    ``frames`` is any list that holds every frame that may overlap
+    ``frame``: the full history, or only the frames still on air.
     """
-    frame = tx.frame
-    frame_id = frame.frame_id
-    frequency_hz = frame.frequency_hz
-    sf = frame.spreading_factor
-    start_ns, end_ns = tx.start_ns, tx.end_ns
-    rivals = []
-    for o in all_tx:
-        other = o.frame
-        if (other.frame_id != frame_id and other.frequency_hz == frequency_hz
-                and other.spreading_factor == sf
-                and o.start_ns < end_ns and start_ns < o.end_ns):
-            rivals.append(o)
-    return rivals
+    return [o for o in frames
+            if o.frame_id != frame.frame_id
+            and o.frequency_hz == frame.frequency_hz
+            and o.spreading_factor == frame.spreading_factor
+            and o.start_ns < frame.end_ns and frame.start_ns < o.end_ns]
 
 
-def decide_reception(tx: Transmission, rx_addr: int,
+def decide_reception(frame: Frame, rx_addr: int,
                      strongest_rival_dbm: float | None,
                      table: SensitivityTable,
                      capture_threshold_db: float) -> ReceptionOutcome:
@@ -237,11 +216,10 @@ def decide_reception(tx: Transmission, rx_addr: int,
     Collision is judged first (capture against the strongest interferer),
     then the sensitivity and SNR-floor gates of the captured frame.
     ``strongest_rival_dbm`` is the highest RSSI at ``rx_addr`` among the
-    ``interferers_of(tx, ...)`` that the receiver did not send (the
+    ``interferers_of(frame, ...)`` that the receiver did not send (the
     listening rule handles those), or None; the engine reads it from a
     per-listener index of the frames on air, strongest first.
     """
-    frame = tx.frame
     rssi = frame.rssi_by_rx[rx_addr]
     snr = rssi - frame.noise_floor_dbm
     rssi_margin = rssi - table.sensitivity(frame.spreading_factor,

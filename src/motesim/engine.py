@@ -16,20 +16,22 @@ rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
 frame's ``dst``.
 
-The medium keeps only the transmissions that can still matter. Once a
-frame has been decided, every transmission that ended at or before a
-floor is dropped. The floor is the earliest start of the frames still
-undecided, or now when none is. A frame decided later starts at or after
-the floor, so it cannot overlap them. Undecided frames are kept by frame
-id in start order, because a frame goes on air at now and now never
-decreases, so the floor is the first of them and costs O(1). The floor
-never falls, and the on-air list is rebuilt only when it has risen: a
-frame added since the last rebuild started at or after that floor and has
-positive airtime, so the same floor would drop nothing. Carrier sense
-reads this short on-air list, and the capture decision the head of each
-listener's index of it by RSSI, so the cost per event does not grow with
-the horizon. The dispatch trace is hashed in chunks of at most 1,024
-lines, so its memory is constant too.
+A frame carries its own airtime interval, so it is the one record of a
+transmission: the medium, each listener's rival index and the undecided
+frames hold the frame itself, and a send's handle is its frame id. The
+medium keeps only the frames that can still matter. Once a frame has been
+decided, every frame that ended at or before a floor is dropped. The floor
+is the earliest start of the frames still undecided, or now when none is.
+A frame decided later starts at or after the floor, so it cannot overlap
+them. Undecided frames are kept by frame id in start order, because a
+frame goes on air at now and now never decreases, so the floor is the
+first of them and costs O(1). The floor never falls, and the on-air list
+is rebuilt only when it has risen: a frame added since the last rebuild
+started at or after that floor and has positive airtime, so the same floor
+would drop nothing. Carrier sense reads this short on-air list, and the
+capture decision the head of each listener's index of it by RSSI, so the
+cost per event does not grow with the horizon. The dispatch trace is
+hashed in chunks of at most 1,024 lines, so its memory is constant too.
 
 A wake-up exchange's burst depends only on the target's wurx block, so it
 is built once, with the applications, and every cycle sends it. Nodes
@@ -111,7 +113,6 @@ class SimRadioDriver(stk.RadioDriver):
         self._rx_cb = None
         self._tx_cb = None
         self._config = sim.scenario.radio
-        self._handles = itertools.count(1)
         self._in_tx_done = False
 
     def bind(self, rx_done=None, tx_done=None) -> None:
@@ -164,22 +165,18 @@ class SimRadioDriver(stk.RadioDriver):
             raise RadioUnavailable(
                 f"radio of node {self.device.address} is "
                 f"{self.device.radio.value}; cannot send")
-        handle = next(self._handles)
-        self.sim.begin_transmission(self.device, bytes(data), handle)
-        return handle
+        return self.sim.begin_transmission(self.device, bytes(data)).frame_id
 
-    def fire_tx_done(self, handle) -> None:
+    def fire_tx_done(self, frame_id: int) -> None:
         if self._tx_cb is not None:
             self._in_tx_done = True
             try:
-                self._tx_cb(handle)
+                self._tx_cb(frame_id)
             finally:
                 self._in_tx_done = False
 
     def deliver(self, frame: Frame) -> str:
-        if self._rx_cb is None:
-            return "drop-address"
-        return self._rx_cb(frame)
+        return self._rx_cb(frame)  # every node's Unicast binds it
 
 
 class Simulator:
@@ -205,7 +202,7 @@ class Simulator:
         self.unicasts: dict = {}
         self.apps: dict = {}
         self._on_air: list = []  # those that may overlap an undecided frame
-        # undecided frames: frame_id -> (tx, handle, packet record or None)
+        # undecided frames: frame_id -> (frame, packet record or None)
         self._tx_by_id: dict = {}
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # (sender address, wake_up) -> its links
@@ -245,14 +242,11 @@ class Simulator:
         app = scenario.app
         roles = {spec.address: spec.role for spec in scenario.nodes}
 
-        for address, role in roles.items():
-            unicast = stk.Unicast(self.drivers[address], address)
-            self.unicasts[address] = unicast
+        for address in roles:
+            self.unicasts[address] = stk.Unicast(self.drivers[address], address)
 
         if app.kind == "periodic":
-            senders = [app.src] if app.src is not None else [
-                a for a, r in roles.items() if r == "mote"]
-            for address in senders:
+            for address in scenario.periodic_senders():
                 self.apps[address] = stk.PeriodicSenderApp(
                     self.unicasts[address], self._services_for(address),
                     dst=app.dst, payload_len=app.payload_len,
@@ -300,8 +294,8 @@ class Simulator:
         if result.radio is RADIO_RX and device.address not in self._listeners:
             address = device.address  # _deliver visits it from now on
             self._listeners[address] = (device, sorted(
-                (-o.frame.rssi_by_rx[address], o.frame.frame_id, o)
-                for o in self._on_air if o.frame.src != address))
+                (-o.rssi_by_rx[address], o.frame_id, o)
+                for o in self._on_air if o.src != address))
         followups, awake, radio_ready = (result.followups, result.awake,
                                          result.radio_ready)
         if not (followups or awake or radio_ready):
@@ -320,9 +314,8 @@ class Simulator:
     # -- medium ---------------------------------------------------------------
 
     def medium_busy(self, frequency_hz: float) -> bool:
-        return any(tx.start_ns <= self.now < tx.end_ns
-                   and tx.frame.frequency_hz == frequency_hz
-                   for tx in self._on_air)
+        return any(o.start_ns <= self.now < o.end_ns
+                   and o.frequency_hz == frequency_hz for o in self._on_air)
 
     def _rssi_by_rx(self, sender: MoteDevice, wake_up: bool) -> dict:
         """The RSSI of a new frame at every other node, or of a new wake-up
@@ -357,30 +350,27 @@ class Simulator:
             rx: tx_power_dbm - loss for rx, (_index, loss) in links.items()}
         return rssi_by_rx
 
-    def begin_transmission(self, device: MoteDevice, data: bytes,
-                           handle) -> Frame:
+    def begin_transmission(self, device: MoteDevice, data: bytes) -> Frame:
         config = self.drivers[device.address].config
         if len(data) >= stk.HEADER_BYTES:
             _src, dst, seqno = stk.HEADER.unpack_from(data)
         else:
             dst = seqno = None
-        airtime_ns = time_on_air(config, len(data))
         frame = Frame(  # positional: keywords cost twice as much
             next(self._frame_ids), device.address, dst, seqno, data,
             config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
             chan.noise_floor_dbm(config.bandwidth_hz,
                                  self.scenario.channel.noise_figure_db),
-            self._rssi_by_rx(device, False))
+            self._rssi_by_rx(device, False), self.now,
+            self.now + time_on_air(config, len(data)))
         self.node_event(device, nd.TX_REQUEST)
-        tx = chan.Transmission(frame, self.now, self.now + airtime_ns)
-        self._on_air.append(tx)
-        rssi_by_rx = frame.rssi_by_rx
+        self._on_air.append(frame)
+        rssi_by_rx, frame_id = frame.rssi_by_rx, frame.frame_id
         for rx_addr, (_device, rivals) in self._listeners.items():
             if rx_addr != device.address:
-                insort(rivals, (-rssi_by_rx[rx_addr], frame.frame_id, tx))
-        self._tx_by_id[frame.frame_id] = (tx, handle, self._record_sent(tx))
-        self.schedule(tx.end_ns, _TX_END, device.address,
-                      frame.frame_id)
+                insort(rivals, (-rssi_by_rx[rx_addr], frame_id, frame))
+        self._tx_by_id[frame_id] = (frame, self._record_sent(frame))
+        self.schedule(frame.end_ns, _TX_END, device.address, frame_id)
         return frame
 
     def send_wakeup(self, device: MoteDevice):
@@ -464,15 +454,14 @@ class Simulator:
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:
-        tx, handle, record = self._tx_by_id.pop(frame_id)
-        frame = tx.frame
+        frame, record = self._tx_by_id.pop(frame_id)
         sender = self.devices[frame.src]
         self.node_event(sender, nd.TX_DONE)
         app = self.apps.get(frame.src)
-        self.drivers[frame.src].fire_tx_done(handle)
+        self.drivers[frame.src].fire_tx_done(frame_id)
         if app is not None:
             app.on_tx_done()
-        outcome = self._deliver(tx)
+        outcome = self._deliver(frame)
         if record is not None:
             record.outcome = outcome
         undecided = self._tx_by_id
@@ -501,10 +490,10 @@ class Simulator:
         else:
             device.wurx.false_wakeups_rejected += 1
 
-    def _deliver(self, tx) -> str:
+    def _deliver(self, frame: Frame) -> str:
         """Decide the frame at every listener; returns its dst's outcome."""
-        frame = tx.frame
-        src = frame.src
+        start_ns, end_ns = frame.start_ns, frame.end_ns
+        frequency_hz, sf = frame.frequency_hz, frame.spreading_factor
         params = self.scenario.channel
         listeners = self._listeners
         dst_outcome = "not-listening"
@@ -513,18 +502,17 @@ class Simulator:
             if device.rx_since_ns is None:  # it has left rx since
                 del listeners[rx_addr]
                 continue
-            if (rx_addr == src or device.radio is not RADIO_RX
-                    or device.rx_since_ns > tx.start_ns
-                    or device.ledger.depleted):
+            # in rx since the frame's start at the latest: not its sender
+            if device.rx_since_ns > start_ns or device.ledger.depleted:
                 continue
-            # the first overlap on tx's channel and SF is its strongest rival
+            # the first overlap on its channel and SF is the strongest rival
             strongest = next((
                 -neg_rssi for neg_rssi, _frame_id, o in rivals
-                if o is not tx and o.frame.frequency_hz == frame.frequency_hz
-                and o.frame.spreading_factor == frame.spreading_factor
-                and o.start_ns < tx.end_ns and tx.start_ns < o.end_ns), None)
+                if o is not frame and o.frequency_hz == frequency_hz
+                and o.spreading_factor == sf
+                and o.start_ns < end_ns and start_ns < o.end_ns), None)
             decision = chan.decide_reception(
-                tx, rx_addr, strongest, self.table,
+                frame, rx_addr, strongest, self.table,
                 params.capture_threshold_db)
             if decision.decoded:
                 self.node_event(device, nd.RX_DONE)
@@ -537,17 +525,16 @@ class Simulator:
                 dst_outcome = outcome
         return dst_outcome
 
-    def _record_sent(self, tx):
+    def _record_sent(self, frame: Frame):
         """Record the frame when it goes on air and return its packet
         record, or None for a frame with no other node as ``dst``; a frame
         still in flight at the horizon keeps the outcome 'in-flight'."""
-        frame = tx.frame
         src, dst = frame.src, frame.dst
         if dst is None or dst == src or dst not in self.devices:
             return None
         rssi = frame.rssi_by_rx[dst]
         record = rep.PacketRecord(
-            frame.frame_id, src, dst, frame.seqno, tx.start_ns,
+            frame.frame_id, src, dst, frame.seqno, frame.start_ns,
             self.devices[src].position.distance_to(self.devices[dst].position),
             rssi, rssi - frame.noise_floor_dbm, "in-flight")
         self.packets.append(record)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class Frame:
-    """One LoRa packet as seen on the medium.
+    """One LoRa packet on the medium over [start_ns, end_ns): the one
+    record of its transmission, which the engine and channel hold as is.
 
     ``src``/``dst``/``seqno`` are the parsed link-header fields (``dst`` is
     None for raw, headerless sends). ``payload`` is every byte on air,
@@ -19,12 +20,13 @@ class Frame:
 
     __slots__ = ("frame_id", "src", "dst", "seqno", "payload",
                  "spreading_factor", "bandwidth_hz", "frequency_hz",
-                 "noise_floor_dbm", "rssi_by_rx")
+                 "noise_floor_dbm", "rssi_by_rx", "start_ns", "end_ns")
 
     def __init__(self, frame_id: int, src: int, dst: int | None,
                  seqno: int | None, payload: bytes, spreading_factor: int,
                  bandwidth_hz: int, frequency_hz: float,
-                 noise_floor_dbm: float, rssi_by_rx: dict | None = None):
+                 noise_floor_dbm: float, rssi_by_rx: dict | None = None,
+                 start_ns: int = 0, end_ns: int = 0):
         self.frame_id = frame_id
         self.src = src
         self.dst = dst
@@ -35,3 +37,5 @@ class Frame:
         self.frequency_hz = frequency_hz
         self.noise_floor_dbm = noise_floor_dbm
         self.rssi_by_rx = {} if rssi_by_rx is None else rssi_by_rx
+        self.start_ns = start_ns
+        self.end_ns = end_ns

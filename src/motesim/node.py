@@ -284,9 +284,7 @@ def power_report(ledger: EnergyLedger, power_table_w: dict) -> list:
     """
     total = ledger.total_energy_j()
     rows = []
-    labels = list(POWER_LABELS) + sorted(
-        set(ledger.time_ns) - set(POWER_LABELS))
-    for label in labels:
+    for label in POWER_LABELS:
         t = ledger.time_ns.get(label, 0)
         e = ledger.energy_j.get(label, 0.0)
         if label in power_table_w:

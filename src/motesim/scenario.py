@@ -67,6 +67,11 @@ class Scenario(NamedTuple):
                 return spec
         raise ScenarioError(f"no node with address {address}")
 
+    def periodic_senders(self) -> tuple:
+        """A periodic app's ``src``, or every mote when it is omitted."""
+        return ((self.app.src,) if self.app.src is not None else
+                tuple(n.address for n in self.nodes if n.role == "mote"))
+
 
 def _require_keys(section, allowed: set, where: str) -> None:
     if not isinstance(section, dict):
@@ -223,6 +228,7 @@ def validate(scenario: Scenario) -> None:
     if not 0 <= app.payload_len <= DEFAULT_MTU:
         raise ScenarioError(f"app.payload_len must be within [0, "
                             f"{DEFAULT_MTU}], got {app.payload_len}")
+    frame_airtime = time_on_air(scenario.radio, app.payload_len + HEADER_BYTES)
     if app.kind == "periodic":
         # src may be omitted: then every mote sends
         if app.dst is None:
@@ -230,8 +236,6 @@ def validate(scenario: Scenario) -> None:
         if app.dst not in addresses or (app.src is not None
                                         and app.src not in addresses):
             raise ScenarioError("app: src and dst must be node addresses")
-        frame_airtime = time_on_air(
-            scenario.radio, app.payload_len + HEADER_BYTES)
         if app.period_ns <= frame_airtime:
             raise ScenarioError(
                 f"app.period_s must exceed the frame airtime "
@@ -239,6 +243,9 @@ def validate(scenario: Scenario) -> None:
         if app.src is not None and scenario.node(app.src).role not in (
                 "mote", "bs"):
             raise ScenarioError("app.src must be a mote or bs node")
+        if app.dst in scenario.periodic_senders():
+            raise ScenarioError("app.dst must not be a sender (src, or "
+                                "every mote if src is omitted)")
     elif app.kind == "wakeup_exchange":
         if app.initiator is None or app.target is None:
             raise ScenarioError("app: wakeup_exchange requires initiator "
@@ -252,6 +259,9 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError("app.initiator must start awake: a bs or "
                                 "an initiator node")
         target = scenario.node(app.target)
+        if target.role in AWAKE_ROLES:
+            raise ScenarioError("app.target must start asleep: a mote or a "
+                                "sleeper node")
         if target.wurx is None:
             raise ScenarioError("app.target must carry a wurx block")
         if app.cycles < 0:
@@ -260,9 +270,7 @@ def validate(scenario: Scenario) -> None:
                                                target.wurx.preamble_bits,
                                                target.wurx.bit_rate_bps))
                        + target.mcu_wakeup_ns + target.radio_turn_on_ns
-                       + time_on_air(scenario.radio,
-                                     app.payload_len + HEADER_BYTES)
-                       + app.linger_ns)
+                       + frame_airtime + app.linger_ns)
         if app.cycle_period_ns <= exchange_ns:
             raise ScenarioError(
                 f"app.cycle_period_s must exceed one full exchange "

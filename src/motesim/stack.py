@@ -97,13 +97,9 @@ class RadioDriver:
 class Unicast:
     """Best-effort single-hop unicast over a :class:`RadioDriver`."""
 
-    def __init__(self, driver: RadioDriver, local_address: int,
-                 mtu: int = DEFAULT_MTU,
-                 duplicate_window: int = DEFAULT_DUPLICATE_WINDOW):
+    def __init__(self, driver: RadioDriver, local_address: int):
         self.driver = driver
         self.local_address = local_address
-        self.mtu = mtu
-        self.duplicate_window = duplicate_window
         self._seqno = 0
         self._seen: dict = {}  # src -> list of recent seqnos (FIFO)
         self.duplicates_dropped = 0
@@ -114,9 +110,9 @@ class Unicast:
     def send(self, dst: int, payload: bytes) -> None:
         """Transmit ``payload`` to ``dst``; loopback destinations are
         delivered locally without touching the radio."""
-        if len(payload) > self.mtu:
+        if len(payload) > DEFAULT_MTU:
             raise PayloadTooLarge(
-                f"payload {len(payload)} B exceeds MTU {self.mtu} B")
+                f"payload {len(payload)} B exceeds MTU {DEFAULT_MTU} B")
         self._seqno += 1
         msg = UnicastMessage(self.local_address, dst, self._seqno, payload)
         if dst != self.local_address:
@@ -135,7 +131,7 @@ class Unicast:
             self.duplicates_dropped += 1
             return "duplicate"
         seen.append(msg.seqno)
-        if len(seen) > self.duplicate_window:
+        if len(seen) > DEFAULT_DUPLICATE_WINDOW:
             seen.pop(0)
         if self.on_message is not None:
             self.on_message(msg)

@@ -7,7 +7,7 @@ event queue) so they can disagree with the package if either side is wrong.
 
 import math
 
-from motesim.channel import decide_reception, interferers_of
+from motesim.channel import decide_reception, interferers_of, noise_floor_dbm
 
 LINK_HEADER_BYTES = 6
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -36,6 +36,18 @@ def oracle_airtime_s(sf, bw_hz, cr_denom, payload_len, preamble_symbols=8,
 
 def oracle_noise_floor_dbm(bw_hz, noise_figure_db):
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bw_hz) + noise_figure_db
+
+
+def snr_of(rssi_dbm, bandwidth_hz, noise_figure_db):
+    """Signal-to-noise ratio of a received level against the package's
+    noise floor."""
+    return rssi_dbm - noise_floor_dbm(bandwidth_hz, noise_figure_db)
+
+
+def on_air(frame, start_ns, end_ns):
+    """``frame``, put on the medium over [start_ns, end_ns)."""
+    frame.start_ns, frame.end_ns = start_ns, end_ns
+    return frame
 
 
 def replay_delivered(scenario, table):
@@ -136,28 +148,29 @@ def reception_margin(cfg, rssi_dbm, snr_db, table):
     return "ok"
 
 
-def strongest_rival(tx, rx_addr, all_tx):
-    """The highest RSSI at ``rx_addr`` among the frames of ``all_tx`` that
-    ``channel.interferers_of`` finds for ``tx``, leaving out the receiver's
-    own, or None: the scan that the engine's per-listener index replaces."""
-    return max([r.frame.rssi_by_rx[rx_addr]
-                for r in interferers_of(tx, all_tx)
-                if r.frame.src != rx_addr], default=None)
+def strongest_rival(frame, rx_addr, frames):
+    """The highest RSSI at ``rx_addr`` among the frames of ``frames`` that
+    ``channel.interferers_of`` finds for ``frame``, leaving out the
+    receiver's own, or None: the scan that the engine's per-listener index
+    replaces."""
+    return max([r.rssi_by_rx[rx_addr]
+                for r in interferers_of(frame, frames)
+                if r.src != rx_addr], default=None)
 
 
-def resolve_concurrent(transmissions, table, capture_threshold_db=6.0):
-    """Resolve a completed set of transmissions for every annotated receiver.
+def resolve_concurrent(frames, table, capture_threshold_db=6.0):
+    """Resolve a completed set of frames on air for every annotated receiver.
 
     The batch counterpart of the engine's incremental path: every frame is
     decided against the whole list at once, not against the medium's
     pruned on-air list. Returns {(rx_addr, frame_id): ReceptionOutcome}.
     """
     outcomes = {}
-    for tx in transmissions:
-        for rx_addr in tx.frame.rssi_by_rx:
-            if rx_addr == tx.frame.src:
+    for frame in frames:
+        for rx_addr in frame.rssi_by_rx:
+            if rx_addr == frame.src:
                 continue
-            outcomes[(rx_addr, tx.frame.frame_id)] = decide_reception(
-                tx, rx_addr, strongest_rival(tx, rx_addr, transmissions),
+            outcomes[(rx_addr, frame.frame_id)] = decide_reception(
+                frame, rx_addr, strongest_rival(frame, rx_addr, frames),
                 table, capture_threshold_db)
     return outcomes

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motesim import (ChannelParams, ConfigError, Frame, Position,
-                     RadioConfig, SensitivityTable, Transmission,
-                     ZeroDistanceError, noise_floor_dbm, rssi_at, snr_of)
+                     RadioConfig, SensitivityTable, ZeroDistanceError,
+                     noise_floor_dbm, rssi_at)
 from motesim.channel import RssiOnRead
-from oracles import (oracle_noise_floor_dbm, reception_margin,
-                     resolve_concurrent)
+from oracles import (on_air, oracle_noise_floor_dbm, reception_margin,
+                     resolve_concurrent, snr_of)
 
 TABLE = SensitivityTable.load_default()
 ORIGIN = Position()
@@ -198,7 +198,7 @@ class TestSnr:
 class TestResolveConcurrent:
     def test_single_transmission_ok(self):
         frame = make_frame(1, src=10, dst=20, rssi_by_rx={20: -100.0})
-        out = resolve_concurrent([Transmission(frame, 0, AIRTIME_NS)],
+        out = resolve_concurrent([on_air(frame, 0, AIRTIME_NS)],
                                  TABLE)
         assert out[(20, 1)].cause == "ok"
 
@@ -206,8 +206,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, 0, AIRTIME_NS)], TABLE,
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, 0, AIRTIME_NS)], TABLE,
             capture_threshold_db=6.0)
         assert out[(20, 1)].cause == "collision"
         assert out[(20, 2)].cause == "collision"
@@ -216,8 +216,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -90.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, 1_000_000, 1_000_000 + AIRTIME_NS)], TABLE)
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, 1_000_000, 1_000_000 + AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "collision"
 
@@ -225,8 +225,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -95.0})
         b = make_frame(2, 11, 20, {20: -100.0})  # 5 dB < 6 dB threshold
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, 0, AIRTIME_NS)], TABLE)
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "collision"
         assert out[(20, 2)].cause == "collision"
 
@@ -234,8 +234,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0})
         b = make_frame(2, 11, 20, {20: -100.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, AIRTIME_NS, 2 * AIRTIME_NS)], TABLE)
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, AIRTIME_NS, 2 * AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "ok"
 
@@ -243,8 +243,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -100.0}, sf=12)
         b = make_frame(2, 11, 20, {20: -90.0}, sf=11)
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, 0, AIRTIME_NS)], TABLE)
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "ok"
 
@@ -253,8 +253,8 @@ class TestResolveConcurrent:
         a = make_frame(1, 10, 20, {20: -141.0})
         b = make_frame(2, 11, 20, {20: -150.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, AIRTIME_NS),
-             Transmission(b, 0, AIRTIME_NS)], TABLE)
+            [on_air(a, 0, AIRTIME_NS),
+             on_air(b, 0, AIRTIME_NS)], TABLE)
         assert out[(20, 1)].cause == "below-sensitivity"
         assert out[(20, 2)].cause == "collision"
 
@@ -264,9 +264,9 @@ class TestResolveConcurrent:
         b = make_frame(2, 11, 20, {20: -90.0})
         c = make_frame(3, 12, 20, {20: -80.0})
         out = resolve_concurrent(
-            [Transmission(a, 0, 100),
-             Transmission(b, 50, 200),
-             Transmission(c, 150, 250)], TABLE)
+            [on_air(a, 0, 100),
+             on_air(b, 50, 200),
+             on_air(c, 150, 250)], TABLE)
         assert out[(20, 1)].cause == "ok"
         assert out[(20, 2)].cause == "collision"
         assert out[(20, 3)].cause == "ok"
@@ -281,14 +281,14 @@ class TestResolveConcurrent:
                 length = rng.randrange(50, 300)
                 rssi = rng.uniform(-135.0, -60.0)
                 frame = make_frame(i, 100 + i, 20, {20: rssi})
-                txs.append(Transmission(frame, start, start + length))
+                txs.append(on_air(frame, start, start + length))
             out = resolve_concurrent(txs, TABLE)
             for i, ta in enumerate(txs):
                 for tb in txs[i + 1:]:
                     if ta.start_ns < tb.end_ns and tb.start_ns < ta.end_ns:
                         decoded = [
-                            out[(20, ta.frame.frame_id)].decoded,
-                            out[(20, tb.frame.frame_id)].decoded]
+                            out[(20, ta.frame_id)].decoded,
+                            out[(20, tb.frame_id)].decoded]
                         assert sum(decoded) <= 1
 
     def test_matches_margin_check_for_single_tx(self):
@@ -299,7 +299,7 @@ class TestResolveConcurrent:
         for _ in range(500):
             rssi = rng.uniform(-150.0, -60.0)
             frame = make_frame(1, 10, 20, {20: rssi})
-            out = resolve_concurrent([Transmission(frame, 0, 1000)], TABLE)
+            out = resolve_concurrent([on_air(frame, 0, 1000)], TABLE)
             expected = reception_margin(cfg, rssi, snr_of(rssi, 500_000, 6.0),
                                         TABLE)
             assert out[(20, 1)].decoded == (expected == "ok")

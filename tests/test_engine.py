@@ -25,19 +25,18 @@ TABLE = SensitivityTable.load_default()
 
 
 def record_transmissions(sim):
-    """Every transmission ``sim`` starts from now on, in start order.
+    """Every frame ``sim`` puts on air from now on, in start order.
 
     Wraps the simulator's ``begin_transmission``, which the radio drivers
-    call for each frame they put on air; the engine keeps no such log.
+    call for each frame they send; the engine keeps no such log.
     """
     started = []
     begin = sim.begin_transmission
 
-    def recording(device, data, handle):
-        frame = begin(device, data, handle)
-        tx = sim._tx_by_id[frame.frame_id][0]
-        assert tx.frame is frame
-        started.append(tx)
+    def recording(device, data):
+        frame = begin(device, data)
+        assert sim._tx_by_id[frame.frame_id][0] is frame
+        started.append(frame)
         return frame
 
     sim.begin_transmission = recording
@@ -138,9 +137,9 @@ class TestBasicRuns:
         sim = Simulator(two_node_scenario(packets=1), record_trace=False)
         started = record_transmissions(sim)
         sim.run()
-        (tx,) = started
-        assert len(tx.frame.payload) == 16 + 6
-        assert tx.end_ns - tx.start_ns == 362_496_000
+        (frame,) = started
+        assert len(frame.payload) == 16 + 6
+        assert frame.end_ns - frame.start_ns == 362_496_000
 
     def test_tick_count_matches_horizon_over_period(self):
         # 360 tick-initiated sends for a 3600 s horizon at 10 s period
@@ -350,7 +349,7 @@ class TestIncrementalMatchesBatchResolver:
         for k in range(1, slices + 1):
             sim.run_until(scenario.horizon_ns * k // slices)
             assert len(sim._on_air) <= senders
-        ends = [tx.end_ns for tx in started]
+        ends = [frame.end_ns for frame in started]
         assert len(set(ends)) < len(ends)  # some frames end together
         assert {"delivered", "collision"} <= {p.outcome for p in sim.packets}
         batch = resolve_concurrent(started, TABLE,
@@ -393,10 +392,10 @@ class TestIncrementalMatchesBatchResolver:
         rivals_at_1 = {}
         decide = channel.decide_reception
 
-        def recording(tx, rx_addr, strongest_rival_dbm, *rest):
+        def recording(frame, rx_addr, strongest_rival_dbm, *rest):
             if rx_addr == 1:
-                rivals_at_1[tx.frame.frame_id] = strongest_rival_dbm
-            return decide(tx, rx_addr, strongest_rival_dbm, *rest)
+                rivals_at_1[frame.frame_id] = strongest_rival_dbm
+            return decide(frame, rx_addr, strongest_rival_dbm, *rest)
 
         with mock.patch.object(channel, "decide_reception", recording):
             metrics = sim.run()
@@ -409,10 +408,10 @@ class TestIncrementalMatchesBatchResolver:
         assert set(outcomes[7]) == {"not-listening"}
         assert set(outcomes[8]) == {"collision"}
         by_src = {}
-        for tx in started:
-            by_src.setdefault(tx.frame.src, []).append(tx)
-        assert [rivals_at_1[tx.frame.frame_id] for tx in by_src[8]] == [
-            tx.frame.rssi_by_rx[1] for tx in by_src[7]]
+        for frame in started:
+            by_src.setdefault(frame.src, []).append(frame)
+        assert [rivals_at_1[frame.frame_id] for frame in by_src[8]] == [
+            frame.rssi_by_rx[1] for frame in by_src[7]]
         assert outcomes[5][0] == "not-listening"
         assert set(outcomes[5][1:]) == {"collision"}
         batch = resolve_concurrent(started, TABLE,
@@ -441,7 +440,8 @@ class TestIncrementalMatchesBatchResolver:
             floor = min((entry[0].start_ns
                          for entry in sim._tx_by_id.values()),
                         default=sim.now)
-            assert sim._on_air == [tx for tx in started if tx.end_ns > floor]
+            assert sim._on_air == [frame for frame in started
+                                   if frame.end_ns > floor]
             checked.append(len(sim._tx_by_id))
 
         sim._finish_tx = checking
@@ -505,14 +505,15 @@ class TestRivalIndex:
         decide = channel.decide_reception
         decisions = []
 
-        def checking(tx, rx_addr, strongest_rival_dbm, *rest):
+        def checking(frame, rx_addr, strongest_rival_dbm, *rest):
             on_air = sim._on_air
-            assert strongest_rival_dbm == strongest_rival(tx, rx_addr, on_air)
+            assert strongest_rival_dbm == strongest_rival(frame, rx_addr,
+                                                          on_air)
             assert sim._listeners[rx_addr][1] == sorted(
-                (-o.frame.rssi_by_rx[rx_addr], o.frame.frame_id, o)
-                for o in on_air if o.frame.src != rx_addr)
+                (-o.rssi_by_rx[rx_addr], o.frame_id, o)
+                for o in on_air if o.src != rx_addr)
             decisions.append(strongest_rival_dbm)
-            return decide(tx, rx_addr, strongest_rival_dbm, *rest)
+            return decide(frame, rx_addr, strongest_rival_dbm, *rest)
 
         with mock.patch.object(channel, "decide_reception", checking):
             sim.run()
@@ -840,7 +841,8 @@ class TestLinkCache:
     shadowing per frame; values and draw order must match ``rssi_at``."""
 
     def test_frame_annotations_equal_rssi_at_bit_for_bit(self):
-        from motesim.channel import noise_floor_dbm, rssi_at, snr_of
+        from motesim.channel import noise_floor_dbm, rssi_at
+        from oracles import snr_of
         scenario = dense_scenario(horizon_s=6.0)
         sim = Simulator(scenario, record_trace=False)
         started = record_transmissions(sim)
@@ -849,8 +851,7 @@ class TestLinkCache:
         params = scenario.channel
         addresses = sorted(sim.devices)
         assert len(started) > 20
-        for tx in started:
-            frame = tx.frame
+        for frame in started:
             src = sim.devices[frame.src]
             receivers = [a for a in addresses if a != frame.src]
             assert list(frame.rssi_by_rx) == receivers
@@ -904,7 +905,7 @@ class TestLinkCache:
         sim.run()
         frames = len(started)
         assert frames >= 250
-        ended = sum(tx.end_ns <= scenario.horizon_ns for tx in started)
+        ended = sum(frame.end_ns <= scenario.horizon_ns for frame in started)
         assert counts["decisions"] == ended
         assert counts["transforms"] <= 3 * frames
 

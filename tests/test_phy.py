@@ -3,10 +3,9 @@ import random
 import pytest
 
 from motesim import (ConfigError, Frame, RadioConfig, SensitivityTable,
-                     TableEntryMissing, Transmission, payload_symbol_count,
-                     time_on_air)
+                     TableEntryMissing, payload_symbol_count, time_on_air)
 from motesim.channel import decide_reception
-from oracles import oracle_airtime_s, oracle_symbol_count
+from oracles import on_air, oracle_airtime_s, oracle_symbol_count
 
 PAPER_CFG = RadioConfig()  # SF12 / 500 kHz / 4-6 / +14 dBm / preamble 8
 
@@ -149,8 +148,8 @@ def lone_reception(rssi_dbm, snr_db, table):
                   frequency_hz=PAPER_CFG.frequency_hz,
                   noise_floor_dbm=rssi_dbm - snr_db,
                   rssi_by_rx={2: rssi_dbm})
-    tx = Transmission(frame, 0, 1000)
-    return decide_reception(tx, 2, None, table, capture_threshold_db=6.0)
+    return decide_reception(on_air(frame, 0, 1000), 2, None, table,
+                            capture_threshold_db=6.0)
 
 
 class TestReceptionMargin:

@@ -157,6 +157,31 @@ class TestWakeupExchangeNodes:
                    "or an initiator node" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("role, exit_code", [
+        ("mote", 0), ("sleeper", 0), ("initiator", 1), ("bs", 1)])
+    def test_target_must_start_asleep(self, role, exit_code, tmp_path,
+                                      capsys):
+        # a target that starts awake never sleeps, so its WuRX never wakes
+        # it and every cycle's data frame is lost
+        path = tmp_path / "exchange.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 5.0, "seed": 1},
+            "nodes": [{"address": 1, "role": "initiator"},
+                      {"address": 2, "role": role, "position": {"x": 2.0},
+                       "wurx": {"address": 7}}],
+            "app": {"kind": "wakeup_exchange", "initiator": 1, "target": 2,
+                    "cycles": 3, "cycle_period_s": 1.0}}))
+        assert main(["run", str(path), "--validate-only"]) == exit_code
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == exit_code
+        if exit_code:
+            assert "scenario error: app.target must start asleep: a mote " \
+                   "or a sleeper node" in capsys.readouterr().err
+        else:
+            assert [e.outcome for e in run(load(path)).exchanges] == [
+                "completed"] * 3
+
+
 class TestPeriodicSenders:
     def test_omitted_src_means_every_mote_sends(self):
         raw = example_dict()
@@ -169,6 +194,27 @@ class TestPeriodicSenders:
         metrics = run(scenario, record_trace=False)
         assert set(metrics.links) == {(2, 1), (3, 1)}
         assert metrics.link(2, 1).sent == metrics.link(3, 1).sent == 2
+
+    @pytest.mark.parametrize("app", [
+        {"src": 2, "dst": 2},  # src is its own dst
+        {"dst": 2},  # src omitted, so mote 2 sends, to itself
+    ], ids=["src-is-dst", "omitted-src-mote-dst"])
+    def test_sender_that_is_its_own_dst_rejected(self, app, tmp_path,
+                                                 capsys):
+        # it would send nothing, skip its ticks and stay awake
+        path = tmp_path / "self.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 60.0, "seed": 1},
+            "nodes": [{"address": 1, "role": "bs"},
+                      {"address": 2, "role": "mote",
+                       "position": {"x": 100.0}}],
+            "app": {"kind": "periodic", "period_s": 10.0, **app}}))
+        with pytest.raises(ScenarioError, match="app.dst must not be a "
+                                                "sender"):
+            load(path)
+        assert main(["run", str(path), "--validate-only"]) == 1
+        assert "scenario error: app.dst must not be a sender" in \
+            capsys.readouterr().err
 
     def test_omitted_dst_rejected(self):
         raw = example_dict()

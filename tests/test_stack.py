@@ -99,10 +99,10 @@ class TestUnicast:
         assert msg.payload == b"\x01\x02\x03"
 
     def test_mtu_guard(self):
-        unicast = Unicast(FakeDriver(), local_address=5, mtu=16)
-        unicast.send(9, bytes(16))
+        unicast = Unicast(FakeDriver(), local_address=5)
+        unicast.send(9, bytes(255))
         with pytest.raises(PayloadTooLarge):
-            unicast.send(9, bytes(17))
+            unicast.send(9, bytes(256))
 
     def test_loopback_without_radio(self):
         driver = FakeDriver()
@@ -136,13 +136,18 @@ class TestUnicast:
 
     def test_duplicate_window_evicts_oldest(self):
         driver = FakeDriver()
-        Unicast(driver, local_address=5, duplicate_window=2)
-        for seq in (1, 2, 3):
+        Unicast(driver, local_address=5)
+
+        def receive(seq):
             data = encode_message(UnicastMessage(2, 5, seq, b""))
-            assert driver.rx_done(frame_with(data)) == "deliver"
+            return driver.rx_done(frame_with(data))
+
+        for seq in range(1, 17):
+            assert receive(seq) == "deliver"
+        assert receive(1) == "duplicate"  # the window holds 16 seqnos
+        assert receive(17) == "deliver"
         # seqno 1 fell out of the window and would deliver again
-        data = encode_message(UnicastMessage(2, 5, 1, b""))
-        assert driver.rx_done(frame_with(data)) == "deliver"
+        assert receive(1) == "deliver"
 
     def test_received_frame_decoded_once(self, monkeypatch):
         calls = []
