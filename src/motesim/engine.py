@@ -14,7 +14,7 @@ inclusive). Delivery visits listeners only: the engine keeps the nodes
 whose transition put the radio in rx, drops one once it is found out of
 rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
-frame's ``dst``.
+frame's ``dst``; ``heard`` keeps every decision by (sender, listener).
 
 A frame carries its own airtime interval, so it is the one record of a
 transmission: the medium, each listener's rival index and the undecided
@@ -62,6 +62,7 @@ kind and node event carries its trace text, built once.
 
 from __future__ import annotations
 
+import collections
 import enum
 import hashlib
 import heapq
@@ -81,9 +82,10 @@ from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
                    RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, MoteDevice,
                    NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
+# range_point_scenario is unused here: perfbench's traced mode patches it
 from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
-                       scenario_hash)
+                       range_sweep_scenario, scenario_hash)
 
 
 class EventKind(enum.Enum):
@@ -208,6 +210,9 @@ class Simulator:
         self._links: dict = {}  # (sender address, wake_up) -> its links
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
         self._listeners: dict = {}  # address -> (device, rival index)
+        # (src, listener) -> [(cause, rssi_dbm, snr_db)]: each frame decided
+        # there and, once run reaches the horizon, each still on air
+        self.heard = collections.defaultdict(list)
 
         self.packets: list = []
         self._depletion_skips = 0
@@ -449,6 +454,14 @@ class Simulator:
         horizon = self.scenario.horizon_ns
         self.start_apps()
         self.run_until(horizon)
+        for frame, _record in self._tx_by_id.values():  # on air at the end
+            for rx_addr, (device, _rivals) in self._listeners.items():
+                since = device.rx_since_ns  # _deliver's listening test
+                if (since is not None and since <= frame.start_ns
+                        and not device.ledger.depleted):
+                    rssi = frame.rssi_by_rx[rx_addr]
+                    self.heard[frame.src, rx_addr].append(
+                        ("in-flight", rssi, rssi - frame.noise_floor_dbm))
         for address in self._addresses:
             self.devices[address].finalize(horizon)
         return self._collect(time.perf_counter() - started)
@@ -514,6 +527,7 @@ class Simulator:
             decision = chan.decide_reception(
                 frame, rx_addr, strongest, self.table,
                 params.capture_threshold_db)
+            self.heard[frame.src, rx_addr].append(decision[:3])
             if decision.decoded:
                 self.node_event(device, nd.RX_DONE)
                 disposition = self.drivers[rx_addr].deliver(frame)
@@ -632,34 +646,29 @@ def run(scenario: Scenario, record_trace: bool = True) -> rep.RunMetrics:
 def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
                 period_s: float = 10.0, payload_len: int = 16, seed: int = 1,
                 shadowing_sigma_db: float = 0.0):
-    """Coverage experiment: one run per distance, aggregated per point.
-
-    Returns (rows, meta, per-distance RunMetrics list). RSSI/SNR means are
-    taken over all transmitted packets' channel annotations at the base
-    station, delivered or not.
+    """Coverage experiment over ``range_sweep_scenario``: one run at σ = 0,
+    where the lone mote has no rival, else one run per point with seed
+    ``seed + index``. Returns (rows, meta, the runs' RunMetrics). A point's
+    row, and its (mote, base station) link in ``links``, come from
+    ``heard``: every frame put on air counts in sent and in the RSSI/SNR
+    means, in flight at the horizon or not; delivered counts those decoded.
     """
-    rows = []
-    all_metrics = []
-    for index, distance in enumerate(distances):
-        scenario = range_point_scenario(
-            distance_m=distance, packets=packets, period_s=period_s,
-            payload_len=payload_len, seed=seed + index,
-            shadowing_sigma_db=shadowing_sigma_db)
-        metrics = run(scenario, record_trace=False)
-        stats = metrics.link(2, 1)
-        rssi_values = [p.rssi_dbm for p in metrics.packets]
-        snr_values = [p.snr_db for p in metrics.packets]
-        rows.append(rep.SweepRow(
-            distance_m=distance,
-            sent=stats.sent,
-            delivered=stats.delivered,
-            pdr=stats.pdr,
-            rssi_dbm_mean=sum(rssi_values) / len(rssi_values)
-            if rssi_values else float("nan"),
-            snr_db_mean=sum(snr_values) / len(snr_values)
-            if snr_values else float("nan"),
-        ))
-        all_metrics.append(metrics)
+    groups = ([distances] if distances and not shadowing_sigma_db
+              else [(distance,) for distance in distances])
+    rows, all_metrics = [], []
+    for index, group in enumerate(groups):
+        sim = Simulator(range_sweep_scenario(
+            group, packets, period_s, payload_len, seed + index,
+            shadowing_sigma_db), record_trace=False)
+        all_metrics.append(sim.run())
+        mote = len(group) + 1  # after stations 1, 2, ... in group order
+        for bs, distance in enumerate(group, 1):
+            causes, rssi, snr = zip(*sim.heard[mote, bs])
+            stats = all_metrics[-1].links[mote, bs] = rep.LinkStats(
+                len(causes), causes.count("ok"))
+            rows.append(rep.SweepRow(distance, stats.sent, stats.delivered,
+                                     stats.pdr, sum(rssi) / len(rssi),
+                                     sum(snr) / len(snr)))
     meta = dict(all_metrics[0].calibration) if all_metrics else {}
     meta.update({"packets_per_distance": packets, "seed": seed,
                  "period_s": period_s, "payload_len": payload_len})

@@ -243,6 +243,8 @@ def validate(scenario: Scenario) -> None:
         if app.src is not None and scenario.node(app.src).role not in (
                 "mote", "bs"):
             raise ScenarioError("app.src must be a mote or bs node")
+        if not scenario.periodic_senders():
+            raise ScenarioError("app: periodic needs a sender (src or a mote)")
         if app.dst in scenario.periodic_senders():
             raise ScenarioError("app.dst must not be a sender (src, or "
                                 "every mote if src is omitted)")
@@ -349,15 +351,16 @@ DEFAULT_SWEEP_DISTANCES_M = (1.0, 50.0, 100.0, 200.0, 400.0, 600.0,
                              800.0, 1000.0, 1500.0, 2500.0)
 
 
-def range_point_scenario(distance_m: float, packets: int = 360,
-                         period_s: float = 10.0, payload_len: int = 16,
-                         seed: int = 1,
+def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
+                         payload_len: int = 16, seed: int = 1,
                          shadowing_sigma_db: float = 0.0) -> Scenario:
-    """Coverage preset: one base station, one mote at ``distance_m``,
-    ``packets`` periodic transmissions plus a 1 s guard so the final frame
-    can land inside the horizon."""
-    if distance_m <= 0:
-        raise ScenarioError("distance_m must be > 0")
+    """Coverage preset: a mote sends ``packets`` frames, plus a 1 s guard,
+    to base station 1, and base station k listens at ``distances[k - 1]``
+    from it: station 1 at the origin with the mote at x = ``distances[0]``,
+    the others at that x and y = their distance, so each distance is exact.
+    The mote's address follows the stations'."""
+    if not distances or min(distances) <= 0:
+        raise ScenarioError("distances: at least one is needed, each > 0")
     if packets < 1:
         raise ScenarioError("packets must be >= 1")
     scenario = Scenario(
@@ -365,16 +368,28 @@ def range_point_scenario(distance_m: float, packets: int = 360,
         seed=seed,
         radio=PAPER_RADIO,
         channel=ChannelParams(shadowing_sigma_db=shadowing_sigma_db),
-        nodes=(
-            NodeSpec(address=1, role="bs", position=Position()),
-            NodeSpec(address=2, role="mote",
-                     position=Position(x=distance_m)),
-        ),
-        app=AppSpec(kind="periodic", src=2, dst=1, payload_len=payload_len,
+        nodes=(NodeSpec(address=1, role="bs", position=Position()),
+               *(NodeSpec(address=address, role="bs",
+                          position=Position(x=distances[0], y=distance))
+                 for address, distance in enumerate(distances[1:], 2)),
+               NodeSpec(address=len(distances) + 1, role="mote",
+                        position=Position(x=distances[0]))),
+        app=AppSpec(kind="periodic", src=len(distances) + 1, dst=1,
+                    payload_len=payload_len,
                     period_ns=_s_to_ns(period_s, "period_s")),
     )
     validate(scenario)
     return scenario
+
+
+def range_point_scenario(distance_m: float, packets: int = 360,
+                         period_s: float = 10.0, payload_len: int = 16,
+                         seed: int = 1,
+                         shadowing_sigma_db: float = 0.0) -> Scenario:
+    """``range_sweep_scenario`` of one distance: base station 1 at the
+    origin and mote 2 at ``distance_m`` on the x axis."""
+    return range_sweep_scenario((distance_m,), packets, period_s,
+                                payload_len, seed, shadowing_sigma_db)
 
 
 def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,

@@ -108,17 +108,13 @@ class Unicast:
         driver.bind(rx_done=self._rx_done)
 
     def send(self, dst: int, payload: bytes) -> None:
-        """Transmit ``payload`` to ``dst``; loopback destinations are
-        delivered locally without touching the radio."""
+        """Transmit ``payload`` to ``dst`` over the radio."""
         if len(payload) > DEFAULT_MTU:
             raise PayloadTooLarge(
                 f"payload {len(payload)} B exceeds MTU {DEFAULT_MTU} B")
         self._seqno += 1
-        msg = UnicastMessage(self.local_address, dst, self._seqno, payload)
-        if dst != self.local_address:
-            self.driver.send(encode_message(msg))
-        elif self.on_message is not None:
-            self.on_message(msg)
+        self.driver.send(encode_message(
+            UnicastMessage(self.local_address, dst, self._seqno, payload)))
 
     def _rx_done(self, frame: Frame) -> str:
         """Classify a received frame: deliver | drop-address | duplicate."""

@@ -8,6 +8,9 @@ event queue) so they can disagree with the package if either side is wrong.
 import math
 
 from motesim.channel import decide_reception, interferers_of, noise_floor_dbm
+from motesim.engine import run
+from motesim.report import SweepRow
+from motesim.scenario import DEFAULT_SWEEP_DISTANCES_M, range_point_scenario
 
 LINK_HEADER_BYTES = 6
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -174,3 +177,40 @@ def resolve_concurrent(frames, table, capture_threshold_db=6.0):
                 frame, rx_addr, strongest_rival(frame, rx_addr, frames),
                 table, capture_threshold_db)
     return outcomes
+
+
+def reference_range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets=360,
+                          period_s=10.0, payload_len=16, seed=1,
+                          shadowing_sigma_db=0.0):
+    """The coverage sweep as one two-node run per distance, with seed
+    ``seed + index``, read from the base station's packet records: the
+    per-point loop the engine's ``range_sweep`` must match row for row.
+
+    Returns (rows, meta) as ``range_sweep`` does.
+    """
+    rows = []
+    all_metrics = []
+    for index, distance in enumerate(distances):
+        scenario = range_point_scenario(
+            distance_m=distance, packets=packets, period_s=period_s,
+            payload_len=payload_len, seed=seed + index,
+            shadowing_sigma_db=shadowing_sigma_db)
+        metrics = run(scenario, record_trace=False)
+        stats = metrics.link(2, 1)
+        rssi_values = [p.rssi_dbm for p in metrics.packets]
+        snr_values = [p.snr_db for p in metrics.packets]
+        rows.append(SweepRow(
+            distance_m=distance,
+            sent=stats.sent,
+            delivered=stats.delivered,
+            pdr=stats.pdr,
+            rssi_dbm_mean=sum(rssi_values) / len(rssi_values)
+            if rssi_values else float("nan"),
+            snr_db_mean=sum(snr_values) / len(snr_values)
+            if snr_values else float("nan"),
+        ))
+        all_metrics.append(metrics)
+    meta = dict(all_metrics[0].calibration) if all_metrics else {}
+    meta.update({"packets_per_distance": packets, "seed": seed,
+                 "period_s": period_s, "payload_len": payload_len})
+    return rows, meta

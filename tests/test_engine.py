@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
-                     Scenario, SensitivityTable, run)
+                     Scenario, ScenarioError, SensitivityTable, run)
 from motesim import channel, engine
 from motesim import stack as stk
 from motesim.engine import Simulator, power_profile, range_sweep
@@ -19,7 +19,8 @@ from motesim.report import emit, render_text
 from motesim.scenario import (PAPER_RADIO, AppSpec, NodeSpec, WurxSpec,
                               load, power_profile_scenario,
                               range_point_scenario)
-from oracles import replay_delivered, resolve_concurrent, strongest_rival
+from oracles import (reference_range_sweep, replay_delivered,
+                     resolve_concurrent, strongest_rival)
 
 TABLE = SensitivityTable.load_default()
 
@@ -772,6 +773,58 @@ class TestEmission:
                  if not ln.startswith("#")]
         assert lines[0] == "distance_m,sent,delivered,pdr,rssi_dbm_mean,snr_db_mean"
         assert len(lines) == 3
+
+
+# range_sweep inputs, each against one two-node run per point
+SWEEP_CASES = {
+    "defaults": dict(packets=5),
+    "repeated-distance-and-1m": dict(distances=(50.0, 1.0, 600.0, 50.0),
+                                     packets=4),
+    "beyond-range": dict(distances=(600.0, 2500.0, 5000.0), packets=3),
+    # a 200 B frame outlasts the 1 s guard: the last one is still in flight
+    "in-flight": dict(payload_len=200, packets=3),
+    "shadowed": dict(distances=(50.0, 600.0, 700.0), packets=5,
+                     shadowing_sigma_db=4.0),
+    "no-distances": dict(distances=()),
+}
+
+
+class TestRangeSweep:
+    @pytest.mark.parametrize("kwargs", SWEEP_CASES.values(), ids=SWEEP_CASES)
+    def test_rows_and_meta_match_one_run_per_point(self, kwargs):
+        rows, meta, _ = range_sweep(**kwargs)
+        assert (rows, meta) == reference_range_sweep(**kwargs)
+
+    def test_in_flight_frame_counts_as_sent(self):
+        rows, _meta, _ = range_sweep(payload_len=200, packets=3)
+        assert {r.sent for r in rows} == {3}
+        assert rows[0].delivered == 2  # at 1 m, all but the one in flight
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    @pytest.mark.parametrize("distances", [(0.0,), (50.0, -1.0)])
+    def test_distance_not_positive_rejected(self, distances, sigma):
+        with pytest.raises(ScenarioError):
+            range_sweep(distances=distances, packets=2,
+                        shadowing_sigma_db=sigma)
+
+    @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (4.0, 4)])
+    def test_metrics_hold_every_point(self, sigma, runs):
+        rows, _meta, metrics_list = range_sweep(
+            distances=(1.0, 600.0, 600.0, 2500.0), packets=4,
+            shadowing_sigma_db=sigma)
+        assert len(metrics_list) == runs
+        # each point's (mote, base station) link, in point order
+        assert [(s.sent, s.delivered) for m in metrics_list
+                for _link, s in sorted(m.links.items())] == [
+            (r.sent, r.delivered) for r in rows]
+        assert sum(m.total_sent() for m in metrics_list) == sum(
+            r.sent for r in rows) == 16
+        assert sum(m.total_delivered() for m in metrics_list) == sum(
+            r.delivered for r in rows)
+        for metrics in metrics_list:
+            assert {node.total_time_ns for node in metrics.energy} == {
+                metrics.horizon_ns}
+            assert all(s.delivered <= s.sent for s in metrics.links.values())
 
 
 class TestChannelClear:

@@ -195,26 +195,31 @@ class TestPeriodicSenders:
         assert set(metrics.links) == {(2, 1), (3, 1)}
         assert metrics.link(2, 1).sent == metrics.link(3, 1).sent == 2
 
-    @pytest.mark.parametrize("app", [
-        {"src": 2, "dst": 2},  # src is its own dst
-        {"dst": 2},  # src omitted, so mote 2 sends, to itself
-    ], ids=["src-is-dst", "omitted-src-mote-dst"])
-    def test_sender_that_is_its_own_dst_rejected(self, app, tmp_path,
-                                                 capsys):
-        # it would send nothing, skip its ticks and stay awake
+    @pytest.mark.parametrize("role, app, error", [
+        # src is its own dst
+        ("mote", {"src": 2, "dst": 2}, "app.dst must not be a sender"),
+        # src omitted, so mote 2 sends, to itself
+        ("mote", {"dst": 2}, "app.dst must not be a sender"),
+        # src omitted and no mote: nothing sends, so period_s and
+        # payload_len would change nothing
+        ("bs", {"dst": 1, "payload_len": 8},
+         "app: periodic needs a sender"),
+    ], ids=["src-is-dst", "omitted-src-mote-dst", "no-sender"])
+    def test_sender_that_is_its_own_dst_rejected(self, role, app, error,
+                                                 tmp_path, capsys):
+        # a sender that is its own dst would send nothing, skip its ticks
+        # and stay awake
         path = tmp_path / "self.yaml"
         path.write_text(yaml.safe_dump({
             "sim": {"horizon_s": 60.0, "seed": 1},
             "nodes": [{"address": 1, "role": "bs"},
-                      {"address": 2, "role": "mote",
+                      {"address": 2, "role": role,
                        "position": {"x": 100.0}}],
             "app": {"kind": "periodic", "period_s": 10.0, **app}}))
-        with pytest.raises(ScenarioError, match="app.dst must not be a "
-                                                "sender"):
+        with pytest.raises(ScenarioError, match=error):
             load(path)
         assert main(["run", str(path), "--validate-only"]) == 1
-        assert "scenario error: app.dst must not be a sender" in \
-            capsys.readouterr().err
+        assert f"scenario error: {error}" in capsys.readouterr().err
 
     def test_omitted_dst_rejected(self):
         raw = example_dict()

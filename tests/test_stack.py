@@ -104,15 +104,6 @@ class TestUnicast:
         with pytest.raises(PayloadTooLarge):
             unicast.send(9, bytes(256))
 
-    def test_loopback_without_radio(self):
-        driver = FakeDriver()
-        unicast = Unicast(driver, local_address=5)
-        got = []
-        unicast.on_message = got.append
-        assert unicast.send(5, b"self") is None
-        assert got[0].payload == b"self"
-        assert driver.sent == []
-
     def test_filter_delivers_matching_dst(self):
         driver = FakeDriver()
         Unicast(driver, local_address=5)
