@@ -27,8 +27,8 @@ def _parse_distances(text: str) -> list:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"distances must be comma-separated numbers: {exc}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("distances must be positive")
+    if not values:
+        raise argparse.ArgumentTypeError("distances: give at least one")
     return values
 
 

@@ -52,12 +52,12 @@ decided; the run's per-link counts are taken from those records at the
 end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
-line and handles node timers and callbacks itself, including the skip of
-a depleted node; only frame ends and wake-up bursts go through a helper. A
-node timer costs one ``MoteDevice.transition`` call, which returns a shared
-precomputed result, and ``process_result`` returns at once when that result
-has neither follow-up timers nor an application hook to call. Each event
-kind and node event carries its trace text, built once.
+line and handles node timers, callbacks and burst ends itself, including
+the skip of a depleted node; only frame ends and wake-up decodes go through
+a helper. A node timer costs one ``MoteDevice.transition`` call, which
+returns a shared precomputed result, and ``process_result`` returns at once
+when that result has neither follow-up timers nor an application hook to
+call. Each event kind and node event carries its trace text, built once.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ class SimRadioDriver(stk.RadioDriver):
             finally:
                 self._in_tx_done = False
 
-    def deliver(self, frame: Frame) -> str:
-        return self._rx_cb(frame)  # every node's Unicast binds it
+    def deliver(self, frame: Frame) -> None:
+        self._rx_cb(frame)  # every node's Unicast binds it
 
 
 class Simulator:
@@ -444,7 +444,7 @@ class Simulator:
             elif kind is _TX_END:
                 self._finish_tx(payload)
             elif kind is _WUB_END:
-                self._finish_wub(target)
+                self.node_event(devices[target], nd.TX_DONE)
             elif kind is _WUB_DECODE_DONE:
                 self._finish_decode(target, payload)
         self.now = t_ns
@@ -470,10 +470,7 @@ class Simulator:
         frame, record = self._tx_by_id.pop(frame_id)
         sender = self.devices[frame.src]
         self.node_event(sender, nd.TX_DONE)
-        app = self.apps.get(frame.src)
         self.drivers[frame.src].fire_tx_done(frame_id)
-        if app is not None:
-            app.on_tx_done()
         outcome = self._deliver(frame)
         if record is not None:
             record.outcome = outcome
@@ -485,13 +482,6 @@ class Simulator:
             self._on_air = [o for o in self._on_air if o.end_ns > floor]
             for _device, rivals in self._listeners.values():
                 rivals[:] = [r for r in rivals if r[2].end_ns > floor]
-
-    def _finish_wub(self, address: int) -> None:
-        device = self.devices[address]
-        self.node_event(device, nd.TX_DONE)
-        app = self.apps.get(address)
-        if app is not None:
-            app.on_tx_done()
 
     def _finish_decode(self, address: int, interrupt: bool) -> None:
         device = self.devices[address]
@@ -530,13 +520,11 @@ class Simulator:
             self.heard[frame.src, rx_addr].append(decision[:3])
             if decision.decoded:
                 self.node_event(device, nd.RX_DONE)
-                disposition = self.drivers[rx_addr].deliver(frame)
-                outcome = ("delivered" if disposition == "deliver"
-                           else disposition)
-            else:
-                outcome = decision.cause
+                self.drivers[rx_addr].deliver(frame)
             if rx_addr == frame.dst:
-                dst_outcome = outcome
+                # Unicast hands up a decoded frame iff it is addressed here
+                dst_outcome = ("delivered" if decision.decoded
+                               else decision.cause)
         return dst_outcome
 
     def _record_sent(self, frame: Frame):
@@ -648,18 +636,22 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
                 shadowing_sigma_db: float = 0.0):
     """Coverage experiment over ``range_sweep_scenario``: one run at σ = 0,
     where the lone mote has no rival, else one run per point with seed
-    ``seed + index``. Returns (rows, meta, the runs' RunMetrics). A point's
-    row, and its (mote, base station) link in ``links``, come from
+    ``seed + index`` modulo 2**64 (point 0's as given, so a seed out of
+    range is rejected). Every run's scenario is built, and so checked,
+    before the first run. Returns (rows, meta, the runs' RunMetrics). A
+    point's row, and its (mote, base station) link in ``links``, come from
     ``heard``: every frame put on air counts in sent and in the RSSI/SNR
     means, in flight at the horizon or not; delivered counts those decoded.
     """
     groups = ([distances] if distances and not shadowing_sigma_db
               else [(distance,) for distance in distances])
+    scenarios = [range_sweep_scenario(
+        group, packets, period_s, payload_len,
+        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db)
+        for index, group in enumerate(groups)]
     rows, all_metrics = [], []
-    for index, group in enumerate(groups):
-        sim = Simulator(range_sweep_scenario(
-            group, packets, period_s, payload_len, seed + index,
-            shadowing_sigma_db), record_trace=False)
+    for group, scenario in zip(groups, scenarios):
+        sim = Simulator(scenario, record_trace=False)
         all_metrics.append(sim.run())
         mote = len(group) + 1  # after stations 1, 2, ... in group order
         for bs, distance in enumerate(group, 1):

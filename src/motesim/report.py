@@ -22,7 +22,7 @@ REPORT_FORMAT_VERSION = 1
 
 class PacketRecord:
     """One frame on a known link; ``outcome`` is delivered | collision |
-    below-sensitivity | snr-floor | not-listening | duplicate | in-flight."""
+    below-sensitivity | snr-floor | not-listening | in-flight."""
 
     __slots__ = ("frame_id", "src", "dst", "seqno", "t_start_ns",
                  "distance_m", "rssi_dbm", "snr_db", "outcome")

@@ -266,8 +266,8 @@ def validate(scenario: Scenario) -> None:
                                 "sleeper node")
         if target.wurx is None:
             raise ScenarioError("app.target must carry a wurx block")
-        if app.cycles < 0:
-            raise ScenarioError("app.cycles must be >= 0")
+        if app.cycles < 1:
+            raise ScenarioError("app.cycles must be >= 1")
         exchange_ns = (wub_airtime(WakeUpFrame(target.wurx.address,
                                                target.wurx.preamble_bits,
                                                target.wurx.bit_rate_bps))
@@ -398,8 +398,6 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
                            wurx_address: int = 0x2A) -> Scenario:
     """Micro-benchmark preset: an initiator wakes a WuRX-equipped sleeper
     once per cycle and unicasts one payload to it."""
-    if cycles < 1:
-        raise ScenarioError("cycles must be >= 1")
     scenario = Scenario(
         horizon_ns=_s_to_ns((cycles + 1) * cycle_period_s, "horizon"),
         seed=seed,

@@ -4,12 +4,14 @@ and the two reference applications (periodic sender, wake-up exchange).
 Layering rule: nothing in this module touches channel or ledger internals.
 Applications see exactly two surfaces: the radio driver contract below and
 a small engine-provided services object (timers, wake/sleep requests, and
-the wake-up burst to the scenario's target). A test asserts this module
-imports neither the channel nor the node internals.
+the wake-up burst to the scenario's target). They hear tx-done only from
+the driver contract; the engine calls only ``start``, ``on_awake`` and
+``on_radio_ready``. A test asserts this module imports neither the channel
+nor the node internals.
 
 The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
-sequence numbers exist for duplicate filtering and delivery accounting only.
+sequence numbers exist for delivery accounting only.
 A message, built per frame sent and received, is a cheap named tuple.
 """
 
@@ -26,7 +28,6 @@ HEADER = struct.Struct("<HHH")  # src, dst, seqno
 HEADER_BYTES = HEADER.size
 HEADER_VERSION = 1
 DEFAULT_MTU = 255
-DEFAULT_DUPLICATE_WINDOW = 16
 
 
 class UnicastMessage(NamedTuple):
@@ -101,8 +102,6 @@ class Unicast:
         self.driver = driver
         self.local_address = local_address
         self._seqno = 0
-        self._seen: dict = {}  # src -> list of recent seqnos (FIFO)
-        self.duplicates_dropped = 0
         self.overheard = 0
         self.on_message = None  # callback(UnicastMessage)
         driver.bind(rx_done=self._rx_done)
@@ -116,22 +115,14 @@ class Unicast:
         self.driver.send(encode_message(
             UnicastMessage(self.local_address, dst, self._seqno, payload)))
 
-    def _rx_done(self, frame: Frame) -> str:
-        """Classify a received frame: deliver | drop-address | duplicate."""
+    def _rx_done(self, frame: Frame) -> None:
+        """Hand a received frame up, or count it as overheard when it is
+        addressed to another node."""
         msg = decode_message(frame.payload)
         if msg is None or msg.dst != self.local_address:
             self.overheard += 1
-            return "drop-address"
-        seen = self._seen.setdefault(msg.src, [])
-        if msg.seqno in seen:
-            self.duplicates_dropped += 1
-            return "duplicate"
-        seen.append(msg.seqno)
-        if len(seen) > DEFAULT_DUPLICATE_WINDOW:
-            seen.pop(0)
-        if self.on_message is not None:
+        elif self.on_message is not None:
             self.on_message(msg)
-        return "deliver"
 
 
 class Services:
@@ -155,7 +146,8 @@ class Services:
 
 class App:
     """Base of the applications. The engine calls every hook below on every
-    application; each does nothing unless a subclass overrides it."""
+    application; each does nothing unless a subclass overrides it. An
+    application that acts on tx-done binds its driver's ``tx_done``."""
 
     def start(self) -> None:
         """The run begins."""
@@ -165,9 +157,6 @@ class App:
 
     def on_radio_ready(self) -> None:
         """The node's radio has just reached standby."""
-
-    def on_tx_done(self) -> None:
-        """The node's frame or wake-up burst has left the air."""
 
 
 class PeriodicSenderApp(App):
@@ -191,6 +180,7 @@ class PeriodicSenderApp(App):
         self.attempts = 0  # ticks that initiated a send cycle
         self.ticks_skipped = 0
         self._phase = "idle"
+        unicast.driver.bind(tx_done=self._tx_done)
 
     def start(self) -> None:
         if self.idle_policy == "rx":
@@ -222,9 +212,8 @@ class PeriodicSenderApp(App):
         self._phase = "sending"
         self.unicast.send(self.dst, self.payload)
 
-    def on_tx_done(self) -> None:
-        if self._phase != "sending":
-            return
+    def _tx_done(self, _handle) -> None:
+        # only _send_now sends on this driver, so the frame is that send's
         self._phase = "idle"
         if self.idle_policy == "sleep":
             self.services.request_sleep()

@@ -124,6 +124,37 @@ def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("distances, sigma", [("0,50", "0"), ("50,0", "4")])
+def test_range_sweep_rejects_distance_not_positive(distances, sigma, tmp_path,
+                                                   capsys):
+    # an option out of range is a scenario error, as --packets 0 is
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", distances, "--packets", "2",
+                 "--sigma", sigma, "--out-dir", str(out_dir)]) == 1
+    assert "distances: at least one is needed, each > 0" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_range_sweep_without_a_distance_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["range-sweep", "--distances", ","])
+    assert info.value.code == 2
+
+
+def test_shadowed_range_sweep_at_the_largest_seed(tmp_path, capsys):
+    # the second point's seed wraps to 0 instead of leaving 64 bits
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", "50,600", "--packets", "2",
+                 "--sigma", "4", "--seed", str(2 ** 64 - 1),
+                 "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "sweep.csv").exists()
+    assert main(["range-sweep", "--distances", "50,600", "--packets", "2",
+                 "--sigma", "4", "--seed", "-1",
+                 "--out-dir", str(tmp_path / "negative")]) == 1
+    assert "sim.seed must fit in 64 bits" in capsys.readouterr().err
+
+
 # SHA-256 of the text reports, pinned on the code before the node state
 # machine moved into one function; the text emitters had no digest before.
 # The power profile's is the only digest over the exchange table's text.

@@ -807,6 +807,22 @@ class TestRangeSweep:
             range_sweep(distances=distances, packets=2,
                         shadowing_sigma_db=sigma)
 
+    def test_bad_point_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(Simulator, "run", runs.append)
+        with pytest.raises(ScenarioError):
+            range_sweep(distances=(50.0, 600.0, 0.0), packets=2,
+                        shadowing_sigma_db=4.0)
+        assert runs == []
+
+    def test_point_seed_wraps_at_64_bits(self):
+        # point k runs with seed + k modulo 2**64
+        rows, meta, _ = range_sweep(distances=(50.0, 600.0), packets=3,
+                                    seed=2 ** 64 - 1, shadowing_sigma_db=4.0)
+        assert rows[1:] == range_sweep(distances=(600.0,), packets=3, seed=0,
+                                       shadowing_sigma_db=4.0)[0]
+        assert meta["seed"] == 2 ** 64 - 1
+
     @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (4.0, 4)])
     def test_metrics_hold_every_point(self, sigma, runs):
         rows, _meta, metrics_list = range_sweep(

@@ -110,10 +110,13 @@ class TestValidation:
             from_dict(raw)
 
     def test_preset_guards(self):
+        from motesim.scenario import power_profile_scenario
         with pytest.raises(ScenarioError):
             range_point_scenario(distance_m=0.0)
         with pytest.raises(ScenarioError):
             range_point_scenario(distance_m=10.0, packets=0)
+        with pytest.raises(ScenarioError, match="app.cycles must be >= 1"):
+            power_profile_scenario(cycles=0)
 
     def test_exchange_cycle_must_fit_period(self):
         from motesim.scenario import power_profile_scenario
@@ -155,6 +158,23 @@ class TestWakeupExchangeNodes:
         if exit_code:
             assert "scenario error: app.initiator must start awake: a bs " \
                    "or an initiator node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cycles, exit_code", [(0, 1), (1, 0)])
+    def test_exchange_needs_a_cycle(self, cycles, exit_code, tmp_path,
+                                    capsys):
+        # with no cycle nothing is sent, so the other app keys change nothing
+        path = tmp_path / "exchange.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 5.0, "seed": 1},
+            "nodes": [{"address": 1, "role": "initiator"},
+                      {"address": 2, "role": "sleeper", "position": {"x": 2.0},
+                       "wurx": {"address": 7}}],
+            "app": {"kind": "wakeup_exchange", "initiator": 1, "target": 2,
+                    "cycles": cycles, "cycle_period_s": 1.0}}))
+        assert main(["run", str(path), "--validate-only"]) == exit_code
+        if exit_code:
+            assert "scenario error: app.cycles must be >= 1" in \
+                capsys.readouterr().err
 
 
     @pytest.mark.parametrize("role, exit_code", [

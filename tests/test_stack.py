@@ -11,7 +11,7 @@ from motesim.contract_kit import run_contract_checks
 from motesim.engine import Simulator
 from motesim.frame import Frame
 from motesim.scenario import AppSpec, NodeSpec
-from motesim.stack import HEADER_BYTES, Unicast
+from motesim.stack import HEADER_BYTES, PeriodicSenderApp, Services, Unicast
 
 
 def bare_scenario(horizon_s=100.0):
@@ -106,39 +106,24 @@ class TestUnicast:
 
     def test_filter_delivers_matching_dst(self):
         driver = FakeDriver()
-        Unicast(driver, local_address=5)
+        unicast = Unicast(driver, local_address=5)
+        got = []
+        unicast.on_message = got.append
         data = encode_message(UnicastMessage(2, 5, 1, b"x"))
-        assert driver.rx_done(frame_with(data)) == "deliver"
+        driver.rx_done(frame_with(data))
+        assert got == [UnicastMessage(2, 5, 1, b"x")]
+        assert unicast.overheard == 0
 
     def test_filter_drops_foreign_dst_as_overheard(self):
         driver = FakeDriver()
         unicast = Unicast(driver, local_address=5)
-        data = encode_message(UnicastMessage(2, 6, 1, b"x"))
-        assert driver.rx_done(frame_with(data)) == "drop-address"
-        assert unicast.overheard == 1
-
-    def test_duplicate_dropped_within_window(self):
-        driver = FakeDriver()
-        unicast = Unicast(driver, local_address=5)
-        data = encode_message(UnicastMessage(2, 5, 7, b"x"))
-        assert driver.rx_done(frame_with(data)) == "deliver"
-        assert driver.rx_done(frame_with(data)) == "duplicate"
-        assert unicast.duplicates_dropped == 1
-
-    def test_duplicate_window_evicts_oldest(self):
-        driver = FakeDriver()
-        Unicast(driver, local_address=5)
-
-        def receive(seq):
-            data = encode_message(UnicastMessage(2, 5, seq, b""))
-            return driver.rx_done(frame_with(data))
-
-        for seq in range(1, 17):
-            assert receive(seq) == "deliver"
-        assert receive(1) == "duplicate"  # the window holds 16 seqnos
-        assert receive(17) == "deliver"
-        # seqno 1 fell out of the window and would deliver again
-        assert receive(1) == "deliver"
+        got = []
+        unicast.on_message = got.append
+        driver.rx_done(frame_with(encode_message(UnicastMessage(2, 6, 1,
+                                                                b"x"))))
+        driver.rx_done(frame_with(b"\x05\x00"))  # too short for a header
+        assert got == []
+        assert unicast.overheard == 2
 
     def test_received_frame_decoded_once(self, monkeypatch):
         calls = []
@@ -154,11 +139,32 @@ class TestUnicast:
         got = []
         unicast.on_message = got.append
         data = encode_message(UnicastMessage(2, 5, 1, b"x"))
-        assert driver.rx_done(frame_with(data)) == "deliver"
+        driver.rx_done(frame_with(data))
         assert calls == [data]
         assert got == [UnicastMessage(2, 5, 1, b"x")]
-        assert driver.rx_done(frame_with(data)) == "duplicate"
-        assert len(calls) == 2 and len(got) == 1
+        foreign = encode_message(UnicastMessage(2, 6, 2, b"y"))
+        driver.rx_done(frame_with(foreign))
+        assert calls == [data, foreign]
+        assert len(got) == 1 and unicast.overheard == 1
+
+
+def test_periodic_sender_hears_tx_done_from_its_driver():
+    driver = FakeDriver()
+    calls = []
+    services = Services(
+        now_ns=lambda: 0, call_at=lambda _at_ns, _fn: None,
+        request_sleep=lambda: calls.append("sleep"),
+        request_wake=lambda: calls.append("wake"),
+        send_wakeup=None, target_awake=None, log=None)
+    app = PeriodicSenderApp(Unicast(driver, 1), services, dst=2,
+                            payload_len=4, period_ns=10)
+    app.on_tick()
+    app.on_radio_ready()
+    assert len(driver.sent) == 1 and calls == ["wake"]
+    driver.tx_done(1)
+    assert calls == ["wake", "sleep"]
+    app.on_tick()  # idle again, so the next tick starts a cycle
+    assert calls == ["wake", "sleep", "wake"] and app.ticks_skipped == 0
 
 
 class TestSendErrors:
