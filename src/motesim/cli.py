@@ -72,7 +72,7 @@ def _cmd_run(args) -> list:
     if args.validate_only:
         print(f"scenario OK ({scen.scenario_hash(scenario)})")
         return []
-    metrics = engine.run(scenario)
+    metrics = engine.run(scenario, record_trace=False)
     paths = report.emit(metrics, args.format, args.out_dir)
     print(f"sent {metrics.total_sent()} delivered {metrics.total_delivered()} "
           f"events {metrics.event_count} ({metrics.wallclock_s:.3f} s)")
@@ -93,7 +93,8 @@ def _cmd_range_sweep(args) -> list:
 
 def _cmd_power_profile(args) -> list:
     seed = 1 if args.seed is None else args.seed
-    metrics = engine.power_profile(cycles=args.cycles, seed=seed)
+    metrics = engine.run(scen.power_profile_scenario(
+        cycles=args.cycles, seed=seed), record_trace=False)
     paths = report.emit(metrics, args.format, args.out_dir)
     sleeper = metrics.energy[-1]
     for (label, power, t_ns, e_j, pct) in sleeper.rows:

@@ -47,9 +47,9 @@ receivers that read it: its ``dst`` and the listeners. With no shadowing
 the RNG is not touched, and a sender's frames share one RSSI map per tx
 power. The noise floor is computed once per frame and the sorted node
 addresses once per run. A frame's link header is read once, with the
-stack's header format, and its packet record rides with it until it is
-decided; the run's per-link counts are taken from those records at the
-end.
+stack's header format. Its packet record is built with its outcome, when
+it is decided or, in flight, at the horizon; the run's per-link counts are
+taken from those records, put in send order, at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers, callbacks and burst ends itself, including
@@ -204,14 +204,13 @@ class Simulator:
         self.unicasts: dict = {}
         self.apps: dict = {}
         self._on_air: list = []  # those that may overlap an undecided frame
-        # undecided frames: frame_id -> (frame, packet record or None)
-        self._tx_by_id: dict = {}
+        self._tx_by_id: dict = {}  # frame_id -> frame, for undecided frames
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # (sender address, wake_up) -> its links
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
         self._listeners: dict = {}  # address -> (device, rival index)
-        # (src, listener) -> [(cause, rssi_dbm, snr_db)]: each frame decided
-        # there and, once run reaches the horizon, each still on air
+        # (src, listener) -> [(cause, rssi_dbm, snr_db)], one per frame
+        # decided there
         self.heard = collections.defaultdict(list)
 
         self.packets: list = []
@@ -374,7 +373,7 @@ class Simulator:
         for rx_addr, (_device, rivals) in self._listeners.items():
             if rx_addr != device.address:
                 insort(rivals, (-rssi_by_rx[rx_addr], frame_id, frame))
-        self._tx_by_id[frame_id] = (frame, self._record_sent(frame))
+        self._tx_by_id[frame_id] = frame
         self.schedule(frame.end_ns, _TX_END, device.address, frame_id)
         return frame
 
@@ -454,28 +453,22 @@ class Simulator:
         horizon = self.scenario.horizon_ns
         self.start_apps()
         self.run_until(horizon)
-        for frame, _record in self._tx_by_id.values():  # on air at the end
-            for rx_addr, (device, _rivals) in self._listeners.items():
-                since = device.rx_since_ns  # _deliver's listening test
-                if (since is not None and since <= frame.start_ns
-                        and not device.ledger.depleted):
-                    rssi = frame.rssi_by_rx[rx_addr]
-                    self.heard[frame.src, rx_addr].append(
-                        ("in-flight", rssi, rssi - frame.noise_floor_dbm))
+        for frame in self._tx_by_id.values():  # on air at the horizon
+            self._record_packet(frame, "in-flight")
+        # frames of unequal airtime are decided out of start order; a
+        # record's first field is its unique frame id, so this is send order
+        self.packets.sort()
         for address in self._addresses:
             self.devices[address].finalize(horizon)
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:
-        frame, record = self._tx_by_id.pop(frame_id)
-        sender = self.devices[frame.src]
-        self.node_event(sender, nd.TX_DONE)
+        frame = self._tx_by_id.pop(frame_id)
+        self.node_event(self.devices[frame.src], nd.TX_DONE)
         self.drivers[frame.src].fire_tx_done(frame_id)
-        outcome = self._deliver(frame)
-        if record is not None:
-            record.outcome = outcome
+        self._record_packet(frame, self._deliver(frame))
         undecided = self._tx_by_id
-        floor = (next(iter(undecided.values()))[0].start_ns if undecided
+        floor = (next(iter(undecided.values())).start_ns if undecided
                  else self.now)
         if floor > self._floor:
             self._floor = floor
@@ -527,20 +520,17 @@ class Simulator:
                                else decision.cause)
         return dst_outcome
 
-    def _record_sent(self, frame: Frame):
-        """Record the frame when it goes on air and return its packet
-        record, or None for a frame with no other node as ``dst``; a frame
-        still in flight at the horizon keeps the outcome 'in-flight'."""
+    def _record_packet(self, frame: Frame, outcome: str) -> None:
+        """Keep the frame's packet record with its ``dst``'s outcome; a
+        frame with no other node as ``dst`` has none."""
         src, dst = frame.src, frame.dst
-        if dst is None or dst == src or dst not in self.devices:
-            return None
+        if dst == src or dst not in self.devices:  # None too: no header
+            return
         rssi = frame.rssi_by_rx[dst]
-        record = rep.PacketRecord(
+        self.packets.append(rep.PacketRecord(
             frame.frame_id, src, dst, frame.seqno, frame.start_ns,
             self.devices[src].position.distance_to(self.devices[dst].position),
-            rssi, rssi - frame.noise_floor_dbm, "in-flight")
-        self.packets.append(record)
-        return record
+            rssi, rssi - frame.noise_floor_dbm, outcome))
 
     # -- results ------------------------------------------------------------------
 
@@ -640,8 +630,9 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     range is rejected). Every run's scenario is built, and so checked,
     before the first run. Returns (rows, meta, the runs' RunMetrics). A
     point's row, and its (mote, base station) link in ``links``, come from
-    ``heard``: every frame put on air counts in sent and in the RSSI/SNR
-    means, in flight at the horizon or not; delivered counts those decoded.
+    ``heard``: a run ends when the mote's last frame lands, so each frame
+    is decided at every station, and counts in sent and in the RSSI/SNR
+    means; delivered counts those decoded.
     """
     groups = ([distances] if distances and not shadowing_sigma_db
               else [(distance,) for distance in distances])

@@ -1,7 +1,8 @@
 """Run metrics containers and CSV/text emission.
 
-The records the engine updates during a run are slotted classes; those
-built once at its end (energy, exchanges, sweep rows) are named tuples.
+Records built once and never changed (packets, energy, exchanges, sweep
+rows) are named tuples; the link counts and the run's metrics, filled in
+after they are built, are slotted classes.
 
 Emitted files are byte-deterministic: fixed column order, fixed float
 formats, and headers that embed the scenario hash, seed, calibration
@@ -20,25 +21,19 @@ from .errors import MotesimError
 REPORT_FORMAT_VERSION = 1
 
 
-class PacketRecord:
-    """One frame on a known link; ``outcome`` is delivered | collision |
-    below-sensitivity | snr-floor | not-listening | in-flight."""
+class PacketRecord(NamedTuple):
+    """One frame on a known link, built with its outcome: delivered |
+    collision | below-sensitivity | snr-floor | not-listening | in-flight."""
 
-    __slots__ = ("frame_id", "src", "dst", "seqno", "t_start_ns",
-                 "distance_m", "rssi_dbm", "snr_db", "outcome")
-
-    def __init__(self, frame_id: int, src: int, dst: int, seqno: int,
-                 t_start_ns: int, distance_m: float, rssi_dbm: float,
-                 snr_db: float, outcome: str):
-        self.frame_id = frame_id
-        self.src = src
-        self.dst = dst
-        self.seqno = seqno
-        self.t_start_ns = t_start_ns
-        self.distance_m = distance_m
-        self.rssi_dbm = rssi_dbm
-        self.snr_db = snr_db
-        self.outcome = outcome
+    frame_id: int
+    src: int
+    dst: int
+    seqno: int
+    t_start_ns: int
+    distance_m: float
+    rssi_dbm: float
+    snr_db: float
+    outcome: str
 
 
 class LinkStats:

@@ -277,6 +277,15 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(
                 f"app.cycle_period_s must exceed one full exchange "
                 f"({exchange_ns / NS_PER_S:.6f} s)")
+    # no node may share a sender's position: path loss is undefined there
+    senders = (scenario.periodic_senders() if app.kind == "periodic" else
+               (app.initiator,) if app.kind == "wakeup_exchange" else ())
+    for sender in map(scenario.node, senders):
+        for spec in scenario.nodes:
+            if spec is not sender and not sender.position.distance_to(
+                    spec.position):
+                raise ScenarioError(f"node {spec.address} shares the "
+                                    f"position of sender {sender.address}")
 
 
 def from_dict(raw: dict) -> Scenario:
@@ -354,17 +363,22 @@ DEFAULT_SWEEP_DISTANCES_M = (1.0, 50.0, 100.0, 200.0, 400.0, 600.0,
 def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
                          payload_len: int = 16, seed: int = 1,
                          shadowing_sigma_db: float = 0.0) -> Scenario:
-    """Coverage preset: a mote sends ``packets`` frames, plus a 1 s guard,
-    to base station 1, and base station k listens at ``distances[k - 1]``
-    from it: station 1 at the origin with the mote at x = ``distances[0]``,
-    the others at that x and y = their distance, so each distance is exact.
-    The mote's address follows the stations'."""
+    """Coverage preset: a mote sends ``packets`` frames to base station 1,
+    and the run ends when the last one lands. Base station k listens at
+    ``distances[k - 1]`` from it: station 1 at the origin with the mote at
+    x = ``distances[0]``, the others at that x and y = their distance, so
+    each distance is exact. The mote's address follows the stations'."""
     if not distances or min(distances) <= 0:
         raise ScenarioError("distances: at least one is needed, each > 0")
     if packets < 1:
         raise ScenarioError("packets must be >= 1")
+    mote = NodeSpec(address=len(distances) + 1, role="mote",
+                    position=Position(x=distances[0]))
+    period_ns = _s_to_ns(period_s, "period_s")
     scenario = Scenario(
-        horizon_ns=_s_to_ns(packets * period_s + 1.0, "horizon"),
+        horizon_ns=(packets * period_ns + mote.mcu_wakeup_ns
+                    + mote.radio_turn_on_ns
+                    + time_on_air(PAPER_RADIO, payload_len + HEADER_BYTES)),
         seed=seed,
         radio=PAPER_RADIO,
         channel=ChannelParams(shadowing_sigma_db=shadowing_sigma_db),
@@ -372,11 +386,9 @@ def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
                *(NodeSpec(address=address, role="bs",
                           position=Position(x=distances[0], y=distance))
                  for address, distance in enumerate(distances[1:], 2)),
-               NodeSpec(address=len(distances) + 1, role="mote",
-                        position=Position(x=distances[0]))),
-        app=AppSpec(kind="periodic", src=len(distances) + 1, dst=1,
-                    payload_len=payload_len,
-                    period_ns=_s_to_ns(period_s, "period_s")),
+               mote),
+        app=AppSpec(kind="periodic", src=mote.address, dst=1,
+                    payload_len=payload_len, period_ns=period_ns),
     )
     validate(scenario)
     return scenario

@@ -78,6 +78,23 @@ def test_power_profile_cli(tmp_path, capsys):
     assert "exchanges completed: 2/2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "power-profile"])
+def test_reports_carry_no_trace_hash(command, tmp_path, monkeypatch):
+    # no output shows a trace hash, so the CLI does not record a trace
+    from motesim import report
+    hashes = []
+
+    def emit(metrics, fmt, out_dir):
+        hashes.append(metrics.trace_hash)
+        return []
+
+    monkeypatch.setattr(report, "emit", emit)
+    argv = ([command, str(write_short_scenario(tmp_path))]
+            if command == "run" else [command, "--cycles", "2"])
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert hashes == [""]
+
+
 def test_seed_override(tmp_path, capsys):
     path = write_short_scenario(tmp_path)
     text = path.read_text().replace("shadowing_sigma_db: 0.0",

@@ -36,7 +36,7 @@ def record_transmissions(sim):
 
     def recording(device, data):
         frame = begin(device, data)
-        assert sim._tx_by_id[frame.frame_id][0] is frame
+        assert sim._tx_by_id[frame.frame_id] is frame
         started.append(frame)
         return frame
 
@@ -438,8 +438,8 @@ class TestIncrementalMatchesBatchResolver:
 
         def checking(frame_id):
             finish(frame_id)
-            floor = min((entry[0].start_ns
-                         for entry in sim._tx_by_id.values()),
+            floor = min((frame.start_ns
+                         for frame in sim._tx_by_id.values()),
                         default=sim.now)
             assert sim._on_air == [frame for frame in started
                                    if frame.end_ns > floor]
@@ -449,6 +449,35 @@ class TestIncrementalMatchesBatchResolver:
         sim.run()
         assert len(checked) > 100
         assert max(checked) >= 2  # several frames undecided at once
+
+    def test_records_built_when_decided_and_kept_in_send_order(self):
+        """Mote 2's 200 B frame starts first and mote 3's empty one later,
+        but the empty one ends, and is decided, first."""
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="mote", position=Position(x=50.0)),
+                 NodeSpec(address=3, role="mote", position=Position(x=-80.0),
+                          radio_turn_on_ns=50_000_000))
+        scenario = Scenario(
+            horizon_ns=25 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none"))
+        sim = Simulator(scenario, record_trace=False)
+        add_periodic_senders(sim, {2: 1}, 10 ** 10, payload_len=200)
+        add_periodic_senders(sim, {3: 1}, 10 ** 10, payload_len=0)
+        started = record_transmissions(sim)
+        finish = sim._finish_tx
+        decided = []
+
+        def recording(frame_id):
+            finish(frame_id)
+            decided.append([(p.frame_id, p.outcome) for p in sim.packets])
+
+        sim._finish_tx = recording
+        metrics = sim.run()
+        assert [frame.src for frame in started] == [2, 3, 2, 3]
+        # each record is built once its frame is decided, with its outcome
+        assert decided[:2] == [[(2, "collision")],
+                               [(2, "collision"), (1, "delivered")]]
+        assert [p.frame_id for p in metrics.packets] == [1, 2, 3, 4]
 
 
 class TestRivalIndex:
@@ -781,7 +810,7 @@ SWEEP_CASES = {
     "repeated-distance-and-1m": dict(distances=(50.0, 1.0, 600.0, 50.0),
                                      packets=4),
     "beyond-range": dict(distances=(600.0, 2500.0, 5000.0), packets=3),
-    # a 200 B frame outlasts the 1 s guard: the last one is still in flight
+    # a 200 B frame would outlast a 1 s guard after the last tick
     "in-flight": dict(payload_len=200, packets=3),
     "shadowed": dict(distances=(50.0, 600.0, 700.0), packets=5,
                      shadowing_sigma_db=4.0),
@@ -795,10 +824,18 @@ class TestRangeSweep:
         rows, meta, _ = range_sweep(**kwargs)
         assert (rows, meta) == reference_range_sweep(**kwargs)
 
-    def test_in_flight_frame_counts_as_sent(self):
-        rows, _meta, _ = range_sweep(payload_len=200, packets=3)
-        assert {r.sent for r in rows} == {3}
-        assert rows[0].delivered == 2  # at 1 m, all but the one in flight
+    # inputs that a fixed 1 s guard after the last tick miscounts: a frame
+    # longer than the guard, a period shorter than it, and one more tick
+    # within it whose frame the guard cuts off
+    @pytest.mark.parametrize("kwargs", [
+        dict(payload_len=200, packets=3), dict(period_s=0.5, packets=3),
+        dict(period_s=0.7, packets=5),
+    ], ids=["long-frame", "short-period", "tick-and-frame-past-1s"])
+    def test_point_ends_when_its_last_frame_lands(self, kwargs):
+        rows, _meta, _ = range_sweep(**kwargs)
+        assert {r.sent for r in rows} == {kwargs["packets"]}
+        (at_50m,) = [r for r in rows if r.distance_m == 50.0]
+        assert at_50m.delivered == kwargs["packets"]
 
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
     @pytest.mark.parametrize("distances", [(0.0,), (50.0, -1.0)])

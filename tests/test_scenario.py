@@ -159,6 +159,31 @@ class TestWakeupExchangeNodes:
             assert "scenario error: app.initiator must start awake: a bs " \
                    "or an initiator node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role, x, exit_code", [
+        ("bs", 0.0, 1),  # at the initiator's position: bursts and data
+        ("sleeper", 0.0, 1),  # reach it from zero distance
+        ("bs", 2.0, 0),  # at the target's position: it only listens
+    ])
+    def test_node_at_the_initiators_position_rejected(self, role, x,
+                                                      exit_code, tmp_path,
+                                                      capsys):
+        path = tmp_path / "exchange.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 5.0, "seed": 1},
+            "nodes": [{"address": 1, "role": "initiator"},
+                      {"address": 2, "role": "sleeper", "position": {"x": 2.0},
+                       "wurx": {"address": 7}},
+                      {"address": 3, "role": role, "position": {"x": x},
+                       "wurx": {"address": 9}}],
+            "app": {"kind": "wakeup_exchange", "initiator": 1, "target": 2,
+                    "cycles": 2, "cycle_period_s": 1.0}}))
+        assert main(["run", str(path), "--validate-only"]) == exit_code
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == exit_code
+        if exit_code:
+            assert "scenario error: node 3 shares the position of sender 1" \
+                in capsys.readouterr().err
+
     @pytest.mark.parametrize("cycles, exit_code", [(0, 1), (1, 0)])
     def test_exchange_needs_a_cycle(self, cycles, exit_code, tmp_path,
                                     capsys):
@@ -238,6 +263,27 @@ class TestPeriodicSenders:
             "app": {"kind": "periodic", "period_s": 10.0, **app}}))
         with pytest.raises(ScenarioError, match=error):
             load(path)
+        assert main(["run", str(path), "--validate-only"]) == 1
+        assert f"scenario error: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes, app, error", [
+        # a mote at its base station's position
+        ([("bs", {}), ("mote", {})], {"src": 2},
+         "node 1 shares the position of sender 2"),
+        # src omitted, so both motes send
+        ([("bs", {}), ("mote", {"x": 80.0}), ("mote", {"x": 80.0})], {},
+         "node 3 shares the position of sender 2"),
+    ], ids=["sender-at-its-dst", "two-senders"])
+    def test_node_at_a_senders_position_rejected(self, nodes, app, error,
+                                                 tmp_path, capsys):
+        # path loss is undefined at zero distance, so the run would fail at
+        # the sender's first frame
+        path = tmp_path / "colocated.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 15.0, "seed": 1},
+            "nodes": [{"address": address, "role": role, "position": at}
+                      for address, (role, at) in enumerate(nodes, 1)],
+            "app": {"kind": "periodic", "dst": 1, "period_s": 10.0, **app}}))
         assert main(["run", str(path), "--validate-only"]) == 1
         assert f"scenario error: {error}" in capsys.readouterr().err
 
