@@ -14,24 +14,32 @@ inclusive). Delivery visits listeners only: the engine keeps the nodes
 whose transition put the radio in rx, drops one once it is found out of
 rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
-frame's ``dst``; ``heard`` keeps every decision by (sender, listener).
+frame's ``dst``; ``heard`` keeps every decision by (sender, listener). A
+listener whose rival index holds only the frame is not scanned for a
+rival. In an unshadowed run, a frame with no rival at a listener takes the
+decision stored for its RSSI there, spreading factor and bandwidth, made
+for the first such frame: the gates then read nothing else, and without
+shadowing a link has one RSSI per tx power, so that store stays small. A
+frame with a rival, or under shadowing, is decided on its own.
 
 A frame carries its own airtime interval, so it is the one record of a
 transmission: the medium, each listener's rival index and the undecided
 frames hold the frame itself, and a send's handle is its frame id. The
 medium keeps only the frames that can still matter. Once a frame has been
 decided, every frame that ended at or before a floor is dropped. The floor
-is the earliest start of the frames still undecided, or now when none is.
-A frame decided later starts at or after the floor, so it cannot overlap
-them. Undecided frames are kept by frame id in start order, because a
-frame goes on air at now and now never decreases, so the floor is the
-first of them and costs O(1). The floor never falls, and the on-air list
-is rebuilt only when it has risen: a frame added since the last rebuild
-started at or after that floor and has positive airtime, so the same floor
-would drop nothing. Carrier sense reads this short on-air list, and the
-capture decision the head of each listener's index of it by RSSI, so the
-cost per event does not grow with the horizon. The dispatch trace is
-hashed in chunks of at most 1,024 lines, so its memory is constant too.
+is the earliest start of the frames still undecided, or now when none is;
+then every frame on air has ended, so the medium and the rival indexes are
+cleared. A frame decided later starts at or after the floor, so it
+cannot overlap them. Undecided frames are kept by frame id in start order,
+because a frame goes on air at now and now never decreases, so the floor
+is the first of them and costs O(1). The floor never falls, and the
+on-air list is rebuilt only when it has risen: a frame added since the
+last rebuild started at or after that floor and has positive airtime, so
+the same floor would drop nothing. Carrier sense reads this short on-air
+list, and the capture decision the head of each listener's index of it by
+RSSI, so the cost per event does not grow with the horizon. The dispatch
+trace is hashed in chunks of at most 1,024 lines, so its memory is
+constant too.
 
 A wake-up exchange's burst depends only on the target's wurx block, so it
 is built once, with the applications, and every cycle sends it. Nodes
@@ -47,9 +55,11 @@ receivers that read it: its ``dst`` and the listeners. With no shadowing
 the RNG is not touched, and a sender's frames share one RSSI map per tx
 power. The noise floor is computed once per frame and the sorted node
 addresses once per run. A frame's link header is read once, with the
-stack's header format. Its packet record is built with its outcome, when
-it is decided or, in flight, at the horizon; the run's per-link counts are
-taken from those records, put in send order, at the end.
+stack's header format, and the stack filters on the ``dst`` read there, so
+it decodes only the frames it hands up. Its packet record is built with its
+outcome, when it is decided or, in flight, at the horizon; the run's
+per-link counts are taken from those records, put in send order, at the
+end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers, callbacks and burst ends itself, including
@@ -209,6 +219,10 @@ class Simulator:
         self._links: dict = {}  # (sender address, wake_up) -> its links
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
         self._listeners: dict = {}  # address -> (device, rival index)
+        # (rssi, sf, bandwidth) -> (heard entry, decoded, cause) of a frame
+        # with no rival, in an unshadowed run only
+        self._lone_decisions = (
+            None if scenario.channel.shadowing_sigma_db else {})
         # (src, listener) -> [(cause, rssi_dbm, snr_db)], one per frame
         # decided there
         self.heard = collections.defaultdict(list)
@@ -468,8 +482,13 @@ class Simulator:
         self.drivers[frame.src].fire_tx_done(frame_id)
         self._record_packet(frame, self._deliver(frame))
         undecided = self._tx_by_id
-        floor = (next(iter(undecided.values())).start_ns if undecided
-                 else self.now)
+        if not undecided:  # so every frame on air has ended by now
+            self._floor = self.now
+            self._on_air.clear()
+            for _device, rivals in self._listeners.values():
+                rivals.clear()
+            return
+        floor = next(iter(undecided.values())).start_ns
         if floor > self._floor:
             self._floor = floor
             self._on_air = [o for o in self._on_air if o.end_ns > floor]
@@ -487,10 +506,15 @@ class Simulator:
             device.wurx.false_wakeups_rejected += 1
 
     def _deliver(self, frame: Frame) -> str:
-        """Decide the frame at every listener; returns its dst's outcome."""
+        """Decide the frame at every listener; returns its dst's outcome.
+        With no rival and no shadowing, the gates read only the RSSI, the
+        spreading factor and the bandwidth, which sets the noise floor, so
+        their decision is stored by those three and reused."""
         start_ns, end_ns = frame.start_ns, frame.end_ns
         frequency_hz, sf = frame.frequency_hz, frame.spreading_factor
+        rssi_by_rx = frame.rssi_by_rx
         params = self.scenario.channel
+        lone = self._lone_decisions
         listeners = self._listeners
         dst_outcome = "not-listening"
         for rx_addr in sorted(listeners):
@@ -501,23 +525,37 @@ class Simulator:
             # in rx since the frame's start at the latest: not its sender
             if device.rx_since_ns > start_ns or device.ledger.depleted:
                 continue
-            # the first overlap on its channel and SF is the strongest rival
-            strongest = next((
-                -neg_rssi for neg_rssi, _frame_id, o in rivals
-                if o is not frame and o.frequency_hz == frequency_hz
-                and o.spreading_factor == sf
-                and o.start_ns < end_ns and start_ns < o.end_ns), None)
-            decision = chan.decide_reception(
-                frame, rx_addr, strongest, self.table,
-                params.capture_threshold_db)
-            self.heard[frame.src, rx_addr].append(decision[:3])
-            if decision.decoded:
+            if len(rivals) == 1:  # the frame itself
+                strongest = None
+            else:  # the first overlap on its channel and SF is the strongest
+                strongest = next((
+                    -neg_rssi for neg_rssi, _frame_id, o in rivals
+                    if o is not frame and o.frequency_hz == frequency_hz
+                    and o.spreading_factor == sf
+                    and o.start_ns < end_ns and start_ns < o.end_ns), None)
+            if strongest is None and lone is not None:
+                key = (rssi_by_rx[rx_addr], sf, frame.bandwidth_hz)
+                entry = lone.get(key)
+                if entry is None:
+                    decision = chan.decide_reception(
+                        frame, rx_addr, None, self.table,
+                        params.capture_threshold_db)
+                    entry = lone[key] = (decision[:3], decision.decoded,
+                                         decision.cause)
+                heard, decoded, cause = entry
+            else:
+                decision = chan.decide_reception(
+                    frame, rx_addr, strongest, self.table,
+                    params.capture_threshold_db)
+                heard, decoded, cause = (decision[:3], decision.decoded,
+                                         decision.cause)
+            self.heard[frame.src, rx_addr].append(heard)
+            if decoded:
                 self.node_event(device, nd.RX_DONE)
                 self.drivers[rx_addr].deliver(frame)
             if rx_addr == frame.dst:
                 # Unicast hands up a decoded frame iff it is addressed here
-                dst_outcome = ("delivered" if decision.decoded
-                               else decision.cause)
+                dst_outcome = "delivered" if decoded else cause
         return dst_outcome
 
     def _record_packet(self, frame: Frame, outcome: str) -> None:
@@ -629,10 +667,12 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     ``seed + index`` modulo 2**64 (point 0's as given, so a seed out of
     range is rejected). Every run's scenario is built, and so checked,
     before the first run. Returns (rows, meta, the runs' RunMetrics). A
-    point's row, and its (mote, base station) link in ``links``, come from
-    ``heard``: a run ends when the mote's last frame lands, so each frame
-    is decided at every station, and counts in sent and in the RSSI/SNR
-    means; delivered counts those decoded.
+    point's row, and its (mote, base station) link in ``links``, count as
+    sent every frame the mote sent, from its packet records, since every
+    frame goes to station 1. Delivered and the RSSI/SNR means are taken
+    from ``heard``, over the frames decided at the station: a run ends when
+    the mote's last frame lands, so that is every frame until the station's
+    battery runs out, and none after.
     """
     groups = ([distances] if distances and not shadowing_sigma_db
               else [(distance,) for distance in distances])
@@ -645,11 +685,12 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
         sim = Simulator(scenario, record_trace=False)
         all_metrics.append(sim.run())
         mote = len(group) + 1  # after stations 1, 2, ... in group order
+        sent = all_metrics[-1].link(mote, 1).sent
         for bs, distance in enumerate(group, 1):
             causes, rssi, snr = zip(*sim.heard[mote, bs])
             stats = all_metrics[-1].links[mote, bs] = rep.LinkStats(
-                len(causes), causes.count("ok"))
-            rows.append(rep.SweepRow(distance, stats.sent, stats.delivered,
+                sent, causes.count("ok"))
+            rows.append(rep.SweepRow(distance, sent, stats.delivered,
                                      stats.pdr, sum(rssi) / len(rssi),
                                      sum(snr) / len(snr)))
     meta = dict(all_metrics[0].calibration) if all_metrics else {}

@@ -8,7 +8,8 @@ class Frame:
     record of its transmission, which the engine and channel hold as is.
 
     ``src``/``dst``/``seqno`` are the parsed link-header fields (``dst`` is
-    None for raw, headerless sends). ``payload`` is every byte on air,
+    None for raw, headerless sends); the stack filters on ``dst`` and
+    decodes only a frame addressed to it. ``payload`` is every byte on air,
     header included. ``noise_floor_dbm`` is the receive noise floor for
     the frame's bandwidth; ``rssi_by_rx`` maps every other node to its
     RSSI. Its shadowing draws, if any, are taken in order when the

@@ -236,10 +236,6 @@ def validate(scenario: Scenario) -> None:
         if app.dst not in addresses or (app.src is not None
                                         and app.src not in addresses):
             raise ScenarioError("app: src and dst must be node addresses")
-        if app.period_ns <= frame_airtime:
-            raise ScenarioError(
-                f"app.period_s must exceed the frame airtime "
-                f"({frame_airtime / NS_PER_S:.6f} s)")
         if app.src is not None and scenario.node(app.src).role not in (
                 "mote", "bs"):
             raise ScenarioError("app.src must be a mote or bs node")
@@ -248,6 +244,18 @@ def validate(scenario: Scenario) -> None:
         if app.dst in scenario.periodic_senders():
             raise ScenarioError("app.dst must not be a sender (src, or "
                                 "every mote if src is omitted)")
+        # a tick before the previous frame's TX_END is skipped, and so is
+        # one at the same ns, which was scheduled first. A mote wakes and
+        # turns its radio on for each frame; a bs sends from rx.
+        for sender in map(scenario.node, scenario.periodic_senders()):
+            cycle_ns = frame_airtime + (
+                0 if sender.role == "bs"
+                else sender.mcu_wakeup_ns + sender.radio_turn_on_ns)
+            if app.period_ns <= cycle_ns:
+                raise ScenarioError(
+                    f"app.period_s must exceed node {sender.address}'s send "
+                    f"cycle: wake-up and radio turn-on (for a mote) plus "
+                    f"the frame airtime ({cycle_ns / NS_PER_S:.9f} s)")
     elif app.kind == "wakeup_exchange":
         if app.initiator is None or app.target is None:
             raise ScenarioError("app: wakeup_exchange requires initiator "

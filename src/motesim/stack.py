@@ -11,7 +11,9 @@ nor the node internals.
 
 The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
-sequence numbers exist for delivery accounting only.
+sequence numbers exist for delivery accounting only. A received frame is
+filtered on its ``dst``, the header field the engine parses with ``HEADER``
+when the frame goes on air, and only a frame handed up is decoded.
 A message, built per frame sent and received, is a cheap named tuple.
 """
 
@@ -116,13 +118,13 @@ class Unicast:
             UnicastMessage(self.local_address, dst, self._seqno, payload)))
 
     def _rx_done(self, frame: Frame) -> None:
-        """Hand a received frame up, or count it as overheard when it is
-        addressed to another node."""
-        msg = decode_message(frame.payload)
-        if msg is None or msg.dst != self.local_address:
+        """Hand a received frame up, or count it as overheard when its
+        ``dst`` is another node or it has no header. Only a frame handed up
+        is decoded."""
+        if frame.dst != self.local_address:
             self.overheard += 1
         elif self.on_message is not None:
-            self.on_message(msg)
+            self.on_message(decode_message(frame.payload))
 
 
 class Services:

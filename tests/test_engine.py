@@ -829,13 +829,38 @@ class TestRangeSweep:
     # within it whose frame the guard cuts off
     @pytest.mark.parametrize("kwargs", [
         dict(payload_len=200, packets=3), dict(period_s=0.5, packets=3),
-        dict(period_s=0.7, packets=5),
-    ], ids=["long-frame", "short-period", "tick-and-frame-past-1s"])
+        dict(period_s=0.7, packets=5), dict(period_s=0.363503001, packets=5),
+    ], ids=["long-frame", "short-period", "tick-and-frame-past-1s",
+            "period-1ns-past-the-cycle"])
     def test_point_ends_when_its_last_frame_lands(self, kwargs):
         rows, _meta, _ = range_sweep(**kwargs)
         assert {r.sent for r in rows} == {kwargs["packets"]}
         (at_50m,) = [r for r in rows if r.distance_m == 50.0]
         assert at_50m.delivered == kwargs["packets"]
+
+    def test_frames_after_a_station_depletes_count_as_sent(self,
+                                                           monkeypatch):
+        # station 2's 2 J last about 40 s of listening, so it decides only
+        # the first 4 of the 10 frames; the other stations decide them all
+        def station_2_battery(*args):
+            scenario = engine_range_sweep_scenario(*args)
+            return scenario._replace(nodes=tuple(
+                spec._replace(battery_j=2.0) if spec.address == 2 else spec
+                for spec in scenario.nodes))
+
+        engine_range_sweep_scenario = engine.range_sweep_scenario
+        monkeypatch.setattr(engine, "range_sweep_scenario", station_2_battery)
+        rows, _meta, (metrics,) = range_sweep(
+            distances=(50.0, 100.0, 200.0), packets=10)
+        assert [(r.sent, r.delivered) for r in rows] == [
+            (10, 10), (10, 4), (10, 10)]
+        assert [e.depleted for e in metrics.energy] == [
+            False, True, False, False]
+        assert {(s.sent, s.delivered) for s in metrics.links.values()} == {
+            (10, 10), (10, 4)}
+        # the means are over the frames decided, all of one RSSI at σ = 0
+        assert rows[1].rssi_dbm_mean == pytest.approx(
+            range_sweep(distances=(100.0,), packets=10)[0][0].rssi_dbm_mean)
 
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
     @pytest.mark.parametrize("distances", [(0.0,), (50.0, -1.0)])
@@ -878,6 +903,54 @@ class TestRangeSweep:
             assert {node.total_time_ns for node in metrics.energy} == {
                 metrics.horizon_ns}
             assert all(s.delivered <= s.sent for s in metrics.links.values())
+
+
+class TestLoneDecisions:
+    """In an unshadowed run, a frame with no rival at a listener reuses the
+    decision stored for its RSSI, spreading factor and bandwidth there."""
+
+    @pytest.mark.parametrize("sigma, decisions", [(0.0, 10), (4.0, 50)])
+    def test_decide_reception_calls(self, monkeypatch, sigma, decisions):
+        # ten stations, each at its own RSSI, hear five frames each
+        calls = []
+        decide = channel.decide_reception
+
+        def counting(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(channel, "decide_reception", counting)
+        rows, _meta, _ = range_sweep(packets=5, shadowing_sigma_db=sigma)
+        assert sum(r.sent for r in rows) == 50
+        assert len(calls) == decisions
+
+    def test_rivalled_decision_is_never_stored(self, monkeypatch):
+        # motes 2 and 3 are 50 m from base station 1, so their frames reach
+        # it at one RSSI; their first frames overlap, and mote 3's 50 mJ
+        # run out in its first frame, so mote 2's later frames are lone
+        scenario = multi_mote_scenario(
+            [Position(x=50.0), Position(x=-50.0)], horizon_s=4.0)
+        scenario = scenario._replace(nodes=scenario.nodes[:2] + (
+            scenario.nodes[2]._replace(battery_j=0.05),))
+        rivals = []
+        decide = channel.decide_reception
+
+        def recording(frame, rx_addr, strongest_rival_dbm, *rest):
+            rivals.append(strongest_rival_dbm)
+            return decide(frame, rx_addr, strongest_rival_dbm, *rest)
+
+        monkeypatch.setattr(channel, "decide_reception", recording)
+        sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
+        metrics = sim.run()
+        assert [frame.src for frame in started] == [2, 3, 2, 2]
+        assert len({frame.rssi_by_rx[1] for frame in started}) == 1
+        assert [(p.src, p.outcome) for p in metrics.packets] == [
+            (2, "collision"), (3, "collision"), (2, "delivered"),
+            (2, "delivered")]
+        # two decisions with a rival, then one lone decision kept for both
+        # lone frames
+        assert rivals == [started[0].rssi_by_rx[1]] * 2 + [None]
 
 
 class TestChannelClear:

@@ -85,6 +85,25 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="airtime"):
             from_dict(raw)
 
+    # a mote wakes in 7 us and turns its radio on in 1 ms before each
+    # frame; a bs sends from rx. A period equal to the cycle skips every
+    # other tick.
+    @pytest.mark.parametrize("role, period_s, rejected", [
+        ("mote", 0.363503, True), ("mote", 0.363503001, False),
+        ("bs", 0.362496, True), ("bs", 0.362496001, False),
+    ], ids=["mote-cycle", "mote-past-cycle", "bs-airtime",
+            "bs-past-airtime"])
+    def test_period_must_exceed_the_senders_cycle(self, role, period_s,
+                                                  rejected):
+        raw = example_dict()
+        raw["nodes"][1]["role"] = role  # node 2, the sender
+        raw["app"]["period_s"] = period_s
+        if rejected:
+            with pytest.raises(ScenarioError, match="node 2's send cycle"):
+                from_dict(raw)
+        else:
+            assert from_dict(raw).app.period_ns == round(period_s * 1e9)
+
     def test_bad_radio_range(self):
         raw = example_dict()
         raw["radio"]["spreading_factor"] = 13

@@ -11,7 +11,8 @@ from motesim.contract_kit import run_contract_checks
 from motesim.engine import Simulator
 from motesim.frame import Frame
 from motesim.scenario import AppSpec, NodeSpec
-from motesim.stack import HEADER_BYTES, PeriodicSenderApp, Services, Unicast
+from motesim.stack import (HEADER, HEADER_BYTES, PeriodicSenderApp, Services,
+                           Unicast)
 
 
 def bare_scenario(horizon_s=100.0):
@@ -84,7 +85,13 @@ class FakeDriver:
 
 
 def frame_with(payload, **kwargs):
-    return Frame(frame_id=1, src=0, dst=None, seqno=None, payload=payload,
+    """A frame carrying ``payload``, its header fields parsed as the
+    engine's ``begin_transmission`` parses them: None when too short."""
+    if len(payload) >= HEADER_BYTES:
+        src, dst, seqno = HEADER.unpack_from(payload)
+    else:
+        src, dst, seqno = 0, None, None
+    return Frame(frame_id=1, src=src, dst=dst, seqno=seqno, payload=payload,
                  spreading_factor=12, bandwidth_hz=500_000,
                  frequency_hz=868e6, noise_floor_dbm=-111.0, **kwargs)
 
@@ -136,15 +143,18 @@ class TestUnicast:
         monkeypatch.setattr(motesim.stack, "decode_message", counting)
         driver = FakeDriver()
         unicast = Unicast(driver, local_address=5)
+        data = encode_message(UnicastMessage(2, 5, 1, b"x"))
+        driver.rx_done(frame_with(data))  # no consumer: nothing to decode
+        assert calls == [] and unicast.overheard == 0
         got = []
         unicast.on_message = got.append
-        data = encode_message(UnicastMessage(2, 5, 1, b"x"))
         driver.rx_done(frame_with(data))
         assert calls == [data]
         assert got == [UnicastMessage(2, 5, 1, b"x")]
-        foreign = encode_message(UnicastMessage(2, 6, 2, b"y"))
-        driver.rx_done(frame_with(foreign))
-        assert calls == [data, foreign]
+        # a frame addressed to another node is counted, not decoded
+        driver.rx_done(frame_with(encode_message(
+            UnicastMessage(2, 6, 2, b"y"))))
+        assert calls == [data]
         assert len(got) == 1 and unicast.overheard == 1
 
 
