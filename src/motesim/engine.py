@@ -44,30 +44,33 @@ constant too.
 A wake-up exchange's burst depends only on the target's wurx block, so it
 is built once, with the applications, and every cycle sends it. Nodes
 never move, so work that depends only on positions is done once. At a
-sender's first frame the engine caches its mean path loss to every other
-node, and at its first wake-up burst to every other WuRX node. Each frame
-or burst then takes only the shadowing draws, one per receiver in
-ascending address order, in one ``channel.RssiOnRead`` built by
-``_rssi_by_rx``, which gives bit for bit what ``channel.rssi_at``'s
-``rng.gauss`` calls would. The draws are taken in one call when the frame
-starts but transformed on read, so a frame's RSSI is computed only at the
-receivers that read it: its ``dst`` and the listeners. With no shadowing
-the RNG is not touched, and a sender's frames share one RSSI map per tx
-power. The noise floor is computed once per frame and the sorted node
-addresses once per run. A frame's link header is read once, with the
-stack's header format, and the stack filters on the ``dst`` read there, so
-it decodes only the frames it hands up. Its packet record is built with its
-outcome, when it is decided or, in flight, at the horizon; the run's
-per-link counts are taken from those records, put in send order, at the
-end.
+sender's first frame the engine caches its distance and mean path loss to
+every other node, and at its first wake-up burst to every other WuRX node;
+a packet record reads its distance there. Each frame or burst then takes
+only the shadowing draws, one per receiver in ascending address order, in
+one ``channel.RssiOnRead`` built by ``_rssi_by_rx``, which gives bit for
+bit what ``channel.rssi_at``'s ``rng.gauss`` calls would. The draws are
+taken in one call when the frame starts but transformed on read, so a
+frame's RSSI is computed only at the receivers that read it: its ``dst``
+and the listeners. With no shadowing the RNG is not touched, and a
+sender's frames share one RSSI map per tx power. A frame's airtime and
+noise floor are stored by (the sending driver's config, frame length), so
+a driver reconfigured mid-run needs no invalidation; the sorted node
+addresses are computed once per run. A frame's link header is read once,
+with the stack's header format, and the stack filters on the ``dst`` read
+there, so it decodes only the frames it hands up. Its packet record is
+built with its outcome, when it is decided or, in flight, at the horizon;
+the run's per-link counts are taken from those records, put in send
+order, at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers, callbacks and burst ends itself, including
 the skip of a depleted node; only frame ends and wake-up decodes go through
-a helper. A node timer costs one ``MoteDevice.transition`` call, which
-returns a shared precomputed result, and ``process_result`` returns at once
-when that result has neither follow-up timers nor an application hook to
-call. Each event kind and node event carries its trace text, built once.
+a helper, and the dispatch order is checked on the two ints. A node timer
+costs one ``MoteDevice.transition`` call, which returns a shared
+precomputed result; ``process_result`` is called only when its ``notify``
+flag is set, for follow-up timers, an application hook or an entry into rx.
+Each event kind and node event carries its trace text, built once.
 """
 
 from __future__ import annotations
@@ -217,6 +220,8 @@ class Simulator:
         self._tx_by_id: dict = {}  # frame_id -> frame, for undecided frames
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # (sender address, wake_up) -> its links
+        self._distance: dict = {}  # (sender, receiver) -> metres, with _links
+        self._frame_facts: dict = {}  # (config, length) -> (noise, airtime)
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
         self._listeners: dict = {}  # address -> (device, rival index)
         # (rssi, sf, bandwidth) -> (heard entry, decoded, cause) of a frame
@@ -306,28 +311,24 @@ class Simulator:
 
     def node_event(self, device: MoteDevice, event: nd.NodeEvent) -> None:
         result = device.transition(event, self.now)
-        self.process_result(device, result)
+        if result.notify:
+            self.process_result(device, result)
 
     def process_result(self, device: MoteDevice, result) -> None:
-        if result.radio is RADIO_RX and device.address not in self._listeners:
-            address = device.address  # _deliver visits it from now on
-            self._listeners[address] = (device, sorted(
+        address = device.address  # of a result with ``notify`` set
+        if result.radio is RADIO_RX and address not in self._listeners:
+            self._listeners[address] = (device, sorted(  # _deliver visits
                 (-o.rssi_by_rx[address], o.frame_id, o)
                 for o in self._on_air if o.src != address))
-        followups, awake, radio_ready = (result.followups, result.awake,
-                                         result.radio_ready)
-        if not (followups or awake or radio_ready):
-            return
-        for delay_ns, node_event in followups:
-            self.schedule(self.now + delay_ns, _NODE_TIMER, device.address,
+        for delay_ns, node_event in result.followups:
+            self.schedule(self.now + delay_ns, _NODE_TIMER, address,
                           node_event)
-        app = self.apps.get(device.address)
-        if app is None:
-            return
-        if awake:
-            app.on_awake()
-        if radio_ready:
-            app.on_radio_ready()
+        app = self.apps.get(address)
+        if app is not None:
+            if result.awake:
+                app.on_awake()
+            if result.radio_ready:
+                app.on_radio_ready()
 
     # -- medium ---------------------------------------------------------------
 
@@ -359,8 +360,9 @@ class Simulator:
                 if rx_addr == sender.address or (wake_up
                                                  and receiver.wurx is None):
                     continue
-                links[rx_addr] = (len(links), chan.path_loss_db(
-                    sender.position.distance_to(receiver.position), params))
+                metres = sender.position.distance_to(receiver.position)
+                self._distance[sender.address, rx_addr] = metres
+                links[rx_addr] = len(links), chan.path_loss_db(metres, params)
             self._links[(sender.address, wake_up)] = links
         if sigma:
             return chan.RssiOnRead(tx_power_dbm, links, self.rng, sigma)
@@ -370,6 +372,12 @@ class Simulator:
 
     def begin_transmission(self, device: MoteDevice, data: bytes) -> Frame:
         config = self.drivers[device.address].config
+        facts = self._frame_facts.get((config, len(data)))
+        if facts is None:
+            facts = self._frame_facts[config, len(data)] = (
+                chan.noise_floor_dbm(config.bandwidth_hz,
+                                     self.scenario.channel.noise_figure_db),
+                time_on_air(config, len(data)))
         if len(data) >= stk.HEADER_BYTES:
             _src, dst, seqno = stk.HEADER.unpack_from(data)
         else:
@@ -377,10 +385,8 @@ class Simulator:
         frame = Frame(  # positional: keywords cost twice as much
             next(self._frame_ids), device.address, dst, seqno, data,
             config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
-            chan.noise_floor_dbm(config.bandwidth_hz,
-                                 self.scenario.channel.noise_figure_db),
-            self._rssi_by_rx(device, False), self.now,
-            self.now + time_on_air(config, len(data)))
+            facts[0], self._rssi_by_rx(device, False), self.now,
+            self.now + facts[1])
         self.node_event(device, nd.TX_REQUEST)
         self._on_air.append(frame)
         rssi_by_rx, frame_id = frame.rssi_by_rx, frame.frame_id
@@ -395,8 +401,7 @@ class Simulator:
         # only the wake-up initiator sends bursts, all of them the run's
         # one burst; begin_wub_tx rejects one while the radio is off or busy
         emission = self._wub
-        result = device.begin_wub_tx(self.now, emission.duty)
-        self.process_result(device, result)
+        device.begin_wub_tx(self.now, emission.duty)  # no result to act on
         rssi_by_rx = self._rssi_by_rx(device, True)
         for rx_addr in rssi_by_rx:
             receiver = self.devices[rx_addr]
@@ -430,13 +435,13 @@ class Simulator:
         devices = self.devices
         trace = self._trace
         lines = self._trace_lines
+        last_ts, last_seq = self._last_key
         while queue and queue[0][0] <= t_ns:
             ts, seq, kind, target, payload = pop(queue)
-            key = (ts, seq)
-            if key <= self._last_key:
+            if ts < last_ts or ts == last_ts and seq <= last_seq:
                 raise MotesimError("event dispatch out of (timestamp, "
                                    "sequence) order")
-            self._last_key = key
+            last_ts, last_seq = ts, seq
             self.now = ts
             self.event_count += 1
             if trace is not None:
@@ -451,7 +456,9 @@ class Simulator:
                     self.log_lines.append(
                         f"drop {kind.text} for depleted node {target}")
                 elif kind is _NODE_TIMER:
-                    self.process_result(device, device.transition(payload, ts))
+                    result = device.transition(payload, ts)
+                    if result.notify:
+                        self.process_result(device, result)
                 else:
                     payload()
             elif kind is _TX_END:
@@ -460,6 +467,7 @@ class Simulator:
                 self.node_event(devices[target], nd.TX_DONE)
             elif kind is _WUB_DECODE_DONE:
                 self._finish_decode(target, payload)
+        self._last_key = last_ts, last_seq
         self.now = t_ns
 
     def run(self) -> rep.RunMetrics:
@@ -567,8 +575,8 @@ class Simulator:
         rssi = frame.rssi_by_rx[dst]
         self.packets.append(rep.PacketRecord(
             frame.frame_id, src, dst, frame.seqno, frame.start_ns,
-            self.devices[src].position.distance_to(self.devices[dst].position),
-            rssi, rssi - frame.noise_floor_dbm, outcome))
+            self._distance[src, dst], rssi, rssi - frame.noise_floor_dbm,
+            outcome))
 
     # -- results ------------------------------------------------------------------
 

@@ -52,11 +52,12 @@ depends on the event alone, never on the state it leaves. Every result is
 therefore built once and shared: the plain ones and the awake and radio-ready
 ones per module, the wake and radio-on ones (whose follow-up timers carry the
 device's latencies) per device. Only the ignored wake-up re-trigger, which
-changes nothing, builds its result on the spot. A state change is one call:
-it checks the (state, event) pair, charges the dwell in the outgoing label
-with one ledger accrual when time has passed, enters the new state and picks
-its label and power. The label and its power are cached until the next
-change.
+changes nothing, builds its result on the spot. A result's ``notify`` flag
+is set where the engine has work: follow-up timers, an application hook or
+an entry into rx. A state change is one call: it checks the (state, event)
+pair, charges the dwell in the outgoing label with one ledger accrual when
+time has passed, enters the new state and picks its label and power. The
+label and its power are cached until the next change.
 """
 
 from __future__ import annotations
@@ -179,16 +180,19 @@ class TransitionResult(NamedTuple):
     followups: tuple = ()  # of (delay_ns, NodeEvent)
     awake: bool = False        # MCU just reached active
     radio_ready: bool = False  # radio just reached standby
+    notify: bool = False  # the engine acts on it: see the module docstring
 
 
 # The results that do not depend on the device, shared by every change that
 # yields them. The per-device wake and radio-on results are built in
 # MoteDevice.__init__.
-_AWAKE = TransitionResult(MCU_ACTIVE, RADIO_OFF, awake=True)
-_RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True)
+_AWAKE = TransitionResult(MCU_ACTIVE, RADIO_OFF, awake=True, notify=True)
+_RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
+                                notify=True)
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
 _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
-_ACTIVE_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)
+_ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
+_STAY_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)  # rx_done
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
@@ -237,8 +241,9 @@ class EnergyLedger:
     at zero (``depleted`` latches); it is not capped above, so sustained
     harvesting surplus accumulates. Conservation identity maintained:
     consumed - harvested == battery_initial - battery_remaining while the
-    floor has not been hit. ``MoteDevice`` passes the battery and the net
-    harvest inflow of its checked node; the ledger checks neither.
+    floor has not been hit; with no harvest inflow, the harvest terms, which
+    would add 0.0, are skipped. ``MoteDevice`` passes the battery and the
+    net harvest inflow of its checked node; the ledger checks neither.
     """
 
     def __init__(self, battery_j: float, harvest_w: float):
@@ -252,18 +257,20 @@ class EnergyLedger:
         self.depleted = False
 
     def accrue(self, label: str, power_w: float, dt_ns: int) -> None:
-        if dt_ns < 0:
-            raise ConfigError("dt_ns must be >= 0")
-        if dt_ns == 0:
+        if dt_ns <= 0:
+            if dt_ns:
+                raise ConfigError("dt_ns must be >= 0")
             return
         dt_s = dt_ns / NS_PER_S
         spent = power_w * dt_s
-        gained = self.harvest_w * dt_s
         self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
         self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
         self.consumed_j += spent
-        self.harvested_j += gained
-        level = self.battery_remaining_j + gained - spent
+        level = self.battery_remaining_j - spent
+        if self.harvest_w:  # else its terms would add 0.0, changing nothing
+            gained = self.harvest_w * dt_s
+            self.harvested_j += gained
+            level = self.battery_remaining_j + gained - spent
         if level <= 0.0:
             level = 0.0
             self.depleted = True
@@ -314,9 +321,9 @@ class MoteDevice:
         self.wurx = None if spec.wurx is None else WurxState(
             spec.wurx.address, spec.wurx.sensitivity_dbm)
         self._waking = TransitionResult(MCU_WAKING, RADIO_OFF, (
-            (spec.mcu_wakeup_ns, MCU_AWAKE),))
+            (spec.mcu_wakeup_ns, MCU_AWAKE),), notify=True)
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
-            (spec.radio_turn_on_ns, RADIO_READY),))
+            (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
         self.radio = RADIO_OFF
         self.rx_since_ns: int | None = None
         self.wub_tx_power_w: float | None = None  # duty-scaled override
@@ -325,20 +332,6 @@ class MoteDevice:
         # enter the initial state, which sets mcu, radio and the label
         self._label_since_ns = 0
         self._apply(0, _ACTIVE_OFF if start_awake else _ASLEEP)
-
-    # -- power accounting ---------------------------------------------------
-
-    def _current_label(self) -> str:
-        radio = self.radio
-        if radio is RADIO_TX:
-            return "wub_tx" if self.wub_tx_power_w is not None else "lora_tx"
-        if radio is RADIO_RX:
-            return "lora_rx"
-        if self.mcu is not MCU_SLEEP:
-            return "mcu_active"
-        if self.wurx is not None and self.wurx.mode is _DECODING:
-            return "wurx_decode"
-        return "sleep"
 
     # -- events ---------------------------------------------------------------
 
@@ -355,9 +348,9 @@ class MoteDevice:
                     result = _ACTIVE_OFF
                 elif radio is RADIO_STANDBY:
                     if event is START_RX:
-                        result = _ACTIVE_RX
+                        result = _ENTER_RX
                 elif event is RX_DONE:
-                    result = _ACTIVE_RX
+                    result = _STAY_RX
                 elif event is STOP_RX:
                     result = _ACTIVE_STANDBY
             elif radio is RADIO_TX:
@@ -417,11 +410,22 @@ class MoteDevice:
             self.rx_since_ns = None
         elif self.radio is not RADIO_RX:
             self.rx_since_ns = now_ns
-        if radio is not RADIO_TX:
+        if radio is RADIO_TX:
+            label = "lora_tx" if self.wub_tx_power_w is None else "wub_tx"
+        else:
             self.wub_tx_power_w = None
+            if radio is RADIO_RX:
+                label = "lora_rx"
+            elif result.mcu is not MCU_SLEEP:
+                label = "mcu_active"
+            elif self.wurx is not None and self.wurx.mode is _DECODING:
+                label = "wurx_decode"
+            else:
+                label = "sleep"
         self.mcu = result.mcu
         self.radio = radio
-        label = self._label = self._current_label()
+        self._state = result
+        self._label = label
         self._label_power_w = self.wub_tx_power_w if label == "wub_tx" \
             else self.power_table_w[label]
         return result
@@ -433,8 +437,8 @@ class MoteDevice:
             raise IllegalTransition(
                 f"node {self.address} has no wake-up receiver")
         self.wurx.mode = mode
-        self._apply(now_ns, TransitionResult(self.mcu, self.radio))
+        self._apply(now_ns, self._state)
 
     def finalize(self, horizon_ns: int) -> None:
         """Charge the last dwell up to the horizon."""
-        self._apply(horizon_ns, TransitionResult(self.mcu, self.radio))
+        self._apply(horizon_ns, self._state)

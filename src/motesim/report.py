@@ -183,10 +183,13 @@ def _energy_rows(rep: NodeEnergyReport) -> list:
             for (label, power, t_ns, e_j, pct) in rep.rows]
 
 
-def _exchange_rows(metrics: RunMetrics):
-    return ([str(ex.cycle), _fmt(ex.wub_start_ns / 1e9, 9), ex.outcome,
-             _fmt(None if ex.latency_ns is None else ex.latency_ns / 1e9, 9)]
-            for ex in metrics.exchanges)
+def _exchange_line(ex: ExchangeRecord) -> str:
+    """A cycle's CSV line, in one format operation; the text report splits
+    it into its cells. An unknown latency is an empty field."""
+    if ex.data_rx_ns is None:
+        return "%d,%.9f,%s," % (ex.cycle, ex.wub_start_ns / 1e9, ex.outcome)
+    return "%d,%.9f,%s,%.9f" % (ex.cycle, ex.wub_start_ns / 1e9, ex.outcome,
+                                ex.latency_ns / 1e9)
 
 
 def emit(metrics: RunMetrics, fmt: str, out_dir) -> list:
@@ -196,24 +199,23 @@ def emit(metrics: RunMetrics, fmt: str, out_dir) -> list:
         return [_write(out / "report.txt", render_text(metrics))]
     if fmt != "csv":
         raise MotesimError(f"unknown report format {fmt!r}")
-    tables = [
+    tables = [  # a packet or exchange line is one format operation
         ("packets.csv",
-         "seqno,src,dst,t_start_s,distance_m,rssi_dbm,snr_db,outcome",
-         ([str(p.seqno), str(p.src), str(p.dst), _fmt(p.t_start_ns / 1e9, 9),
-           _fmt(p.distance_m, 3), _fmt(p.rssi_dbm, 3), _fmt(p.snr_db, 3),
-           p.outcome] for p in metrics.packets)),
-        ("links.csv", "src,dst,sent,delivered,pdr",
-         ([str(src), str(dst), str(s.sent), str(s.delivered), _fmt(s.pdr)]
-          for (src, dst), s in sorted(metrics.links.items()))),
-        ("energy.csv", _ENERGY_COLUMNS,
-         (row for rep in metrics.energy for row in _energy_rows(rep))),
+         ["seqno,src,dst,t_start_s,distance_m,rssi_dbm,snr_db,outcome"] + [
+             "%d,%d,%d,%.9f,%.3f,%.3f,%.3f,%s" % (
+                 p.seqno, p.src, p.dst, p.t_start_ns / 1e9, p.distance_m,
+                 p.rssi_dbm, p.snr_db, p.outcome) for p in metrics.packets]),
+        ("links.csv", _table("src,dst,sent,delivered,pdr", (
+            [str(src), str(dst), str(s.sent), str(s.delivered), _fmt(s.pdr)]
+            for (src, dst), s in sorted(metrics.links.items())))),
+        ("energy.csv", _table(_ENERGY_COLUMNS, (
+            row for rep in metrics.energy for row in _energy_rows(rep)))),
     ]
     if metrics.exchanges:
-        tables.append(("exchanges.csv", _EXCHANGE_COLUMNS,
-                       _exchange_rows(metrics)))
+        tables.append(("exchanges.csv", [_EXCHANGE_COLUMNS] + [
+            _exchange_line(ex) for ex in metrics.exchanges]))
     head = _run_header(metrics)
-    return [_write(out / name, head + _table(columns, rows))
-            for name, columns, rows in tables]
+    return [_write(out / name, head + lines) for name, lines in tables]
 
 
 def render_text(metrics: RunMetrics) -> list:
@@ -232,8 +234,9 @@ def render_text(metrics: RunMetrics) -> list:
              + _table("link,sent,delivered,pdr", links, (12, 6, 9, 9))
              + [""] + _table(_ENERGY_COLUMNS, energy, (6, 12, 18, 16, 18, 8)))
     if metrics.exchanges:
-        lines += [""] + _table(_EXCHANGE_COLUMNS, _exchange_rows(metrics),
-                               (6, 14, 14, 12))
+        lines += [""] + _table(_EXCHANGE_COLUMNS, (
+            _exchange_line(ex).split(",") for ex in metrics.exchanges),
+            (6, 14, 14, 12))
     return lines
 
 

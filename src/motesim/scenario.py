@@ -246,7 +246,8 @@ def validate(scenario: Scenario) -> None:
                                 "every mote if src is omitted)")
         # a tick before the previous frame's TX_END is skipped, and so is
         # one at the same ns, which was scheduled first. A mote wakes and
-        # turns its radio on for each frame; a bs sends from rx.
+        # turns its radio on for each frame; a bs sends from rx, once its
+        # radio, turned on at t = 0, is ready: at a tie, before the tick.
         for sender in map(scenario.node, scenario.periodic_senders()):
             cycle_ns = frame_airtime + (
                 0 if sender.role == "bs"
@@ -256,6 +257,11 @@ def validate(scenario: Scenario) -> None:
                     f"app.period_s must exceed node {sender.address}'s send "
                     f"cycle: wake-up and radio turn-on (for a mote) plus "
                     f"the frame airtime ({cycle_ns / NS_PER_S:.9f} s)")
+            if sender.role == "bs" and app.period_ns < sender.radio_turn_on_ns:
+                raise ScenarioError(
+                    f"app.period_s must be at least node {sender.address}'s "
+                    f"radio turn-on, so that it can send at its first tick "
+                    f"({sender.radio_turn_on_ns / NS_PER_S:.9f} s)")
     elif app.kind == "wakeup_exchange":
         if app.initiator is None or app.target is None:
             raise ScenarioError("app: wakeup_exchange requires initiator "

@@ -214,3 +214,33 @@ def reference_range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets=360,
     meta.update({"packets_per_distance": packets, "seed": seed,
                  "period_s": period_s, "payload_len": payload_len})
     return rows, meta
+
+
+class ReferenceLedger:
+    """``EnergyLedger`` with every accrual written out in full: both the
+    spent and the harvested terms, harvest or not, in the order of the
+    conservation identity consumed - harvested == initial - remaining."""
+
+    def __init__(self, battery_j, harvest_w):
+        self.time_ns = {}
+        self.energy_j = {}
+        self.battery_remaining_j = battery_j
+        self.harvest_w = harvest_w
+        self.consumed_j = 0.0
+        self.harvested_j = 0.0
+        self.depleted = False
+
+    def accrue(self, label, power_w, dt_ns):
+        if dt_ns == 0:
+            return
+        dt_s = dt_ns / 1e9
+        spent = power_w * dt_s
+        gained = self.harvest_w * dt_s
+        self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
+        self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
+        self.consumed_j += spent
+        self.harvested_j += gained
+        self.battery_remaining_j = self.battery_remaining_j + gained - spent
+        if self.battery_remaining_j <= 0.0:
+            self.battery_remaining_j = 0.0
+            self.depleted = True

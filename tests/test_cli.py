@@ -225,6 +225,25 @@ def test_power_key_for_wurx_decode_rejected_at_load(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_bs_sender_not_ready_at_its_first_tick_rejected(tmp_path, capsys):
+    """A bs sender whose radio is still turning on at its first tick is
+    refused at load, by ``--validate-only`` and by the run alike."""
+    bad = tmp_path / "slow_bs.yaml"
+    bad.write_text(
+        "sim: {horizon_s: 5.0}\n"
+        "nodes:\n"
+        "  - {address: 1, role: bs}\n"
+        "  - {address: 2, role: bs, radio_turn_on_ms: 1500.0,"
+        " position: {x: 50.0}}\n"
+        "app: {kind: periodic, src: 2, dst: 1, period_s: 1.0}\n")
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: app.period_s must be at least "
+                          "node 2's radio turn-on")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("payload_len", [300, -7])
 def test_payload_len_checked_at_load(payload_len, tmp_path, capsys):
     text = EXAMPLE.read_text()

@@ -13,9 +13,12 @@ from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
                      Scenario, ScenarioError, SensitivityTable, run)
 from motesim import channel, engine
 from motesim import stack as stk
+from motesim.channel import noise_floor_dbm
 from motesim.engine import Simulator, power_profile, range_sweep
 from motesim.node import RadioMode
-from motesim.report import emit, render_text
+from motesim.phy import time_on_air
+from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
+                            emit, render_text)
 from motesim.scenario import (PAPER_RADIO, AppSpec, NodeSpec, WurxSpec,
                               load, power_profile_scenario,
                               range_point_scenario)
@@ -794,6 +797,42 @@ class TestEmission:
         for pa, pb in zip(first, second):
             assert pa.read_bytes() == pb.read_bytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_csv_rows_equal_their_cells(self, data, tmp_path_factory):
+        """Each packets.csv and exchanges.csv row is formatted in one
+        operation; its bytes are those of its cells joined by commas, with
+        an unknown latency as an empty field."""
+        floats = st.floats(width=64)
+        packets = data.draw(st.lists(st.builds(
+            PacketRecord, st.integers(1, 10 ** 6), st.integers(0, 65535),
+            st.integers(0, 65535), st.integers(0, 65535),
+            st.integers(0, 10 ** 16), floats, floats, floats,
+            st.sampled_from(["delivered", "collision", "in-flight"])),
+            max_size=5))
+        exchanges = data.draw(st.lists(st.builds(
+            ExchangeRecord, st.integers(1, 10 ** 4), st.integers(0, 10 ** 13),
+            st.sampled_from(["completed", "wake-timeout", "data-lost"]),
+            st.none() | st.integers(0, 10 ** 13)), min_size=1, max_size=5))
+        metrics = RunMetrics("0" * 16, 1, 10 ** 9, {}, packets, 0, "", 0.0)
+        metrics.exchanges = exchanges
+        out = tmp_path_factory.mktemp("csv")
+        files = {path.name: path.read_text().splitlines()[3:]
+                 for path in emit(metrics, "csv", out)}
+        assert files["packets.csv"] == [",".join([
+            str(p.seqno), str(p.src), str(p.dst), _fmt(p.t_start_ns / 1e9, 9),
+            _fmt(p.distance_m, 3), _fmt(p.rssi_dbm, 3), _fmt(p.snr_db, 3),
+            p.outcome]) for p in packets]
+        assert files["exchanges.csv"] == [",".join([
+            str(ex.cycle), _fmt(ex.wub_start_ns / 1e9, 9), ex.outcome,
+            _fmt(None if ex.latency_ns is None else ex.latency_ns / 1e9, 9)])
+            for ex in exchanges]
+        # the text report splits those lines into its cells
+        assert render_text(metrics)[-len(exchanges):] == [" ".join(
+            f"{cell:>{width}}" for cell, width in zip(
+                line.split(","), (6, 14, 14, 12)))
+            for line in files["exchanges.csv"]]
+
     def test_sweep_csv_schema(self, tmp_path):
         rows, meta, _ = range_sweep(distances=(1.0, 600.0), packets=2)
         from motesim import emit_sweep
@@ -1013,6 +1052,76 @@ def shadowed_wakeup_scenario():
     )
     return base._replace(nodes=nodes, seed=5,
                          channel=ChannelParams(shadowing_sigma_db=4.0))
+
+
+class TestFrameFacts:
+    """A frame's airtime and noise floor are worked out once per (sending
+    driver's config, frame length), and its sender-to-dst distance once per
+    link; a mid-run ``configure`` needs no invalidation."""
+
+    def test_reconfigured_driver_sends_with_its_own_config(self,
+                                                           monkeypatch):
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="initiator",
+                          position=Position(x=100.0)))
+        sim = Simulator(Scenario(
+            horizon_ns=60 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(noise_figure_db=4.5), nodes=nodes,
+            app=AppSpec(kind="none")), record_trace=False)
+        computed = []
+
+        def counting(config, length):
+            computed.append((config, length))
+            return time_on_air(config, length)
+
+        monkeypatch.setattr(engine, "time_on_air", counting)
+        started = record_transmissions(sim)
+        driver = sim.drivers[2]
+        driver.on()
+        sim.run_until(10 ** 9)  # the radio is ready after 1 ms
+        base = driver.config
+        sends = [(base, 22), (base._replace(spreading_factor=8), 22),
+                 (base._replace(spreading_factor=8), 40),
+                 (base._replace(bandwidth_hz=125_000), 40), (base, 22)]
+        for config, length in sends:
+            driver.configure(config)
+            driver.send(bytes(length))
+            sim.run_until(started[-1].end_ns)
+        assert len(started) == len(sends)
+        for frame, (config, length) in zip(started, sends):
+            assert frame.end_ns - frame.start_ns == time_on_air(config, length)
+            assert frame.noise_floor_dbm == noise_floor_dbm(
+                config.bandwidth_hz, 4.5)
+            assert frame.spreading_factor == config.spreading_factor
+        # the first and last sends share their config and length
+        assert computed == sends[:-1]
+
+    def test_listener_entering_rx_mid_frame_is_registered_and_decided(self):
+        """Base station 1 enters rx while mote 2's frame is on air. That
+        frame started before it listened, so it is not heard there; mote
+        3's later, weaker frame overlaps it and loses to it there."""
+        nodes = (
+            NodeSpec(address=1, role="bs", position=Position(),
+                     radio_turn_on_ns=1_100_000_000),
+            NodeSpec(address=2, role="mote", position=Position(x=60.0)),
+            NodeSpec(address=3, role="mote", position=Position(x=250.0),
+                     radio_turn_on_ns=150_000_000))
+        sim = Simulator(Scenario(
+            horizon_ns=1_900_000_000, seed=1,
+            radio=RadioConfig(spreading_factor=9, bandwidth_hz=125_000),
+            channel=ChannelParams(), nodes=nodes,
+            app=AppSpec(kind="periodic", dst=1, payload_len=16,
+                        period_ns=10 ** 9)), record_trace=False)
+        started = record_transmissions(sim)
+        metrics = sim.run()
+        first, second = started
+        assert first.start_ns < 1_100_000_000 < second.start_ns < first.end_ns
+        assert 1 in sim._listeners
+        assert [(p.src, p.outcome) for p in metrics.packets] == [
+            (2, "not-listening"), (3, "collision")]
+        assert [cause for cause, _rssi, _snr in sim.heard[3, 1]] == [
+            "collision"]
+        assert [p.distance_m for p in metrics.packets] == [60.0, 250.0]
 
 
 class TestLinkCache:

@@ -1,14 +1,19 @@
 import random
 import re
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motesim import (ConfigError, EnergyLedger, IllegalTransition,
                      MoteDevice, NodeEvent, Position,
                      power_report)
-from motesim.node import (DEFAULT_POWER_TABLE_W, McuMode, NodeSpec,
-                          RadioMode, WurxSpec)
+from motesim import node
+from motesim.node import (DEFAULT_POWER_TABLE_W, POWER_LABELS, McuMode,
+                          NodeSpec, RadioMode, TransitionResult, WurxSpec)
 from motesim.wurx import WurxMode
+from oracles import ReferenceLedger
 
 
 def make_device(awake=False, with_wurx=False, **kwargs):
@@ -353,6 +358,60 @@ class TestLedgerIntegration:
             make_device(power_w={"sleep": 5e-3})  # above mcu_active
 
 
+def bits(value):
+    """A float's IEEE-754 bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", value)
+
+
+class TestLedgerOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(battery_j=st.floats(0.0, 5.0),
+           harvest_w=st.just(0.0) | st.floats(0.0, 0.5),
+           steps=st.lists(st.tuples(st.sampled_from(POWER_LABELS),
+                                    st.floats(0.0, 0.3),
+                                    st.integers(0, 3 * 10 ** 10)),
+                          max_size=25))
+    # one depletes with no harvest, one with harvest, one only refills
+    @example(battery_j=1e-3, harvest_w=0.0,
+             steps=[("lora_tx", 0.24, 10 ** 8), ("sleep", 1.83e-6, 10 ** 9)])
+    @example(battery_j=1e-3, harvest_w=1e-3,
+             steps=[("lora_tx", 0.24, 10 ** 8), ("lora_rx", 0.05, 10 ** 9)])
+    @example(battery_j=0.0, harvest_w=0.25,
+             steps=[("sleep", 0.0, 10 ** 9), ("mcu_active", 2.4e-3, 0)])
+    def test_accrue_equals_the_full_formula_bit_for_bit(self, battery_j,
+                                                        harvest_w, steps):
+        ledger = EnergyLedger(battery_j, harvest_w)
+        oracle = ReferenceLedger(battery_j, harvest_w)
+        for label, power_w, dt_ns in steps:
+            ledger.accrue(label, power_w, dt_ns)
+            oracle.accrue(label, power_w, dt_ns)
+            assert ledger.depleted == oracle.depleted
+        assert ledger.time_ns == oracle.time_ns
+        assert ({label: bits(e) for label, e in ledger.energy_j.items()}
+                == {label: bits(e) for label, e in oracle.energy_j.items()})
+        for name in ("consumed_j", "harvested_j", "battery_remaining_j"):
+            assert bits(getattr(ledger, name)) == bits(getattr(oracle, name))
+
+
+def test_notify_marks_the_results_the_engine_acts_on():
+    """A shared result is passed on to the engine iff it has follow-ups or
+    an application hook, or enters rx (the engine registers a listener)."""
+    device = make_device()
+    shared = {name: value for name, value in vars(node).items()
+              if isinstance(value, TransitionResult)}
+    shared.update(waking=device._waking, turning_on=device._turning_on)
+    assert len(shared) == 10
+    for name, result in shared.items():
+        assert result.notify == (bool(result.followups) or result.awake
+                                 or result.radio_ready
+                                 or name == "_ENTER_RX"), name
+    awake = make_device(awake=True)
+    awake.transition(NodeEvent.RADIO_ON, 0)
+    awake.transition(NodeEvent.RADIO_READY, 1_000_000)
+    assert awake.transition(NodeEvent.START_RX, 1_000_000).notify
+    assert not awake.transition(NodeEvent.RX_DONE, 2_000_000).notify
+
+
 class TestLabelAcrossWurxModes:
     def test_dwell_partition_across_wurx_set_mode(self):
         """WuRX mode flips in every MCU and radio state charge the dwell to
@@ -378,7 +437,6 @@ class TestLabelAcrossWurxModes:
         labels = []
         for t, step in steps:
             step(t)
-            assert device._label == device._current_label()
             labels.append(device._label)
         assert labels == ["mcu_active", "wurx_decode", "sleep", "mcu_active",
                           "mcu_active", "mcu_active", "mcu_active",

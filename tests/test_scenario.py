@@ -104,6 +104,25 @@ class TestValidation:
         else:
             assert from_dict(raw).app.period_ns == round(period_s * 1e9)
 
+    # a bs sender turns its radio on at t = 0 and sends at its first tick,
+    # one period later; at a tie its radio_ready, scheduled first, fires
+    # first
+    @pytest.mark.parametrize("turn_on_ms, rejected", [
+        (10_000.000001, True), (10_000.0, False),
+    ], ids=["turn-on-past-first-tick", "turn-on-at-first-tick"])
+    def test_bs_sender_ready_at_its_first_tick(self, turn_on_ms, rejected):
+        raw = example_dict()
+        raw["sim"]["horizon_s"] = 21.0
+        raw["nodes"][1].update(role="bs", radio_turn_on_ms=turn_on_ms)
+        if rejected:
+            with pytest.raises(ScenarioError,
+                               match="at least node 2's radio turn-on"):
+                from_dict(raw)
+        else:
+            metrics = run(from_dict(raw))
+            assert [(p.t_start_ns, p.outcome) for p in metrics.packets] == [
+                (10 ** 10, "delivered"), (2 * 10 ** 10, "delivered")]
+
     def test_bad_radio_range(self):
         raw = example_dict()
         raw["radio"]["spreading_factor"] = 13
