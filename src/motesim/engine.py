@@ -14,13 +14,15 @@ inclusive). Delivery visits listeners only: the engine keeps the nodes
 whose transition put the radio in rx, drops one once it is found out of
 rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
-frame's ``dst``; ``heard`` keeps every decision by (sender, listener). A
-listener whose rival index holds only the frame is not scanned for a
-rival. In an unshadowed run, a frame with no rival at a listener takes the
-decision stored for its RSSI there, spreading factor and bandwidth, made
-for the first such frame: the gates then read nothing else, and without
-shadowing a link has one RSSI per tx power, so that store stays small. A
-frame with a rival, or under shadowing, is decided on its own.
+frame's ``dst``; ``heard``, if asked for, keeps every decision by
+(sender, listener). A listener's rival index, the frames on air that it
+did not send sorted by RSSI there, is kept only while two or more frames
+are on air, so a frame alone on air is decided with no rival and touches
+no index. In an unshadowed run, a frame with no rival at a listener takes
+the decision stored for its RSSI there, spreading factor and bandwidth,
+made for the first such frame: the gates then read nothing else, and
+without shadowing a link has one RSSI per tx power, so that store stays
+small. A frame with a rival, or under shadowing, is decided on its own.
 
 A frame carries its own airtime interval, so it is the one record of a
 transmission: the medium, each listener's rival index and the undecided
@@ -28,9 +30,9 @@ frames hold the frame itself, and a send's handle is its frame id. The
 medium keeps only the frames that can still matter. Once a frame has been
 decided, every frame that ended at or before a floor is dropped. The floor
 is the earliest start of the frames still undecided, or now when none is;
-then every frame on air has ended, so the medium and the rival indexes are
-cleared. A frame decided later starts at or after the floor, so it
-cannot overlap them. Undecided frames are kept by frame id in start order,
+then every frame on air has ended. The rival indexes are pruned with the
+medium. A frame decided later starts at or after the floor, so it cannot
+overlap them. Undecided frames are kept by frame id in start order,
 because a frame goes on air at now and now never decreases, so the floor
 is the first of them and costs O(1). The floor never falls, and the
 on-air list is rebuilt only when it has risen: a frame added since the
@@ -92,8 +94,8 @@ from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
-                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, MoteDevice,
-                   NodeSpec, SUPPLY_VOLTAGE_V, power_report)
+                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, RX_DONE,
+                   MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
 from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
@@ -125,14 +127,14 @@ class SimRadioDriver(stk.RadioDriver):
     def __init__(self, sim: "Simulator", device: MoteDevice):
         self.sim = sim
         self.device = device
-        self._rx_cb = None
+        self.rx_done = None  # the stack's, called by the engine on a decode
         self._tx_cb = None
         self._config = sim.scenario.radio
         self._in_tx_done = False
 
     def bind(self, rx_done=None, tx_done=None) -> None:
         if rx_done is not None:
-            self._rx_cb = rx_done
+            self.rx_done = rx_done
         if tx_done is not None:
             self._tx_cb = tx_done
 
@@ -190,15 +192,13 @@ class SimRadioDriver(stk.RadioDriver):
             finally:
                 self._in_tx_done = False
 
-    def deliver(self, frame: Frame) -> None:
-        self._rx_cb(frame)  # every node's Unicast binds it
-
 
 class Simulator:
     """Builds devices, drivers and applications from a scenario and runs
     the event loop to the horizon."""
 
-    def __init__(self, scenario: Scenario, record_trace: bool = True):
+    def __init__(self, scenario: Scenario, record_trace: bool = True,
+                 record_heard: bool = False):
         self.scenario = scenario
         self.table = SensitivityTable.load_default()
         self.rng = random.Random(scenario.seed)
@@ -229,8 +229,8 @@ class Simulator:
         self._lone_decisions = (
             None if scenario.channel.shadowing_sigma_db else {})
         # (src, listener) -> [(cause, rssi_dbm, snr_db)], one per frame
-        # decided there
-        self.heard = collections.defaultdict(list)
+        # decided there, if asked for
+        self.heard = collections.defaultdict(list) if record_heard else None
 
         self.packets: list = []
         self._depletion_skips = 0
@@ -317,9 +317,7 @@ class Simulator:
     def process_result(self, device: MoteDevice, result) -> None:
         address = device.address  # of a result with ``notify`` set
         if result.radio is RADIO_RX and address not in self._listeners:
-            self._listeners[address] = (device, sorted(  # _deliver visits
-                (-o.rssi_by_rx[address], o.frame_id, o)
-                for o in self._on_air if o.src != address))
+            self._listeners[address] = (device, self._rivals_at(address))
         for delay_ns, node_event in result.followups:
             self.schedule(self.now + delay_ns, _NODE_TIMER, address,
                           node_event)
@@ -331,6 +329,14 @@ class Simulator:
                 app.on_radio_ready()
 
     # -- medium ---------------------------------------------------------------
+
+    def _rivals_at(self, address: int) -> list:
+        """A listener's rival index: the frames on air that it did not send,
+        strongest there first, while two or more are on air; else empty."""
+        if len(self._on_air) < 2:
+            return []
+        return sorted((-o.rssi_by_rx[address], o.frame_id, o)
+                      for o in self._on_air if o.src != address)
 
     def medium_busy(self, frequency_hz: float) -> bool:
         return any(o.start_ns <= self.now < o.end_ns
@@ -390,9 +396,12 @@ class Simulator:
         self.node_event(device, nd.TX_REQUEST)
         self._on_air.append(frame)
         rssi_by_rx, frame_id = frame.rssi_by_rx, frame.frame_id
-        for rx_addr, (_device, rivals) in self._listeners.items():
-            if rx_addr != device.address:
-                insort(rivals, (-rssi_by_rx[rx_addr], frame_id, frame))
+        if len(self._on_air) > 1:
+            for rx_addr, (_device, rivals) in self._listeners.items():
+                if len(self._on_air) == 2:  # the first overlap: index both
+                    rivals[:] = self._rivals_at(rx_addr)
+                elif rx_addr != device.address:
+                    insort(rivals, (-rssi_by_rx[rx_addr], frame_id, frame))
         self._tx_by_id[frame_id] = frame
         self.schedule(frame.end_ns, _TX_END, device.address, frame_id)
         return frame
@@ -490,18 +499,19 @@ class Simulator:
         self.drivers[frame.src].fire_tx_done(frame_id)
         self._record_packet(frame, self._deliver(frame))
         undecided = self._tx_by_id
-        if not undecided:  # so every frame on air has ended by now
-            self._floor = self.now
-            self._on_air.clear()
-            for _device, rivals in self._listeners.values():
-                rivals.clear()
+        # with none undecided, every frame on air has ended by now
+        floor = (next(iter(undecided.values())).start_ns if undecided
+                 else self.now)
+        if floor <= self._floor:
             return
-        floor = next(iter(undecided.values())).start_ns
-        if floor > self._floor:
-            self._floor = floor
-            self._on_air = [o for o in self._on_air if o.end_ns > floor]
+        self._floor = floor
+        indexed = len(self._on_air) >= 2
+        self._on_air = on_air = [o for o in self._on_air
+                                 if o.end_ns > floor] if undecided else []
+        if indexed:  # prune the indexes, or empty them below two frames
             for _device, rivals in self._listeners.values():
-                rivals[:] = [r for r in rivals if r[2].end_ns > floor]
+                rivals[:] = ([r for r in rivals if r[2].end_ns > floor]
+                             if len(on_air) >= 2 else ())
 
     def _finish_decode(self, address: int, interrupt: bool) -> None:
         device = self.devices[address]
@@ -520,20 +530,24 @@ class Simulator:
         their decision is stored by those three and reused."""
         start_ns, end_ns = frame.start_ns, frame.end_ns
         frequency_hz, sf = frame.frequency_hz, frame.spreading_factor
+        src, dst, bandwidth_hz = frame.src, frame.dst, frame.bandwidth_hz
         rssi_by_rx = frame.rssi_by_rx
         params = self.scenario.channel
         lone = self._lone_decisions
         listeners = self._listeners
+        drivers, heard_by, now = self.drivers, self.heard, self.now
+        alone = len(self._on_air) == 1  # then no listener has an index
         dst_outcome = "not-listening"
         for rx_addr in sorted(listeners):
             device, rivals = listeners[rx_addr]
-            if device.rx_since_ns is None:  # it has left rx since
+            rx_since_ns = device.rx_since_ns
+            if rx_since_ns is None:  # it has left rx since
                 del listeners[rx_addr]
                 continue
             # in rx since the frame's start at the latest: not its sender
-            if device.rx_since_ns > start_ns or device.ledger.depleted:
+            if rx_since_ns > start_ns or device.ledger.depleted:
                 continue
-            if len(rivals) == 1:  # the frame itself
+            if alone:
                 strongest = None
             else:  # the first overlap on its channel and SF is the strongest
                 strongest = next((
@@ -542,7 +556,7 @@ class Simulator:
                     and o.spreading_factor == sf
                     and o.start_ns < end_ns and start_ns < o.end_ns), None)
             if strongest is None and lone is not None:
-                key = (rssi_by_rx[rx_addr], sf, frame.bandwidth_hz)
+                key = (rssi_by_rx[rx_addr], sf, bandwidth_hz)
                 entry = lone.get(key)
                 if entry is None:
                     decision = chan.decide_reception(
@@ -557,11 +571,12 @@ class Simulator:
                     params.capture_threshold_db)
                 heard, decoded, cause = (decision[:3], decision.decoded,
                                          decision.cause)
-            self.heard[frame.src, rx_addr].append(heard)
+            if heard_by is not None:
+                heard_by[src, rx_addr].append(heard)
             if decoded:
-                self.node_event(device, nd.RX_DONE)
-                self.drivers[rx_addr].deliver(frame)
-            if rx_addr == frame.dst:
+                device.transition(RX_DONE, now)  # no notify
+                drivers[rx_addr].rx_done(frame)  # bound by its Unicast
+            if rx_addr == dst:
                 # Unicast hands up a decoded frame iff it is addressed here
                 dst_outcome = "delivered" if decoded else cause
         return dst_outcome
@@ -663,7 +678,8 @@ class Simulator:
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> rep.RunMetrics:
-    """Validate, build and execute one scenario."""
+    """Build and run one scenario as given. Nothing here checks it:
+    ``scenario.load`` and ``scenario.validate`` do."""
     return Simulator(scenario, record_trace=record_trace).run()
 
 
@@ -690,7 +706,7 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
         for index, group in enumerate(groups)]
     rows, all_metrics = [], []
     for group, scenario in zip(groups, scenarios):
-        sim = Simulator(scenario, record_trace=False)
+        sim = Simulator(scenario, record_trace=False, record_heard=True)
         all_metrics.append(sim.run())
         mote = len(group) + 1  # after stations 1, 2, ... in group order
         sent = all_metrics[-1].link(mote, 1).sent

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import os
@@ -542,15 +543,99 @@ class TestRivalIndex:
             on_air = sim._on_air
             assert strongest_rival_dbm == strongest_rival(frame, rx_addr,
                                                           on_air)
-            assert sim._listeners[rx_addr][1] == sorted(
+            # indexes are kept only while two or more frames are on air
+            assert sim._listeners[rx_addr][1] == (sorted(
                 (-o.rssi_by_rx[rx_addr], o.frame_id, o)
                 for o in on_air if o.src != rx_addr)
+                if len(on_air) >= 2 else [])
             decisions.append(strongest_rival_dbm)
             return decide(frame, rx_addr, strongest_rival_dbm, *rest)
 
         with mock.patch.object(channel, "decide_reception", checking):
             sim.run()
         assert decisions
+
+    def test_lone_frames_are_not_indexed(self, monkeypatch):
+        """The unshadowed sweep's mote is alone on air, so no listener's
+        index is written, and each is empty once a frame is settled."""
+        inserted = []
+        monkeypatch.setattr(engine, "insort",
+                            lambda rivals, entry: inserted.append(entry))
+        finish = Simulator._finish_tx
+        listeners = []
+
+        def checking(sim, frame_id):
+            finish(sim, frame_id)
+            assert [rivals for _device, rivals in sim._listeners.values()
+                    ] == [[]] * 10
+            listeners.append(len(sim._listeners))
+
+        monkeypatch.setattr(Simulator, "_finish_tx", checking)
+        range_sweep(packets=5)
+        assert listeners == [10] * 5
+        assert inserted == []
+
+    def test_overlapping_frames_are_indexed(self, monkeypatch):
+        """Three motes tick together, so the base station indexes their
+        frames: the first two when the second goes on air, the third by
+        ``insort``; each is decided against the full index."""
+        inserted = []
+
+        def counting(rivals, entry):
+            inserted.append(entry)
+            bisect.insort(rivals, entry)
+
+        monkeypatch.setattr(engine, "insort", counting)
+        sim = Simulator(multi_mote_scenario(
+            [Position(x=50.0), Position(x=-80.0), Position(y=120.0)],
+            horizon_s=3.5), record_trace=False)
+        deliver = sim._deliver
+        index_sizes = []
+
+        def sizing(frame):
+            index_sizes.append(len(sim._listeners[1][1]))
+            return deliver(frame)
+
+        sim._deliver = sizing
+        sim.run()
+        assert index_sizes == [3] * 9
+        assert len(inserted) == 3
+        assert sim._listeners[1][1] == []
+
+    def test_prune_to_one_frame_empties_the_indexes(self):
+        """Station 3's frame goes on air at the nanosecond station 2's ends,
+        before that one is decided, so both are indexed; deciding the first
+        prunes it, and the one frame left leaves every index empty."""
+        from motesim.engine import EventKind
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="bs", position=Position(x=50.0)),
+                 NodeSpec(address=3, role="bs", position=Position(x=-80.0)))
+        sim = Simulator(Scenario(
+            horizon_ns=10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none")),
+            record_trace=False)
+        started = record_transmissions(sim)
+        sim.start_apps()
+        sim.run_until(10 ** 8)  # every station is in rx
+        end_ns = sim.now + time_on_air(sim.drivers[2].config, 20)
+        # scheduled before the first frame's TX_END, so it dispatches first
+        sim.schedule(end_ns, EventKind.CALLBACK, 3,
+                     lambda: sim.drivers[3].send(bytes(20)))
+        sim.drivers[2].send(bytes(20))
+        finish = sim._finish_tx
+        after = []
+
+        def checking(frame_id):
+            indexes = {a: len(r) for a, (_d, r) in sim._listeners.items()}
+            finish(frame_id)
+            after.append((indexes, [o.src for o in sim._on_air],
+                          [r for _d, r in sim._listeners.values()]))
+
+        sim._finish_tx = checking
+        sim.run_until(10 ** 9)
+        assert [frame.start_ns for frame in started][1:] == [end_ns]
+        # stations 2 and 3 left rx to send, so only station 1 listens on
+        assert after == [({1: 2, 2: 1, 3: 1}, [3], [[]]), ({1: 0}, [], [[]])]
 
     def test_no_decision_scans_the_on_air_list(self, monkeypatch):
         def scanning(*args):
@@ -585,10 +670,18 @@ class TestRivalIndexDigests:
             "e2c6618da1fa43819ab0b227b91d07323f995204d2123795a8f9c2b258788e8a")
         assert {p.outcome for p in metrics.packets} == {
             "delivered", "collision", "snr-floor"}
-        packets = tmp_path / "packets.csv"
-        assert packets in emit(metrics, "csv", tmp_path)
-        assert hashlib.sha256(packets.read_bytes()).hexdigest() == (
-            "0f2002fcfd9ab11f9e07d96fb852c557142e6a23824cc6f2a949c33dc593009e")
+        # station 14 is no frame's dst: its decisions show only in its
+        # rx_done charges in energy.csv
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in emit(metrics, "csv", tmp_path)}
+        assert digests == {
+            "packets.csv": "0f2002fcfd9ab11f9e07d96fb852c557142e6a23824cc6f2"
+                           "a949c33dc593009e",
+            "links.csv": "5041dae6b465d99bebc3aa28d80587784d05490d548035bda7"
+                         "bf8755fa15d88a",
+            "energy.csv": "cc2d0acb8e98901c1e149879d1c8bc5f3409b9801679dd0d8"
+                          "3be76a30cd6c4f3",
+        }
 
 
 class TestGoldenDigests:
@@ -1111,7 +1204,8 @@ class TestFrameFacts:
             radio=RadioConfig(spreading_factor=9, bandwidth_hz=125_000),
             channel=ChannelParams(), nodes=nodes,
             app=AppSpec(kind="periodic", dst=1, payload_len=16,
-                        period_ns=10 ** 9)), record_trace=False)
+                        period_ns=10 ** 9)), record_trace=False,
+            record_heard=True)
         started = record_transmissions(sim)
         metrics = sim.run()
         first, second = started
