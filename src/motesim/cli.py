@@ -68,8 +68,8 @@ def _cmd_run(args) -> list:
     scenario = scen.load(args.scenario_file)
     if args.seed is not None:
         scenario = scenario._replace(seed=args.seed)
-        scen.validate(scenario)
     if args.validate_only:
+        scen.validate(scenario)  # again: --seed may have replaced the seed
         print(f"scenario OK ({scen.scenario_hash(scenario)})")
         return []
     metrics = engine.run(scenario, record_trace=False)

@@ -100,7 +100,7 @@ from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
 from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
-                       range_sweep_scenario, scenario_hash)
+                       range_sweep_scenario, scenario_hash, validate)
 
 
 class EventKind(enum.Enum):
@@ -194,11 +194,12 @@ class SimRadioDriver(stk.RadioDriver):
 
 
 class Simulator:
-    """Builds devices, drivers and applications from a scenario and runs
-    the event loop to the horizon."""
+    """Checks a scenario with ``scenario.validate``, builds its devices,
+    drivers and applications, and runs the event loop to the horizon."""
 
     def __init__(self, scenario: Scenario, record_trace: bool = True,
                  record_heard: bool = False):
+        validate(scenario)
         self.scenario = scenario
         self.table = SensitivityTable.load_default()
         self.rng = random.Random(scenario.seed)
@@ -349,8 +350,7 @@ class Simulator:
         else a plain dict shared by the sender's frames or bursts at a power.
 
         Each receiver's (index, mean path loss) is cached at the sender's
-        first frame or burst; a receiver at the sender's own position, where
-        path loss is undefined, raises there as ``rssi_at`` would.
+        first frame or burst.
         """
         tx_power_dbm = self.drivers[sender.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
@@ -678,8 +678,8 @@ class Simulator:
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> rep.RunMetrics:
-    """Build and run one scenario as given. Nothing here checks it:
-    ``scenario.load`` and ``scenario.validate`` do."""
+    """Validate, build and run one scenario: ``Simulator`` runs
+    ``scenario.validate`` before it builds anything."""
     return Simulator(scenario, record_trace=record_trace).run()
 
 
@@ -689,24 +689,24 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     """Coverage experiment over ``range_sweep_scenario``: one run at σ = 0,
     where the lone mote has no rival, else one run per point with seed
     ``seed + index`` modulo 2**64 (point 0's as given, so a seed out of
-    range is rejected). Every run's scenario is built, and so checked,
-    before the first run. Returns (rows, meta, the runs' RunMetrics). A
-    point's row, and its (mote, base station) link in ``links``, count as
-    sent every frame the mote sent, from its packet records, since every
-    frame goes to station 1. Delivered and the RSSI/SNR means are taken
-    from ``heard``, over the frames decided at the station: a run ends when
-    the mote's last frame lands, so that is every frame until the station's
-    battery runs out, and none after.
+    range is rejected). Every run's ``Simulator`` is built, and so its
+    scenario checked, before the first run. Returns (rows, meta, the runs'
+    RunMetrics). A point's row, and its (mote, base station) link in
+    ``links``, count as sent every frame the mote sent, from its packet
+    records, since every frame goes to station 1. Delivered and the
+    RSSI/SNR means are taken from ``heard``, over the frames decided at the
+    station: a run ends when the mote's last frame lands, so that is every
+    frame until the station's battery runs out, and none after.
     """
     groups = ([distances] if distances and not shadowing_sigma_db
               else [(distance,) for distance in distances])
-    scenarios = [range_sweep_scenario(
+    sims = [Simulator(range_sweep_scenario(
         group, packets, period_s, payload_len,
-        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db)
+        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db),
+        record_trace=False, record_heard=True)
         for index, group in enumerate(groups)]
     rows, all_metrics = [], []
-    for group, scenario in zip(groups, scenarios):
-        sim = Simulator(scenario, record_trace=False, record_heard=True)
+    for group, sim in zip(groups, sims):
         all_metrics.append(sim.run())
         mote = len(group) + 1  # after stations 1, 2, ... in group order
         sent = all_metrics[-1].link(mote, 1).sent

@@ -10,7 +10,7 @@ class ConfigError(MotesimError):
 
 
 class ScenarioError(ConfigError):
-    """A scenario file or preset failed validation (CLI exit code 1)."""
+    """A scenario or preset argument failed validation (CLI exit code 1)."""
 
 
 class TableEntryMissing(MotesimError):

@@ -6,9 +6,9 @@ radio and channel sections and a node's wurx and position blocks take
 their keys, types and defaults from the named tuple they build;
 ``NodeSpec``, ``WurxSpec`` and the node checks, the wurx block's too, live
 in ``node``. The same named tuples are built programmatically by the
-experiment presets, so the CLI presets and file-driven runs share one
-validation path. A scenario is immutable; ``scenario._replace(seed=...)``
-gives a varied copy.
+experiment presets; ``from_dict`` checks a file at load and every
+``Simulator`` the scenario it runs, with one ``validate``. A scenario is
+immutable; ``scenario._replace(seed=...)`` gives a varied copy.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _parse_app(raw) -> AppSpec:
 
 
 def validate(scenario: Scenario) -> None:
-    """Cross-field checks shared by file loads and presets."""
+    """Cross-field checks, run by ``from_dict`` and by every ``Simulator``."""
     if scenario.horizon_ns <= 0:
         raise ScenarioError("sim.horizon_s must be > 0")
     if not scenario.nodes:
@@ -244,10 +244,10 @@ def validate(scenario: Scenario) -> None:
         if app.dst in scenario.periodic_senders():
             raise ScenarioError("app.dst must not be a sender (src, or "
                                 "every mote if src is omitted)")
-        # a tick before the previous frame's TX_END is skipped, and so is
-        # one at the same ns, which was scheduled first. A mote wakes and
-        # turns its radio on for each frame; a bs sends from rx, once its
-        # radio, turned on at t = 0, is ready: at a tie, before the tick.
+        # a tick must come after the previous frame's TX_END, not at its
+        # ns, where the tick was scheduled first. A mote wakes and turns
+        # its radio on for each frame; a bs sends from rx, once its radio,
+        # turned on at t = 0, is ready: at a tie, before the tick.
         for sender in map(scenario.node, scenario.periodic_senders()):
             cycle_ns = frame_airtime + (
                 0 if sender.role == "bs"
@@ -389,7 +389,7 @@ def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
     mote = NodeSpec(address=len(distances) + 1, role="mote",
                     position=Position(x=distances[0]))
     period_ns = _s_to_ns(period_s, "period_s")
-    scenario = Scenario(
+    return Scenario(
         horizon_ns=(packets * period_ns + mote.mcu_wakeup_ns
                     + mote.radio_turn_on_ns
                     + time_on_air(PAPER_RADIO, payload_len + HEADER_BYTES)),
@@ -404,8 +404,6 @@ def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
         app=AppSpec(kind="periodic", src=mote.address, dst=1,
                     payload_len=payload_len, period_ns=period_ns),
     )
-    validate(scenario)
-    return scenario
 
 
 def range_point_scenario(distance_m: float, packets: int = 360,
@@ -424,7 +422,7 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
                            wurx_address: int = 0x2A) -> Scenario:
     """Micro-benchmark preset: an initiator wakes a WuRX-equipped sleeper
     once per cycle and unicasts one payload to it."""
-    scenario = Scenario(
+    return Scenario(
         horizon_ns=_s_to_ns((cycles + 1) * cycle_period_s, "horizon"),
         seed=seed,
         radio=PAPER_RADIO,
@@ -440,5 +438,3 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
                     cycle_period_ns=_s_to_ns(cycle_period_s, "cycle_period_s"),
                     linger_ns=_s_to_ns(linger_ms * 1e-3, "linger_ms")),
     )
-    validate(scenario)
-    return scenario

@@ -180,8 +180,7 @@ class PeriodicSenderApp(App):
         self.period_ns = period_ns
         self.idle_policy = idle_policy
         self.attempts = 0  # ticks that initiated a send cycle
-        self.ticks_skipped = 0
-        self._phase = "idle"
+        self._waking = False  # woken by a tick: send once the radio is ready
         unicast.driver.bind(tx_done=self._tx_done)
 
     def start(self) -> None:
@@ -192,13 +191,9 @@ class PeriodicSenderApp(App):
     def on_tick(self) -> None:
         self.services.call_at(self.services.now_ns() + self.period_ns,
                               self.on_tick)
-        if self._phase != "idle":
-            # previous cycle still in flight; deterministic skip
-            self.ticks_skipped += 1
-            return
         self.attempts += 1
-        self._phase = "waking"
         if self.idle_policy == "sleep":
+            self._waking = True
             self.services.request_wake()
         else:
             self._send_now()
@@ -207,16 +202,15 @@ class PeriodicSenderApp(App):
         self.unicast.driver.on()
 
     def on_radio_ready(self) -> None:
-        if self._phase == "waking":
+        if self._waking:
             self._send_now()
 
     def _send_now(self) -> None:
-        self._phase = "sending"
+        self._waking = False
         self.unicast.send(self.dst, self.payload)
 
     def _tx_done(self, _handle) -> None:
         # only _send_now sends on this driver, so the frame is that send's
-        self._phase = "idle"
         if self.idle_policy == "sleep":
             self.services.request_sleep()
         else:

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from motesim import (Position, RadioConfig, Scenario, SensitivityTable,
-                     WakeUpFrame, WurxState, receive_wub, run, time_on_air)
+from motesim import (Position, RadioConfig, Scenario, ScenarioError,
+                     SensitivityTable, WakeUpFrame, WurxState, receive_wub,
+                     run, time_on_air)
 from motesim.engine import power_profile, range_sweep
 from motesim.phy import payload_symbol_count
 from motesim.report import emit
@@ -179,8 +180,11 @@ def test_criterion_6_determinism_and_conservation(tmp_path):
 
 def test_criterion_7_small_instance_oracle_equivalence():
     """Engine delivered-packet sets equal the straight-line replay oracle
-    exactly for generated <=3-node, <=10-packet scenarios."""
+    exactly for generated <=3-node, <=10-packet scenarios. A generated
+    period at or below a mote's send cycle (wake-up, radio turn-on and
+    airtime) is rejected before the run instead."""
     rng = random.Random(0x07AC1E)
+    rejected = 0
     for case in range(150):
         n_motes = rng.randint(1, 2)
         period_s = rng.uniform(0.5, 1.5)
@@ -202,6 +206,15 @@ def test_criterion_7_small_instance_oracle_equivalence():
             app=AppSpec(kind="periodic", src=None, dst=1,
                         payload_len=rng.randint(0, 48),
                         period_ns=round(period_s * 1e9)))
+        airtime_ns = time_on_air(scenario.radio,
+                                 scenario.app.payload_len + HEADER_BYTES)
+        if any(scenario.app.period_ns <= node.mcu_wakeup_ns
+               + node.radio_turn_on_ns + airtime_ns for node in nodes[1:]):
+            rejected += 1
+            with pytest.raises(ScenarioError,
+                               match="app.period_s must exceed"):
+                run(scenario, record_trace=False)
+            continue
         metrics = run(scenario, record_trace=False)
         sent = {(p.src, p.dst, p.seqno) for p in metrics.packets}
         delivered = {(p.src, p.dst, p.seqno) for p in metrics.packets
@@ -209,3 +222,4 @@ def test_criterion_7_small_instance_oracle_equivalence():
         oracle_sent, oracle_delivered = replay_delivered(scenario, TABLE)
         assert sent == oracle_sent, f"case {case}"
         assert delivered == oracle_delivered, f"case {case}"
+    assert rejected >= 1

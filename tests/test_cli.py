@@ -78,6 +78,15 @@ def test_power_profile_cli(tmp_path, capsys):
     assert "exchanges completed: 2/2" in capsys.readouterr().out
 
 
+def test_power_profile_cycles_checked_by_the_simulator(tmp_path, capsys):
+    # the preset returns its scenario unchecked; the Simulator refuses it
+    assert main(["power-profile", "--cycles", "0",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "scenario error: app.cycles must be >= 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "power-profile"])
 def test_reports_carry_no_trace_hash(command, tmp_path, monkeypatch):
     # no output shows a trace hash, so the CLI does not record a trace

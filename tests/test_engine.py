@@ -165,6 +165,27 @@ class TestBasicRuns:
         metrics = run(scenario)
         assert metrics.total_sent() == 0
 
+    def test_code_built_scenario_is_checked_before_any_event(self,
+                                                             monkeypatch):
+        # a file fails this at load; built in code, it once raised
+        # RadioUnavailable mid-run, at the bs sender's first tick
+        scenario = Scenario(
+            horizon_ns=5 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(),
+            nodes=(NodeSpec(address=1, role="bs", position=Position()),
+                   NodeSpec(address=2, role="bs", position=Position(x=50.0),
+                            radio_turn_on_ns=1_500_000_000)),
+            app=AppSpec(kind="periodic", src=2, dst=1,
+                        period_ns=10 ** 9))
+        scheduled = []
+        monkeypatch.setattr(Simulator, "schedule",
+                            lambda _sim, *event: scheduled.append(event))
+        for door in (run, Simulator):
+            with pytest.raises(ScenarioError, match="app.period_s must be "
+                               "at least node 2's radio turn-on"):
+                door(scenario)
+        assert scheduled == []  # so no event ran: the event count stays 0
+
     def test_ledger_times_partition_horizon(self):
         metrics = run(two_node_scenario(packets=4))
         for report in metrics.energy:
@@ -1291,39 +1312,33 @@ class TestLinkCache:
         assert counts["decisions"] == ended
         assert counts["transforms"] <= 3 * frames
 
+    # each layout below would need the undefined path loss of a zero-length
+    # link at the named frame or burst; Simulator's validate rejects it
+    # before anything is built
+
     def test_coincident_nodes_raise_at_first_frame(self):
-        from motesim.errors import ZeroDistanceError
-        sim = Simulator(multi_mote_scenario([Position()]), record_trace=False)
-        started = record_transmissions(sim)
-        with pytest.raises(ZeroDistanceError):
-            sim.run()
-        assert sim.now == 1_000_000_000 + 7_000 + 1_000_000
-        assert started == []
+        with pytest.raises(ScenarioError,
+                           match="node 1 shares the position of sender 2"):
+            Simulator(multi_mote_scenario([Position()]), record_trace=False)
 
     def test_coincident_wurx_node_raises_at_burst(self):
-        from motesim.errors import ZeroDistanceError
         base = power_profile_scenario(cycles=2)
         scenario = base._replace(nodes=base.nodes + (
             NodeSpec(address=3, role="sleeper", position=Position(),
                      wurx=WurxSpec(address=0x11)),))
-        sim = Simulator(scenario, record_trace=False)
-        with pytest.raises(ZeroDistanceError):
-            sim.run()
-        assert sim.now == 1_000_000_000
+        with pytest.raises(ScenarioError,
+                           match="node 3 shares the position of sender 1"):
+            Simulator(scenario, record_trace=False)
 
     def test_coincident_node_without_wurx_raises_at_data_frame(self):
-        # bursts reach WuRX nodes only, so the burst passes and the data
-        # frame that follows it is the first to need the coincident link
-        from motesim.errors import ZeroDistanceError
+        # bursts reach WuRX nodes only, so the data frame after the burst
+        # would be the first to need the coincident link
         base = power_profile_scenario(cycles=2)
         scenario = base._replace(nodes=base.nodes + (
             NodeSpec(address=3, role="bs", position=Position()),))
-        sim = Simulator(scenario, record_trace=False)
-        started = record_transmissions(sim)
-        with pytest.raises(ZeroDistanceError):
-            sim.run()
-        assert sim.now == 1_000_000_000 + 16_000_000 + 7_000 + 1_000_000
-        assert started == []
+        with pytest.raises(ScenarioError,
+                           match="node 3 shares the position of sender 1"):
+            Simulator(scenario, record_trace=False)
 
     def test_path_loss_computed_once_per_link(self, monkeypatch):
         from motesim import channel

@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -75,3 +77,15 @@ def test_every_construction_checks_values(record, bad):
         cls(**values)
     assert record._replace() == record
     assert cls._make(record) == record
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the first code block of "Library use", as a user would paste it
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert (tmp_path / "out" / "sweep.csv").exists()

@@ -153,13 +153,16 @@ class TestValidation:
             range_point_scenario(distance_m=0.0)
         with pytest.raises(ScenarioError):
             range_point_scenario(distance_m=10.0, packets=0)
+        # the preset returns its scenario unchecked; Simulator validates it
+        scenario = power_profile_scenario(cycles=0)
         with pytest.raises(ScenarioError, match="app.cycles must be >= 1"):
-            power_profile_scenario(cycles=0)
+            Simulator(scenario)
 
     def test_exchange_cycle_must_fit_period(self):
         from motesim.scenario import power_profile_scenario
+        scenario = power_profile_scenario(cycles=2, cycle_period_s=0.3)
         with pytest.raises(ScenarioError, match="cycle_period_s"):
-            power_profile_scenario(cycles=2, cycle_period_s=0.3)
+            Simulator(scenario)
 
 
 class TestWakeupExchangeNodes:
@@ -503,7 +506,7 @@ def test_validate_rejects_exactly_what_the_build_rejects(**fields):
     except ScenarioError as exc:
         expected = str(exc)
     try:
-        Simulator(scenario, record_trace=False)
+        MoteDevice(scenario.nodes[0])
         built = None
     except ConfigError as exc:
         built = f"node 3: {exc}"
