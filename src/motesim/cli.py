@@ -66,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> list:
     scenario = scen.load(args.scenario_file)
-    if args.seed is not None:
+    if args.seed is not None:  # _replace checks the new seed
         scenario = scenario._replace(seed=args.seed)
     if args.validate_only:
-        scen.validate(scenario)  # again: --seed may have replaced the seed
         print(f"scenario OK ({scen.scenario_hash(scenario)})")
         return []
     metrics = engine.run(scenario, record_trace=False)

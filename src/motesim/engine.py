@@ -1,6 +1,7 @@
 """Deterministic discrete-event engine and the two experiment drivers.
 
-One event loop per scenario, single-threaded. Events are ordered by
+One event loop per scenario, single-threaded. It checks nothing: a
+``Scenario`` checked itself when it was built. Events are ordered by
 (timestamp, sequence) where the sequence is a monotonic tiebreaker, so a
 run is fully reproducible and its dispatch trace can be hashed. Events
 falling past the horizon are discarded; every node ledger is finalised at
@@ -100,7 +101,7 @@ from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
 from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
-                       range_sweep_scenario, scenario_hash, validate)
+                       range_sweep_scenario, scenario_hash)
 
 
 class EventKind(enum.Enum):
@@ -194,12 +195,11 @@ class SimRadioDriver(stk.RadioDriver):
 
 
 class Simulator:
-    """Checks a scenario with ``scenario.validate``, builds its devices,
-    drivers and applications, and runs the event loop to the horizon."""
+    """Builds a scenario's devices, drivers and applications, and runs the
+    event loop to the horizon; the scenario checked itself when built."""
 
     def __init__(self, scenario: Scenario, record_trace: bool = True,
                  record_heard: bool = False):
-        validate(scenario)
         self.scenario = scenario
         self.table = SensitivityTable.load_default()
         self.rng = random.Random(scenario.seed)
@@ -278,7 +278,7 @@ class Simulator:
                     idle_policy="rx" if roles[address] == "bs" else "sleep")
         elif app.kind == "wakeup_exchange":
             target_spec = scenario.node(app.target)
-            wurx = target_spec.wurx  # validate checks that there is one
+            wurx = target_spec.wurx  # the scenario checks that there is one
             self._wub = wux.send_wub(wurx.address,
                                      preamble_bits=wurx.preamble_bits,
                                      bit_rate_bps=wurx.bit_rate_bps)
@@ -678,8 +678,7 @@ class Simulator:
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> rep.RunMetrics:
-    """Validate, build and run one scenario: ``Simulator`` runs
-    ``scenario.validate`` before it builds anything."""
+    """Build and run one scenario, which checked itself when built."""
     return Simulator(scenario, record_trace=record_trace).run()
 
 
@@ -689,24 +688,26 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     """Coverage experiment over ``range_sweep_scenario``: one run at σ = 0,
     where the lone mote has no rival, else one run per point with seed
     ``seed + index`` modulo 2**64 (point 0's as given, so a seed out of
-    range is rejected). Every run's ``Simulator`` is built, and so its
-    scenario checked, before the first run. Returns (rows, meta, the runs'
-    RunMetrics). A point's row, and its (mote, base station) link in
-    ``links``, count as sent every frame the mote sent, from its packet
-    records, since every frame goes to station 1. Delivered and the
-    RSSI/SNR means are taken from ``heard``, over the frames decided at the
-    station: a run ends when the mote's last frame lands, so that is every
-    frame until the station's battery runs out, and none after.
+    range is rejected). Every point's scenario is built, and so checked,
+    before the first run; each run's ``Simulator`` just before it runs.
+    Returns (rows, meta, the runs' RunMetrics). A point's row, and its
+    (mote, base station) link in ``links``, count as sent every frame the
+    mote sent, from its packet records, since every frame goes to station
+    1. Delivered and the RSSI/SNR means are taken from ``heard``, over the
+    frames decided at the station: a run ends when the mote's last frame
+    lands, so that is every frame until the station's battery runs out,
+    and none after.
     """
-    groups = ([distances] if distances and not shadowing_sigma_db
-              else [(distance,) for distance in distances])
-    sims = [Simulator(range_sweep_scenario(
+    # no distance is one empty group, which the preset rejects at any σ
+    groups = ([(distance,) for distance in distances]
+              if distances and shadowing_sigma_db else [distances])
+    scenarios = [range_sweep_scenario(
         group, packets, period_s, payload_len,
-        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db),
-        record_trace=False, record_heard=True)
+        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db)
         for index, group in enumerate(groups)]
     rows, all_metrics = [], []
-    for group, sim in zip(groups, sims):
+    for group, scenario in zip(groups, scenarios):
+        sim = Simulator(scenario, record_trace=False, record_heard=True)
         all_metrics.append(sim.run())
         mote = len(group) + 1  # after stations 1, 2, ... in group order
         sent = all_metrics[-1].link(mote, 1).sent
@@ -717,7 +718,7 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
             rows.append(rep.SweepRow(distance, sent, stats.delivered,
                                      stats.pdr, sum(rssi) / len(rssi),
                                      sum(snr) / len(snr)))
-    meta = dict(all_metrics[0].calibration) if all_metrics else {}
+    meta = dict(all_metrics[0].calibration)
     meta.update({"packets_per_distance": packets, "seed": seed,
                  "period_s": period_s, "payload_len": payload_len})
     return rows, meta, all_metrics

@@ -1,5 +1,7 @@
 """Composite mote model: MCU x main radio x wake-up receiver, plus the
-time-integrating energy ledger.
+time-integrating energy ledger. A node's records, ``NodeSpec`` and its
+``WurxSpec``, check their values when built or ``_replace``d, so a
+``MoteDevice`` is built from checked values only.
 
 Virtual time is integer nanoseconds throughout, so per-state dwell times sum
 exactly to the simulation horizon. Energy is charged modally: at any instant
@@ -67,7 +69,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .channel import Position
-from .errors import ConfigError, IllegalTransition
+from .errors import ConfigError, IllegalTransition, validated
 from .phy import NS_PER_S
 from .wurx import WakeUpFrame, WurxMode, WurxState
 
@@ -85,9 +87,14 @@ DEFAULT_POWER_TABLE_W = {
 
 POWER_LABELS = ("sleep", "wurx_decode", "mcu_active", "lora_rx", "lora_tx",
                 "wub_tx")
+ROLES = ("bs", "mote", "initiator", "sleeper")
+POWER_KEYS = ("sleep", "lora_tx", "lora_rx", "mcu_active")  # of power_w
 
 
+@validated
 class WurxSpec(NamedTuple):
+    """A node's wake-up receiver, checked when built or replaced."""
+
     address: int
     sensitivity_dbm: float = -50.0
     bit_rate_bps: float = 1000.0
@@ -95,8 +102,19 @@ class WurxSpec(NamedTuple):
     listen_power_w: float = 1.8e-6
     decode_power_w: float = 284e-6
 
+    def _check(self):
+        try:
+            WakeUpFrame(self.address, self.preamble_bits, self.bit_rate_bps)
+        except ConfigError as exc:
+            raise ConfigError(f"wurx: {exc}") from exc
+        if self.listen_power_w >= self.decode_power_w:
+            raise ConfigError("wurx: listen power must be below decode power")
 
+
+@validated
 class NodeSpec(NamedTuple):
+    """One node, checked when built or replaced, over its power table."""
+
     address: int
     role: str
     position: Position
@@ -108,11 +126,40 @@ class NodeSpec(NamedTuple):
     mcu_wakeup_ns: int = 7_000
     radio_turn_on_ns: int = 1_000_000
 
+    def _check(self):
+        if self.role not in ROLES:
+            raise ConfigError(f"role must be one of {ROLES}, got {self.role!r}")
+        if not 0 <= self.address <= 0xFFFF:
+            raise ConfigError(f"address {self.address} must fit in 16 bits")
+        if self.role == "sleeper" and self.wurx is None:
+            raise ConfigError("role 'sleeper' requires a wurx block")
+        if not set(self.power_w) <= set(POWER_KEYS):
+            raise ConfigError(f"power_w keys must be among {POWER_KEYS}, "
+                              f"got {sorted(self.power_w)}")
+        if self.battery_j < 0 or self.harvest_rate_w < 0:
+            raise ConfigError("battery_j and harvest_rate_w must be >= 0")
+        if not 0.0 <= self.harvest_efficiency <= 1.0:
+            raise ConfigError("harvest_efficiency must be within [0, 1]")
+        if self.mcu_wakeup_ns <= 0 or self.radio_turn_on_ns <= 0:
+            raise ConfigError(
+                "wake-up and radio turn-on latencies must be > 0")
+        table = power_table(self)
+        for label, power_w in table.items():
+            if power_w < 0:
+                raise ConfigError(
+                    f"{label} power must be >= 0, got {power_w} W")
+        if table["sleep"] >= table["mcu_active"]:
+            raise ConfigError("sleep power must be below MCU active power")
+        # radio tx/rx must dominate the idle draws
+        idle_peak = max(table["sleep"], table["mcu_active"])
+        if table["lora_tx"] <= idle_peak or table["lora_rx"] <= idle_peak:
+            raise ConfigError(
+                "lora_tx and lora_rx draws must exceed sleep/standby draws")
+
 
 def power_table(spec: NodeSpec) -> dict:
     """The node's full power table: the defaults, the node's own power
-    keys, then the wurx block's decode power, which ``scenario.validate``
-    checks against its listen power."""
+    keys, then the wurx block's decode power."""
     table = dict(DEFAULT_POWER_TABLE_W)
     table.update(spec.power_w)
     if spec.wurx is not None:
@@ -197,43 +244,6 @@ _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
 
-def check_node_params(spec: NodeSpec) -> None:
-    """Raise ConfigError unless a node's parameters are in range.
-
-    The one home of these checks, over ``power_table(spec)``, the defaults
-    with the node's overrides, and over the wurx block: its burst must be
-    one that can be sent, and its listen power below its decode power.
-    ``scenario.validate`` calls it for every node and ``MoteDevice`` for the
-    node it builds, so a scenario that validates also builds, and the
-    ledger holds only values that passed.
-    """
-    if spec.battery_j < 0 or spec.harvest_rate_w < 0:
-        raise ConfigError("battery_j and harvest_rate_w must be >= 0")
-    if not 0.0 <= spec.harvest_efficiency <= 1.0:
-        raise ConfigError("harvest_efficiency must be within [0, 1]")
-    if spec.mcu_wakeup_ns <= 0 or spec.radio_turn_on_ns <= 0:
-        raise ConfigError("wake-up and radio turn-on latencies must be > 0")
-    table = power_table(spec)
-    for label, power_w in table.items():
-        if power_w < 0:
-            raise ConfigError(f"{label} power must be >= 0, got {power_w} W")
-    if table["sleep"] >= table["mcu_active"]:
-        raise ConfigError("sleep power must be below MCU active power")
-    # radio tx/rx must dominate the idle draws
-    idle_peak = max(table["sleep"], table["mcu_active"])
-    if table["lora_tx"] <= idle_peak or table["lora_rx"] <= idle_peak:
-        raise ConfigError(
-            "lora_tx and lora_rx draws must exceed sleep/standby draws")
-    wurx = spec.wurx
-    if wurx is not None:
-        try:
-            WakeUpFrame(wurx.address, wurx.preamble_bits, wurx.bit_rate_bps)
-        except ConfigError as exc:
-            raise ConfigError(f"wurx: {exc}") from exc
-        if wurx.listen_power_w >= wurx.decode_power_w:
-            raise ConfigError("wurx: listen power must be below decode power")
-
-
 class EnergyLedger:
     """Per-label time/energy integration with battery and harvesting inflow.
 
@@ -310,11 +320,10 @@ class MoteDevice:
     after which the application layer owns radio policy via the driver
     operations. ``transition`` implements the table in the module docstring
     and returns follow-up events for the engine to schedule. It is built
-    from its node's ``NodeSpec``, which ``check_node_params`` checks first.
+    from its node's ``NodeSpec``, which was checked when it was built.
     """
 
     def __init__(self, spec: NodeSpec, start_awake: bool = False):
-        check_node_params(spec)
         self.address = spec.address
         self.position = spec.position
         self.power_table_w = power_table(spec)

@@ -4,11 +4,11 @@ A scenario file is YAML with five sections (sim, radio, channel, nodes,
 app). Unknown keys and sections that are not mappings are rejected. The
 radio and channel sections and a node's wurx and position blocks take
 their keys, types and defaults from the named tuple they build;
-``NodeSpec``, ``WurxSpec`` and the node checks, the wurx block's too, live
-in ``node``. The same named tuples are built programmatically by the
-experiment presets; ``from_dict`` checks a file at load and every
-``Simulator`` the scenario it runs, with one ``validate``. A scenario is
-immutable; ``scenario._replace(seed=...)`` gives a varied copy.
+``NodeSpec`` and ``WurxSpec`` live in ``node``. Each record checks its
+values when it is built or ``_replace``d, a ``Scenario`` with ``validate``,
+so the loader, the presets and code alike build only valid scenarios; the
+loader adds where in the file an error lies. A scenario is immutable;
+``scenario._replace(seed=...)`` gives a varied copy.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ import math
 from typing import NamedTuple, get_type_hints
 
 from .channel import ChannelParams, Position
-from .errors import ConfigError, ScenarioError
-from .node import NodeSpec, WurxSpec, check_node_params, power_table
+from .errors import ConfigError, ScenarioError, validated
+from .node import POWER_KEYS, NodeSpec, WurxSpec, power_table
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import DEFAULT_MTU, HEADER_BYTES
 from .wurx import WakeUpFrame, wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
-ROLES = ("bs", "mote", "initiator", "sleeper")
 AWAKE_ROLES = ("bs", "initiator")  # nodes that start with the MCU awake
 # the app keys each kind reads, beside ``kind``; any other key is rejected
 _APP_KEYS = {
@@ -53,6 +52,7 @@ class AppSpec(NamedTuple):
     rx_timeout_ns: int = NS_PER_S
 
 
+@validated
 class Scenario(NamedTuple):
     horizon_ns: int
     seed: int
@@ -71,6 +71,9 @@ class Scenario(NamedTuple):
         """A periodic app's ``src``, or every mote when it is omitted."""
         return ((self.app.src,) if self.app.src is not None else
                 tuple(n.address for n in self.nodes if n.role == "mote"))
+
+    def _check(self):
+        validate(self)
 
 
 def _require_keys(section, allowed: set, where: str) -> None:
@@ -106,13 +109,14 @@ def _s_to_ns(seconds: float, key: str) -> int:
     return round(seconds * NS_PER_S)
 
 
-def _parse_fields(cls, raw, where: str):
+def _parse_fields(cls, raw, where: str, label: str | None = None):
     """Build the named tuple ``cls`` from the mapping ``raw``.
 
     The fields of ``cls`` are the only allowed keys, and their type hints
     give the types (``get_type_hints`` resolves them however the Python
     version stores the annotations). An omitted key takes the field's
-    default; a field without a default is required.
+    default; a field without a default is required. The record's own
+    check fails as a ``ScenarioError`` that names ``label``, or ``where``.
     """
     _require_keys(raw, set(cls._fields), where)
     kinds, defaults = get_type_hints(cls), cls._field_defaults
@@ -123,7 +127,7 @@ def _parse_fields(cls, raw, where: str):
     try:
         return cls(**values)
     except ConfigError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{label or where}: {exc}") from exc
 
 
 # each duration key, as (its field in ns, seconds per unit of the key)
@@ -155,10 +159,7 @@ def _parse_present(raw: dict, keys, kind, where: str) -> dict:
 
 
 # a WuRX node's decode power has one key: its wurx block's decode_power_w
-_POWER_KEYS = {
-    "sleep_w": "sleep", "lora_tx_w": "lora_tx", "lora_rx_w": "lora_rx",
-    "mcu_active_w": "mcu_active",
-}
+_POWER_KEYS = {f"{label}_w": label for label in POWER_KEYS}
 _NODE_KEYS = ("battery_j", "harvest_rate_w", "harvest_efficiency",
               "mcu_wakeup_latency_us", "radio_turn_on_ms")
 
@@ -168,30 +169,24 @@ def _parse_node(raw, index: int) -> NodeSpec:
     _require_keys(raw, {"address", "role", "position", "power", "wurx",
                         *_NODE_KEYS}, where)
     role = _get(raw, "role", str, where, required=True)
-    if role not in ROLES:
-        raise ScenarioError(f"{where}.role must be one of {ROLES}, got {role!r}")
     address = _get(raw, "address", int, where, required=True)
-    if not 0 <= address <= 0xFFFF:
-        raise ScenarioError(f"{where}.address must fit in 16 bits")
     power = {}
     if "power" in raw:
         _require_keys(raw["power"], set(_POWER_KEYS), f"{where}.power")
         for key, label in _POWER_KEYS.items():
             if key in raw["power"]:
                 power[label] = _get(raw["power"], key, float, f"{where}.power")
-    wurx = _parse_fields(WurxSpec, raw["wurx"], f"{where}.wurx") \
+    node = f"node {address}"  # names the wurx block's and the node's errors
+    wurx = _parse_fields(WurxSpec, raw["wurx"], f"{where}.wurx", node) \
         if "wurx" in raw else None
-    if role == "sleeper" and wurx is None:
-        raise ScenarioError(f"{where}: role 'sleeper' requires a wurx block")
-    return NodeSpec(
-        address=address,
-        role=role,
-        position=_parse_fields(Position, raw["position"], f"{where}.position")
-        if "position" in raw else Position(),
-        power_w=power,
-        wurx=wurx,
-        **_parse_present(raw, _NODE_KEYS, float, where),
-    )
+    position = _parse_fields(Position, raw["position"], f"{where}.position") \
+        if "position" in raw else Position()
+    fields = _parse_present(raw, _NODE_KEYS, float, where)
+    try:
+        return NodeSpec(address=address, role=role, position=position,
+                        power_w=power, wurx=wurx, **fields)
+    except ConfigError as exc:
+        raise ScenarioError(f"{node}: {exc}") from exc
 
 
 def _parse_app(raw) -> AppSpec:
@@ -207,7 +202,7 @@ def _parse_app(raw) -> AppSpec:
 
 
 def validate(scenario: Scenario) -> None:
-    """Cross-field checks, run by ``from_dict`` and by every ``Simulator``."""
+    """The checks a ``Scenario`` runs when built, beside its records'."""
     if scenario.horizon_ns <= 0:
         raise ScenarioError("sim.horizon_s must be > 0")
     if not scenario.nodes:
@@ -217,13 +212,10 @@ def validate(scenario: Scenario) -> None:
         raise ScenarioError("nodes: addresses must be unique")
     if not 0 <= scenario.seed < 2 ** 64:
         raise ScenarioError("sim.seed must fit in 64 bits")
-    # each node's ranges and wurx block as the engine builds it
-    for spec in scenario.nodes:
-        try:
-            check_node_params(spec)
-        except ConfigError as exc:
-            raise ScenarioError(f"node {spec.address}: {exc}") from exc
     app = scenario.app
+    if app.kind not in APP_KINDS:
+        raise ScenarioError(
+            f"app.kind must be one of {APP_KINDS}, got {app.kind!r}")
     # the unicast layer refuses a payload above its MTU
     if not 0 <= app.payload_len <= DEFAULT_MTU:
         raise ScenarioError(f"app.payload_len must be within [0, "
@@ -316,7 +308,7 @@ def from_dict(raw: dict) -> Scenario:
     # only an omitted or null radio or channel section takes the defaults
     radio, channel = ({} if raw.get(key) is None else raw[key]
                       for key in ("radio", "channel"))
-    scenario = Scenario(
+    return Scenario(
         horizon_ns=_s_to_ns(_get(sim, "horizon_s", float, "sim",
                                  required=True), "sim.horizon_s"),
         seed=_get(sim, "seed", int, "sim", 0),
@@ -325,8 +317,6 @@ def from_dict(raw: dict) -> Scenario:
         nodes=tuple(_parse_node(n, i) for i, n in enumerate(raw["nodes"])),
         app=_parse_app(raw["app"]),
     )
-    validate(scenario)
-    return scenario
 
 
 def load(path) -> Scenario:

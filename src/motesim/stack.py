@@ -179,7 +179,6 @@ class PeriodicSenderApp(App):
         self.payload = bytes(payload_len)
         self.period_ns = period_ns
         self.idle_policy = idle_policy
-        self.attempts = 0  # ticks that initiated a send cycle
         self._waking = False  # woken by a tick: send once the radio is ready
         unicast.driver.bind(tx_done=self._tx_done)
 
@@ -191,7 +190,6 @@ class PeriodicSenderApp(App):
     def on_tick(self) -> None:
         self.services.call_at(self.services.now_ns() + self.period_ns,
                               self.on_tick)
-        self.attempts += 1
         if self.idle_policy == "sleep":
             self._waking = True
             self.services.request_wake()

@@ -17,7 +17,7 @@ the ``wurx_decode`` power) for the dwell the engine schedules. A frame, a
 burst and an arrival's outcome are named tuples; the engine calls
 ``send_wub`` once per run, for the target's burst, and "busy" and "ignored"
 are constants. The receiver's state, which the engine updates, is slotted;
-its wurx block is checked by ``node.check_node_params``.
+its node's wurx block, ``node.WurxSpec``, checks itself when it is built.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def test_power_profile_cli(tmp_path, capsys):
 
 
 def test_power_profile_cycles_checked_by_the_simulator(tmp_path, capsys):
-    # the preset returns its scenario unchecked; the Simulator refuses it
+    # the preset's scenario refuses it when built, before any Simulator
     assert main(["power-profile", "--cycles", "0",
                  "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
@@ -138,6 +138,18 @@ def test_validate_only_rejects_a_node_the_run_rejects(key, value, tmp_path,
     assert "scenario error: node 2:" in err
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_seed_out_of_range_is_a_scenario_error(validate_only, tmp_path,
+                                               capsys):
+    # the --seed override is checked as the file's seed is
+    out_dir = tmp_path / "out"
+    argv = ["run", str(EXAMPLE), "--seed", "-1", "--out-dir", str(out_dir)]
+    assert main(argv + ["--validate-only"] * validate_only) == 1
+    assert "scenario error: sim.seed must fit in 64 bits" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])

@@ -147,14 +147,14 @@ class TestBasicRuns:
         assert frame.end_ns - frame.start_ns == 362_496_000
 
     def test_tick_count_matches_horizon_over_period(self):
-        # 360 tick-initiated sends for a 3600 s horizon at 10 s period
+        # 360 ticks for a 3601 s horizon at 10 s period, each one's frame
+        # sent: the last tick's, at 3600 s, goes on air in the last second
         scenario = two_node_scenario(packets=5, period_s=10.0)
-        scenario = Scenario(horizon_ns=3_600 * 10 ** 9, seed=1,
+        scenario = Scenario(horizon_ns=3_601 * 10 ** 9, seed=1,
                             radio=scenario.radio, channel=scenario.channel,
                             nodes=scenario.nodes, app=scenario.app)
-        sim = Simulator(scenario, record_trace=False)
-        sim.run()
-        assert sim.apps[2].attempts == 360
+        metrics = Simulator(scenario, record_trace=False).run()
+        assert metrics.link(2, 1).sent == 360
 
     def test_zero_ticks_when_horizon_below_period(self):
         scenario = Scenario(horizon_ns=9 * 10 ** 9, seed=1,
@@ -165,26 +165,24 @@ class TestBasicRuns:
         metrics = run(scenario)
         assert metrics.total_sent() == 0
 
-    def test_code_built_scenario_is_checked_before_any_event(self,
-                                                             monkeypatch):
+    def test_code_built_scenario_is_checked_before_any_event(self):
         # a file fails this at load; built in code, it once raised
-        # RadioUnavailable mid-run, at the bs sender's first tick
-        scenario = Scenario(
+        # RadioUnavailable mid-run, at the bs sender's first tick. Now it
+        # cannot be built, so no Simulator can run it.
+        valid = Scenario(
             horizon_ns=5 * 10 ** 9, seed=1, radio=RadioConfig(),
             channel=ChannelParams(),
             nodes=(NodeSpec(address=1, role="bs", position=Position()),
                    NodeSpec(address=2, role="bs", position=Position(x=50.0),
                             radio_turn_on_ns=1_500_000_000)),
             app=AppSpec(kind="periodic", src=2, dst=1,
-                        period_ns=10 ** 9))
-        scheduled = []
-        monkeypatch.setattr(Simulator, "schedule",
-                            lambda _sim, *event: scheduled.append(event))
-        for door in (run, Simulator):
+                        period_ns=2 * 10 ** 9))
+        app = valid.app._replace(period_ns=10 ** 9)
+        for build in (lambda: Scenario(*valid[:-1], app),
+                      lambda: valid._replace(app=app)):
             with pytest.raises(ScenarioError, match="app.period_s must be "
                                "at least node 2's radio turn-on"):
-                door(scenario)
-        assert scheduled == []  # so no event ran: the event count stays 0
+                build()
 
     def test_ledger_times_partition_horizon(self):
         metrics = run(two_node_scenario(packets=4))
@@ -967,7 +965,6 @@ SWEEP_CASES = {
     "in-flight": dict(payload_len=200, packets=3),
     "shadowed": dict(distances=(50.0, 600.0, 700.0), packets=5,
                      shadowing_sigma_db=4.0),
-    "no-distances": dict(distances=()),
 }
 
 
@@ -1016,9 +1013,10 @@ class TestRangeSweep:
             range_sweep(distances=(100.0,), packets=10)[0][0].rssi_dbm_mean)
 
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
-    @pytest.mark.parametrize("distances", [(0.0,), (50.0, -1.0)])
+    @pytest.mark.parametrize("distances", [(0.0,), (50.0, -1.0), ()])
     def test_distance_not_positive_rejected(self, distances, sigma):
-        with pytest.raises(ScenarioError):
+        # no distance at all too, which once returned no rows at any σ
+        with pytest.raises(ScenarioError, match="distances: at least one"):
             range_sweep(distances=distances, packets=2,
                         shadowing_sigma_db=sigma)
 
@@ -1313,32 +1311,29 @@ class TestLinkCache:
         assert counts["transforms"] <= 3 * frames
 
     # each layout below would need the undefined path loss of a zero-length
-    # link at the named frame or burst; Simulator's validate rejects it
-    # before anything is built
+    # link at the named frame or burst; the scenario rejects it when built
 
     def test_coincident_nodes_raise_at_first_frame(self):
         with pytest.raises(ScenarioError,
                            match="node 1 shares the position of sender 2"):
-            Simulator(multi_mote_scenario([Position()]), record_trace=False)
+            multi_mote_scenario([Position()])
 
     def test_coincident_wurx_node_raises_at_burst(self):
         base = power_profile_scenario(cycles=2)
-        scenario = base._replace(nodes=base.nodes + (
-            NodeSpec(address=3, role="sleeper", position=Position(),
-                     wurx=WurxSpec(address=0x11)),))
         with pytest.raises(ScenarioError,
                            match="node 3 shares the position of sender 1"):
-            Simulator(scenario, record_trace=False)
+            base._replace(nodes=base.nodes + (
+                NodeSpec(address=3, role="sleeper", position=Position(),
+                         wurx=WurxSpec(address=0x11)),))
 
     def test_coincident_node_without_wurx_raises_at_data_frame(self):
         # bursts reach WuRX nodes only, so the data frame after the burst
         # would be the first to need the coincident link
         base = power_profile_scenario(cycles=2)
-        scenario = base._replace(nodes=base.nodes + (
-            NodeSpec(address=3, role="bs", position=Position()),))
         with pytest.raises(ScenarioError,
                            match="node 3 shares the position of sender 1"):
-            Simulator(scenario, record_trace=False)
+            base._replace(nodes=base.nodes + (
+                NodeSpec(address=3, role="bs", position=Position()),))
 
     def test_path_loss_computed_once_per_link(self, monkeypatch):
         from motesim import channel

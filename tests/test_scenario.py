@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motesim import (ChannelParams, ConfigError, Position, RadioConfig,
-                     Scenario, ScenarioError, Simulator, emit, load, run,
+                     Scenario, ScenarioError, emit, load, run,
                      scenario_hash)
 from motesim.cli import main
-from motesim.node import DEFAULT_POWER_TABLE_W, MoteDevice
+from motesim.node import POWER_KEYS, ROLES
 from motesim.scenario import (AppSpec, NodeSpec, WurxSpec, from_dict,
-                              power_table, range_point_scenario, validate)
+                              power_table, range_point_scenario)
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -153,16 +153,14 @@ class TestValidation:
             range_point_scenario(distance_m=0.0)
         with pytest.raises(ScenarioError):
             range_point_scenario(distance_m=10.0, packets=0)
-        # the preset returns its scenario unchecked; Simulator validates it
-        scenario = power_profile_scenario(cycles=0)
+        # the preset's scenario checks itself when it is built
         with pytest.raises(ScenarioError, match="app.cycles must be >= 1"):
-            Simulator(scenario)
+            power_profile_scenario(cycles=0)
 
     def test_exchange_cycle_must_fit_period(self):
         from motesim.scenario import power_profile_scenario
-        scenario = power_profile_scenario(cycles=2, cycle_period_s=0.3)
         with pytest.raises(ScenarioError, match="cycle_period_s"):
-            Simulator(scenario)
+            power_profile_scenario(cycles=2, cycle_period_s=0.3)
 
 
 class TestWakeupExchangeNodes:
@@ -449,8 +447,9 @@ def test_sleeper_charged_its_wurx_blocks_decode_power():
         from_dict(raw)
     scenario = from_dict(copy.deepcopy(FULL))
     spec = scenario.node(9)
-    assert power_table(spec._replace(power_w={"wurx_decode": 1e-6}))[
-        "wurx_decode"] == spec.wurx.decode_power_w
+    with pytest.raises(ConfigError, match="power_w keys must be among"):
+        spec._replace(power_w={"wurx_decode": 1e-6})
+    assert power_table(spec)["wurx_decode"] == spec.wurx.decode_power_w
     metrics = run(scenario)
     (sleeper,) = [e for e in metrics.energy if e.address == 9]
     (row,) = [r for r in sleeper.rows if r[0] == "wurx_decode"]
@@ -467,50 +466,76 @@ POWER_FIGURES = st.one_of(
     st.floats(-1.0, 1.0, allow_nan=False))
 
 
-# a wurx block, or none, with each field on both sides of its checks
-WURX_BLOCKS = st.none() | st.builds(
-    WurxSpec,
+# a wurx block's fields, or none, with each field on both sides of its
+# checks
+WURX_BLOCKS = st.none() | st.fixed_dictionaries(dict(
     address=st.sampled_from((-1, 0, 0x2A, 255, 256)),
     preamble_bits=st.sampled_from((-1, 0, 8)),
     bit_rate_bps=st.sampled_from((-1.0, 0.0, 1e-3, 1000.0, 2000.0)),
-    listen_power_w=POWER_FIGURES, decode_power_w=POWER_FIGURES)
+    listen_power_w=POWER_FIGURES, decode_power_w=POWER_FIGURES))
+
+
+def verdict(build):
+    """The text of the ``ConfigError`` that ``build()`` raises, or None."""
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(battery_j=st.floats(-1.0, 2e4), harvest_rate_w=st.floats(-1.0, 1.0),
+@given(role=st.sampled_from(ROLES + ("gateway",)),
+       battery_j=st.floats(-1.0, 2e4), harvest_rate_w=st.floats(-1.0, 1.0),
        harvest_efficiency=st.floats(-0.5, 1.5),
        mcu_wakeup_ns=st.integers(-10, 10 ** 7),
        radio_turn_on_ns=st.integers(-10, 10 ** 7),
-       power_w=st.dictionaries(st.sampled_from(tuple(DEFAULT_POWER_TABLE_W)),
-                               POWER_FIGURES),
+       power_w=st.dictionaries(st.sampled_from(POWER_KEYS), POWER_FIGURES),
        wurx=WURX_BLOCKS)
-@example(battery_j=1e4, harvest_rate_w=0.0, harvest_efficiency=0.9,
-         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+@example(role="mote", battery_j=1e4, harvest_rate_w=0.0,
+         harvest_efficiency=0.9, mcu_wakeup_ns=7_000,
+         radio_turn_on_ns=1_000_000,
          power_w={"sleep": 2.4e-3, "mcu_active": 2.4e-3}, wurx=None)
-@example(battery_j=-1.0, harvest_rate_w=0.0, harvest_efficiency=0.9,
-         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-         power_w={"lora_rx": -1.0}, wurx=None)
-@example(battery_j=1e4, harvest_rate_w=0.0, harvest_efficiency=0.9,
-         mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000, power_w={},
-         wurx=WurxSpec(address=0x2A, bit_rate_bps=2000.0))
-def test_validate_rejects_exactly_what_the_build_rejects(**fields):
-    scenario = Scenario(
-        horizon_ns=10 ** 9, seed=1, radio=RadioConfig(),
-        channel=ChannelParams(),
-        nodes=(NodeSpec(address=3, role="mote", position=Position(),
-                        **fields),),
-        app=AppSpec(kind="none"))
-    try:
-        validate(scenario)
-        expected = None
-    except ScenarioError as exc:
-        expected = str(exc)
-    try:
-        MoteDevice(scenario.nodes[0])
-        built = None
-    except ConfigError as exc:
-        built = f"node 3: {exc}"
-    assert built == expected
+@example(role="mote", battery_j=-1.0, harvest_rate_w=0.0,
+         harvest_efficiency=0.9, mcu_wakeup_ns=7_000,
+         radio_turn_on_ns=1_000_000, power_w={"lora_rx": -1.0}, wurx=None)
+@example(role="mote", battery_j=1e4, harvest_rate_w=0.0,
+         harvest_efficiency=0.9, mcu_wakeup_ns=7_000,
+         radio_turn_on_ns=1_000_000, power_w={},
+         wurx={"address": 0x2A, "bit_rate_bps": 2000.0})
+@example(role="sleeper", battery_j=1e4, harvest_rate_w=0.0,
+         harvest_efficiency=0.9, mcu_wakeup_ns=7_000,
+         radio_turn_on_ns=1_000_000, power_w={}, wurx=None)
+def test_validate_rejects_exactly_what_the_build_rejects(wurx, **fields):
+    # one verdict and one message, whichever way the node is built; a
+    # file's error adds the node it is in
+    def built():
+        return NodeSpec(address=3, position=Position(),
+                        wurx=None if wurx is None else WurxSpec(**wurx),
+                        **fields)
+
+    def replaced():
+        return NodeSpec(address=3, role="mote", position=Position())._replace(
+            wurx=None if wurx is None else WurxSpec(**wurx), **fields)
+
+    def loaded():
+        node = {"address": 3, "role": fields["role"],
+                "battery_j": fields["battery_j"],
+                "harvest_rate_w": fields["harvest_rate_w"],
+                "harvest_efficiency": fields["harvest_efficiency"],
+                "mcu_wakeup_latency_us": fields["mcu_wakeup_ns"] / 1e3,
+                "radio_turn_on_ms": fields["radio_turn_on_ns"] / 1e6,
+                "power": {f"{label}_w": power
+                          for label, power in fields["power_w"].items()}}
+        if wurx is not None:
+            node["wurx"] = wurx
+        return from_dict({"sim": {"horizon_s": 1.0}, "nodes": [node],
+                          "app": {"kind": "none"}})
+
+    message = verdict(built)
+    assert verdict(replaced) == message
+    assert verdict(loaded) == (None if message is None
+                               else f"node 3: {message}")
 
 
 class TestFieldSections:
@@ -561,6 +586,43 @@ class TestFieldSections:
                     in str(info.value))
 
 
+class TestCodeBuiltRecordsCheckThemselves:
+    """Inputs that only the file loader once rejected: built in code they
+    ran, or failed mid-run. Each record now refuses them when it is built
+    and through ``_replace``, so no run can start."""
+
+    VALID_NODE = NodeSpec(address=2, role="mote", position=Position(x=50.0))
+    NODE_GAPS = {
+        # once struct.error mid-run, packing the link header
+        "address-70000": (dict(address=70000),
+                          "address 70000 must fit in 16 bits"),
+        # once a run that delivered 0
+        "role-gateway": (dict(role="gateway"), "role must be one of"),
+        "sleeper-without-wurx": (dict(role="sleeper"),
+                                 "role 'sleeper' requires a wurx block"),
+        # once reported at 5.0 W while the ledger charged the duty's power
+        "wub_tx-power-key": (dict(power_w={"wub_tx": 5.0}),
+                             "power_w keys must be among"),
+    }
+
+    @pytest.mark.parametrize("fields, message", NODE_GAPS.values(),
+                             ids=NODE_GAPS)
+    def test_node(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            NodeSpec(**{**self.VALID_NODE._asdict(), **fields})
+        with pytest.raises(ConfigError, match=message):
+            self.VALID_NODE._replace(**fields)
+
+    def test_app_kind(self):
+        # once a run of 0 events
+        valid = range_point_scenario(distance_m=50.0, packets=1)
+        bogus = AppSpec(kind="bogus")
+        with pytest.raises(ConfigError, match="app.kind must be one of"):
+            Scenario(*valid[:-1], bogus)
+        with pytest.raises(ConfigError, match="app.kind must be one of"):
+            valid._replace(app=bogus)
+
+
 class TestWakeupBlockValidation:
     """A wurx block whose burst cannot be sent, or whose listen power is
     not below its decode power, is rejected at load."""
@@ -582,10 +644,12 @@ class TestWakeupBlockValidation:
 
     @pytest.mark.parametrize("key, value", CASES)
     def test_library_built_mote_rejects_it(self, key, value):
-        spec = from_dict(copy.deepcopy(FULL)).node(9)
-        bad = spec._replace(wurx=spec.wurx._replace(**{key: value}))
+        # the block checks itself, built or replaced
+        wurx = from_dict(copy.deepcopy(FULL)).node(9).wurx
         with pytest.raises(ConfigError, match="^wurx: "):
-            MoteDevice(bad)
+            WurxSpec(**{**wurx._asdict(), key: value})
+        with pytest.raises(ConfigError, match="^wurx: "):
+            wurx._replace(**{key: value})
 
     @pytest.mark.parametrize("key, value", CASES)
     def test_validate_only_exits_1(self, key, value, tmp_path, capsys):
