@@ -15,15 +15,17 @@ inclusive). Delivery visits listeners only: the engine keeps the nodes
 whose transition put the radio in rx, drops one once it is found out of
 rx, and decides a frame at the rest in ascending address order. Every
 other node was not listening, and that outcome is recorded only for the
-frame's ``dst``; ``heard``, if asked for, keeps every decision by
-(sender, listener). A listener's rival index, the frames on air that it
-did not send sorted by RSSI there, is kept only while two or more frames
-are on air, so a frame alone on air is decided with no rival and touches
-no index. In an unshadowed run, a frame with no rival at a listener takes
-the decision stored for its RSSI there, spreading factor and bandwidth,
-made for the first such frame: the gates then read nothing else, and
-without shadowing a link has one RSSI per tx power, so that store stays
-small. A frame with a rival, or under shadowing, is decided on its own.
+frame's ``dst``; ``heard``, if asked for, keeps every decision, the
+``channel.ReceptionOutcome`` itself, by (sender, listener). A decision is
+that one record: the engine reads its cause once. A listener's rival
+index, the frames on air that it did not send sorted by RSSI there, is
+kept only while two or more frames are on air, so a frame alone on air is
+decided with no rival and touches no index. In an unshadowed run, a frame
+with no rival at a listener takes the decision stored for its RSSI there,
+spreading factor and bandwidth, made for the first such frame: the gates
+then read nothing else, and without shadowing a link has one RSSI per tx
+power, so that store stays small. A frame with a rival, or under
+shadowing, is decided on its own.
 
 A frame carries its own airtime interval, so it is the one record of a
 transmission: the medium, each listener's rival index and the undecided
@@ -58,8 +60,8 @@ frame's RSSI is computed only at the receivers that read it: its ``dst``
 and the listeners. With no shadowing the RNG is not touched, and a
 sender's frames share one RSSI map per tx power. A frame's airtime and
 noise floor are stored by (the sending driver's config, frame length), so
-a driver reconfigured mid-run needs no invalidation; the sorted node
-addresses are computed once per run. A frame's link header is read once,
+a driver reconfigured mid-run needs no invalidation; the devices are
+built in ascending address order. A frame's link header is read once,
 with the stack's header format, and the stack filters on the ``dst`` read
 there, so it decodes only the frames it hands up. Its packet record is
 built with its outcome, when it is decided or, in flight, at the horizon;
@@ -99,7 +101,7 @@ from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
                    MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
-from .scenario import (AWAKE_ROLES, DEFAULT_SWEEP_DISTANCES_M, Scenario,
+from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        power_profile_scenario, range_point_scenario,
                        range_sweep_scenario, scenario_hash)
 
@@ -225,28 +227,24 @@ class Simulator:
         self._frame_facts: dict = {}  # (config, length) -> (noise, airtime)
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
         self._listeners: dict = {}  # address -> (device, rival index)
-        # (rssi, sf, bandwidth) -> (heard entry, decoded, cause) of a frame
-        # with no rival, in an unshadowed run only
+        # (rssi, sf, bandwidth) -> the ReceptionOutcome of a frame with no
+        # rival, in an unshadowed run only
         self._lone_decisions = (
             None if scenario.channel.shadowing_sigma_db else {})
-        # (src, listener) -> [(cause, rssi_dbm, snr_db)], one per frame
-        # decided there, if asked for
+        # (src, listener) -> [ReceptionOutcome], one per frame decided
+        # there, if asked for
         self.heard = collections.defaultdict(list) if record_heard else None
 
         self.packets: list = []
         self._depletion_skips = 0
 
         for spec in sorted(scenario.nodes, key=lambda n: n.address):
-            self._build_device(spec)
-        self._addresses = tuple(sorted(self.devices))
+            device = self.devices[spec.address] = MoteDevice(spec)
+            driver = self.drivers[spec.address] = SimRadioDriver(self, device)
+            self.unicasts[spec.address] = stk.Unicast(driver, spec.address)
         self._build_apps()
 
     # -- construction ---------------------------------------------------------
-
-    def _build_device(self, spec) -> None:
-        device = MoteDevice(spec, start_awake=spec.role in AWAKE_ROLES)
-        self.devices[spec.address] = device
-        self.drivers[spec.address] = SimRadioDriver(self, device)
 
     def _services_for(self, address: int) -> stk.Services:
         device = self.devices[address]
@@ -264,18 +262,14 @@ class Simulator:
     def _build_apps(self) -> None:
         scenario = self.scenario
         app = scenario.app
-        roles = {spec.address: spec.role for spec in scenario.nodes}
-
-        for address in roles:
-            self.unicasts[address] = stk.Unicast(self.drivers[address], address)
-
         if app.kind == "periodic":
-            for address in scenario.periodic_senders():
+            for sender in map(scenario.node, scenario.periodic_senders()):
+                address = sender.address
                 self.apps[address] = stk.PeriodicSenderApp(
                     self.unicasts[address], self._services_for(address),
                     dst=app.dst, payload_len=app.payload_len,
                     period_ns=app.period_ns,
-                    idle_policy="rx" if roles[address] == "bs" else "sleep")
+                    idle_policy="rx" if sender.role == "bs" else "sleep")
         elif app.kind == "wakeup_exchange":
             target_spec = scenario.node(app.target)
             wurx = target_spec.wurx  # the scenario checks that there is one
@@ -296,9 +290,10 @@ class Simulator:
                 self.unicasts[app.target], self._services_for(app.target),
                 linger_ns=app.linger_ns, rx_timeout_ns=app.rx_timeout_ns)
 
-        for address, role in roles.items():
-            if address not in self.apps and role == "bs":
-                self.apps[address] = stk.SinkApp(self.unicasts[address])
+        for spec in scenario.nodes:
+            if spec.address not in self.apps and spec.role == "bs":
+                self.apps[spec.address] = stk.SinkApp(
+                    self.unicasts[spec.address])
 
     # -- scheduling -----------------------------------------------------------
 
@@ -361,8 +356,7 @@ class Simulator:
         if links is None:
             params = self.scenario.channel
             links = {}
-            for rx_addr in self._addresses:
-                receiver = self.devices[rx_addr]
+            for rx_addr, receiver in self.devices.items():
                 if rx_addr == sender.address or (wake_up
                                                  and receiver.wurx is None):
                     continue
@@ -489,8 +483,8 @@ class Simulator:
         # frames of unequal airtime are decided out of start order; a
         # record's first field is its unique frame id, so this is send order
         self.packets.sort()
-        for address in self._addresses:
-            self.devices[address].finalize(horizon)
+        for device in self.devices.values():
+            device.finalize(horizon)
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:
@@ -557,28 +551,24 @@ class Simulator:
                     and o.start_ns < end_ns and start_ns < o.end_ns), None)
             if strongest is None and lone is not None:
                 key = (rssi_by_rx[rx_addr], sf, bandwidth_hz)
-                entry = lone.get(key)
-                if entry is None:
-                    decision = chan.decide_reception(
+                decision = lone.get(key)
+                if decision is None:
+                    decision = lone[key] = chan.decide_reception(
                         frame, rx_addr, None, self.table,
                         params.capture_threshold_db)
-                    entry = lone[key] = (decision[:3], decision.decoded,
-                                         decision.cause)
-                heard, decoded, cause = entry
             else:
                 decision = chan.decide_reception(
                     frame, rx_addr, strongest, self.table,
                     params.capture_threshold_db)
-                heard, decoded, cause = (decision[:3], decision.decoded,
-                                         decision.cause)
             if heard_by is not None:
-                heard_by[src, rx_addr].append(heard)
-            if decoded:
+                heard_by[src, rx_addr].append(decision)
+            cause = decision.cause
+            if cause == "ok":
                 device.transition(RX_DONE, now)  # no notify
                 drivers[rx_addr].rx_done(frame)  # bound by its Unicast
             if rx_addr == dst:
                 # Unicast hands up a decoded frame iff it is addressed here
-                dst_outcome = "delivered" if decoded else cause
+                dst_outcome = "delivered" if cause == "ok" else cause
         return dst_outcome
 
     def _record_packet(self, frame: Frame, outcome: str) -> None:
@@ -636,8 +626,7 @@ class Simulator:
             trace_hash=self.trace_hash(),
             wallclock_s=wallclock_s,
         )
-        for address in self._addresses:
-            device = self.devices[address]
+        for address, device in self.devices.items():
             ledger = device.ledger
             metrics.energy.append(rep.NodeEnergyReport(
                 address=address,
@@ -662,17 +651,13 @@ class Simulator:
         app = self.scenario.app
         if app.kind != "wakeup_exchange":
             return []
-        # the initiator sends only data frames, so the k-th cycle that sent
-        # data sent seqno k; a lost frame does not shift the later cycles
         rx_by_seqno = {msg.seqno: t_rx
                        for t_rx, msg in self.apps[app.target].received}
-        seqnos = itertools.count(1)
         records = []
-        for (cycle, wub_start, status) in self.apps[app.initiator].exchanges:
-            t_rx = None
-            if status == "data-sent":
-                t_rx = rx_by_seqno.get(next(seqnos))
-                status = "data-lost" if t_rx is None else "completed"
+        for cycle, wub_start, seqno in self.apps[app.initiator].exchanges:
+            t_rx = rx_by_seqno.get(seqno)  # None too after a wake timeout
+            status = ("wake-timeout" if seqno is None else
+                      "data-lost" if t_rx is None else "completed")
             records.append(rep.ExchangeRecord(cycle, wub_start, status, t_rx))
         return records
 
@@ -693,10 +678,11 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
     Returns (rows, meta, the runs' RunMetrics). A point's row, and its
     (mote, base station) link in ``links``, count as sent every frame the
     mote sent, from its packet records, since every frame goes to station
-    1. Delivered and the RSSI/SNR means are taken from ``heard``, over the
-    frames decided at the station: a run ends when the mote's last frame
-    lands, so that is every frame until the station's battery runs out,
-    and none after.
+    1. Delivered and the RSSI/SNR means are taken from the cause, RSSI
+    and SNR of the ``ReceptionOutcome`` records in ``heard``, one per frame
+    decided at the station: a run ends when the mote's last frame lands,
+    so that is every frame until the station's battery runs out, and none
+    after.
     """
     # no distance is one empty group, which the preset rejects at any σ
     groups = ([(distance,) for distance in distances]
@@ -712,7 +698,7 @@ def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
         mote = len(group) + 1  # after stations 1, 2, ... in group order
         sent = all_metrics[-1].link(mote, 1).sent
         for bs, distance in enumerate(group, 1):
-            causes, rssi, snr = zip(*sim.heard[mote, bs])
+            causes, rssi, snr, *_ = zip(*sim.heard[mote, bs])
             stats = all_metrics[-1].links[mote, bs] = rep.LinkStats(
                 sent, causes.count("ok"))
             rows.append(rep.SweepRow(distance, sent, stats.delivered,

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all simulator layers."""
 
+import math
+
 
 class MotesimError(Exception):
     """Base class for all simulator errors."""
@@ -43,14 +45,18 @@ class PayloadTooLarge(MotesimError):
 
 
 def validated(cls):
-    """Make the named tuple ``cls`` run its ``_check`` method, which raises
-    ``ConfigError``, on every construction, ``_make`` and ``_replace`` too:
-    they would build through ``tuple.__new__`` and skip it."""
+    """Make the named tuple ``cls`` run its ``_check`` method, then the rule
+    every record shares, that each float field is finite, on every
+    construction, ``_make`` and ``_replace`` too: they would build through
+    ``tuple.__new__`` and skip it. Both raise ``ConfigError``."""
     build = cls.__new__
 
     def __new__(klass, *args, **kwargs):
         record = build(klass, *args, **kwargs)
         record._check()
+        for name, value in zip(record._fields, record):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         return record
 
     cls.__new__ = staticmethod(__new__)

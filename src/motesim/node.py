@@ -54,7 +54,9 @@ depends on the event alone, never on the state it leaves. Every result is
 therefore built once and shared: the plain ones and the awake and radio-ready
 ones per module, the wake and radio-on ones (whose follow-up timers carry the
 device's latencies) per device. Only the ignored wake-up re-trigger, which
-changes nothing, builds its result on the spot. A result's ``notify`` flag
+changes nothing, builds its result on the spot. A wake-up burst enters tx
+through a result of its own, which picks the ``wub_tx`` label at the power
+``begin_wub_tx`` set just before. A result's ``notify`` flag
 is set where the engine has work: follow-up timers, an application hook or
 an entry into rx. A state change is one call: it checks the (state, event)
 pair, charges the dwell in the outgoing label with one ledger accrual when
@@ -65,6 +67,7 @@ label and its power are cached until the next change.
 from __future__ import annotations
 
 import enum
+import math
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -88,6 +91,7 @@ DEFAULT_POWER_TABLE_W = {
 POWER_LABELS = ("sleep", "wurx_decode", "mcu_active", "lora_rx", "lora_tx",
                 "wub_tx")
 ROLES = ("bs", "mote", "initiator", "sleeper")
+AWAKE_ROLES = ("bs", "initiator")  # nodes that start with the MCU awake
 POWER_KEYS = ("sleep", "lora_tx", "lora_rx", "mcu_active")  # of power_w
 
 
@@ -145,9 +149,9 @@ class NodeSpec(NamedTuple):
                 "wake-up and radio turn-on latencies must be > 0")
         table = power_table(self)
         for label, power_w in table.items():
-            if power_w < 0:
+            if not 0 <= power_w < math.inf:  # NaN fails too
                 raise ConfigError(
-                    f"{label} power must be >= 0, got {power_w} W")
+                    f"{label} power must be >= 0 and finite, got {power_w} W")
         if table["sleep"] >= table["mcu_active"]:
             raise ConfigError("sleep power must be below MCU active power")
         # radio tx/rx must dominate the idle draws
@@ -241,6 +245,7 @@ _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
 _ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
 _STAY_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)  # rx_done
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
+_WUB_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)  # a burst: read by identity
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
 
@@ -320,27 +325,26 @@ class MoteDevice:
     after which the application layer owns radio policy via the driver
     operations. ``transition`` implements the table in the module docstring
     and returns follow-up events for the engine to schedule. It is built
-    from its node's ``NodeSpec``, which was checked when it was built.
+    from its node's ``NodeSpec``, which was checked when it was built; the
+    node's role sets whether the MCU starts awake (``AWAKE_ROLES``).
     """
 
-    def __init__(self, spec: NodeSpec, start_awake: bool = False):
+    def __init__(self, spec: NodeSpec):
         self.address = spec.address
         self.position = spec.position
         self.power_table_w = power_table(spec)
         self.wurx = None if spec.wurx is None else WurxState(
             spec.wurx.address, spec.wurx.sensitivity_dbm)
-        self._waking = TransitionResult(MCU_WAKING, RADIO_OFF, (
+        self._wakeup = TransitionResult(MCU_WAKING, RADIO_OFF, (
             (spec.mcu_wakeup_ns, MCU_AWAKE),), notify=True)
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
-        self.radio = RADIO_OFF
-        self.rx_since_ns: int | None = None
-        self.wub_tx_power_w: float | None = None  # duty-scaled override
+        self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
             spec.battery_j, spec.harvest_rate_w * spec.harvest_efficiency)
         # enter the initial state, which sets mcu, radio and the label
         self._label_since_ns = 0
-        self._apply(0, _ACTIVE_OFF if start_awake else _ASLEEP)
+        self._apply(0, _ACTIVE_OFF if spec.role in AWAKE_ROLES else _ASLEEP)
 
     # -- events ---------------------------------------------------------------
 
@@ -349,12 +353,14 @@ class MoteDevice:
         result = None
         if mcu is MCU_ACTIVE:
             if radio is RADIO_STANDBY or radio is RADIO_RX:
-                if event is TX_REQUEST or event is BEGIN_WUB_TX:
+                if event is TX_REQUEST:
                     result = _ACTIVE_TX
                 elif event is SLEEP_REQUEST:
                     result = _ASLEEP
                 elif event is TURN_RADIO_OFF:
                     result = _ACTIVE_OFF
+                elif event is BEGIN_WUB_TX:
+                    result = _WUB_TX
                 elif radio is RADIO_STANDBY:
                     if event is START_RX:
                         result = _ENTER_RX
@@ -374,7 +380,7 @@ class MoteDevice:
                 result = _RADIO_READY
         elif mcu is MCU_SLEEP:
             if event is WURX_INTERRUPT or event is WAKE:
-                result = self._waking
+                result = self._wakeup
         elif event is MCU_AWAKE:  # the MCU is waking
             result = _AWAKE
         if result is not None:
@@ -389,11 +395,10 @@ class MoteDevice:
     def begin_wub_tx(self, now_ns: int, duty: float) -> TransitionResult:
         """Enter TX for an OOK wake-up frame, charged at duty-scaled power.
 
-        The event is checked first, so an illegal call leaves no override;
-        the burst's label is then picked again, at the same instant."""
-        result = self.transition(BEGIN_WUB_TX, now_ns)
+        The burst's power is set first; it is read only while the burst's
+        own result holds, so an illegal call changes no charge."""
         self.wub_tx_power_w = self.power_table_w["lora_tx"] * duty
-        return self._apply(now_ns, result)
+        return self.transition(BEGIN_WUB_TX, now_ns)
 
     # -- internals ------------------------------------------------------------
 
@@ -402,10 +407,10 @@ class MoteDevice:
         enter ``result``'s state and pick its label and power.
 
         The dwell is charged at the label and power cached when it began, so
-        a caller may change the WuRX mode or the duty override first. Every
+        a caller may change the WuRX mode or the burst power first. Every
         change of label goes through here, so the per-label times partition
         the run exactly. The state entered sets the rest: ``rx_since_ns``
-        is the ns rx was entered, and the duty override lasts while tx does.
+        is the ns rx was entered, and a burst's result charges ``wub_tx``.
         """
         dt = now_ns - self._label_since_ns
         if dt > 0:
@@ -420,22 +425,20 @@ class MoteDevice:
         elif self.radio is not RADIO_RX:
             self.rx_since_ns = now_ns
         if radio is RADIO_TX:
-            label = "lora_tx" if self.wub_tx_power_w is None else "wub_tx"
+            label = "wub_tx" if result is _WUB_TX else "lora_tx"
+        elif radio is RADIO_RX:
+            label = "lora_rx"
+        elif result.mcu is not MCU_SLEEP:
+            label = "mcu_active"
+        elif self.wurx is not None and self.wurx.mode is _DECODING:
+            label = "wurx_decode"
         else:
-            self.wub_tx_power_w = None
-            if radio is RADIO_RX:
-                label = "lora_rx"
-            elif result.mcu is not MCU_SLEEP:
-                label = "mcu_active"
-            elif self.wurx is not None and self.wurx.mode is _DECODING:
-                label = "wurx_decode"
-            else:
-                label = "sleep"
+            label = "sleep"
         self.mcu = result.mcu
         self.radio = radio
         self._state = result
         self._label = label
-        self._label_power_w = self.wub_tx_power_w if label == "wub_tx" \
+        self._label_power_w = self.wub_tx_power_w if result is _WUB_TX \
             else self.power_table_w[label]
         return result
 

@@ -20,14 +20,13 @@ from typing import NamedTuple, get_type_hints
 
 from .channel import ChannelParams, Position
 from .errors import ConfigError, ScenarioError, validated
-from .node import POWER_KEYS, NodeSpec, WurxSpec, power_table
+from .node import AWAKE_ROLES, POWER_KEYS, NodeSpec, WurxSpec, power_table
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import DEFAULT_MTU, HEADER_BYTES
 from .wurx import WakeUpFrame, wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
-AWAKE_ROLES = ("bs", "initiator")  # nodes that start with the MCU awake
 # the app keys each kind reads, beside ``kind``; any other key is rejected
 _APP_KEYS = {
     "periodic": ("src", "dst", "payload_len", "period_s"),

@@ -20,6 +20,7 @@ A message, built per frame sent and received, is a cheap named tuple.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ContractViolation, PayloadTooLarge
@@ -108,14 +109,16 @@ class Unicast:
         self.on_message = None  # callback(UnicastMessage)
         driver.bind(rx_done=self._rx_done)
 
-    def send(self, dst: int, payload: bytes) -> None:
-        """Transmit ``payload`` to ``dst`` over the radio."""
+    def send(self, dst: int, payload: bytes) -> int:
+        """Transmit ``payload`` to ``dst`` over the radio; returns the
+        sequence number it sent."""
         if len(payload) > DEFAULT_MTU:
             raise PayloadTooLarge(
                 f"payload {len(payload)} B exceeds MTU {DEFAULT_MTU} B")
         self._seqno += 1
         self.driver.send(encode_message(
             UnicastMessage(self.local_address, dst, self._seqno, payload)))
+        return self._seqno
 
     def _rx_done(self, frame: Frame) -> None:
         """Hand a received frame up, or count it as overheard when its
@@ -166,7 +169,9 @@ class PeriodicSenderApp(App):
 
     First transmission fires at t = period. Idle policy between sends is
     either "sleep" (mote: MCU and radio down, woken by the tick timer) or
-    "rx" (base station: radio permanently listening).
+    "rx" (base station: radio permanently listening, from its first
+    radio-ready on). A sleeping sender's radio comes up only after its own
+    tick woke it, so its radio-ready is the moment to send.
     """
 
     def __init__(self, unicast: Unicast, services: Services, dst: int,
@@ -179,7 +184,6 @@ class PeriodicSenderApp(App):
         self.payload = bytes(payload_len)
         self.period_ns = period_ns
         self.idle_policy = idle_policy
-        self._waking = False  # woken by a tick: send once the radio is ready
         unicast.driver.bind(tx_done=self._tx_done)
 
     def start(self) -> None:
@@ -191,24 +195,21 @@ class PeriodicSenderApp(App):
         self.services.call_at(self.services.now_ns() + self.period_ns,
                               self.on_tick)
         if self.idle_policy == "sleep":
-            self._waking = True
             self.services.request_wake()
         else:
-            self._send_now()
+            self.unicast.send(self.dst, self.payload)
 
     def on_awake(self) -> None:
         self.unicast.driver.on()
 
     def on_radio_ready(self) -> None:
-        if self._waking:
-            self._send_now()
-
-    def _send_now(self) -> None:
-        self._waking = False
-        self.unicast.send(self.dst, self.payload)
+        if self.idle_policy == "sleep":
+            self.unicast.send(self.dst, self.payload)
+        else:
+            self.unicast.driver.start_rx()
 
     def _tx_done(self, _handle) -> None:
-        # only _send_now sends on this driver, so the frame is that send's
+        # only this app sends on this driver, so the frame is its own
         if self.idle_policy == "sleep":
             self.services.request_sleep()
         else:
@@ -248,30 +249,29 @@ class WakeupInitiatorApp(App):
         self.cycle_period_ns = cycle_period_ns
         self.cycles = cycles
         self.wake_chain_ns = wake_chain_ns
-        self.exchanges = []  # (cycle, wub_start_ns, outcome)
-        self._cycle = 0
+        # (cycle, wub_start_ns, the seqno sent, or None on a wake timeout)
+        self.exchanges = []
 
     def start(self) -> None:
         self.unicast.driver.on()
-        for i in range(1, self.cycles + 1):
-            self.services.call_at(i * self.cycle_period_ns, self.on_cycle)
+        for cycle in range(1, self.cycles + 1):
+            self.services.call_at(cycle * self.cycle_period_ns,
+                                  partial(self.on_cycle, cycle))
 
-    def on_cycle(self) -> None:
-        self._cycle += 1
-        cycle = self._cycle
+    def on_cycle(self, cycle: int) -> None:
         start = self.services.now_ns()
         emission = self.services.send_wakeup()
         self.services.call_at(start + emission.duration_ns + self.wake_chain_ns,
                               lambda: self.on_data_slot(cycle, start))
 
     def on_data_slot(self, cycle: int, wub_start_ns: int) -> None:
-        if not self.services.target_awake(self.target):
+        seqno = None
+        if self.services.target_awake(self.target):
+            seqno = self.unicast.send(self.target, self.payload)
+        else:
             self.services.log(f"wake-timeout: cycle {cycle} target "
                               f"{self.target} did not wake")
-            self.exchanges.append((cycle, wub_start_ns, "wake-timeout"))
-            return
-        self.unicast.send(self.target, self.payload)
-        self.exchanges.append((cycle, wub_start_ns, "data-sent"))
+        self.exchanges.append((cycle, wub_start_ns, seqno))
 
 
 class WakeupSleeperApp(App):

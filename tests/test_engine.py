@@ -797,6 +797,27 @@ class TestWakeupExchange:
         assert {ex.latency_ns for ex in metrics.exchanges
                 if ex.outcome == "completed"} == {379_503_000}
 
+    def test_lost_second_frame_leaves_cycles_1_and_3_matched(self):
+        # the sleeper's stack never sees cycle 2's frame; its rx timeout
+        # ends that cycle before cycle 3's burst
+        sim = Simulator(power_profile_scenario(cycles=3, cycle_period_s=2.0),
+                        record_trace=False)
+        driver = sim.drivers[2]
+        hand_up = driver.rx_done
+
+        def drop_seqno_2(frame):
+            if frame.seqno != 2:
+                hand_up(frame)
+
+        driver.rx_done = drop_seqno_2
+        metrics = sim.run()
+        received = {msg.seqno: t_rx for t_rx, msg in sim.apps[2].received}
+        assert sorted(received) == [1, 3]
+        assert [(ex.cycle, ex.outcome, ex.data_rx_ns)
+                for ex in metrics.exchanges] == [
+            (1, "completed", received[1]), (2, "data-lost", None),
+            (3, "completed", received[3])]
+
     def test_wrong_wurx_address_times_out_with_decode_energy(self):
         scenario = power_profile_scenario(cycles=2)
         sleeper = scenario.node(2)
@@ -1232,7 +1253,7 @@ class TestFrameFacts:
         assert 1 in sim._listeners
         assert [(p.src, p.outcome) for p in metrics.packets] == [
             (2, "not-listening"), (3, "collision")]
-        assert [cause for cause, _rssi, _snr in sim.heard[3, 1]] == [
+        assert [outcome.cause for outcome in sim.heard[3, 1]] == [
             "collision"]
         assert [p.distance_m for p in metrics.packets] == [60.0, 250.0]
 

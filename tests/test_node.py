@@ -17,9 +17,10 @@ from oracles import ReferenceLedger
 
 
 def make_device(awake=False, with_wurx=False, **kwargs):
+    """A mote, or with ``awake`` a base station, which starts awake."""
     wurx = WurxSpec(address=0x2A) if with_wurx else None
-    return MoteDevice(NodeSpec(7, "mote", Position(), wurx=wurx, **kwargs),
-                      start_awake=awake)
+    return MoteDevice(NodeSpec(7, "bs" if awake else "mote", Position(),
+                               wurx=wurx, **kwargs))
 
 
 class TestWakePath:
@@ -325,7 +326,6 @@ class TestLedgerIntegration:
         device = make_device(awake=True)
         with pytest.raises(IllegalTransition):
             device.begin_wub_tx(0, duty=0.5)  # the radio is still off
-        assert device.wub_tx_power_w is None
         device.transition(NodeEvent.RADIO_ON, 0)
         device.transition(NodeEvent.RADIO_READY, 1_000_000)
         device.transition(NodeEvent.TX_REQUEST, 1_000_000)
@@ -399,8 +399,8 @@ def test_notify_marks_the_results_the_engine_acts_on():
     device = make_device()
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
-    shared.update(waking=device._waking, turning_on=device._turning_on)
-    assert len(shared) == 10
+    shared.update(wakeup=device._wakeup, turning_on=device._turning_on)
+    assert len(shared) == 11
     for name, result in shared.items():
         assert result.notify == (bool(result.followups) or result.awake
                                  or result.radio_ready

@@ -659,6 +659,9 @@ class TestWakeupBlockValidation:
         assert "scenario error" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 class TestNonFiniteNumbers:
     """A NaN or infinite number is rejected at load: a NaN RSSI passes
     every reception gate, a NaN capture threshold turns collisions off, an
@@ -683,6 +686,37 @@ class TestNonFiniteNumbers:
         assert main(["run", str(path), "--out-dir",
                      str(tmp_path / "out")]) == 1
         assert f"{section}.{key} must be finite" in capsys.readouterr().err
+
+    # every one of these was accepted when built in code; the message names
+    # the field, or the power table's label
+    CODE_CASES = [
+        *[(NodeSpec(2, "mote", Position(x=50.0)), {field: value},
+           f"{field} must be finite")
+          for field in ("battery_j", "harvest_rate_w") for value in (NAN, INF)],
+        *[(NodeSpec(2, "mote", Position(x=50.0)), {"power_w": {key: value}},
+           f"{key} power must be >= 0 and finite")
+          for key, value in [(key, NAN) for key in POWER_KEYS]
+          + [("lora_tx", INF), ("lora_rx", INF)]],
+        *[(WurxSpec(address=42), {field: value}, f"{field} must be finite")
+          for field, value in [("sensitivity_dbm", NAN),
+                               ("sensitivity_dbm", INF),
+                               ("sensitivity_dbm", -INF),
+                               ("decode_power_w", NAN),
+                               ("decode_power_w", INF)]],
+        *[(ChannelParams(), {field: value}, f"{field} must be finite")
+          for field in ("noise_figure_db", "reference_loss_at_1m_db",
+                        "capture_threshold_db")
+          for value in (NAN, INF, -INF)],
+        *[(RadioConfig(), {"frequency_hz": value}, "frequency_hz must be finite")
+          for value in (NAN, INF)],
+    ]
+
+    @pytest.mark.parametrize("valid, fields, message", CODE_CASES)
+    def test_code_built_record_rejects_it(self, valid, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            type(valid)(**{**valid._asdict(), **fields})
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            valid._replace(**fields)
 
 
 class TestAppKeysOfTheOtherKind:

@@ -8,7 +8,7 @@ from motesim import (ChannelParams, PayloadTooLarge, Position, RadioConfig,
                      RadioUnavailable, Scenario, UnicastMessage,
                      decode_message, encode_message, time_on_air)
 from motesim.contract_kit import run_contract_checks
-from motesim.engine import Simulator
+from motesim.engine import Simulator, run
 from motesim.frame import Frame
 from motesim.scenario import AppSpec, NodeSpec
 from motesim.stack import (HEADER, HEADER_BYTES, PeriodicSenderApp, Services,
@@ -97,6 +97,13 @@ def frame_with(payload, **kwargs):
 
 
 class TestUnicast:
+    def test_send_returns_the_seqno_it_sent(self):
+        driver = FakeDriver()
+        unicast = Unicast(driver, 1)
+        seqnos = [unicast.send(2, b"x") for _ in range(3)]
+        assert seqnos == [decode_message(data).seqno
+                          for data in driver.sent] == [1, 2, 3]
+
     def test_send_prepends_header(self):
         unicast = Unicast(FakeDriver(), local_address=5)
         unicast.send(9, b"\x01\x02\x03")
@@ -175,6 +182,24 @@ def test_periodic_sender_hears_tx_done_from_its_driver():
     assert calls == ["wake", "sleep"]
     app.on_tick()  # the next tick starts the next cycle
     assert calls == ["wake", "sleep", "wake"]
+
+
+def test_bs_sender_listens_from_its_first_radio_ready():
+    """A bs sender's idle policy is rx: from the end of its 1 ms radio
+    turn-on at t = 0 it is listening or sending, never in standby."""
+    scenario = Scenario(
+        horizon_ns=30 * 10 ** 9, seed=1, radio=RadioConfig(),
+        channel=ChannelParams(),
+        nodes=(NodeSpec(address=1, role="bs", position=Position()),
+               NodeSpec(address=2, role="bs", position=Position(x=100.0))),
+        app=AppSpec(kind="periodic", src=1, dst=2, period_ns=10 ** 10))
+    metrics = run(scenario, record_trace=False)
+    dwell = {label: time_ns for label, _p, time_ns, _e, _pct
+             in metrics.energy[0].rows}
+    assert dwell["mcu_active"] == 1_000_000
+    assert dwell["lora_rx"] + dwell["lora_tx"] == 30 * 10 ** 9 - 1_000_000
+    assert [p.outcome for p in metrics.packets] == [
+        "delivered", "delivered", "in-flight"]
 
 
 class TestSendErrors:
