@@ -25,8 +25,6 @@ factors are treated as orthogonal. Both are stated desk-scale
 simplifications rather than full interference summation.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from math import cos, log, sin, sqrt, tau

@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 validation error (``ConfigError``), 2 runtime error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

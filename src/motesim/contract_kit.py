@@ -15,8 +15,6 @@ through init/configure/send/rx sequences and verifies the contract rules:
 Each check returns on success and raises ContractCheckFailure otherwise.
 """
 
-from __future__ import annotations
-
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 
 

@@ -78,8 +78,6 @@ flag is set, for follow-up timers, an application hook or an entry into rx.
 Each event kind and node event carries its trace text, built once.
 """
 
-from __future__ import annotations
-
 import collections
 import enum
 import hashlib

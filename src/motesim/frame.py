@@ -1,7 +1,5 @@
 """Over-the-air frame record shared by the channel, stack and engine."""
 
-from __future__ import annotations
-
 
 class Frame:
     """One LoRa packet on the medium over [start_ns, end_ns): the one

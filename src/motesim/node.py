@@ -64,8 +64,6 @@ time has passed, enters the new state and picks its label and power. The
 label and its power are cached until the next change.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from types import MappingProxyType

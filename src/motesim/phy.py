@@ -9,8 +9,6 @@ bookkeeping and airtime sums stay exact. For the three supported bandwidths
 (125/250/500 kHz) every symbol time is an exact integer nanosecond count.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 from importlib import resources

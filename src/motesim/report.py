@@ -10,8 +10,6 @@ constants and format version. Wall-clock runtime is deliberately kept out
 of the files so identical (scenario, seed) runs re-emit identical bytes.
 """
 
-from __future__ import annotations
-
 import math
 from pathlib import Path
 from typing import NamedTuple

@@ -17,8 +17,6 @@ when the frame goes on air, and only a frame handed up is decoded.
 A message, built per frame sent and received, is a cheap named tuple.
 """
 
-from __future__ import annotations
-
 import struct
 from functools import partial
 from typing import NamedTuple
@@ -29,6 +27,7 @@ from .phy import RadioConfig
 
 HEADER = struct.Struct("<HHH")  # src, dst, seqno
 HEADER_BYTES = HEADER.size
+MAX_SEQNO = 0xFFFF  # the header's 16-bit seqno: a sender's frames 1, 2, ...
 HEADER_VERSION = 1
 DEFAULT_MTU = 255
 

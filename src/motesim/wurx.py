@@ -20,8 +20,6 @@ are constants. The receiver's state, which the engine updates, is slotted;
 its node's wurx block, ``node.WurxSpec``, checks itself when it is built.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple
 

@@ -174,6 +174,16 @@ def test_range_sweep_rejects_distance_not_positive(distances, sigma, tmp_path,
     assert not out_dir.exists()
 
 
+def test_range_sweep_past_the_sequence_number_is_a_scenario_error(
+        tmp_path, capsys):
+    # a sender's 65,536th frame would overflow the 16-bit header seqno
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", "50", "--packets", "65536",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "16-bit link-header sequence number" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_range_sweep_without_a_distance_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["range-sweep", "--distances", ","])

@@ -1,9 +1,15 @@
 """The package's public name list and its record types."""
 
+import importlib
 import inspect
 import math
+import os
 import pathlib
+import pkgutil
 import re
+import subprocess
+import sys
+import typing
 
 import pytest
 
@@ -79,7 +85,46 @@ def test_every_construction_checks_values(record, bad):
     assert cls._make(record) == record
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# every typing.NamedTuple record the package defines, in any module
+NAMED_TUPLES = [
+    cls
+    for info in pkgutil.iter_modules(motesim.__path__)
+    for module in [importlib.import_module(f"motesim.{info.name}")]
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, tuple)
+    and hasattr(cls, "_fields") and cls.__module__ == module.__name__
+]
+
+
+@pytest.mark.parametrize("cls", NAMED_TUPLES,
+                         ids=[cls.__qualname__ for cls in NAMED_TUPLES])
+def test_record_annotations_are_types(cls):
+    # a string annotation costs typing.NamedTuple a compile() per field at
+    # import; the file parser reads the resolved types
+    assert not [name for name, hint in cls.__annotations__.items()
+                if isinstance(hint, str)]
+    assert tuple(typing.get_type_hints(cls)) == cls._fields
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+EXAMPLE = ROOT / "scenarios" / "example.yaml"
+
+
+def test_a_run_built_in_code_leaves_the_file_parser_unloaded():
+    # a fresh interpreter: load and from_dict import the parser and PyYAML
+    # on their first call, not at import or on a preset's run
+    code = (
+        "import sys, motesim\n"
+        "motesim.power_profile(cycles=2)\n"
+        "loaded = {'motesim.scenario_file', 'yaml'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "print(motesim.scenario_hash(motesim.load(sys.argv[1])))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(EXAMPLE)], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.stdout == "cb8dc86307b7bbcf\n"
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):

@@ -10,9 +10,9 @@ from motesim import (ChannelParams, ConfigError, Position, RadioConfig,
                      Scenario, ScenarioError, emit, load, run,
                      scenario_hash)
 from motesim.cli import main
-from motesim.node import POWER_KEYS, ROLES
+from motesim.node import POWER_KEYS, ROLES, power_table
 from motesim.scenario import (AppSpec, NodeSpec, WurxSpec, from_dict,
-                              power_table, range_point_scenario)
+                              range_point_scenario)
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -334,6 +334,48 @@ class TestPeriodicSenders:
         del raw["app"]["src"]
         with pytest.raises(ScenarioError, match="requires dst"):
             from_dict(raw)
+
+
+class TestSequenceNumberLimit:
+    """A sender numbers its frames in the link header's 16-bit seqno field,
+    so a scenario in which one could send a 65,536th frame is rejected at
+    build, not by a ``struct.error`` in the middle of the run."""
+
+    ERROR = "16-bit link-header sequence number"
+
+    def test_periodic_sender_at_the_limit(self):
+        # the sweep's horizon ends just after its last frame, so it holds
+        # exactly ``packets`` ticks
+        with pytest.raises(ScenarioError, match=self.ERROR):
+            range_point_scenario(distance_m=50.0, packets=65_536)
+        metrics = run(range_point_scenario(distance_m=50.0, packets=65_535),
+                      record_trace=False)
+        assert metrics.link(2, 1).sent == 65_535
+
+    def test_exchange_cycles_at_the_limit(self):
+        from motesim.scenario import power_profile_scenario
+        assert power_profile_scenario(cycles=65_535).app.cycles == 65_535
+        with pytest.raises(ScenarioError, match=self.ERROR):
+            power_profile_scenario(cycles=65_536)
+
+    def test_fast_sender_over_a_long_horizon_rejected(self, tmp_path, capsys):
+        # SF7 / 125 kHz, a 0-byte payload every 50 ms for 3,300 s: 66,000
+        # frames, whose 65,536th used to end the run in a traceback
+        path = tmp_path / "fast.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 3300.0, "seed": 1},
+            "radio": {"spreading_factor": 7, "bandwidth_hz": 125_000},
+            "nodes": [{"address": 1, "role": "bs"},
+                      {"address": 2, "role": "mote",
+                       "position": {"x": 100.0}}],
+            "app": {"kind": "periodic", "src": 2, "dst": 1,
+                    "payload_len": 0, "period_s": 0.05}}))
+        with pytest.raises(ScenarioError, match="up to 66000 frames"):
+            load(path)
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == 1
+        assert self.ERROR in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestYamlLoading:
