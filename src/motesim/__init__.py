@@ -3,9 +3,9 @@
 A mote couples a LoRa main transceiver with a micro-watt OOK wake-up
 receiver. The package models the physical layer (airtime, link budget),
 a shared propagation medium with capture, the composite node power state
-machine with an exact energy ledger, a minimal single-hop unicast stack,
-and a reproducible event engine with coverage and power-profiling
-experiment presets.
+machine with an integer-nanosecond energy ledger, a minimal single-hop
+unicast stack, and a reproducible event engine with coverage and
+power-profiling experiment presets.
 """
 
 from types import ModuleType as _ModuleType

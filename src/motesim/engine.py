@@ -75,6 +75,8 @@ a helper, and the dispatch order is checked on the two ints. A node timer
 costs one ``MoteDevice.transition`` call, which returns a shared
 precomputed result; ``process_result`` is called only when its ``notify``
 flag is set, for follow-up timers, an application hook or an entry into rx.
+A decode at a listener changes no state: it costs one ``MoteDevice.receive``
+call, a ledger charge, and the engine hands the frame to the stack itself.
 Each event kind and node event carries its trace text, built once.
 """
 
@@ -95,7 +97,7 @@ from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
-                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX, RX_DONE,
+                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX,
                    MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
@@ -341,9 +343,6 @@ class Simulator:
         burst at every other WuRX node, with the arithmetic and draw order
         of ``channel.rssi_at``: a ``channel.RssiOnRead`` under shadowing,
         else a plain dict shared by the sender's frames or bursts at a power.
-
-        Each receiver's (index, mean path loss) is cached at the sender's
-        first frame or burst.
         """
         tx_power_dbm = self.drivers[sender.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
@@ -516,10 +515,7 @@ class Simulator:
             device.wurx.false_wakeups_rejected += 1
 
     def _deliver(self, frame: Frame) -> str:
-        """Decide the frame at every listener; returns its dst's outcome.
-        With no rival and no shadowing, the gates read only the RSSI, the
-        spreading factor and the bandwidth, which sets the noise floor, so
-        their decision is stored by those three and reused."""
+        """Decide the frame at every listener; returns its dst's outcome."""
         start_ns, end_ns = frame.start_ns, frame.end_ns
         frequency_hz, sf = frame.frequency_hz, frame.spreading_factor
         src, dst, bandwidth_hz = frame.src, frame.dst, frame.bandwidth_hz
@@ -562,7 +558,7 @@ class Simulator:
                 heard_by[src, rx_addr].append(decision)
             cause = decision.cause
             if cause == "ok":
-                device.transition(RX_DONE, now)  # no notify
+                device.receive(now)
                 drivers[rx_addr].rx_done(frame)  # bound by its Unicast
             if rx_addr == dst:
                 # Unicast hands up a decoded frame iff it is addressed here
@@ -625,23 +621,15 @@ class Simulator:
             wallclock_s=wallclock_s,
         )
         for address, device in self.devices.items():
-            ledger = device.ledger
+            ledger, wurx = device.ledger, device.wurx
+            counts = () if wurx is None else (  # else the fields' zeros
+                wurx.interrupts_asserted, wurx.false_wakeups_rejected,
+                wurx.missed_while_decoding)
             metrics.energy.append(rep.NodeEnergyReport(
-                address=address,
-                rows=power_report(ledger, device.power_table_w),
-                battery_initial_j=ledger.battery_initial_j,
-                battery_remaining_j=ledger.battery_remaining_j,
-                consumed_j=ledger.consumed_j,
-                harvested_j=ledger.harvested_j,
-                depleted=ledger.depleted,
-                total_time_ns=ledger.total_time_ns(),
-                wurx_interrupts=device.wurx.interrupts_asserted
-                if device.wurx else 0,
-                wurx_false_rejected=device.wurx.false_wakeups_rejected
-                if device.wurx else 0,
-                wurx_missed=device.wurx.missed_while_decoding
-                if device.wurx else 0,
-            ))
+                address, power_report(ledger, device.power_table_w),
+                ledger.battery_initial_j, ledger.battery_remaining_j,
+                ledger.consumed_j, ledger.harvested_j, ledger.depleted,
+                ledger.total_time_ns(), *counts))
         metrics.exchanges = self._collect_exchanges()
         return metrics
 

@@ -20,7 +20,8 @@ split.
 
 State machine (states are (mcu, radio); WuRX mode only affects the label).
 Events are ``NodeEvent`` members: the scheduled ones and the driver
-operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx):
+operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the
+decode of a frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
@@ -38,7 +39,7 @@ operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx):
     (active, rx)       begin_wub_tx        (active, tx)      duty-scaled power
     (active, rx)       stop_rx             (active, standby)
     (active, rx)       radio_off           (active, off)
-    (active, rx)       rx_done             (active, rx)      notify frame
+    (active, rx)       rx_done             (active, rx)      charge only
     (active, rx)       sleep_request       (sleep, off)      radio off
     (active, tx)       tx_done             (active, standby) notify tx done
     (active, off)      sleep_request       (sleep, off)
@@ -47,7 +48,7 @@ operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx):
 Every other (state, event) pair raises IllegalTransition, whose message
 names the node, the event, the state and the time; it signals a stack bug
 and aborts the run. ``MoteDevice.transition`` is the one place that checks
-a pair.
+a pair of a ``NodeEvent``.
 
 The MCU sleeps and wakes only with the radio off, so a state change's result
 depends on the event alone, never on the state it leaves. Every result is
@@ -56,12 +57,14 @@ ones per module, the wake and radio-on ones (whose follow-up timers carry the
 device's latencies) per device. Only the ignored wake-up re-trigger, which
 changes nothing, builds its result on the spot. A wake-up burst enters tx
 through a result of its own, which picks the ``wub_tx`` label at the power
-``begin_wub_tx`` set just before. A result's ``notify`` flag
-is set where the engine has work: follow-up timers, an application hook or
-an entry into rx. A state change is one call: it checks the (state, event)
-pair, charges the dwell in the outgoing label with one ledger accrual when
-time has passed, enters the new state and picks its label and power. The
-label and its power are cached until the next change.
+``begin_wub_tx`` set just before. A result's ``notify`` flag is set where the
+engine has work: follow-up timers, an application hook or an entry into rx.
+A state change is one call: it checks the (state, event) pair, charges the
+dwell in the outgoing label with one ledger accrual when time has passed,
+enters the new state and picks its label and power, which are cached until
+the next change. A decode changes no state: ``receive`` charges the rx dwell
+up to the frame's end at the cached label and power, and the engine hands
+the frame to the stack itself.
 """
 
 import enum
@@ -202,7 +205,6 @@ class NodeEvent(enum.Enum):
     WURX_INTERRUPT = "wurx_interrupt"
     TX_REQUEST = "tx_request"
     TX_DONE = "tx_done"
-    RX_DONE = "rx_done"
     SLEEP_REQUEST = "sleep_request"
     RADIO_ON = "radio_on"
     RADIO_OFF = "radio_off"
@@ -216,7 +218,7 @@ class NodeEvent(enum.Enum):
 
 
 # bound once, like the modes above; RADIO_OFF already names a radio mode
-(WAKE, MCU_AWAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE, RX_DONE,
+(WAKE, MCU_AWAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE,
  SLEEP_REQUEST, TURN_RADIO_ON, TURN_RADIO_OFF, START_RX, STOP_RX,
  BEGIN_WUB_TX) = NodeEvent
 
@@ -241,7 +243,6 @@ _RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
 _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
 _ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
-_STAY_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)  # rx_done
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _WUB_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)  # a burst: read by identity
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
@@ -321,10 +322,11 @@ class MoteDevice:
 
     The wake path after a wake-up interrupt is mechanical (7 us MCU wake),
     after which the application layer owns radio policy via the driver
-    operations. ``transition`` implements the table in the module docstring
-    and returns follow-up events for the engine to schedule. It is built
-    from its node's ``NodeSpec``, which was checked when it was built; the
-    node's role sets whether the MCU starts awake (``AWAKE_ROLES``).
+    operations. ``transition`` and ``receive`` implement the table in the
+    module docstring; ``transition`` returns follow-up events for the engine
+    to schedule. It is built from its node's ``NodeSpec``, which was checked
+    when it was built; the node's role sets whether the MCU starts awake
+    (``AWAKE_ROLES``).
     """
 
     def __init__(self, spec: NodeSpec):
@@ -362,8 +364,6 @@ class MoteDevice:
                 elif radio is RADIO_STANDBY:
                     if event is START_RX:
                         result = _ENTER_RX
-                elif event is RX_DONE:
-                    result = _STAY_RX
                 elif event is STOP_RX:
                     result = _ACTIVE_STANDBY
             elif radio is RADIO_TX:
@@ -386,9 +386,20 @@ class MoteDevice:
         if event is WURX_INTERRUPT:
             # re-trigger while already awake/waking: documented no-op
             return TransitionResult(mcu, radio)
-        raise IllegalTransition(
-            f"node {self.address}: event {event.text} illegal in state "
-            f"(mcu={mcu.value}, radio={radio.value}) at t={now_ns} ns")
+        raise self._illegal(event.text, now_ns)
+
+    def receive(self, now_ns: int) -> None:
+        """Decode a frame that ends at ``now_ns`` (rx_done): charge the rx
+        dwell up to it, as ``_apply`` would for the state held."""
+        if self.radio is not RADIO_RX:  # the MCU is active in rx
+            raise self._illegal("rx_done", now_ns)
+        dt = now_ns - self._label_since_ns
+        if dt > 0:
+            self.ledger.accrue(self._label, self._label_power_w, dt)
+            self._label_since_ns = now_ns
+        elif dt < 0:
+            raise IllegalTransition(
+                f"node {self.address}: ledger time moved backwards")
 
     def begin_wub_tx(self, now_ns: int, duty: float) -> TransitionResult:
         """Enter TX for an OOK wake-up frame, charged at duty-scaled power.
@@ -399,6 +410,11 @@ class MoteDevice:
         return self.transition(BEGIN_WUB_TX, now_ns)
 
     # -- internals ------------------------------------------------------------
+
+    def _illegal(self, event_text: str, now_ns: int) -> IllegalTransition:
+        return IllegalTransition(
+            f"node {self.address}: event {event_text} illegal in state "
+            f"(mcu={self.mcu.value}, radio={self.radio.value}) at t={now_ns} ns")
 
     def _apply(self, now_ns: int, result: TransitionResult) -> TransitionResult:
         """Charge the dwell in the outgoing label up to ``now_ns``, then

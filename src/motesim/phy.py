@@ -134,9 +134,8 @@ class SensitivityTable:
         ref = resources.files("motesim").joinpath(
             "data", DEFAULT_SENSITIVITY_FILE)
         raw = json.loads(ref.read_text(encoding="utf-8"))
-        try:
-            sens = {(int(sf), int(bw)): float(v)
-                    for sf, row in raw["sensitivity_dbm"].items()
+        try:  # the constructor converts the keys and values
+            sens = {(sf, bw): v for sf, row in raw["sensitivity_dbm"].items()
                     for bw, v in row.items()}
             return cls(sens, raw["snr_demod_floor_db"],
                        version=int(raw["format_version"]))

@@ -60,12 +60,9 @@ def wub_airtime(frame: WakeUpFrame) -> int:
     return round(n_bits / frame.bit_rate_bps * NS_PER_S)
 
 
-def ook_duty(bits) -> float:
+def ook_duty(bits: tuple) -> float:
     """Fraction of 1-bits; 0.0 for an empty sequence."""
-    bits = tuple(bits)
-    if not bits:
-        return 0.0
-    return sum(bits) / len(bits)
+    return sum(bits) / len(bits) if bits else 0.0
 
 
 class WubEmission(NamedTuple):

@@ -16,7 +16,7 @@ from motesim import channel, engine
 from motesim import stack as stk
 from motesim.channel import noise_floor_dbm
 from motesim.engine import Simulator, power_profile, range_sweep
-from motesim.node import RadioMode
+from motesim.node import EnergyLedger, MoteDevice, RadioMode
 from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
@@ -1123,6 +1123,37 @@ class TestLoneDecisions:
         # two decisions with a rival, then one lone decision kept for both
         # lone frames
         assert rivals == [started[0].rssi_by_rx[1]] * 2 + [None]
+
+
+class TestWorkCounts:
+    """Calls per run repeat exactly. A decode at a listener charges its
+    ledger without a state change, so it is no ``transition`` call, and the
+    ledger's checkpoints, the ``accrue`` calls, are those of a decode that
+    passed through the state machine."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"transition": 0, "accrue": 0}
+        for cls, name in ((MoteDevice, "transition"), (EnergyLedger, "accrue")):
+            method = getattr(cls, name)
+
+            def counting(*args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    def test_coverage_sweep(self, calls):
+        # 360 frames decided at each of ten listening stations
+        _rows, _meta, runs = range_sweep()
+        assert sum(metrics.event_count for metrics in runs) == 1_450
+        assert calls == {"transition": 2_550, "accrue": 4_332}
+
+    def test_power_profile(self, calls):
+        # the sleeper decodes the initiator's frame once per cycle
+        power_profile(cycles=1000, seed=0)
+        assert calls == {"transition": 10_002, "accrue": 10_003}
 
 
 class TestChannelClear:

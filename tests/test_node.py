@@ -84,8 +84,11 @@ class TestIllegalTransitions:
 
     def test_rx_done_without_rx(self):
         device = make_device(awake=True)
-        with pytest.raises(IllegalTransition):
-            device.transition(NodeEvent.RX_DONE, 0)
+        with pytest.raises(IllegalTransition, match=re.escape(
+                "node 7: event rx_done illegal in state "
+                "(mcu=active, radio=off) at t=0 ns")):
+            device.receive(0)
+        assert "lora_rx" not in device.ledger.time_ns
 
     def test_driver_ops_while_asleep(self):
         device = make_device()
@@ -103,6 +106,10 @@ class TestIllegalTransitions:
             device.transition(NodeEvent.RADIO_READY, 999)
         with pytest.raises(IllegalTransition, match="backwards"):
             device.finalize(999)
+        device.transition(NodeEvent.RADIO_READY, 1_000_000)
+        device.transition(NodeEvent.START_RX, 2_000_000)
+        with pytest.raises(IllegalTransition, match="backwards"):
+            device.receive(1_999_999)
 
 
 class TestSharedResults:
@@ -209,6 +216,8 @@ def build_device_in(state):
 def apply_event(device, name):
     if name == "begin_wub_tx":
         return device.begin_wub_tx(0, duty=0.5)
+    if name == "rx_done":  # a decode: no NodeEvent, as it changes no state
+        return device.receive(0)
     return device.transition(NodeEvent(name), 0)
 
 
@@ -393,6 +402,61 @@ class TestLedgerOracle:
             assert bits(getattr(ledger, name)) == bits(getattr(oracle, name))
 
 
+def listening_device(power_w, battery_j, harvest_rate_w):
+    """A base station whose radio entered rx at 1 ms."""
+    device = make_device(awake=True, power_w=power_w, battery_j=battery_j,
+                         harvest_rate_w=harvest_rate_w)
+    device.transition(NodeEvent.RADIO_ON, 0)
+    device.transition(NodeEvent.RADIO_READY, 1_000_000)
+    device.transition(NodeEvent.START_RX, 1_000_000)
+    return device
+
+
+def ledger_bits(device):
+    ledger = device.ledger
+    return (ledger.time_ns,
+            {label: bits(e) for label, e in ledger.energy_j.items()},
+            bits(ledger.consumed_j), bits(ledger.harvested_j),
+            bits(ledger.battery_remaining_j), ledger.depleted,
+            device.rx_since_ns)
+
+
+class TestDecodeCharge:
+    """``receive`` charges what a pass through the state machine that stays
+    in rx charged, ``_apply`` with the state held, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_w=st.fixed_dictionaries({}, optional={
+               "lora_rx": st.floats(3e-3, 0.5),
+               "mcu_active": st.floats(1e-5, 2.9e-3)}),
+           battery_j=st.floats(0.0, 5.0),
+           harvest_rate_w=st.just(0.0) | st.floats(0.0, 0.5),
+           gaps=st.lists(st.integers(0, 10 ** 10), max_size=20),
+           tail_ns=st.integers(0, 10 ** 10))
+    # the battery runs out at the second decode, without and with harvest
+    @example(power_w={}, battery_j=1e-2, harvest_rate_w=0.0,
+             gaps=[10 ** 8, 10 ** 9, 0, 10 ** 8], tail_ns=10 ** 9)
+    @example(power_w={"lora_rx": 0.5}, battery_j=1e-2, harvest_rate_w=1e-3,
+             gaps=[10 ** 7, 10 ** 8, 10 ** 8], tail_ns=10 ** 8)
+    def test_receive_equals_apply_of_the_state_held(
+            self, power_w, battery_j, harvest_rate_w, gaps, tail_ns):
+        decoding = listening_device(power_w, battery_j, harvest_rate_w)
+        oracle = listening_device(power_w, battery_j, harvest_rate_w)
+        now = 1_000_000
+        for gap in gaps:
+            now += gap
+            decoding.receive(now)
+            oracle._apply(now, oracle._state)
+            assert ledger_bits(decoding) == ledger_bits(oracle)
+        assert decoding._state is node._ENTER_RX
+        assert (decoding.mcu, decoding.radio) == (McuMode.ACTIVE,
+                                                  RadioMode.RX)
+        for device in (decoding, oracle):
+            device.finalize(now + tail_ns)
+        assert ledger_bits(decoding) == ledger_bits(oracle)
+        assert decoding.ledger.total_time_ns() == now + tail_ns
+
+
 def test_notify_marks_the_results_the_engine_acts_on():
     """A shared result is passed on to the engine iff it has follow-ups or
     an application hook, or enters rx (the engine registers a listener)."""
@@ -400,7 +464,7 @@ def test_notify_marks_the_results_the_engine_acts_on():
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
     shared.update(wakeup=device._wakeup, turning_on=device._turning_on)
-    assert len(shared) == 11
+    assert len(shared) == 10
     for name, result in shared.items():
         assert result.notify == (bool(result.followups) or result.awake
                                  or result.radio_ready
@@ -409,7 +473,8 @@ def test_notify_marks_the_results_the_engine_acts_on():
     awake.transition(NodeEvent.RADIO_ON, 0)
     awake.transition(NodeEvent.RADIO_READY, 1_000_000)
     assert awake.transition(NodeEvent.START_RX, 1_000_000).notify
-    assert not awake.transition(NodeEvent.RX_DONE, 2_000_000).notify
+    awake.receive(2_000_000)  # a decode keeps the result that entered rx
+    assert awake._state is node._ENTER_RX
 
 
 class TestLabelAcrossWurxModes:
