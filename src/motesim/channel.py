@@ -215,8 +215,9 @@ def decide_reception(frame: Frame, rx_addr: int,
     then the sensitivity and SNR-floor gates of the captured frame.
     ``strongest_rival_dbm`` is the highest RSSI at ``rx_addr`` among the
     ``interferers_of(frame, ...)`` that the receiver did not send (the
-    listening rule handles those), or None; the engine reads it from a
-    per-listener index of the frames on air, strongest first.
+    listening rule handles those), or None; the engine reads it from an
+    index of the frames on air, strongest first, that a listener builds at
+    its first such decision since the frames on air last changed.
     """
     rssi = frame.rssi_by_rx[rx_addr]
     snr = rssi - frame.noise_floor_dbm

@@ -12,15 +12,17 @@ transmission has started, so the capture decision sees the complete
 interferer set. A receiver counts as listening if its radio has been in rx
 continuously since no later than the frame's first sample (boundary
 inclusive). Delivery visits listeners only: the engine keeps the nodes
-whose transition put the radio in rx, drops one once it is found out of
-rx, and decides a frame at the rest in ascending address order. Every
-other node was not listening, and that outcome is recorded only for the
-frame's ``dst``; ``heard``, if asked for, keeps every decision, the
-``channel.ReceptionOutcome`` itself, by (sender, listener). A decision is
-that one record: the engine reads its cause once. A listener's rival
-index, the frames on air that it did not send sorted by RSSI there, is
-kept only while two or more frames are on air, so a frame alone on air is
-decided with no rival and touches no index. In an unshadowed run, a frame
+whose transition put the radio in rx, in ascending address order, sorted
+when one registers; it drops one once it is found out of rx, and decides a
+frame at the rest in that order. Every other node was not listening, and
+that outcome is recorded only for the frame's ``dst``; ``heard``, if asked
+for, keeps every decision, the ``channel.ReceptionOutcome`` itself, by
+(sender, listener). A decision is that one record: the engine reads its
+cause once. A listener's rival index, the frames on air that it did not
+send sorted by RSSI there, is built when a decision there finds company on
+air and no index; every change of the on-air list empties them all, so an
+index that is read holds exactly those frames. A frame alone on air is
+decided with no rival and builds no index. In an unshadowed run, a frame
 with no rival at a listener takes the decision stored for its RSSI there,
 spreading factor and bandwidth, made for the first such frame: the gates
 then read nothing else, and without shadowing a link has one RSSI per tx
@@ -33,18 +35,18 @@ frames hold the frame itself, and a send's handle is its frame id. The
 medium keeps only the frames that can still matter. Once a frame has been
 decided, every frame that ended at or before a floor is dropped. The floor
 is the earliest start of the frames still undecided, or now when none is;
-then every frame on air has ended. The rival indexes are pruned with the
-medium. A frame decided later starts at or after the floor, so it cannot
-overlap them. Undecided frames are kept by frame id in start order,
-because a frame goes on air at now and now never decreases, so the floor
-is the first of them and costs O(1). The floor never falls, and the
-on-air list is rebuilt only when it has risen: a frame added since the
-last rebuild started at or after that floor and has positive airtime, so
-the same floor would drop nothing. Carrier sense reads this short on-air
-list, and the capture decision the head of each listener's index of it by
-RSSI, so the cost per event does not grow with the horizon. The dispatch
-trace is hashed in chunks of at most 1,024 lines, so its memory is
-constant too.
+then every frame on air has ended. A rebuild that drops a frame, like a
+frame going on air, empties the rival indexes. A frame decided later
+starts at or after the floor, so it cannot overlap the dropped frames.
+Undecided frames are kept by frame id in start order, because a frame goes
+on air at now and now never decreases, so the floor is the first of them
+and costs O(1). The floor never falls, and the on-air list is rebuilt only
+when it has risen: a frame added since the last rebuild started at or
+after that floor and has positive airtime, so the same floor would drop
+nothing. Carrier sense reads this short on-air list, and the capture
+decision the head of each listener's index of it by RSSI, so the cost per
+event does not grow with the horizon. The dispatch trace is hashed in
+chunks of at most 1,024 lines, so its memory is constant too.
 
 A wake-up exchange's burst depends only on the target's wurx block, so it
 is built once, with the applications, and every cycle sends it. Nodes
@@ -87,7 +89,6 @@ import heapq
 import itertools
 import random
 import time
-from bisect import insort
 
 from . import channel as chan
 from . import node as nd
@@ -226,7 +227,8 @@ class Simulator:
         self._distance: dict = {}  # (sender, receiver) -> metres, with _links
         self._frame_facts: dict = {}  # (config, length) -> (noise, airtime)
         self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
-        self._listeners: dict = {}  # address -> (device, rival index)
+        self._listeners: dict = {}  # address -> device, ascending address
+        self._rivals: dict = {}  # listener -> its index, built when read
         # (rssi, sf, bandwidth) -> the ReceptionOutcome of a frame with no
         # rival, in an unshadowed run only
         self._lone_decisions = (
@@ -312,8 +314,12 @@ class Simulator:
 
     def process_result(self, device: MoteDevice, result) -> None:
         address = device.address  # of a result with ``notify`` set
-        if result.radio is RADIO_RX and address not in self._listeners:
-            self._listeners[address] = (device, self._rivals_at(address))
+        listeners = self._listeners
+        if result.radio is RADIO_RX and address not in listeners:
+            listeners[address] = device
+            ordered = sorted(listeners.items())
+            listeners.clear()
+            listeners.update(ordered)
         for delay_ns, node_event in result.followups:
             self.schedule(self.now + delay_ns, _NODE_TIMER, address,
                           node_event)
@@ -325,14 +331,6 @@ class Simulator:
                 app.on_radio_ready()
 
     # -- medium ---------------------------------------------------------------
-
-    def _rivals_at(self, address: int) -> list:
-        """A listener's rival index: the frames on air that it did not send,
-        strongest there first, while two or more are on air; else empty."""
-        if len(self._on_air) < 2:
-            return []
-        return sorted((-o.rssi_by_rx[address], o.frame_id, o)
-                      for o in self._on_air if o.src != address)
 
     def medium_busy(self, frequency_hz: float) -> bool:
         return any(o.start_ns <= self.now < o.end_ns
@@ -386,15 +384,9 @@ class Simulator:
             self.now + facts[1])
         self.node_event(device, nd.TX_REQUEST)
         self._on_air.append(frame)
-        rssi_by_rx, frame_id = frame.rssi_by_rx, frame.frame_id
-        if len(self._on_air) > 1:
-            for rx_addr, (_device, rivals) in self._listeners.items():
-                if len(self._on_air) == 2:  # the first overlap: index both
-                    rivals[:] = self._rivals_at(rx_addr)
-                elif rx_addr != device.address:
-                    insort(rivals, (-rssi_by_rx[rx_addr], frame_id, frame))
-        self._tx_by_id[frame_id] = frame
-        self.schedule(frame.end_ns, _TX_END, device.address, frame_id)
+        self._rivals.clear()
+        self._tx_by_id[frame.frame_id] = frame
+        self.schedule(frame.end_ns, _TX_END, device.address, frame.frame_id)
         return frame
 
     def send_wakeup(self, device: MoteDevice):
@@ -496,13 +488,11 @@ class Simulator:
         if floor <= self._floor:
             return
         self._floor = floor
-        indexed = len(self._on_air) >= 2
-        self._on_air = on_air = [o for o in self._on_air
-                                 if o.end_ns > floor] if undecided else []
-        if indexed:  # prune the indexes, or empty them below two frames
-            for _device, rivals in self._listeners.values():
-                rivals[:] = ([r for r in rivals if r[2].end_ns > floor]
-                             if len(on_air) >= 2 else ())
+        on_air = [o for o in self._on_air
+                  if o.end_ns > floor] if undecided else []
+        if len(on_air) < len(self._on_air):  # else no frame was dropped
+            self._rivals.clear()
+        self._on_air = on_air
 
     def _finish_decode(self, address: int, interrupt: bool) -> None:
         device = self.devices[address]
@@ -522,12 +512,11 @@ class Simulator:
         rssi_by_rx = frame.rssi_by_rx
         params = self.scenario.channel
         lone = self._lone_decisions
-        listeners = self._listeners
+        listeners, indexes = self._listeners, self._rivals
         drivers, heard_by, now = self.drivers, self.heard, self.now
-        alone = len(self._on_air) == 1  # then no listener has an index
+        alone = len(self._on_air) == 1  # then no listener needs an index
         dst_outcome = "not-listening"
-        for rx_addr in sorted(listeners):
-            device, rivals = listeners[rx_addr]
+        for rx_addr, device in list(listeners.items()):
             rx_since_ns = device.rx_since_ns
             if rx_since_ns is None:  # it has left rx since
                 del listeners[rx_addr]
@@ -538,6 +527,11 @@ class Simulator:
             if alone:
                 strongest = None
             else:  # the first overlap on its channel and SF is the strongest
+                rivals = indexes.get(rx_addr)
+                if rivals is None:
+                    rivals = indexes[rx_addr] = sorted(
+                        (-o.rssi_by_rx[rx_addr], o.frame_id, o)
+                        for o in self._on_air if o.src != rx_addr)
                 strongest = next((
                     -neg_rssi for neg_rssi, _frame_id, o in rivals
                     if o is not frame and o.frequency_hz == frequency_hz

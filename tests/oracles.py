@@ -152,11 +152,64 @@ def reception_margin(cfg, rssi_dbm, snr_db, table):
 def strongest_rival(frame, rx_addr, frames):
     """The highest RSSI at ``rx_addr`` among the frames of ``frames`` that
     ``channel.interferers_of`` finds for ``frame``, leaving out the
-    receiver's own, or None: the scan that the engine's per-listener index
-    replaces."""
+    receiver's own, or None: the scan that the engine replaces with an
+    index of the frames on air, built at a listener when a decision there
+    first needs it and emptied when the frames on air change."""
     return max([r.rssi_by_rx[rx_addr]
                 for r in interferers_of(frame, frames)
                 if r.src != rx_addr], default=None)
+
+
+def mean_rssi_dbm(distance_m, meta):
+    """P̄(d): the tx power of a sweep with calibration ``meta`` less its
+    log-distance loss at ``distance_m``, the mean RSSI there."""
+    loss = (meta["reference_loss_at_1m_db"] + 10.0
+            * meta["path_loss_exponent"] * math.log(distance_m, 10))
+    return meta["tx_power_dbm"] - loss
+
+
+def shadowed_pdr(distance_m, meta, table):
+    """The lognormal shadowing model's chance that a lone frame at
+    ``distance_m`` is decoded, and the chance that it is not, each computed
+    on its own so neither loses digits to ``1 - p``.
+
+    The frame is decoded iff P̄(d) + X >= T, with X ~ N(0, sigma**2) and T
+    the greater of the sensitivity and the noise floor plus the SNR floor,
+    so p(d) = erfc((T - P̄(d)) / (sigma * sqrt 2)) / 2 (Rappaport,
+    *Wireless Communications*, 2nd ed., section 4.9). ``meta`` is a
+    sweep's calibration, as ``range_sweep`` returns it, with sigma > 0.
+    """
+    sf, bandwidth_hz = meta["spreading_factor"], meta["bandwidth_hz"]
+    threshold = max(table.sensitivity(sf, bandwidth_hz),
+                    oracle_noise_floor_dbm(bandwidth_hz,
+                                           meta["noise_figure_db"])
+                    + table.snr_floor(sf))
+    x = ((threshold - mean_rssi_dbm(distance_m, meta))
+         / (meta["shadowing_sigma_db"] * math.sqrt(2.0)))
+    return 0.5 * math.erfc(x), 0.5 * math.erfc(-x)
+
+
+def binomial_acceptance(n, p, q, alpha):
+    """The two-sided acceptance region [lo, hi] of a Binomial(n, p) count
+    at level ``alpha``, ``q`` being 1 - p: the widest tails that each hold
+    at most ``alpha / 2`` are cut off."""
+    if p == 0.0:
+        return 0, 0
+    if q == 0.0:
+        return n, n
+    log_p, log_q = math.log(p), math.log(q)
+    pmf = [math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                    - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+           for k in range(n + 1)]
+    lo, tail = 0, pmf[0]
+    while tail <= alpha / 2:
+        lo += 1
+        tail += pmf[lo]
+    hi, tail = n, pmf[n]
+    while tail <= alpha / 2:
+        hi -= 1
+        tail += pmf[hi]
+    return lo, hi
 
 
 def resolve_concurrent(frames, table, capture_threshold_db=6.0):

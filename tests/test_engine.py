@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import math
 import os
@@ -20,11 +19,12 @@ from motesim.node import EnergyLedger, MoteDevice, RadioMode
 from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
-from motesim.scenario import (PAPER_RADIO, AppSpec, NodeSpec, WurxSpec,
-                              load, power_profile_scenario,
-                              range_point_scenario)
-from oracles import (reference_range_sweep, replay_delivered,
-                     resolve_concurrent, strongest_rival)
+from motesim.scenario import (DEFAULT_SWEEP_DISTANCES_M, PAPER_RADIO,
+                              AppSpec, NodeSpec, WurxSpec, load,
+                              power_profile_scenario, range_point_scenario)
+from oracles import (binomial_acceptance, mean_rssi_dbm,
+                     reference_range_sweep, replay_delivered,
+                     resolve_concurrent, shadowed_pdr, strongest_rival)
 
 TABLE = SensitivityTable.load_default()
 
@@ -46,6 +46,19 @@ def record_transmissions(sim):
 
     sim.begin_transmission = recording
     return started
+
+
+class CountedIndexes(dict):
+    """A simulator's rival indexes, counting each index built and its
+    entries; the engine writes an index only by setting its listener's
+    key, so every build passes here."""
+
+    builds = entries = 0
+
+    def __setitem__(self, rx_addr, rivals):
+        self.builds += 1
+        self.entries += len(rivals)
+        super().__setitem__(rx_addr, rivals)
 
 
 def two_node_scenario(distance_m=100.0, packets=3, period_s=1.0,
@@ -504,8 +517,10 @@ class TestIncrementalMatchesBatchResolver:
 
 
 class TestRivalIndex:
-    """Each listener's index of the frames on air, strongest first, gives
-    the rival that a scan of the on-air list with ``interferers_of`` finds."""
+    """A listener's index of the frames on air, strongest first, is built
+    when a decision there first needs it; it holds the frames on air at
+    every read and gives the rival that a scan of the on-air list with
+    ``interferers_of`` finds."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -562,11 +577,11 @@ class TestRivalIndex:
             on_air = sim._on_air
             assert strongest_rival_dbm == strongest_rival(frame, rx_addr,
                                                           on_air)
-            # indexes are kept only while two or more frames are on air
-            assert sim._listeners[rx_addr][1] == (sorted(
+            # a lone frame reads no index; any other, the frames on air
+            assert sim._rivals.get(rx_addr) == (sorted(
                 (-o.rssi_by_rx[rx_addr], o.frame_id, o)
                 for o in on_air if o.src != rx_addr)
-                if len(on_air) >= 2 else [])
+                if len(on_air) >= 2 else None)
             decisions.append(strongest_rival_dbm)
             return decide(frame, rx_addr, strongest_rival_dbm, *rest)
 
@@ -575,56 +590,48 @@ class TestRivalIndex:
         assert decisions
 
     def test_lone_frames_are_not_indexed(self, monkeypatch):
-        """The unshadowed sweep's mote is alone on air, so no listener's
-        index is written, and each is empty once a frame is settled."""
-        inserted = []
-        monkeypatch.setattr(engine, "insort",
-                            lambda rivals, entry: inserted.append(entry))
+        """The unshadowed sweep's mote is alone on air, so its ten
+        listening stations build no index."""
         finish = Simulator._finish_tx
         listeners = []
 
         def checking(sim, frame_id):
             finish(sim, frame_id)
-            assert [rivals for _device, rivals in sim._listeners.values()
-                    ] == [[]] * 10
+            assert sim._rivals == {}
             listeners.append(len(sim._listeners))
 
         monkeypatch.setattr(Simulator, "_finish_tx", checking)
         range_sweep(packets=5)
         assert listeners == [10] * 5
-        assert inserted == []
 
-    def test_overlapping_frames_are_indexed(self, monkeypatch):
-        """Three motes tick together, so the base station indexes their
-        frames: the first two when the second goes on air, the third by
-        ``insort``; each is decided against the full index."""
-        inserted = []
-
-        def counting(rivals, entry):
-            inserted.append(entry)
-            bisect.insort(rivals, entry)
-
-        monkeypatch.setattr(engine, "insort", counting)
+    def test_overlapping_frames_are_indexed(self):
+        """Three motes tick together, so the base station's first decision
+        of a tick indexes the three frames. The floor then rises without
+        dropping one, so the other two decisions read that index, and the
+        tick's last decision empties it with the medium."""
         sim = Simulator(multi_mote_scenario(
             [Position(x=50.0), Position(x=-80.0), Position(y=120.0)],
             horizon_s=3.5), record_trace=False)
+        indexes = sim._rivals = CountedIndexes()
         deliver = sim._deliver
         index_sizes = []
 
         def sizing(frame):
-            index_sizes.append(len(sim._listeners[1][1]))
-            return deliver(frame)
+            outcome = deliver(frame)
+            index_sizes.append(len(indexes[1]))
+            return outcome
 
         sim._deliver = sizing
         sim.run()
         assert index_sizes == [3] * 9
-        assert len(inserted) == 3
-        assert sim._listeners[1][1] == []
+        assert (indexes.builds, indexes.entries) == (3, 9)
+        assert indexes == {}
 
     def test_prune_to_one_frame_empties_the_indexes(self):
         """Station 3's frame goes on air at the nanosecond station 2's ends,
-        before that one is decided, so both are indexed; deciding the first
-        prunes it, and the one frame left leaves every index empty."""
+        before that one is decided, so the decision at station 1 indexes
+        both; deciding the first drops it from the medium, which empties
+        the index, and the one frame left is decided with none."""
         from motesim.engine import EventKind
         nodes = (NodeSpec(address=1, role="bs", position=Position()),
                  NodeSpec(address=2, role="bs", position=Position(x=50.0)),
@@ -634,6 +641,15 @@ class TestRivalIndex:
             channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none")),
             record_trace=False)
         started = record_transmissions(sim)
+        begin = sim.begin_transmission
+        indexes_after_begin = []
+
+        def beginning(device, data):
+            frame = begin(device, data)
+            indexes_after_begin.append(dict(sim._rivals))
+            return frame
+
+        sim.begin_transmission = beginning
         sim.start_apps()
         sim.run_until(10 ** 8)  # every station is in rx
         end_ns = sim.now + time_on_air(sim.drivers[2].config, 20)
@@ -641,22 +657,28 @@ class TestRivalIndex:
         sim.schedule(end_ns, EventKind.CALLBACK, 3,
                      lambda: sim.drivers[3].send(bytes(20)))
         sim.drivers[2].send(bytes(20))
-        finish = sim._finish_tx
-        after = []
+        deliver, finish = sim._deliver, sim._finish_tx
+        read, after = [], []
+
+        def sizing(frame):
+            outcome = deliver(frame)
+            read.append({a: len(r) for a, r in sim._rivals.items()})
+            return outcome
 
         def checking(frame_id):
-            indexes = {a: len(r) for a, (_d, r) in sim._listeners.items()}
             finish(frame_id)
-            after.append((indexes, [o.src for o in sim._on_air],
-                          [r for _d, r in sim._listeners.values()]))
+            after.append(([o.src for o in sim._on_air], dict(sim._rivals),
+                          list(sim._listeners)))
 
-        sim._finish_tx = checking
+        sim._deliver, sim._finish_tx = sizing, checking
         sim.run_until(10 ** 9)
         assert [frame.start_ns for frame in started][1:] == [end_ns]
+        assert indexes_after_begin == [{}, {}]
         # stations 2 and 3 left rx to send, so only station 1 listens on
-        assert after == [({1: 2, 2: 1, 3: 1}, [3], [[]]), ({1: 0}, [], [[]])]
+        assert read == [{1: 2}, {}]
+        assert after == [([3], {}, [1]), ([], {}, [1])]
 
-    def test_no_decision_scans_the_on_air_list(self, monkeypatch):
+    def test_no_decision_calls_interferers_of(self, monkeypatch):
         def scanning(*args):
             raise AssertionError("interferers_of called by the engine")
 
@@ -1077,6 +1099,34 @@ class TestRangeSweep:
             assert all(s.delivered <= s.sent for s in metrics.links.values())
 
 
+class TestShadowedSweepClosedForm:
+    """Under lognormal shadowing, a lone frame at distance d is decoded iff
+    P̄(d) + X >= T with X ~ N(0, sigma**2), so each point's delivered count
+    is Binomial(sent, p(d)) and its mean RSSI estimates P̄(d)."""
+
+    SIGMAS = (4.0, 8.0)
+    PACKETS = 2_000
+    # alpha = 1e-4 over the whole test, Bonferroni-split over its points
+    POINT_ALPHA = 1e-4 / (len(SIGMAS) * len(DEFAULT_SWEEP_DISTANCES_M))
+
+    # a seed per sigma, so that the two sweeps draw apart
+    @pytest.mark.parametrize("sigma, seed", zip(SIGMAS, (7, 101)))
+    def test_delivered_and_mean_rssi(self, sigma, seed):
+        rows, meta, runs = range_sweep(packets=self.PACKETS,
+                                       shadowing_sigma_db=sigma, seed=seed)
+        # no station runs out, so every frame sent is decided there
+        assert not any(node.depleted for metrics in runs
+                       for node in metrics.energy)
+        for row in rows:
+            assert row.sent == self.PACKETS
+            p, q = shadowed_pdr(row.distance_m, meta, TABLE)
+            lo, hi = binomial_acceptance(row.sent, p, q, self.POINT_ALPHA)
+            assert lo <= row.delivered <= hi, (row, p)
+            z = ((row.rssi_dbm_mean - mean_rssi_dbm(row.distance_m, meta))
+                 / (sigma / math.sqrt(row.sent)))
+            assert abs(z) <= 4.0, (row, z)
+
+
 class TestLoneDecisions:
     """In an unshadowed run, a frame with no rival at a listener reuses the
     decision stored for its RSSI, spreading factor and bandwidth there."""
@@ -1129,7 +1179,8 @@ class TestWorkCounts:
     """Calls per run repeat exactly. A decode at a listener charges its
     ledger without a state change, so it is no ``transition`` call, and the
     ledger's checkpoints, the ``accrue`` calls, are those of a decode that
-    passed through the state machine."""
+    passed through the state machine. Rival indexes are built at need, so
+    their builds repeat exactly too."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1154,6 +1205,21 @@ class TestWorkCounts:
         # the sleeper decodes the initiator's frame once per cycle
         power_profile(cycles=1000, seed=0)
         assert calls == {"transition": 10_002, "accrue": 10_003}
+
+    @pytest.mark.parametrize("scenario, packets, builds, entries", [
+        # seven motes whose frames overlap in part or whole, one listener
+        (lambda: dense_scenario(horizon_s=12.0), 77, 33, 187),
+        # twelve staggered motes, two listening base stations
+        (lambda: load(pathlib.Path(__file__).resolve().parents[1]
+                      / "scenarios" / "dense_shadowed.yaml"), 348, 174, 348),
+    ], ids=["dense_scenario", "dense_shadowed.yaml"])
+    def test_rival_index_builds(self, scenario, packets, builds, entries):
+        # an index is built only by a decision that finds company on air
+        # and no index there since the last change of the medium
+        sim = Simulator(scenario(), record_trace=False)
+        indexes = sim._rivals = CountedIndexes()
+        assert len(sim.run().packets) == packets
+        assert (indexes.builds, indexes.entries) == (builds, entries)
 
 
 class TestChannelClear:
@@ -1259,6 +1325,36 @@ class TestFrameFacts:
             assert frame.spreading_factor == config.spreading_factor
         # the first and last sends share their config and length
         assert computed == sends[:-1]
+
+    def test_listeners_are_decided_in_address_order(self, monkeypatch):
+        """Base stations 3, 2 and 1 enter rx in that order, yet each frame
+        is decided at 1, then 2, then 3."""
+        nodes = tuple(
+            NodeSpec(address=address, role="bs", position=Position(y=y),
+                     radio_turn_on_ns=turn_on_ms * 1_000_000)
+            for address, y, turn_on_ms in ((1, 0.0, 300), (2, 40.0, 150),
+                                           (3, -40.0, 1)))
+        nodes += (NodeSpec(address=4, role="mote",
+                           position=Position(x=100.0)),)
+        scenario = Scenario(
+            horizon_ns=3 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(shadowing_sigma_db=2.0), nodes=nodes,
+            app=AppSpec(kind="periodic", dst=1, payload_len=16,
+                        period_ns=10 ** 9))
+        order = []
+        decide = channel.decide_reception
+
+        def recording(frame, rx_addr, *rest):
+            order.append(rx_addr)
+            return decide(frame, rx_addr, *rest)
+
+        monkeypatch.setattr(channel, "decide_reception", recording)
+        sim = Simulator(scenario, record_trace=False)
+        sim.start_apps()
+        sim.run_until(400_000_000)
+        assert list(sim._listeners) == [1, 2, 3]
+        sim.run_until(scenario.horizon_ns)
+        assert order == [1, 2, 3] * 2
 
     def test_listener_entering_rx_mid_frame_is_registered_and_decided(self):
         """Base station 1 enters rx while mote 2's frame is on air. That
