@@ -68,6 +68,9 @@ class ChannelParams(NamedTuple):
                 f"got {self.path_loss_exponent}")
         if not 0 <= self.shadowing_sigma_db < math.inf:  # NaN fails too
             raise ConfigError("shadowing_sigma_db must be finite and >= 0")
+        if self.shadowing_sigma_db > 30.0:  # outdoors it measures 2-12 dB
+            raise ConfigError(f"shadowing_sigma_db must be <= 30.0, "
+                              f"got {self.shadowing_sigma_db}")
 
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:

@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--packets", type=int, default=360,
                          help="packets per distance (default: 360)")
     sweep_p.add_argument("--sigma", type=float, default=0.0,
-                         help="shadowing sigma in dB (default: 0)")
+                         help="shadowing sigma in dB, 0 to 30 (default: 0)")
     _add_common(sweep_p)
 
     prof_p = sub.add_parser("power-profile",

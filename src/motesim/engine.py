@@ -650,44 +650,36 @@ def run(scenario: Scenario, record_trace: bool = True) -> rep.RunMetrics:
 def range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets: int = 360,
                 period_s: float = 10.0, payload_len: int = 16, seed: int = 1,
                 shadowing_sigma_db: float = 0.0):
-    """Coverage experiment over ``range_sweep_scenario``: one run at σ = 0,
-    where the lone mote has no rival, else one run per point with seed
-    ``seed + index`` modulo 2**64 (point 0's as given, so a seed out of
-    range is rejected). Every point's scenario is built, and so checked,
-    before the first run; each run's ``Simulator`` just before it runs.
-    Returns (rows, meta, the runs' RunMetrics). A point's row, and its
-    (mote, base station) link in ``links``, count as sent every frame the
-    mote sent, from its packet records, since every frame goes to station
-    1. Delivered and the RSSI/SNR means are taken from the cause, RSSI
-    and SNR of the ``ReceptionOutcome`` records in ``heard``, one per frame
-    decided at the station: a run ends when the mote's last frame lands,
-    so that is every frame until the station's battery runs out, and none
-    after.
+    """Coverage experiment: one run of ``range_sweep_scenario``, at every σ,
+    whose base stations only listen, so none affects another. Under
+    shadowing each frame takes one draw per station, in ascending address
+    order, from the run's one RNG, so a point's draws depend on how many
+    stations come before it. Returns (rows, meta, [the run's RunMetrics]).
+    A point's row, and its (mote, base station) link in ``links``, count as
+    sent every frame the mote sent, from its packet records, since every
+    frame goes to station 1. Delivered and the RSSI/SNR means are taken
+    from the cause, RSSI and SNR of the ``ReceptionOutcome`` records in
+    ``heard``, one per frame decided at the station: the run ends when the
+    mote's last frame lands, so that is every frame until the station's
+    battery runs out, and none after.
     """
-    # no distance is one empty group, which the preset rejects at any σ
-    groups = ([(distance,) for distance in distances]
-              if distances and shadowing_sigma_db else [distances])
-    scenarios = [range_sweep_scenario(
-        group, packets, period_s, payload_len,
-        (seed + index) % 2 ** 64 if index else seed, shadowing_sigma_db)
-        for index, group in enumerate(groups)]
-    rows, all_metrics = [], []
-    for group, scenario in zip(groups, scenarios):
-        sim = Simulator(scenario, record_trace=False, record_heard=True)
-        all_metrics.append(sim.run())
-        mote = len(group) + 1  # after stations 1, 2, ... in group order
-        sent = all_metrics[-1].link(mote, 1).sent
-        for bs, distance in enumerate(group, 1):
-            causes, rssi, snr, *_ = zip(*sim.heard[mote, bs])
-            stats = all_metrics[-1].links[mote, bs] = rep.LinkStats(
-                sent, causes.count("ok"))
-            rows.append(rep.SweepRow(distance, sent, stats.delivered,
-                                     stats.pdr, sum(rssi) / len(rssi),
-                                     sum(snr) / len(snr)))
-    meta = dict(all_metrics[0].calibration)
+    scenario = range_sweep_scenario(distances, packets, period_s, payload_len,
+                                    seed, shadowing_sigma_db)
+    sim = Simulator(scenario, record_trace=False, record_heard=True)
+    metrics = sim.run()
+    mote = len(distances) + 1  # after stations 1, 2, ... in point order
+    sent = metrics.link(mote, 1).sent
+    rows = []
+    for bs, distance in enumerate(distances, 1):
+        causes, rssi, snr, *_ = zip(*sim.heard[mote, bs])
+        stats = metrics.links[mote, bs] = rep.LinkStats(
+            sent, causes.count("ok"))
+        rows.append(rep.SweepRow(distance, sent, stats.delivered, stats.pdr,
+                                 sum(rssi) / len(rssi), sum(snr) / len(snr)))
+    meta = dict(metrics.calibration)
     meta.update({"packets_per_distance": packets, "seed": seed,
                  "period_s": period_s, "payload_len": payload_len})
-    return rows, meta, all_metrics
+    return rows, meta, [metrics]
 
 
 def power_profile(**params) -> rep.RunMetrics:

@@ -6,11 +6,14 @@ event queue) so they can disagree with the package if either side is wrong.
 """
 
 import math
+import random
 
-from motesim.channel import decide_reception, interferers_of, noise_floor_dbm
+from motesim.channel import (ChannelParams, Position, decide_reception,
+                             interferers_of, noise_floor_dbm, rssi_at)
 from motesim.engine import run
 from motesim.report import SweepRow
-from motesim.scenario import DEFAULT_SWEEP_DISTANCES_M, range_point_scenario
+from motesim.scenario import (DEFAULT_SWEEP_DISTANCES_M, PAPER_RADIO,
+                              range_point_scenario)
 
 LINK_HEADER_BYTES = 6
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -231,21 +234,21 @@ def resolve_concurrent(frames, table, capture_threshold_db=6.0):
 
 
 def reference_range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets=360,
-                          period_s=10.0, payload_len=16, seed=1,
-                          shadowing_sigma_db=0.0):
-    """The coverage sweep as one two-node run per distance, with seed
-    ``seed + index``, read from the base station's packet records: the
-    per-point loop the engine's ``range_sweep`` must match row for row.
+                          period_s=10.0, payload_len=16, seed=1):
+    """The unshadowed coverage sweep as one two-node run per distance, read
+    from the base station's packet records: without shadowing the stations
+    do not affect one another, so the engine's one run of every point must
+    match this loop row for row. ``reference_shadowed_sweep`` is the
+    reference under shadowing.
 
     Returns (rows, meta) as ``range_sweep`` does.
     """
     rows = []
     all_metrics = []
-    for index, distance in enumerate(distances):
+    for distance in distances:
         scenario = range_point_scenario(
             distance_m=distance, packets=packets, period_s=period_s,
-            payload_len=payload_len, seed=seed + index,
-            shadowing_sigma_db=shadowing_sigma_db)
+            payload_len=payload_len, seed=seed)
         metrics = run(scenario, record_trace=False)
         stats = metrics.link(2, 1)
         rssi_values = [p.rssi_dbm for p in metrics.packets]
@@ -265,6 +268,37 @@ def reference_range_sweep(distances=DEFAULT_SWEEP_DISTANCES_M, packets=360,
     meta.update({"packets_per_distance": packets, "seed": seed,
                  "period_s": period_s, "payload_len": payload_len})
     return rows, meta
+
+
+def reference_shadowed_sweep(distances, packets, table, seed=1,
+                             shadowing_sigma_db=4.0):
+    """The shadowed coverage sweep replayed without an event loop: the
+    mote's ``packets`` frames in send order, each calling ``rssi_at`` over
+    stations 1...N, one per distance, with one ``random.Random(seed)``.
+    Each station decides every frame by the sensitivity and SNR gates
+    alone, since the lone mote has no rival and the stations outlive the
+    run.
+
+    Returns the rows ``range_sweep`` must return.
+    """
+    params = ChannelParams(shadowing_sigma_db=shadowing_sigma_db)
+    noise = oracle_noise_floor_dbm(PAPER_RADIO.bandwidth_hz,
+                                   params.noise_figure_db)
+    rng = random.Random(seed)
+    heard = [[] for _ in distances]
+    for _frame in range(packets):
+        for levels, distance in zip(heard, distances):
+            levels.append(rssi_at(PAPER_RADIO.tx_power_dbm,
+                                  Position(x=distance), Position(), params,
+                                  rng))
+    rows = []
+    for distance, levels in zip(distances, heard):
+        snrs = [level - noise for level in levels]
+        delivered = sum(reception_margin(PAPER_RADIO, level, snr, table)
+                        == "ok" for level, snr in zip(levels, snrs))
+        rows.append(SweepRow(distance, packets, delivered, delivered / packets,
+                             sum(levels) / len(levels), sum(snrs) / len(snrs)))
+    return rows
 
 
 class ReferenceLedger:

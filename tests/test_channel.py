@@ -171,6 +171,10 @@ class TestRssiAt:
             ChannelParams(path_loss_exponent=6.5)
         with pytest.raises(ConfigError):
             ChannelParams(shadowing_sigma_db=-1.0)
+        # σ is bounded as the exponent is, edge included
+        assert ChannelParams(shadowing_sigma_db=30.0).shadowing_sigma_db == 30.0
+        with pytest.raises(ConfigError, match="<= 30.0, got 30.5"):
+            ChannelParams(shadowing_sigma_db=30.5)
 
 
 class TestSnr:

@@ -162,6 +162,17 @@ def test_range_sweep_rejects_bad_sigma(sigma, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("sigma", ["31", "1e308"])
+def test_range_sweep_rejects_sigma_above_30_db(sigma, tmp_path, capsys):
+    # a finite but huge σ once wrote -inf means and counted frames at an
+    # RSSI of +inf as delivered
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", "50,600", "--packets", "4",
+                 "--sigma", sigma, "--out-dir", str(out_dir)]) == 1
+    assert "shadowing_sigma_db must be <= 30.0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("distances, sigma", [("0,50", "0"), ("50,0", "4")])
 def test_range_sweep_rejects_distance_not_positive(distances, sigma, tmp_path,
                                                    capsys):
@@ -191,7 +202,8 @@ def test_range_sweep_without_a_distance_is_a_usage_error(capsys):
 
 
 def test_shadowed_range_sweep_at_the_largest_seed(tmp_path, capsys):
-    # the second point's seed wraps to 0 instead of leaving 64 bits
+    # the largest 64-bit seed runs under shadowing, and a negative one is
+    # rejected
     out_dir = tmp_path / "sweep"
     assert main(["range-sweep", "--distances", "50,600", "--packets", "2",
                  "--sigma", "4", "--seed", str(2 ** 64 - 1),

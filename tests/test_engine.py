@@ -23,8 +23,9 @@ from motesim.scenario import (DEFAULT_SWEEP_DISTANCES_M, PAPER_RADIO,
                               AppSpec, NodeSpec, WurxSpec, load,
                               power_profile_scenario, range_point_scenario)
 from oracles import (binomial_acceptance, mean_rssi_dbm,
-                     reference_range_sweep, replay_delivered,
-                     resolve_concurrent, shadowed_pdr, strongest_rival)
+                     reference_range_sweep, reference_shadowed_sweep,
+                     replay_delivered, resolve_concurrent, shadowed_pdr,
+                     strongest_rival)
 
 TABLE = SensitivityTable.load_default()
 
@@ -763,7 +764,7 @@ class TestGoldenDigests:
         from motesim import emit_sweep
         (path,) = emit_sweep(rows, meta, "csv", tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b5d92f2541793690cf05b870be753033458e842521d782d534a90b2800d0976f")
+            "6febc6aa261598e3184e65325727282da74c4add4fc03dece106e252adfbcde0")
 
     def test_harvesting_depletion_outputs(self, tmp_path):
         sim = Simulator(harvest_depletion_scenario())
@@ -806,16 +807,16 @@ class TestWakeupExchange:
             assert abs(exchange.latency_ns - expected) <= 1
 
     def test_lost_data_frame_does_not_shift_later_exchanges(self):
-        # at 40 dB shadowing, frame seqno 9 (cycle 15) is lost; each cycle
+        # at 30 dB shadowing, frame seqno 13 (cycle 17) is lost; each cycle
         # that sent data is matched to its own frame, not to the next one
-        scenario = power_profile_scenario(cycles=30, seed=8)._replace(
-            channel=ChannelParams(shadowing_sigma_db=40.0))
+        scenario = power_profile_scenario(cycles=30, seed=1077)._replace(
+            channel=ChannelParams(shadowing_sigma_db=30.0))
         metrics = run(scenario, record_trace=False)
         assert [(p.seqno, p.outcome) for p in metrics.packets
-                if p.outcome != "delivered"] == [(9, "below-sensitivity")]
+                if p.outcome != "delivered"] == [(13, "below-sensitivity")]
         exchanges = {ex.cycle: ex for ex in metrics.exchanges}
-        assert exchanges[15].outcome == "data-lost"
-        assert exchanges[28].outcome == "completed"
+        assert exchanges[17].outcome == "data-lost"
+        assert exchanges[27].outcome == "completed"
         assert {ex.latency_ns for ex in metrics.exchanges
                 if ex.outcome == "completed"} == {379_503_000}
 
@@ -998,7 +999,7 @@ class TestEmission:
         assert len(lines) == 3
 
 
-# range_sweep inputs, each against one two-node run per point
+# unshadowed range_sweep inputs, each against one two-node run per point
 SWEEP_CASES = {
     "defaults": dict(packets=5),
     "repeated-distance-and-1m": dict(distances=(50.0, 1.0, 600.0, 50.0),
@@ -1006,8 +1007,6 @@ SWEEP_CASES = {
     "beyond-range": dict(distances=(600.0, 2500.0, 5000.0), packets=3),
     # a 200 B frame would outlast a 1 s guard after the last tick
     "in-flight": dict(payload_len=200, packets=3),
-    "shadowed": dict(distances=(50.0, 600.0, 700.0), packets=5,
-                     shadowing_sigma_db=4.0),
 }
 
 
@@ -1016,6 +1015,19 @@ class TestRangeSweep:
     def test_rows_and_meta_match_one_run_per_point(self, kwargs):
         rows, meta, _ = range_sweep(**kwargs)
         assert (rows, meta) == reference_range_sweep(**kwargs)
+
+    # an odd station count leaves a frame's last draw as the gauss spare
+    # that the next frame's first station takes
+    @pytest.mark.parametrize("distances", [
+        (50.0, 1000.0, 1500.0), (1.0, 50.0, 50.0, 1500.0)],
+        ids=["odd", "even"])
+    def test_shadowed_rows_match_one_rng_over_the_stations(self, distances):
+        rows, _meta, _ = range_sweep(distances=distances, packets=20, seed=3,
+                                     shadowing_sigma_db=4.0)
+        assert rows == reference_shadowed_sweep(distances, 20, TABLE, seed=3,
+                                                shadowing_sigma_db=4.0)
+        # the 1.5 km point keeps some frames and loses others
+        assert 0 < rows[-1].delivered < 20
 
     # inputs that a fixed 1 s guard after the last tick miscounts: a frame
     # longer than the guard, a period shorter than it, and one more tick
@@ -1071,15 +1083,7 @@ class TestRangeSweep:
                         shadowing_sigma_db=4.0)
         assert runs == []
 
-    def test_point_seed_wraps_at_64_bits(self):
-        # point k runs with seed + k modulo 2**64
-        rows, meta, _ = range_sweep(distances=(50.0, 600.0), packets=3,
-                                    seed=2 ** 64 - 1, shadowing_sigma_db=4.0)
-        assert rows[1:] == range_sweep(distances=(600.0,), packets=3, seed=0,
-                                       shadowing_sigma_db=4.0)[0]
-        assert meta["seed"] == 2 ** 64 - 1
-
-    @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (4.0, 4)])
+    @pytest.mark.parametrize("sigma, runs", [(0.0, 1), (4.0, 1)])
     def test_metrics_hold_every_point(self, sigma, runs):
         rows, _meta, metrics_list = range_sweep(
             distances=(1.0, 600.0, 600.0, 2500.0), packets=4,
@@ -1200,6 +1204,24 @@ class TestWorkCounts:
         _rows, _meta, runs = range_sweep()
         assert sum(metrics.event_count for metrics in runs) == 1_450
         assert calls == {"transition": 2_550, "accrue": 4_332}
+
+    def test_shadowed_coverage_sweep(self, calls, monkeypatch):
+        # one run at every σ: each of the 360 frames takes one RssiOnRead
+        # of ten draws, and its decisions at the stations change no state
+        builds = []
+
+        class CountedRssi(channel.RssiOnRead):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                builds.append(None)
+                super().__init__(*args)
+
+        monkeypatch.setattr(channel, "RssiOnRead", CountedRssi)
+        _rows, _meta, runs = range_sweep(shadowing_sigma_db=4.0)
+        assert [metrics.event_count for metrics in runs] == [1_450]
+        assert calls == {"transition": 2_550, "accrue": 4_292}
+        assert len(builds) == 360
 
     def test_power_profile(self, calls):
         # the sleeper decodes the initiator's frame once per cycle
