@@ -71,6 +71,14 @@ class ChannelParams(NamedTuple):
         if self.shadowing_sigma_db > 30.0:  # outdoors it measures 2-12 dB
             raise ConfigError(f"shadowing_sigma_db must be <= 30.0, "
                               f"got {self.shadowing_sigma_db}")
+        # a NaN or an infinity is left to the finiteness rule of every record
+        for name, high in (("reference_loss_at_1m_db", 100.0),
+                           ("noise_figure_db", 30.0),
+                           ("capture_threshold_db", 30.0)):
+            value = getattr(self, name)
+            if math.isfinite(value) and not 0.0 <= value <= high:
+                raise ConfigError(f"{name} must be within [0, {high:g}], "
+                                  f"got {value}")
 
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:

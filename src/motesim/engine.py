@@ -49,7 +49,11 @@ event does not grow with the horizon. The dispatch trace is hashed in
 chunks of at most 1,024 lines, so its memory is constant too.
 
 A wake-up exchange's burst depends only on the target's wurx block, so it
-is built once, with the applications, and every cycle sends it. Nodes
+is built once, with the applications, and every cycle sends it. A burst is
+one event, its end: each receiver it reaches at or above sensitivity
+decodes for exactly its airtime, so the end closes those decodes in
+ascending address order, then the sender's tx. Only the initiator sends
+bursts, never while in tx, so none arrives mid-decode. Nodes
 never move, so work that depends only on positions is done once. At a
 sender's first frame the engine caches its distance and mean path loss to
 every other node, and at its first wake-up burst to every other WuRX node;
@@ -71,9 +75,9 @@ the run's per-link counts are taken from those records, put in send
 order, at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
-line and handles node timers, callbacks and burst ends itself, including
-the skip of a depleted node; only frame ends and wake-up decodes go through
-a helper, and the dispatch order is checked on the two ints. A node timer
+line and handles node timers and callbacks itself, including the skip of
+a depleted node; only frame ends and burst ends go through a helper, and
+the dispatch order is checked on the two ints. A node timer
 costs one ``MoteDevice.transition`` call, which returns a shared
 precomputed result; ``process_result`` is called only when its ``notify``
 flag is set, for follow-up timers, an application hook or an entry into rx.
@@ -112,7 +116,6 @@ class EventKind(enum.Enum):
     CALLBACK = "callback"
     TX_END = "tx_end"
     WUB_END = "wub_end"
-    WUB_DECODE_DONE = "wub_decode_done"
 
     def __init__(self, text):
         # the kind as the dispatch trace writes it, a plain attribute where
@@ -121,7 +124,7 @@ class EventKind(enum.Enum):
 
 
 # bound once, like the node modes: a lookup on the Enum class is slow
-_NODE_TIMER, _CALLBACK, _TX_END, _WUB_END, _WUB_DECODE_DONE = EventKind
+_NODE_TIMER, _CALLBACK, _TX_END, _WUB_END = EventKind
 _TRACE_BATCH = 1024  # trace lines per hash update, not one update per line
 
 
@@ -395,19 +398,16 @@ class Simulator:
         emission = self._wub
         device.begin_wub_tx(self.now, emission.duty)  # no result to act on
         rssi_by_rx = self._rssi_by_rx(device, True)
+        decoding = []  # (receiver, interrupt), in ascending address order
         for rx_addr in rssi_by_rx:
             receiver = self.devices[rx_addr]
             outcome = wux.receive_wub(receiver.wurx, emission.frame,
                                       rssi_by_rx[rx_addr])
-            if outcome.kind == "busy":
-                receiver.wurx.missed_while_decoding += 1
-            elif outcome.kind == "decoding":
-                receiver.wurx_set_mode(wux.WurxMode.DECODING, self.now)
-                self.schedule(self.now + outcome.decode_time_ns,
-                              _WUB_DECODE_DONE, rx_addr,
-                              outcome.interrupt)
+            if outcome is not wux.IGNORED:
+                receiver.wurx_decode(True, self.now)
+                decoding.append((receiver, outcome.interrupt))
         self.schedule(self.now + emission.duration_ns, _WUB_END,
-                      device.address, None)
+                      device.address, decoding)
         return emission
 
     # -- event loop -------------------------------------------------------------
@@ -456,9 +456,7 @@ class Simulator:
             elif kind is _TX_END:
                 self._finish_tx(payload)
             elif kind is _WUB_END:
-                self.node_event(devices[target], nd.TX_DONE)
-            elif kind is _WUB_DECODE_DONE:
-                self._finish_decode(target, payload)
+                self._finish_burst(target, payload)
         self._last_key = last_ts, last_seq
         self.now = t_ns
 
@@ -494,15 +492,17 @@ class Simulator:
             self._rivals.clear()
         self._on_air = on_air
 
-    def _finish_decode(self, address: int, interrupt: bool) -> None:
-        device = self.devices[address]
-        device.wurx_set_mode(wux.WurxMode.LISTENING, self.now)
-        if interrupt:
-            device.wurx.interrupts_asserted += 1
-            if not device.ledger.depleted:
-                self.node_event(device, nd.WURX_INTERRUPT)
-        else:
-            device.wurx.false_wakeups_rejected += 1
+    def _finish_burst(self, address: int, decoding: list) -> None:
+        """End each decode the burst began, then the sender's tx."""
+        for receiver, interrupt in decoding:
+            receiver.wurx_decode(False, self.now)
+            if not interrupt:
+                receiver.wurx_false_rejected += 1
+                continue
+            receiver.wurx_interrupts += 1
+            if not receiver.ledger.depleted:
+                self.node_event(receiver, nd.WURX_INTERRUPT)
+        self.node_event(self.devices[address], nd.TX_DONE)
 
     def _deliver(self, frame: Frame) -> str:
         """Decide the frame at every listener; returns its dst's outcome."""
@@ -615,15 +615,13 @@ class Simulator:
             wallclock_s=wallclock_s,
         )
         for address, device in self.devices.items():
-            ledger, wurx = device.ledger, device.wurx
-            counts = () if wurx is None else (  # else the fields' zeros
-                wurx.interrupts_asserted, wurx.false_wakeups_rejected,
-                wurx.missed_while_decoding)
+            ledger = device.ledger
             metrics.energy.append(rep.NodeEnergyReport(
                 address, power_report(ledger, device.power_table_w),
                 ledger.battery_initial_j, ledger.battery_remaining_j,
                 ledger.consumed_j, ledger.harvested_j, ledger.depleted,
-                ledger.total_time_ns(), *counts))
+                ledger.total_time_ns(), device.wurx_interrupts,
+                device.wurx_false_rejected))
         metrics.exchanges = self._collect_exchanges()
         return metrics
 

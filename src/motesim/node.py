@@ -18,7 +18,9 @@ wake-up receiver and the sleeping MCU together; the attribution between the
 two (1.8 uW WuRX + 0.03 uW MCU and leakage) is documentation, not a charged
 split.
 
-State machine (states are (mcu, radio); WuRX mode only affects the label).
+State machine (states are (mcu, radio); a WuRX decode only affects the label:
+``MoteDevice.wurx`` is the node's ``WurxSpec``, and ``wurx_decode`` sets the
+``wurx_decoding`` flag while a burst lasts; the engine counts interrupts).
 Events are ``NodeEvent`` members: the scheduled ones and the driver
 operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the
 decode of a frame at a listener (rx_done), which is ``MoteDevice.receive``:
@@ -75,7 +77,7 @@ from typing import NamedTuple
 from .channel import Position
 from .errors import ConfigError, IllegalTransition, validated
 from .phy import NS_PER_S
-from .wurx import WakeUpFrame, WurxMode, WurxState
+from .wurx import WakeUpFrame
 
 SUPPLY_VOLTAGE_V = 3.0
 
@@ -191,7 +193,6 @@ class RadioMode(enum.Enum):
 # module constant, and the state machine compares modes on every event.
 MCU_SLEEP, MCU_WAKING, MCU_ACTIVE = McuMode
 RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY, RADIO_RX, RADIO_TX = RadioMode
-_DECODING = WurxMode.DECODING
 
 
 class NodeEvent(enum.Enum):
@@ -333,8 +334,10 @@ class MoteDevice:
         self.address = spec.address
         self.position = spec.position
         self.power_table_w = power_table(spec)
-        self.wurx = None if spec.wurx is None else WurxState(
-            spec.wurx.address, spec.wurx.sensitivity_dbm)
+        self.wurx = spec.wurx
+        self.wurx_decoding = False
+        self.wurx_interrupts = 0
+        self.wurx_false_rejected = 0
         self._wakeup = TransitionResult(MCU_WAKING, RADIO_OFF, (
             (spec.mcu_wakeup_ns, MCU_AWAKE),), notify=True)
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
@@ -421,7 +424,7 @@ class MoteDevice:
         enter ``result``'s state and pick its label and power.
 
         The dwell is charged at the label and power cached when it began, so
-        a caller may change the WuRX mode or the burst power first. Every
+        a caller may flag a WuRX decode or set the burst power first. Every
         change of label goes through here, so the per-label times partition
         the run exactly. The state entered sets the rest: ``rx_since_ns``
         is the ns rx was entered, and a burst's result charges ``wub_tx``.
@@ -444,7 +447,7 @@ class MoteDevice:
             label = "lora_rx"
         elif result.mcu is not MCU_SLEEP:
             label = "mcu_active"
-        elif self.wurx is not None and self.wurx.mode is _DECODING:
+        elif self.wurx_decoding:
             label = "wurx_decode"
         else:
             label = "sleep"
@@ -456,13 +459,12 @@ class MoteDevice:
             else self.power_table_w[label]
         return result
 
-    # WuRX mode flips also change the charged label.
-
-    def wurx_set_mode(self, mode: WurxMode, now_ns: int) -> None:
+    def wurx_decode(self, decoding: bool, now_ns: int) -> None:
+        """Start or end a decode, which also changes the charged label."""
         if self.wurx is None:
             raise IllegalTransition(
                 f"node {self.address} has no wake-up receiver")
-        self.wurx.mode = mode
+        self.wurx_decoding = decoding
         self._apply(now_ns, self._state)
 
     def finalize(self, horizon_ns: int) -> None:

@@ -57,7 +57,6 @@ class NodeEnergyReport(NamedTuple):
     total_time_ns: int
     wurx_interrupts: int = 0
     wurx_false_rejected: int = 0
-    wurx_missed: int = 0
 
 
 class ExchangeRecord(NamedTuple):

@@ -22,7 +22,7 @@ from .errors import ScenarioError, validated
 from .node import AWAKE_ROLES, NodeSpec, WurxSpec
 from .phy import NS_PER_S, RadioConfig, time_on_air
 from .stack import DEFAULT_MTU, HEADER_BYTES, MAX_SEQNO
-from .wurx import WakeUpFrame, wub_airtime
+from .wurx import wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -163,9 +163,10 @@ def validate(scenario: Scenario) -> None:
             raise ScenarioError(
                 f"app.cycles must be at most {MAX_SEQNO}, the frames the "
                 f"16-bit link-header sequence number counts")
-        exchange_ns = (wub_airtime(WakeUpFrame(target.wurx.address,
-                                               target.wurx.preamble_bits,
-                                               target.wurx.bit_rate_bps))
+        # a callback cannot be scheduled before the event that sets it
+        if app.linger_ns < 0 or app.rx_timeout_ns < 0:
+            raise ScenarioError("app.linger_ms/rx_timeout_ms must be >= 0")
+        exchange_ns = (wub_airtime(target.wurx)
                        + target.mcu_wakeup_ns + target.radio_turn_on_ns
                        + frame_airtime + app.linger_ns)
         if app.cycle_period_ns <= exchange_ns:

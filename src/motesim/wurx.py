@@ -13,14 +13,12 @@ asserted only on an exact address match.
 
 This module gives durations and the duty only. The node's energy ledger
 charges the burst (at ``lora_tx`` power times the duty) and the decode (at
-the ``wurx_decode`` power) for the dwell the engine schedules. A frame, a
-burst and an arrival's outcome are named tuples; the engine calls
-``send_wub`` once per run, for the target's burst, and "busy" and "ignored"
-are constants. The receiver's state, which the engine updates, is slotted;
-its node's wurx block, ``node.WurxSpec``, checks itself when it is built.
+the ``wurx_decode`` power), which ends with the burst. A frame, a burst and
+an arrival's outcome are named tuples, the three outcomes shared constants;
+the engine calls ``send_wub`` once per run, for the target's burst. A
+receiver is its node's wurx block, ``node.WurxSpec``, checked when built.
 """
 
-import enum
 from typing import NamedTuple
 
 from .errors import ConfigError, validated
@@ -54,8 +52,9 @@ class WakeUpFrame(NamedTuple):
         return preamble + address
 
 
-def wub_airtime(frame: WakeUpFrame) -> int:
-    """Frame duration (preamble + address bits) in integer nanoseconds."""
+def wub_airtime(frame) -> int:
+    """Frame duration (preamble + address bits) in integer nanoseconds; a
+    ``node.WurxSpec`` has both fields it reads, as a ``WakeUpFrame`` does."""
     n_bits = frame.preamble_bits + ADDRESS_BITS
     return round(n_bits / frame.bit_rate_bps * NS_PER_S)
 
@@ -81,53 +80,25 @@ def send_wub(target_address: int, *, preamble_bits: int = 8,
     return WubEmission(frame, wub_airtime(frame), ook_duty(frame.bits()))
 
 
-class WurxMode(enum.Enum):
-    LISTENING = "listening"
-    DECODING = "decoding"
-
-
-class WurxState:
-    """Wake-up receiver: configured address, sensitivity, and the mode and
-    counters the engine updates at every burst. The node's power table
-    holds its decode power."""
-
-    __slots__ = ("configured_address", "sensitivity_dbm", "mode",
-                 "missed_while_decoding", "false_wakeups_rejected",
-                 "interrupts_asserted")
-
-    def __init__(self, configured_address: int, sensitivity_dbm: float = -50.0):
-        self.configured_address = configured_address
-        self.sensitivity_dbm = sensitivity_dbm
-        self.mode = WurxMode.LISTENING
-        self.missed_while_decoding = 0
-        self.false_wakeups_rejected = 0
-        self.interrupts_asserted = 0
-
-
 class WurxOutcome(NamedTuple):
     """What a wake-up frame arrival does to a listening receiver.
 
-    ``kind`` is "ignored" (below sensitivity), "busy" (decoder already
-    running; arrival is missed) or "decoding". For "decoding" the receiver
-    occupies the decoder for ``decode_time_ns``; ``interrupt`` says whether
-    the line is asserted at the end of the frame.
+    ``kind`` is "ignored" (below sensitivity) or "decoding": the decoder
+    runs until the burst ends, and ``interrupt`` says whether the line is
+    asserted then.
     """
 
     kind: str
-    decode_time_ns: int = 0
     interrupt: bool = False
 
 
-BUSY = WurxOutcome("busy")
 IGNORED = WurxOutcome("ignored")
+WAKE = WurxOutcome("decoding", True)
+REJECT = WurxOutcome("decoding", False)
 
 
-def receive_wub(state: WurxState, frame: WakeUpFrame,
-                rssi_dbm: float) -> WurxOutcome:
-    """Decide how a wake-up frame lands; pure so the engine owns mutation."""
-    if state.mode is WurxMode.DECODING:
-        return BUSY
-    if rssi_dbm < state.sensitivity_dbm:
+def receive_wub(wurx_spec, frame: WakeUpFrame, rssi_dbm: float) -> WurxOutcome:
+    """How a frame lands at a ``node.WurxSpec``; pure: the engine mutates."""
+    if rssi_dbm < wurx_spec.sensitivity_dbm:
         return IGNORED
-    return WurxOutcome("decoding", wub_airtime(frame),
-                       frame.address == state.configured_address)
+    return WAKE if frame.address == wurx_spec.address else REJECT

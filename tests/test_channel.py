@@ -176,6 +176,19 @@ class TestRssiAt:
         with pytest.raises(ConfigError, match="<= 30.0, got 30.5"):
             ChannelParams(shadowing_sigma_db=30.5)
 
+    # a huge finite constant once wrote RSSIs of 309 digits; each bound's
+    # edges are valid
+    @pytest.mark.parametrize("field, high", [
+        ("reference_loss_at_1m_db", 100.0), ("noise_figure_db", 30.0),
+        ("capture_threshold_db", 30.0)])
+    def test_constant_bounds(self, field, high):
+        for edge in (0.0, high):
+            assert getattr(ChannelParams(**{field: edge}), field) == edge
+        for value in (-0.5, high + 0.5, 1.0e308):
+            with pytest.raises(ConfigError, match=f"^{field} must be within "
+                                                  rf"\[0, {high:g}\], got"):
+                ChannelParams(**{field: value})
+
 
 class TestSnr:
     def test_zero_at_noise_floor(self):

@@ -287,6 +287,19 @@ def test_bs_sender_not_ready_at_its_first_tick_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+def test_huge_reference_loss_checked_at_load(tmp_path, capsys):
+    # a finite but huge constant once ran to exit 0 with nonsense RSSIs
+    text = EXAMPLE.read_text()
+    bad = tmp_path / "loss.yaml"
+    bad.write_text(text.replace("reference_loss_at_1m_db: 31.2",
+                                "reference_loss_at_1m_db: 1.0e+308")
+                   .replace("horizon_s: 3601.0", "horizon_s: 61.0"))
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "reference_loss_at_1m_db must be within [0, 100], got 1e+308" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("payload_len", [300, -7])
 def test_payload_len_checked_at_load(payload_len, tmp_path, capsys):
     text = EXAMPLE.read_text()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motesim import (ChannelParams, MotesimError, Position, RadioConfig,
-                     Scenario, ScenarioError, SensitivityTable, run)
+from motesim import (ChannelParams, IllegalTransition, MotesimError,
+                     Position, RadioConfig, Scenario, ScenarioError,
+                     SensitivityTable, run)
 from motesim import channel, engine
 from motesim import stack as stk
 from motesim.channel import noise_floor_dbm
@@ -245,9 +246,10 @@ class TestBatchedTraceHash:
     hashes the lines kept so far, and must leave the bytes hashed, and so
     the final digest, those of an uninterrupted run."""
 
-    # 300 wake-up cycles dispatch 2,700 events, more than two full chunks;
-    # pinned on the engine that hashed one line per update
-    DIGEST = "b873cbbc217acc3bc3f074932ea2a23f43c1b865ebf26433482abcb7d079360f"
+    # 300 wake-up cycles dispatch 2,400 events, more than two full chunks;
+    # pinned on the engine that hashed one line per update, and again when
+    # a burst became one event
+    DIGEST = "d2118b573a4e9fa5e35c3f43c6be729b1bc71f413ba258bfdff344c49740aefc"
 
     def test_mid_run_reads_leave_the_final_hash(self):
         scenario = power_profile_scenario(cycles=300)
@@ -732,8 +734,9 @@ class TestGoldenDigests:
     moves them."""
 
     def test_power_profile_trace_hash(self):
+        # re-pinned when a burst became one event
         assert power_profile(cycles=4).trace_hash == (
-            "66a700511e283c16b3fe0dea2795cf80e1b36be1ebb32ea4d3fd6385c7dd5bc4")
+            "511bc7bd9984ee477d1e46031cbcd97b8db029e2c4aab3c953b644bd2d6c2824")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
         metrics = run(dense_scenario(horizon_s=12.0))
@@ -841,25 +844,21 @@ class TestWakeupExchange:
             (1, "completed", received[1]), (2, "data-lost", None),
             (3, "completed", received[3])]
 
-    def test_wrong_wurx_address_times_out_with_decode_energy(self):
-        scenario = power_profile_scenario(cycles=2)
-        sleeper = scenario.node(2)
-        wrong = NodeSpec(
-            address=2, role="sleeper", position=sleeper.position,
-            wurx=WurxSpec(address=0x55))  # initiator still targets 0x55?
-        # rebuild with a mismatched *configured* address on the sleeper:
-        # the initiator addresses the app target's spec, so point the app
-        # at a frame address that cannot match by overriding after build.
-        sim = Simulator(scenario, record_trace=False)
-        sim.devices[2].wurx.configured_address = 0x11
-        metrics = sim.run()
-        assert all(ex.outcome == "wake-timeout" for ex in metrics.exchanges)
-        sleeper_report = metrics.energy[1]
-        rows = {r[0]: r for r in sleeper_report.rows}
-        assert rows["wurx_decode"][2] == 2 * 16_000_000
+    def test_bystander_decodes_and_rejects_every_burst(self):
+        # sleeper 3 is in wake range of every burst to sleeper 2, but its
+        # wake-up address differs
+        metrics = run(load(pathlib.Path(__file__).resolve().parents[1]
+                           / "scenarios" / "wurx_bystander.yaml"))
+        assert [ex.outcome for ex in metrics.exchanges] == ["completed"] * 5
+        target, bystander = metrics.energy[1:]
+        assert (target.wurx_interrupts, target.wurx_false_rejected) == (5, 0)
+        assert (bystander.wurx_interrupts,
+                bystander.wurx_false_rejected) == (0, 5)
+        rows = {r[0]: r for r in bystander.rows}
+        assert rows["wurx_decode"][2] == 5 * 16_000_000
         assert rows["mcu_active"][2] == 0  # never woke
         assert rows["lora_rx"][2] == 0
-        assert sleeper_report.wurx_false_rejected == 2
+        assert rows["sleep"][2] == metrics.horizon_ns - 5 * 16_000_000
 
     def test_out_of_wake_range_times_out(self):
         # data link viable at 600 m but the wake link dies at -50 dBm
@@ -894,16 +893,16 @@ class TestWakeupExchange:
         assert len(metrics.exchanges) == 3
         assert all(ex.outcome == "wake-timeout" for ex in metrics.exchanges)
 
-    def test_busy_wurx_misses_second_wub(self):
-        scenario = power_profile_scenario(cycles=1)
-        sim = Simulator(scenario, record_trace=False)
+    def test_second_burst_while_one_is_on_air_raises(self):
+        # a decode ends with its burst, and the initiator, the only node
+        # that sends bursts, cannot start one while its radio is in tx: so
+        # no burst reaches a receiver mid-decode
+        sim = Simulator(power_profile_scenario(cycles=1), record_trace=False)
         sim.start_apps()
-        sim.run_until(1_000_000_000 + 1_000_000)  # first WUB under way
-        device = sim.devices[2]
-        outcome = __import__("motesim").receive_wub(
-            device.wurx, __import__("motesim").WakeUpFrame(address=0x2A),
-            -30.0)
-        assert outcome.kind == "busy"
+        sim.run_until(1_000_000_000 + 1_000_000)  # the first burst on air
+        assert sim.devices[2].wurx_decoding
+        with pytest.raises(IllegalTransition, match="begin_wub_tx illegal"):
+            sim.send_wakeup(sim.devices[1])
 
 
 class TestDepletion:
@@ -1224,8 +1223,9 @@ class TestWorkCounts:
         assert len(builds) == 360
 
     def test_power_profile(self, calls):
-        # the sleeper decodes the initiator's frame once per cycle
-        power_profile(cycles=1000, seed=0)
+        # the sleeper decodes the initiator's frame once per cycle; a
+        # burst is one event, whose end also ends the sleeper's decode
+        assert power_profile(cycles=1000, seed=0).event_count == 8_000
         assert calls == {"transition": 10_002, "accrue": 10_003}
 
     @pytest.mark.parametrize("scenario, packets, builds, entries", [
@@ -1538,8 +1538,10 @@ class TestShadowedWakeupDigests:
 
     def test_shadowed_wakeup_outputs(self, tmp_path):
         metrics = run(shadowed_wakeup_scenario())
+        # re-pinned when a burst became one event; the files below did not
+        # move
         assert metrics.trace_hash == (
-            "073aa91e3c9941d60010ef6b2a1e943e541cba45b2ef98296d06f8207d5d7143")
+            "186b03ed360229e2a5558b270dc35af6a22a7dc1af76b0354b85d95968984cbf")
         outcomes = [e.outcome for e in metrics.exchanges]
         assert outcomes.count("wake-timeout") == 2
         assert outcomes.count("completed") == 10

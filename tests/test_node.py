@@ -12,7 +12,6 @@ from motesim import (ConfigError, EnergyLedger, IllegalTransition,
 from motesim import node
 from motesim.node import (DEFAULT_POWER_TABLE_W, POWER_LABELS, McuMode,
                           NodeSpec, RadioMode, TransitionResult, WurxSpec)
-from motesim.wurx import WurxMode
 from oracles import ReferenceLedger
 
 
@@ -310,8 +309,8 @@ class TestEnergyLedger:
 class TestLedgerIntegration:
     def test_times_partition_horizon(self):
         device = make_device(with_wurx=True)
-        device.wurx_set_mode(WurxMode.DECODING, 5_000_000)
-        device.wurx_set_mode(WurxMode.LISTENING, 21_000_000)
+        device.wurx_decode(True, 5_000_000)
+        device.wurx_decode(False, 21_000_000)
         device.transition(NodeEvent.WURX_INTERRUPT, 21_000_000)
         device.transition(NodeEvent.MCU_AWAKE, 21_007_000)
         device.finalize(100_000_000)
@@ -478,26 +477,27 @@ def test_notify_marks_the_results_the_engine_acts_on():
 
 
 class TestLabelAcrossWurxModes:
-    def test_dwell_partition_across_wurx_set_mode(self):
-        """WuRX mode flips in every MCU and radio state charge the dwell to
-        the label that held it; the label is set once the state changed."""
+    def test_dwell_partition_across_wurx_decode(self):
+        """Decodes starting and ending in every MCU and radio state charge
+        the dwell to the label that held it; the label is set once the
+        state changed. A node without a WuRX cannot decode."""
+        with pytest.raises(IllegalTransition, match="no wake-up receiver"):
+            make_device().wurx_decode(True, 0)
         device = make_device(awake=True, with_wurx=True)
         steps = [
-            (2_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
+            (2_000_000, lambda t: device.wurx_decode(True, t)),
             (3_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
-            (10_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
-                                                        t)),
+            (10_000_000, lambda t: device.wurx_decode(False, t)),
             (10_000_000, lambda t: device.transition(NodeEvent.WURX_INTERRUPT, t)),
             (10_007_000, lambda t: device.transition(NodeEvent.MCU_AWAKE,
                                                      t)),
-            (20_000_000, lambda t: device.wurx_set_mode(WurxMode.DECODING, t)),
+            (20_000_000, lambda t: device.wurx_decode(True, t)),
             (20_000_000, lambda t: device.transition(NodeEvent.RADIO_ON, t)),
             (21_000_000, lambda t: device.transition(
                 NodeEvent.RADIO_READY, t)),
             (21_000_000, lambda t: device.transition(NodeEvent.START_RX, t)),
             (25_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
-            (30_000_000, lambda t: device.wurx_set_mode(WurxMode.LISTENING,
-                                                        t)),
+            (30_000_000, lambda t: device.wurx_decode(False, t)),
         ]
         labels = []
         for t, step in steps:

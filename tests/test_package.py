@@ -18,9 +18,11 @@ from motesim import ConfigError, channel, phy, stack, wurx
 
 # names the package exported before the uncharged energy figures, the
 # second reception gate, the two-part node event, the transmission record
-# (a frame carries its own airtime) and the SNR helper were removed
+# (a frame carries its own airtime), the SNR helper and the receiver state
+# that copied a node's wurx block were removed
 REMOVED = {"airtime_s", "tx_energy", "ook_tx_energy", "reception_margin",
-           "ReceptionDecision", "NodeEventKind", "Transmission", "snr_of"}
+           "ReceptionDecision", "NodeEventKind", "Transmission", "snr_of",
+           "WurxState"}
 
 
 def test_every_public_name_resolves_once():
@@ -39,7 +41,7 @@ RECORDS = [
                                 "rssi_margin_db", "snr_margin_db")),
     (stack.UnicastMessage, ("src", "dst", "seqno", "payload")),
     (wurx.WubEmission, ("frame", "duration_ns", "duty")),
-    (wurx.WurxOutcome, ("kind", "decode_time_ns", "interrupt")),
+    (wurx.WurxOutcome, ("kind", "interrupt")),
 ]
 
 
@@ -55,7 +57,7 @@ def test_record_keeps_its_fields_and_is_immutable(cls, names):
 
 
 def test_record_defaults_and_decoded():
-    assert wurx.WurxOutcome("busy") == wurx.WurxOutcome("busy", 0, False)
+    assert wurx.IGNORED == wurx.WurxOutcome("ignored", False)
     for cause in ("ok", "collision", "below-sensitivity", "snr-floor"):
         outcome = channel.ReceptionOutcome(cause, -100.0, 5.0, 20.0, 12.5)
         assert outcome.decoded == (cause == "ok")

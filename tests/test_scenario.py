@@ -156,6 +156,14 @@ class TestValidation:
         # the preset's scenario checks itself when it is built
         with pytest.raises(ScenarioError, match="app.cycles must be >= 1"):
             power_profile_scenario(cycles=0)
+        # a negative wait once scheduled a callback into the past mid-run
+        with pytest.raises(ScenarioError,
+                           match="app.linger_ms/rx_timeout_ms must be >= 0"):
+            power_profile_scenario(linger_ms=-5.0)
+        base = power_profile_scenario()
+        for field in ("linger_ns", "rx_timeout_ns"):
+            with pytest.raises(ScenarioError, match="must be >= 0"):
+                base._replace(app=base.app._replace(**{field: -5_000_000}))
 
     def test_exchange_cycle_must_fit_period(self):
         from motesim.scenario import power_profile_scenario
@@ -239,6 +247,31 @@ class TestWakeupExchangeNodes:
         if exit_code:
             assert "scenario error: app.cycles must be >= 1" in \
                 capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, exit_code", [
+        ("linger_ms", -5.0, 1), ("rx_timeout_ms", -5.0, 1),
+        ("linger_ms", 0.0, 0), ("rx_timeout_ms", 0.0, 0)])
+    def test_negative_wait_rejected(self, key, value, exit_code, tmp_path,
+                                    capsys):
+        # a negative wait scheduled the sleeper's callback into the past
+        # mid-run; a zero rx timeout gives up at once, so the data is lost
+        path = tmp_path / "exchange.yaml"
+        path.write_text(yaml.safe_dump({
+            "sim": {"horizon_s": 3.0, "seed": 1},
+            "nodes": [{"address": 1, "role": "initiator"},
+                      {"address": 2, "role": "sleeper", "position": {"x": 2.0},
+                       "wurx": {"address": 7}}],
+            "app": {"kind": "wakeup_exchange", "initiator": 1, "target": 2,
+                    "cycles": 2, "cycle_period_s": 1.0, key: value}}))
+        assert main(["run", str(path), "--validate-only"]) == exit_code
+        assert main(["run", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == exit_code
+        if exit_code:
+            assert "scenario error: app.linger_ms/rx_timeout_ms must be " \
+                   ">= 0" in capsys.readouterr().err
+        else:
+            assert [e.outcome for e in run(load(path)).exchanges] == [
+                "data-lost" if key == "rx_timeout_ms" else "completed"] * 2
 
 
     @pytest.mark.parametrize("role, exit_code", [

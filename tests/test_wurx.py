@@ -1,9 +1,10 @@
 import pytest
 
-from motesim import ConfigError, WakeUpFrame, WurxState, receive_wub, \
-    send_wub, wub_airtime, wurx
+from motesim import ConfigError, WakeUpFrame, receive_wub, send_wub, \
+    wub_airtime, wurx
 from motesim.engine import power_profile
-from motesim.wurx import WurxMode, ook_duty
+from motesim.node import WurxSpec
+from motesim.wurx import ook_duty
 
 
 class TestWubAirtime:
@@ -78,45 +79,35 @@ class TestSendWub:
 
 
 class TestReceiveWub:
-    def make_state(self, address=0x2A):
-        return WurxState(configured_address=address)
+    def make_spec(self, address=0x2A):
+        return WurxSpec(address=address)
 
     def test_match_above_sensitivity_interrupts(self):
-        outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2A),
+        outcome = receive_wub(self.make_spec(), WakeUpFrame(address=0x2A),
                               -45.0)
         assert outcome.kind == "decoding" and outcome.interrupt
 
     def test_mismatch_spends_energy_no_interrupt(self):
-        # the ledger charges wurx_decode power for decode_time_ns
-        outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2B),
+        # the ledger charges wurx_decode power until the burst ends
+        outcome = receive_wub(self.make_spec(), WakeUpFrame(address=0x2B),
                               -45.0)
-        assert outcome.kind == "decoding" and not outcome.interrupt
-        assert outcome.decode_time_ns == 16_000_000
+        assert outcome is wurx.REJECT
 
     def test_below_sensitivity_ignored(self):
-        outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2A),
+        outcome = receive_wub(self.make_spec(), WakeUpFrame(address=0x2A),
                               -55.0)
-        assert outcome.kind == "ignored"
-        assert outcome.decode_time_ns == 0
-        assert not outcome.interrupt
+        assert outcome is wurx.IGNORED and not outcome.interrupt
 
     def test_boundary_sensitivity_decodes(self):
-        outcome = receive_wub(self.make_state(), WakeUpFrame(address=0x2A),
+        outcome = receive_wub(self.make_spec(), WakeUpFrame(address=0x2A),
                               -50.0)
         assert outcome.kind == "decoding"
 
-    def test_busy_while_decoding(self):
-        state = self.make_state()
-        state.mode = WurxMode.DECODING
-        outcome = receive_wub(state, WakeUpFrame(address=0x2A), -45.0)
-        assert outcome.kind == "busy"
-        assert outcome.decode_time_ns == 0
-
     def test_no_interrupt_for_any_mismatch_sample(self):
         # full 256x256 exhaustive sweep lives in the acceptance suite
-        state = self.make_state(address=0x80)
+        spec = self.make_spec(address=0x80)
         for sent in range(256):
-            outcome = receive_wub(state, WakeUpFrame(address=sent), -40.0)
+            outcome = receive_wub(spec, WakeUpFrame(address=sent), -40.0)
             assert outcome.interrupt == (sent == 0x80)
 
 
