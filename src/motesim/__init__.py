@@ -26,7 +26,7 @@ from .scenario import (Scenario, load, power_profile_scenario,
                        range_point_scenario, scenario_hash)
 from .stack import (RadioDriver, Unicast, UnicastMessage, decode_message,
                     encode_message)
-from .wurx import WakeUpFrame, receive_wub, send_wub, wub_airtime
+from .wurx import receive_wub, send_wub, wub_airtime
 
 __version__ = "0.1.0"
 

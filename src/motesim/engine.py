@@ -48,12 +48,12 @@ decision the head of each listener's index of it by RSSI, so the cost per
 event does not grow with the horizon. The dispatch trace is hashed in
 chunks of at most 1,024 lines, so its memory is constant too.
 
-A wake-up exchange's burst depends only on the target's wurx block, so it
-is built once, with the applications, and every cycle sends it. A burst is
-one event, its end: each receiver it reaches at or above sensitivity
-decodes for exactly its airtime, so the end closes those decodes in
-ascending address order, then the sender's tx. Only the initiator sends
-bursts, never while in tx, so none arrives mid-decode. Nodes
+A wake-up exchange's burst is described by the target's wurx block alone,
+so it is built once, with the initiator's data delay, and every cycle
+sends it. A burst is one event, its end: each receiver it reaches at or
+above sensitivity decodes for exactly its airtime, so the end closes those
+decodes in ascending address order, then the sender's tx. Only the
+initiator sends bursts, never while in tx, so none arrives mid-decode. Nodes
 never move, so work that depends only on positions is done once. At a
 sender's first frame the engine caches its distance and mean path loss to
 every other node, and at its first wake-up burst to every other WuRX node;
@@ -276,13 +276,9 @@ class Simulator:
                     period_ns=app.period_ns,
                     idle_policy="rx" if sender.role == "bs" else "sleep")
         elif app.kind == "wakeup_exchange":
-            target_spec = scenario.node(app.target)
-            wurx = target_spec.wurx  # the scenario checks that there is one
-            self._wub = wux.send_wub(wurx.address,
-                                     preamble_bits=wurx.preamble_bits,
-                                     bit_rate_bps=wurx.bit_rate_bps)
-            wake_chain = (target_spec.mcu_wakeup_ns
-                          + target_spec.radio_turn_on_ns)
+            target = scenario.node(app.target)
+            # the scenario checks that the target has a wurx block
+            self._wub = wux.send_wub(target.wurx)
             self.apps[app.initiator] = stk.WakeupInitiatorApp(
                 self.unicasts[app.initiator],
                 self._services_for(app.initiator),
@@ -290,7 +286,8 @@ class Simulator:
                 payload_len=app.payload_len,
                 cycle_period_ns=app.cycle_period_ns,
                 cycles=app.cycles,
-                wake_chain_ns=wake_chain)
+                data_delay_ns=(self._wub.duration_ns + target.mcu_wakeup_ns
+                               + target.radio_turn_on_ns))
             self.apps[app.target] = stk.WakeupSleeperApp(
                 self.unicasts[app.target], self._services_for(app.target),
                 linger_ns=app.linger_ns, rx_timeout_ns=app.rx_timeout_ns)
@@ -392,23 +389,22 @@ class Simulator:
         self.schedule(frame.end_ns, _TX_END, device.address, frame.frame_id)
         return frame
 
-    def send_wakeup(self, device: MoteDevice):
+    def send_wakeup(self, device: MoteDevice) -> None:
         # only the wake-up initiator sends bursts, all of them the run's
         # one burst; begin_wub_tx rejects one while the radio is off or busy
-        emission = self._wub
-        device.begin_wub_tx(self.now, emission.duty)  # no result to act on
+        burst = self._wub
+        device.begin_wub_tx(self.now, burst.duty)  # no result to act on
         rssi_by_rx = self._rssi_by_rx(device, True)
         decoding = []  # (receiver, interrupt), in ascending address order
         for rx_addr in rssi_by_rx:
             receiver = self.devices[rx_addr]
-            outcome = wux.receive_wub(receiver.wurx, emission.frame,
-                                      rssi_by_rx[rx_addr])
-            if outcome is not wux.IGNORED:
+            interrupt = wux.receive_wub(receiver.wurx, burst.address,
+                                        rssi_by_rx[rx_addr])
+            if interrupt is not None:  # at or above sensitivity
                 receiver.wurx_decode(True, self.now)
-                decoding.append((receiver, outcome.interrupt))
-        self.schedule(self.now + emission.duration_ns, _WUB_END,
+                decoding.append((receiver, interrupt))
+        self.schedule(self.now + burst.duration_ns, _WUB_END,
                       device.address, decoding)
-        return emission
 
     # -- event loop -------------------------------------------------------------
 

@@ -19,8 +19,9 @@ two (1.8 uW WuRX + 0.03 uW MCU and leakage) is documentation, not a charged
 split.
 
 State machine (states are (mcu, radio); a WuRX decode only affects the label:
-``MoteDevice.wurx`` is the node's ``WurxSpec``, and ``wurx_decode`` sets the
-``wurx_decoding`` flag while a burst lasts; the engine counts interrupts).
+``MoteDevice.wurx`` is the node's ``WurxSpec``, which also describes the
+bursts that wake it, and ``wurx_decode`` sets the ``wurx_decoding`` flag
+while a burst lasts; the engine counts interrupts).
 Events are ``NodeEvent`` members: the scheduled ones and the driver
 operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the
 decode of a frame at a listener (rx_done), which is ``MoteDevice.receive``:
@@ -77,7 +78,6 @@ from typing import NamedTuple
 from .channel import Position
 from .errors import ConfigError, IllegalTransition, validated
 from .phy import NS_PER_S
-from .wurx import WakeUpFrame
 
 SUPPLY_VOLTAGE_V = 3.0
 
@@ -100,7 +100,8 @@ POWER_KEYS = ("sleep", "lora_tx", "lora_rx", "mcu_active")  # of power_w
 
 @validated
 class WurxSpec(NamedTuple):
-    """A node's wake-up receiver, checked when built or replaced."""
+    """A node's wake-up receiver, and the one record of the bursts that
+    wake it; checked when built or replaced."""
 
     address: int
     sensitivity_dbm: float = -50.0
@@ -110,10 +111,14 @@ class WurxSpec(NamedTuple):
     decode_power_w: float = 284e-6
 
     def _check(self):
-        try:
-            WakeUpFrame(self.address, self.preamble_bits, self.bit_rate_bps)
-        except ConfigError as exc:
-            raise ConfigError(f"wurx: {exc}") from exc
+        if not 0 <= self.address <= 255:
+            raise ConfigError(
+                f"wurx: wake-up address must be 0..255, got {self.address}")
+        if self.preamble_bits < 0:
+            raise ConfigError("wurx: preamble_bits must be >= 0")
+        if not 0 < self.bit_rate_bps <= 1000.0:
+            raise ConfigError("wurx: bit_rate_bps must be in (0, 1000], got "
+                              f"{self.bit_rate_bps}")
         if self.listen_power_w >= self.decode_power_w:
             raise ConfigError("wurx: listen power must be below decode power")
 
@@ -253,12 +258,14 @@ class EnergyLedger:
     """Per-label time/energy integration with battery and harvesting inflow.
 
     Time is integer ns; energy per accrual is power * dt. The battery floors
-    at zero (``depleted`` latches); it is not capped above, so sustained
-    harvesting surplus accumulates. Conservation identity maintained:
-    consumed - harvested == battery_initial - battery_remaining while the
-    floor has not been hit; with no harvest inflow, the harvest terms, which
-    would add 0.0, are skipped. ``MoteDevice`` passes the battery and the
-    net harvest inflow of its checked node; the ledger checks neither.
+    at zero: the charge that empties it spends only the battery plus its
+    dwell's harvest, and ``depleted`` latches; a depleted ledger keeps dwell
+    times only. It is not capped above, so harvesting surplus accumulates.
+    Conservation identity maintained down to the floor: consumed - harvested
+    == battery_initial - battery_remaining; with no harvest inflow, the
+    harvest terms, which would add 0.0, are skipped. ``MoteDevice`` passes
+    the battery and the net harvest inflow of its checked node; the ledger
+    checks neither.
     """
 
     def __init__(self, battery_j: float, harvest_w: float):
@@ -276,19 +283,23 @@ class EnergyLedger:
             if dt_ns:
                 raise ConfigError("dt_ns must be >= 0")
             return
+        self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
+        if self.depleted:
+            return
         dt_s = dt_ns / NS_PER_S
         spent = power_w * dt_s
-        self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
-        self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
-        self.consumed_j += spent
+        gained = 0.0
         level = self.battery_remaining_j - spent
         if self.harvest_w:  # else its terms would add 0.0, changing nothing
             gained = self.harvest_w * dt_s
             self.harvested_j += gained
             level = self.battery_remaining_j + gained - spent
-        if level <= 0.0:
+        if level <= 0.0:  # this charge spends only what is left
+            spent = self.battery_remaining_j + gained
             level = 0.0
             self.depleted = True
+        self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
+        self.consumed_j += spent
         self.battery_remaining_j = level
 
     def total_time_ns(self) -> int:

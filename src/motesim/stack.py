@@ -134,7 +134,8 @@ class Services:
 
     Keeps the stack decoupled from engine internals: applications can read
     the clock, set timers, request node wake/sleep and emit the wake-up
-    burst to the scenario's target, and nothing else.
+    burst to the scenario's target (``send_wakeup()``, which returns
+    nothing), and nothing else.
     """
 
     def __init__(self, now_ns, call_at, request_sleep, request_wake,
@@ -231,8 +232,8 @@ class SinkApp(App):
 class WakeupInitiatorApp(App):
     """Wake a sleeping peer with an OOK burst, then unicast it a payload.
 
-    The data transmission is scheduled exactly one wake chain after the
-    burst ends (MCU wake-up latency + radio turn-on), mirroring a firmware
+    The data is sent ``data_delay_ns`` after the burst starts: its airtime
+    plus the peer's MCU wake-up and radio turn-on, mirroring a firmware
     protocol that hard-codes the peer's timing constants. If the peer did
     not raise its interrupt (out of wake range or address mismatch) the
     cycle is aborted and logged as a wake timeout.
@@ -240,14 +241,14 @@ class WakeupInitiatorApp(App):
 
     def __init__(self, unicast: Unicast, services: Services, target: int,
                  payload_len: int, cycle_period_ns: int, cycles: int,
-                 wake_chain_ns: int):
+                 data_delay_ns: int):
         self.unicast = unicast
         self.services = services
         self.target = target
         self.payload = bytes(payload_len)
         self.cycle_period_ns = cycle_period_ns
         self.cycles = cycles
-        self.wake_chain_ns = wake_chain_ns
+        self.data_delay_ns = data_delay_ns
         # (cycle, wub_start_ns, the seqno sent, or None on a wake timeout)
         self.exchanges = []
 
@@ -259,8 +260,8 @@ class WakeupInitiatorApp(App):
 
     def on_cycle(self, cycle: int) -> None:
         start = self.services.now_ns()
-        emission = self.services.send_wakeup()
-        self.services.call_at(start + emission.duration_ns + self.wake_chain_ns,
+        self.services.send_wakeup()
+        self.services.call_at(start + self.data_delay_ns,
                               lambda: self.on_data_slot(cycle, start))
 
     def on_data_slot(self, cycle: int, wub_start_ns: int) -> None:
@@ -286,7 +287,6 @@ class WakeupSleeperApp(App):
         self.linger_ns = linger_ns
         self.rx_timeout_ns = rx_timeout_ns
         self.received = []
-        self.rx_timeouts = 0
         self._armed_until = None
         unicast.on_message = self.on_message
 
@@ -307,7 +307,6 @@ class WakeupSleeperApp(App):
 
     def on_rx_timeout(self, deadline: int) -> None:
         if self._armed_until == deadline:
-            self.rx_timeouts += 1
             self._armed_until = None
             self.back_to_sleep()
 

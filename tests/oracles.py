@@ -50,6 +50,12 @@ def snr_of(rssi_dbm, bandwidth_hz, noise_figure_db):
     return rssi_dbm - noise_floor_dbm(bandwidth_hz, noise_figure_db)
 
 
+def wake_up_frame_bits(address, preamble_bits):
+    """A wake-up frame's bits on air: an all-ones preamble, then the 8-bit
+    address, most significant bit first."""
+    return [1] * preamble_bits + [int(bit) for bit in format(address, "08b")]
+
+
 def on_air(frame, start_ns, end_ns):
     """``frame``, put on the medium over [start_ns, end_ns)."""
     frame.start_ns, frame.end_ns = start_ns, end_ns
@@ -304,7 +310,10 @@ def reference_shadowed_sweep(distances, packets, table, seed=1,
 class ReferenceLedger:
     """``EnergyLedger`` with every accrual written out in full: both the
     spent and the harvested terms, harvest or not, in the order of the
-    conservation identity consumed - harvested == initial - remaining."""
+    conservation identity consumed - harvested == initial - remaining.
+    The charge that would take the battery to or below zero spends only
+    what is left, the battery plus that dwell's harvest; from then on the
+    ledger keeps dwell times only, so the identity holds to the floor."""
 
     def __init__(self, battery_j, harvest_w):
         self.time_ns = {}
@@ -318,14 +327,18 @@ class ReferenceLedger:
     def accrue(self, label, power_w, dt_ns):
         if dt_ns == 0:
             return
+        self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
+        if self.depleted:
+            return
         dt_s = dt_ns / 1e9
         spent = power_w * dt_s
         gained = self.harvest_w * dt_s
-        self.time_ns[label] = self.time_ns.get(label, 0) + dt_ns
+        after = self.battery_remaining_j + gained - spent
+        if after <= 0.0:
+            spent = self.battery_remaining_j + gained
+            after = 0.0
+            self.depleted = True
         self.energy_j[label] = self.energy_j.get(label, 0.0) + spent
         self.consumed_j += spent
         self.harvested_j += gained
-        self.battery_remaining_j = self.battery_remaining_j + gained - spent
-        if self.battery_remaining_j <= 0.0:
-            self.battery_remaining_j = 0.0
-            self.depleted = True
+        self.battery_remaining_j = after

@@ -8,8 +8,7 @@ import time
 import pytest
 
 from motesim import (Position, RadioConfig, Scenario, ScenarioError,
-                     SensitivityTable, WakeUpFrame, receive_wub, run,
-                     time_on_air)
+                     SensitivityTable, receive_wub, run, time_on_air)
 from motesim.engine import power_profile, range_sweep
 from motesim.phy import payload_symbol_count
 from motesim.report import emit
@@ -121,20 +120,17 @@ def test_criterion_3_airtime_oracle():
 def test_criterion_4_selective_wakeup_exhaustive():
     """All 256x256 (configured, sent) address pairs: interrupt asserted iff
     the addresses match and RSSI >= -50 dBm; no decode, so no decode
-    energy, below the sensitivity threshold."""
-    frames = [WakeUpFrame(address=a) for a in range(256)]
+    energy, below the sensitivity threshold: ``receive_wub`` gives the
+    interrupt flag at or above it and None, no decode, below it."""
     above, below = -45.0, -55.0
     for configured in range(256):
         spec = WurxSpec(address=configured)
         for sent in range(256):
-            outcome = receive_wub(spec, frames[sent], above)
-            assert outcome.kind == "decoding"
-            assert outcome.interrupt == (configured == sent)
-            outcome = receive_wub(spec, frames[sent], below)
-            assert outcome.kind == "ignored"
-            assert not outcome.interrupt
+            assert receive_wub(spec, sent, above) is (configured == sent)
+            assert receive_wub(spec, sent, below) is None
     # threshold itself is inclusive
-    assert receive_wub(WurxSpec(address=7), frames[7], -50.0).interrupt
+    assert receive_wub(WurxSpec(address=7), 7, -50.0) is True
+    assert receive_wub(WurxSpec(address=7), 8, -50.0) is False
 
 
 def test_criterion_5_wakeup_latency_chain():

@@ -102,21 +102,10 @@ def dense_scenario(horizon_s, seed=7):
 def harvest_depletion_scenario():
     """Harvesting nodes, two of which deplete: node 2 during a frame (it
     harvests less than it sends), node 4 while waking (its battery cannot
-    cover one second of sleep), so both a timer and a tick are dropped."""
-    nodes = (
-        NodeSpec(address=1, role="bs", position=Position(),
-                 harvest_rate_w=0.01),
-        NodeSpec(address=2, role="mote", position=Position(x=120.0),
-                 battery_j=0.40, harvest_rate_w=0.002),
-        NodeSpec(address=3, role="mote", position=Position(x=-300.0),
-                 harvest_rate_w=0.001, radio_turn_on_ns=400_000_000),
-        NodeSpec(address=4, role="mote", position=Position(y=80.0),
-                 battery_j=1e-6),
-    )
-    return Scenario(horizon_ns=30 * 10 ** 9, seed=3, radio=RadioConfig(),
-                    channel=ChannelParams(), nodes=nodes,
-                    app=AppSpec(kind="periodic", src=None, dst=1,
-                                period_ns=10 ** 9))
+    cover one second of sleep), so both a timer and a tick are dropped.
+    The scenario file is its one source."""
+    return load(pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+                / "harvest_depletion.yaml")
 
 
 def add_periodic_senders(sim, dsts, period_ns, payload_len=16,
@@ -779,10 +768,10 @@ class TestGoldenDigests:
                  e.consumed_j) for e in metrics.energy] == [
             (False, 9998.770047600021, 0.27000000000000013,
              1.4999524000000009),
-            (True, 0.04430060981049, 0.054, 0.43505885794755),
+            (True, 0.0, 0.009654305399999999, 0.4096543054),
             (False, 9997.476172918781, 0.02700000000000003,
              2.5508270811657914),
-            (True, 0.0, 0.0, 0.06960182999999999)]
+            (True, 0.0, 0.0, 1e-06)]
         assert sim.log_lines == ["drop node_timer for depleted node 4",
                                  "drop callback for depleted node 4",
                                  "drop callback for depleted node 2"]
@@ -794,9 +783,21 @@ class TestGoldenDigests:
                            "d398a8afd744a2261d7a73b6",
             "links.csv": "9d57d8c903e7766646d05ae1587ae03adc4aa484"
                          "3e562acbdc99934cd0ec39e2",
-            "energy.csv": "9502bb0af5ffccf7c1cb60ae4fc5bbe0c397d191"
-                          "ba22948656ed138bc2ee87cb",
+            "energy.csv": "63f681f5df6ed3e6ec8aa45abf46abe70f424bd5"
+                          "cb783921fbbd2b10260dee76",
         }
+
+    def test_harvesting_depletion_conserves_energy(self):
+        # a depleted node spends and harvests nothing from the charge that
+        # empties its battery on, so each node balances to the floor
+        metrics = run(harvest_depletion_scenario(), record_trace=False)
+        assert [e.depleted for e in metrics.energy] == [False, True, False,
+                                                        True]
+        for e in metrics.energy:
+            balance = (e.battery_initial_j - e.consumed_j + e.harvested_j
+                       - e.battery_remaining_j)
+            assert abs(balance) <= 1e-12 * max(e.battery_initial_j,
+                                               e.consumed_j), e.address
 
 
 class TestWakeupExchange:

@@ -286,6 +286,20 @@ class TestEnergyLedger:
         assert ledger.battery_remaining_j == 0.0
         assert ledger.depleted
 
+    def test_depleted_ledger_keeps_dwell_time_only(self):
+        # 24 mJ asked of a 1 mJ battery that harvests 0.1 mJ meanwhile
+        ledger = EnergyLedger(battery_j=1e-3, harvest_w=1e-3)
+        ledger.accrue("lora_tx", 0.240, 100_000_000)
+        assert ledger.depleted and ledger.battery_remaining_j == 0.0
+        gained = 1e-3 * 0.1
+        assert ledger.harvested_j == gained
+        assert ledger.consumed_j == ledger.energy_j["lora_tx"] == 1e-3 + gained
+        ledger.accrue("sleep", 1.83e-6, 10 ** 9)
+        assert ledger.time_ns == {"lora_tx": 100_000_000, "sleep": 10 ** 9}
+        assert ledger.energy_j == {"lora_tx": 1e-3 + gained}
+        assert ledger.harvested_j == gained
+        assert ledger.battery_remaining_j == 0.0
+
     def test_battery_gain_rate_bounded(self):
         ledger = EnergyLedger(battery_j=1.0, harvest_w=0.5 * 0.9)
         before = ledger.battery_remaining_j

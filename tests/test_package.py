@@ -14,15 +14,17 @@ import typing
 import pytest
 
 import motesim
-from motesim import ConfigError, channel, phy, stack, wurx
+from motesim import ConfigError, channel, node, phy, stack, wurx
 
 # names the package exported before the uncharged energy figures, the
 # second reception gate, the two-part node event, the transmission record
-# (a frame carries its own airtime), the SNR helper and the receiver state
-# that copied a node's wurx block were removed
+# (a frame carries its own airtime), the SNR helper, the receiver state
+# that copied a node's wurx block, and the wake-up frame, duty helper and
+# arrival outcomes that a node's wurx block now stands for were removed
 REMOVED = {"airtime_s", "tx_energy", "ook_tx_energy", "reception_margin",
            "ReceptionDecision", "NodeEventKind", "Transmission", "snr_of",
-           "WurxState"}
+           "WurxState", "WakeUpFrame", "ook_duty", "WurxOutcome", "IGNORED",
+           "WAKE", "REJECT"}
 
 
 def test_every_public_name_resolves_once():
@@ -32,6 +34,7 @@ def test_every_public_name_resolves_once():
         assert hasattr(motesim, name), name
     assert not REMOVED & set(names)
     assert not any(hasattr(motesim, name) for name in REMOVED)
+    assert not any(hasattr(wurx, name) for name in REMOVED)
 
 
 # the immutable records built on the per-event path, with their fields in
@@ -40,8 +43,7 @@ RECORDS = [
     (channel.ReceptionOutcome, ("cause", "rssi_dbm", "snr_db",
                                 "rssi_margin_db", "snr_margin_db")),
     (stack.UnicastMessage, ("src", "dst", "seqno", "payload")),
-    (wurx.WubEmission, ("frame", "duration_ns", "duty")),
-    (wurx.WurxOutcome, ("kind", "interrupt")),
+    (wurx.WubEmission, ("address", "duration_ns", "duty")),
 ]
 
 
@@ -57,7 +59,9 @@ def test_record_keeps_its_fields_and_is_immutable(cls, names):
 
 
 def test_record_defaults_and_decoded():
-    assert wurx.IGNORED == wurx.WurxOutcome("ignored", False)
+    # a wurx block's defaults are the paper's wake-up link, and no other
+    # record holds them
+    assert node.WurxSpec(7) == (7, -50.0, 1000.0, 8, 1.8e-6, 284e-6)
     for cause in ("ok", "collision", "below-sensitivity", "snr-floor"):
         outcome = channel.ReceptionOutcome(cause, -100.0, 5.0, 20.0, 12.5)
         assert outcome.decoded == (cause == "ok")
@@ -68,7 +72,7 @@ VALIDATED = [
     (channel.Position(), {"y": math.nan}),
     (channel.ChannelParams(), {"path_loss_exponent": 7.0}),
     (phy.RadioConfig(), {"spreading_factor": 13}),
-    (wurx.WakeUpFrame(0x2A), {"address": 256}),
+    (node.WurxSpec(0x2A), {"address": 256}),
 ]
 
 

@@ -496,6 +496,14 @@ def built_section(scenario, where):
             "nodes[1].position": scenario.node(9).position}[where]
 
 
+def test_harvest_depletion_file_hash_pinned():
+    # the depletion scenario's one source, which tests/test_engine.py loads
+    scenario = load(EXAMPLE.with_name("harvest_depletion.yaml"))
+    assert scenario_hash(scenario) == "c27ccfb4137588c6"
+    assert [(n.battery_j, n.harvest_rate_w) for n in scenario.nodes] == [
+        (1.0e4, 0.01), (0.40, 0.002), (1.0e4, 0.001), (1e-6, 0.0)]
+
+
 def test_hash_and_header_pinned_for_non_default_scenario(tmp_path):
     scenario = from_dict(copy.deepcopy(FULL))
     assert scenario_hash(scenario) == "4aedf243ebffe78a"
