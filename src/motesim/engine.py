@@ -31,59 +31,56 @@ shadowing, is decided on its own.
 
 A frame carries its own airtime interval, so it is the one record of a
 transmission: the medium, each listener's rival index and the undecided
-frames hold the frame itself, and a send's handle is its frame id. The
-medium keeps only the frames that can still matter. Once a frame has been
-decided, every frame that ended at or before a floor is dropped. The floor
-is the earliest start of the frames still undecided, or now when none is;
-then every frame on air has ended. A rebuild that drops a frame, like a
-frame going on air, empties the rival indexes. A frame decided later
-starts at or after the floor, so it cannot overlap the dropped frames.
-Undecided frames are kept by frame id in start order, because a frame goes
-on air at now and now never decreases, so the floor is the first of them
-and costs O(1). The floor never falls, and the on-air list is rebuilt only
-when it has risen: a frame added since the last rebuild started at or
-after that floor and has positive airtime, so the same floor would drop
-nothing. Carrier sense reads this short on-air list, and the capture
-decision the head of each listener's index of it by RSSI, so the cost per
-event does not grow with the horizon. The dispatch trace is hashed in
+frames hold the frame itself, and a send's handle is its frame id. The medium
+keeps only the frames that can still matter: once a frame is decided, every
+frame that ended at or before the floor is dropped, the earliest start of the
+frames still undecided, or now when none is (then every frame on air has
+ended). A frame decided later starts at or after the floor, so it cannot
+overlap them. Undecided frames are kept by frame id, which is start order
+since now never decreases, so the floor is the first of them. The floor never
+falls, and the on-air list is rebuilt only when it has risen: a frame added
+since the last rebuild started at or after that floor with positive airtime,
+so that floor would drop nothing. A rebuild that drops a frame, like a frame
+going on air, empties the rival indexes. Carrier sense reads this short list,
+and the capture decision the head of each listener's index of it, so the cost
+per event does not grow with the horizon; the dispatch trace is hashed in
 chunks of at most 1,024 lines, so its memory is constant too.
 
-A wake-up exchange's burst is described by the target's wurx block alone,
-so it is built once, with the initiator's data delay, and every cycle
-sends it. A burst is one event, its end: each receiver it reaches at or
-above sensitivity decodes for exactly its airtime, so the end closes those
-decodes in ascending address order, then the sender's tx. Only the
-initiator sends bursts, never while in tx, so none arrives mid-decode. Nodes
-never move, so work that depends only on positions is done once. At a
-sender's first frame the engine caches its distance and mean path loss to
-every other node, and at its first wake-up burst to every other WuRX node;
-a packet record reads its distance there. Each frame or burst then takes
-only the shadowing draws, one per receiver in ascending address order, in
-one ``channel.RssiOnRead`` built by ``_rssi_by_rx``, which gives bit for
-bit what ``channel.rssi_at``'s ``rng.gauss`` calls would. The draws are
-taken in one call when the frame starts but transformed on read, so a
-frame's RSSI is computed only at the receivers that read it: its ``dst``
-and the listeners. With no shadowing the RNG is not touched, and a
-sender's frames share one RSSI map per tx power. A frame's airtime and
-noise floor are stored by (the sending driver's config, frame length), so
-a driver reconfigured mid-run needs no invalidation; the devices are
-built in ascending address order. A frame's link header is read once,
-with the stack's header format, and the stack filters on the ``dst`` read
-there, so it decodes only the frames it hands up. Its packet record is
-built with its outcome, when it is decided or, in flight, at the horizon;
-the run's per-link counts are taken from those records, put in send
-order, at the end.
+A wake-up exchange's burst is described by the target's wurx block alone, so
+it is built once, with the initiator's data delay, and every cycle sends it.
+A burst is one event, its end: each receiver it reaches at or above
+sensitivity decodes for exactly its airtime, so the end closes those decodes
+in ascending address order, then the sender's tx. Only the initiator sends
+bursts, never while in tx, so none arrives mid-decode. Nodes never move, so
+at a sender's first frame the engine caches its distance and mean path loss
+to every other node, and at its first wake-up burst to every other WuRX node;
+a packet record reads its distance there. Each frame or burst then takes only
+the shadowing draws, one per receiver in ascending address order, in one
+``channel.RssiOnRead`` built by ``_rssi_by_rx``: bit for bit what
+``channel.rssi_at``'s ``rng.gauss`` calls would give, drawn when the frame
+starts but transformed on read, so only at the receivers that read it, its
+``dst`` and the listeners. With no shadowing the RNG is not touched, and a
+sender's frames share one RSSI map per tx power. A frame's airtime and noise
+floor are stored by (the sending driver's config, frame length), so a driver
+reconfigured mid-run needs no invalidation; the devices are built in
+ascending address order. A frame's link header is read once, with the stack's
+header format, and the stack filters on the ``dst`` read there, so it decodes
+only the frames it hands up. Its packet record is built with its outcome,
+when it is decided or, in flight, at the horizon; the run's per-link counts
+are taken from those records, put in send order, at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
-line and handles node timers and callbacks itself, including the skip of
-a depleted node; only frame ends and burst ends go through a helper, and
-the dispatch order is checked on the two ints. A node timer
-costs one ``MoteDevice.transition`` call, which returns a shared
-precomputed result; ``process_result`` is called only when its ``notify``
-flag is set, for follow-up timers, an application hook or an entry into rx.
-A decode at a listener changes no state: it costs one ``MoteDevice.receive``
-call, a ledger charge, and the engine hands the frame to the stack itself.
-Each event kind and node event carries its trace text, built once.
+line and handles node timers and callbacks itself, including the skip of a
+depleted node; only frame ends and burst ends go through a helper, and the
+dispatch order is checked on the two ints. A node timer costs one
+``MoteDevice.transition`` call, which returns a shared precomputed result;
+``process_result`` is called only when its ``notify`` flag is set, for
+follow-up timers, an application hook or an entry into rx. A sleeping
+sender's frame takes three events: its tick, the one timer of its timer
+wake and its end. A decode at a listener changes no state: it costs one
+``MoteDevice.receive`` call, a ledger charge, and the engine hands the
+frame to the stack itself. Each event kind and node event carries its trace
+text, built once.
 """
 
 import collections
@@ -241,7 +238,6 @@ class Simulator:
         self.heard = collections.defaultdict(list) if record_heard else None
 
         self.packets: list = []
-        self._depletion_skips = 0
 
         for spec in sorted(scenario.nodes, key=lambda n: n.address):
             device = self.devices[spec.address] = MoteDevice(spec)
@@ -440,7 +436,6 @@ class Simulator:
             if kind is _NODE_TIMER or kind is _CALLBACK:
                 device = devices[target]
                 if device.ledger.depleted:
-                    self._depletion_skips += 1
                     self.log_lines.append(
                         f"drop {kind.text} for depleted node {target}")
                 elif kind is _NODE_TIMER:

@@ -13,24 +13,21 @@ the mote is in exactly one power label, looked up from the composite state:
     wurx_decode       wake-up receiver decoding while the MCU sleeps
     sleep             MCU in deep sleep, radio off, WuRX listening
 
-The "sleep" label is the mote-level floor (1.83 uW) covering the listening
-wake-up receiver and the sleeping MCU together; the attribution between the
-two (1.8 uW WuRX + 0.03 uW MCU and leakage) is documentation, not a charged
-split.
+The "sleep" label is the mote-level floor (1.83 uW) of the listening WuRX
+and the sleeping MCU together, not a charged split between them.
 
-State machine (states are (mcu, radio); a WuRX decode only affects the label:
-``MoteDevice.wurx`` is the node's ``WurxSpec``, which also describes the
-bursts that wake it, and ``wurx_decode`` sets the ``wurx_decoding`` flag
-while a burst lasts; the engine counts interrupts).
-Events are ``NodeEvent`` members: the scheduled ones and the driver
-operations (radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the
-decode of a frame at a listener (rx_done), which is ``MoteDevice.receive``:
+State machine (states are (mcu, radio); a WuRX decode, which
+``wurx_decode`` flags while a burst lasts, only changes the label). Events
+are ``NodeEvent`` members: the scheduled ones and the driver operations
+(radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the decode of a
+frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
     (sleep, off)       wurx_interrupt      (waking, off)     timer mcu_awake +7us
-    (sleep, off)       timer[wake]         (waking, off)     timer mcu_awake +7us
+    (sleep, off)       timer[wake]         (waking, turning_on)  timer radio_ready
     (waking, off)      timer[mcu_awake]    (active, off)     notify awake
+    (waking, turning_on) timer[radio_ready] (active, standby) notify radio ready
     (active, off)      radio_on            (active, turning_on)  timer radio_ready
     (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
     (active, standby)  start_rx            (active, rx)
@@ -53,21 +50,24 @@ names the node, the event, the state and the time; it signals a stack bug
 and aborts the run. ``MoteDevice.transition`` is the one place that checks
 a pair of a ``NodeEvent``.
 
-The MCU sleeps and wakes only with the radio off, so a state change's result
-depends on the event alone, never on the state it leaves. Every result is
-therefore built once and shared: the plain ones and the awake and radio-ready
-ones per module, the wake and radio-on ones (whose follow-up timers carry the
-device's latencies) per device. Only the ignored wake-up re-trigger, which
-changes nothing, builds its result on the spot. A wake-up burst enters tx
+The MCU sleeps only with the radio off, so a state change's result depends on
+the event alone, never on the state it leaves. Every result is therefore
+built once and shared: per module, the plain ones and the awake and
+radio-ready ones; per device, the wake-up interrupt's, the timer wake's and
+radio-on's, whose timers carry the device's latencies. Only the ignored
+wake-up re-trigger builds its result on the spot. A wake-up burst enters tx
 through a result of its own, which picks the ``wub_tx`` label at the power
 ``begin_wub_tx`` set just before. A result's ``notify`` flag is set where the
-engine has work: follow-up timers, an application hook or an entry into rx.
-A state change is one call: it checks the (state, event) pair, charges the
+engine has work: follow-up timers, an application hook or an entry into rx. A
+state change is one call: it checks the (state, event) pair, charges the
 dwell in the outgoing label with one ledger accrual when time has passed,
-enters the new state and picks its label and power, which are cached until
-the next change. A decode changes no state: ``receive`` charges the rx dwell
-up to the frame's end at the cached label and power, and the engine hands
-the frame to the stack itself.
+enters the new state and picks its label and power, cached until the next
+change. A timer wake's radio-ready step charges two, the MCU wake-up up to
+``radio_turn_on_ns`` before it and then the turn-on, as the timer chain it
+replaces did; if the first empties the battery, it stops in (active,
+turning_on) and notifies nothing. A decode changes no state: ``receive``
+charges the rx dwell up to the frame's end at the cached label and power, and
+the engine hands the frame to the stack itself.
 """
 
 import enum
@@ -240,13 +240,12 @@ class TransitionResult(NamedTuple):
     notify: bool = False  # the engine acts on it: see the module docstring
 
 
-# The results that do not depend on the device, shared by every change that
-# yields them. The per-device wake and radio-on results are built in
-# MoteDevice.__init__.
+# The results shared by every device; MoteDevice builds the per-device ones.
 _AWAKE = TransitionResult(MCU_ACTIVE, RADIO_OFF, awake=True, notify=True)
 _RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
                                 notify=True)
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
+_ACTIVE_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
 _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
 _ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
@@ -332,13 +331,12 @@ def power_report(ledger: EnergyLedger, power_table_w: dict) -> list:
 class MoteDevice:
     """One mote's composite state; mutated only on the engine thread.
 
-    The wake path after a wake-up interrupt is mechanical (7 us MCU wake),
-    after which the application layer owns radio policy via the driver
-    operations. ``transition`` and ``receive`` implement the table in the
-    module docstring; ``transition`` returns follow-up events for the engine
-    to schedule. It is built from its node's ``NodeSpec``, which was checked
-    when it was built; the node's role sets whether the MCU starts awake
-    (``AWAKE_ROLES``).
+    ``transition`` and ``receive`` implement the table in the module
+    docstring; ``transition`` returns follow-up events for the engine to
+    schedule. After a wake-up interrupt the MCU wakes (7 us) and the
+    application turns the radio on; a timer wake does both. It is built
+    from its checked ``NodeSpec``, whose role sets whether the MCU starts
+    awake (``AWAKE_ROLES``).
     """
 
     def __init__(self, spec: NodeSpec):
@@ -353,6 +351,10 @@ class MoteDevice:
             (spec.mcu_wakeup_ns, MCU_AWAKE),), notify=True)
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
+        self._timer_wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
+            (spec.mcu_wakeup_ns + spec.radio_turn_on_ns, RADIO_READY),),
+            notify=True)
+        self._radio_turn_on_ns = spec.radio_turn_on_ns
         self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
             spec.battery_j, spec.harvest_rate_w * spec.harvest_efficiency)
@@ -391,10 +393,18 @@ class MoteDevice:
             elif event is RADIO_READY:  # the radio is turning on
                 result = _RADIO_READY
         elif mcu is MCU_SLEEP:
-            if event is WURX_INTERRUPT or event is WAKE:
+            if event is WAKE:
+                result = self._timer_wake
+            elif event is WURX_INTERRUPT:
                 result = self._wakeup
-        elif event is MCU_AWAKE:  # the MCU is waking
-            result = _AWAKE
+        elif radio is RADIO_OFF:  # the MCU is waking after an interrupt
+            if event is MCU_AWAKE:
+                result = _AWAKE
+        elif event is RADIO_READY:  # after a timer wake: charge the wake-up
+            self._apply(now_ns - self._radio_turn_on_ns, _ACTIVE_TURNING_ON)
+            if self.ledger.depleted:
+                return _ACTIVE_TURNING_ON
+            result = _RADIO_READY
         if result is not None:
             return self._apply(now_ns, result)
         if event is WURX_INTERRUPT:

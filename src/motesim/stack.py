@@ -5,7 +5,8 @@ Layering rule: nothing in this module touches channel or ledger internals.
 Applications see exactly two surfaces: the radio driver contract below and
 a small engine-provided services object (timers, wake/sleep requests, and
 the wake-up burst to the scenario's target). They hear tx-done only from
-the driver contract; the engine calls only ``start``, ``on_awake`` and
+the driver contract; the engine calls only ``start``, ``on_awake`` (after a
+WuRX interrupt: a timer wake turns the radio on with the MCU) and
 ``on_radio_ready``. A test asserts this module imports neither the channel
 nor the node internals.
 
@@ -158,7 +159,7 @@ class App:
         """The run begins."""
 
     def on_awake(self) -> None:
-        """The node's MCU has just become active."""
+        """The node's MCU has just become active after a WuRX interrupt."""
 
     def on_radio_ready(self) -> None:
         """The node's radio has just reached standby."""
@@ -170,8 +171,8 @@ class PeriodicSenderApp(App):
     First transmission fires at t = period. Idle policy between sends is
     either "sleep" (mote: MCU and radio down, woken by the tick timer) or
     "rx" (base station: radio permanently listening, from its first
-    radio-ready on). A sleeping sender's radio comes up only after its own
-    tick woke it, so its radio-ready is the moment to send.
+    radio-ready on). A sleeping sender's tick wakes it by timer, which brings
+    the radio up with the MCU, so its radio-ready is the moment to send.
     """
 
     def __init__(self, unicast: Unicast, services: Services, dst: int,
@@ -198,9 +199,6 @@ class PeriodicSenderApp(App):
             self.services.request_wake()
         else:
             self.unicast.send(self.dst, self.payload)
-
-    def on_awake(self) -> None:
-        self.unicast.driver.on()
 
     def on_radio_ready(self) -> None:
         if self.idle_policy == "sleep":
@@ -303,12 +301,9 @@ class WakeupSleeperApp(App):
         self.received.append((self.services.now_ns(), msg))
         self._armed_until = None
         self.services.call_at(self.services.now_ns() + self.linger_ns,
-                              self.back_to_sleep)
+                              self.services.request_sleep)
 
     def on_rx_timeout(self, deadline: int) -> None:
         if self._armed_until == deadline:
             self._armed_until = None
-            self.back_to_sleep()
-
-    def back_to_sleep(self) -> None:
-        self.services.request_sleep()
+            self.services.request_sleep()

@@ -16,7 +16,7 @@ from motesim import channel, engine
 from motesim import stack as stk
 from motesim.channel import noise_floor_dbm
 from motesim.engine import Simulator, power_profile, range_sweep
-from motesim.node import EnergyLedger, MoteDevice, RadioMode
+from motesim.node import EnergyLedger, McuMode, MoteDevice, RadioMode
 from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
@@ -229,6 +229,27 @@ class TestDeterminism:
         rb = [p.rssi_dbm for p in mb.packets]
         assert ra != rb
 
+    def test_frames_starting_together_start_in_tick_order(self):
+        # equal latency sums split differently: mote 3 wakes its MCU first,
+        # but mote 2 ticked first, so its radio-ready timer and its frame
+        # come first
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="mote", position=Position(x=10.0),
+                          mcu_wakeup_ns=507_000, radio_turn_on_ns=500_000),
+                 NodeSpec(address=3, role="mote", position=Position(x=-10.0),
+                          mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000))
+        scenario = Scenario(horizon_ns=2_500_000_000, seed=1,
+                            radio=RadioConfig(), channel=ChannelParams(),
+                            nodes=nodes,
+                            app=AppSpec(kind="periodic", dst=1,
+                                        period_ns=10 ** 9))
+        sim = Simulator(scenario, record_trace=False)
+        started = record_transmissions(sim)
+        sim.run()
+        assert [(frame.start_ns, frame.src) for frame in started] == [
+            (1_001_007_000, 2), (1_001_007_000, 3),
+            (2_001_007_000, 2), (2_001_007_000, 3)]
+
 
 class TestBatchedTraceHash:
     """The trace is hashed in bounded chunks. Reading the hash mid-run
@@ -279,7 +300,8 @@ class TestCausality:
 
         Default depth keeps the suite fast while still monitoring well over
         1e5 dispatched events; set MOTESIM_CAUSALITY_SCENARIOS=100000 for
-        the full-scale CI sweep.
+        the full-scale CI sweep. A frame takes three events, so horizons
+        run from 1 to 6 s: about 13 events per scenario.
         """
         count = int(os.environ.get("MOTESIM_CAUSALITY_SCENARIOS", "10000"))
         rng = random.Random(0xCA05)
@@ -292,7 +314,7 @@ class TestCausality:
             period = rng.uniform(0.45, 2.0)
             scenario = multi_mote_scenario(
                 positions, period_s=period,
-                horizon_s=rng.uniform(0.5, 4.0),
+                horizon_s=rng.uniform(1.0, 6.0),
                 seed=rng.randrange(2 ** 32),
                 turn_ons_ms=[rng.uniform(0.5, 5.0) for _ in range(n_motes)])
             sim = Simulator(scenario, record_trace=False)
@@ -685,11 +707,13 @@ class TestRivalIndexDigests:
     decision and took each shadowing uniform with its own ``random()``
     call, and that built an RSSI record for every unshadowed frame."""
 
+    # the trace hashes and event counts re-pinned when a timer wake became
+    # one step to radio-ready; every output file kept its digest
     def test_hundred_shadowed_motes(self, tmp_path):
         metrics = run(hundred_mote_scenario())
         assert metrics.trace_hash == (
-            "11b7d284d2f95d6555b35df889143301ebdf8eeaf0ea8d19d0d6c1320b860896")
-        assert metrics.event_count == 4501
+            "61a5e4d96fe7c6572a06e1b83977db9806c2f267293cb48c429b81f096129b5c")
+        assert metrics.event_count == 3401
         packets = tmp_path / "packets.csv"
         assert packets in emit(metrics, "csv", tmp_path)
         assert hashlib.sha256(packets.read_bytes()).hexdigest() == (
@@ -700,7 +724,7 @@ class TestRivalIndexDigests:
                 / "dense_shadowed.yaml")
         metrics = run(load(path))
         assert metrics.trace_hash == (
-            "e2c6618da1fa43819ab0b227b91d07323f995204d2123795a8f9c2b258788e8a")
+            "56f9e68b5b356f6102035566709d0f09232c1f4fc708d93fe09897a69ecfea89")
         assert {p.outcome for p in metrics.packets} == {
             "delivered", "collision", "snr-floor"}
         # station 14 is no frame's dst: its decisions show only in its
@@ -728,9 +752,10 @@ class TestGoldenDigests:
             "511bc7bd9984ee477d1e46031cbcd97b8db029e2c4aab3c953b644bd2d6c2824")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
+        # the trace hash re-pinned when a timer wake became one step
         metrics = run(dense_scenario(horizon_s=12.0))
         assert metrics.trace_hash == (
-            "260d90771226fe26a652bb0158289491fe1d8a10a59231686abae4fd48fbcf9a")
+            "e0bd28c6c2968e0e4d9bb7fcce65c5adf2a839174b900c50711a8429baebd468")
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in emit(metrics, "csv", tmp_path)}
         assert digests == {
@@ -759,11 +784,13 @@ class TestGoldenDigests:
             "6febc6aa261598e3184e65325727282da74c4add4fc03dece106e252adfbcde0")
 
     def test_harvesting_depletion_outputs(self, tmp_path):
+        # the trace hash and event count re-pinned when a timer wake became
+        # one step; node 4's dropped timer is now its radio-ready one
         sim = Simulator(harvest_depletion_scenario())
         metrics = sim.run()
         assert metrics.trace_hash == (
-            "8f20c7fefa0d7331ed160ca38752c90a834186743a55481da1be7e77db401c0c")
-        assert metrics.event_count == 142
+            "0fa932817b61f0e9663ba56c88a9ef28f1711b9ad642d0f826353c88f61bc2b8")
+        assert metrics.event_count == 108
         assert [(e.depleted, e.battery_remaining_j, e.harvested_j,
                  e.consumed_j) for e in metrics.energy] == [
             (False, 9998.770047600021, 0.27000000000000013,
@@ -775,7 +802,6 @@ class TestGoldenDigests:
         assert sim.log_lines == ["drop node_timer for depleted node 4",
                                  "drop callback for depleted node 4",
                                  "drop callback for depleted node 2"]
-        assert sim._depletion_skips == 3
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in emit(metrics, "csv", tmp_path)}
         assert digests == {
@@ -924,6 +950,39 @@ class TestDepletion:
         mote = metrics.energy[1]
         assert mote.depleted
         assert mote.battery_remaining_j == 0.0
+
+    # At default powers, mote 2's first tick, at 1 s, charges 1.83 uJ of
+    # sleep, then its MCU wake-up 16.8 nJ, then its radio turn-on 2.4 uJ.
+    @pytest.mark.parametrize("battery_j, sent, state, log", [
+        # the sleep charge: the radio-ready timer is dropped
+        (1e-6, 0, (McuMode.WAKING, RadioMode.TURNING_ON),
+         ["drop node_timer for depleted node 2"]),
+        # the MCU wake-up's charge: the step stops before radio-ready
+        (1.8384e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON), []),
+        # the turn-on's charge: the frame is still sent, the late stop of a
+        # node that stops at its next charge; ROADMAP item 4, a stop at
+        # the ns the battery empties, will change this
+        (2e-6, 1, (McuMode.SLEEP, RadioMode.OFF), []),
+    ], ids=["sleep", "mcu_wakeup", "radio_turn_on"])
+    def test_battery_emptied_on_the_way_to_radio_ready(self, battery_j, sent,
+                                                       state, log):
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="mote", position=Position(x=10.0),
+                          battery_j=battery_j))
+        scenario = Scenario(horizon_ns=3_500_000_000, seed=1,
+                            radio=RadioConfig(), channel=ChannelParams(),
+                            nodes=nodes,
+                            app=AppSpec(kind="periodic", src=2, dst=1,
+                                        period_ns=10 ** 9))
+        sim = Simulator(scenario, record_trace=False)
+        metrics = sim.run()
+        assert metrics.link(2, 1).sent == sent
+        mote = sim.devices[2]
+        assert mote.ledger.depleted
+        assert (mote.mcu, mote.radio) == state
+        # the tick at 2 s is dropped too, so it sets no later tick
+        assert sim.log_lines == log + ["drop callback for depleted node 2"]
+        assert mote.ledger.total_time_ns() == scenario.horizon_ns
 
 
 class TestEmission:
@@ -1200,10 +1259,11 @@ class TestWorkCounts:
         return calls
 
     def test_coverage_sweep(self, calls):
-        # 360 frames decided at each of ten listening stations
+        # 360 frames decided at each of ten listening stations; a timer
+        # wake is one step to radio-ready, so each frame takes 3 events
         _rows, _meta, runs = range_sweep()
-        assert sum(metrics.event_count for metrics in runs) == 1_450
-        assert calls == {"transition": 2_550, "accrue": 4_332}
+        assert sum(metrics.event_count for metrics in runs) == 1_090
+        assert calls == {"transition": 1_830, "accrue": 4_332}
 
     def test_shadowed_coverage_sweep(self, calls, monkeypatch):
         # one run at every σ: each of the 360 frames takes one RssiOnRead
@@ -1219,8 +1279,8 @@ class TestWorkCounts:
 
         monkeypatch.setattr(channel, "RssiOnRead", CountedRssi)
         _rows, _meta, runs = range_sweep(shadowing_sigma_db=4.0)
-        assert [metrics.event_count for metrics in runs] == [1_450]
-        assert calls == {"transition": 2_550, "accrue": 4_292}
+        assert [metrics.event_count for metrics in runs] == [1_090]
+        assert calls == {"transition": 1_830, "accrue": 4_292}
         assert len(builds) == 360
 
     def test_power_profile(self, calls):
@@ -1228,6 +1288,19 @@ class TestWorkCounts:
         # burst is one event, whose end also ends the sleeper's decode
         assert power_profile(cycles=1000, seed=0).event_count == 8_000
         assert calls == {"transition": 10_002, "accrue": 10_003}
+
+    def test_in_phase_dense_periodic(self, calls):
+        # twenty motes tick together, and each tick's frames end before the
+        # next: a frame is its tick, the radio-ready timer and its end, and
+        # wake, radio_ready, tx_request, tx_done and sleep_request. The
+        # station adds one timer and three transitions to listen. The
+        # accruals are those of the MCU-awake and radio-ready timers.
+        metrics = run(hundred_mote_scenario(motes=20, horizon_s=115),
+                      record_trace=False)
+        frames = len(metrics.packets)
+        assert frames == 20 * 11
+        assert metrics.event_count == 3 * frames + 1
+        assert calls == {"transition": 5 * frames + 3, "accrue": 913}
 
     @pytest.mark.parametrize("scenario, packets, builds, entries", [
         # seven motes whose frames overlap in part or whole, one listener

@@ -141,11 +141,15 @@ class TestSharedResults:
 DOC_TABLE = {
     ("sleep", "off"): {
         "wurx_interrupt": ("waking", "off"),
-        "timer[wake]": ("waking", "off"),
+        "timer[wake]": ("waking", "turning_on"),
     },
     ("waking", "off"): {
         "timer[mcu_awake]": ("active", "off"),
         "wurx_interrupt": ("waking", "off"),
+    },
+    ("waking", "turning_on"): {
+        "timer[radio_ready]": ("active", "standby"),
+        "wurx_interrupt": ("waking", "turning_on"),
     },
     ("active", "off"): {
         "radio_on": ("active", "turning_on"),
@@ -197,6 +201,10 @@ def build_device_in(state):
         device.transition(NodeEvent.SLEEP_REQUEST, 0)
         device.transition(NodeEvent.WURX_INTERRUPT, 0)
         return device
+    if (mcu, radio) == ("waking", "turning_on"):
+        device.transition(NodeEvent.SLEEP_REQUEST, 0)
+        device.transition(NodeEvent.WAKE, 0)
+        return device
     if radio in ("turning_on", "standby", "rx", "tx"):
         device.transition(NodeEvent.RADIO_ON, 0)
         if radio == "turning_on":
@@ -212,12 +220,17 @@ def build_device_in(state):
     return device  # ("active", "off")
 
 
-def apply_event(device, name):
+# A timer wake's radio-ready step charges the MCU wake-up up to this long
+# before it, so the tables apply each event this long after the last one
+STEP_NS = 7_000 + 1_000_000
+
+
+def apply_event(device, name, now_ns):
     if name == "begin_wub_tx":
-        return device.begin_wub_tx(0, duty=0.5)
+        return device.begin_wub_tx(now_ns, duty=0.5)
     if name == "rx_done":  # a decode: no NodeEvent, as it changes no state
-        return device.receive(0)
-    return device.transition(NodeEvent(name), 0)
+        return device.receive(now_ns)
+    return device.transition(NodeEvent(name), now_ns)
 
 
 def test_transition_table_exhaustive():
@@ -227,12 +240,12 @@ def test_transition_table_exhaustive():
             device = build_device_in(state)
             assert (device.mcu.value, device.radio.value) == state
             if name in row:
-                apply_event(device, name)
+                apply_event(device, name, STEP_NS)
                 assert (device.mcu.value, device.radio.value) == row[name], \
                     f"{state} --{name}--> wrong target"
             else:
                 with pytest.raises(IllegalTransition):
-                    apply_event(device, name)
+                    apply_event(device, name, STEP_NS)
 
 
 def test_transition_fuzz_million_events():
@@ -242,20 +255,25 @@ def test_transition_fuzz_million_events():
     device = build_device_in(("sleep", "off"))
     valid_states = set(DOC_TABLE)
     checked = 0
+    now = 0
     while checked < 1_000_000:
         state = (device.mcu.value, device.radio.value)
         assert state in valid_states
         name = EVENT_NAMES[rng.randrange(len(EVENT_NAMES))]
         expected = DOC_TABLE[state].get(name)
+        now += STEP_NS
         if expected is None:
             with pytest.raises(IllegalTransition):
-                apply_event(device, name)
+                apply_event(device, name, now)
             # device state must be unchanged after a rejected event
             assert (device.mcu.value, device.radio.value) == state
         else:
-            apply_event(device, name)
+            apply_event(device, name, now)
             assert (device.mcu.value, device.radio.value) == expected
         checked += 1
+    device.finalize(now)
+    assert device.ledger.total_time_ns() == now
+    assert not device.ledger.depleted
 
 
 class TestEnergyLedger:
@@ -470,14 +488,122 @@ class TestDecodeCharge:
         assert decoding.ledger.total_time_ns() == now + tail_ns
 
 
+def recorded_accruals(device):
+    """The (label, power_w, dt_ns) of every accrual ``device``'s ledger is
+    asked for from now on, in order."""
+    accruals = []
+    accrue = device.ledger.accrue
+
+    def recording(label, power_w, dt_ns):
+        accruals.append((label, power_w, dt_ns))
+        accrue(label, power_w, dt_ns)
+
+    device.ledger.accrue = recording
+    return accruals
+
+
+class TestTimerWake:
+    """A timer wake is one step to radio-ready: its radio-ready timer
+    charges what the MCU-awake timer and the radio-ready timer after it
+    charged, as the same two accruals."""
+
+    def test_one_timer_to_radio_ready(self):
+        device = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
+        waking = device.transition(NodeEvent.WAKE, 1_000)
+        assert waking is device._timer_wake
+        assert (device.mcu, device.radio) == (McuMode.WAKING,
+                                              RadioMode.TURNING_ON)
+        assert waking.followups == ((2_009_000, NodeEvent.RADIO_READY),)
+        assert waking.notify and not waking.awake
+        ready = device.transition(NodeEvent.RADIO_READY, 2_010_000)
+        assert ready is node._RADIO_READY and not ready.awake
+        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
+                                              RadioMode.STANDBY)
+        assert device.ledger.time_ns == {"sleep": 1_000,
+                                         "mcu_active": 2_009_000}
+
+    def test_early_step_is_rejected_and_changes_nothing(self):
+        # the MCU wake-up would have ended before the wake began
+        device = make_device()
+        device.transition(NodeEvent.WAKE, 5_000)
+        before = (ledger_bits(device), device._label_since_ns,
+                  device._state, device._label)
+        with pytest.raises(IllegalTransition, match="backwards"):
+            device.transition(NodeEvent.RADIO_READY, 5_000 + 999_999)
+        assert (device.mcu, device.radio) == (McuMode.WAKING,
+                                              RadioMode.TURNING_ON)
+        assert (ledger_bits(device), device._label_since_ns,
+                device._state, device._label) == before
+        device.transition(NodeEvent.RADIO_READY, 5_000 + 1_000_000)
+        assert device.ledger.time_ns == {"sleep": 5_000,
+                                         "mcu_active": 1_000_000}
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_w=st.fixed_dictionaries({}, optional={
+               "sleep": st.floats(1e-7, 1e-5),
+               "mcu_active": st.floats(1e-4, 2.9e-3)}),
+           battery_j=st.floats(0.0, 1e-2),
+           harvest_rate_w=st.just(0.0) | st.floats(0.0, 1e-4),
+           mcu_wakeup_ns=st.integers(1, 10 ** 7),
+           radio_turn_on_ns=st.integers(1, 10 ** 9),
+           asleep_ns=st.integers(0, 10 ** 10),
+           tail_ns=st.integers(0, 10 ** 10))
+    # at default powers, 1 s asleep: the battery runs out at the sleep
+    # charge, at the MCU wake-up's and at the turn-on's
+    @example(power_w={}, battery_j=1e-6, harvest_rate_w=0.0,
+             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+             asleep_ns=10 ** 9, tail_ns=10 ** 9)
+    @example(power_w={}, battery_j=1.8384e-6, harvest_rate_w=0.0,
+             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+             asleep_ns=10 ** 9, tail_ns=10 ** 9)
+    @example(power_w={}, battery_j=2e-6, harvest_rate_w=1e-7,
+             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
+             asleep_ns=10 ** 9, tail_ns=10 ** 9)
+    def test_charges_equal_the_two_timer_chain_bit_for_bit(
+            self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
+            radio_turn_on_ns, asleep_ns, tail_ns):
+        kwargs = dict(power_w=power_w, battery_j=battery_j,
+                      harvest_rate_w=harvest_rate_w,
+                      mcu_wakeup_ns=mcu_wakeup_ns,
+                      radio_turn_on_ns=radio_turn_on_ns)
+        one_step, chain = make_device(**kwargs), make_device(**kwargs)
+        steps, chained = recorded_accruals(one_step), recorded_accruals(chain)
+        woke_ns = asleep_ns + mcu_wakeup_ns
+        ready_ns = woke_ns + radio_turn_on_ns
+        # each as the engine runs it, which drops a depleted node's timers
+        one_step.transition(NodeEvent.WAKE, asleep_ns)
+        if not one_step.ledger.depleted:
+            one_step.transition(NodeEvent.RADIO_READY, ready_ns)
+        # the chain the timer wake replaces: the MCU-awake timer, whose
+        # hook turned the radio on, and the radio-ready timer
+        chain.transition(NodeEvent.WURX_INTERRUPT, asleep_ns)
+        if not chain.ledger.depleted:
+            chain.transition(NodeEvent.MCU_AWAKE, woke_ns)
+            chain.transition(NodeEvent.RADIO_ON, woke_ns)
+            if not chain.ledger.depleted:
+                chain.transition(NodeEvent.RADIO_READY, ready_ns)
+                assert one_step.radio is RadioMode.STANDBY
+            else:  # the MCU wake-up emptied the battery
+                assert (one_step.mcu, one_step.radio) == (
+                    McuMode.ACTIVE, RadioMode.TURNING_ON)
+        assert steps == chained
+        assert ledger_bits(one_step) == ledger_bits(chain)
+        assert one_step._label == chain._label == "mcu_active"
+        for device in (one_step, chain):
+            device.finalize(ready_ns + tail_ns)
+        assert steps == chained
+        assert ledger_bits(one_step) == ledger_bits(chain)
+
+
 def test_notify_marks_the_results_the_engine_acts_on():
     """A shared result is passed on to the engine iff it has follow-ups or
     an application hook, or enters rx (the engine registers a listener)."""
     device = make_device()
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
-    shared.update(wakeup=device._wakeup, turning_on=device._turning_on)
-    assert len(shared) == 10
+    shared.update(wakeup=device._wakeup, turning_on=device._turning_on,
+                  timer_wake=device._timer_wake)
+    assert len(shared) == 12
     for name, result in shared.items():
         assert result.notify == (bool(result.followups) or result.awake
                                  or result.radio_ready
