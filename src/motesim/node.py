@@ -78,6 +78,7 @@ from typing import NamedTuple
 from .channel import Position
 from .errors import ConfigError, IllegalTransition, validated
 from .phy import NS_PER_S
+from .wurx import ADDRESS_BITS, wub_airtime
 
 SUPPLY_VOLTAGE_V = 3.0
 
@@ -119,6 +120,12 @@ class WurxSpec(NamedTuple):
         if not 0 < self.bit_rate_bps <= 1000.0:
             raise ConfigError("wurx: bit_rate_bps must be in (0, 1000], got "
                               f"{self.bit_rate_bps}")
+        try:
+            wub_airtime(self)
+        except OverflowError:
+            raise ConfigError(
+                f"wurx: a burst's airtime, preamble_bits + {ADDRESS_BITS} "
+                f"over bit_rate_bps, is too long to count in ns") from None
         if self.listen_power_w >= self.decode_power_w:
             raise ConfigError("wurx: listen power must be below decode power")
 

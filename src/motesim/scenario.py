@@ -26,11 +26,11 @@ from .wurx import wub_airtime
 
 SCENARIO_FORMAT_VERSION = 1
 
-# the app keys each kind reads, beside ``kind``; any other key is rejected
+# the fields each kind reads, beside ``kind``; a key for any other is rejected
 _APP_KEYS = {
-    "periodic": ("src", "dst", "payload_len", "period_s"),
+    "periodic": ("src", "dst", "payload_len", "period_ns"),
     "wakeup_exchange": ("payload_len", "initiator", "target", "cycles",
-                        "cycle_period_s", "linger_ms", "rx_timeout_ms"),
+                        "cycle_period_ns", "linger_ns", "rx_timeout_ns"),
     "none": (),
 }
 APP_KINDS = tuple(_APP_KEYS)

@@ -356,6 +356,43 @@ def test_malformed_scenario_is_a_scenario_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("scenario error:")
 
 
+# each file holds one number that no float or ns count holds, or that
+# YAML cannot read; the error names where it lies
+HUGE = "1" + "0" * 400  # an integer beyond float range
+UNREADABLE = {
+    "horizon-beyond-float": ("sim: {horizon_s: " + HUGE + "}\n" + ONE_BS
+                             + "app: {kind: none}\n",
+                             "sim.horizon_s is too large for a float"),
+    "position-beyond-float": ("sim: {horizon_s: 1.0}\n"
+                              "nodes: [{address: 1, role: bs,"
+                              " position: {x: " + HUGE + "}}]\n"
+                              "app: {kind: none}\n",
+                              "nodes[0].position.x is too large for a float"),
+    "wurx-airtime-beyond-ns": ("sim: {horizon_s: 1.0}\n"
+                               "nodes: [{address: 1, role: sleeper,"
+                               " wurx: {address: 7,"
+                               " bit_rate_bps: 1.0e-300}}]\n"
+                               "app: {kind: none}\n",
+                               "node 1: wurx: a burst's airtime"),
+    # Python reads an int of at most 4,300 digits from a string
+    "int-past-the-digit-limit": ("sim: {horizon_s: 1" + "0" * 5000 + "}\n"
+                                 + ONE_BS + "app: {kind: none}\n",
+                                 "scenario file is not valid YAML"),
+    "impossible-date": ("sim: {horizon_s: 2020-13-45}\n" + ONE_BS
+                        + "app: {kind: none}\n",
+                        "scenario file is not valid YAML"),
+}
+
+
+@pytest.mark.parametrize("text, error", UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_number_is_a_scenario_error(text, error, tmp_path,
+                                               capsys):
+    bad = tmp_path / "unreadable.yaml"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    assert capsys.readouterr().err.startswith(f"scenario error: {error}")
+
+
 def test_null_section_takes_the_defaults(tmp_path, capsys):
     text = "sim: {horizon_s: 1.0}\n" + ONE_BS + "app: {kind: none}\n"
     hashes = []

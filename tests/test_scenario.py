@@ -1,5 +1,7 @@
+import collections
 import copy
 import pathlib
+import re
 
 import pytest
 import yaml
@@ -11,8 +13,10 @@ from motesim import (ChannelParams, ConfigError, Position, RadioConfig,
                      scenario_hash)
 from motesim.cli import main
 from motesim.node import POWER_KEYS, ROLES, power_table
-from motesim.scenario import (AppSpec, NodeSpec, WurxSpec, from_dict,
-                              range_point_scenario)
+from motesim.phy import NS_PER_S
+from motesim.scenario import (_APP_KEYS, AppSpec, NodeSpec, WurxSpec,
+                              from_dict, range_point_scenario)
+from motesim.scenario_file import _RENAMES, _Sim, _file_key
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / \
     "example.yaml"
@@ -475,13 +479,33 @@ FULL = {
             "linger_ms": 15.0, "rx_timeout_ms": 400.0},
 }
 
-# (record, section name in error messages, path to the section in FULL)
+# FULL's other sections with a periodic app, and with no app; each app key
+# set to a value other than its default
+PERIODIC = {**FULL, "nodes": [{"address": 1, "role": "bs"},
+                              {"address": 2, "role": "mote",
+                               "position": {"x": 40.0}}],
+            "app": {"kind": "periodic", "src": 2, "dst": 1,
+                    "payload_len": 12, "period_s": 4.0}}
+NO_APP = {**FULL, "app": {"kind": "none"}}
+
+# (record, section name in error messages, scenario, path to the section in
+# it, the keys a valid section keeps); together they set every key
 FIELD_SECTIONS = [
-    (RadioConfig, "radio", ("radio",)),
-    (ChannelParams, "channel", ("channel",)),
-    (WurxSpec, "nodes[1].wurx", ("nodes", 1, "wurx")),
-    (Position, "nodes[1].position", ("nodes", 1, "position")),
+    (RadioConfig, "radio", FULL, ("radio",), ()),
+    (ChannelParams, "channel", FULL, ("channel",), ()),
+    (WurxSpec, "nodes[1].wurx", FULL, ("nodes", 1, "wurx"), ("address",)),
+    (Position, "nodes[1].position", FULL, ("nodes", 1, "position"), ()),
+    (NodeSpec, "nodes[0]", FULL, ("nodes", 0),
+     ("address", "role", "position")),
+    (NodeSpec, "nodes[1]", FULL, ("nodes", 1),
+     ("address", "role", "position", "wurx")),
+    (AppSpec, "app", FULL, ("app",), ("kind", "initiator", "target")),
+    (AppSpec, "app", PERIODIC, ("app",), ("kind", "dst")),
+    (AppSpec, "app", NO_APP, ("app",), ("kind",)),
+    (_Sim, "sim", FULL, ("sim",), ("horizon_s",)),
 ]
+FIELD_SECTION_IDS = [f"{cls.__name__}-{where}-path{index}"
+                     for index, (cls, where, *_) in enumerate(FIELD_SECTIONS)]
 
 
 def section_of(raw, path):
@@ -492,8 +516,29 @@ def section_of(raw, path):
 
 def built_section(scenario, where):
     return {"radio": scenario.radio, "channel": scenario.channel,
-            "nodes[1].wurx": scenario.node(9).wurx,
-            "nodes[1].position": scenario.node(9).position}[where]
+            "nodes[1].wurx": scenario.nodes[1].wurx,
+            "nodes[1].position": scenario.nodes[1].position,
+            "nodes[0]": scenario.nodes[0], "nodes[1]": scenario.nodes[1],
+            "app": scenario.app,
+            "sim": _Sim(scenario.horizon_ns, scenario.seed)}[where]
+
+
+def field_values(cls, section):
+    """The fields of ``cls`` that the keys of a file section set, in the
+    record's units: a duration in ns, the power block by mode, and a block
+    as its mapping."""
+    values = {}
+    for name in cls._fields:
+        key, unit = _RENAMES.get(name, (name, None))
+        if key in section:
+            value = section[key]
+            if isinstance(unit, float):
+                value = round(value * unit * NS_PER_S)
+            elif unit:
+                value = {unit[block_key]: power
+                         for block_key, power in value.items()}
+            values[name] = value
+    return values
 
 
 def test_harvest_depletion_file_hash_pinned():
@@ -622,24 +667,39 @@ def test_validate_rejects_exactly_what_the_build_rejects(wurx, **fields):
 
 
 class TestFieldSections:
-    """Radio, channel, wurx and position keys against their records."""
+    """Every section's keys against its record."""
 
-    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
-    def test_every_key_lands_in_its_dataclass(self, cls, where, path):
-        section = section_of(FULL, path)
-        for name in cls._fields:
-            assert section[name] != cls._field_defaults.get(name), name
-        built = built_section(from_dict(copy.deepcopy(FULL)), where)
-        assert built._asdict() == section
+    @pytest.mark.parametrize("cls, where, raw, path, kept", FIELD_SECTIONS,
+                             ids=FIELD_SECTION_IDS)
+    def test_every_key_lands_in_its_dataclass(self, cls, where, raw, path,
+                                              kept):
+        built = built_section(from_dict(copy.deepcopy(raw)), where)
+        for name, value in field_values(cls, section_of(raw, path)).items():
+            assert value != cls._field_defaults.get(name), name
+            field = getattr(built, name)
+            assert getattr(field, "_asdict", lambda: field)() == value, name
 
-    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
-    def test_omitted_keys_take_the_defaults(self, cls, where, path):
-        required = {"address": 0x5A} if cls is WurxSpec else {}
-        for key, value in section_of(FULL, path).items():
-            raw = copy.deepcopy(FULL)
-            kept = {**required, key: value}
-            section_of(raw, path[:-1])[path[-1]] = kept
-            assert built_section(from_dict(raw), where) == cls(**kept)
+    def test_the_sections_set_every_key(self):
+        set_keys = {}
+        for cls, _where, raw, path, _kept in FIELD_SECTIONS:
+            set_keys.setdefault(cls, set()).update(
+                field_values(cls, section_of(raw, path)))
+        assert set_keys == {cls: set(cls._fields) for cls in set_keys}
+
+    @pytest.mark.parametrize("cls, where, raw, path, kept", FIELD_SECTIONS,
+                             ids=FIELD_SECTION_IDS)
+    def test_omitted_keys_take_the_defaults(self, cls, where, raw, path,
+                                            kept):
+        full = built_section(from_dict(copy.deepcopy(raw)), where)
+        section = section_of(raw, path)
+        for key in section:
+            trimmed = copy.deepcopy(raw)
+            section_of(trimmed, path[:-1])[path[-1]] = {
+                k: section[k] for k in (*kept, key)}
+            assert built_section(from_dict(trimmed), where) == full._replace(
+                **{name: default
+                   for name, default in cls._field_defaults.items()
+                   if _file_key(name) not in (*kept, key)})
 
     def test_omitted_sections_take_the_defaults(self):
         raw = copy.deepcopy(FULL)
@@ -656,17 +716,50 @@ class TestFieldSections:
             from_dict(raw)
         assert "missing required key nodes[1].wurx.address" in str(info.value)
 
-    @pytest.mark.parametrize("cls, where, path", FIELD_SECTIONS)
-    def test_bool_for_a_number_rejected(self, cls, where, path):
-        for key, value in section_of(FULL, path).items():
-            if isinstance(value, bool):
+    @pytest.mark.parametrize("cls, where, raw, path, kept", FIELD_SECTIONS,
+                             ids=FIELD_SECTION_IDS)
+    def test_bool_for_a_number_rejected(self, cls, where, raw, path, kept):
+        for key, value in section_of(raw, path).items():
+            if isinstance(value, (bool, dict)):  # a dict: a block
                 continue
-            raw = copy.deepcopy(FULL)
-            section_of(raw, path)[key] = True
+            bad = copy.deepcopy(raw)
+            section_of(bad, path)[key] = True
             with pytest.raises(ScenarioError) as info:
-                from_dict(raw)
+                from_dict(bad)
             assert (f"{where}.{key} must be {type(value).__name__}, got bool"
                     in str(info.value))
+
+
+def test_readme_lists_each_key_the_parser_accepts_once():
+    # the parser's keys, from its records and rename table
+    records = {"sim": _Sim, "radio": RadioConfig, "channel": ChannelParams,
+               "nodes[]": NodeSpec, "nodes[].position": Position,
+               "nodes[].wurx": WurxSpec}
+    accepted = [(section, _file_key(name))
+                for section, cls in records.items() for name in cls._fields]
+    accepted += [("nodes[].power", key) for key in _RENAMES["power_w"][1]]
+    accepted += [("app", "kind")] + [
+        (f"app ({kind})", _file_key(name))
+        for kind, names in _APP_KEYS.items() for name in names]
+    # the keys in the field column of the README's scenario-file table
+    readme = (EXAMPLE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n")[1].split("\n## ")[0]
+    listed = collections.Counter()
+    for row in section.splitlines():
+        cells = [cell.strip() for cell in row.split("|")[1:-1]]
+        if len(cells) == 4:
+            listed.update((cells[0], key)
+                          for key in re.findall(r"`([^`]+)`", cells[1]))
+    assert dict(listed) == dict.fromkeys(accepted, 1)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("bs_sender.yaml", "d1ff1fedd5dbd11e"),
+    ("dense_shadowed.yaml", "ec6c97417f29cb93"),
+    ("wurx_bystander.yaml", "9b13a7a15f1cf445"),
+])
+def test_scenario_file_hash_pinned(name, digest):
+    assert scenario_hash(load(EXAMPLE.with_name(name))) == digest
 
 
 class TestCodeBuiltRecordsCheckThemselves:
@@ -712,7 +805,11 @@ class TestWakeupBlockValidation:
 
     CASES = [("bit_rate_bps", 0), ("bit_rate_bps", 2000),
              ("address", 300), ("preamble_bits", -9),
-             ("listen_power_w", 1e-3), ("decode_power_w", 2.2e-6)]
+             ("listen_power_w", 1e-3), ("decode_power_w", 2.2e-6),
+             # a burst whose airtime no int of ns holds
+             ("bit_rate_bps", 1e-300),
+             pytest.param("preamble_bits", 10 ** 400,
+                          id="preamble_bits-10**400")]
 
     @staticmethod
     def with_wurx(key, value):
