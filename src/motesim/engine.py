@@ -75,9 +75,12 @@ depleted node; only frame ends and burst ends go through a helper, and the
 dispatch order is checked on the two ints. A node timer costs one
 ``MoteDevice.transition`` call, which returns a shared precomputed result;
 ``process_result`` is called only when its ``notify`` flag is set, for
-follow-up timers, an application hook or an entry into rx. A sleeping
+follow-up timers, the radio-ready hook or an entry into rx. A sleeping
 sender's frame takes three events: its tick, the one timer of its timer
-wake and its end. A decode at a listener changes no state: it costs one
+wake and its end. A WuRX interrupt wakes a sleeper as a timer wake does,
+so a wake-up cycle takes seven: the cycle, the burst's end, the data slot,
+the sleeper's radio-ready timer, the frame's end, the linger and the rx
+timeout. A decode at a listener changes no state: it costs one
 ``MoteDevice.receive`` call, a ledger charge, and the engine hands the
 frame to the stack itself. Each event kind and node event carries its trace
 text, built once.
@@ -98,8 +101,8 @@ from . import stack as stk
 from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
-from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF, RADIO_RX,
-                   RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX,
+from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, MCU_SLEEP, RADIO_OFF,
+                   RADIO_RX, RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX,
                    MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
@@ -255,8 +258,8 @@ class Simulator:
                 at_ns, _CALLBACK, address, fn),
             request_sleep=lambda: self.node_event(device, nd.SLEEP_REQUEST),
             request_wake=lambda: self.node_event(device, nd.WAKE),
-            send_wakeup=lambda: self.send_wakeup(device),
-            target_awake=lambda addr: self.devices[addr].mcu is MCU_ACTIVE,
+            send_burst=lambda: self.send_burst(device),
+            target_awake=lambda addr: self.devices[addr].mcu is not MCU_SLEEP,
             log=self.log_lines.append,
         )
 
@@ -319,12 +322,8 @@ class Simulator:
         for delay_ns, node_event in result.followups:
             self.schedule(self.now + delay_ns, _NODE_TIMER, address,
                           node_event)
-        app = self.apps.get(address)
-        if app is not None:
-            if result.awake:
-                app.on_awake()
-            if result.radio_ready:
-                app.on_radio_ready()
+        if result.radio_ready and address in self.apps:
+            self.apps[address].on_radio_ready()
 
     # -- medium ---------------------------------------------------------------
 
@@ -385,7 +384,7 @@ class Simulator:
         self.schedule(frame.end_ns, _TX_END, device.address, frame.frame_id)
         return frame
 
-    def send_wakeup(self, device: MoteDevice) -> None:
+    def send_burst(self, device: MoteDevice) -> None:
         # only the wake-up initiator sends bursts, all of them the run's
         # one burst; begin_wub_tx rejects one while the radio is off or busy
         burst = self._wub

@@ -24,9 +24,8 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
-    (sleep, off)       wurx_interrupt      (waking, off)     timer mcu_awake +7us
+    (sleep, off)       wurx_interrupt      (waking, turning_on)  timer radio_ready
     (sleep, off)       timer[wake]         (waking, turning_on)  timer radio_ready
-    (waking, off)      timer[mcu_awake]    (active, off)     notify awake
     (waking, turning_on) timer[radio_ready] (active, standby) notify radio ready
     (active, off)      radio_on            (active, turning_on)  timer radio_ready
     (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
@@ -52,22 +51,22 @@ a pair of a ``NodeEvent``.
 
 The MCU sleeps only with the radio off, so a state change's result depends on
 the event alone, never on the state it leaves. Every result is therefore
-built once and shared: per module, the plain ones and the awake and
-radio-ready ones; per device, the wake-up interrupt's, the timer wake's and
-radio-on's, whose timers carry the device's latencies. Only the ignored
-wake-up re-trigger builds its result on the spot. A wake-up burst enters tx
-through a result of its own, which picks the ``wub_tx`` label at the power
-``begin_wub_tx`` set just before. A result's ``notify`` flag is set where the
-engine has work: follow-up timers, an application hook or an entry into rx. A
-state change is one call: it checks the (state, event) pair, charges the
-dwell in the outgoing label with one ledger accrual when time has passed,
-enters the new state and picks its label and power, cached until the next
-change. A timer wake's radio-ready step charges two, the MCU wake-up up to
-``radio_turn_on_ns`` before it and then the turn-on, as the timer chain it
-replaces did; if the first empties the battery, it stops in (active,
-turning_on) and notifies nothing. A decode changes no state: ``receive``
-charges the rx dwell up to the frame's end at the cached label and power, and
-the engine hands the frame to the stack itself.
+built once and shared: per module, the plain ones and the radio-ready one;
+per device, the wake's and radio-on's, whose timers carry the device's
+latencies. A wake-up interrupt and a timer wake are one wake, which brings
+the radio up with the MCU. Only the ignored wake-up re-trigger builds its
+result on the spot. A wake-up burst enters tx through a result of its own,
+which picks the ``wub_tx`` label at the power ``begin_wub_tx`` set just
+before. A result's ``notify`` flag is set where the engine has work:
+follow-up timers, the radio-ready hook or an entry into rx. A state change
+is one call: it checks the (state, event) pair, charges the dwell in the
+outgoing label with one ledger accrual when time has passed, enters the new
+state and picks its label and power, cached until the next change. A wake's
+radio-ready step charges two, the MCU wake-up up to ``radio_turn_on_ns``
+before it and then the turn-on; if the first empties the battery, it stops
+in (active, turning_on) and notifies nothing. A decode changes no state:
+``receive`` charges the rx dwell up to the frame's end at the cached label
+and power, and the engine hands the frame to the stack itself.
 """
 
 import enum
@@ -213,7 +212,6 @@ class NodeEvent(enum.Enum):
     trace and in ``IllegalTransition`` messages."""
 
     WAKE = "timer[wake]"
-    MCU_AWAKE = "timer[mcu_awake]"
     RADIO_READY = "timer[radio_ready]"
     WURX_INTERRUPT = "wurx_interrupt"
     TX_REQUEST = "tx_request"
@@ -231,9 +229,8 @@ class NodeEvent(enum.Enum):
 
 
 # bound once, like the modes above; RADIO_OFF already names a radio mode
-(WAKE, MCU_AWAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE,
- SLEEP_REQUEST, TURN_RADIO_ON, TURN_RADIO_OFF, START_RX, STOP_RX,
- BEGIN_WUB_TX) = NodeEvent
+(WAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE, SLEEP_REQUEST,
+ TURN_RADIO_ON, TURN_RADIO_OFF, START_RX, STOP_RX, BEGIN_WUB_TX) = NodeEvent
 
 
 class TransitionResult(NamedTuple):
@@ -242,13 +239,11 @@ class TransitionResult(NamedTuple):
     mcu: McuMode
     radio: RadioMode
     followups: tuple = ()  # of (delay_ns, NodeEvent)
-    awake: bool = False        # MCU just reached active
     radio_ready: bool = False  # radio just reached standby
     notify: bool = False  # the engine acts on it: see the module docstring
 
 
 # The results shared by every device; MoteDevice builds the per-device ones.
-_AWAKE = TransitionResult(MCU_ACTIVE, RADIO_OFF, awake=True, notify=True)
 _RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
                                 notify=True)
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
@@ -340,10 +335,10 @@ class MoteDevice:
 
     ``transition`` and ``receive`` implement the table in the module
     docstring; ``transition`` returns follow-up events for the engine to
-    schedule. After a wake-up interrupt the MCU wakes (7 us) and the
-    application turns the radio on; a timer wake does both. It is built
-    from its checked ``NodeSpec``, whose role sets whether the MCU starts
-    awake (``AWAKE_ROLES``).
+    schedule. A wake-up interrupt or a timer wake wakes the MCU (7 us) and
+    turns the radio on (1 ms) in one step. It is built from its checked
+    ``NodeSpec``, whose role sets whether the MCU starts awake
+    (``AWAKE_ROLES``).
     """
 
     def __init__(self, spec: NodeSpec):
@@ -354,11 +349,9 @@ class MoteDevice:
         self.wurx_decoding = False
         self.wurx_interrupts = 0
         self.wurx_false_rejected = 0
-        self._wakeup = TransitionResult(MCU_WAKING, RADIO_OFF, (
-            (spec.mcu_wakeup_ns, MCU_AWAKE),), notify=True)
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
-        self._timer_wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
+        self._wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
             (spec.mcu_wakeup_ns + spec.radio_turn_on_ns, RADIO_READY),),
             notify=True)
         self._radio_turn_on_ns = spec.radio_turn_on_ns
@@ -400,14 +393,9 @@ class MoteDevice:
             elif event is RADIO_READY:  # the radio is turning on
                 result = _RADIO_READY
         elif mcu is MCU_SLEEP:
-            if event is WAKE:
-                result = self._timer_wake
-            elif event is WURX_INTERRUPT:
-                result = self._wakeup
-        elif radio is RADIO_OFF:  # the MCU is waking after an interrupt
-            if event is MCU_AWAKE:
-                result = _AWAKE
-        elif event is RADIO_READY:  # after a timer wake: charge the wake-up
+            if event is WAKE or event is WURX_INTERRUPT:
+                result = self._wake
+        elif event is RADIO_READY:  # the MCU is waking: charge the wake-up
             self._apply(now_ns - self._radio_turn_on_ns, _ACTIVE_TURNING_ON)
             if self.ledger.depleted:
                 return _ACTIVE_TURNING_ON

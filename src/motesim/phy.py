@@ -56,8 +56,9 @@ class RadioConfig(NamedTuple):
         if not -4.0 <= self.tx_power_dbm <= 20.0:
             raise ConfigError(
                 f"tx_power_dbm must be within [-4, +20], got {self.tx_power_dbm}")
-        if self.preamble_symbols < 0:
-            raise ConfigError("preamble_symbols must be >= 0")
+        if not 0 <= self.preamble_symbols <= 0xFFFF:
+            raise ConfigError("preamble_symbols must be 0..65535, the range "
+                              "of the 16-bit LoRa preamble-length register")
         if self.frequency_hz <= 0:
             raise ConfigError("frequency_hz must be positive")
 

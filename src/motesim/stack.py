@@ -5,10 +5,10 @@ Layering rule: nothing in this module touches channel or ledger internals.
 Applications see exactly two surfaces: the radio driver contract below and
 a small engine-provided services object (timers, wake/sleep requests, and
 the wake-up burst to the scenario's target). They hear tx-done only from
-the driver contract; the engine calls only ``start``, ``on_awake`` (after a
-WuRX interrupt: a timer wake turns the radio on with the MCU) and
-``on_radio_ready``. A test asserts this module imports neither the channel
-nor the node internals.
+the driver contract; the engine calls only ``start`` and ``on_radio_ready``
+(a WuRX interrupt, like a timer wake, turns the radio on with the MCU). A
+test asserts this module imports neither the channel nor the node
+internals.
 
 The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
@@ -135,17 +135,17 @@ class Services:
 
     Keeps the stack decoupled from engine internals: applications can read
     the clock, set timers, request node wake/sleep and emit the wake-up
-    burst to the scenario's target (``send_wakeup()``, which returns
+    burst to the scenario's target (``send_burst()``, which returns
     nothing), and nothing else.
     """
 
     def __init__(self, now_ns, call_at, request_sleep, request_wake,
-                 send_wakeup, target_awake, log):
+                 send_burst, target_awake, log):
         self.now_ns = now_ns
         self.call_at = call_at
         self.request_sleep = request_sleep
         self.request_wake = request_wake
-        self.send_wakeup = send_wakeup
+        self.send_burst = send_burst
         self.target_awake = target_awake
         self.log = log
 
@@ -157,9 +157,6 @@ class App:
 
     def start(self) -> None:
         """The run begins."""
-
-    def on_awake(self) -> None:
-        """The node's MCU has just become active after a WuRX interrupt."""
 
     def on_radio_ready(self) -> None:
         """The node's radio has just reached standby."""
@@ -258,7 +255,7 @@ class WakeupInitiatorApp(App):
 
     def on_cycle(self, cycle: int) -> None:
         start = self.services.now_ns()
-        self.services.send_wakeup()
+        self.services.send_burst()
         self.services.call_at(start + self.data_delay_ns,
                               lambda: self.on_data_slot(cycle, start))
 
@@ -274,7 +271,8 @@ class WakeupInitiatorApp(App):
 
 class WakeupSleeperApp(App):
     """Peer side of the wake-up exchange: sleep until the WuRX interrupt,
-    listen for one payload, then linger briefly and go back to sleep.
+    which brings the radio up with the MCU, listen for one payload, then
+    linger briefly and go back to sleep.
 
     The node is built asleep, so ``start`` has nothing to do."""
 
@@ -287,9 +285,6 @@ class WakeupSleeperApp(App):
         self.received = []
         self._armed_until = None
         unicast.on_message = self.on_message
-
-    def on_awake(self) -> None:
-        self.unicast.driver.on()
 
     def on_radio_ready(self) -> None:
         self.unicast.driver.start_rx()

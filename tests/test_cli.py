@@ -393,6 +393,19 @@ def test_unreadable_number_is_a_scenario_error(text, error, tmp_path,
     assert capsys.readouterr().err.startswith(f"scenario error: {error}")
 
 
+def test_preamble_past_its_register_is_a_scenario_error(tmp_path, capsys):
+    # a 401-digit preamble must stop before the send-cycle check, whose
+    # message would overflow a float on the frame airtime
+    text = EXAMPLE.read_text()
+    assert text.count("preamble_symbols: 8\n") == 1
+    bad = tmp_path / "preamble.yaml"
+    bad.write_text(text.replace("preamble_symbols: 8\n",
+                                f"preamble_symbols: {HUGE}\n"))
+    assert main(["run", str(bad), "--validate-only"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "scenario error: radio: preamble_symbols must be 0..65535")
+
+
 def test_null_section_takes_the_defaults(tmp_path, capsys):
     text = "sim: {horizon_s: 1.0}\n" + ONE_BS + "app: {kind: none}\n"
     hashes = []

@@ -256,10 +256,10 @@ class TestBatchedTraceHash:
     hashes the lines kept so far, and must leave the bytes hashed, and so
     the final digest, those of an uninterrupted run."""
 
-    # 300 wake-up cycles dispatch 2,400 events, more than two full chunks;
+    # 300 wake-up cycles dispatch 2,100 events, more than two full chunks;
     # pinned on the engine that hashed one line per update, and again when
-    # a burst became one event
-    DIGEST = "d2118b573a4e9fa5e35c3f43c6be729b1bc71f413ba258bfdff344c49740aefc"
+    # a burst became one event and when a WuRX interrupt became a wake
+    DIGEST = "6f94f9c08e0adb4fb782d58ca775903c0f25820cf89ac4aa2bc2cdbb3bf7f601"
 
     def test_mid_run_reads_leave_the_final_hash(self):
         scenario = power_profile_scenario(cycles=300)
@@ -747,9 +747,10 @@ class TestGoldenDigests:
     moves them."""
 
     def test_power_profile_trace_hash(self):
-        # re-pinned when a burst became one event
+        # re-pinned when a burst became one event, and when a WuRX
+        # interrupt became a wake: one radio-ready timer, no MCU-awake one
         assert power_profile(cycles=4).trace_hash == (
-            "511bc7bd9984ee477d1e46031cbcd97b8db029e2c4aab3c953b644bd2d6c2824")
+            "fd789b5973148b750cc4f00a52eba9a30848a1755000d6d2a7bc67a050d671b3")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
         # the trace hash re-pinned when a timer wake became one step
@@ -887,6 +888,25 @@ class TestWakeupExchange:
         assert rows["lora_rx"][2] == 0
         assert rows["sleep"][2] == metrics.horizon_ns - 5 * 16_000_000
 
+    def test_twin_without_an_app_wakes_to_radio_ready(self):
+        # sleeper 3 answers to the target's wake-up address but runs no
+        # application: its interrupt is a wake, so it ends with the radio
+        # in standby, and every state after its sleep charges mcu_active
+        scenario = power_profile_scenario(cycles=3)
+        target = scenario.node(2)
+        twin = target._replace(address=3, position=Position(y=3.0))
+        scenario = scenario._replace(nodes=scenario.nodes + (twin,))
+        sim = Simulator(scenario, record_trace=False)
+        metrics = sim.run()
+        assert [ex.outcome for ex in metrics.exchanges] == ["completed"] * 3
+        device = sim.devices[3]
+        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
+                                              RadioMode.STANDBY)
+        assert device.wurx_interrupts == 3  # the last two re-trigger
+        assert device.ledger.time_ns == {
+            "sleep": 1_000_000_000, "wurx_decode": 16_000_000,
+            "mcu_active": scenario.horizon_ns - 1_016_000_000}
+
     def test_out_of_wake_range_times_out(self):
         # data link viable at 600 m but the wake link dies at -50 dBm
         scenario = power_profile_scenario(cycles=2, distance_m=600.0)
@@ -929,7 +949,7 @@ class TestWakeupExchange:
         sim.run_until(1_000_000_000 + 1_000_000)  # the first burst on air
         assert sim.devices[2].wurx_decoding
         with pytest.raises(IllegalTransition, match="begin_wub_tx illegal"):
-            sim.send_wakeup(sim.devices[1])
+            sim.send_burst(sim.devices[1])
 
 
 class TestDepletion:
@@ -983,6 +1003,35 @@ class TestDepletion:
         # the tick at 2 s is dropped too, so it sets no later tick
         assert sim.log_lines == log + ["drop callback for depleted node 2"]
         assert mote.ledger.total_time_ns() == scenario.horizon_ns
+
+    # At default powers, the sleeper's first burst ends at 1.016 s with
+    # 1.83 uJ of sleep and 4.544 uJ of decode charged; its MCU wake-up then
+    # costs 16.8 nJ and its radio turn-on 2.4 uJ.
+    @pytest.mark.parametrize("battery_uj, statuses, state", [
+        # the decode's end: no interrupt, so the target never wakes
+        (6.0, ["wake-timeout"] * 3, (McuMode.SLEEP, RadioMode.OFF)),
+        # the MCU wake-up's charge: still waking at the data slot, so the
+        # frame goes out to a radio that never listens
+        (6.38, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.TURNING_ON)),
+        # the turn-on's charge: in rx, but a depleted listener decodes none
+        (8.0, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.RX)),
+        # the first frame's decode: received, then awake for good
+        (9.0, ["completed", "data-lost", "data-lost"],
+         (McuMode.ACTIVE, RadioMode.RX)),
+    ], ids=["wurx_decode", "mcu_wakeup", "radio_turn_on", "lora_rx"])
+    def test_sleeper_emptied_on_its_wake_path(self, battery_uj, statuses,
+                                              state):
+        scenario = power_profile_scenario(cycles=3)
+        initiator, sleeper = scenario.nodes
+        scenario = scenario._replace(nodes=(
+            initiator, sleeper._replace(battery_j=battery_uj * 1e-6)))
+        sim = Simulator(scenario, record_trace=False)
+        metrics = sim.run()
+        assert [ex.outcome for ex in metrics.exchanges] == statuses
+        target = sim.devices[2]
+        assert target.ledger.depleted
+        assert (target.mcu, target.radio) == state
+        assert target.ledger.total_time_ns() == scenario.horizon_ns
 
 
 class TestEmission:
@@ -1285,9 +1334,10 @@ class TestWorkCounts:
 
     def test_power_profile(self, calls):
         # the sleeper decodes the initiator's frame once per cycle; a
-        # burst is one event, whose end also ends the sleeper's decode
-        assert power_profile(cycles=1000, seed=0).event_count == 8_000
-        assert calls == {"transition": 10_002, "accrue": 10_003}
+        # burst is one event, whose end also ends the sleeper's decode, and
+        # its WuRX interrupt is a wake: one radio-ready timer
+        assert power_profile(cycles=1000, seed=0).event_count == 7_000
+        assert calls == {"transition": 8_002, "accrue": 10_003}
 
     def test_in_phase_dense_periodic(self, calls):
         # twenty motes tick together, and each tick's frames end before the
@@ -1612,10 +1662,10 @@ class TestShadowedWakeupDigests:
 
     def test_shadowed_wakeup_outputs(self, tmp_path):
         metrics = run(shadowed_wakeup_scenario())
-        # re-pinned when a burst became one event; the files below did not
-        # move
+        # re-pinned when a burst became one event, and when a WuRX
+        # interrupt became a wake; the files below did not move
         assert metrics.trace_hash == (
-            "186b03ed360229e2a5558b270dc35af6a22a7dc1af76b0354b85d95968984cbf")
+            "ebeed99b561b49032001d3d17630b3298ed7b34aabbe9468f5a4cb71e13b6be3")
         outcomes = [e.outcome for e in metrics.exchanges]
         assert outcomes.count("wake-timeout") == 2
         assert outcomes.count("completed") == 10

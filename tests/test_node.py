@@ -24,23 +24,24 @@ def make_device(awake=False, with_wurx=False, **kwargs):
 
 class TestWakePath:
     def test_interrupt_starts_wake_chain(self):
+        # the interrupt is a wake: the radio comes up with the MCU
         device = make_device()
         result = device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
-        assert device.mcu is McuMode.WAKING
-        assert result.followups == ((7_000, NodeEvent.MCU_AWAKE),)
+        assert result is device._wake
+        assert (device.mcu, device.radio) == (McuMode.WAKING,
+                                              RadioMode.TURNING_ON)
+        assert result.followups == ((1_007_000, NodeEvent.RADIO_READY),)
 
     def test_full_chain_to_rx(self):
         device = make_device()
         t = 0
-        device.transition(NodeEvent.WURX_INTERRUPT, t)
-        t += 7_000
-        result = device.transition(NodeEvent.MCU_AWAKE, t)
-        assert result.awake and device.mcu is McuMode.ACTIVE
-        result = device.transition(NodeEvent.RADIO_ON, t)
+        result = device.transition(NodeEvent.WURX_INTERRUPT, t)
         (delay, timer), = result.followups
         t += delay
         result = device.transition(timer, t)
-        assert result.radio_ready and device.radio is RadioMode.STANDBY
+        assert result.radio_ready
+        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
+                                              RadioMode.STANDBY)
         device.transition(NodeEvent.START_RX, t)
         assert device.radio is RadioMode.RX
         assert device.rx_since_ns == t == 7_000 + 1_000_000
@@ -118,18 +119,19 @@ class TestSharedResults:
         timers = []
         for device in (fast, slow):
             waking = device.transition(NodeEvent.WURX_INTERRUPT, 0)
-            awake = device.transition(NodeEvent.MCU_AWAKE, 10_000)
-            turning_on = device.transition(NodeEvent.RADIO_ON, 10_000)
-            ready = device.transition(NodeEvent.RADIO_READY, 3_000_000)
+            woken = device.transition(NodeEvent.RADIO_READY, 3_000_000)
+            device.transition(NodeEvent.RADIO_OFF, 3_000_000)
+            turning_on = device.transition(NodeEvent.RADIO_ON, 3_000_000)
+            ready = device.transition(NodeEvent.RADIO_READY, 6_000_000)
             timers.append(waking.followups + turning_on.followups)
-            assert awake.awake and ready.radio_ready
-        assert timers[0] == ((7_000, NodeEvent.MCU_AWAKE),
+            assert woken is ready is node._RADIO_READY
+        assert timers[0] == ((1_007_000, NodeEvent.RADIO_READY),
                              (1_000_000, NodeEvent.RADIO_READY))
-        assert timers[1] == ((9_000, NodeEvent.MCU_AWAKE),
+        assert timers[1] == ((2_009_000, NodeEvent.RADIO_READY),
                              (2_000_000, NodeEvent.RADIO_READY))
         # a result that does not depend on the device is one shared object
-        a = fast.transition(NodeEvent.TX_REQUEST, 4_000_000)
-        b = slow.transition(NodeEvent.TX_REQUEST, 4_000_000)
+        a = fast.transition(NodeEvent.TX_REQUEST, 7_000_000)
+        b = slow.transition(NodeEvent.TX_REQUEST, 7_000_000)
         assert a is b
         assert (a.mcu, a.radio, a.followups) == (McuMode.ACTIVE,
                                                  RadioMode.TX, ())
@@ -140,12 +142,8 @@ class TestSharedResults:
 # and driver operations. Entries give the next (mcu, radio).
 DOC_TABLE = {
     ("sleep", "off"): {
-        "wurx_interrupt": ("waking", "off"),
+        "wurx_interrupt": ("waking", "turning_on"),
         "timer[wake]": ("waking", "turning_on"),
-    },
-    ("waking", "off"): {
-        "timer[mcu_awake]": ("active", "off"),
-        "wurx_interrupt": ("waking", "off"),
     },
     ("waking", "turning_on"): {
         "timer[radio_ready]": ("active", "standby"),
@@ -185,8 +183,8 @@ DOC_TABLE = {
 
 EVENT_NAMES = sorted({name for row in DOC_TABLE.values() for name in row}
                      | {"tx_request", "tx_done", "rx_done", "sleep_request",
-                        "timer[wake]", "timer[mcu_awake]",
-                        "timer[radio_ready]", "radio_on", "radio_off",
+                        "timer[wake]", "timer[radio_ready]",
+                        "radio_on", "radio_off",
                         "start_rx", "stop_rx", "begin_wub_tx"})
 
 
@@ -196,10 +194,6 @@ def build_device_in(state):
     device = make_device(awake=True)
     if (mcu, radio) == ("sleep", "off"):
         device.transition(NodeEvent.SLEEP_REQUEST, 0)
-        return device
-    if (mcu, radio) == ("waking", "off"):
-        device.transition(NodeEvent.SLEEP_REQUEST, 0)
-        device.transition(NodeEvent.WURX_INTERRUPT, 0)
         return device
     if (mcu, radio) == ("waking", "turning_on"):
         device.transition(NodeEvent.SLEEP_REQUEST, 0)
@@ -220,7 +214,7 @@ def build_device_in(state):
     return device  # ("active", "off")
 
 
-# A timer wake's radio-ready step charges the MCU wake-up up to this long
+# A wake's radio-ready step charges the MCU wake-up up to this long
 # before it, so the tables apply each event this long after the last one
 STEP_NS = 7_000 + 1_000_000
 
@@ -344,7 +338,7 @@ class TestLedgerIntegration:
         device.wurx_decode(True, 5_000_000)
         device.wurx_decode(False, 21_000_000)
         device.transition(NodeEvent.WURX_INTERRUPT, 21_000_000)
-        device.transition(NodeEvent.MCU_AWAKE, 21_007_000)
+        device.transition(NodeEvent.RADIO_READY, 22_007_000)
         device.finalize(100_000_000)
         assert device.ledger.total_time_ns() == 100_000_000
         assert device.ledger.time_ns["wurx_decode"] == 16_000_000
@@ -503,20 +497,20 @@ def recorded_accruals(device):
 
 
 class TestTimerWake:
-    """A timer wake is one step to radio-ready: its radio-ready timer
-    charges what the MCU-awake timer and the radio-ready timer after it
-    charged, as the same two accruals."""
+    """A wake, by timer or by WuRX interrupt, is one step to radio-ready:
+    its radio-ready timer charges the MCU wake-up and then the radio
+    turn-on, as two accruals."""
 
     def test_one_timer_to_radio_ready(self):
         device = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
         waking = device.transition(NodeEvent.WAKE, 1_000)
-        assert waking is device._timer_wake
+        assert waking is device._wake
         assert (device.mcu, device.radio) == (McuMode.WAKING,
                                               RadioMode.TURNING_ON)
         assert waking.followups == ((2_009_000, NodeEvent.RADIO_READY),)
-        assert waking.notify and not waking.awake
+        assert waking.notify and not waking.radio_ready
         ready = device.transition(NodeEvent.RADIO_READY, 2_010_000)
-        assert ready is node._RADIO_READY and not ready.awake
+        assert ready is node._RADIO_READY
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
                                               RadioMode.STANDBY)
         assert device.ledger.time_ns == {"sleep": 1_000,
@@ -562,51 +556,69 @@ class TestTimerWake:
     def test_charges_equal_the_two_timer_chain_bit_for_bit(
             self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
             radio_turn_on_ns, asleep_ns, tail_ns):
-        kwargs = dict(power_w=power_w, battery_j=battery_j,
-                      harvest_rate_w=harvest_rate_w,
-                      mcu_wakeup_ns=mcu_wakeup_ns,
-                      radio_turn_on_ns=radio_turn_on_ns)
-        one_step, chain = make_device(**kwargs), make_device(**kwargs)
-        steps, chained = recorded_accruals(one_step), recorded_accruals(chain)
-        woke_ns = asleep_ns + mcu_wakeup_ns
-        ready_ns = woke_ns + radio_turn_on_ns
-        # each as the engine runs it, which drops a depleted node's timers
-        one_step.transition(NodeEvent.WAKE, asleep_ns)
-        if not one_step.ledger.depleted:
-            one_step.transition(NodeEvent.RADIO_READY, ready_ns)
-        # the chain the timer wake replaces: the MCU-awake timer, whose
-        # hook turned the radio on, and the radio-ready timer
-        chain.transition(NodeEvent.WURX_INTERRUPT, asleep_ns)
-        if not chain.ledger.depleted:
-            chain.transition(NodeEvent.MCU_AWAKE, woke_ns)
-            chain.transition(NodeEvent.RADIO_ON, woke_ns)
-            if not chain.ledger.depleted:
-                chain.transition(NodeEvent.RADIO_READY, ready_ns)
-                assert one_step.radio is RadioMode.STANDBY
-            else:  # the MCU wake-up emptied the battery
-                assert (one_step.mcu, one_step.radio) == (
-                    McuMode.ACTIVE, RadioMode.TURNING_ON)
-        assert steps == chained
-        assert ledger_bits(one_step) == ledger_bits(chain)
-        assert one_step._label == chain._label == "mcu_active"
-        for device in (one_step, chain):
-            device.finalize(ready_ns + tail_ns)
-        assert steps == chained
-        assert ledger_bits(one_step) == ledger_bits(chain)
+        spec = NodeSpec(7, "mote", Position(), power_w=power_w,
+                        battery_j=battery_j, harvest_rate_w=harvest_rate_w,
+                        mcu_wakeup_ns=mcu_wakeup_ns,
+                        radio_turn_on_ns=radio_turn_on_ns)
+        table = node.power_table(spec)
+        ready_ns = asleep_ns + mcu_wakeup_ns + radio_turn_on_ns
+        end_ns = ready_ns + tail_ns
+        # the oracle is fed the sleep, the MCU wake-up and the turn-on as
+        # three accruals; once one empties the battery, the rest of the run
+        # is one dwell in the state the wake stopped in
+        oracle = ReferenceLedger(battery_j,
+                                 harvest_rate_w * spec.harvest_efficiency)
+        expected = []
+
+        def charge(label, dt_ns):
+            if dt_ns:
+                expected.append((label, table[label], dt_ns))
+                oracle.accrue(label, table[label], dt_ns)
+
+        charge("sleep", asleep_ns)
+        if oracle.depleted:  # the engine drops the radio-ready timer
+            charge("mcu_active", end_ns - asleep_ns)
+            state = (McuMode.WAKING, RadioMode.TURNING_ON)
+        else:
+            charge("mcu_active", mcu_wakeup_ns)
+            if oracle.depleted:  # the step stops short of radio-ready
+                charge("mcu_active", radio_turn_on_ns + tail_ns)
+                state = (McuMode.ACTIVE, RadioMode.TURNING_ON)
+            else:
+                charge("mcu_active", radio_turn_on_ns)
+                charge("mcu_active", tail_ns)
+                state = (McuMode.ACTIVE, RadioMode.STANDBY)
+        for event in (NodeEvent.WAKE, NodeEvent.WURX_INTERRUPT):
+            device = MoteDevice(spec)
+            accruals = recorded_accruals(device)
+            # as the engine runs it, which drops a depleted node's timers
+            device.transition(event, asleep_ns)
+            if not device.ledger.depleted:
+                device.transition(NodeEvent.RADIO_READY, ready_ns)
+            assert (device.mcu, device.radio) == state
+            device.finalize(end_ns)
+            assert accruals == expected
+            ledger = device.ledger
+            assert ledger.time_ns == oracle.time_ns
+            assert ({label: bits(e) for label, e in ledger.energy_j.items()}
+                    == {label: bits(e)
+                        for label, e in oracle.energy_j.items()})
+            for name in ("consumed_j", "harvested_j", "battery_remaining_j"):
+                assert bits(getattr(ledger, name)) == bits(
+                    getattr(oracle, name)), name
+            assert ledger.depleted == oracle.depleted
 
 
 def test_notify_marks_the_results_the_engine_acts_on():
     """A shared result is passed on to the engine iff it has follow-ups or
-    an application hook, or enters rx (the engine registers a listener)."""
+    the radio-ready hook, or enters rx (the engine registers a listener)."""
     device = make_device()
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
-    shared.update(wakeup=device._wakeup, turning_on=device._turning_on,
-                  timer_wake=device._timer_wake)
-    assert len(shared) == 12
+    shared.update(turning_on=device._turning_on, wake=device._wake)
+    assert len(shared) == 10
     for name, result in shared.items():
-        assert result.notify == (bool(result.followups) or result.awake
-                                 or result.radio_ready
+        assert result.notify == (bool(result.followups) or result.radio_ready
                                  or name == "_ENTER_RX"), name
     awake = make_device(awake=True)
     awake.transition(NodeEvent.RADIO_ON, 0)
@@ -629,8 +641,9 @@ class TestLabelAcrossWurxModes:
             (3_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
             (10_000_000, lambda t: device.wurx_decode(False, t)),
             (10_000_000, lambda t: device.transition(NodeEvent.WURX_INTERRUPT, t)),
-            (10_007_000, lambda t: device.transition(NodeEvent.MCU_AWAKE,
+            (11_007_000, lambda t: device.transition(NodeEvent.RADIO_READY,
                                                      t)),
+            (15_000_000, lambda t: device.transition(NodeEvent.RADIO_OFF, t)),
             (20_000_000, lambda t: device.wurx_decode(True, t)),
             (20_000_000, lambda t: device.transition(NodeEvent.RADIO_ON, t)),
             (21_000_000, lambda t: device.transition(
@@ -645,7 +658,8 @@ class TestLabelAcrossWurxModes:
             labels.append(device._label)
         assert labels == ["mcu_active", "wurx_decode", "sleep", "mcu_active",
                           "mcu_active", "mcu_active", "mcu_active",
-                          "mcu_active", "lora_rx", "wurx_decode", "sleep"]
+                          "mcu_active", "mcu_active", "lora_rx",
+                          "wurx_decode", "sleep"]
         device.finalize(50_000_000)
         ledger = device.ledger
         assert ledger.total_time_ns() == 50_000_000

@@ -78,10 +78,20 @@ def test_airtime_matches_oracle_randomized():
     {"bandwidth_hz": 100_000}, {"coding_rate": 4}, {"coding_rate": 9},
     {"tx_power_dbm": -5.0}, {"tx_power_dbm": 21.0},
     {"preamble_symbols": -1},
+    # the LoRa preamble-length register holds 16 bits
+    {"preamble_symbols": 65_536},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigError):
         RadioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("preamble_symbols", [0, 65_535])
+def test_preamble_register_range_accepted(preamble_symbols):
+    cfg = RadioConfig(preamble_symbols=preamble_symbols)
+    # (n + 4.25) preamble symbols of 8.192 ms, then 26 payload symbols
+    assert time_on_air(cfg, 16) == (4 * preamble_symbols + 17) * 2_048_000 \
+        + 26 * 8_192_000
 
 
 def test_negative_payload_rejected():

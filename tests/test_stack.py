@@ -172,7 +172,7 @@ def test_periodic_sender_hears_tx_done_from_its_driver():
         now_ns=lambda: 0, call_at=lambda _at_ns, _fn: None,
         request_sleep=lambda: calls.append("sleep"),
         request_wake=lambda: calls.append("wake"),
-        send_wakeup=None, target_awake=None, log=None)
+        send_burst=None, target_awake=None, log=None)
     app = PeriodicSenderApp(Unicast(driver, 1), services, dst=2,
                             payload_len=4, period_ns=10)
     app.on_tick()
