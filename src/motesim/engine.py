@@ -72,18 +72,20 @@ are taken from those records, put in send order, at the end.
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
 line and handles node timers and callbacks itself, including the skip of a
 depleted node; only frame ends and burst ends go through a helper, and the
-dispatch order is checked on the two ints. A node timer costs one
+dispatch order is checked on the two ints. A withdrawn callback is dropped
+as it is popped, before all that, so it is no event. A node timer costs one
 ``MoteDevice.transition`` call, which returns a shared precomputed result;
 ``process_result`` is called only when its ``notify`` flag is set, for
-follow-up timers, the radio-ready hook or an entry into rx. A sleeping
-sender's frame takes three events: its tick, the one timer of its timer
-wake and its end. A WuRX interrupt wakes a sleeper as a timer wake does,
-so a wake-up cycle takes seven: the cycle, the burst's end, the data slot,
-the sleeper's radio-ready timer, the frame's end, the linger and the rx
-timeout. A decode at a listener changes no state: it costs one
-``MoteDevice.receive`` call, a ledger charge, and the engine hands the
-frame to the stack itself. Each event kind and node event carries its trace
-text, built once.
+follow-up timers, the radio-ready hook or an entry into rx; a tx request,
+tx done or sleep request never notifies, so it is that call alone. A
+sleeping sender's frame takes three events: its tick, the one timer of its
+timer wake and its end. A WuRX interrupt wakes a sleeper as a timer wake
+does, so a wake-up cycle takes six: the cycle, which schedules the next,
+the burst's end, the data slot, the sleeper's radio-ready timer, the
+frame's end, which withdraws the rx timeout, and the linger. A decode at a
+listener changes no state: it costs one ``MoteDevice.receive`` call, a
+ledger charge, and the engine hands the frame to the stack itself. Each
+event kind and node event carries its trace text, built once.
 """
 
 import collections
@@ -213,6 +215,7 @@ class Simulator:
         self._last_key = (-1, -1)
         self._seq = itertools.count()
         self._queue: list = []
+        self._withdrawn: set = set()  # sequence numbers of cancelled callbacks
         self._frame_ids = itertools.count(1)
         self._trace = hashlib.sha256() if record_trace else None
         self._trace_lines: list = []  # dispatched, not yet hashed
@@ -256,7 +259,9 @@ class Simulator:
             now_ns=lambda: self.now,
             call_at=lambda at_ns, fn: self.schedule(
                 at_ns, _CALLBACK, address, fn),
-            request_sleep=lambda: self.node_event(device, nd.SLEEP_REQUEST),
+            cancel=self._withdrawn.add,
+            request_sleep=lambda: device.transition(nd.SLEEP_REQUEST,
+                                                    self.now),
             request_wake=lambda: self.node_event(device, nd.WAKE),
             send_burst=lambda: self.send_burst(device),
             target_awake=lambda addr: self.devices[addr].mcu is not MCU_SLEEP,
@@ -298,13 +303,14 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(self, at_ns: int, kind: EventKind, target, payload=None) -> None:
+    def schedule(self, at_ns: int, kind: EventKind, target, payload=None) -> int:
         if at_ns < self.now:
             raise MotesimError(
                 f"event {kind.text} scheduled into the past "
                 f"({at_ns} < {self.now})")
-        heapq.heappush(self._queue, (at_ns, next(self._seq), kind, target,
-                                     payload))
+        seq = next(self._seq)
+        heapq.heappush(self._queue, (at_ns, seq, kind, target, payload))
+        return seq
 
     def node_event(self, device: MoteDevice, event: nd.NodeEvent) -> None:
         result = device.transition(event, self.now)
@@ -377,7 +383,7 @@ class Simulator:
             config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
             facts[0], self._rssi_by_rx(device, False), self.now,
             self.now + facts[1])
-        self.node_event(device, nd.TX_REQUEST)
+        device.transition(nd.TX_REQUEST, self.now)  # no result to act on
         self._on_air.append(frame)
         self._rivals.clear()
         self._tx_by_id[frame.frame_id] = frame
@@ -412,15 +418,20 @@ class Simulator:
         clock there. Events scheduled past ``t_ns`` stay queued.
 
         Node timers and callbacks for a depleted node are dropped and
-        logged; the trace still records them."""
+        logged; the trace still records them. A withdrawn callback is
+        dropped unseen."""
         queue = self._queue
         pop = heapq.heappop
+        withdrawn = self._withdrawn
         devices = self.devices
         trace = self._trace
         lines = self._trace_lines
         last_ts, last_seq = self._last_key
         while queue and queue[0][0] <= t_ns:
             ts, seq, kind, target, payload = pop(queue)
+            if seq in withdrawn:
+                withdrawn.remove(seq)
+                continue
             if ts < last_ts or ts == last_ts and seq <= last_seq:
                 raise MotesimError("event dispatch out of (timestamp, "
                                    "sequence) order")
@@ -466,7 +477,7 @@ class Simulator:
 
     def _finish_tx(self, frame_id: int) -> None:
         frame = self._tx_by_id.pop(frame_id)
-        self.node_event(self.devices[frame.src], nd.TX_DONE)
+        self.devices[frame.src].transition(nd.TX_DONE, self.now)
         self.drivers[frame.src].fire_tx_done(frame_id)
         self._record_packet(frame, self._deliver(frame))
         undecided = self._tx_by_id
@@ -492,7 +503,7 @@ class Simulator:
             receiver.wurx_interrupts += 1
             if not receiver.ledger.depleted:
                 self.node_event(receiver, nd.WURX_INTERRUPT)
-        self.node_event(self.devices[address], nd.TX_DONE)
+        self.devices[address].transition(nd.TX_DONE, self.now)
 
     def _deliver(self, frame: Frame) -> str:
         """Decide the frame at every listener; returns its dst's outcome."""

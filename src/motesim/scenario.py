@@ -237,6 +237,8 @@ def range_sweep_scenario(distances, packets: int = 360, period_s: float = 10.0,
     each distance is exact. The mote's address follows the stations'."""
     if not distances or min(distances) <= 0:
         raise ScenarioError("distances: at least one is needed, each > 0")
+    if not all(map(math.isfinite, distances)):
+        raise ScenarioError(f"distances: each must be finite, got {distances}")
     if packets < 1:
         raise ScenarioError("packets must be >= 1")
     mote = NodeSpec(address=len(distances) + 1, role="mote",
@@ -275,6 +277,8 @@ def power_profile_scenario(cycles: int = 10, cycle_period_s: float = 1.0,
                            wurx_address: int = 0x2A) -> Scenario:
     """Micro-benchmark preset: an initiator wakes a WuRX-equipped sleeper
     once per cycle and unicasts one payload to it."""
+    if cycles < 1:  # before the horizon it sets is checked
+        raise ScenarioError("app.cycles must be >= 1")
     return Scenario(
         horizon_ns=_s_to_ns((cycles + 1) * cycle_period_s, "horizon"),
         seed=seed,

@@ -134,15 +134,17 @@ class Services:
     """Engine capabilities handed to applications.
 
     Keeps the stack decoupled from engine internals: applications can read
-    the clock, set timers, request node wake/sleep and emit the wake-up
+    the clock, set timers (``call_at`` returns a handle, which ``cancel``
+    withdraws while pending), request node wake/sleep and emit the wake-up
     burst to the scenario's target (``send_burst()``, which returns
     nothing), and nothing else.
     """
 
-    def __init__(self, now_ns, call_at, request_sleep, request_wake,
+    def __init__(self, now_ns, call_at, cancel, request_sleep, request_wake,
                  send_burst, target_awake, log):
         self.now_ns = now_ns
         self.call_at = call_at
+        self.cancel = cancel
         self.request_sleep = request_sleep
         self.request_wake = request_wake
         self.send_burst = send_burst
@@ -249,12 +251,13 @@ class WakeupInitiatorApp(App):
 
     def start(self) -> None:
         self.unicast.driver.on()
-        for cycle in range(1, self.cycles + 1):
-            self.services.call_at(cycle * self.cycle_period_ns,
-                                  partial(self.on_cycle, cycle))
+        self.services.call_at(self.cycle_period_ns, partial(self.on_cycle, 1))
 
     def on_cycle(self, cycle: int) -> None:
         start = self.services.now_ns()
+        if cycle < self.cycles:
+            self.services.call_at(start + self.cycle_period_ns,
+                                  partial(self.on_cycle, cycle + 1))
         self.services.send_burst()
         self.services.call_at(start + self.data_delay_ns,
                               lambda: self.on_data_slot(cycle, start))
@@ -283,22 +286,26 @@ class WakeupSleeperApp(App):
         self.linger_ns = linger_ns
         self.rx_timeout_ns = rx_timeout_ns
         self.received = []
-        self._armed_until = None
+        self._timeout = None  # the handle of the armed rx timeout
         unicast.on_message = self.on_message
 
     def on_radio_ready(self) -> None:
         self.unicast.driver.start_rx()
-        deadline = self.services.now_ns() + self.rx_timeout_ns
-        self._armed_until = deadline
-        self.services.call_at(deadline, lambda: self.on_rx_timeout(deadline))
+        self._disarm()  # only the latest deadline acts
+        self._timeout = self.services.call_at(
+            self.services.now_ns() + self.rx_timeout_ns, self.on_rx_timeout)
 
     def on_message(self, msg: UnicastMessage) -> None:
         self.received.append((self.services.now_ns(), msg))
-        self._armed_until = None
+        self._disarm()
         self.services.call_at(self.services.now_ns() + self.linger_ns,
                               self.services.request_sleep)
 
-    def on_rx_timeout(self, deadline: int) -> None:
-        if self._armed_until == deadline:
-            self._armed_until = None
-            self.services.request_sleep()
+    def on_rx_timeout(self) -> None:
+        self._timeout = None
+        self.services.request_sleep()
+
+    def _disarm(self) -> None:
+        if self._timeout is not None:
+            self.services.cancel(self._timeout)
+            self._timeout = None

@@ -87,6 +87,18 @@ def test_power_profile_cycles_checked_by_the_simulator(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cycles", ["-1", "-3"])
+def test_power_profile_negative_cycles_named_before_the_horizon(
+        cycles, tmp_path, capsys):
+    # the horizon, (cycles + 1) periods, is not positive here; the error
+    # once named it, not the option that set it
+    assert main(["power-profile", "--cycles", cycles,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "scenario error: app.cycles must be >= 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "power-profile"])
 def test_reports_carry_no_trace_hash(command, tmp_path, monkeypatch):
     # no output shows a trace hash, so the CLI does not record a trace
@@ -181,6 +193,18 @@ def test_range_sweep_rejects_distance_not_positive(distances, sigma, tmp_path,
     assert main(["range-sweep", "--distances", distances, "--packets", "2",
                  "--sigma", sigma, "--out-dir", str(out_dir)]) == 1
     assert "distances: at least one is needed, each > 0" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("distances", ["nan", "inf", "50,nan", "50,inf"])
+def test_range_sweep_rejects_a_distance_not_finite(distances, tmp_path,
+                                                   capsys):
+    # once it passed the > 0 check and ended in a position error
+    out_dir = tmp_path / "sweep"
+    assert main(["range-sweep", "--distances", distances, "--packets", "2",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "scenario error: distances: each must be finite" in \
         capsys.readouterr().err
     assert not out_dir.exists()
 

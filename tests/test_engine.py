@@ -256,13 +256,14 @@ class TestBatchedTraceHash:
     hashes the lines kept so far, and must leave the bytes hashed, and so
     the final digest, those of an uninterrupted run."""
 
-    # 300 wake-up cycles dispatch 2,100 events, more than two full chunks;
+    # 350 wake-up cycles dispatch 2,101 events, more than two full chunks;
     # pinned on the engine that hashed one line per update, and again when
-    # a burst became one event and when a WuRX interrupt became a wake
-    DIGEST = "6f94f9c08e0adb4fb782d58ca775903c0f25820cf89ac4aa2bc2cdbb3bf7f601"
+    # a burst became one event, when a WuRX interrupt became a wake and
+    # when a cycle came to withdraw its rx timeout (then from 300 cycles)
+    DIGEST = "4764b3b6963cfbf0e16c81fd580d22e0845c08b4e6931b619b46cc851475234b"
 
     def test_mid_run_reads_leave_the_final_hash(self):
-        scenario = power_profile_scenario(cycles=300)
+        scenario = power_profile_scenario(cycles=350)
         whole = run(scenario)
         assert whole.event_count > 2 * engine._TRACE_BATCH
         assert whole.trace_hash == self.DIGEST
@@ -747,10 +748,11 @@ class TestGoldenDigests:
     moves them."""
 
     def test_power_profile_trace_hash(self):
-        # re-pinned when a burst became one event, and when a WuRX
-        # interrupt became a wake: one radio-ready timer, no MCU-awake one
+        # re-pinned when a burst became one event, when a WuRX interrupt
+        # became a wake (one radio-ready timer, no MCU-awake one), and when
+        # each cycle came to schedule the next and withdraw its rx timeout
         assert power_profile(cycles=4).trace_hash == (
-            "fd789b5973148b750cc4f00a52eba9a30848a1755000d6d2a7bc67a050d671b3")
+            "d3c998e64a1bdfe055ea9f7f0160a84873006d1b915c2f14bc65c2376624dd71")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
         # the trace hash re-pinned when a timer wake became one step
@@ -1334,9 +1336,10 @@ class TestWorkCounts:
 
     def test_power_profile(self, calls):
         # the sleeper decodes the initiator's frame once per cycle; a
-        # burst is one event, whose end also ends the sleeper's decode, and
-        # its WuRX interrupt is a wake: one radio-ready timer
-        assert power_profile(cycles=1000, seed=0).event_count == 7_000
+        # burst is one event, whose end also ends the sleeper's decode, its
+        # WuRX interrupt is a wake: one radio-ready timer, and the frame
+        # withdraws the rx timeout. The one more is the initiator's radio-on.
+        assert power_profile(cycles=1000, seed=0).event_count == 6_001
         assert calls == {"transition": 8_002, "accrue": 10_003}
 
     def test_in_phase_dense_periodic(self, calls):
@@ -1366,6 +1369,118 @@ class TestWorkCounts:
         indexes = sim._rivals = CountedIndexes()
         assert len(sim.run().packets) == packets
         assert (indexes.builds, indexes.entries) == (builds, entries)
+
+
+class TestQueueSize:
+    """ROADMAP aim 1: the cost per event must not grow with the horizon, so
+    the event heap must not either."""
+
+    class RecordingSimulator(Simulator):
+        largest = 0  # the most entries the queue held after a push
+
+        def schedule(self, *args):
+            seq = super().schedule(*args)
+            self.largest = max(self.largest, len(self._queue))
+            return seq
+
+    def test_power_profile_queue_does_not_grow_with_cycles(self):
+        largest = []
+        for cycles in (10, 1000):
+            sim = self.RecordingSimulator(
+                power_profile_scenario(cycles=cycles), record_trace=False)
+            sim.run()
+            largest.append(sim.largest)
+            # a withdrawn entry leaves the set when popped: only the last
+            # cycle's rx timeout, due past the horizon, is still queued
+            assert len(sim._withdrawn) == 1
+        assert largest[0] == largest[1]
+
+
+class TestWithdrawnCallbacks:
+    """A cancelled callback is no event: it is not run, counted, traced or
+    logged, and the callbacks due at its nanosecond keep their order."""
+
+    @staticmethod
+    def simulator():
+        # station 1 listens; mote 2 sleeps on a battery its first charge
+        # empties
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="mote", position=Position(x=10.0),
+                          battery_j=1e-15))
+        sim = Simulator(Scenario(
+            horizon_ns=10 ** 6, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none")))
+        sim.start_apps()
+        return sim
+
+    @pytest.mark.parametrize("withdrawn", ["none", "cancelled", "kept"])
+    def test_not_run_counted_traced_or_logged(self, withdrawn):
+        sim = self.simulator()
+        station, mote = sim._services_for(1), sim._services_for(2)
+        ran = []
+        mote.call_at(1_000, mote.request_wake)  # its sleep charge empties it
+        station.call_at(5_000, lambda: ran.append("a"))
+        if withdrawn != "none":  # scheduled last, so no other seq moves
+            x = station.call_at(5_000, lambda: ran.append("x"))
+            y = mote.call_at(2_000, lambda: ran.append("y"))
+            if withdrawn == "cancelled":
+                station.cancel(x)
+                mote.cancel(y)
+        sim.run_until(10 ** 6)
+        assert sim.devices[2].ledger.depleted
+        if withdrawn == "kept":
+            assert ran == ["a", "x"]
+            assert sim.log_lines == ["drop callback for depleted node 2"]
+            return
+        # the radio-on's radio-ready timer, the wake and "a"
+        assert (ran, sim.event_count, sim.log_lines) == (["a"], 3, [])
+        assert sim.trace_hash() == self.unwithdrawn_trace_hash()
+        assert sim._withdrawn == set()
+
+    def unwithdrawn_trace_hash(self):
+        sim = self.simulator()
+        station, mote = sim._services_for(1), sim._services_for(2)
+        mote.call_at(1_000, mote.request_wake)
+        station.call_at(5_000, lambda: None)
+        sim.run_until(10 ** 6)
+        return sim.trace_hash()
+
+    def test_same_ns_neighbours_keep_their_order(self):
+        sim = self.simulator()
+        station = sim._services_for(1)
+        ran = []
+        handles = {name: station.call_at(5_000, lambda n=name: ran.append(n))
+                   for name in "vabxcd"}
+        station.cancel(handles["v"])
+        station.cancel(handles["x"])
+        station.cancel(handles["d"])
+        sim.run_until(10 ** 6)
+        assert ran == ["a", "b", "c"]
+        assert sim.event_count == 1 + 3
+
+    # the data slot and the sleeper's radio-ready are 17.007 ms into a cycle
+    @pytest.mark.parametrize("rx_timeout_ns, statuses, lora_rx_ns, mcu", [
+        # a whole cycle's timeout ends at the next data slot, just before
+        # it, so the sleeper, awake through that burst, is asleep there;
+        # the last cycle's timeout is due past the horizon
+        (10 ** 9, ["data-lost", "wake-timeout", "data-lost"],
+         10 ** 9 + 10 ** 9 - 17_007_000, McuMode.ACTIVE),
+        (10 ** 8, ["data-lost"] * 3, 3 * 10 ** 8, McuMode.SLEEP),
+    ], ids=["one_cycle", "100_ms"])
+    def test_rx_timeout_still_fires_when_the_data_is_lost(
+            self, rx_timeout_ns, statuses, lora_rx_ns, mcu):
+        scenario = power_profile_scenario(cycles=3)
+        scenario = scenario._replace(
+            app=scenario.app._replace(rx_timeout_ns=rx_timeout_ns))
+        sim = Simulator(scenario, record_trace=False)
+        sim.drivers[2].rx_done = lambda frame: None  # the sleeper hears none
+        metrics = sim.run()
+        assert [ex.outcome for ex in metrics.exchanges] == statuses
+        sleeper = sim.devices[2]
+        assert sleeper.mcu is mcu and not sleeper.ledger.depleted
+        dwell = {label: time_ns for label, _p, time_ns, _e, _pct
+                 in metrics.energy[1].rows}
+        assert dwell["lora_rx"] == lora_rx_ns
 
 
 class TestChannelClear:
@@ -1662,10 +1777,11 @@ class TestShadowedWakeupDigests:
 
     def test_shadowed_wakeup_outputs(self, tmp_path):
         metrics = run(shadowed_wakeup_scenario())
-        # re-pinned when a burst became one event, and when a WuRX
-        # interrupt became a wake; the files below did not move
+        # re-pinned when a burst became one event, when a WuRX interrupt
+        # became a wake, and when each cycle came to schedule the next and
+        # withdraw its rx timeout; the files below did not move
         assert metrics.trace_hash == (
-            "ebeed99b561b49032001d3d17630b3298ed7b34aabbe9468f5a4cb71e13b6be3")
+            "2c3b855d805da71403e65d0f76d88080634ad1f2eef5d492eb67a0865b107426")
         outcomes = [e.outcome for e in metrics.exchanges]
         assert outcomes.count("wake-timeout") == 2
         assert outcomes.count("completed") == 10

@@ -169,7 +169,7 @@ def test_periodic_sender_hears_tx_done_from_its_driver():
     driver = FakeDriver()
     calls = []
     services = Services(
-        now_ns=lambda: 0, call_at=lambda _at_ns, _fn: None,
+        now_ns=lambda: 0, call_at=lambda _at_ns, _fn: None, cancel=None,
         request_sleep=lambda: calls.append("sleep"),
         request_wake=lambda: calls.append("wake"),
         send_burst=None, target_awake=None, log=None)
