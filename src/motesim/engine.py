@@ -76,16 +76,17 @@ dispatch order is checked on the two ints. A withdrawn callback is dropped
 as it is popped, before all that, so it is no event. A node timer costs one
 ``MoteDevice.transition`` call, which returns a shared precomputed result;
 ``process_result`` is called only when its ``notify`` flag is set, for
-follow-up timers, the radio-ready hook or an entry into rx; a tx request,
-tx done or sleep request never notifies, so it is that call alone. A
-sleeping sender's frame takes three events: its tick, the one timer of its
-timer wake and its end. A WuRX interrupt wakes a sleeper as a timer wake
-does, so a wake-up cycle takes six: the cycle, which schedules the next,
-the burst's end, the data slot, the sleeper's radio-ready timer, the
-frame's end, which withdraws the rx timeout, and the linger. A decode at a
-listener changes no state: it costs one ``MoteDevice.receive`` call, a
-ledger charge, and the engine hands the frame to the stack itself. Each
-event kind and node event carries its trace text, built once.
+follow-up timers, the radio-ready hook, an entry into rx or a wake stopped by
+an empty battery, which it logs; a tx request, tx done or sleep request never
+notifies, so it is that call alone. A sleeping sender's frame takes two
+events: its wake timer, due at radio-ready, and its end. A WuRX interrupt
+wakes a sleeper at once, with one radio-ready timer, so a wake-up cycle takes
+six: the cycle, which schedules the next, the burst's end, the data slot, the
+sleeper's radio-ready timer, the frame's end, which withdraws the rx timeout,
+and the linger. A decode at a listener changes no state: it costs one
+``MoteDevice.receive`` call, a ledger charge, and the engine hands the frame
+to the stack itself. Each event kind and node event carries its trace text,
+built once.
 """
 
 import collections
@@ -93,6 +94,7 @@ import enum
 import hashlib
 import heapq
 import itertools
+import math
 import random
 import time
 
@@ -262,7 +264,8 @@ class Simulator:
             cancel=self._withdrawn.add,
             request_sleep=lambda: device.transition(nd.SLEEP_REQUEST,
                                                     self.now),
-            request_wake=lambda: self.node_event(device, nd.WAKE),
+            wake_at=lambda tick_ns: self.schedule(
+                tick_ns + device.wake_ns, _NODE_TIMER, address, nd.WAKE),
             send_burst=lambda: self.send_burst(device),
             target_awake=lambda addr: self.devices[addr].mcu is not MCU_SLEEP,
             log=self.log_lines.append,
@@ -330,6 +333,8 @@ class Simulator:
                           node_event)
         if result.radio_ready and address in self.apps:
             self.apps[address].on_radio_ready()
+        elif result.stopped:  # a wake, by the charge that emptied the battery
+            self.log_lines.append(f"node {address} depleted at {self.now} ns")
 
     # -- medium ---------------------------------------------------------------
 
@@ -471,8 +476,10 @@ class Simulator:
         # frames of unequal airtime are decided out of start order; a
         # record's first field is its unique frame id, so this is send order
         self.packets.sort()
-        for device in self.devices.values():
-            device.finalize(horizon)
+        waking = {address: ready_ns for ready_ns, _seq, _kind, address, event
+                  in self._queue if event is nd.WAKE}  # due past the horizon
+        for address, device in self.devices.items():
+            device.finalize(horizon, waking.get(address, math.inf))
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:

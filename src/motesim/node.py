@@ -25,7 +25,7 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
     (sleep, off)       wurx_interrupt      (waking, turning_on)  timer radio_ready
-    (sleep, off)       timer[wake]         (waking, turning_on)  timer radio_ready
+    (sleep, off)       timer[wake]         (active, standby) notify radio ready
     (waking, turning_on) timer[radio_ready] (active, standby) notify radio ready
     (active, off)      radio_on            (active, turning_on)  timer radio_ready
     (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
@@ -50,23 +50,23 @@ and aborts the run. ``MoteDevice.transition`` is the one place that checks
 a pair of a ``NodeEvent``.
 
 The MCU sleeps only with the radio off, so a state change's result depends on
-the event alone, never on the state it leaves. Every result is therefore
-built once and shared: per module, the plain ones and the radio-ready one;
-per device, the wake's and radio-on's, whose timers carry the device's
-latencies. A wake-up interrupt and a timer wake are one wake, which brings
-the radio up with the MCU. Only the ignored wake-up re-trigger builds its
-result on the spot. A wake-up burst enters tx through a result of its own,
-which picks the ``wub_tx`` label at the power ``begin_wub_tx`` set just
-before. A result's ``notify`` flag is set where the engine has work:
-follow-up timers, the radio-ready hook or an entry into rx. A state change
-is one call: it checks the (state, event) pair, charges the dwell in the
-outgoing label with one ledger accrual when time has passed, enters the new
-state and picks its label and power, cached until the next change. A wake's
-radio-ready step charges two, the MCU wake-up up to ``radio_turn_on_ns``
-before it and then the turn-on; if the first empties the battery, it stops
-in (active, turning_on) and notifies nothing. A decode changes no state:
-``receive`` charges the rx dwell up to the frame's end at the cached label
-and power, and the engine hands the frame to the stack itself.
+the event alone, never on the state it leaves. Every result is therefore built
+once and shared: per module, the plain ones and the radio-ready one; per
+device, the wake's and radio-on's, whose timers carry the device's latencies.
+Only the ignored wake-up re-trigger builds its result on the spot. A wake-up
+burst enters tx through a result of its own, which picks the ``wub_tx`` label
+at the power ``begin_wub_tx`` set just before. A result's ``notify`` flag is
+set where the engine has work: follow-up timers, the radio-ready hook, an
+entry into rx or a wake's stop. A state change is one call: it checks the
+(state, event) pair, charges the dwell in the outgoing label with one ledger
+accrual when time has passed, enters the new state and picks its label and
+power, cached until the next change. A wake brings the radio up with the MCU:
+its step to radio-ready charges the sleep up to the tick of a timer wake,
+which is due at radio-ready, then the MCU wake-up up to ``radio_turn_on_ns``
+before it and the turn-on. A charge that empties the battery stops the wake in
+the state it enters. A decode changes no state: ``receive`` charges the rx
+dwell up to the frame's end at the cached label and power, and the engine
+hands the frame to the stack itself.
 """
 
 import enum
@@ -241,13 +241,17 @@ class TransitionResult(NamedTuple):
     followups: tuple = ()  # of (delay_ns, NodeEvent)
     radio_ready: bool = False  # radio just reached standby
     notify: bool = False  # the engine acts on it: see the module docstring
+    stopped: bool = False  # a wake stopped short of radio-ready
 
 
 # The results shared by every device; MoteDevice builds the per-device ones.
 _RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
                                 notify=True)
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
-_ACTIVE_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
+_STOPPED_WAKING = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, notify=True,
+                                   stopped=True)
+_STOPPED_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON,
+                                       notify=True, stopped=True)
 _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
 _ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
@@ -351,9 +355,9 @@ class MoteDevice:
         self.wurx_false_rejected = 0
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
+        self.wake_ns = spec.mcu_wakeup_ns + spec.radio_turn_on_ns
         self._wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
-            (spec.mcu_wakeup_ns + spec.radio_turn_on_ns, RADIO_READY),),
-            notify=True)
+            (self.wake_ns, RADIO_READY),), notify=True)
         self._radio_turn_on_ns = spec.radio_turn_on_ns
         self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
@@ -392,13 +396,16 @@ class MoteDevice:
                     result = _ASLEEP
             elif event is RADIO_READY:  # the radio is turning on
                 result = _RADIO_READY
-        elif mcu is MCU_SLEEP:
-            if event is WAKE or event is WURX_INTERRUPT:
-                result = self._wake
-        elif event is RADIO_READY:  # the MCU is waking: charge the wake-up
-            self._apply(now_ns - self._radio_turn_on_ns, _ACTIVE_TURNING_ON)
+        elif event is WURX_INTERRUPT and mcu is MCU_SLEEP:
+            result = self._wake
+        elif event is (WAKE if mcu is MCU_SLEEP else RADIO_READY):
+            if mcu is MCU_SLEEP:  # due at radio-ready: sleep up to the tick
+                self._apply(now_ns - self.wake_ns, _STOPPED_WAKING)
+                if self.ledger.depleted:
+                    return _STOPPED_WAKING
+            self._apply(now_ns - self._radio_turn_on_ns, _STOPPED_TURNING_ON)
             if self.ledger.depleted:
-                return _ACTIVE_TURNING_ON
+                return _STOPPED_TURNING_ON
             result = _RADIO_READY
         if result is not None:
             return self._apply(now_ns, result)
@@ -483,6 +490,10 @@ class MoteDevice:
         self.wurx_decoding = decoding
         self._apply(now_ns, self._state)
 
-    def finalize(self, horizon_ns: int) -> None:
-        """Charge the last dwell up to the horizon."""
+    def finalize(self, horizon_ns: int, wake_ready_ns=math.inf) -> None:
+        """Charge the last dwell up to the horizon; a live node waking at the
+        horizon, its wake due at ``wake_ready_ns``, wakes at its tick."""
+        tick_ns = wake_ready_ns - self.wake_ns
+        if tick_ns <= horizon_ns and not self.ledger.depleted:
+            self._apply(tick_ns, _STOPPED_WAKING)
         self._apply(horizon_ns, self._state)

@@ -115,10 +115,10 @@ def validate(scenario: Scenario) -> None:
         if app.dst in scenario.periodic_senders():
             raise ScenarioError("app.dst must not be a sender (src, or "
                                 "every mote if src is omitted)")
-        # a tick must come after the previous frame's TX_END, not at its
-        # ns, where the tick was scheduled first. A mote wakes and turns
-        # its radio on for each frame; a bs sends from rx, once its radio,
-        # turned on at t = 0, is ready: at a tie, before the tick.
+        # a tick must come after the previous frame's TX_END, not at its ns,
+        # where a bs's tick callback, scheduled first, would send in tx. A
+        # mote sends its wake-up and turn-on after its tick; a bs from rx,
+        # once its radio, on at t = 0, is ready: at a tie, before the tick.
         for sender in map(scenario.node, scenario.periodic_senders()):
             cycle_ns = frame_airtime + (
                 0 if sender.role == "bs"

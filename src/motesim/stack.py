@@ -135,18 +135,18 @@ class Services:
 
     Keeps the stack decoupled from engine internals: applications can read
     the clock, set timers (``call_at`` returns a handle, which ``cancel``
-    withdraws while pending), request node wake/sleep and emit the wake-up
-    burst to the scenario's target (``send_burst()``, which returns
-    nothing), and nothing else.
+    withdraws while pending), request sleep or a wake at a tick's
+    radio-ready (``wake_at(tick_ns)``) and emit the wake-up burst to the
+    scenario's target (``send_burst()``), and nothing else.
     """
 
-    def __init__(self, now_ns, call_at, cancel, request_sleep, request_wake,
+    def __init__(self, now_ns, call_at, cancel, request_sleep, wake_at,
                  send_burst, target_awake, log):
         self.now_ns = now_ns
         self.call_at = call_at
         self.cancel = cancel
         self.request_sleep = request_sleep
-        self.request_wake = request_wake
+        self.wake_at = wake_at
         self.send_burst = send_burst
         self.target_awake = target_awake
         self.log = log
@@ -168,10 +168,10 @@ class PeriodicSenderApp(App):
     """Send a fixed payload to one destination every ``period_ns``.
 
     First transmission fires at t = period. Idle policy between sends is
-    either "sleep" (mote: MCU and radio down, woken by the tick timer) or
-    "rx" (base station: radio permanently listening, from its first
-    radio-ready on). A sleeping sender's tick wakes it by timer, which brings
-    the radio up with the MCU, so its radio-ready is the moment to send.
+    either "sleep" (mote: MCU and radio down, woken for each tick by a timer
+    due at radio-ready, the moment to send, where it sets the next wake first)
+    or "rx" (base station: radio permanently listening, from its first
+    radio-ready on, sending at each tick's callback).
     """
 
     def __init__(self, unicast: Unicast, services: Services, dst: int,
@@ -184,23 +184,25 @@ class PeriodicSenderApp(App):
         self.payload = bytes(payload_len)
         self.period_ns = period_ns
         self.idle_policy = idle_policy
+        self._tick_ns = period_ns  # a sleeping sender's next tick
         unicast.driver.bind(tx_done=self._tx_done)
 
     def start(self) -> None:
-        if self.idle_policy == "rx":
+        if self.idle_policy == "sleep":
+            self.services.wake_at(self._tick_ns)
+        else:
             self.unicast.driver.on()
-        self.services.call_at(self.period_ns, self.on_tick)
+            self.services.call_at(self.period_ns, self.on_tick)
 
-    def on_tick(self) -> None:
+    def on_tick(self) -> None:  # a listening sender's: it sends from rx
         self.services.call_at(self.services.now_ns() + self.period_ns,
                               self.on_tick)
-        if self.idle_policy == "sleep":
-            self.services.request_wake()
-        else:
-            self.unicast.send(self.dst, self.payload)
+        self.unicast.send(self.dst, self.payload)
 
     def on_radio_ready(self) -> None:
         if self.idle_policy == "sleep":
+            self._tick_ns += self.period_ns
+            self.services.wake_at(self._tick_ns)
             self.unicast.send(self.dst, self.payload)
         else:
             self.unicast.driver.start_rx()

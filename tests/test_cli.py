@@ -264,6 +264,64 @@ def test_text_report_digest(argv, name, digest, tmp_path):
         digest
 
 
+# SHA-256 of the CSV files ``motesim run`` writes for each checked-in
+# scenario, pinned on the code whose sleeping senders woke by a tick
+# callback and then a radio-ready timer. A file added to scenarios/ needs
+# its digests here.
+RUN_DIGESTS = {
+    "bs_sender.yaml": {
+        "packets.csv": "12e735aca85e5e9b95049eba5284fed55084afc4119590ab83e5"
+                       "450f9d8484bc",
+        "links.csv": "8363f9aa92abb01995844087ea91ad797ae7d95b1c6d4ed26b1f90"
+                     "daa392c906",
+        "energy.csv": "030da93451c5ad610c789538dd1b9a563dc34629d2e14a50a03bc6"
+                      "d9af3063fc",
+    },
+    "dense_shadowed.yaml": {
+        "packets.csv": "0f2002fcfd9ab11f9e07d96fb852c557142e6a23824cc6f2a949"
+                       "c33dc593009e",
+        "links.csv": "5041dae6b465d99bebc3aa28d80587784d05490d548035bda7bf87"
+                     "55fa15d88a",
+        "energy.csv": "cc2d0acb8e98901c1e149879d1c8bc5f3409b9801679dd0d83be76"
+                      "a30cd6c4f3",
+    },
+    "example.yaml": {
+        "packets.csv": "a6380c1e4db4e293c099c019a976c966d3e4ca8d5c108c1b80dc"
+                       "5df7517aca66",
+        "links.csv": "450b7a8697a6a0245f7575bc7714f8c05de48dd7be45e3a363bb1c"
+                     "40ff200781",
+        "energy.csv": "f941610941c7f415f5f9e41d072059c59a57367069a3e488d31f63"
+                      "9ba7be2123",
+    },
+    "harvest_depletion.yaml": {
+        "packets.csv": "dffe98c47d6feaf793e7ba16e8b182f718d73fead398a8afd744"
+                       "a2261d7a73b6",
+        "links.csv": "9d57d8c903e7766646d05ae1587ae03adc4aa4843e562acbdc9993"
+                     "4cd0ec39e2",
+        "energy.csv": "63f681f5df6ed3e6ec8aa45abf46abe70f424bd5cb783921fbbd2b"
+                      "10260dee76",
+    },
+    "wurx_bystander.yaml": {
+        "packets.csv": "3eea3b4dd221d563f8315d67ffde7bffdf90003603f0627bfeed"
+                       "600d7d3dc6c1",
+        "links.csv": "2970ca4fe0890ccc4b0288b493c3825825c1a30720fc3eb8cfe208"
+                     "9e20679381",
+        "energy.csv": "b9a5144692f28dabd445a158def19e75d70d1369e8a20ae75ca4e1"
+                      "333cf58af4",
+        "exchanges.csv": "20884aac9de1b6a2249ec04921cb29a62091ed0ba97b8ad090"
+                         "f25b4e336f11e7",
+    },
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLE.parent.glob("*.yaml")),
+                         ids=lambda path: path.name)
+def test_checked_in_scenario_csv_digests(path, tmp_path):
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert {out.name: hashlib.sha256(out.read_bytes()).hexdigest()
+            for out in tmp_path.iterdir()} == RUN_DIGESTS[path.name]
+
+
 @pytest.mark.parametrize("key", ["sleep_w", "lora_tx_w", "lora_rx_w",
                                  "mcu_active_w"])
 def test_negative_power_rejected_at_load(key, tmp_path, capsys):

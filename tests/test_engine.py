@@ -101,9 +101,9 @@ def dense_scenario(horizon_s, seed=7):
 
 def harvest_depletion_scenario():
     """Harvesting nodes, two of which deplete: node 2 during a frame (it
-    harvests less than it sends), node 4 while waking (its battery cannot
-    cover one second of sleep), so both a timer and a tick are dropped.
-    The scenario file is its one source."""
+    harvests less than it sends), so its next wake timer is dropped, and
+    node 4 at its first wake step (its battery cannot cover one second of
+    sleep), which stops there. The scenario file is its one source."""
     return load(pathlib.Path(__file__).resolve().parents[1] / "scenarios"
                 / "harvest_depletion.yaml")
 
@@ -231,8 +231,8 @@ class TestDeterminism:
 
     def test_frames_starting_together_start_in_tick_order(self):
         # equal latency sums split differently: mote 3 wakes its MCU first,
-        # but mote 2 ticked first, so its radio-ready timer and its frame
-        # come first
+        # but mote 2's wake timer was scheduled first, at the start and then
+        # at its previous radio-ready, so its frame comes first
         nodes = (NodeSpec(address=1, role="bs", position=Position()),
                  NodeSpec(address=2, role="mote", position=Position(x=10.0),
                           mcu_wakeup_ns=507_000, radio_turn_on_ns=500_000),
@@ -301,8 +301,9 @@ class TestCausality:
 
         Default depth keeps the suite fast while still monitoring well over
         1e5 dispatched events; set MOTESIM_CAUSALITY_SCENARIOS=100000 for
-        the full-scale CI sweep. A frame takes three events, so horizons
-        run from 1 to 6 s: about 13 events per scenario.
+        the full-scale CI sweep. A sleeping sender's frame takes two
+        events, its wake timer and its end, so horizons run from 1 to 8 s:
+        about 12 events per scenario.
         """
         count = int(os.environ.get("MOTESIM_CAUSALITY_SCENARIOS", "10000"))
         rng = random.Random(0xCA05)
@@ -315,7 +316,7 @@ class TestCausality:
             period = rng.uniform(0.45, 2.0)
             scenario = multi_mote_scenario(
                 positions, period_s=period,
-                horizon_s=rng.uniform(1.0, 6.0),
+                horizon_s=rng.uniform(1.0, 8.0),
                 seed=rng.randrange(2 ** 32),
                 turn_ons_ms=[rng.uniform(0.5, 5.0) for _ in range(n_motes)])
             sim = Simulator(scenario, record_trace=False)
@@ -709,12 +710,13 @@ class TestRivalIndexDigests:
     call, and that built an RSSI record for every unshadowed frame."""
 
     # the trace hashes and event counts re-pinned when a timer wake became
-    # one step to radio-ready; every output file kept its digest
+    # one step to radio-ready, and when that step became the wake's one
+    # timer, due at radio-ready; every output file kept its digest
     def test_hundred_shadowed_motes(self, tmp_path):
         metrics = run(hundred_mote_scenario())
         assert metrics.trace_hash == (
-            "61a5e4d96fe7c6572a06e1b83977db9806c2f267293cb48c429b81f096129b5c")
-        assert metrics.event_count == 3401
+            "cd17c17bb246c925a7d5d9636d95501abd93b57bc5a0275b316cab4ccf3ab077")
+        assert metrics.event_count == 2201
         packets = tmp_path / "packets.csv"
         assert packets in emit(metrics, "csv", tmp_path)
         assert hashlib.sha256(packets.read_bytes()).hexdigest() == (
@@ -725,7 +727,7 @@ class TestRivalIndexDigests:
                 / "dense_shadowed.yaml")
         metrics = run(load(path))
         assert metrics.trace_hash == (
-            "56f9e68b5b356f6102035566709d0f09232c1f4fc708d93fe09897a69ecfea89")
+            "f2ae511041b7c5146dd0ffe48c10b4bff80828251914c51efcbc63ea70159e00")
         assert {p.outcome for p in metrics.packets} == {
             "delivered", "collision", "snr-floor"}
         # station 14 is no frame's dst: its decisions show only in its
@@ -755,10 +757,11 @@ class TestGoldenDigests:
             "d3c998e64a1bdfe055ea9f7f0160a84873006d1b915c2f14bc65c2376624dd71")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
-        # the trace hash re-pinned when a timer wake became one step
+        # the trace hash re-pinned when a timer wake became one step, and
+        # when that step became the wake's one timer, due at radio-ready
         metrics = run(dense_scenario(horizon_s=12.0))
         assert metrics.trace_hash == (
-            "e0bd28c6c2968e0e4d9bb7fcce65c5adf2a839174b900c50711a8429baebd468")
+            "fabf444ba275a01ed17f86fc81a49c8b3d6b041d50ca16d27a6d84dd728e0b95")
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in emit(metrics, "csv", tmp_path)}
         assert digests == {
@@ -788,12 +791,14 @@ class TestGoldenDigests:
 
     def test_harvesting_depletion_outputs(self, tmp_path):
         # the trace hash and event count re-pinned when a timer wake became
-        # one step; node 4's dropped timer is now its radio-ready one
+        # one step, and when that step became the wake's one timer, due at
+        # radio-ready: node 4 sets no later timer, and node 2's dropped one
+        # is its next wake
         sim = Simulator(harvest_depletion_scenario())
         metrics = sim.run()
         assert metrics.trace_hash == (
-            "0fa932817b61f0e9663ba56c88a9ef28f1711b9ad642d0f826353c88f61bc2b8")
-        assert metrics.event_count == 108
+            "914185a7d3555376f091601b9ee049396ef8c8a2b365e238df4e8785fe73d804")
+        assert metrics.event_count == 71
         assert [(e.depleted, e.battery_remaining_j, e.harvested_j,
                  e.consumed_j) for e in metrics.energy] == [
             (False, 9998.770047600021, 0.27000000000000013,
@@ -802,9 +807,9 @@ class TestGoldenDigests:
             (False, 9997.476172918781, 0.02700000000000003,
              2.5508270811657914),
             (True, 0.0, 0.0, 1e-06)]
-        assert sim.log_lines == ["drop node_timer for depleted node 4",
-                                 "drop callback for depleted node 4",
-                                 "drop callback for depleted node 2"]
+        assert sim.log_lines == [
+            "node 4 depleted at 1001007000 ns",
+            "drop node_timer for depleted node 2"]
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in emit(metrics, "csv", tmp_path)}
         assert digests == {
@@ -973,18 +978,22 @@ class TestDepletion:
         assert mote.depleted
         assert mote.battery_remaining_j == 0.0
 
-    # At default powers, mote 2's first tick, at 1 s, charges 1.83 uJ of
-    # sleep, then its MCU wake-up 16.8 nJ, then its radio turn-on 2.4 uJ.
+    # At default powers, mote 2's first wake timer, due at radio-ready
+    # 1.007 ms after its tick at 1 s, charges 1.83 uJ of sleep up to the
+    # tick, then its MCU wake-up 16.8 nJ, then its radio turn-on 2.4 uJ.
     @pytest.mark.parametrize("battery_j, sent, state, log", [
-        # the sleep charge: the radio-ready timer is dropped
+        # the sleep charge: the step stops, and sets no later wake
         (1e-6, 0, (McuMode.WAKING, RadioMode.TURNING_ON),
-         ["drop node_timer for depleted node 2"]),
+         ["node 2 depleted at 1001007000 ns"]),
         # the MCU wake-up's charge: the step stops before radio-ready
-        (1.8384e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON), []),
+        (1.8384e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON),
+         ["node 2 depleted at 1001007000 ns"]),
         # the turn-on's charge: the frame is still sent, the late stop of a
         # node that stops at its next charge; ROADMAP item 4, a stop at
-        # the ns the battery empties, will change this
-        (2e-6, 1, (McuMode.SLEEP, RadioMode.OFF), []),
+        # the ns the battery empties, will change this. The wake set at
+        # that radio-ready, due at 2.001007 s, is dropped.
+        (2e-6, 1, (McuMode.SLEEP, RadioMode.OFF),
+         ["drop node_timer for depleted node 2"]),
     ], ids=["sleep", "mcu_wakeup", "radio_turn_on"])
     def test_battery_emptied_on_the_way_to_radio_ready(self, battery_j, sent,
                                                        state, log):
@@ -1002,8 +1011,7 @@ class TestDepletion:
         mote = sim.devices[2]
         assert mote.ledger.depleted
         assert (mote.mcu, mote.radio) == state
-        # the tick at 2 s is dropped too, so it sets no later tick
-        assert sim.log_lines == log + ["drop callback for depleted node 2"]
+        assert sim.log_lines == log
         assert mote.ledger.total_time_ns() == scenario.horizon_ns
 
     # At default powers, the sleeper's first burst ends at 1.016 s with
@@ -1034,6 +1042,64 @@ class TestDepletion:
         assert target.ledger.depleted
         assert (target.mcu, target.radio) == state
         assert target.ledger.total_time_ns() == scenario.horizon_ns
+
+
+class TestWakeAt:
+    """A sleeping sender's wake is one timer, due at radio-ready: its tick
+    plus the MCU wake-up and the radio turn-on."""
+
+    @staticmethod
+    def scenario(horizon_ns, battery_j=1.0e4, kind="periodic"):
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="mote", position=Position(x=10.0),
+                          battery_j=battery_j))
+        app = (AppSpec(kind="periodic", src=2, dst=1, period_ns=10 ** 9)
+               if kind == "periodic" else AppSpec(kind="none"))
+        return Scenario(horizon_ns=horizon_ns, seed=1, radio=RadioConfig(),
+                        channel=ChannelParams(), nodes=nodes, app=app)
+
+    # the horizon falls this long after the first tick, at 1 s, and before
+    # its radio-ready, 1.007 ms after it
+    @pytest.mark.parametrize("past_tick_ns, battery_j", [
+        (0, 1.0e4), (500_000, 1.0e4), (1_006_999, 1.0e4),
+        (500_000, 1e-6),  # the sleep up to the tick empties the battery
+    ])
+    def test_horizon_between_a_tick_and_its_radio_ready(self, past_tick_ns,
+                                                         battery_j):
+        # the MCU is waking from the tick on, as when a tick callback
+        # began the wake: the horizon charges that dwell to mcu_active
+        sim = Simulator(self.scenario(10 ** 9 + past_tick_ns, battery_j),
+                        record_trace=False)
+        metrics = sim.run()
+        assert metrics.total_sent() == 0
+        mote = sim.devices[2]
+        assert (mote.mcu, mote.radio) == (McuMode.WAKING,
+                                          RadioMode.TURNING_ON)
+        assert mote.ledger.time_ns == {"sleep": 10 ** 9, **(
+            {"mcu_active": past_tick_ns} if past_tick_ns else {})}
+        assert mote.ledger.depleted == (battery_j < 1e-5)
+
+    def test_tick_before_the_last_charge_raises_and_changes_nothing(self):
+        sim = Simulator(self.scenario(10 ** 8, kind="none"),
+                        record_trace=False)
+        sim.start_apps()
+        mote, device = sim._services_for(2), sim.devices[2]
+        mote.wake_at(0)  # ready at 1.007 ms
+        sim.run_until(2_000_000)
+        mote.request_sleep()  # the last charge, at 2 ms
+        mote.wake_at(2_000_000 - 1)
+
+        def state():
+            ledger = device.ledger
+            return (device.mcu, device.radio, dict(ledger.time_ns),
+                    dict(ledger.energy_j), ledger.consumed_j,
+                    ledger.battery_remaining_j, ledger.depleted)
+
+        before = state()
+        with pytest.raises(IllegalTransition, match="backwards"):
+            sim.run_until(10 ** 8)
+        assert state() == before
+        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
 
 
 class TestEmission:
@@ -1311,10 +1377,11 @@ class TestWorkCounts:
 
     def test_coverage_sweep(self, calls):
         # 360 frames decided at each of ten listening stations; a timer
-        # wake is one step to radio-ready, so each frame takes 3 events
+        # wake is its one timer, due at radio-ready, so each frame takes 2
+        # events and 4 transitions
         _rows, _meta, runs = range_sweep()
-        assert sum(metrics.event_count for metrics in runs) == 1_090
-        assert calls == {"transition": 1_830, "accrue": 4_332}
+        assert sum(metrics.event_count for metrics in runs) == 730
+        assert calls == {"transition": 1_470, "accrue": 4_332}
 
     def test_shadowed_coverage_sweep(self, calls, monkeypatch):
         # one run at every σ: each of the 360 frames takes one RssiOnRead
@@ -1330,8 +1397,8 @@ class TestWorkCounts:
 
         monkeypatch.setattr(channel, "RssiOnRead", CountedRssi)
         _rows, _meta, runs = range_sweep(shadowing_sigma_db=4.0)
-        assert [metrics.event_count for metrics in runs] == [1_090]
-        assert calls == {"transition": 1_830, "accrue": 4_292}
+        assert [metrics.event_count for metrics in runs] == [730]
+        assert calls == {"transition": 1_470, "accrue": 4_292}
         assert len(builds) == 360
 
     def test_power_profile(self, calls):
@@ -1344,16 +1411,17 @@ class TestWorkCounts:
 
     def test_in_phase_dense_periodic(self, calls):
         # twenty motes tick together, and each tick's frames end before the
-        # next: a frame is its tick, the radio-ready timer and its end, and
-        # wake, radio_ready, tx_request, tx_done and sleep_request. The
-        # station adds one timer and three transitions to listen. The
-        # accruals are those of the MCU-awake and radio-ready timers.
+        # next: a frame is its wake timer, due at radio-ready, and its end,
+        # and wake, tx_request, tx_done and sleep_request. The station adds
+        # one timer and three transitions to listen. The accruals are the
+        # tick chain's: a wake charges the sleep up to its tick, the MCU
+        # wake-up and the turn-on.
         metrics = run(hundred_mote_scenario(motes=20, horizon_s=115),
                       record_trace=False)
         frames = len(metrics.packets)
         assert frames == 20 * 11
-        assert metrics.event_count == 3 * frames + 1
-        assert calls == {"transition": 5 * frames + 3, "accrue": 913}
+        assert metrics.event_count == 2 * frames + 1
+        assert calls == {"transition": 4 * frames + 3, "accrue": 913}
 
     @pytest.mark.parametrize("scenario, packets, builds, entries", [
         # seven motes whose frames overlap in part or whole, one listener
@@ -1403,10 +1471,11 @@ class TestWithdrawnCallbacks:
     @staticmethod
     def simulator():
         # station 1 listens; mote 2 sleeps on a battery its first charge
-        # empties
+        # empties, and wakes in 1 us
         nodes = (NodeSpec(address=1, role="bs", position=Position()),
                  NodeSpec(address=2, role="mote", position=Position(x=10.0),
-                          battery_j=1e-15))
+                          battery_j=1e-15, mcu_wakeup_ns=100,
+                          radio_turn_on_ns=900))
         sim = Simulator(Scenario(
             horizon_ns=10 ** 6, seed=1, radio=RadioConfig(),
             channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none")))
@@ -1418,7 +1487,7 @@ class TestWithdrawnCallbacks:
         sim = self.simulator()
         station, mote = sim._services_for(1), sim._services_for(2)
         ran = []
-        mote.call_at(1_000, mote.request_wake)  # its sleep charge empties it
+        mote.wake_at(0)  # due at 1 us, its MCU wake-up's charge empties it
         station.call_at(5_000, lambda: ran.append("a"))
         if withdrawn != "none":  # scheduled last, so no other seq moves
             x = station.call_at(5_000, lambda: ran.append("x"))
@@ -1428,19 +1497,21 @@ class TestWithdrawnCallbacks:
                 mote.cancel(y)
         sim.run_until(10 ** 6)
         assert sim.devices[2].ledger.depleted
+        emptied = ["node 2 depleted at 1000 ns"]
         if withdrawn == "kept":
             assert ran == ["a", "x"]
-            assert sim.log_lines == ["drop callback for depleted node 2"]
+            assert sim.log_lines == emptied + [
+                "drop callback for depleted node 2"]
             return
         # the radio-on's radio-ready timer, the wake and "a"
-        assert (ran, sim.event_count, sim.log_lines) == (["a"], 3, [])
+        assert (ran, sim.event_count, sim.log_lines) == (["a"], 3, emptied)
         assert sim.trace_hash() == self.unwithdrawn_trace_hash()
         assert sim._withdrawn == set()
 
     def unwithdrawn_trace_hash(self):
         sim = self.simulator()
         station, mote = sim._services_for(1), sim._services_for(2)
-        mote.call_at(1_000, mote.request_wake)
+        mote.wake_at(0)
         station.call_at(5_000, lambda: None)
         sim.run_until(10 ** 6)
         return sim.trace_hash()

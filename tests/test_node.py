@@ -143,7 +143,7 @@ class TestSharedResults:
 DOC_TABLE = {
     ("sleep", "off"): {
         "wurx_interrupt": ("waking", "turning_on"),
-        "timer[wake]": ("waking", "turning_on"),
+        "timer[wake]": ("active", "standby"),
     },
     ("waking", "turning_on"): {
         "timer[radio_ready]": ("active", "standby"),
@@ -197,7 +197,7 @@ def build_device_in(state):
         return device
     if (mcu, radio) == ("waking", "turning_on"):
         device.transition(NodeEvent.SLEEP_REQUEST, 0)
-        device.transition(NodeEvent.WAKE, 0)
+        device.transition(NodeEvent.WURX_INTERRUPT, 0)
         return device
     if radio in ("turning_on", "standby", "rx", "tx"):
         device.transition(NodeEvent.RADIO_ON, 0)
@@ -214,8 +214,9 @@ def build_device_in(state):
     return device  # ("active", "off")
 
 
-# A wake's radio-ready step charges the MCU wake-up up to this long
-# before it, so the tables apply each event this long after the last one
+# A timer wake charges the sleep up to this long before it, and a wake's
+# radio-ready step the MCU wake-up up to its turn-on before it, so the
+# tables apply each event this long after the last one
 STEP_NS = 7_000 + 1_000_000
 
 
@@ -497,29 +498,43 @@ def recorded_accruals(device):
 
 
 class TestTimerWake:
-    """A wake, by timer or by WuRX interrupt, is one step to radio-ready:
-    its radio-ready timer charges the MCU wake-up and then the radio
-    turn-on, as two accruals."""
+    """A timer wake is one step, due at radio-ready: from (sleep, off) it
+    charges the sleep up to its tick, the MCU wake-up and then the radio
+    turn-on, as three accruals. A WuRX interrupt enters (waking,
+    turning_on) at once, and its radio-ready timer takes the last two."""
 
     def test_one_timer_to_radio_ready(self):
         device = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
-        waking = device.transition(NodeEvent.WAKE, 1_000)
-        assert waking is device._wake
-        assert (device.mcu, device.radio) == (McuMode.WAKING,
-                                              RadioMode.TURNING_ON)
-        assert waking.followups == ((2_009_000, NodeEvent.RADIO_READY),)
-        assert waking.notify and not waking.radio_ready
-        ready = device.transition(NodeEvent.RADIO_READY, 2_010_000)
+        assert device.wake_ns == 2_009_000
+        accruals = recorded_accruals(device)
+        ready = device.transition(NodeEvent.WAKE, 1_000 + 2_009_000)
         assert ready is node._RADIO_READY
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
                                               RadioMode.STANDBY)
-        assert device.ledger.time_ns == {"sleep": 1_000,
-                                         "mcu_active": 2_009_000}
+        assert [(label, dt_ns) for label, _p, dt_ns in accruals] == [
+            ("sleep", 1_000), ("mcu_active", 9_000),
+            ("mcu_active", 2_000_000)]
+
+    def test_tick_before_the_last_charge_is_rejected_and_changes_nothing(
+            self):
+        # asleep since 5 us: a wake due at radio-ready for a tick 1 ns
+        # before that would charge the sleep backwards
+        device = make_device(awake=True)
+        device.transition(NodeEvent.SLEEP_REQUEST, 5_000)
+        before = (ledger_bits(device), device._label_since_ns,
+                  device._state, device._label)
+        with pytest.raises(IllegalTransition, match="backwards"):
+            device.transition(NodeEvent.WAKE, 4_999 + device.wake_ns)
+        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+        assert (ledger_bits(device), device._label_since_ns,
+                device._state, device._label) == before
+        device.transition(NodeEvent.WAKE, 5_000 + device.wake_ns)
+        assert device.ledger.time_ns == {"mcu_active": 5_000 + 1_007_000}
 
     def test_early_step_is_rejected_and_changes_nothing(self):
-        # the MCU wake-up would have ended before the wake began
+        # the MCU wake-up would have ended before the interrupt's wake began
         device = make_device()
-        device.transition(NodeEvent.WAKE, 5_000)
+        device.transition(NodeEvent.WURX_INTERRUPT, 5_000)
         before = (ledger_bits(device), device._label_since_ns,
                   device._state, device._label)
         with pytest.raises(IllegalTransition, match="backwards"):
@@ -563,9 +578,10 @@ class TestTimerWake:
         table = node.power_table(spec)
         ready_ns = asleep_ns + mcu_wakeup_ns + radio_turn_on_ns
         end_ns = ready_ns + tail_ns
-        # the oracle is fed the sleep, the MCU wake-up and the turn-on as
-        # three accruals; once one empties the battery, the rest of the run
-        # is one dwell in the state the wake stopped in
+        # the oracle is the chain a tick once began: the sleep charged at
+        # the tick, then the MCU wake-up and the turn-on at the radio-ready
+        # timer, as three accruals; once one empties the battery, the rest
+        # of the run is one dwell in the state the wake stopped in
         oracle = ReferenceLedger(battery_j,
                                  harvest_rate_w * spec.harvest_efficiency)
         expected = []
@@ -576,25 +592,31 @@ class TestTimerWake:
                 oracle.accrue(label, table[label], dt_ns)
 
         charge("sleep", asleep_ns)
-        if oracle.depleted:  # the engine drops the radio-ready timer
+        if oracle.depleted:  # the chain's radio-ready timer was dropped
             charge("mcu_active", end_ns - asleep_ns)
-            state = (McuMode.WAKING, RadioMode.TURNING_ON)
+            state, stop = (McuMode.WAKING, RadioMode.TURNING_ON), \
+                node._STOPPED_WAKING
         else:
             charge("mcu_active", mcu_wakeup_ns)
             if oracle.depleted:  # the step stops short of radio-ready
                 charge("mcu_active", radio_turn_on_ns + tail_ns)
-                state = (McuMode.ACTIVE, RadioMode.TURNING_ON)
+                state, stop = (McuMode.ACTIVE, RadioMode.TURNING_ON), \
+                    node._STOPPED_TURNING_ON
             else:
                 charge("mcu_active", radio_turn_on_ns)
                 charge("mcu_active", tail_ns)
-                state = (McuMode.ACTIVE, RadioMode.STANDBY)
-        for event in (NodeEvent.WAKE, NodeEvent.WURX_INTERRUPT):
+                state, stop = (McuMode.ACTIVE, RadioMode.STANDBY), \
+                    node._RADIO_READY
+        for interrupt in (False, True):
             device = MoteDevice(spec)
             accruals = recorded_accruals(device)
-            # as the engine runs it, which drops a depleted node's timers
-            device.transition(event, asleep_ns)
-            if not device.ledger.depleted:
-                device.transition(NodeEvent.RADIO_READY, ready_ns)
+            if not interrupt:  # the timer wake, due at radio-ready
+                result = device.transition(NodeEvent.WAKE, ready_ns)
+                assert result is stop
+            else:  # as the engine runs it, which drops a depleted node's
+                device.transition(NodeEvent.WURX_INTERRUPT, asleep_ns)
+                if not device.ledger.depleted:
+                    device.transition(NodeEvent.RADIO_READY, ready_ns)
             assert (device.mcu, device.radio) == state
             device.finalize(end_ns)
             assert accruals == expected
@@ -611,15 +633,17 @@ class TestTimerWake:
 
 def test_notify_marks_the_results_the_engine_acts_on():
     """A shared result is passed on to the engine iff it has follow-ups or
-    the radio-ready hook, or enters rx (the engine registers a listener)."""
+    the radio-ready hook, enters rx (the engine registers a listener) or
+    stops a wake (the engine logs it)."""
     device = make_device()
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
     shared.update(turning_on=device._turning_on, wake=device._wake)
-    assert len(shared) == 10
+    assert len(shared) == 11
     for name, result in shared.items():
         assert result.notify == (bool(result.followups) or result.radio_ready
-                                 or name == "_ENTER_RX"), name
+                                 or name == "_ENTER_RX" or result.stopped), \
+            name
     awake = make_device(awake=True)
     awake.transition(NodeEvent.RADIO_ON, 0)
     awake.transition(NodeEvent.RADIO_READY, 1_000_000)

@@ -169,19 +169,18 @@ def test_periodic_sender_hears_tx_done_from_its_driver():
     driver = FakeDriver()
     calls = []
     services = Services(
-        now_ns=lambda: 0, call_at=lambda _at_ns, _fn: None, cancel=None,
+        now_ns=lambda: 0, call_at=None, cancel=None,
         request_sleep=lambda: calls.append("sleep"),
-        request_wake=lambda: calls.append("wake"),
+        wake_at=lambda tick_ns: calls.append(("wake", tick_ns)),
         send_burst=None, target_awake=None, log=None)
     app = PeriodicSenderApp(Unicast(driver, 1), services, dst=2,
                             payload_len=4, period_ns=10)
-    app.on_tick()
-    app.on_radio_ready()
-    assert len(driver.sent) == 1 and calls == ["wake"]
+    app.start()  # a sleeping sender sets no tick callback, only its wake
+    assert calls == [("wake", 10)]
+    app.on_radio_ready()  # the next wake is set before the frame is sent
+    assert len(driver.sent) == 1 and calls == [("wake", 10), ("wake", 20)]
     driver.tx_done(1)
-    assert calls == ["wake", "sleep"]
-    app.on_tick()  # the next tick starts the next cycle
-    assert calls == ["wake", "sleep", "wake"]
+    assert calls == [("wake", 10), ("wake", 20), "sleep"]
 
 
 def test_bs_sender_listens_from_its_first_radio_ready():
