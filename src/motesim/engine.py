@@ -75,13 +75,13 @@ depleted node; only frame ends and burst ends go through a helper, and the
 dispatch order is checked on the two ints. A withdrawn callback is dropped
 as it is popped, before all that, so it is no event. A node timer costs one
 ``MoteDevice.transition`` call, which returns a shared precomputed result;
-``process_result`` is called only when its ``notify`` flag is set, for
-follow-up timers, the radio-ready hook, an entry into rx or a wake stopped by
-an empty battery, which it logs; a tx request, tx done or sleep request never
-notifies, so it is that call alone. A sleeping sender's frame takes two
-events: its wake timer, due at radio-ready, and its end. A WuRX interrupt
-wakes a sleeper at once, with one radio-ready timer, so a wake-up cycle takes
-six: the cycle, which schedules the next, the burst's end, the data slot, the
+``process_result`` runs only when its ``notify`` flag is set, for follow-up
+timers, the radio-ready hook, an entry into rx or a wake stopped by an empty
+battery, which it logs. A sleeping sender's frame takes two events: its wake
+timer, due at radio-ready, which charges the sleep, the MCU wake-up and the
+turn-on and enters that one state, and its end. A WuRX interrupt wakes a
+sleeper at once, with one radio-ready timer, so a wake-up cycle takes six:
+the cycle, which schedules the next, the burst's end, the data slot, the
 sleeper's radio-ready timer, the frame's end, which withdraws the rx timeout,
 and the linger. A decode at a listener changes no state: it costs one
 ``MoteDevice.receive`` call, a ledger charge, and the engine hands the frame
@@ -350,9 +350,10 @@ class Simulator:
         """
         tx_power_dbm = self.drivers[sender.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
-        flat_key = (sender.address, wake_up, tx_power_dbm)
-        if not sigma and flat_key in self._flat_rssi:
-            return self._flat_rssi[flat_key]
+        if not sigma:
+            flat_key = (sender.address, wake_up, tx_power_dbm)
+            if flat_key in self._flat_rssi:
+                return self._flat_rssi[flat_key]
         links = self._links.get((sender.address, wake_up))
         if links is None:
             params = self.scenario.channel
@@ -532,19 +533,19 @@ class Simulator:
             # in rx since the frame's start at the latest: not its sender
             if rx_since_ns > start_ns or device.ledger.depleted:
                 continue
-            if alone:
-                strongest = None
-            else:  # the first overlap on its channel and SF is the strongest
+            strongest = None
+            if not alone:  # the strongest: first overlap on its channel, SF
                 rivals = indexes.get(rx_addr)
                 if rivals is None:
                     rivals = indexes[rx_addr] = sorted(
                         (-o.rssi_by_rx[rx_addr], o.frame_id, o)
                         for o in self._on_air if o.src != rx_addr)
-                strongest = next((
-                    -neg_rssi for neg_rssi, _frame_id, o in rivals
-                    if o is not frame and o.frequency_hz == frequency_hz
-                    and o.spreading_factor == sf
-                    and o.start_ns < end_ns and start_ns < o.end_ns), None)
+                for neg_rssi, _frame_id, o in rivals:
+                    if (o is not frame and o.frequency_hz == frequency_hz
+                            and o.spreading_factor == sf
+                            and o.start_ns < end_ns and start_ns < o.end_ns):
+                        strongest = -neg_rssi
+                        break
             if strongest is None and lone is not None:
                 key = (rssi_by_rx[rx_addr], sf, bandwidth_hz)
                 decision = lone.get(key)

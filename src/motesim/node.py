@@ -57,16 +57,15 @@ Only the ignored wake-up re-trigger builds its result on the spot. A wake-up
 burst enters tx through a result of its own, which picks the ``wub_tx`` label
 at the power ``begin_wub_tx`` set just before. A result's ``notify`` flag is
 set where the engine has work: follow-up timers, the radio-ready hook, an
-entry into rx or a wake's stop. A state change is one call: it checks the
-(state, event) pair, charges the dwell in the outgoing label with one ledger
-accrual when time has passed, enters the new state and picks its label and
-power, cached until the next change. A wake brings the radio up with the MCU:
-its step to radio-ready charges the sleep up to the tick of a timer wake,
-which is due at radio-ready, then the MCU wake-up up to ``radio_turn_on_ns``
-before it and the turn-on. A charge that empties the battery stops the wake in
-the state it enters. A decode changes no state: ``receive`` charges the rx
-dwell up to the frame's end at the cached label and power, and the engine
-hands the frame to the stack itself.
+entry into rx or a wake's stop. A state change enters one state: it checks
+the (state, event) pair, charges the dwell in the outgoing label when time
+has passed, enters the new state and picks its label and power, cached until
+the next change. A wake brings the radio up with the MCU: its step to
+radio-ready charges the sleep up to a timer wake's tick, then accrues the MCU
+wake-up and the turn-on at the cached ``mcu_active`` power. A charge that
+empties the battery stops the wake at the ns it reached, in the state the
+wake was in there. A decode changes no state: ``receive`` charges the rx dwell
+up to the frame's end, and the engine hands the frame to the stack itself.
 """
 
 import enum
@@ -359,6 +358,8 @@ class MoteDevice:
         self._wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
             (self.wake_ns, RADIO_READY),), notify=True)
         self._radio_turn_on_ns = spec.radio_turn_on_ns
+        self._mcu_wakeup_ns = spec.mcu_wakeup_ns
+        self._mcu_w = self.power_table_w["mcu_active"]  # a wake's accruals
         self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
             spec.battery_j, spec.harvest_rate_w * spec.harvest_efficiency)
@@ -399,13 +400,19 @@ class MoteDevice:
         elif event is WURX_INTERRUPT and mcu is MCU_SLEEP:
             result = self._wake
         elif event is (WAKE if mcu is MCU_SLEEP else RADIO_READY):
+            ledger, ready_ns = self.ledger, now_ns - self._radio_turn_on_ns
             if mcu is MCU_SLEEP:  # due at radio-ready: sleep up to the tick
-                self._apply(now_ns - self.wake_ns, _STOPPED_WAKING)
-                if self.ledger.depleted:
-                    return _STOPPED_WAKING
-            self._apply(now_ns - self._radio_turn_on_ns, _STOPPED_TURNING_ON)
-            if self.ledger.depleted:
-                return _STOPPED_TURNING_ON
+                self._charge(now_ns - self.wake_ns)
+                if ledger.depleted:
+                    return self._apply(now_ns - self.wake_ns, _STOPPED_WAKING)
+                ledger.accrue("mcu_active", self._mcu_w, self._mcu_wakeup_ns)
+                self._label_since_ns = ready_ns
+            else:  # a WuRX wake: the MCU wake-up is the dwell held
+                self._charge(ready_ns)
+            if ledger.depleted:
+                return self._apply(ready_ns, _STOPPED_TURNING_ON)
+            ledger.accrue("mcu_active", self._mcu_w, self._radio_turn_on_ns)
+            self._label_since_ns = now_ns
             result = _RADIO_READY
         if result is not None:
             return self._apply(now_ns, result)
@@ -415,17 +422,10 @@ class MoteDevice:
         raise self._illegal(event.text, now_ns)
 
     def receive(self, now_ns: int) -> None:
-        """Decode a frame that ends at ``now_ns`` (rx_done): charge the rx
-        dwell up to it, as ``_apply`` would for the state held."""
+        """rx_done: charge the rx dwell up to the frame's end at ``now_ns``."""
         if self.radio is not RADIO_RX:  # the MCU is active in rx
             raise self._illegal("rx_done", now_ns)
-        dt = now_ns - self._label_since_ns
-        if dt > 0:
-            self.ledger.accrue(self._label, self._label_power_w, dt)
-            self._label_since_ns = now_ns
-        elif dt < 0:
-            raise IllegalTransition(
-                f"node {self.address}: ledger time moved backwards")
+        self._charge(now_ns)
 
     def begin_wub_tx(self, now_ns: int, duty: float) -> TransitionResult:
         """Enter TX for an OOK wake-up frame, charged at duty-scaled power.
@@ -442,16 +442,8 @@ class MoteDevice:
             f"node {self.address}: event {event_text} illegal in state "
             f"(mcu={self.mcu.value}, radio={self.radio.value}) at t={now_ns} ns")
 
-    def _apply(self, now_ns: int, result: TransitionResult) -> TransitionResult:
-        """Charge the dwell in the outgoing label up to ``now_ns``, then
-        enter ``result``'s state and pick its label and power.
-
-        The dwell is charged at the label and power cached when it began, so
-        a caller may flag a WuRX decode or set the burst power first. Every
-        change of label goes through here, so the per-label times partition
-        the run exactly. The state entered sets the rest: ``rx_since_ns``
-        is the ns rx was entered, and a burst's result charges ``wub_tx``.
-        """
+    def _charge(self, now_ns: int) -> None:
+        """Charge the held label's dwell up to ``now_ns``, never backwards."""
         dt = now_ns - self._label_since_ns
         if dt > 0:
             self.ledger.accrue(self._label, self._label_power_w, dt)
@@ -459,6 +451,23 @@ class MoteDevice:
         elif dt < 0:
             raise IllegalTransition(
                 f"node {self.address}: ledger time moved backwards")
+
+    def _apply(self, now_ns: int, result: TransitionResult) -> TransitionResult:
+        """Charge the dwell in the outgoing label up to ``now_ns``, as
+        ``_charge`` does but inlined in this hottest call, then enter
+        ``result``'s state and pick its label and power.
+
+        The dwell is charged at the label and power cached when it began, so
+        a caller may flag a WuRX decode or set the burst power first. Every
+        state is entered here and a wake's accruals move the dwell's start,
+        so the per-label times partition the run. ``rx_since_ns`` is the ns
+        rx was entered, and a burst's result charges ``wub_tx``."""
+        dt = now_ns - self._label_since_ns
+        if dt > 0:
+            self.ledger.accrue(self._label, self._label_power_w, dt)
+            self._label_since_ns = now_ns
+        elif dt < 0:
+            self._charge(now_ns)  # raises: ledger time moved backwards
         radio = result.radio
         if radio is not RADIO_RX:
             self.rx_since_ns = None

@@ -14,8 +14,8 @@ The unicast primitive is fire-and-forget: no ACKs, no retransmissions.
 The link header is src(2B) + dst(2B) + seqno(2B), little-endian, version 1;
 sequence numbers exist for delivery accounting only. A received frame is
 filtered on its ``dst``, the header field the engine parses with ``HEADER``
-when the frame goes on air, and only a frame handed up is decoded.
-A message, built per frame sent and received, is a cheap named tuple.
+when the frame goes on air, and only a frame handed up is decoded into a
+message, a cheap named tuple; ``Unicast.send`` packs the header itself.
 """
 
 import struct
@@ -116,8 +116,8 @@ class Unicast:
             raise PayloadTooLarge(
                 f"payload {len(payload)} B exceeds MTU {DEFAULT_MTU} B")
         self._seqno += 1
-        self.driver.send(encode_message(
-            UnicastMessage(self.local_address, dst, self._seqno, payload)))
+        self.driver.send(
+            HEADER.pack(self.local_address, dst, self._seqno) + payload)
         return self._seqno
 
     def _rx_done(self, frame: Frame) -> None:

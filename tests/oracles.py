@@ -177,6 +177,15 @@ def mean_rssi_dbm(distance_m, meta):
     return meta["tx_power_dbm"] - loss
 
 
+def decode_threshold_dbm(sf, bandwidth_hz, noise_figure_db, table):
+    """T: the least RSSI that passes both the sensitivity and the SNR gate,
+    the greater of the sensitivity and the noise floor plus the SNR
+    floor."""
+    return max(table.sensitivity(sf, bandwidth_hz),
+               oracle_noise_floor_dbm(bandwidth_hz, noise_figure_db)
+               + table.snr_floor(sf))
+
+
 def shadowed_pdr(distance_m, meta, table):
     """The lognormal shadowing model's chance that a lone frame at
     ``distance_m`` is decoded, and the chance that it is not, each computed
@@ -188,14 +197,41 @@ def shadowed_pdr(distance_m, meta, table):
     *Wireless Communications*, 2nd ed., section 4.9). ``meta`` is a
     sweep's calibration, as ``range_sweep`` returns it, with sigma > 0.
     """
-    sf, bandwidth_hz = meta["spreading_factor"], meta["bandwidth_hz"]
-    threshold = max(table.sensitivity(sf, bandwidth_hz),
-                    oracle_noise_floor_dbm(bandwidth_hz,
-                                           meta["noise_figure_db"])
-                    + table.snr_floor(sf))
+    threshold = decode_threshold_dbm(
+        meta["spreading_factor"], meta["bandwidth_hz"],
+        meta["noise_figure_db"], table)
     x = ((threshold - mean_rssi_dbm(distance_m, meta))
          / (meta["shadowing_sigma_db"] * math.sqrt(2.0)))
     return 0.5 * math.erfc(x), 0.5 * math.erfc(-x)
+
+
+def capture_pdr(means_dbm, i, threshold_dbm, capture_db, sigma,
+                steps=4_000):
+    """The chance that frame ``i`` of frames that start and end together at
+    one listener is decoded there, under i.i.d. N(0, sigma**2) shadowing
+    of each frame's mean RSSI ``means_dbm[j]`` (LoRaSim's capture model:
+    Bor et al., "Do LoRa Low-Power Wide-Area Networks Scale?", MSWiM 2016).
+
+    Frame i is decoded iff R_i >= T and R_i - max over j != i of R_j >= c,
+    so p_i = integral of phi(x) * [P_i + sigma x >= T] * product over
+    j != i of Phi((P_i + sigma x - c - P_j) / sigma) dx. The midpoint rule
+    integrates it from where the gate opens to 10 sigma above the mean.
+    """
+    mean = means_dbm[i]
+    rivals = [m for j, m in enumerate(means_dbm) if j != i]
+    low, high = max((threshold_dbm - mean) / sigma, -10.0), 10.0
+    if low >= high:
+        return 0.0
+    width, scale = (high - low) / steps, sigma * math.sqrt(2.0)
+    total = 0.0
+    for step in range(steps):
+        x = low + (step + 0.5) * width
+        level = mean + sigma * x - capture_db  # the rivals must lie below
+        term = math.exp(-0.5 * x * x)
+        for rival in rivals:
+            term *= 0.5 * math.erfc((rival - level) / scale)
+        total += term
+    return total * width / math.sqrt(2.0 * math.pi)
 
 
 def binomial_acceptance(n, p, q, alpha):

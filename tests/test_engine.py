@@ -21,12 +21,12 @@ from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
 from motesim.scenario import (DEFAULT_SWEEP_DISTANCES_M, PAPER_RADIO,
-                              AppSpec, NodeSpec, WurxSpec, load,
+                              AppSpec, NodeSpec, WurxSpec, from_dict, load,
                               power_profile_scenario, range_point_scenario)
-from oracles import (binomial_acceptance, mean_rssi_dbm,
-                     reference_range_sweep, reference_shadowed_sweep,
-                     replay_delivered, resolve_concurrent, shadowed_pdr,
-                     strongest_rival)
+from oracles import (binomial_acceptance, capture_pdr, decode_threshold_dbm,
+                     mean_rssi_dbm, reference_range_sweep,
+                     reference_shadowed_sweep, replay_delivered,
+                     resolve_concurrent, shadowed_pdr, strongest_rival)
 
 TABLE = SensitivityTable.load_default()
 
@@ -1307,6 +1307,59 @@ class TestShadowedSweepClosedForm:
             assert abs(z) <= 4.0, (row, z)
 
 
+class TestCaptureClosedForm:
+    """Motes that tick together send frames that start and end together at
+    the one listening base station, so each frame there meets every other
+    as a rival. Under i.i.d. lognormal shadowing a link's delivered count
+    is Binomial(ticks, p_i), p_i from ``oracles.capture_pdr``; since the
+    capture threshold is positive, at most one frame of a tick is decoded,
+    so the total is Binomial(ticks, sum of p_i)."""
+
+    TICKS = 5_000
+    SIGMA = 4.0
+    DISTANCES_M = (500.0, 640.0, 820.0, 990.0)
+    # alpha = 1e-4 over the whole test, Bonferroni-split over the links and
+    # the total
+    ALPHA = 1e-4 / (len(DISTANCES_M) + 1)
+
+    def test_delivered_per_link_and_in_total(self):
+        # src is omitted, so every mote sends; all take the default MCU
+        # wake-up and radio turn-on, so their frames start together
+        scenario = from_dict({
+            "sim": {"horizon_s": self.TICKS + 0.5, "seed": 36},
+            "channel": {"shadowing_sigma_db": self.SIGMA},
+            "nodes": [{"address": 1, "role": "bs"}] + [
+                {"address": address, "role": "mote",
+                 "position": {"x": distance}}
+                for address, distance in enumerate(self.DISTANCES_M, 2)],
+            "app": {"kind": "periodic", "dst": 1, "payload_len": 16,
+                    "period_s": 1.0},
+        })
+        metrics = run(scenario, record_trace=False)
+        meta = {**scenario.channel._asdict(),
+                "tx_power_dbm": scenario.radio.tx_power_dbm}
+        means = [mean_rssi_dbm(distance, meta)
+                 for distance in self.DISTANCES_M]
+        radio = scenario.radio
+        threshold = decode_threshold_dbm(
+            radio.spreading_factor, radio.bandwidth_hz,
+            scenario.channel.noise_figure_db, TABLE)
+        total = 0
+        total_p = 0.0
+        for i, address in enumerate(range(2, len(means) + 2)):
+            link = metrics.link(address, 1)
+            assert link.sent == self.TICKS
+            p = capture_pdr(means, i, threshold,
+                            scenario.channel.capture_threshold_db, self.SIGMA)
+            lo, hi = binomial_acceptance(self.TICKS, p, 1.0 - p, self.ALPHA)
+            assert lo <= link.delivered <= hi, (address, link.delivered, p)
+            total += link.delivered
+            total_p += p
+        lo, hi = binomial_acceptance(self.TICKS, total_p, 1.0 - total_p,
+                                     self.ALPHA)
+        assert lo <= total <= hi, (total, total_p)
+
+
 class TestLoneDecisions:
     """In an unshadowed run, a frame with no rival at a listener reuses the
     decision stored for its RSSI, spreading factor and bandwidth there."""
@@ -1359,13 +1412,17 @@ class TestWorkCounts:
     """Calls per run repeat exactly. A decode at a listener charges its
     ledger without a state change, so it is no ``transition`` call, and the
     ledger's checkpoints, the ``accrue`` calls, are those of a decode that
-    passed through the state machine. Rival indexes are built at need, so
-    their builds repeat exactly too."""
+    passed through the state machine. A state entered is one ``_apply``
+    call: a wake charges its sleep, MCU wake-up and turn-on dwells straight
+    to the ledger and enters radio-ready alone, and each device's initial
+    state is one more. Rival indexes are built at need, so their builds
+    repeat exactly too."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"transition": 0, "accrue": 0}
-        for cls, name in ((MoteDevice, "transition"), (EnergyLedger, "accrue")):
+        calls = {"transition": 0, "accrue": 0, "_apply": 0}
+        for cls, name in ((MoteDevice, "transition"), (EnergyLedger, "accrue"),
+                          (MoteDevice, "_apply")):
             method = getattr(cls, name)
 
             def counting(*args, _method=method, _name=name):
@@ -1381,7 +1438,8 @@ class TestWorkCounts:
         # events and 4 transitions
         _rows, _meta, runs = range_sweep()
         assert sum(metrics.event_count for metrics in runs) == 730
-        assert calls == {"transition": 1_470, "accrue": 4_332}
+        assert calls == {"transition": 1_470, "accrue": 4_332,
+                         "_apply": 1_492}
 
     def test_shadowed_coverage_sweep(self, calls, monkeypatch):
         # one run at every σ: each of the 360 frames takes one RssiOnRead
@@ -1398,7 +1456,8 @@ class TestWorkCounts:
         monkeypatch.setattr(channel, "RssiOnRead", CountedRssi)
         _rows, _meta, runs = range_sweep(shadowing_sigma_db=4.0)
         assert [metrics.event_count for metrics in runs] == [730]
-        assert calls == {"transition": 1_470, "accrue": 4_292}
+        assert calls == {"transition": 1_470, "accrue": 4_292,
+                         "_apply": 1_492}
         assert len(builds) == 360
 
     def test_power_profile(self, calls):
@@ -1407,7 +1466,8 @@ class TestWorkCounts:
         # WuRX interrupt is a wake: one radio-ready timer, and the frame
         # withdraws the rx timeout. The one more is the initiator's radio-on.
         assert power_profile(cycles=1000, seed=0).event_count == 6_001
-        assert calls == {"transition": 8_002, "accrue": 10_003}
+        assert calls == {"transition": 8_002, "accrue": 10_003,
+                         "_apply": 10_006}
 
     def test_in_phase_dense_periodic(self, calls):
         # twenty motes tick together, and each tick's frames end before the
@@ -1415,13 +1475,16 @@ class TestWorkCounts:
         # and wake, tx_request, tx_done and sleep_request. The station adds
         # one timer and three transitions to listen. The accruals are the
         # tick chain's: a wake charges the sleep up to its tick, the MCU
-        # wake-up and the turn-on.
+        # wake-up and the turn-on, and enters one state. The 21 devices'
+        # initial states and the station's three, and 21 finalize calls,
+        # are the 45 other state entries.
         metrics = run(hundred_mote_scenario(motes=20, horizon_s=115),
                       record_trace=False)
         frames = len(metrics.packets)
         assert frames == 20 * 11
         assert metrics.event_count == 2 * frames + 1
-        assert calls == {"transition": 4 * frames + 3, "accrue": 913}
+        assert calls == {"transition": 4 * frames + 3, "accrue": 913,
+                         "_apply": 4 * frames + 45}
 
     @pytest.mark.parametrize("scenario, packets, builds, entries", [
         # seven motes whose frames overlap in part or whole, one listener

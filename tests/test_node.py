@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import struct
@@ -547,7 +548,10 @@ class TestTimerWake:
         assert device.ledger.time_ns == {"sleep": 5_000,
                                          "mcu_active": 1_000_000}
 
-    @settings(max_examples=300, deadline=None)
+    # tier-1 runs 300 examples; CI also runs this test alone at
+    # MOTESIM_WAKE_EXAMPLES=10000
+    @settings(max_examples=int(os.environ.get("MOTESIM_WAKE_EXAMPLES", "300")),
+              deadline=None)
     @given(power_w=st.fixed_dictionaries({}, optional={
                "sleep": st.floats(1e-7, 1e-5),
                "mcu_active": st.floats(1e-4, 2.9e-3)}),

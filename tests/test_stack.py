@@ -2,6 +2,8 @@ import ast
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motesim.stack
 from motesim import (ChannelParams, PayloadTooLarge, Position, RadioConfig,
@@ -11,8 +13,8 @@ from motesim.contract_kit import run_contract_checks
 from motesim.engine import Simulator, run
 from motesim.frame import Frame
 from motesim.scenario import AppSpec, NodeSpec
-from motesim.stack import (HEADER, HEADER_BYTES, PeriodicSenderApp, Services,
-                           Unicast)
+from motesim.stack import (DEFAULT_MTU, HEADER, HEADER_BYTES, MAX_SEQNO,
+                           PeriodicSenderApp, Services, Unicast)
 
 
 def bare_scenario(horizon_s=100.0):
@@ -111,6 +113,20 @@ class TestUnicast:
         msg = decode_message(data)
         assert (msg.src, msg.dst, msg.seqno) == (5, 9, 1)
         assert msg.payload == b"\x01\x02\x03"
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=st.integers(0, 0xFFFF), dst=st.integers(0, 0xFFFF),
+           seqno=st.integers(1, MAX_SEQNO),
+           payload=st.binary(max_size=DEFAULT_MTU))
+    def test_send_hands_its_driver_the_encoded_message(
+            self, src, dst, seqno, payload):
+        # send packs the header itself, with no message record: its bytes
+        # are those of encode_message, HEADER's one other writer
+        unicast = Unicast(FakeDriver(), local_address=src)
+        unicast._seqno = seqno - 1  # the frame before sent seqno - 1
+        assert unicast.send(dst, payload) == seqno
+        assert unicast.driver.sent == [
+            encode_message(UnicastMessage(src, dst, seqno, payload))]
 
     def test_mtu_guard(self):
         unicast = Unicast(FakeDriver(), local_address=5)
