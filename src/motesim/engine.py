@@ -79,14 +79,14 @@ as it is popped, before all that, so it is no event. A node timer costs one
 timers, the radio-ready hook, an entry into rx or a wake stopped by an empty
 battery, which it logs. A sleeping sender's frame takes two events: its wake
 timer, due at radio-ready, which charges the sleep, the MCU wake-up and the
-turn-on and enters that one state, and its end. A WuRX interrupt wakes a
-sleeper at once, with one radio-ready timer, so a wake-up cycle takes six:
-the cycle, which schedules the next, the burst's end, the data slot, the
-sleeper's radio-ready timer, the frame's end, which withdraws the rx timeout,
-and the linger. A decode at a listener changes no state: it costs one
-``MoteDevice.receive`` call, a ledger charge, and the engine hands the frame
-to the stack itself. Each event kind and node event carries its trace text,
-built once.
+turn-on and enters that one state, and its end. A WuRX interrupt holds the
+same wake from the burst's end, so a wake-up cycle takes six: the cycle,
+which schedules the next, the burst's end, the data slot, the sleeper's wake
+timer, the frame's end, which withdraws the rx timeout, and the linger. The
+horizon reads each node's held wake. A decode at a listener changes no
+state: it costs one ``MoteDevice.receive`` call, a ledger charge, and the
+engine hands the frame to the stack itself. Each event kind and node event
+carries its trace text, built once.
 """
 
 import collections
@@ -94,7 +94,6 @@ import enum
 import hashlib
 import heapq
 import itertools
-import math
 import random
 import time
 
@@ -105,7 +104,7 @@ from . import stack as stk
 from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
-from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, MCU_SLEEP, RADIO_OFF,
+from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF,
                    RADIO_RX, RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX,
                    MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
 from .phy import SensitivityTable, time_on_air
@@ -265,9 +264,12 @@ class Simulator:
             request_sleep=lambda: device.transition(nd.SLEEP_REQUEST,
                                                     self.now),
             wake_at=lambda tick_ns: self.schedule(
-                tick_ns + device.wake_ns, _NODE_TIMER, address, nd.WAKE),
+                device.hold_wake(tick_ns), _NODE_TIMER, address, nd.WAKE),
             send_burst=lambda: self.send_burst(device),
-            target_awake=lambda addr: self.devices[addr].mcu is not MCU_SLEEP,
+            # awake, or past a held wake's tick: its timer runs after the slot
+            target_awake=lambda addr: (
+                self.devices[addr].mcu is MCU_ACTIVE
+                or self.devices[addr].wake_tick_ns <= self.now),
             log=self.log_lines.append,
         )
 
@@ -477,10 +479,8 @@ class Simulator:
         # frames of unequal airtime are decided out of start order; a
         # record's first field is its unique frame id, so this is send order
         self.packets.sort()
-        waking = {address: ready_ns for ready_ns, _seq, _kind, address, event
-                  in self._queue if event is nd.WAKE}  # due past the horizon
-        for address, device in self.devices.items():
-            device.finalize(horizon, waking.get(address, math.inf))
+        for device in self.devices.values():
+            device.finalize(horizon)
         return self._collect(time.perf_counter() - started)
 
     def _finish_tx(self, frame_id: int) -> None:

@@ -24,9 +24,8 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
-    (sleep, off)       wurx_interrupt      (waking, turning_on)  timer radio_ready
-    (sleep, off)       timer[wake]         (active, standby) notify radio ready
-    (waking, turning_on) timer[radio_ready] (active, standby) notify radio ready
+    (sleep, off)       wurx_interrupt      (sleep, off)      hold a wake: timer
+    (sleep, off), held timer[wake]         (active, standby) notify radio ready
     (active, off)      radio_on            (active, turning_on)  timer radio_ready
     (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
     (active, standby)  start_rx            (active, rx)
@@ -42,12 +41,13 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
     (active, rx)       sleep_request       (sleep, off)      radio off
     (active, tx)       tx_done             (active, standby) notify tx done
     (active, off)      sleep_request       (sleep, off)
-    any mcu != sleep   wurx_interrupt      unchanged         retrigger ignored
+    awake, or held     wurx_interrupt      unchanged         retrigger ignored
 
 Every other (state, event) pair raises IllegalTransition, whose message
 names the node, the event, the state and the time; it signals a stack bug
 and aborts the run. ``MoteDevice.transition`` is the one place that checks
-a pair of a ``NodeEvent``.
+a pair of a ``NodeEvent``. A held wake is a tick, ``wake_tick_ns``, whose
+one ``timer[wake]`` is legal only at its radio-ready.
 
 The MCU sleeps only with the radio off, so a state change's result depends on
 the event alone, never on the state it leaves. Every result is therefore built
@@ -60,12 +60,12 @@ set where the engine has work: follow-up timers, the radio-ready hook, an
 entry into rx or a wake's stop. A state change enters one state: it checks
 the (state, event) pair, charges the dwell in the outgoing label when time
 has passed, enters the new state and picks its label and power, cached until
-the next change. A wake brings the radio up with the MCU: its step to
-radio-ready charges the sleep up to a timer wake's tick, then accrues the MCU
-wake-up and the turn-on at the cached ``mcu_active`` power. A charge that
-empties the battery stops the wake at the ns it reached, in the state the
-wake was in there. A decode changes no state: ``receive`` charges the rx dwell
-up to the frame's end, and the engine hands the frame to the stack itself.
+the next change. A wake brings the radio up with the MCU: its step, due at
+radio-ready, charges the sleep up to the tick a timer or an interrupt held,
+then accrues the MCU wake-up and the turn-on at the cached ``mcu_active``
+power. A charge that empties the battery stops the wake at the ns it reached.
+A decode changes no state: ``receive`` charges the rx dwell up to the
+frame's end, and the engine hands the frame to the stack itself.
 """
 
 import enum
@@ -186,7 +186,6 @@ def power_table(spec: NodeSpec) -> dict:
 
 class McuMode(enum.Enum):
     SLEEP = "sleep"
-    WAKING = "waking"
     ACTIVE = "active"
 
 
@@ -201,7 +200,7 @@ class RadioMode(enum.Enum):
 # The members bound once as module constants. On CPython 3.11, looking a
 # member up on its Enum class costs about ten times as much as reading a
 # module constant, and the state machine compares modes on every event.
-MCU_SLEEP, MCU_WAKING, MCU_ACTIVE = McuMode
+MCU_SLEEP, MCU_ACTIVE = McuMode
 RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY, RADIO_RX, RADIO_TX = RadioMode
 
 
@@ -247,10 +246,8 @@ class TransitionResult(NamedTuple):
 _RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
                                 notify=True)
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
-_STOPPED_WAKING = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, notify=True,
-                                   stopped=True)
-_STOPPED_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON,
-                                       notify=True, stopped=True)
+_STOPPED = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, notify=True,
+                            stopped=True)
 _ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
 _ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
 _ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
@@ -355,10 +352,10 @@ class MoteDevice:
         self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
             (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
         self.wake_ns = spec.mcu_wakeup_ns + spec.radio_turn_on_ns
-        self._wake = TransitionResult(MCU_WAKING, RADIO_TURNING_ON, (
-            (self.wake_ns, RADIO_READY),), notify=True)
-        self._radio_turn_on_ns = spec.radio_turn_on_ns
-        self._mcu_wakeup_ns = spec.mcu_wakeup_ns
+        self.wake_tick_ns = math.inf  # the held wake's tick, if one is held
+        self._wake = TransitionResult(MCU_SLEEP, RADIO_OFF, (
+            (self.wake_ns, WAKE),), notify=True)
+        self._wake_dwells_ns = (spec.mcu_wakeup_ns, spec.radio_turn_on_ns)
         self._mcu_w = self.power_table_w["mcu_active"]  # a wake's accruals
         self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
@@ -397,27 +394,23 @@ class MoteDevice:
                     result = _ASLEEP
             elif event is RADIO_READY:  # the radio is turning on
                 result = _RADIO_READY
-        elif event is WURX_INTERRUPT and mcu is MCU_SLEEP:
-            result = self._wake
-        elif event is (WAKE if mcu is MCU_SLEEP else RADIO_READY):
-            ledger, ready_ns = self.ledger, now_ns - self._radio_turn_on_ns
-            if mcu is MCU_SLEEP:  # due at radio-ready: sleep up to the tick
-                self._charge(now_ns - self.wake_ns)
-                if ledger.depleted:
-                    return self._apply(now_ns - self.wake_ns, _STOPPED_WAKING)
-                ledger.accrue("mcu_active", self._mcu_w, self._mcu_wakeup_ns)
-                self._label_since_ns = ready_ns
-            else:  # a WuRX wake: the MCU wake-up is the dwell held
-                self._charge(ready_ns)
-            if ledger.depleted:
-                return self._apply(ready_ns, _STOPPED_TURNING_ON)
-            ledger.accrue("mcu_active", self._mcu_w, self._radio_turn_on_ns)
-            self._label_since_ns = now_ns
+        elif event is WAKE and now_ns - self.wake_ns == self.wake_tick_ns:
+            ledger = self.ledger
+            self._charge(self.wake_tick_ns)  # the sleep, never backwards
+            self.wake_tick_ns = math.inf
+            for dt_ns in self._wake_dwells_ns:  # the MCU wake-up, the turn-on
+                if ledger.depleted:  # the wake stops where its charges reached
+                    return self._apply(self._label_since_ns, _STOPPED)
+                ledger.accrue("mcu_active", self._mcu_w, dt_ns)
+                self._label_since_ns += dt_ns
             result = _RADIO_READY
+        elif event is WURX_INTERRUPT and self.wake_tick_ns == math.inf:
+            self.wake_tick_ns = now_ns  # enters no state until its timer
+            return self._wake
         if result is not None:
             return self._apply(now_ns, result)
         if event is WURX_INTERRUPT:
-            # re-trigger while already awake/waking: documented no-op
+            # re-trigger while awake or a wake is held: documented no-op
             return TransitionResult(mcu, radio)
         raise self._illegal(event.text, now_ns)
 
@@ -491,18 +484,23 @@ class MoteDevice:
             else self.power_table_w[label]
         return result
 
+    def hold_wake(self, tick_ns: int) -> int:
+        """Hold a timer wake for ``tick_ns``; returns when its timer is due."""
+        self.wake_tick_ns = tick_ns
+        return tick_ns + self.wake_ns
+
     def wurx_decode(self, decoding: bool, now_ns: int) -> None:
         """Start or end a decode, which also changes the charged label."""
         if self.wurx is None:
             raise IllegalTransition(
                 f"node {self.address} has no wake-up receiver")
         self.wurx_decoding = decoding
-        self._apply(now_ns, self._state)
+        if now_ns < self.wake_tick_ns:  # from the tick on, the wake charges
+            self._apply(now_ns, self._state)
 
-    def finalize(self, horizon_ns: int, wake_ready_ns=math.inf) -> None:
-        """Charge the last dwell up to the horizon; a live node waking at the
-        horizon, its wake due at ``wake_ready_ns``, wakes at its tick."""
-        tick_ns = wake_ready_ns - self.wake_ns
-        if tick_ns <= horizon_ns and not self.ledger.depleted:
-            self._apply(tick_ns, _STOPPED_WAKING)
+    def finalize(self, horizon_ns: int) -> None:
+        """Charge the last dwell up to the horizon; a live node whose held
+        wake's tick has come wakes at it, stopped short of radio-ready."""
+        if self.wake_tick_ns <= horizon_ns and not self.ledger.depleted:
+            self._apply(self.wake_tick_ns, _STOPPED)
         self._apply(horizon_ns, self._state)

@@ -136,8 +136,9 @@ class Services:
     Keeps the stack decoupled from engine internals: applications can read
     the clock, set timers (``call_at`` returns a handle, which ``cancel``
     withdraws while pending), request sleep or a wake at a tick's
-    radio-ready (``wake_at(tick_ns)``) and emit the wake-up burst to the
-    scenario's target (``send_burst()``), and nothing else.
+    radio-ready (``wake_at(tick_ns)``), emit the wake-up burst to the
+    scenario's target (``send_burst()``) and ask whether a node is awake or
+    past a held wake's tick (``target_awake(addr)``), and nothing else.
     """
 
     def __init__(self, now_ns, call_at, cancel, request_sleep, wake_at,

@@ -258,9 +258,11 @@ class TestBatchedTraceHash:
 
     # 350 wake-up cycles dispatch 2,101 events, more than two full chunks;
     # pinned on the engine that hashed one line per update, and again when
-    # a burst became one event, when a WuRX interrupt became a wake and
-    # when a cycle came to withdraw its rx timeout (then from 300 cycles)
-    DIGEST = "4764b3b6963cfbf0e16c81fd580d22e0845c08b4e6931b619b46cc851475234b"
+    # a burst became one event, when a WuRX interrupt became a wake, when
+    # a cycle came to withdraw its rx timeout (then from 300 cycles) and
+    # when the interrupt came to hold a timer wake, timer[wake] in place of
+    # timer[radio_ready]
+    DIGEST = "d2df79baaa18a0d56cf88451d968dda1202622ddecb40fe26ac51f7b1cdd6172"
 
     def test_mid_run_reads_leave_the_final_hash(self):
         scenario = power_profile_scenario(cycles=350)
@@ -751,10 +753,11 @@ class TestGoldenDigests:
 
     def test_power_profile_trace_hash(self):
         # re-pinned when a burst became one event, when a WuRX interrupt
-        # became a wake (one radio-ready timer, no MCU-awake one), and when
-        # each cycle came to schedule the next and withdraw its rx timeout
+        # became a wake (one radio-ready timer, no MCU-awake one), when
+        # each cycle came to schedule the next and withdraw its rx timeout,
+        # and when the interrupt came to hold a timer wake
         assert power_profile(cycles=4).trace_hash == (
-            "d3c998e64a1bdfe055ea9f7f0160a84873006d1b915c2f14bc65c2376624dd71")
+            "51270f5952af05c2fbdc5962ff0613b499e4fa9bcd96102b60667a4253864358")
 
     def test_shadowed_multi_mote_outputs(self, tmp_path):
         # the trace hash re-pinned when a timer wake became one step, and
@@ -914,6 +917,27 @@ class TestWakeupExchange:
             "sleep": 1_000_000_000, "wurx_decode": 16_000_000,
             "mcu_active": scenario.horizon_ns - 1_016_000_000}
 
+    def test_burst_during_a_held_wake_changes_no_charge(self):
+        # the twin's radio takes 1.5 s to turn on, so the second burst,
+        # at 2 s, reaches it while its first wake is held, due at
+        # 2.516007 s: that decode changes no charge, as the wake's accruals
+        # hold the dwell from its tick on, and its interrupt is ignored
+        scenario = power_profile_scenario(cycles=3)
+        target = scenario.node(2)
+        twin = target._replace(address=3, position=Position(y=3.0),
+                               radio_turn_on_ns=1_500_000_000)
+        scenario = scenario._replace(nodes=scenario.nodes + (twin,))
+        sim = Simulator(scenario, record_trace=False)
+        metrics = sim.run()
+        assert [ex.outcome for ex in metrics.exchanges] == ["completed"] * 3
+        device = sim.devices[3]
+        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
+                                              RadioMode.STANDBY)
+        assert device.wurx_interrupts == 3
+        assert device.ledger.time_ns == {
+            "sleep": 1_000_000_000, "wurx_decode": 16_000_000,
+            "mcu_active": scenario.horizon_ns - 1_016_000_000}
+
     def test_out_of_wake_range_times_out(self):
         # data link viable at 600 m but the wake link dies at -50 dBm
         scenario = power_profile_scenario(cycles=2, distance_m=600.0)
@@ -983,7 +1007,7 @@ class TestDepletion:
     # tick, then its MCU wake-up 16.8 nJ, then its radio turn-on 2.4 uJ.
     @pytest.mark.parametrize("battery_j, sent, state, log", [
         # the sleep charge: the step stops, and sets no later wake
-        (1e-6, 0, (McuMode.WAKING, RadioMode.TURNING_ON),
+        (1e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON),
          ["node 2 depleted at 1001007000 ns"]),
         # the MCU wake-up's charge: the step stops before radio-ready
         (1.8384e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON),
@@ -1020,8 +1044,8 @@ class TestDepletion:
     @pytest.mark.parametrize("battery_uj, statuses, state", [
         # the decode's end: no interrupt, so the target never wakes
         (6.0, ["wake-timeout"] * 3, (McuMode.SLEEP, RadioMode.OFF)),
-        # the MCU wake-up's charge: still waking at the data slot, so the
-        # frame goes out to a radio that never listens
+        # the MCU wake-up's charge: its wake is held at the data slot, so
+        # the frame goes out to a radio that never listens
         (6.38, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.TURNING_ON)),
         # the turn-on's charge: in rx, but a depleted listener decodes none
         (8.0, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.RX)),
@@ -1067,13 +1091,15 @@ class TestWakeAt:
     def test_horizon_between_a_tick_and_its_radio_ready(self, past_tick_ns,
                                                          battery_j):
         # the MCU is waking from the tick on, as when a tick callback
-        # began the wake: the horizon charges that dwell to mcu_active
+        # began the wake: the horizon reads the held wake's tick, stops the
+        # wake there and charges the rest of the dwell to mcu_active
         sim = Simulator(self.scenario(10 ** 9 + past_tick_ns, battery_j),
                         record_trace=False)
         metrics = sim.run()
         assert metrics.total_sent() == 0
         mote = sim.devices[2]
-        assert (mote.mcu, mote.radio) == (McuMode.WAKING,
+        assert mote.wake_tick_ns == 10 ** 9
+        assert (mote.mcu, mote.radio) == (McuMode.ACTIVE,
                                           RadioMode.TURNING_ON)
         assert mote.ledger.time_ns == {"sleep": 10 ** 9, **(
             {"mcu_active": past_tick_ns} if past_tick_ns else {})}
@@ -1463,11 +1489,12 @@ class TestWorkCounts:
     def test_power_profile(self, calls):
         # the sleeper decodes the initiator's frame once per cycle; a
         # burst is one event, whose end also ends the sleeper's decode, its
-        # WuRX interrupt is a wake: one radio-ready timer, and the frame
-        # withdraws the rx timeout. The one more is the initiator's radio-on.
+        # WuRX interrupt holds a wake and enters no state: one wake timer,
+        # and the frame withdraws the rx timeout. The one more is the
+        # initiator's radio-on.
         assert power_profile(cycles=1000, seed=0).event_count == 6_001
         assert calls == {"transition": 8_002, "accrue": 10_003,
-                         "_apply": 10_006}
+                         "_apply": 9_006}
 
     def test_in_phase_dense_periodic(self, calls):
         # twenty motes tick together, and each tick's frames end before the
@@ -1912,10 +1939,11 @@ class TestShadowedWakeupDigests:
     def test_shadowed_wakeup_outputs(self, tmp_path):
         metrics = run(shadowed_wakeup_scenario())
         # re-pinned when a burst became one event, when a WuRX interrupt
-        # became a wake, and when each cycle came to schedule the next and
-        # withdraw its rx timeout; the files below did not move
+        # became a wake, when each cycle came to schedule the next and
+        # withdraw its rx timeout, and when the interrupt came to hold a
+        # timer wake; the files below did not move
         assert metrics.trace_hash == (
-            "2c3b855d805da71403e65d0f76d88080634ad1f2eef5d492eb67a0865b107426")
+            "1ca8821f9ef562065ff42aa9de53e981ed961a9b3d711e0efd06e83e356b2dc4")
         outcomes = [e.outcome for e in metrics.exchanges]
         assert outcomes.count("wake-timeout") == 2
         assert outcomes.count("completed") == 10

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -25,13 +26,15 @@ def make_device(awake=False, with_wurx=False, **kwargs):
 
 class TestWakePath:
     def test_interrupt_starts_wake_chain(self):
-        # the interrupt is a wake: the radio comes up with the MCU
+        # the interrupt is a wake from its ns: it enters no state and
+        # charges nothing, and its one timer is the timer wake's
         device = make_device()
         result = device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
         assert result is device._wake
-        assert (device.mcu, device.radio) == (McuMode.WAKING,
-                                              RadioMode.TURNING_ON)
-        assert result.followups == ((1_007_000, NodeEvent.RADIO_READY),)
+        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+        assert device.wake_tick_ns == 1_000
+        assert result.followups == ((1_007_000, NodeEvent.WAKE),)
+        assert device.ledger.time_ns == {}
 
     def test_full_chain_to_rx(self):
         device = make_device()
@@ -43,6 +46,7 @@ class TestWakePath:
         assert result.radio_ready
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
                                               RadioMode.STANDBY)
+        assert device.wake_tick_ns == math.inf
         device.transition(NodeEvent.START_RX, t)
         assert device.radio is RadioMode.RX
         assert device.rx_since_ns == t == 7_000 + 1_000_000
@@ -52,6 +56,31 @@ class TestWakePath:
         result = device.transition(NodeEvent.WURX_INTERRUPT, 5)
         assert result.followups == ()
         assert device.mcu is McuMode.ACTIVE
+
+    @pytest.mark.parametrize("hold", ["interrupt", "timer"])
+    def test_interrupt_while_a_wake_is_held_is_noop(self, hold):
+        device = make_device()
+        if hold == "interrupt":
+            device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
+        else:
+            assert device.hold_wake(1_000) == 1_000 + device.wake_ns
+        result = device.transition(NodeEvent.WURX_INTERRUPT, 2_000)
+        assert result.followups == () and not result.notify
+        assert device.wake_tick_ns == 1_000
+        device.transition(NodeEvent.WAKE, 1_000 + device.wake_ns)
+        assert device.ledger.time_ns == {"sleep": 1_000,
+                                         "mcu_active": device.wake_ns}
+
+    def test_timer_wake_without_a_held_wake_is_illegal(self):
+        device = make_device()
+        before = (ledger_bits(device), device._label_since_ns,
+                  device._state, device._label, device.wake_tick_ns)
+        with pytest.raises(IllegalTransition, match=re.escape(
+                "node 7: event timer[wake] illegal in state "
+                "(mcu=sleep, radio=off) at t=1007000 ns")):
+            device.transition(NodeEvent.WAKE, device.wake_ns)
+        assert (ledger_bits(device), device._label_since_ns,
+                device._state, device._label, device.wake_tick_ns) == before
 
     def test_sleep_request_reaches_floor_power(self):
         device = make_device(awake=True)
@@ -119,16 +148,16 @@ class TestSharedResults:
         slow = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
         timers = []
         for device in (fast, slow):
-            waking = device.transition(NodeEvent.WURX_INTERRUPT, 0)
-            woken = device.transition(NodeEvent.RADIO_READY, 3_000_000)
+            holding = device.transition(NodeEvent.WURX_INTERRUPT, 0)
+            woken = device.transition(NodeEvent.WAKE, device.wake_ns)
             device.transition(NodeEvent.RADIO_OFF, 3_000_000)
             turning_on = device.transition(NodeEvent.RADIO_ON, 3_000_000)
             ready = device.transition(NodeEvent.RADIO_READY, 6_000_000)
-            timers.append(waking.followups + turning_on.followups)
+            timers.append(holding.followups + turning_on.followups)
             assert woken is ready is node._RADIO_READY
-        assert timers[0] == ((1_007_000, NodeEvent.RADIO_READY),
+        assert timers[0] == ((1_007_000, NodeEvent.WAKE),
                              (1_000_000, NodeEvent.RADIO_READY))
-        assert timers[1] == ((2_009_000, NodeEvent.RADIO_READY),
+        assert timers[1] == ((2_009_000, NodeEvent.WAKE),
                              (2_000_000, NodeEvent.RADIO_READY))
         # a result that does not depend on the device is one shared object
         a = fast.transition(NodeEvent.TX_REQUEST, 7_000_000)
@@ -139,16 +168,18 @@ class TestSharedResults:
 
 
 # The documented transition table, transcribed independently from the node
-# module docstring. States are (mcu, radio); events cover both spec events
-# and driver operations. Entries give the next (mcu, radio).
+# module docstring. States are (mcu, radio), and HELD is (sleep, off) with a
+# wake held; events cover both spec events and driver operations. Entries
+# give the next state. A held wake's timer is legal at its radio-ready only,
+# so the tables apply each event STEP_NS after the last state change.
+HELD = ("sleep", "off", "wake held")
 DOC_TABLE = {
     ("sleep", "off"): {
-        "wurx_interrupt": ("waking", "turning_on"),
-        "timer[wake]": ("active", "standby"),
+        "wurx_interrupt": HELD,
     },
-    ("waking", "turning_on"): {
-        "timer[radio_ready]": ("active", "standby"),
-        "wurx_interrupt": ("waking", "turning_on"),
+    HELD: {
+        "timer[wake]": ("active", "standby"),
+        "wurx_interrupt": HELD,
     },
     ("active", "off"): {
         "radio_on": ("active", "turning_on"),
@@ -189,16 +220,19 @@ EVENT_NAMES = sorted({name for row in DOC_TABLE.values() for name in row}
                         "start_rx", "stop_rx", "begin_wub_tx"})
 
 
+def state_of(device):
+    state = (device.mcu.value, device.radio.value)
+    return HELD if device.wake_tick_ns != math.inf else state
+
+
 def build_device_in(state):
-    """Construct a device and steer it into the requested composite state."""
-    mcu, radio = state
+    """Construct a device and steer it into the requested state."""
+    mcu, radio = state[:2]
     device = make_device(awake=True)
-    if (mcu, radio) == ("sleep", "off"):
+    if mcu == "sleep":
         device.transition(NodeEvent.SLEEP_REQUEST, 0)
-        return device
-    if (mcu, radio) == ("waking", "turning_on"):
-        device.transition(NodeEvent.SLEEP_REQUEST, 0)
-        device.transition(NodeEvent.WURX_INTERRUPT, 0)
+        if state == HELD:
+            device.transition(NodeEvent.WURX_INTERRUPT, 0)
         return device
     if radio in ("turning_on", "standby", "rx", "tx"):
         device.transition(NodeEvent.RADIO_ON, 0)
@@ -215,9 +249,7 @@ def build_device_in(state):
     return device  # ("active", "off")
 
 
-# A timer wake charges the sleep up to this long before it, and a wake's
-# radio-ready step the MCU wake-up up to its turn-on before it, so the
-# tables apply each event this long after the last one
+# a held wake's timer is due this long after its tick
 STEP_NS = 7_000 + 1_000_000
 
 
@@ -234,14 +266,15 @@ def test_transition_table_exhaustive():
     for state, row in DOC_TABLE.items():
         for name in EVENT_NAMES:
             device = build_device_in(state)
-            assert (device.mcu.value, device.radio.value) == state
+            assert state_of(device) == state
             if name in row:
                 apply_event(device, name, STEP_NS)
-                assert (device.mcu.value, device.radio.value) == row[name], \
+                assert state_of(device) == row[name], \
                     f"{state} --{name}--> wrong target"
             else:
                 with pytest.raises(IllegalTransition):
                     apply_event(device, name, STEP_NS)
+                assert state_of(device) == state
 
 
 def test_transition_fuzz_million_events():
@@ -253,19 +286,20 @@ def test_transition_fuzz_million_events():
     checked = 0
     now = 0
     while checked < 1_000_000:
-        state = (device.mcu.value, device.radio.value)
+        state = state_of(device)
         assert state in valid_states
         name = EVENT_NAMES[rng.randrange(len(EVENT_NAMES))]
         expected = DOC_TABLE[state].get(name)
-        now += STEP_NS
         if expected is None:
             with pytest.raises(IllegalTransition):
-                apply_event(device, name, now)
+                apply_event(device, name, now + STEP_NS)
             # device state must be unchanged after a rejected event
-            assert (device.mcu.value, device.radio.value) == state
+            assert state_of(device) == state
         else:
+            if expected != state:
+                now += STEP_NS
             apply_event(device, name, now)
-            assert (device.mcu.value, device.radio.value) == expected
+            assert state_of(device) == expected
         checked += 1
     device.finalize(now)
     assert device.ledger.total_time_ns() == now
@@ -340,7 +374,7 @@ class TestLedgerIntegration:
         device.wurx_decode(True, 5_000_000)
         device.wurx_decode(False, 21_000_000)
         device.transition(NodeEvent.WURX_INTERRUPT, 21_000_000)
-        device.transition(NodeEvent.RADIO_READY, 22_007_000)
+        device.transition(NodeEvent.WAKE, 22_007_000)
         device.finalize(100_000_000)
         assert device.ledger.total_time_ns() == 100_000_000
         assert device.ledger.time_ns["wurx_decode"] == 16_000_000
@@ -498,16 +532,53 @@ def recorded_accruals(device):
     return accruals
 
 
+def wake_cases(**extra):
+    """Give a test of a wake's charges its cases: the strategies below and
+    ``extra``'s, each a (strategy, its value in the examples) pair, and
+    three examples at default powers, 1 s asleep, whose battery runs out at
+    the sleep charge, at the MCU wake-up's and at the turn-on's. Tier-1
+    runs 300 examples; CI also runs each such test alone at
+    MOTESIM_WAKE_EXAMPLES=10000."""
+
+    def decorate(test):
+        for battery_j, harvest_rate_w in ((1e-6, 0.0), (1.8384e-6, 0.0),
+                                          (2e-6, 1e-7)):
+            test = example(
+                power_w={}, battery_j=battery_j,
+                harvest_rate_w=harvest_rate_w, mcu_wakeup_ns=7_000,
+                radio_turn_on_ns=1_000_000, asleep_ns=10 ** 9,
+                tail_ns=10 ** 9,
+                **{name: value for name, (_s, value) in extra.items()})(test)
+        test = given(
+            power_w=st.fixed_dictionaries({}, optional={
+                "sleep": st.floats(1e-7, 1e-5),
+                "mcu_active": st.floats(1e-4, 2.9e-3)}),
+            battery_j=st.floats(0.0, 1e-2),
+            harvest_rate_w=st.just(0.0) | st.floats(0.0, 1e-4),
+            mcu_wakeup_ns=st.integers(1, 10 ** 7),
+            radio_turn_on_ns=st.integers(1, 10 ** 9),
+            asleep_ns=st.integers(0, 10 ** 10),
+            tail_ns=st.integers(0, 10 ** 10),
+            **{name: strategy for name, (strategy, _v) in extra.items()},
+        )(test)
+        return settings(max_examples=int(
+            os.environ.get("MOTESIM_WAKE_EXAMPLES", "300")),
+            deadline=None)(test)
+
+    return decorate
+
+
 class TestTimerWake:
-    """A timer wake is one step, due at radio-ready: from (sleep, off) it
-    charges the sleep up to its tick, the MCU wake-up and then the radio
-    turn-on, as three accruals. A WuRX interrupt enters (waking,
-    turning_on) at once, and its radio-ready timer takes the last two."""
+    """A wake is one step, due at radio-ready: from (sleep, off) with a
+    wake held it charges the sleep up to the held tick, the MCU wake-up and
+    then the radio turn-on, as three accruals. A timer holds the wake for
+    its tick, and a WuRX interrupt for its own ns."""
 
     def test_one_timer_to_radio_ready(self):
         device = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
         assert device.wake_ns == 2_009_000
         accruals = recorded_accruals(device)
+        assert device.hold_wake(1_000) == 1_000 + 2_009_000
         ready = device.transition(NodeEvent.WAKE, 1_000 + 2_009_000)
         assert ready is node._RADIO_READY
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
@@ -518,65 +589,49 @@ class TestTimerWake:
 
     def test_tick_before_the_last_charge_is_rejected_and_changes_nothing(
             self):
-        # asleep since 5 us: a wake due at radio-ready for a tick 1 ns
-        # before that would charge the sleep backwards
+        # asleep since 5 us: a wake held for a tick 1 ns before that would
+        # charge the sleep backwards
         device = make_device(awake=True)
         device.transition(NodeEvent.SLEEP_REQUEST, 5_000)
+        device.hold_wake(4_999)
         before = (ledger_bits(device), device._label_since_ns,
-                  device._state, device._label)
+                  device._state, device._label, device.wake_tick_ns)
         with pytest.raises(IllegalTransition, match="backwards"):
             device.transition(NodeEvent.WAKE, 4_999 + device.wake_ns)
         assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
         assert (ledger_bits(device), device._label_since_ns,
-                device._state, device._label) == before
+                device._state, device._label, device.wake_tick_ns) == before
+        device.hold_wake(5_000)
         device.transition(NodeEvent.WAKE, 5_000 + device.wake_ns)
         assert device.ledger.time_ns == {"mcu_active": 5_000 + 1_007_000}
 
     def test_early_step_is_rejected_and_changes_nothing(self):
-        # the MCU wake-up would have ended before the interrupt's wake began
+        # a held wake's timer is legal at its radio-ready only, 1.012 ms
         device = make_device()
         device.transition(NodeEvent.WURX_INTERRUPT, 5_000)
         before = (ledger_bits(device), device._label_since_ns,
-                  device._state, device._label)
-        with pytest.raises(IllegalTransition, match="backwards"):
-            device.transition(NodeEvent.RADIO_READY, 5_000 + 999_999)
-        assert (device.mcu, device.radio) == (McuMode.WAKING,
-                                              RadioMode.TURNING_ON)
-        assert (ledger_bits(device), device._label_since_ns,
-                device._state, device._label) == before
-        device.transition(NodeEvent.RADIO_READY, 5_000 + 1_000_000)
+                  device._state, device._label, device.wake_tick_ns)
+        for now_ns in (1_012_000 - 1, 1_012_000 + 1):
+            with pytest.raises(IllegalTransition, match=re.escape(
+                    "event timer[wake] illegal in state "
+                    "(mcu=sleep, radio=off)")):
+                device.transition(NodeEvent.WAKE, now_ns)
+            assert (ledger_bits(device), device._label_since_ns,
+                    device._state, device._label,
+                    device.wake_tick_ns) == before
+        device.transition(NodeEvent.WAKE, 1_012_000)
         assert device.ledger.time_ns == {"sleep": 5_000,
-                                         "mcu_active": 1_000_000}
+                                         "mcu_active": 1_007_000}
 
-    # tier-1 runs 300 examples; CI also runs this test alone at
-    # MOTESIM_WAKE_EXAMPLES=10000
-    @settings(max_examples=int(os.environ.get("MOTESIM_WAKE_EXAMPLES", "300")),
-              deadline=None)
-    @given(power_w=st.fixed_dictionaries({}, optional={
-               "sleep": st.floats(1e-7, 1e-5),
-               "mcu_active": st.floats(1e-4, 2.9e-3)}),
-           battery_j=st.floats(0.0, 1e-2),
-           harvest_rate_w=st.just(0.0) | st.floats(0.0, 1e-4),
-           mcu_wakeup_ns=st.integers(1, 10 ** 7),
-           radio_turn_on_ns=st.integers(1, 10 ** 9),
-           asleep_ns=st.integers(0, 10 ** 10),
-           tail_ns=st.integers(0, 10 ** 10))
-    # at default powers, 1 s asleep: the battery runs out at the sleep
-    # charge, at the MCU wake-up's and at the turn-on's
-    @example(power_w={}, battery_j=1e-6, harvest_rate_w=0.0,
-             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-             asleep_ns=10 ** 9, tail_ns=10 ** 9)
-    @example(power_w={}, battery_j=1.8384e-6, harvest_rate_w=0.0,
-             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-             asleep_ns=10 ** 9, tail_ns=10 ** 9)
-    @example(power_w={}, battery_j=2e-6, harvest_rate_w=1e-7,
-             mcu_wakeup_ns=7_000, radio_turn_on_ns=1_000_000,
-             asleep_ns=10 ** 9, tail_ns=10 ** 9)
-    def test_charges_equal_the_two_timer_chain_bit_for_bit(
-            self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
-            radio_turn_on_ns, asleep_ns, tail_ns):
+    @staticmethod
+    def check_wake(wake, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
+                   radio_turn_on_ns, asleep_ns, tail_ns):
+        """Run ``wake(device, tick_ns, ready_ns)``, which wakes a device
+        asleep from 0 with the tick at ``asleep_ns``, then the tail, and
+        check its charges against the chain a tick once began."""
         spec = NodeSpec(7, "mote", Position(), power_w=power_w,
-                        battery_j=battery_j, harvest_rate_w=harvest_rate_w,
+                        wurx=WurxSpec(address=0x2A), battery_j=battery_j,
+                        harvest_rate_w=harvest_rate_w,
                         mcu_wakeup_ns=mcu_wakeup_ns,
                         radio_turn_on_ns=radio_turn_on_ns)
         table = node.power_table(spec)
@@ -596,43 +651,68 @@ class TestTimerWake:
                 oracle.accrue(label, table[label], dt_ns)
 
         charge("sleep", asleep_ns)
+        stop = node._STOPPED
         if oracle.depleted:  # the chain's radio-ready timer was dropped
             charge("mcu_active", end_ns - asleep_ns)
-            state, stop = (McuMode.WAKING, RadioMode.TURNING_ON), \
-                node._STOPPED_WAKING
         else:
             charge("mcu_active", mcu_wakeup_ns)
             if oracle.depleted:  # the step stops short of radio-ready
                 charge("mcu_active", radio_turn_on_ns + tail_ns)
-                state, stop = (McuMode.ACTIVE, RadioMode.TURNING_ON), \
-                    node._STOPPED_TURNING_ON
             else:
                 charge("mcu_active", radio_turn_on_ns)
                 charge("mcu_active", tail_ns)
-                state, stop = (McuMode.ACTIVE, RadioMode.STANDBY), \
-                    node._RADIO_READY
-        for interrupt in (False, True):
-            device = MoteDevice(spec)
-            accruals = recorded_accruals(device)
-            if not interrupt:  # the timer wake, due at radio-ready
-                result = device.transition(NodeEvent.WAKE, ready_ns)
-                assert result is stop
-            else:  # as the engine runs it, which drops a depleted node's
-                device.transition(NodeEvent.WURX_INTERRUPT, asleep_ns)
-                if not device.ledger.depleted:
-                    device.transition(NodeEvent.RADIO_READY, ready_ns)
-            assert (device.mcu, device.radio) == state
-            device.finalize(end_ns)
-            assert accruals == expected
-            ledger = device.ledger
-            assert ledger.time_ns == oracle.time_ns
-            assert ({label: bits(e) for label, e in ledger.energy_j.items()}
-                    == {label: bits(e)
-                        for label, e in oracle.energy_j.items()})
-            for name in ("consumed_j", "harvested_j", "battery_remaining_j"):
-                assert bits(getattr(ledger, name)) == bits(
-                    getattr(oracle, name)), name
-            assert ledger.depleted == oracle.depleted
+                stop = node._RADIO_READY
+        device = MoteDevice(spec)
+        accruals = recorded_accruals(device)
+        assert wake(device, asleep_ns, ready_ns) is stop
+        assert (device.mcu, device.radio) == (stop.mcu, stop.radio)
+        assert device.wake_tick_ns == math.inf
+        device.finalize(end_ns)
+        assert accruals == expected
+        ledger = device.ledger
+        assert ledger.time_ns == oracle.time_ns
+        assert ({label: bits(e) for label, e in ledger.energy_j.items()}
+                == {label: bits(e) for label, e in oracle.energy_j.items()})
+        for name in ("consumed_j", "harvested_j", "battery_remaining_j"):
+            assert bits(getattr(ledger, name)) == bits(
+                getattr(oracle, name)), name
+        assert ledger.depleted == oracle.depleted
+
+    @wake_cases()
+    def test_charges_equal_the_two_timer_chain_bit_for_bit(
+            self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
+            radio_turn_on_ns, asleep_ns, tail_ns):
+        def timer_wake(device, tick_ns, ready_ns):
+            assert device.hold_wake(tick_ns) == ready_ns
+            return device.transition(NodeEvent.WAKE, ready_ns)
+
+        self.check_wake(timer_wake, power_w, battery_j, harvest_rate_w,
+                        mcu_wakeup_ns, radio_turn_on_ns, asleep_ns, tail_ns)
+
+    # a burst decoded while the wake is held, from its start and length
+    # after the tick, each cut to radio-ready, changes no charge
+    @wake_cases(burst=(st.none() | st.tuples(st.integers(0, 10 ** 9),
+                                             st.integers(0, 10 ** 9)),
+                       (0, 16_000_000)))
+    def test_wurx_wake_charges_equal_the_two_timer_chain_bit_for_bit(
+            self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
+            radio_turn_on_ns, asleep_ns, tail_ns, burst):
+        def wurx_wake(device, tick_ns, ready_ns):
+            held = device.transition(NodeEvent.WURX_INTERRUPT, tick_ns)
+            assert held is device._wake
+            assert device.ledger.time_ns == {}  # nothing charged yet
+            if burst is not None:
+                start_ns = min(tick_ns + burst[0], ready_ns)
+                device.wurx_decode(True, start_ns)
+                device.transition(NodeEvent.WURX_INTERRUPT, start_ns)
+                device.wurx_decode(False, min(start_ns + burst[1], ready_ns))
+            # as the engine runs it, which drops a depleted node's timer;
+            # the interrupt charged nothing, so it is never dropped
+            (delay_ns, timer), = held.followups
+            return device.transition(timer, tick_ns + delay_ns)
+
+        self.check_wake(wurx_wake, power_w, battery_j, harvest_rate_w,
+                        mcu_wakeup_ns, radio_turn_on_ns, asleep_ns, tail_ns)
 
 
 def test_notify_marks_the_results_the_engine_acts_on():
@@ -643,7 +723,7 @@ def test_notify_marks_the_results_the_engine_acts_on():
     shared = {name: value for name, value in vars(node).items()
               if isinstance(value, TransitionResult)}
     shared.update(turning_on=device._turning_on, wake=device._wake)
-    assert len(shared) == 11
+    assert len(shared) == 10
     for name, result in shared.items():
         assert result.notify == (bool(result.followups) or result.radio_ready
                                  or name == "_ENTER_RX" or result.stopped), \
@@ -669,8 +749,7 @@ class TestLabelAcrossWurxModes:
             (3_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
             (10_000_000, lambda t: device.wurx_decode(False, t)),
             (10_000_000, lambda t: device.transition(NodeEvent.WURX_INTERRUPT, t)),
-            (11_007_000, lambda t: device.transition(NodeEvent.RADIO_READY,
-                                                     t)),
+            (11_007_000, lambda t: device.transition(NodeEvent.WAKE, t)),
             (15_000_000, lambda t: device.transition(NodeEvent.RADIO_OFF, t)),
             (20_000_000, lambda t: device.wurx_decode(True, t)),
             (20_000_000, lambda t: device.transition(NodeEvent.RADIO_ON, t)),
@@ -684,7 +763,7 @@ class TestLabelAcrossWurxModes:
         for t, step in steps:
             step(t)
             labels.append(device._label)
-        assert labels == ["mcu_active", "wurx_decode", "sleep", "mcu_active",
+        assert labels == ["mcu_active", "wurx_decode", "sleep", "sleep",
                           "mcu_active", "mcu_active", "mcu_active",
                           "mcu_active", "mcu_active", "lora_rx",
                           "wurx_decode", "sleep"]
