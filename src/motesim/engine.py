@@ -74,23 +74,24 @@ line and handles node timers and callbacks itself, including the skip of a
 depleted node; only frame ends and burst ends go through a helper, and the
 dispatch order is checked on the two ints. A withdrawn callback is dropped
 as it is popped, before all that, so it is no event. A node timer costs one
-``MoteDevice.transition`` call, which returns a shared precomputed result;
-``process_result`` runs only when its ``notify`` flag is set, for follow-up
-timers, the radio-ready hook, an entry into rx or a wake stopped by an empty
-battery, which it logs. A sleeping sender's frame takes two events: its wake
-timer, due at radio-ready, which charges the sleep, the MCU wake-up and the
-turn-on and enters that one state, and its end. A WuRX interrupt holds the
-same wake from the burst's end, so a wake-up cycle takes six: the cycle,
-which schedules the next, the burst's end, the data slot, the sleeper's wake
-timer, the frame's end, which withdraws the rx timeout, and the linger. The
-horizon reads each node's held wake. A decode at a listener changes no
-state: it costs one ``MoteDevice.receive`` call, a ledger charge, and the
-engine hands the frame to the stack itself. Each event kind and node event
-carries its trace text, built once.
+``MoteDevice.transition`` call, which returns the shared state it entered:
+radio-ready, where the app's hook runs, or ``STOPPED``, a wake stopped
+by an empty battery, which the engine logs. Each other call site acts on the
+one state it can reach: a driver's radio-on schedules its radio-ready, its
+start_rx registers the listener, and a burst's end sets a wake timer for an
+interrupt that returned ``HELD``. A sleeping sender's frame takes two
+events: its wake timer, due at radio-ready, which charges the sleep, the MCU
+wake-up and the turn-on and enters that one state, and its end. A WuRX
+interrupt holds the same wake from the burst's end, so a wake-up cycle takes
+six: the cycle, which schedules the next, the burst's end, the data slot, the
+sleeper's wake timer, the frame's end, which withdraws the rx timeout, and
+the linger. The horizon reads each node's held wake. A decode at a listener
+changes no state: it costs one ``MoteDevice.receive`` call, a ledger charge,
+and the engine hands the frame to the stack itself. Each event kind is its
+own trace text, and each node event carries its text, built once.
 """
 
 import collections
-import enum
 import hashlib
 import heapq
 import itertools
@@ -104,9 +105,10 @@ from . import stack as stk
 from . import wurx as wux
 from .errors import ContractViolation, MotesimError, RadioUnavailable
 from .frame import Frame
-from .node import (DEFAULT_POWER_TABLE_W, MCU_ACTIVE, RADIO_OFF,
+from .node import (DEFAULT_POWER_TABLE_W, HELD, MCU_ACTIVE, RADIO_OFF,
                    RADIO_RX, RADIO_STANDBY, RADIO_TURNING_ON, RADIO_TX,
-                   MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V, power_report)
+                   STOPPED, MoteDevice, NodeSpec, SUPPLY_VOLTAGE_V,
+                   power_report)
 from .phy import SensitivityTable, time_on_air
 # range_point_scenario is unused here: perfbench's traced mode patches it
 from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
@@ -114,20 +116,12 @@ from .scenario import (DEFAULT_SWEEP_DISTANCES_M, Scenario,
                        range_sweep_scenario, scenario_hash)
 
 
-class EventKind(enum.Enum):
-    NODE_TIMER = "node_timer"
-    CALLBACK = "callback"
-    TX_END = "tx_end"
-    WUB_END = "wub_end"
-
-    def __init__(self, text):
-        # the kind as the dispatch trace writes it, a plain attribute where
-        # ``Enum.value`` is a property
-        self.text = text
-
-
-# bound once, like the node modes: a lookup on the Enum class is slow
-_NODE_TIMER, _CALLBACK, _TX_END, _WUB_END = EventKind
+# The event kinds, each its own text in the dispatch trace. Node timers are
+# timer[wake] and timer[radio_ready] only.
+NODE_TIMER = "node_timer"
+CALLBACK = "callback"
+TX_END = "tx_end"
+WUB_END = "wub_end"
 _TRACE_BATCH = 1024  # trace lines per hash update, not one update per line
 
 
@@ -163,16 +157,26 @@ class SimRadioDriver(stk.RadioDriver):
         return self._config
 
     def on(self) -> None:
-        self.sim.node_event(self.device, nd.TURN_RADIO_ON)
+        device, now = self.device, self.sim.now
+        device.transition(nd.TURN_RADIO_ON, now)
+        self.sim.schedule(now + device.radio_turn_on_ns, NODE_TIMER,
+                          device.address, nd.RADIO_READY)
 
     def off(self) -> None:
-        self.sim.node_event(self.device, nd.TURN_RADIO_OFF)
+        self.device.transition(nd.TURN_RADIO_OFF, self.sim.now)
 
     def start_rx(self) -> None:
-        self.sim.node_event(self.device, nd.START_RX)
+        device = self.device
+        device.transition(nd.START_RX, self.sim.now)
+        listeners = self.sim._listeners  # kept in ascending address order
+        if device.address not in listeners:
+            listeners[device.address] = device
+            ordered = sorted(listeners.items())
+            listeners.clear()
+            listeners.update(ordered)
 
     def stop_rx(self) -> None:
-        self.sim.node_event(self.device, nd.STOP_RX)
+        self.device.transition(nd.STOP_RX, self.sim.now)
 
     def channel_clear(self) -> bool:
         return not self.sim.medium_busy(self._config.frequency_hz)
@@ -259,12 +263,12 @@ class Simulator:
         return stk.Services(
             now_ns=lambda: self.now,
             call_at=lambda at_ns, fn: self.schedule(
-                at_ns, _CALLBACK, address, fn),
+                at_ns, CALLBACK, address, fn),
             cancel=self._withdrawn.add,
             request_sleep=lambda: device.transition(nd.SLEEP_REQUEST,
                                                     self.now),
             wake_at=lambda tick_ns: self.schedule(
-                device.hold_wake(tick_ns), _NODE_TIMER, address, nd.WAKE),
+                device.hold_wake(tick_ns), NODE_TIMER, address, nd.WAKE),
             send_burst=lambda: self.send_burst(device),
             # awake, or past a held wake's tick: its timer runs after the slot
             target_awake=lambda addr: (
@@ -308,35 +312,14 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(self, at_ns: int, kind: EventKind, target, payload=None) -> int:
+    def schedule(self, at_ns: int, kind: str, target, payload=None) -> int:
         if at_ns < self.now:
             raise MotesimError(
-                f"event {kind.text} scheduled into the past "
+                f"event {kind} scheduled into the past "
                 f"({at_ns} < {self.now})")
         seq = next(self._seq)
         heapq.heappush(self._queue, (at_ns, seq, kind, target, payload))
         return seq
-
-    def node_event(self, device: MoteDevice, event: nd.NodeEvent) -> None:
-        result = device.transition(event, self.now)
-        if result.notify:
-            self.process_result(device, result)
-
-    def process_result(self, device: MoteDevice, result) -> None:
-        address = device.address  # of a result with ``notify`` set
-        listeners = self._listeners
-        if result.radio is RADIO_RX and address not in listeners:
-            listeners[address] = device
-            ordered = sorted(listeners.items())
-            listeners.clear()
-            listeners.update(ordered)
-        for delay_ns, node_event in result.followups:
-            self.schedule(self.now + delay_ns, _NODE_TIMER, address,
-                          node_event)
-        if result.radio_ready and address in self.apps:
-            self.apps[address].on_radio_ready()
-        elif result.stopped:  # a wake, by the charge that emptied the battery
-            self.log_lines.append(f"node {address} depleted at {self.now} ns")
 
     # -- medium ---------------------------------------------------------------
 
@@ -395,7 +378,7 @@ class Simulator:
         self._on_air.append(frame)
         self._rivals.clear()
         self._tx_by_id[frame.frame_id] = frame
-        self.schedule(frame.end_ns, _TX_END, device.address, frame.frame_id)
+        self.schedule(frame.end_ns, TX_END, device.address, frame.frame_id)
         return frame
 
     def send_burst(self, device: MoteDevice) -> None:
@@ -412,7 +395,7 @@ class Simulator:
             if interrupt is not None:  # at or above sensitivity
                 receiver.wurx_decode(True, self.now)
                 decoding.append((receiver, interrupt))
-        self.schedule(self.now + burst.duration_ns, _WUB_END,
+        self.schedule(self.now + burst.duration_ns, WUB_END,
                       device.address, decoding)
 
     # -- event loop -------------------------------------------------------------
@@ -431,7 +414,7 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         withdrawn = self._withdrawn
-        devices = self.devices
+        devices, apps = self.devices, self.apps
         trace = self._trace
         lines = self._trace_lines
         last_ts, last_seq = self._last_key
@@ -447,24 +430,25 @@ class Simulator:
             self.now = ts
             self.event_count += 1
             if trace is not None:
-                lines.append(f"{ts} {seq} {kind.text} {target} "
-                             f"{payload.text if kind is _NODE_TIMER else ''}")
+                lines.append(f"{ts} {seq} {kind} {target} "
+                             f"{payload.text if kind == NODE_TIMER else ''}")
                 if len(lines) == _TRACE_BATCH:
                     self._hash_trace_lines()
-            if kind is _NODE_TIMER or kind is _CALLBACK:
+            if kind == NODE_TIMER or kind == CALLBACK:
                 device = devices[target]
                 if device.ledger.depleted:
                     self.log_lines.append(
-                        f"drop {kind.text} for depleted node {target}")
-                elif kind is _NODE_TIMER:
-                    result = device.transition(payload, ts)
-                    if result.notify:
-                        self.process_result(device, result)
-                else:
+                        f"drop {kind} for depleted node {target}")
+                elif kind == CALLBACK:
                     payload()
-            elif kind is _TX_END:
+                elif device.transition(payload, ts) is STOPPED:
+                    # a wake, by the charge that emptied the battery
+                    self.log_lines.append(f"node {target} depleted at {ts} ns")
+                elif target in apps:  # the radio is ready
+                    apps[target].on_radio_ready()
+            elif kind == TX_END:
                 self._finish_tx(payload)
-            elif kind is _WUB_END:
+            elif kind == WUB_END:
                 self._finish_burst(target, payload)
         self._last_key = last_ts, last_seq
         self.now = t_ns
@@ -509,8 +493,10 @@ class Simulator:
                 receiver.wurx_false_rejected += 1
                 continue
             receiver.wurx_interrupts += 1
-            if not receiver.ledger.depleted:
-                self.node_event(receiver, nd.WURX_INTERRUPT)
+            if (not receiver.ledger.depleted and receiver.transition(
+                    nd.WURX_INTERRUPT, self.now) is HELD):
+                self.schedule(self.now + receiver.wake_ns, NODE_TIMER,
+                              receiver.address, nd.WAKE)
         self.devices[address].transition(nd.TX_DONE, self.now)
 
     def _deliver(self, frame: Frame) -> str:

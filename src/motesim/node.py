@@ -24,11 +24,11 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
-    (sleep, off)       wurx_interrupt      (sleep, off)      hold a wake: timer
-    (sleep, off), held timer[wake]         (active, standby) notify radio ready
+    (sleep, off)       wurx_interrupt      (sleep, off)      HELD: timer[wake]
+    (sleep, off), held timer[wake]         (active, standby) radio-ready hook
     (active, off)      radio_on            (active, turning_on)  timer radio_ready
-    (active, turning_on) timer[radio_ready] (active, standby) notify radio ready
-    (active, standby)  start_rx            (active, rx)
+    (active, turning_on) timer[radio_ready] (active, standby) radio-ready hook
+    (active, standby)  start_rx            (active, rx)      listener added
     (active, standby)  tx_request          (active, tx)
     (active, standby)  begin_wub_tx        (active, tx)      duty-scaled power
     (active, standby)  radio_off           (active, off)
@@ -39,7 +39,7 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
     (active, rx)       radio_off           (active, off)
     (active, rx)       rx_done             (active, rx)      charge only
     (active, rx)       sleep_request       (sleep, off)      radio off
-    (active, tx)       tx_done             (active, standby) notify tx done
+    (active, tx)       tx_done             (active, standby) driver's tx_done
     (active, off)      sleep_request       (sleep, off)
     awake, or held     wurx_interrupt      unchanged         retrigger ignored
 
@@ -49,23 +49,26 @@ and aborts the run. ``MoteDevice.transition`` is the one place that checks
 a pair of a ``NodeEvent``. A held wake is a tick, ``wake_tick_ns``, whose
 one ``timer[wake]`` is legal only at its radio-ready.
 
-The MCU sleeps only with the radio off, so a state change's result depends on
-the event alone, never on the state it leaves. Every result is therefore built
-once and shared: per module, the plain ones and the radio-ready one; per
-device, the wake's and radio-on's, whose timers carry the device's latencies.
-Only the ignored wake-up re-trigger builds its result on the spot. A wake-up
-burst enters tx through a result of its own, which picks the ``wub_tx`` label
-at the power ``begin_wub_tx`` set just before. A result's ``notify`` flag is
-set where the engine has work: follow-up timers, the radio-ready hook, an
-entry into rx or a wake's stop. A state change enters one state: it checks
-the (state, event) pair, charges the dwell in the outgoing label when time
-has passed, enters the new state and picks its label and power, cached until
-the next change. A wake brings the radio up with the MCU: its step, due at
-radio-ready, charges the sleep up to the tick a timer or an interrupt held,
-then accrues the MCU wake-up and the turn-on at the cached ``mcu_active``
-power. A charge that empties the battery stops the wake at the ns it reached.
-A decode changes no state: ``receive`` charges the rx dwell up to the
-frame's end, and the engine hands the frame to the stack itself.
+The MCU sleeps only with the radio off, so the state a change enters depends
+on the event alone, never on the state it leaves. A transition therefore
+returns the state it entered, one of the module's shared ``TransitionResult``
+constants, and each caller knows what follows: radio_on's radio-ready is due
+``radio_turn_on_ns`` later, start_rx adds a listener, and a node timer
+reaches radio-ready, where the app's hook runs, unless it returns
+``STOPPED``, a wake an empty battery stopped, which the engine logs. An
+interrupt returns ``HELD`` when it held a wake, whose ``timer[wake]`` the
+engine sets, and an ignored re-trigger the state it left unchanged. A wake-up
+burst enters tx through a state of its own, which picks the ``wub_tx`` label
+at the power ``begin_wub_tx`` set just before. A state change enters one
+state: it checks the (state, event) pair, charges the dwell in the outgoing
+label when time has passed, enters the new state and picks its label and
+power, cached until the next change. A wake brings the radio up with the
+MCU: its step, due at radio-ready, charges the sleep up to the tick a timer
+or an interrupt held, then accrues the MCU wake-up and the turn-on at the
+cached ``mcu_active`` power. A charge that empties the battery stops the
+wake at the ns it reached. A decode changes no state: ``receive`` charges
+the rx dwell up to the frame's end, and the engine hands the frame to the
+stack itself.
 """
 
 import enum
@@ -232,27 +235,26 @@ class NodeEvent(enum.Enum):
 
 
 class TransitionResult(NamedTuple):
-    """New state plus follow-up events the engine must schedule."""
+    """A state a transition returns, its (mcu, radio) pair; each is a
+    module constant below, which the engine tells apart by identity."""
 
     mcu: McuMode
     radio: RadioMode
-    followups: tuple = ()  # of (delay_ns, NodeEvent)
-    radio_ready: bool = False  # radio just reached standby
-    notify: bool = False  # the engine acts on it: see the module docstring
-    stopped: bool = False  # a wake stopped short of radio-ready
 
 
-# The results shared by every device; MoteDevice builds the per-device ones.
-_RADIO_READY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, radio_ready=True,
-                                notify=True)
+# Every state a transition returns, shared by every device. STOPPED is
+# (active, turning_on) as _TURNING_ON is, but entered by a wake that an empty
+# battery stopped; HELD is (sleep, off) as _ASLEEP is, but never entered: an
+# interrupt returns it when it held a wake.
 _ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
-_STOPPED = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, notify=True,
-                            stopped=True)
-_ACTIVE_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
-_ENTER_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, notify=True)
-_ACTIVE_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
+_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
+STOPPED = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
+_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
+_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)
+_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
 _WUB_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)  # a burst: read by identity
 _ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
+HELD = TransitionResult(MCU_SLEEP, RADIO_OFF)
 
 
 class EnergyLedger:
@@ -334,11 +336,10 @@ class MoteDevice:
     """One mote's composite state; mutated only on the engine thread.
 
     ``transition`` and ``receive`` implement the table in the module
-    docstring; ``transition`` returns follow-up events for the engine to
-    schedule. A wake-up interrupt or a timer wake wakes the MCU (7 us) and
-    turns the radio on (1 ms) in one step. It is built from its checked
-    ``NodeSpec``, whose role sets whether the MCU starts awake
-    (``AWAKE_ROLES``).
+    docstring; ``transition`` returns the shared state it entered. A wake-up
+    interrupt or a timer wake wakes the MCU (7 us) and turns the radio on
+    (1 ms) in one step. It is built from its checked ``NodeSpec``, whose
+    role sets whether the MCU starts awake (``AWAKE_ROLES``).
     """
 
     def __init__(self, spec: NodeSpec):
@@ -349,13 +350,10 @@ class MoteDevice:
         self.wurx_decoding = False
         self.wurx_interrupts = 0
         self.wurx_false_rejected = 0
-        self._turning_on = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, (
-            (spec.radio_turn_on_ns, RADIO_READY),), notify=True)
+        self.radio_turn_on_ns = spec.radio_turn_on_ns
         self.wake_ns = spec.mcu_wakeup_ns + spec.radio_turn_on_ns
         self.wake_tick_ns = math.inf  # the held wake's tick, if one is held
-        self._wake = TransitionResult(MCU_SLEEP, RADIO_OFF, (
-            (self.wake_ns, WAKE),), notify=True)
-        self._wake_dwells_ns = (spec.mcu_wakeup_ns, spec.radio_turn_on_ns)
+        self._ready_dwells_ns = (spec.mcu_wakeup_ns, spec.radio_turn_on_ns)
         self._mcu_w = self.power_table_w["mcu_active"]  # a wake's accruals
         self.wub_tx_power_w = 0.0  # the last burst's duty-scaled power
         self.ledger = EnergyLedger(
@@ -372,7 +370,7 @@ class MoteDevice:
         if mcu is MCU_ACTIVE:
             if radio is RADIO_STANDBY or radio is RADIO_RX:
                 if event is TX_REQUEST:
-                    result = _ACTIVE_TX
+                    result = _TX
                 elif event is SLEEP_REQUEST:
                     result = _ASLEEP
                 elif event is TURN_RADIO_OFF:
@@ -381,37 +379,37 @@ class MoteDevice:
                     result = _WUB_TX
                 elif radio is RADIO_STANDBY:
                     if event is START_RX:
-                        result = _ENTER_RX
+                        result = _RX
                 elif event is STOP_RX:
-                    result = _ACTIVE_STANDBY
+                    result = _STANDBY
             elif radio is RADIO_TX:
                 if event is TX_DONE:
-                    result = _ACTIVE_STANDBY
+                    result = _STANDBY
             elif radio is RADIO_OFF:
                 if event is TURN_RADIO_ON:
-                    result = self._turning_on
+                    result = _TURNING_ON
                 elif event is SLEEP_REQUEST:
                     result = _ASLEEP
             elif event is RADIO_READY:  # the radio is turning on
-                result = _RADIO_READY
+                result = _STANDBY
         elif event is WAKE and now_ns - self.wake_ns == self.wake_tick_ns:
             ledger = self.ledger
             self._charge(self.wake_tick_ns)  # the sleep, never backwards
             self.wake_tick_ns = math.inf
-            for dt_ns in self._wake_dwells_ns:  # the MCU wake-up, the turn-on
+            for dt_ns in self._ready_dwells_ns:  # MCU wake-up, turn-on
                 if ledger.depleted:  # the wake stops where its charges reached
-                    return self._apply(self._label_since_ns, _STOPPED)
+                    return self._apply(self._label_since_ns, STOPPED)
                 ledger.accrue("mcu_active", self._mcu_w, dt_ns)
                 self._label_since_ns += dt_ns
-            result = _RADIO_READY
+            result = _STANDBY
         elif event is WURX_INTERRUPT and self.wake_tick_ns == math.inf:
             self.wake_tick_ns = now_ns  # enters no state until its timer
-            return self._wake
+            return HELD
         if result is not None:
             return self._apply(now_ns, result)
         if event is WURX_INTERRUPT:
             # re-trigger while awake or a wake is held: documented no-op
-            return TransitionResult(mcu, radio)
+            return self._state
         raise self._illegal(event.text, now_ns)
 
     def receive(self, now_ns: int) -> None:
@@ -502,5 +500,5 @@ class MoteDevice:
         """Charge the last dwell up to the horizon; a live node whose held
         wake's tick has come wakes at it, stopped short of radio-ready."""
         if self.wake_tick_ns <= horizon_ns and not self.ledger.depleted:
-            self._apply(self.wake_tick_ns, _STOPPED)
+            self._apply(self.wake_tick_ns, STOPPED)
         self._apply(horizon_ns, self._state)

@@ -16,7 +16,8 @@ from motesim import channel, engine
 from motesim import stack as stk
 from motesim.channel import noise_floor_dbm
 from motesim.engine import Simulator, power_profile, range_sweep
-from motesim.node import EnergyLedger, McuMode, MoteDevice, RadioMode
+from motesim.node import (EnergyLedger, McuMode, MoteDevice, NodeEvent,
+                          RadioMode)
 from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
@@ -291,11 +292,10 @@ class TestBatchedTraceHash:
 
 class TestCausality:
     def test_no_past_scheduling(self):
-        from motesim.engine import EventKind
         sim = Simulator(two_node_scenario(), record_trace=False)
         sim.run_until(1_000_000)
         with pytest.raises(MotesimError):
-            sim.schedule(999_999, EventKind.CALLBACK, 1, lambda: None)
+            sim.schedule(999_999, engine.CALLBACK, 1, lambda: None)
 
     def test_fuzzed_scenarios_dispatch_in_order(self):
         """Randomized small scenarios; the loop itself asserts strict
@@ -650,7 +650,6 @@ class TestRivalIndex:
         before that one is decided, so the decision at station 1 indexes
         both; deciding the first drops it from the medium, which empties
         the index, and the one frame left is decided with none."""
-        from motesim.engine import EventKind
         nodes = (NodeSpec(address=1, role="bs", position=Position()),
                  NodeSpec(address=2, role="bs", position=Position(x=50.0)),
                  NodeSpec(address=3, role="bs", position=Position(x=-80.0)))
@@ -672,7 +671,7 @@ class TestRivalIndex:
         sim.run_until(10 ** 8)  # every station is in rx
         end_ns = sim.now + time_on_air(sim.drivers[2].config, 20)
         # scheduled before the first frame's TX_END, so it dispatches first
-        sim.schedule(end_ns, EventKind.CALLBACK, 3,
+        sim.schedule(end_ns, engine.CALLBACK, 3,
                      lambda: sim.drivers[3].send(bytes(20)))
         sim.drivers[2].send(bytes(20))
         deliver, finish = sim._deliver, sim._finish_tx
@@ -1126,6 +1125,81 @@ class TestWakeAt:
             sim.run_until(10 ** 8)
         assert state() == before
         assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+
+
+def node_timers(sim):
+    """The queued node timers as (due ns, node, node event), in due order."""
+    return sorted((at_ns, target, payload)
+                  for at_ns, _seq, _kind, target, payload in sim._queue
+                  if isinstance(payload, NodeEvent))
+
+
+class TestFollowUpTimers:
+    """Each call site schedules what its one transition needs: a radio-on
+    its radio-ready, and a burst's end a wake timer only for an interrupt
+    that held one."""
+
+    @staticmethod
+    def station(radio_turn_on_ns=2_500_000):
+        return Simulator(Scenario(
+            horizon_ns=10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(),
+            nodes=(NodeSpec(address=1, role="bs", position=Position(),
+                            radio_turn_on_ns=radio_turn_on_ns),),
+            app=AppSpec(kind="none")), record_trace=False)
+
+    def test_radio_on_queues_one_radio_ready_timer(self):
+        sim = self.station()
+        sim.run_until(1_000)
+        driver = sim.drivers[1]
+        driver.on()
+        assert node_timers(sim) == [(2_501_000, 1, NodeEvent.RADIO_READY)]
+        assert len(sim._queue) == 1
+        sim.run_until(2_501_000)  # the station's sink starts rx there
+        assert sim.devices[1].radio is RadioMode.RX
+        assert list(sim._listeners) == [1] and sim._queue == []
+
+    def test_rejected_radio_on_queues_nothing(self):
+        sim = self.station()
+        driver = sim.drivers[1]
+        driver.on()
+        queued = list(sim._queue)
+        with pytest.raises(IllegalTransition, match="radio_on illegal"):
+            driver.on()  # the radio is turning on
+        assert sim._queue == queued
+        sim.run_until(2_500_000)
+        sim._services_for(1).request_sleep()
+        with pytest.raises(IllegalTransition, match="radio_on illegal"):
+            driver.on()  # the MCU sleeps
+        assert sim._queue == []
+
+    def test_burst_sets_a_wake_timer_only_for_a_sleeping_live_node(self):
+        # the burst to sleeper 2 ends at 1.016 s; it also reaches an awake
+        # twin, a twin whose wake is held for 1.015 s and a twin the
+        # decode's charge empties, and none of them takes a timer[wake]
+        scenario = power_profile_scenario(cycles=1)
+        target = scenario.node(2)
+        awake = target._replace(address=3, role="bs",
+                                position=Position(y=3.0))
+        held = target._replace(address=4, position=Position(y=-3.0))
+        emptied = target._replace(address=5, position=Position(x=-3.0),
+                                  battery_j=6e-6)
+        sim = Simulator(scenario._replace(
+            nodes=scenario.nodes + (awake, held, emptied)),
+            record_trace=False)
+        sim.start_apps()
+        sim._services_for(4).wake_at(1_015_000_000)
+        sim.run_until(1_016_000_000 - 1)
+        before = node_timers(sim)
+        assert (1_016_007_000, 4, NodeEvent.WAKE) in before
+        sim.run_until(1_016_000_000)
+        assert [timer for timer in node_timers(sim)
+                if timer not in before] == [(1_017_007_000, 2, NodeEvent.WAKE)]
+        devices = sim.devices
+        assert [devices[a].wurx_interrupts for a in (2, 3, 4, 5)] == [1] * 4
+        assert devices[3].mcu is McuMode.ACTIVE
+        assert devices[4].wake_tick_ns == 1_015_000_000
+        assert devices[5].ledger.depleted
 
 
 class TestEmission:
@@ -1670,7 +1744,6 @@ class TestChannelClear:
         assert not sim.drivers[1].channel_clear()
 
     def test_clear_at_exactly_end_ns(self):
-        from motesim.engine import EventKind
         scenario = multi_mote_scenario([Position(x=10.0)], period_s=1.0,
                                        horizon_s=3.0)
         sim = Simulator(scenario, record_trace=False)
@@ -1686,8 +1759,8 @@ class TestChannelClear:
                          sim.drivers[1].channel_clear()))
 
         # scheduled before the frame's TX_END, so they dispatch first
-        sim.schedule(end_ns - 1, EventKind.CALLBACK, 1, probe)
-        sim.schedule(end_ns, EventKind.CALLBACK, 1, probe)
+        sim.schedule(end_ns - 1, engine.CALLBACK, 1, probe)
+        sim.schedule(end_ns, engine.CALLBACK, 1, probe)
         sim.run_until(2_500_000_000)
         assert started[1].end_ns == end_ns
         assert seen == [(end_ns - 1, 1, False), (end_ns, 1, True)]

@@ -27,35 +27,35 @@ def make_device(awake=False, with_wurx=False, **kwargs):
 class TestWakePath:
     def test_interrupt_starts_wake_chain(self):
         # the interrupt is a wake from its ns: it enters no state and
-        # charges nothing, and its one timer is the timer wake's
+        # charges nothing, and its one timer is the timer wake's, due at
+        # its tick plus the MCU wake-up and the radio turn-on
         device = make_device()
         result = device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
-        assert result is device._wake
+        assert result is node.HELD
+        assert device._state is node._ASLEEP
         assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
         assert device.wake_tick_ns == 1_000
-        assert result.followups == ((1_007_000, NodeEvent.WAKE),)
+        assert device.wake_tick_ns + device.wake_ns == 1_008_000
         assert device.ledger.time_ns == {}
 
     def test_full_chain_to_rx(self):
         device = make_device()
-        t = 0
-        result = device.transition(NodeEvent.WURX_INTERRUPT, t)
-        (delay, timer), = result.followups
-        t += delay
-        result = device.transition(timer, t)
-        assert result.radio_ready
+        assert device.transition(NodeEvent.WURX_INTERRUPT, 0) is node.HELD
+        t = device.wake_tick_ns + device.wake_ns
+        assert device.transition(NodeEvent.WAKE, t) is node._STANDBY
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
                                               RadioMode.STANDBY)
         assert device.wake_tick_ns == math.inf
-        device.transition(NodeEvent.START_RX, t)
+        assert device.transition(NodeEvent.START_RX, t) is node._RX
         assert device.radio is RadioMode.RX
         assert device.rx_since_ns == t == 7_000 + 1_000_000
 
     def test_retrigger_while_awake_is_noop(self):
         device = make_device(awake=True)
         result = device.transition(NodeEvent.WURX_INTERRUPT, 5)
-        assert result.followups == ()
+        assert result is device._state is node._ACTIVE_OFF
         assert device.mcu is McuMode.ACTIVE
+        assert device.wake_tick_ns == math.inf
 
     @pytest.mark.parametrize("hold", ["interrupt", "timer"])
     def test_interrupt_while_a_wake_is_held_is_noop(self, hold):
@@ -65,7 +65,7 @@ class TestWakePath:
         else:
             assert device.hold_wake(1_000) == 1_000 + device.wake_ns
         result = device.transition(NodeEvent.WURX_INTERRUPT, 2_000)
-        assert result.followups == () and not result.notify
+        assert result is device._state is node._ASLEEP  # not HELD
         assert device.wake_tick_ns == 1_000
         device.transition(NodeEvent.WAKE, 1_000 + device.wake_ns)
         assert device.ledger.time_ns == {"sleep": 1_000,
@@ -144,27 +144,26 @@ class TestIllegalTransitions:
 
 class TestSharedResults:
     def test_results_shared_and_wake_timers_per_device(self):
+        # every device returns the same states; the timers the engine sets
+        # after a held wake and a radio-on are due after the device's own
+        # latencies
         fast = make_device()
         slow = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
-        timers = []
         for device in (fast, slow):
-            holding = device.transition(NodeEvent.WURX_INTERRUPT, 0)
+            assert device.transition(NodeEvent.WURX_INTERRUPT, 0) is node.HELD
             woken = device.transition(NodeEvent.WAKE, device.wake_ns)
             device.transition(NodeEvent.RADIO_OFF, 3_000_000)
             turning_on = device.transition(NodeEvent.RADIO_ON, 3_000_000)
-            ready = device.transition(NodeEvent.RADIO_READY, 6_000_000)
-            timers.append(holding.followups + turning_on.followups)
-            assert woken is ready is node._RADIO_READY
-        assert timers[0] == ((1_007_000, NodeEvent.WAKE),
-                             (1_000_000, NodeEvent.RADIO_READY))
-        assert timers[1] == ((2_009_000, NodeEvent.WAKE),
-                             (2_000_000, NodeEvent.RADIO_READY))
-        # a result that does not depend on the device is one shared object
+            ready = device.transition(NodeEvent.RADIO_READY,
+                                      3_000_000 + device.radio_turn_on_ns)
+            assert turning_on is node._TURNING_ON
+            assert woken is ready is node._STANDBY
+        assert [(d.wake_ns, d.radio_turn_on_ns) for d in (fast, slow)] == [
+            (1_007_000, 1_000_000), (2_009_000, 2_000_000)]
         a = fast.transition(NodeEvent.TX_REQUEST, 7_000_000)
         b = slow.transition(NodeEvent.TX_REQUEST, 7_000_000)
-        assert a is b
-        assert (a.mcu, a.radio, a.followups) == (McuMode.ACTIVE,
-                                                 RadioMode.TX, ())
+        assert a is b is node._TX
+        assert (a.mcu, a.radio) == (McuMode.ACTIVE, RadioMode.TX)
 
 
 # The documented transition table, transcribed independently from the node
@@ -509,7 +508,7 @@ class TestDecodeCharge:
             decoding.receive(now)
             oracle._apply(now, oracle._state)
             assert ledger_bits(decoding) == ledger_bits(oracle)
-        assert decoding._state is node._ENTER_RX
+        assert decoding._state is node._RX
         assert (decoding.mcu, decoding.radio) == (McuMode.ACTIVE,
                                                   RadioMode.RX)
         for device in (decoding, oracle):
@@ -580,7 +579,7 @@ class TestTimerWake:
         accruals = recorded_accruals(device)
         assert device.hold_wake(1_000) == 1_000 + 2_009_000
         ready = device.transition(NodeEvent.WAKE, 1_000 + 2_009_000)
-        assert ready is node._RADIO_READY
+        assert ready is node._STANDBY
         assert (device.mcu, device.radio) == (McuMode.ACTIVE,
                                               RadioMode.STANDBY)
         assert [(label, dt_ns) for label, _p, dt_ns in accruals] == [
@@ -651,7 +650,7 @@ class TestTimerWake:
                 oracle.accrue(label, table[label], dt_ns)
 
         charge("sleep", asleep_ns)
-        stop = node._STOPPED
+        stop = node.STOPPED
         if oracle.depleted:  # the chain's radio-ready timer was dropped
             charge("mcu_active", end_ns - asleep_ns)
         else:
@@ -661,7 +660,7 @@ class TestTimerWake:
             else:
                 charge("mcu_active", radio_turn_on_ns)
                 charge("mcu_active", tail_ns)
-                stop = node._RADIO_READY
+                stop = node._STANDBY
         device = MoteDevice(spec)
         accruals = recorded_accruals(device)
         assert wake(device, asleep_ns, ready_ns) is stop
@@ -699,41 +698,48 @@ class TestTimerWake:
             radio_turn_on_ns, asleep_ns, tail_ns, burst):
         def wurx_wake(device, tick_ns, ready_ns):
             held = device.transition(NodeEvent.WURX_INTERRUPT, tick_ns)
-            assert held is device._wake
+            assert held is node.HELD
             assert device.ledger.time_ns == {}  # nothing charged yet
             if burst is not None:
                 start_ns = min(tick_ns + burst[0], ready_ns)
                 device.wurx_decode(True, start_ns)
                 device.transition(NodeEvent.WURX_INTERRUPT, start_ns)
                 device.wurx_decode(False, min(start_ns + burst[1], ready_ns))
-            # as the engine runs it, which drops a depleted node's timer;
-            # the interrupt charged nothing, so it is never dropped
-            (delay_ns, timer), = held.followups
-            return device.transition(timer, tick_ns + delay_ns)
+            # the timer the engine sets for HELD, at the tick plus the
+            # wake, which it drops for a depleted node; the interrupt
+            # charged nothing, so it is never dropped
+            return device.transition(NodeEvent.WAKE,
+                                     tick_ns + device.wake_ns)
 
         self.check_wake(wurx_wake, power_w, battery_j, harvest_rate_w,
                         mcu_wakeup_ns, radio_turn_on_ns, asleep_ns, tail_ns)
 
 
-def test_notify_marks_the_results_the_engine_acts_on():
-    """A shared result is passed on to the engine iff it has follow-ups or
-    the radio-ready hook, enters rx (the engine registers a listener) or
-    stops a wake (the engine logs it)."""
-    device = make_device()
-    shared = {name: value for name, value in vars(node).items()
-              if isinstance(value, TransitionResult)}
-    shared.update(turning_on=device._turning_on, wake=device._wake)
-    assert len(shared) == 10
-    for name, result in shared.items():
-        assert result.notify == (bool(result.followups) or result.radio_ready
-                                 or name == "_ENTER_RX" or result.stopped), \
-            name
-    awake = make_device(awake=True)
-    awake.transition(NodeEvent.RADIO_ON, 0)
-    awake.transition(NodeEvent.RADIO_READY, 1_000_000)
-    assert awake.transition(NodeEvent.START_RX, 1_000_000).notify
-    awake.receive(2_000_000)  # a decode keeps the result that entered rx
-    assert awake._state is node._ENTER_RX
+def test_every_result_is_a_shared_state():
+    """Every legal transition in the documented table returns one of the
+    module's shared states, its (mcu, radio) pair and nothing more, which
+    is the state the device is in unless it held a wake; the engine tells
+    the ones it acts on apart by identity, so HELD comes only from
+    (sleep, off) with no wake held. A decode returns nothing and keeps the
+    state that entered rx."""
+    shared = [value for value in vars(node).values()
+              if isinstance(value, TransitionResult)]
+    assert len({id(result) for result in shared}) == len(shared)
+    assert TransitionResult._fields == ("mcu", "radio")
+    for state, row in DOC_TABLE.items():
+        for name in row:
+            if name == "rx_done":
+                continue
+            device = build_device_in(state)
+            result = apply_event(device, name, STEP_NS)
+            assert any(result is value for value in shared), (state, name)
+            held = state == ("sleep", "off") and name == "wurx_interrupt"
+            assert (result is node.HELD) == held, (state, name)
+            assert result is (node.HELD if held else device._state)
+            assert (result.mcu.value, result.radio.value) == row[name][:2]
+    device = build_device_in(("active", "rx"))
+    assert device.receive(STEP_NS) is None
+    assert device._state is node._RX
 
 
 class TestLabelAcrossWurxModes:

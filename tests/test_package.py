@@ -37,13 +37,15 @@ def test_every_public_name_resolves_once():
     assert not any(hasattr(wurx, name) for name in REMOVED)
 
 
-# the immutable records built on the per-event path, with their fields in
-# constructor order
+# the immutable records of the per-event path, with their fields in
+# constructor order; a state a transition returns is its (mcu, radio) pair
+# and carries no flag for the engine
 RECORDS = [
     (channel.ReceptionOutcome, ("cause", "rssi_dbm", "snr_db",
                                 "rssi_margin_db", "snr_margin_db")),
     (stack.UnicastMessage, ("src", "dst", "seqno", "payload")),
     (wurx.WubEmission, ("address", "duration_ns", "duty")),
+    (node.TransitionResult, ("mcu", "radio")),
 ]
 
 
