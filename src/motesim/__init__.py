@@ -18,7 +18,7 @@ from .errors import (ConfigError, ContractViolation, IllegalTransition,
                      ScenarioError, TableEntryMissing, ZeroDistanceError)
 from .frame import Frame
 from .node import (DEFAULT_POWER_TABLE_W, EnergyLedger, MoteDevice,
-                   NodeEvent, power_report)
+                   power_report)
 from .phy import (RadioConfig, SensitivityTable, payload_symbol_count,
                   time_on_air)
 from .report import RunMetrics, emit, emit_sweep

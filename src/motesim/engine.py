@@ -88,7 +88,8 @@ sleeper's wake timer, the frame's end, which withdraws the rx timeout, and
 the linger. The horizon reads each node's held wake. A decode at a listener
 changes no state: it costs one ``MoteDevice.receive`` call, a ledger charge,
 and the engine hands the frame to the stack itself. Each event kind is its
-own trace text, and each node event carries its text, built once.
+own trace text, and so is each node event, which a node timer carries; an
+event of an unknown kind raises ``MotesimError`` as it is dispatched.
 """
 
 import collections
@@ -191,11 +192,10 @@ class SimRadioDriver(stk.RadioDriver):
         if self._in_tx_done:
             raise ContractViolation(
                 "send called from inside a tx_done callback; defer via timer")
-        if self.device.mcu is not MCU_ACTIVE or self.device.radio not in (
-                RADIO_STANDBY, RADIO_RX):
+        if self.device.radio not in (RADIO_STANDBY, RADIO_RX):  # so awake
             raise RadioUnavailable(
                 f"radio of node {self.device.address} is "
-                f"{self.device.radio.value}; cannot send")
+                f"{self.device.radio}; cannot send")
         return self.sim.begin_transmission(self.device, bytes(data)).frame_id
 
     def fire_tx_done(self, frame_id: int) -> None:
@@ -431,7 +431,7 @@ class Simulator:
             self.event_count += 1
             if trace is not None:
                 lines.append(f"{ts} {seq} {kind} {target} "
-                             f"{payload.text if kind == NODE_TIMER else ''}")
+                             f"{payload if kind == NODE_TIMER else ''}")
                 if len(lines) == _TRACE_BATCH:
                     self._hash_trace_lines()
             if kind == NODE_TIMER or kind == CALLBACK:
@@ -450,6 +450,8 @@ class Simulator:
                 self._finish_tx(payload)
             elif kind == WUB_END:
                 self._finish_burst(target, payload)
+            else:
+                raise MotesimError(f"unknown event kind {kind!r}")
         self._last_key = last_ts, last_seq
         self.now = t_ns
 

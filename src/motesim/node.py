@@ -5,7 +5,7 @@ time-integrating energy ledger. A node's records, ``NodeSpec`` and its
 
 Virtual time is integer nanoseconds throughout, so per-state dwell times sum
 exactly to the simulation horizon. Energy is charged modally: at any instant
-the mote is in exactly one power label, looked up from the composite state:
+the mote is in exactly one power label, the one its state names:
 
     lora_tx / wub_tx  radio transmitting (wub_tx is duty-scaled OOK)
     lora_rx           radio in receive
@@ -17,10 +17,11 @@ The "sleep" label is the mote-level floor (1.83 uW) of the listening WuRX
 and the sleeping MCU together, not a charged split between them.
 
 State machine (states are (mcu, radio); a WuRX decode, which
-``wurx_decode`` flags while a burst lasts, only changes the label). Events
-are ``NodeEvent`` members: the scheduled ones and the driver operations
-(radio_on, radio_off, start_rx, stop_rx, begin_wub_tx), and the decode of a
-frame at a listener (rx_done), which is ``MoteDevice.receive``:
+``wurx_decode`` flags while a burst lasts, only changes a sleeping state's
+label). Modes and events are plain strings, each its own text: the events
+are the scheduled ones and the driver operations (radio_on, radio_off,
+start_rx, stop_rx, begin_wub_tx), and the decode of a frame at a listener
+(rx_done), which is ``MoteDevice.receive``:
 
     state              event               next state        side effect
     ------------------ ------------------- ----------------- ------------------
@@ -45,24 +46,25 @@ frame at a listener (rx_done), which is ``MoteDevice.receive``:
 
 Every other (state, event) pair raises IllegalTransition, whose message
 names the node, the event, the state and the time; it signals a stack bug
-and aborts the run. ``MoteDevice.transition`` is the one place that checks
-a pair of a ``NodeEvent``. A held wake is a tick, ``wake_tick_ns``, whose
-one ``timer[wake]`` is legal only at its radio-ready.
+and aborts the run; an unknown text is illegal in every state.
+``MoteDevice.transition`` is the one place that checks a pair of an event.
+A held wake is a tick, ``wake_tick_ns``, whose one ``timer[wake]`` is legal
+only at its radio-ready.
 
 The MCU sleeps only with the radio off, so the state a change enters depends
 on the event alone, never on the state it leaves. A transition therefore
 returns the state it entered, one of the module's shared ``TransitionResult``
-constants, and each caller knows what follows: radio_on's radio-ready is due
-``radio_turn_on_ns`` later, start_rx adds a listener, and a node timer
-reaches radio-ready, where the app's hook runs, unless it returns
-``STOPPED``, a wake an empty battery stopped, which the engine logs. An
-interrupt returns ``HELD`` when it held a wake, whose ``timer[wake]`` the
-engine sets, and an ignored re-trigger the state it left unchanged. A wake-up
-burst enters tx through a state of its own, which picks the ``wub_tx`` label
-at the power ``begin_wub_tx`` set just before. A state change enters one
-state: it checks the (state, event) pair, charges the dwell in the outgoing
-label when time has passed, enters the new state and picks its label and
-power, cached until the next change. A wake brings the radio up with the
+constants, which names its power label, and each caller knows what
+follows: radio_on's radio-ready is due ``radio_turn_on_ns`` later, start_rx
+adds a listener, and a node timer reaches radio-ready, where the app's hook
+runs, unless it returns ``STOPPED``, a wake an empty battery stopped, which
+the engine logs. An interrupt returns ``HELD`` when it held a wake, whose
+``timer[wake]`` the engine sets, and an ignored re-trigger the state it left
+unchanged. A wake-up burst enters tx through a state of its own, labelled
+``wub_tx``, at the power ``begin_wub_tx`` set just before. A state change
+enters one state: it checks the (state, event) pair, charges the dwell in
+the outgoing label when time has passed, enters the new state and takes its
+label and power, cached until the next change. A wake brings the radio up with the
 MCU: its step, due at radio-ready, charges the sleep up to the tick a timer
 or an interrupt held, then accrues the MCU wake-up and the turn-on at the
 cached ``mcu_active`` power. A charge that empties the battery stops the
@@ -71,7 +73,6 @@ the rx dwell up to the frame's end, and the engine hands the frame to the
 stack itself.
 """
 
-import enum
 import math
 from types import MappingProxyType
 from typing import NamedTuple
@@ -187,74 +188,48 @@ def power_table(spec: NodeSpec) -> dict:
     return table
 
 
-class McuMode(enum.Enum):
-    SLEEP = "sleep"
-    ACTIVE = "active"
-
-
-class RadioMode(enum.Enum):
-    OFF = "off"
-    TURNING_ON = "turning_on"
-    STANDBY = "standby"
-    RX = "rx"
-    TX = "tx"
-
-
-# The members bound once as module constants. On CPython 3.11, looking a
-# member up on its Enum class costs about ten times as much as reading a
-# module constant, and the state machine compares modes on every event.
-MCU_SLEEP, MCU_ACTIVE = McuMode
-RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY, RADIO_RX, RADIO_TX = RadioMode
-
-
-class NodeEvent(enum.Enum):
-    """Everything that changes a mote's state: the scheduled events and the
-    driver operations. Each member's value is its text in the dispatch
-    trace and in ``IllegalTransition`` messages."""
-
-    WAKE = "timer[wake]"
-    RADIO_READY = "timer[radio_ready]"
-    WURX_INTERRUPT = "wurx_interrupt"
-    TX_REQUEST = "tx_request"
-    TX_DONE = "tx_done"
-    SLEEP_REQUEST = "sleep_request"
-    RADIO_ON = "radio_on"
-    RADIO_OFF = "radio_off"
-    START_RX = "start_rx"
-    STOP_RX = "stop_rx"
-    BEGIN_WUB_TX = "begin_wub_tx"
-
-    def __init__(self, text):
-        # a plain attribute, where ``Enum.value`` is a property
-        self.text = text
-
-
-# bound once, like the modes above; RADIO_OFF already names a radio mode
-(WAKE, RADIO_READY, WURX_INTERRUPT, TX_REQUEST, TX_DONE, SLEEP_REQUEST,
- TURN_RADIO_ON, TURN_RADIO_OFF, START_RX, STOP_RX, BEGIN_WUB_TX) = NodeEvent
+# Modes and events are their own texts, in the trace and in errors. A device
+# holds only these mode constants, compared by identity; events by equality.
+MCU_SLEEP, MCU_ACTIVE = "sleep", "active"
+RADIO_OFF, RADIO_TURNING_ON, RADIO_STANDBY = "off", "turning_on", "standby"
+RADIO_RX, RADIO_TX = "rx", "tx"
+WAKE = "timer[wake]"
+RADIO_READY = "timer[radio_ready]"
+WURX_INTERRUPT = "wurx_interrupt"
+TX_REQUEST = "tx_request"
+TX_DONE = "tx_done"
+SLEEP_REQUEST = "sleep_request"
+TURN_RADIO_ON = "radio_on"  # RADIO_OFF names a radio mode
+TURN_RADIO_OFF = "radio_off"
+START_RX = "start_rx"
+STOP_RX = "stop_rx"
+BEGIN_WUB_TX = "begin_wub_tx"
 
 
 class TransitionResult(NamedTuple):
-    """A state a transition returns, its (mcu, radio) pair; each is a
-    module constant below, which the engine tells apart by identity."""
+    """A state a transition returns, its (mcu, radio) pair and the power
+    label it charges; each is a module constant below, which the engine
+    tells apart by identity."""
 
-    mcu: McuMode
-    radio: RadioMode
+    mcu: str
+    radio: str
+    label: str
 
 
 # Every state a transition returns, shared by every device. STOPPED is
 # (active, turning_on) as _TURNING_ON is, but entered by a wake that an empty
 # battery stopped; HELD is (sleep, off) as _ASLEEP is, but never entered: an
-# interrupt returns it when it held a wake.
-_ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF)
-_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
-STOPPED = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON)
-_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY)
-_RX = TransitionResult(MCU_ACTIVE, RADIO_RX)
-_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)
-_WUB_TX = TransitionResult(MCU_ACTIVE, RADIO_TX)  # a burst: read by identity
-_ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF)
-HELD = TransitionResult(MCU_SLEEP, RADIO_OFF)
+# interrupt returns it when it held a wake. A sleeping state's label becomes
+# wurx_decode while a decode lasts.
+_ACTIVE_OFF = TransitionResult(MCU_ACTIVE, RADIO_OFF, "mcu_active")
+_TURNING_ON = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, "mcu_active")
+STOPPED = TransitionResult(MCU_ACTIVE, RADIO_TURNING_ON, "mcu_active")
+_STANDBY = TransitionResult(MCU_ACTIVE, RADIO_STANDBY, "mcu_active")
+_RX = TransitionResult(MCU_ACTIVE, RADIO_RX, "lora_rx")
+_TX = TransitionResult(MCU_ACTIVE, RADIO_TX, "lora_tx")
+_WUB_TX = TransitionResult(MCU_ACTIVE, RADIO_TX, "wub_tx")
+_ASLEEP = TransitionResult(MCU_SLEEP, RADIO_OFF, "sleep")
+HELD = TransitionResult(MCU_SLEEP, RADIO_OFF, "sleep")
 
 
 class EnergyLedger:
@@ -364,35 +339,35 @@ class MoteDevice:
 
     # -- events ---------------------------------------------------------------
 
-    def transition(self, event: NodeEvent, now_ns: int) -> TransitionResult:
+    def transition(self, event: str, now_ns: int) -> TransitionResult:
         mcu, radio = self.mcu, self.radio
         result = None
         if mcu is MCU_ACTIVE:
             if radio is RADIO_STANDBY or radio is RADIO_RX:
-                if event is TX_REQUEST:
+                if event == TX_REQUEST:
                     result = _TX
-                elif event is SLEEP_REQUEST:
+                elif event == SLEEP_REQUEST:
                     result = _ASLEEP
-                elif event is TURN_RADIO_OFF:
+                elif event == TURN_RADIO_OFF:
                     result = _ACTIVE_OFF
-                elif event is BEGIN_WUB_TX:
+                elif event == BEGIN_WUB_TX:
                     result = _WUB_TX
                 elif radio is RADIO_STANDBY:
-                    if event is START_RX:
+                    if event == START_RX:
                         result = _RX
-                elif event is STOP_RX:
+                elif event == STOP_RX:
                     result = _STANDBY
             elif radio is RADIO_TX:
-                if event is TX_DONE:
+                if event == TX_DONE:
                     result = _STANDBY
             elif radio is RADIO_OFF:
-                if event is TURN_RADIO_ON:
+                if event == TURN_RADIO_ON:
                     result = _TURNING_ON
-                elif event is SLEEP_REQUEST:
+                elif event == SLEEP_REQUEST:
                     result = _ASLEEP
-            elif event is RADIO_READY:  # the radio is turning on
+            elif event == RADIO_READY:  # the radio is turning on
                 result = _STANDBY
-        elif event is WAKE and now_ns - self.wake_ns == self.wake_tick_ns:
+        elif event == WAKE and now_ns - self.wake_ns == self.wake_tick_ns:
             ledger = self.ledger
             self._charge(self.wake_tick_ns)  # the sleep, never backwards
             self.wake_tick_ns = math.inf
@@ -402,15 +377,15 @@ class MoteDevice:
                 ledger.accrue("mcu_active", self._mcu_w, dt_ns)
                 self._label_since_ns += dt_ns
             result = _STANDBY
-        elif event is WURX_INTERRUPT and self.wake_tick_ns == math.inf:
+        elif event == WURX_INTERRUPT and self.wake_tick_ns == math.inf:
             self.wake_tick_ns = now_ns  # enters no state until its timer
             return HELD
         if result is not None:
             return self._apply(now_ns, result)
-        if event is WURX_INTERRUPT:
+        if event == WURX_INTERRUPT:
             # re-trigger while awake or a wake is held: documented no-op
             return self._state
-        raise self._illegal(event.text, now_ns)
+        raise self._illegal(event, now_ns)
 
     def receive(self, now_ns: int) -> None:
         """rx_done: charge the rx dwell up to the frame's end at ``now_ns``."""
@@ -431,7 +406,7 @@ class MoteDevice:
     def _illegal(self, event_text: str, now_ns: int) -> IllegalTransition:
         return IllegalTransition(
             f"node {self.address}: event {event_text} illegal in state "
-            f"(mcu={self.mcu.value}, radio={self.radio.value}) at t={now_ns} ns")
+            f"(mcu={self.mcu}, radio={self.radio}) at t={now_ns} ns")
 
     def _charge(self, now_ns: int) -> None:
         """Charge the held label's dwell up to ``now_ns``, never backwards."""
@@ -446,13 +421,13 @@ class MoteDevice:
     def _apply(self, now_ns: int, result: TransitionResult) -> TransitionResult:
         """Charge the dwell in the outgoing label up to ``now_ns``, as
         ``_charge`` does but inlined in this hottest call, then enter
-        ``result``'s state and pick its label and power.
+        ``result``'s state and its label and power.
 
         The dwell is charged at the label and power cached when it began, so
         a caller may flag a WuRX decode or set the burst power first. Every
         state is entered here and a wake's accruals move the dwell's start,
         so the per-label times partition the run. ``rx_since_ns`` is the ns
-        rx was entered, and a burst's result charges ``wub_tx``."""
+        rx was entered, and a burst's result charges the burst's power."""
         dt = now_ns - self._label_since_ns
         if dt > 0:
             self.ledger.accrue(self._label, self._label_power_w, dt)
@@ -464,16 +439,9 @@ class MoteDevice:
             self.rx_since_ns = None
         elif self.radio is not RADIO_RX:
             self.rx_since_ns = now_ns
-        if radio is RADIO_TX:
-            label = "wub_tx" if result is _WUB_TX else "lora_tx"
-        elif radio is RADIO_RX:
-            label = "lora_rx"
-        elif result.mcu is not MCU_SLEEP:
-            label = "mcu_active"
-        elif self.wurx_decoding:
+        label = result.label
+        if self.wurx_decoding and result.mcu is MCU_SLEEP:
             label = "wurx_decode"
-        else:
-            label = "sleep"
         self.mcu = result.mcu
         self.radio = radio
         self._state = result

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from motesim import (ChannelParams, IllegalTransition, MotesimError,
                      Position, RadioConfig, Scenario, ScenarioError,
                      SensitivityTable, run)
-from motesim import channel, engine
+from motesim import channel, engine, node
 from motesim import stack as stk
 from motesim.channel import noise_floor_dbm
 from motesim.engine import Simulator, power_profile, range_sweep
-from motesim.node import (EnergyLedger, McuMode, MoteDevice, NodeEvent,
-                          RadioMode)
+from motesim.node import EnergyLedger, MoteDevice
 from motesim.phy import time_on_air
 from motesim.report import (ExchangeRecord, PacketRecord, RunMetrics, _fmt,
                             emit, render_text)
@@ -296,6 +295,16 @@ class TestCausality:
         sim.run_until(1_000_000)
         with pytest.raises(MotesimError):
             sim.schedule(999_999, engine.CALLBACK, 1, lambda: None)
+
+    def test_unknown_event_kind_raises(self):
+        """A misspelt kind is no event to drop quietly: its dispatch raises
+        an error that names it, and the payload never runs."""
+        sim = Simulator(power_profile_scenario(cycles=1), record_trace=False)
+        called = []
+        sim.schedule(5, "callbak", 1, lambda: called.append(True))
+        with pytest.raises(MotesimError, match=r"unknown event kind 'callbak'"):
+            sim.run_until(10)
+        assert called == []
 
     def test_fuzzed_scenarios_dispatch_in_order(self):
         """Randomized small scenarios; the loop itself asserts strict
@@ -909,8 +918,8 @@ class TestWakeupExchange:
         metrics = sim.run()
         assert [ex.outcome for ex in metrics.exchanges] == ["completed"] * 3
         device = sim.devices[3]
-        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
-                                              RadioMode.STANDBY)
+        assert (device.mcu, device.radio) == (node.MCU_ACTIVE,
+                                              node.RADIO_STANDBY)
         assert device.wurx_interrupts == 3  # the last two re-trigger
         assert device.ledger.time_ns == {
             "sleep": 1_000_000_000, "wurx_decode": 16_000_000,
@@ -930,8 +939,8 @@ class TestWakeupExchange:
         metrics = sim.run()
         assert [ex.outcome for ex in metrics.exchanges] == ["completed"] * 3
         device = sim.devices[3]
-        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
-                                              RadioMode.STANDBY)
+        assert (device.mcu, device.radio) == (node.MCU_ACTIVE,
+                                              node.RADIO_STANDBY)
         assert device.wurx_interrupts == 3
         assert device.ledger.time_ns == {
             "sleep": 1_000_000_000, "wurx_decode": 16_000_000,
@@ -1006,16 +1015,16 @@ class TestDepletion:
     # tick, then its MCU wake-up 16.8 nJ, then its radio turn-on 2.4 uJ.
     @pytest.mark.parametrize("battery_j, sent, state, log", [
         # the sleep charge: the step stops, and sets no later wake
-        (1e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON),
+        (1e-6, 0, (node.MCU_ACTIVE, node.RADIO_TURNING_ON),
          ["node 2 depleted at 1001007000 ns"]),
         # the MCU wake-up's charge: the step stops before radio-ready
-        (1.8384e-6, 0, (McuMode.ACTIVE, RadioMode.TURNING_ON),
+        (1.8384e-6, 0, (node.MCU_ACTIVE, node.RADIO_TURNING_ON),
          ["node 2 depleted at 1001007000 ns"]),
         # the turn-on's charge: the frame is still sent, the late stop of a
         # node that stops at its next charge; ROADMAP item 4, a stop at
         # the ns the battery empties, will change this. The wake set at
         # that radio-ready, due at 2.001007 s, is dropped.
-        (2e-6, 1, (McuMode.SLEEP, RadioMode.OFF),
+        (2e-6, 1, (node.MCU_SLEEP, node.RADIO_OFF),
          ["drop node_timer for depleted node 2"]),
     ], ids=["sleep", "mcu_wakeup", "radio_turn_on"])
     def test_battery_emptied_on_the_way_to_radio_ready(self, battery_j, sent,
@@ -1042,15 +1051,15 @@ class TestDepletion:
     # costs 16.8 nJ and its radio turn-on 2.4 uJ.
     @pytest.mark.parametrize("battery_uj, statuses, state", [
         # the decode's end: no interrupt, so the target never wakes
-        (6.0, ["wake-timeout"] * 3, (McuMode.SLEEP, RadioMode.OFF)),
+        (6.0, ["wake-timeout"] * 3, (node.MCU_SLEEP, node.RADIO_OFF)),
         # the MCU wake-up's charge: its wake is held at the data slot, so
         # the frame goes out to a radio that never listens
-        (6.38, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.TURNING_ON)),
+        (6.38, ["data-lost"] * 3, (node.MCU_ACTIVE, node.RADIO_TURNING_ON)),
         # the turn-on's charge: in rx, but a depleted listener decodes none
-        (8.0, ["data-lost"] * 3, (McuMode.ACTIVE, RadioMode.RX)),
+        (8.0, ["data-lost"] * 3, (node.MCU_ACTIVE, node.RADIO_RX)),
         # the first frame's decode: received, then awake for good
         (9.0, ["completed", "data-lost", "data-lost"],
-         (McuMode.ACTIVE, RadioMode.RX)),
+         (node.MCU_ACTIVE, node.RADIO_RX)),
     ], ids=["wurx_decode", "mcu_wakeup", "radio_turn_on", "lora_rx"])
     def test_sleeper_emptied_on_its_wake_path(self, battery_uj, statuses,
                                               state):
@@ -1098,8 +1107,8 @@ class TestWakeAt:
         assert metrics.total_sent() == 0
         mote = sim.devices[2]
         assert mote.wake_tick_ns == 10 ** 9
-        assert (mote.mcu, mote.radio) == (McuMode.ACTIVE,
-                                          RadioMode.TURNING_ON)
+        assert (mote.mcu, mote.radio) == (node.MCU_ACTIVE,
+                                          node.RADIO_TURNING_ON)
         assert mote.ledger.time_ns == {"sleep": 10 ** 9, **(
             {"mcu_active": past_tick_ns} if past_tick_ns else {})}
         assert mote.ledger.depleted == (battery_j < 1e-5)
@@ -1124,14 +1133,14 @@ class TestWakeAt:
         with pytest.raises(IllegalTransition, match="backwards"):
             sim.run_until(10 ** 8)
         assert state() == before
-        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+        assert (device.mcu, device.radio) == (node.MCU_SLEEP, node.RADIO_OFF)
 
 
 def node_timers(sim):
     """The queued node timers as (due ns, node, node event), in due order."""
     return sorted((at_ns, target, payload)
                   for at_ns, _seq, _kind, target, payload in sim._queue
-                  if isinstance(payload, NodeEvent))
+                  if _kind == engine.NODE_TIMER)
 
 
 class TestFollowUpTimers:
@@ -1153,10 +1162,10 @@ class TestFollowUpTimers:
         sim.run_until(1_000)
         driver = sim.drivers[1]
         driver.on()
-        assert node_timers(sim) == [(2_501_000, 1, NodeEvent.RADIO_READY)]
+        assert node_timers(sim) == [(2_501_000, 1, node.RADIO_READY)]
         assert len(sim._queue) == 1
         sim.run_until(2_501_000)  # the station's sink starts rx there
-        assert sim.devices[1].radio is RadioMode.RX
+        assert sim.devices[1].radio is node.RADIO_RX
         assert list(sim._listeners) == [1] and sim._queue == []
 
     def test_rejected_radio_on_queues_nothing(self):
@@ -1191,13 +1200,13 @@ class TestFollowUpTimers:
         sim._services_for(4).wake_at(1_015_000_000)
         sim.run_until(1_016_000_000 - 1)
         before = node_timers(sim)
-        assert (1_016_007_000, 4, NodeEvent.WAKE) in before
+        assert (1_016_007_000, 4, node.WAKE) in before
         sim.run_until(1_016_000_000)
         assert [timer for timer in node_timers(sim)
-                if timer not in before] == [(1_017_007_000, 2, NodeEvent.WAKE)]
+                if timer not in before] == [(1_017_007_000, 2, node.WAKE)]
         devices = sim.devices
         assert [devices[a].wurx_interrupts for a in (2, 3, 4, 5)] == [1] * 4
-        assert devices[3].mcu is McuMode.ACTIVE
+        assert devices[3].mcu is node.MCU_ACTIVE
         assert devices[4].wake_tick_ns == 1_015_000_000
         assert devices[5].ledger.depleted
 
@@ -1699,8 +1708,8 @@ class TestWithdrawnCallbacks:
         # it, so the sleeper, awake through that burst, is asleep there;
         # the last cycle's timeout is due past the horizon
         (10 ** 9, ["data-lost", "wake-timeout", "data-lost"],
-         10 ** 9 + 10 ** 9 - 17_007_000, McuMode.ACTIVE),
-        (10 ** 8, ["data-lost"] * 3, 3 * 10 ** 8, McuMode.SLEEP),
+         10 ** 9 + 10 ** 9 - 17_007_000, node.MCU_ACTIVE),
+        (10 ** 8, ["data-lost"] * 3, 3 * 10 ** 8, node.MCU_SLEEP),
     ], ids=["one_cycle", "100_ms"])
     def test_rx_timeout_still_fires_when_the_data_is_lost(
             self, rx_timeout_ns, statuses, lora_rx_ns, mcu):
@@ -1725,7 +1734,7 @@ class TestChannelClear:
         sim = Simulator(scenario, record_trace=False)
         sim.start_apps()
         sim.run_until(1_050_000_000)  # mote tx in flight (starts ~1.001 s)
-        assert sim.devices[2].radio is RadioMode.TX
+        assert sim.devices[2].radio is node.RADIO_TX
         assert not sim.drivers[1].channel_clear()
         sim.run_until(2 * 10 ** 9 - 1)
         assert sim.drivers[1].channel_clear()

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motesim import (ConfigError, EnergyLedger, IllegalTransition,
-                     MoteDevice, NodeEvent, Position,
+                     MoteDevice, Position,
                      power_report)
 from motesim import node
-from motesim.node import (DEFAULT_POWER_TABLE_W, POWER_LABELS, McuMode,
-                          NodeSpec, RadioMode, TransitionResult, WurxSpec)
+from motesim.node import (DEFAULT_POWER_TABLE_W, POWER_LABELS, NodeSpec,
+                          TransitionResult, WurxSpec)
 from oracles import ReferenceLedger
 
 
@@ -30,44 +30,44 @@ class TestWakePath:
         # charges nothing, and its one timer is the timer wake's, due at
         # its tick plus the MCU wake-up and the radio turn-on
         device = make_device()
-        result = device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
+        result = device.transition(node.WURX_INTERRUPT, 1_000)
         assert result is node.HELD
         assert device._state is node._ASLEEP
-        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+        assert (device.mcu, device.radio) == (node.MCU_SLEEP, node.RADIO_OFF)
         assert device.wake_tick_ns == 1_000
         assert device.wake_tick_ns + device.wake_ns == 1_008_000
         assert device.ledger.time_ns == {}
 
     def test_full_chain_to_rx(self):
         device = make_device()
-        assert device.transition(NodeEvent.WURX_INTERRUPT, 0) is node.HELD
+        assert device.transition(node.WURX_INTERRUPT, 0) is node.HELD
         t = device.wake_tick_ns + device.wake_ns
-        assert device.transition(NodeEvent.WAKE, t) is node._STANDBY
-        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
-                                              RadioMode.STANDBY)
+        assert device.transition(node.WAKE, t) is node._STANDBY
+        assert (device.mcu, device.radio) == (node.MCU_ACTIVE,
+                                              node.RADIO_STANDBY)
         assert device.wake_tick_ns == math.inf
-        assert device.transition(NodeEvent.START_RX, t) is node._RX
-        assert device.radio is RadioMode.RX
+        assert device.transition(node.START_RX, t) is node._RX
+        assert device.radio is node.RADIO_RX
         assert device.rx_since_ns == t == 7_000 + 1_000_000
 
     def test_retrigger_while_awake_is_noop(self):
         device = make_device(awake=True)
-        result = device.transition(NodeEvent.WURX_INTERRUPT, 5)
+        result = device.transition(node.WURX_INTERRUPT, 5)
         assert result is device._state is node._ACTIVE_OFF
-        assert device.mcu is McuMode.ACTIVE
+        assert device.mcu is node.MCU_ACTIVE
         assert device.wake_tick_ns == math.inf
 
     @pytest.mark.parametrize("hold", ["interrupt", "timer"])
     def test_interrupt_while_a_wake_is_held_is_noop(self, hold):
         device = make_device()
         if hold == "interrupt":
-            device.transition(NodeEvent.WURX_INTERRUPT, 1_000)
+            device.transition(node.WURX_INTERRUPT, 1_000)
         else:
             assert device.hold_wake(1_000) == 1_000 + device.wake_ns
-        result = device.transition(NodeEvent.WURX_INTERRUPT, 2_000)
+        result = device.transition(node.WURX_INTERRUPT, 2_000)
         assert result is device._state is node._ASLEEP  # not HELD
         assert device.wake_tick_ns == 1_000
-        device.transition(NodeEvent.WAKE, 1_000 + device.wake_ns)
+        device.transition(node.WAKE, 1_000 + device.wake_ns)
         assert device.ledger.time_ns == {"sleep": 1_000,
                                          "mcu_active": device.wake_ns}
 
@@ -78,14 +78,14 @@ class TestWakePath:
         with pytest.raises(IllegalTransition, match=re.escape(
                 "node 7: event timer[wake] illegal in state "
                 "(mcu=sleep, radio=off) at t=1007000 ns")):
-            device.transition(NodeEvent.WAKE, device.wake_ns)
+            device.transition(node.WAKE, device.wake_ns)
         assert (ledger_bits(device), device._label_since_ns,
                 device._state, device._label, device.wake_tick_ns) == before
 
     def test_sleep_request_reaches_floor_power(self):
         device = make_device(awake=True)
-        device.transition(NodeEvent.SLEEP_REQUEST, 1_000_000)
-        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+        device.transition(node.SLEEP_REQUEST, 1_000_000)
+        assert (device.mcu, device.radio) == (node.MCU_SLEEP, node.RADIO_OFF)
         device.finalize(2_000_000)
         rows = {r[0]: r for r in power_report(device.ledger,
                                               device.power_table_w)}
@@ -96,21 +96,21 @@ class TestWakePath:
 class TestIllegalTransitions:
     def test_tx_request_while_tx(self):
         device = make_device(awake=True)
-        device.transition(NodeEvent.RADIO_ON, 0)
-        device.transition(NodeEvent.RADIO_READY, 1_000_000)
-        device.transition(NodeEvent.TX_REQUEST, 1_000_000)
+        device.transition(node.TURN_RADIO_ON, 0)
+        device.transition(node.RADIO_READY, 1_000_000)
+        device.transition(node.TX_REQUEST, 1_000_000)
         with pytest.raises(IllegalTransition):
-            device.transition(NodeEvent.TX_REQUEST, 2_000_000)
+            device.transition(node.TX_REQUEST, 2_000_000)
 
     def test_tx_request_radio_off(self):
         device = make_device(awake=True)
         with pytest.raises(IllegalTransition):
-            device.transition(NodeEvent.TX_REQUEST, 0)
+            device.transition(node.TX_REQUEST, 0)
 
     def test_sleep_request_while_sleeping(self):
         device = make_device()
         with pytest.raises(IllegalTransition):
-            device.transition(NodeEvent.SLEEP_REQUEST, 0)
+            device.transition(node.SLEEP_REQUEST, 0)
 
     def test_rx_done_without_rx(self):
         device = make_device(awake=True)
@@ -122,22 +122,22 @@ class TestIllegalTransitions:
 
     def test_driver_ops_while_asleep(self):
         device = make_device()
-        for event in (NodeEvent.RADIO_ON, NodeEvent.RADIO_OFF,
-                      NodeEvent.START_RX, NodeEvent.STOP_RX):
+        for event in (node.TURN_RADIO_ON, node.TURN_RADIO_OFF,
+                      node.START_RX, node.STOP_RX):
             with pytest.raises(IllegalTransition, match=re.escape(
-                    f"node 7: event {event.value} illegal in state "
+                    f"node 7: event {event} illegal in state "
                     f"(mcu=sleep, radio=off) at t=0 ns")):
                 device.transition(event, 0)
 
     def test_ledger_time_moving_backwards_rejected(self):
         device = make_device(awake=True)
-        device.transition(NodeEvent.RADIO_ON, 1_000)
+        device.transition(node.TURN_RADIO_ON, 1_000)
         with pytest.raises(IllegalTransition, match="backwards"):
-            device.transition(NodeEvent.RADIO_READY, 999)
+            device.transition(node.RADIO_READY, 999)
         with pytest.raises(IllegalTransition, match="backwards"):
             device.finalize(999)
-        device.transition(NodeEvent.RADIO_READY, 1_000_000)
-        device.transition(NodeEvent.START_RX, 2_000_000)
+        device.transition(node.RADIO_READY, 1_000_000)
+        device.transition(node.START_RX, 2_000_000)
         with pytest.raises(IllegalTransition, match="backwards"):
             device.receive(1_999_999)
 
@@ -150,20 +150,20 @@ class TestSharedResults:
         fast = make_device()
         slow = make_device(mcu_wakeup_ns=9_000, radio_turn_on_ns=2_000_000)
         for device in (fast, slow):
-            assert device.transition(NodeEvent.WURX_INTERRUPT, 0) is node.HELD
-            woken = device.transition(NodeEvent.WAKE, device.wake_ns)
-            device.transition(NodeEvent.RADIO_OFF, 3_000_000)
-            turning_on = device.transition(NodeEvent.RADIO_ON, 3_000_000)
-            ready = device.transition(NodeEvent.RADIO_READY,
+            assert device.transition(node.WURX_INTERRUPT, 0) is node.HELD
+            woken = device.transition(node.WAKE, device.wake_ns)
+            device.transition(node.TURN_RADIO_OFF, 3_000_000)
+            turning_on = device.transition(node.TURN_RADIO_ON, 3_000_000)
+            ready = device.transition(node.RADIO_READY,
                                       3_000_000 + device.radio_turn_on_ns)
             assert turning_on is node._TURNING_ON
             assert woken is ready is node._STANDBY
         assert [(d.wake_ns, d.radio_turn_on_ns) for d in (fast, slow)] == [
             (1_007_000, 1_000_000), (2_009_000, 2_000_000)]
-        a = fast.transition(NodeEvent.TX_REQUEST, 7_000_000)
-        b = slow.transition(NodeEvent.TX_REQUEST, 7_000_000)
+        a = fast.transition(node.TX_REQUEST, 7_000_000)
+        b = slow.transition(node.TX_REQUEST, 7_000_000)
         assert a is b is node._TX
-        assert (a.mcu, a.radio) == (McuMode.ACTIVE, RadioMode.TX)
+        assert (a.mcu, a.radio) == (node.MCU_ACTIVE, node.RADIO_TX)
 
 
 # The documented transition table, transcribed independently from the node
@@ -220,30 +220,33 @@ EVENT_NAMES = sorted({name for row in DOC_TABLE.values() for name in row}
 
 
 def state_of(device):
-    state = (device.mcu.value, device.radio.value)
+    state = (device.mcu, device.radio)
     return HELD if device.wake_tick_ns != math.inf else state
 
 
-def build_device_in(state):
-    """Construct a device and steer it into the requested state."""
+def build_device_in(state, decoding=False):
+    """Construct a device and steer it into the requested state; with
+    ``decoding``, its WuRX decodes from the start."""
     mcu, radio = state[:2]
-    device = make_device(awake=True)
+    device = make_device(awake=True, with_wurx=decoding)
+    if decoding:
+        device.wurx_decode(True, 0)
     if mcu == "sleep":
-        device.transition(NodeEvent.SLEEP_REQUEST, 0)
+        device.transition(node.SLEEP_REQUEST, 0)
         if state == HELD:
-            device.transition(NodeEvent.WURX_INTERRUPT, 0)
+            device.transition(node.WURX_INTERRUPT, 0)
         return device
     if radio in ("turning_on", "standby", "rx", "tx"):
-        device.transition(NodeEvent.RADIO_ON, 0)
+        device.transition(node.TURN_RADIO_ON, 0)
         if radio == "turning_on":
             return device
-        device.transition(NodeEvent.RADIO_READY, 0)
+        device.transition(node.RADIO_READY, 0)
         if radio == "standby":
             return device
         if radio == "rx":
-            device.transition(NodeEvent.START_RX, 0)
+            device.transition(node.START_RX, 0)
             return device
-        device.transition(NodeEvent.TX_REQUEST, 0)
+        device.transition(node.TX_REQUEST, 0)
         return device
     return device  # ("active", "off")
 
@@ -255,25 +258,86 @@ STEP_NS = 7_000 + 1_000_000
 def apply_event(device, name, now_ns):
     if name == "begin_wub_tx":
         return device.begin_wub_tx(now_ns, duty=0.5)
-    if name == "rx_done":  # a decode: no NodeEvent, as it changes no state
+    if name == "rx_done":  # a decode: no event text, as it changes no state
         return device.receive(now_ns)
-    return device.transition(NodeEvent(name), now_ns)
+    return device.transition(name, now_ns)
+
+
+def expected_label(target, name, decoding):
+    """The power label the module docstring gives the state an event
+    reached: a sleeping mote charges wurx_decode while its WuRX decodes."""
+    mcu, radio = target[:2]
+    if radio == "tx":
+        return "wub_tx" if name == "begin_wub_tx" else "lora_tx"
+    if radio == "rx":
+        return "lora_rx"
+    if mcu == "active":
+        return "mcu_active"
+    return "wurx_decode" if decoding else "sleep"
 
 
 def test_transition_table_exhaustive():
-    """Every (state, event) pair behaves exactly as the documented table."""
-    for state, row in DOC_TABLE.items():
-        for name in EVENT_NAMES:
-            device = build_device_in(state)
-            assert state_of(device) == state
-            if name in row:
-                apply_event(device, name, STEP_NS)
-                assert state_of(device) == row[name], \
-                    f"{state} --{name}--> wrong target"
-            else:
-                with pytest.raises(IllegalTransition):
-                    apply_event(device, name, STEP_NS)
+    """Every (state, event) pair behaves exactly as the documented table,
+    and each legal one charges the label of the state it reached, with and
+    without a WuRX decode in progress."""
+    for decoding in (False, True):
+        for state, row in DOC_TABLE.items():
+            for name in EVENT_NAMES:
+                device = build_device_in(state, decoding)
                 assert state_of(device) == state
+                if name in row:
+                    apply_event(device, name, STEP_NS)
+                    assert state_of(device) == row[name], \
+                        f"{state} --{name}--> wrong target"
+                    assert device._label == expected_label(
+                        row[name], name, decoding), (state, name, decoding)
+                else:
+                    with pytest.raises(IllegalTransition):
+                        apply_event(device, name, STEP_NS)
+                    assert state_of(device) == state
+
+
+class TestEventsByText:
+    """An event is its text: a string built at run time, equal to an
+    event's text but another object, drives a transition exactly as the
+    module's constant does, and any other text is illegal."""
+
+    EVENTS = (node.WAKE, node.RADIO_READY, node.WURX_INTERRUPT,
+              node.TX_REQUEST, node.TX_DONE, node.SLEEP_REQUEST,
+              node.TURN_RADIO_ON, node.TURN_RADIO_OFF, node.START_RX,
+              node.STOP_RX, node.BEGIN_WUB_TX)
+
+    @staticmethod
+    def snapshot(device):
+        ledger = device.ledger
+        return (state_of(device), device._state, device._label,
+                device._label_since_ns, device.wake_tick_ns,
+                dict(ledger.time_ns), dict(ledger.energy_j),
+                ledger.battery_remaining_j)
+
+    def test_built_text_drives_as_the_constant(self):
+        for state, row in DOC_TABLE.items():
+            for event in self.EVENTS:
+                if event not in row:
+                    continue
+                built = "".join([event[:1], event[1:]])
+                assert built == event and built is not event
+                by_constant = build_device_in(state)
+                by_text = build_device_in(state)
+                result = by_constant.transition(event, STEP_NS)
+                assert by_text.transition(built, STEP_NS) is result
+                assert self.snapshot(by_text) == self.snapshot(by_constant)
+
+    def test_unknown_text_is_illegal_everywhere(self):
+        for state in DOC_TABLE:
+            device = build_device_in(state)
+            before = self.snapshot(device)
+            mcu, radio = state[:2]
+            with pytest.raises(IllegalTransition, match=re.escape(
+                    f"node 7: event timer[wkae] illegal in state "
+                    f"(mcu={mcu}, radio={radio}) at t={STEP_NS} ns")):
+                device.transition("timer[wkae]", STEP_NS)
+            assert self.snapshot(device) == before
 
 
 def test_transition_fuzz_million_events():
@@ -372,8 +436,8 @@ class TestLedgerIntegration:
         device = make_device(with_wurx=True)
         device.wurx_decode(True, 5_000_000)
         device.wurx_decode(False, 21_000_000)
-        device.transition(NodeEvent.WURX_INTERRUPT, 21_000_000)
-        device.transition(NodeEvent.WAKE, 22_007_000)
+        device.transition(node.WURX_INTERRUPT, 21_000_000)
+        device.transition(node.WAKE, 22_007_000)
         device.finalize(100_000_000)
         assert device.ledger.total_time_ns() == 100_000_000
         assert device.ledger.time_ns["wurx_decode"] == 16_000_000
@@ -382,10 +446,10 @@ class TestLedgerIntegration:
 
     def test_wub_dwell_charged_at_duty_power(self):
         device = make_device(awake=True)
-        device.transition(NodeEvent.RADIO_ON, 0)
-        device.transition(NodeEvent.RADIO_READY, 1_000_000)
+        device.transition(node.TURN_RADIO_ON, 0)
+        device.transition(node.RADIO_READY, 1_000_000)
         device.begin_wub_tx(1_000_000, duty=0.5)
-        device.transition(NodeEvent.TX_DONE, 17_000_000)
+        device.transition(node.TX_DONE, 17_000_000)
         device.finalize(20_000_000)
         assert device.ledger.time_ns["wub_tx"] == 16_000_000
         assert device.ledger.energy_j["wub_tx"] == pytest.approx(
@@ -395,10 +459,10 @@ class TestLedgerIntegration:
         device = make_device(awake=True)
         with pytest.raises(IllegalTransition):
             device.begin_wub_tx(0, duty=0.5)  # the radio is still off
-        device.transition(NodeEvent.RADIO_ON, 0)
-        device.transition(NodeEvent.RADIO_READY, 1_000_000)
-        device.transition(NodeEvent.TX_REQUEST, 1_000_000)
-        device.transition(NodeEvent.TX_DONE, 5_000_000)
+        device.transition(node.TURN_RADIO_ON, 0)
+        device.transition(node.RADIO_READY, 1_000_000)
+        device.transition(node.TX_REQUEST, 1_000_000)
+        device.transition(node.TX_DONE, 5_000_000)
         device.finalize(6_000_000)
         assert device.ledger.time_ns["lora_tx"] == 4_000_000
         assert device.ledger.energy_j["lora_tx"] == pytest.approx(
@@ -466,9 +530,9 @@ def listening_device(power_w, battery_j, harvest_rate_w):
     """A base station whose radio entered rx at 1 ms."""
     device = make_device(awake=True, power_w=power_w, battery_j=battery_j,
                          harvest_rate_w=harvest_rate_w)
-    device.transition(NodeEvent.RADIO_ON, 0)
-    device.transition(NodeEvent.RADIO_READY, 1_000_000)
-    device.transition(NodeEvent.START_RX, 1_000_000)
+    device.transition(node.TURN_RADIO_ON, 0)
+    device.transition(node.RADIO_READY, 1_000_000)
+    device.transition(node.START_RX, 1_000_000)
     return device
 
 
@@ -509,8 +573,8 @@ class TestDecodeCharge:
             oracle._apply(now, oracle._state)
             assert ledger_bits(decoding) == ledger_bits(oracle)
         assert decoding._state is node._RX
-        assert (decoding.mcu, decoding.radio) == (McuMode.ACTIVE,
-                                                  RadioMode.RX)
+        assert (decoding.mcu, decoding.radio) == (node.MCU_ACTIVE,
+                                                  node.RADIO_RX)
         for device in (decoding, oracle):
             device.finalize(now + tail_ns)
         assert ledger_bits(decoding) == ledger_bits(oracle)
@@ -578,10 +642,10 @@ class TestTimerWake:
         assert device.wake_ns == 2_009_000
         accruals = recorded_accruals(device)
         assert device.hold_wake(1_000) == 1_000 + 2_009_000
-        ready = device.transition(NodeEvent.WAKE, 1_000 + 2_009_000)
+        ready = device.transition(node.WAKE, 1_000 + 2_009_000)
         assert ready is node._STANDBY
-        assert (device.mcu, device.radio) == (McuMode.ACTIVE,
-                                              RadioMode.STANDBY)
+        assert (device.mcu, device.radio) == (node.MCU_ACTIVE,
+                                              node.RADIO_STANDBY)
         assert [(label, dt_ns) for label, _p, dt_ns in accruals] == [
             ("sleep", 1_000), ("mcu_active", 9_000),
             ("mcu_active", 2_000_000)]
@@ -591,34 +655,34 @@ class TestTimerWake:
         # asleep since 5 us: a wake held for a tick 1 ns before that would
         # charge the sleep backwards
         device = make_device(awake=True)
-        device.transition(NodeEvent.SLEEP_REQUEST, 5_000)
+        device.transition(node.SLEEP_REQUEST, 5_000)
         device.hold_wake(4_999)
         before = (ledger_bits(device), device._label_since_ns,
                   device._state, device._label, device.wake_tick_ns)
         with pytest.raises(IllegalTransition, match="backwards"):
-            device.transition(NodeEvent.WAKE, 4_999 + device.wake_ns)
-        assert (device.mcu, device.radio) == (McuMode.SLEEP, RadioMode.OFF)
+            device.transition(node.WAKE, 4_999 + device.wake_ns)
+        assert (device.mcu, device.radio) == (node.MCU_SLEEP, node.RADIO_OFF)
         assert (ledger_bits(device), device._label_since_ns,
                 device._state, device._label, device.wake_tick_ns) == before
         device.hold_wake(5_000)
-        device.transition(NodeEvent.WAKE, 5_000 + device.wake_ns)
+        device.transition(node.WAKE, 5_000 + device.wake_ns)
         assert device.ledger.time_ns == {"mcu_active": 5_000 + 1_007_000}
 
     def test_early_step_is_rejected_and_changes_nothing(self):
         # a held wake's timer is legal at its radio-ready only, 1.012 ms
         device = make_device()
-        device.transition(NodeEvent.WURX_INTERRUPT, 5_000)
+        device.transition(node.WURX_INTERRUPT, 5_000)
         before = (ledger_bits(device), device._label_since_ns,
                   device._state, device._label, device.wake_tick_ns)
         for now_ns in (1_012_000 - 1, 1_012_000 + 1):
             with pytest.raises(IllegalTransition, match=re.escape(
                     "event timer[wake] illegal in state "
                     "(mcu=sleep, radio=off)")):
-                device.transition(NodeEvent.WAKE, now_ns)
+                device.transition(node.WAKE, now_ns)
             assert (ledger_bits(device), device._label_since_ns,
                     device._state, device._label,
                     device.wake_tick_ns) == before
-        device.transition(NodeEvent.WAKE, 1_012_000)
+        device.transition(node.WAKE, 1_012_000)
         assert device.ledger.time_ns == {"sleep": 5_000,
                                          "mcu_active": 1_007_000}
 
@@ -683,7 +747,7 @@ class TestTimerWake:
             radio_turn_on_ns, asleep_ns, tail_ns):
         def timer_wake(device, tick_ns, ready_ns):
             assert device.hold_wake(tick_ns) == ready_ns
-            return device.transition(NodeEvent.WAKE, ready_ns)
+            return device.transition(node.WAKE, ready_ns)
 
         self.check_wake(timer_wake, power_w, battery_j, harvest_rate_w,
                         mcu_wakeup_ns, radio_turn_on_ns, asleep_ns, tail_ns)
@@ -697,18 +761,18 @@ class TestTimerWake:
             self, power_w, battery_j, harvest_rate_w, mcu_wakeup_ns,
             radio_turn_on_ns, asleep_ns, tail_ns, burst):
         def wurx_wake(device, tick_ns, ready_ns):
-            held = device.transition(NodeEvent.WURX_INTERRUPT, tick_ns)
+            held = device.transition(node.WURX_INTERRUPT, tick_ns)
             assert held is node.HELD
             assert device.ledger.time_ns == {}  # nothing charged yet
             if burst is not None:
                 start_ns = min(tick_ns + burst[0], ready_ns)
                 device.wurx_decode(True, start_ns)
-                device.transition(NodeEvent.WURX_INTERRUPT, start_ns)
+                device.transition(node.WURX_INTERRUPT, start_ns)
                 device.wurx_decode(False, min(start_ns + burst[1], ready_ns))
             # the timer the engine sets for HELD, at the tick plus the
             # wake, which it drops for a depleted node; the interrupt
             # charged nothing, so it is never dropped
-            return device.transition(NodeEvent.WAKE,
+            return device.transition(node.WAKE,
                                      tick_ns + device.wake_ns)
 
         self.check_wake(wurx_wake, power_w, battery_j, harvest_rate_w,
@@ -717,7 +781,7 @@ class TestTimerWake:
 
 def test_every_result_is_a_shared_state():
     """Every legal transition in the documented table returns one of the
-    module's shared states, its (mcu, radio) pair and nothing more, which
+    module's shared states, its (mcu, radio) pair and its power label, which
     is the state the device is in unless it held a wake; the engine tells
     the ones it acts on apart by identity, so HELD comes only from
     (sleep, off) with no wake held. A decode returns nothing and keeps the
@@ -725,7 +789,7 @@ def test_every_result_is_a_shared_state():
     shared = [value for value in vars(node).values()
               if isinstance(value, TransitionResult)]
     assert len({id(result) for result in shared}) == len(shared)
-    assert TransitionResult._fields == ("mcu", "radio")
+    assert TransitionResult._fields == ("mcu", "radio", "label")
     for state, row in DOC_TABLE.items():
         for name in row:
             if name == "rx_done":
@@ -736,7 +800,7 @@ def test_every_result_is_a_shared_state():
             held = state == ("sleep", "off") and name == "wurx_interrupt"
             assert (result is node.HELD) == held, (state, name)
             assert result is (node.HELD if held else device._state)
-            assert (result.mcu.value, result.radio.value) == row[name][:2]
+            assert (result.mcu, result.radio) == row[name][:2]
     device = build_device_in(("active", "rx"))
     assert device.receive(STEP_NS) is None
     assert device._state is node._RX
@@ -752,17 +816,17 @@ class TestLabelAcrossWurxModes:
         device = make_device(awake=True, with_wurx=True)
         steps = [
             (2_000_000, lambda t: device.wurx_decode(True, t)),
-            (3_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
+            (3_000_000, lambda t: device.transition(node.SLEEP_REQUEST, t)),
             (10_000_000, lambda t: device.wurx_decode(False, t)),
-            (10_000_000, lambda t: device.transition(NodeEvent.WURX_INTERRUPT, t)),
-            (11_007_000, lambda t: device.transition(NodeEvent.WAKE, t)),
-            (15_000_000, lambda t: device.transition(NodeEvent.RADIO_OFF, t)),
+            (10_000_000, lambda t: device.transition(node.WURX_INTERRUPT, t)),
+            (11_007_000, lambda t: device.transition(node.WAKE, t)),
+            (15_000_000, lambda t: device.transition(node.TURN_RADIO_OFF, t)),
             (20_000_000, lambda t: device.wurx_decode(True, t)),
-            (20_000_000, lambda t: device.transition(NodeEvent.RADIO_ON, t)),
+            (20_000_000, lambda t: device.transition(node.TURN_RADIO_ON, t)),
             (21_000_000, lambda t: device.transition(
-                NodeEvent.RADIO_READY, t)),
-            (21_000_000, lambda t: device.transition(NodeEvent.START_RX, t)),
-            (25_000_000, lambda t: device.transition(NodeEvent.SLEEP_REQUEST, t)),
+                node.RADIO_READY, t)),
+            (21_000_000, lambda t: device.transition(node.START_RX, t)),
+            (25_000_000, lambda t: device.transition(node.SLEEP_REQUEST, t)),
             (30_000_000, lambda t: device.wurx_decode(False, t)),
         ]
         labels = []

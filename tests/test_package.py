@@ -24,7 +24,7 @@ from motesim import ConfigError, channel, node, phy, stack, wurx
 REMOVED = {"airtime_s", "tx_energy", "ook_tx_energy", "reception_margin",
            "ReceptionDecision", "NodeEventKind", "Transmission", "snr_of",
            "WurxState", "WakeUpFrame", "ook_duty", "WurxOutcome", "IGNORED",
-           "WAKE", "REJECT"}
+           "WAKE", "REJECT", "NodeEvent"}
 
 
 def test_every_public_name_resolves_once():
@@ -45,7 +45,7 @@ RECORDS = [
                                 "rssi_margin_db", "snr_margin_db")),
     (stack.UnicastMessage, ("src", "dst", "seqno", "payload")),
     (wurx.WubEmission, ("address", "duration_ns", "duty")),
-    (node.TransitionResult, ("mcu", "radio")),
+    (node.TransitionResult, ("mcu", "radio", "label")),
 ]
 
 
