@@ -43,8 +43,8 @@ since the last rebuild started at or after that floor with positive airtime,
 so that floor would drop nothing. A rebuild that drops a frame, like a frame
 going on air, empties the rival indexes. Carrier sense reads this short list,
 and the capture decision the head of each listener's index of it, so the cost
-per event does not grow with the horizon; the dispatch trace is hashed in
-chunks of at most 1,024 lines, so its memory is constant too.
+per event does not grow with the horizon; the dispatch trace is formatted and
+hashed 256 events at a time, so its memory is constant too.
 
 A wake-up exchange's burst is described by the target's wurx block alone, so
 it is built once, with the initiator's data delay, and every cycle sends it.
@@ -55,22 +55,21 @@ bursts, never while in tx, so none arrives mid-decode. Nodes never move, so
 at a sender's first frame the engine caches its distance and mean path loss
 to every other node, and at its first wake-up burst to every other WuRX node;
 a packet record reads its distance there. Each frame or burst then takes only
-the shadowing draws, one per receiver in ascending address order, in one
-``channel.RssiOnRead`` built by ``_rssi_by_rx``: bit for bit what
-``channel.rssi_at``'s ``rng.gauss`` calls would give, drawn when the frame
-starts but transformed on read, so only at the receivers that read it, its
-``dst`` and the listeners. With no shadowing the RNG is not touched, and a
-sender's frames share one RSSI map per tx power. A frame's airtime and noise
-floor are stored by (the sending driver's config, frame length), so a driver
-reconfigured mid-run needs no invalidation; the devices are built in
-ascending address order. A frame's link header is read once, with the stack's
-header format, and the stack filters on the ``dst`` read there, so it decodes
-only the frames it hands up. Its packet record is built with its outcome,
-when it is decided or, in flight, at the horizon; the run's per-link counts
-are taken from those records, put in send order, at the end.
+the shadowing draws, one per receiver in ascending address order, the
+devices' build order, in one ``channel.RssiOnRead`` built by ``_rssi_by_rx``:
+bit for bit what ``channel.rssi_at``'s ``rng.gauss`` calls would give, drawn
+when the frame starts but transformed on read, so only at the receivers that
+read it, its ``dst`` and the listeners. With no shadowing the RNG is not
+touched. At each ``configure`` a driver binds its config's noise floor and
+airtime by frame length, shared by equal configs, and its RSSI maps at its tx
+power. A frame's link header is read once, with the stack's header format,
+and the stack filters on the ``dst`` read there, so it decodes only the
+frames it hands up. Its packet record is built with its outcome, when it is
+decided or, in flight, at the horizon; the run's per-link counts are taken
+from those records, put in send order, at the end.
 
 The per-event path is flat. ``run_until`` pops an event, keeps its trace
-line and handles node timers and callbacks itself, including the skip of a
+fields and handles node timers and callbacks itself, including the skip of a
 depleted node; only frame ends and burst ends go through a helper, and the
 dispatch order is checked on the two ints. A withdrawn callback is dropped
 as it is popped, before all that, so it is no event. A node timer costs one
@@ -123,7 +122,7 @@ NODE_TIMER = "node_timer"
 CALLBACK = "callback"
 TX_END = "tx_end"
 WUB_END = "wub_end"
-_TRACE_BATCH = 1024  # trace lines per hash update, not one update per line
+_TRACE_BATCH = 256  # trace lines per hash update, not one update per line
 
 
 class SimRadioDriver(stk.RadioDriver):
@@ -134,8 +133,8 @@ class SimRadioDriver(stk.RadioDriver):
         self.device = device
         self.rx_done = None  # the stack's, called by the engine on a decode
         self._tx_cb = None
-        self._config = sim.scenario.radio
         self._in_tx_done = False
+        self.configure(sim.scenario.radio)  # the radio starts off
 
     def bind(self, rx_done=None, tx_done=None) -> None:
         if rx_done is not None:
@@ -147,11 +146,15 @@ class SimRadioDriver(stk.RadioDriver):
         """Nothing to reset: the device holds all radio state."""
 
     def configure(self, config) -> None:
+        """Take ``config`` and bind its entries in the shared tables."""
         if self.device.radio in (RADIO_TX, RADIO_RX, RADIO_TURNING_ON):
             raise ContractViolation(
                 "configure while the radio is transmitting, receiving or "
                 "powering up")
         self._config = config
+        self._facts = self.sim._frame_facts.setdefault(config, {})
+        self._rssi = self.sim._flat_rssi.setdefault(
+            (self.device.address, config.tx_power_dbm), {})
 
     @property
     def config(self):
@@ -189,6 +192,10 @@ class SimRadioDriver(stk.RadioDriver):
         return self.device.radio is RADIO_STANDBY
 
     def send(self, data: bytes):
+        try:  # bytes(5) would be five zero bytes, not an error
+            data = data if type(data) is bytes else bytes(memoryview(data))
+        except TypeError:
+            raise ContractViolation("send takes bytes-like data") from None
         if self._in_tx_done:
             raise ContractViolation(
                 "send called from inside a tx_done callback; defer via timer")
@@ -196,7 +203,7 @@ class SimRadioDriver(stk.RadioDriver):
             raise RadioUnavailable(
                 f"radio of node {self.device.address} is "
                 f"{self.device.radio}; cannot send")
-        return self.sim.begin_transmission(self.device, bytes(data)).frame_id
+        return self.sim.begin_transmission(self, data).frame_id
 
     def fire_tx_done(self, frame_id: int) -> None:
         if self._tx_cb is not None:
@@ -224,6 +231,7 @@ class Simulator:
         self._frame_ids = itertools.count(1)
         self._trace = hashlib.sha256() if record_trace else None
         self._trace_lines: list = []  # dispatched, not yet hashed
+        self._trace_sep = b""  # before the next chunk: a newline once hashed
         self.event_count = 0
         self.log_lines: list = []
 
@@ -236,8 +244,8 @@ class Simulator:
         self._floor = 0  # the pruning floor _on_air was last rebuilt with
         self._links: dict = {}  # (sender address, wake_up) -> its links
         self._distance: dict = {}  # (sender, receiver) -> metres, with _links
-        self._frame_facts: dict = {}  # (config, length) -> (noise, airtime)
-        self._flat_rssi: dict = {}  # (sender, wake_up, tx power) -> RSSIs
+        self._frame_facts: dict = {}  # config -> {length: (noise, airtime)}
+        self._flat_rssi: dict = {}  # (sender, tx power) -> {wake_up: RSSIs}
         self._listeners: dict = {}  # address -> device, ascending address
         self._rivals: dict = {}  # listener -> its index, built when read
         # (rssi, sf, bandwidth) -> the ReceptionOutcome of a frame with no
@@ -327,18 +335,16 @@ class Simulator:
         return any(o.start_ns <= self.now < o.end_ns
                    and o.frequency_hz == frequency_hz for o in self._on_air)
 
-    def _rssi_by_rx(self, sender: MoteDevice, wake_up: bool) -> dict:
-        """The RSSI of a new frame at every other node, or of a new wake-up
-        burst at every other WuRX node, with the arithmetic and draw order
-        of ``channel.rssi_at``: a ``channel.RssiOnRead`` under shadowing,
-        else a plain dict shared by the sender's frames or bursts at a power.
+    def _rssi_by_rx(self, driver: SimRadioDriver, wake_up: bool) -> dict:
+        """The RSSI of the driver's new frame at every other node, or of its
+        new wake-up burst at every other WuRX node, with the arithmetic and
+        draw order of ``channel.rssi_at``: a ``channel.RssiOnRead`` under
+        shadowing, else a plain dict kept in the maps the driver bound.
         """
-        tx_power_dbm = self.drivers[sender.address].config.tx_power_dbm
         sigma = self.scenario.channel.shadowing_sigma_db
-        if not sigma:
-            flat_key = (sender.address, wake_up, tx_power_dbm)
-            if flat_key in self._flat_rssi:
-                return self._flat_rssi[flat_key]
+        if not sigma and wake_up in driver._rssi:
+            return driver._rssi[wake_up]
+        sender, tx_power_dbm = driver.device, driver._config.tx_power_dbm
         links = self._links.get((sender.address, wake_up))
         if links is None:
             params = self.scenario.channel
@@ -353,26 +359,27 @@ class Simulator:
             self._links[(sender.address, wake_up)] = links
         if sigma:
             return chan.RssiOnRead(tx_power_dbm, links, self.rng, sigma)
-        rssi_by_rx = self._flat_rssi[flat_key] = {
+        rssi_by_rx = driver._rssi[wake_up] = {
             rx: tx_power_dbm - loss for rx, (_index, loss) in links.items()}
         return rssi_by_rx
 
-    def begin_transmission(self, device: MoteDevice, data: bytes) -> Frame:
-        config = self.drivers[device.address].config
-        facts = self._frame_facts.get((config, len(data)))
+    def begin_transmission(self, driver: SimRadioDriver, data: bytes) -> Frame:
+        """Put the driver's frame on air, with the facts its config bound."""
+        device, config, length = driver.device, driver._config, len(data)
+        facts = driver._facts.get(length)
         if facts is None:
-            facts = self._frame_facts[config, len(data)] = (
+            facts = driver._facts[length] = (
                 chan.noise_floor_dbm(config.bandwidth_hz,
                                      self.scenario.channel.noise_figure_db),
-                time_on_air(config, len(data)))
-        if len(data) >= stk.HEADER_BYTES:
+                time_on_air(config, length))
+        if length >= stk.HEADER_BYTES:  # drivers carry bytes, not messages
             _src, dst, seqno = stk.HEADER.unpack_from(data)
         else:
             dst = seqno = None
         frame = Frame(  # positional: keywords cost twice as much
             next(self._frame_ids), device.address, dst, seqno, data,
             config.spreading_factor, config.bandwidth_hz, config.frequency_hz,
-            facts[0], self._rssi_by_rx(device, False), self.now,
+            facts[0], self._rssi_by_rx(driver, False), self.now,
             self.now + facts[1])
         device.transition(nd.TX_REQUEST, self.now)  # no result to act on
         self._on_air.append(frame)
@@ -386,7 +393,7 @@ class Simulator:
         # one burst; begin_wub_tx rejects one while the radio is off or busy
         burst = self._wub
         device.begin_wub_tx(self.now, burst.duty)  # no result to act on
-        rssi_by_rx = self._rssi_by_rx(device, True)
+        rssi_by_rx = self._rssi_by_rx(self.drivers[device.address], True)
         decoding = []  # (receiver, interrupt), in ascending address order
         for rx_addr in rssi_by_rx:
             receiver = self.devices[rx_addr]
@@ -429,9 +436,9 @@ class Simulator:
             last_ts, last_seq = ts, seq
             self.now = ts
             self.event_count += 1
-            if trace is not None:
-                lines.append(f"{ts} {seq} {kind} {target} "
-                             f"{payload if kind == NODE_TIMER else ''}")
+            if trace is not None:  # formatted a chunk at a time
+                lines.append((ts, seq, kind, target,
+                              payload if kind == NODE_TIMER else ""))
                 if len(lines) == _TRACE_BATCH:
                     self._hash_trace_lines()
             if kind == NODE_TIMER or kind == CALLBACK:
@@ -571,12 +578,15 @@ class Simulator:
     # -- results ------------------------------------------------------------------
 
     def _hash_trace_lines(self) -> None:
-        """Hash the kept lines as one newline-joined chunk; once one is
-        hashed, an empty line opens the next, for the newline before it."""
+        """Format the kept dispatches as one newline-joined chunk of lines
+        and hash it; a newline opens every chunk after the first."""
         lines = self._trace_lines
         if lines:
-            self._trace.update("\n".join(lines).encode("utf-8"))
-            lines[:] = [""]
+            self._trace.update(self._trace_sep + "\n".join([
+                f"{ts} {seq} {kind} {target} {payload}"
+                for ts, seq, kind, target, payload in lines]).encode("utf-8"))
+            self._trace_sep = b"\n"
+            lines.clear()
 
     def trace_hash(self) -> str:
         if self._trace is None:

@@ -117,14 +117,14 @@ class TestRssiOnRead:
             nodes=nodes, app=AppSpec(kind="none")), record_trace=False)
         sim.rng.gauss(0.0, 4.0)  # leaves a spare pending
         state = sim.rng.getstate()
-        rssi = sim._rssi_by_rx(sim.devices[1], False)
+        rssi = sim._rssi_by_rx(sim.drivers[1], False)
         assert type(rssi) is dict
         assert rssi == {rx: rssi_at(14.0, ORIGIN, pos, params)
                         for rx, pos in positions.items()}
-        assert sim._rssi_by_rx(sim.devices[1], False) is rssi
+        assert sim._rssi_by_rx(sim.drivers[1], False) is rssi
         driver = sim.drivers[1]
         driver.configure(driver.config._replace(tx_power_dbm=2.0))
-        louder = sim._rssi_by_rx(sim.devices[1], False)
+        louder = sim._rssi_by_rx(sim.drivers[1], False)
         assert louder is not rssi
         assert louder == {rx: rssi_at(2.0, ORIGIN, pos, params)
                           for rx, pos in positions.items()}

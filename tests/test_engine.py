@@ -1611,6 +1611,41 @@ class TestWorkCounts:
         assert len(sim.run().packets) == packets
         assert (indexes.builds, indexes.entries) == (builds, entries)
 
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Reads of a driver's ``config`` property, and each (config,
+        length) the engine works an airtime out for."""
+        reads = {"config": 0, "airtimes": []}
+        config = engine.SimRadioDriver.config
+
+        def counting(driver):
+            reads["config"] += 1
+            return config.fget(driver)
+
+        def airtime(radio, length):
+            reads["airtimes"].append((radio, length))
+            return time_on_air(radio, length)
+
+        monkeypatch.setattr(engine.SimRadioDriver, "config",
+                            property(counting))
+        monkeypatch.setattr(engine, "time_on_air", airtime)
+        return reads
+
+    @pytest.mark.parametrize("run_once, frames", [
+        (lambda: power_profile(cycles=1000, seed=0).packets, 1_000),
+        (lambda: range_sweep()[2][0].packets, 360),
+        # the dense-periodic benchmark's unit
+        (lambda: run(hundred_mote_scenario(motes=20, horizon_s=1200),
+                     record_trace=False).packets, 2_380),
+    ], ids=["power_profile", "range_sweep", "dense_periodic"])
+    def test_frames_read_no_config(self, reads, run_once, frames):
+        # each sender's driver bound its config's frame facts and RSSI
+        # maps when it was built: a frame or burst reads no config, and
+        # the run's one (config, length) takes one airtime
+        assert len(run_once()) == frames
+        assert reads == {"config": 0,
+                         "airtimes": [(PAPER_RADIO, 16 + stk.HEADER_BYTES)]}
+
 
 class TestQueueSize:
     """ROADMAP aim 1: the cost per event must not grow with the horizon, so
@@ -1791,7 +1826,7 @@ def shadowed_wakeup_scenario():
 class TestFrameFacts:
     """A frame's airtime and noise floor are worked out once per (sending
     driver's config, frame length), and its sender-to-dst distance once per
-    link; a mid-run ``configure`` needs no invalidation."""
+    link; a mid-run ``configure`` binds the driver's entries again."""
 
     def test_reconfigured_driver_sends_with_its_own_config(self,
                                                            monkeypatch):
@@ -1829,6 +1864,71 @@ class TestFrameFacts:
             assert frame.spreading_factor == config.spreading_factor
         # the first and last sends share their config and length
         assert computed == sends[:-1]
+
+    def test_frames_carry_the_rssi_map_of_their_tx_power(self):
+        """A frame sent after a mid-run tx-power change carries that power's
+        ``rssi_at`` values; back at the first power, the first map itself.
+        """
+        params = ChannelParams()
+        sender = Position(x=100.0)
+        positions = {1: Position(), 3: Position(x=-40.0, y=30.0)}
+        nodes = (NodeSpec(address=1, role="bs", position=positions[1]),
+                 NodeSpec(address=2, role="initiator", position=sender),
+                 NodeSpec(address=3, role="bs", position=positions[3]))
+        sim = Simulator(Scenario(
+            horizon_ns=60 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=params, nodes=nodes, app=AppSpec(kind="none")),
+            record_trace=False)
+        started = record_transmissions(sim)
+        driver = sim.drivers[2]
+        driver.on()
+        sim.run_until(10 ** 9)  # the radio is ready after 1 ms
+        base = driver.config
+        powers = (base.tx_power_dbm, base.tx_power_dbm - 12.0,
+                  base.tx_power_dbm)
+        for power in powers:
+            driver.configure(base._replace(tx_power_dbm=power))
+            driver.send(bytes(22))
+            sim.run_until(started[-1].end_ns)
+        for frame, power in zip(started, powers):
+            assert frame.rssi_by_rx == {
+                rx: channel.rssi_at(power, sender, position, params)
+                for rx, position in positions.items()}
+        first, quieter, again = (frame.rssi_by_rx for frame in started)
+        assert quieter is not first
+        assert again is first
+
+    def test_drivers_with_equal_configs_share_frame_facts(self, monkeypatch):
+        """Two drivers configured with equal but distinct configs work a
+        frame length's airtime out once, at the first frame of it."""
+        nodes = (NodeSpec(address=1, role="bs", position=Position()),
+                 NodeSpec(address=2, role="initiator",
+                          position=Position(x=100.0)),
+                 NodeSpec(address=3, role="initiator",
+                          position=Position(x=-100.0)))
+        sim = Simulator(Scenario(
+            horizon_ns=60 * 10 ** 9, seed=1, radio=RadioConfig(),
+            channel=ChannelParams(), nodes=nodes, app=AppSpec(kind="none")),
+            record_trace=False)
+        computed = []
+
+        def counting(config, length):
+            computed.append((config, length))
+            return time_on_air(config, length)
+
+        monkeypatch.setattr(engine, "time_on_air", counting)
+        started = record_transmissions(sim)
+        for address in (2, 3):
+            sim.drivers[address].on()
+        sim.run_until(10 ** 9)
+        for address in (2, 3):
+            driver = sim.drivers[address]
+            driver.configure(RadioConfig(spreading_factor=9))
+            driver.send(bytes(30))
+            sim.run_until(started[-1].end_ns)
+        assert computed == [(RadioConfig(spreading_factor=9), 30)]
+        assert [frame.end_ns - frame.start_ns for frame in started] == [
+            time_on_air(RadioConfig(spreading_factor=9), 30)] * 2
 
     def test_listeners_are_decided_in_address_order(self, monkeypatch):
         """Base stations 3, 2 and 1 enter rx in that order, yet each frame

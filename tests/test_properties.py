@@ -179,9 +179,9 @@ class RecordingSimulator(Simulator):
         self.due[seq] = at_ns
         return seq
 
-    def begin_transmission(self, device, data):
-        self.starts.append((device.address, self.now))
-        return super().begin_transmission(device, data)
+    def begin_transmission(self, driver, data):
+        self.starts.append((driver.device.address, self.now))
+        return super().begin_transmission(driver, data)
 
     def _recording_rx_done(self, address, rx_done):
         def recording(frame):

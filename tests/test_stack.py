@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motesim.stack
-from motesim import (ChannelParams, PayloadTooLarge, Position, RadioConfig,
-                     RadioUnavailable, Scenario, UnicastMessage,
-                     decode_message, encode_message, time_on_air)
+from motesim import (ChannelParams, ContractViolation, PayloadTooLarge,
+                     Position, RadioConfig, RadioUnavailable, Scenario,
+                     UnicastMessage, decode_message, encode_message,
+                     power_profile_scenario, time_on_air)
 from motesim.contract_kit import run_contract_checks
 from motesim.engine import Simulator, run
 from motesim.frame import Frame
+from motesim.node import RADIO_STANDBY
 from motesim.scenario import AppSpec, NodeSpec
 from motesim.stack import (DEFAULT_MTU, HEADER, HEADER_BYTES, MAX_SEQNO,
                            PeriodicSenderApp, Services, Unicast)
@@ -223,6 +225,33 @@ class TestSendErrors:
         unicast = sim.unicasts[1]
         with pytest.raises(RadioUnavailable):
             unicast.send(99, b"data")
+
+    @staticmethod
+    def ready_initiator():
+        """A power profile's initiator, its radio in standby."""
+        sim = Simulator(power_profile_scenario(cycles=1), record_trace=False)
+        driver = sim.drivers[sim.scenario.app.initiator]
+        driver.on()
+        sim.run_until(driver.device.radio_turn_on_ns)
+        assert driver.device.radio is RADIO_STANDBY
+        return sim, driver
+
+    @pytest.mark.parametrize("data", [5, "data", [1, 2, 3], None])
+    def test_send_of_data_that_is_not_bytes_like_rejected(self, data):
+        # bytes(5) is five zero bytes, which once went on air headerless
+        sim, driver = self.ready_initiator()
+        with pytest.raises(ContractViolation, match="bytes-like"):
+            driver.send(data)
+        assert sim._tx_by_id == {}
+        assert driver.device.radio is RADIO_STANDBY
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_send_of_bytes_like_data_puts_its_bytes_on_air(self, kind):
+        sim, driver = self.ready_initiator()
+        data = encode_message(UnicastMessage(1, 2, 7, b"payload"))
+        frame = sim._tx_by_id[driver.send(kind(data))]
+        assert type(frame.payload) is bytes and frame.payload == data
+        assert (frame.dst, frame.seqno) == (2, 7)
 
 
 def test_stack_module_reads_no_channel_or_ledger_internals():
